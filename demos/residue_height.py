@@ -3,9 +3,11 @@
 Killing the maximal ideal of W(k)[[tau's]][u^(+-1)] leaves k[u^(+-1)], and the
 pushed-forward formal group law has its 2-series supported in degrees that
 detect the height: [2](x) = ubar^(2^h - 1) x^(2^h) + higher terms.  This demo
-computes that 2-series at three parameter choices, confirms the pinned
-(height, coefficient) pairs, and factors the 2-series coefficient ladder into
-unit and monomial pieces.
+computes that 2-series at three parameter choices as F(x, x) of the residue
+law, checks it against residue_height (which reads the height off the
+one-variable series exp(2 log x) instead), confirms the pinned (height,
+coefficient) pairs, and factors the 2-series coefficient ladder into unit and
+monomial pieces.
 
 Run:  python3 demos/residue_height.py
 """
@@ -17,7 +19,7 @@ from fgl_forge.lubin_tate import (
     residue_fgl,
     residue_height,
 )
-from fgl_forge.series_fgl import two_series
+from fgl_forge.series_fgl import height_of_residue_fgl
 
 SCENARIOS = [(2, 1, 1), (2, 2, 2), (3, 1, 1)]
 
@@ -26,17 +28,17 @@ for n, m, d in SCENARIOS:
     h = ctx.h
     print(f"=== (n, m, d) = ({n}, {m}, {d}): expected height h = {h} ===")
 
-    two = two_series(residue_fgl(ctx, cutoff=1 << h))
-    lead = min(e for e, c in two.coeffs.items() if not c.is_zero())
-    print(f"[2](x) over the residue field starts in degree {lead} = 2^{h}")
-    assert lead == 1 << h
+    height, coeff = height_of_residue_fgl(residue_fgl(ctx, cutoff=1 << h), h)
+    print(f"[2](x) = F(x, x) over the residue field starts in degree 2^{height}")
+    assert height == h
     K = KRing(ctx.spec)
-    assert two.coeffs[lead] == K.ubar((1 << h) - 1)
+    assert coeff == K.ubar((1 << h) - 1)
     print(f"  leading coefficient = ubar^{(1 << h) - 1}  (a unit: height is exactly {h})")
 
     report = residue_height(ctx)
     p = report["params"]
     assert p["computed_height"] == h and report["status"] == "verified"
+    assert p["coefficient"] == coeff.to_json()
     print(f"  residue_height report: computed_height={p['computed_height']},"
           f" beta={p['beta']}, unit={p['unit']}")
     print()

@@ -26,6 +26,7 @@ whose constant term 2 is precisely how 2 enters the maximal ideal.
 from __future__ import annotations
 
 import math
+import threading
 
 from .coefficients import (
     QQ,
@@ -48,10 +49,12 @@ from .errors import (
     TruncationOverflow,
 )
 from .series_fgl import (
+    TruncatedSeries1,
     conjugate_fgl,
     fgl_from_log,
-    height_of_residue_fgl,
+    height_of_two_series,
     log_from_v,
+    two_series_from_log,
 )
 
 _U_CAP = 1 << 20  # sanity cap on u-exponents; beyond this the model is broken
@@ -68,14 +71,17 @@ class KRing:
     the series coefficient-ring protocol, so formal group laws reduce here.
     """
 
+    # interning must be atomic: arithmetic matches rings by identity
     _cache = {}
+    _lock = threading.Lock()
 
     def __new__(cls, spec):
-        ring = cls._cache.get(spec)
-        if ring is None:
-            ring = super().__new__(cls)
-            ring.spec = spec
-            cls._cache[spec] = ring
+        with cls._lock:
+            ring = cls._cache.get(spec)
+            if ring is None:
+                ring = super().__new__(cls)
+                ring.spec = spec
+                cls._cache[spec] = ring
         return ring
 
     def zero(self):
@@ -753,26 +759,29 @@ def cotangent_check(ctx):
     return report
 
 
-_LAW_CACHE = {}
+_TWO_SERIES_CACHE = {}
+_TWO_SERIES_LOCK = threading.Lock()
 
 
-def _universal_law(k_max, cutoff):
+def _integral_two_series(k_max, cutoff):
+    """[2](x) of the universal 2-typical law over Z_(2)[v_1..v_k_max], built once."""
     key = (k_max, cutoff)
-    law = _LAW_CACHE.get(key)
-    if law is None:
-        law = fgl_from_log(log_from_v(k_max), cutoff, integral=True)
-        _LAW_CACHE[key] = law
-    return law
+    with _TWO_SERIES_LOCK:
+        two = _TWO_SERIES_CACHE.get(key)
+        if two is None:
+            two = two_series_from_log(log_from_v(k_max), cutoff)
+            _TWO_SERIES_CACHE[key] = two
+    return two
 
 
-def residue_fgl(ctx, cutoff):
-    """The formal group law over K obtained by killing the maximal ideal."""
+def _residue_map(ctx, cutoff):
+    """(k_max, down): the Araki generators a cutoff needs, and the map
+    Z_(2)[v_1..v_k_max] -> K sending v_k to the residue of its image."""
     k_max = max(ctx.h, cutoff.bit_length() - 1)
     if k_max > ctx.rn.k_max:
         raise ValueError(
             f"cutoff {cutoff} needs generators up to {k_max} > k_max={ctx.rn.k_max}"
         )
-    law = _universal_law(k_max, cutoff)
     K = KRing(ctx.spec)
     vbar = [None] + [v_in_lt(ctx, k).residue() for k in range(1, k_max + 1)]
 
@@ -788,14 +797,29 @@ def residue_fgl(ctx, cutoff):
             acc = acc + term
         return acc
 
-    return conjugate_fgl(law, down, target_ring=K, provenance="residue")
+    return k_max, down
+
+
+def residue_fgl(ctx, cutoff):
+    """The formal group law over K obtained by killing the maximal ideal.
+
+    Builds the two-variable universal law afresh on every call; residue_height
+    reads the height off the one-variable 2-series instead, and this route is
+    kept as its independent oracle.
+    """
+    k_max, down = _residue_map(ctx, cutoff)
+    law = fgl_from_log(log_from_v(k_max), cutoff, integral=True)
+    return conjugate_fgl(law, down, target_ring=KRing(ctx.spec), provenance="residue")
 
 
 def residue_height(ctx, cutoff=None):
     """Height of the residue formal group law: exactly h, coefficient ubar^{2^h-1}.
 
-    The leading unit of the 2-series and beta = (2^h-1)/(2^m-1) are recorded in
-    the report; the coefficient is pinned to ubar^{2^h-1} on the nose.
+    The 2-series [2](x) = exp(2 log x) of the universal law is computed over
+    Q[v], certified 2-locally integral, cached per (k_max, cutoff), and
+    mapped coefficientwise to K; its first nonzero term gives the height.
+    The leading unit of the 2-series and beta = (2^h-1)/(2^m-1) are recorded
+    in the report; the coefficient is pinned to ubar^{2^h-1} on the nose.
     """
     h = ctx.h
     if cutoff is None:
@@ -804,9 +828,13 @@ def residue_height(ctx, cutoff=None):
         raise ValueError(f"cutoff {cutoff} < 2^h = {1 << h}")
     if ctx.rn.k_max < h:
         raise ValueError("context was built with k_max < h")
-    F = residue_fgl(ctx, cutoff)
-    height, lead = height_of_residue_fgl(F, h_expected=h)
+    k_max, down = _residue_map(ctx, cutoff)
     K = KRing(ctx.spec)
+    two = _integral_two_series(k_max, cutoff)
+    residue_two = TruncatedSeries1(
+        K, {e: down(c) for e, c in two.coeffs.items()}, cutoff
+    )
+    height, lead = height_of_two_series(residue_two, h_expected=h)
     beta = ((1 << h) - 1) // ((1 << ctx.m) - 1)
     expected = K.ubar((1 << h) - 1)
     unit = lead.coeffs.get((1 << h) - 1, ctx.spec.zero) if height == h else None

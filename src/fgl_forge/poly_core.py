@@ -12,6 +12,7 @@ linear-algebra membership route used to cross-check the Groebner one.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 
 from .coefficients import QQ, is_two_local, qq_from_string, qq_to_string, rational_mod2
@@ -204,23 +205,26 @@ class PolyRing:
         return f"R_{self.n}<{self.m}>(k<={self.k_max}{tag})"
 
 
+# interning must be atomic: arithmetic matches rings by identity
 _RING_CACHE = {}
+_RING_LOCK = threading.Lock()
 
 
 def _make_ring(kind, n, m, k_max, rational, mod2):
     key = (kind, n, m, k_max, rational, mod2)
-    ring = _RING_CACHE.get(key)
-    if ring is None:
-        if rational and mod2:
-            raise ValueError("a ring cannot be both rational and mod-2")
-        if kind == "BP":
-            variables = [V(i) for i in range(1, k_max + 1)]
-        else:
-            half = 1 << (n - 1)
-            top = min(k_max, m) if kind == "Rnm" else k_max
-            variables = [T(i, j) for i in range(1, top + 1) for j in range(half)]
-        ring = PolyRing(kind, n, m, k_max, rational, mod2, variables)
-        _RING_CACHE[key] = ring
+    with _RING_LOCK:
+        ring = _RING_CACHE.get(key)
+        if ring is None:
+            if rational and mod2:
+                raise ValueError("a ring cannot be both rational and mod-2")
+            if kind == "BP":
+                variables = [V(i) for i in range(1, k_max + 1)]
+            else:
+                half = 1 << (n - 1)
+                top = min(k_max, m) if kind == "Rnm" else k_max
+                variables = [T(i, j) for i in range(1, top + 1) for j in range(half)]
+            ring = PolyRing(kind, n, m, k_max, rational, mod2, variables)
+            _RING_CACHE[key] = ring
     return ring
 
 

@@ -17,6 +17,7 @@ from .errors import (
     AmbientMismatch,
     ConsistencyFailure,
     HeightExceedsCutoff,
+    NonIntegralCoefficient,
     NonIntegralResult,
     NonTwoTypicalIso,
     NonUnit,
@@ -134,15 +135,20 @@ class TruncatedSeries1:
         return out
 
     def compose(self, inner: "TruncatedSeries1") -> "TruncatedSeries1":
-        """self(inner(x)); inner has no constant term so this is well-defined."""
+        """self(inner(x)); inner has no constant term so this is well-defined.
+
+        Each power of inner in self's support is reached from the previous
+        one by squaring while the exponent at most doubles, then by single
+        multiplications; a 2-typical log, supported on 2-powers, needs only
+        squarings.
+        """
         self._check(inner)
         acc = TruncatedSeries1.zero(self.ring, self.cutoff)
-        pw = None
-        pw_exp = 0
+        pw, pw_exp = inner, 1
         for e in sorted(self.coeffs):
-            if pw is None:
-                pw = inner
-                pw_exp = 1
+            while 2 * pw_exp <= e:
+                pw = pw * pw
+                pw_exp *= 2
             while pw_exp < e:
                 pw = pw * inner
                 pw_exp += 1
@@ -174,30 +180,28 @@ def _coeff_json(c):
 def series_exp(log: TruncatedSeries1) -> TruncatedSeries1:
     """Compositional inverse of a series with leading coefficient 1.
 
-    Solves exp(log(x)) = x order by order: the x^e coefficient of exp only
-    enters through the linear term of log, everything else is known.
+    Newton iteration g <- g - (log(g) - x) g' (Brent & Kung 1978): since
+    log'(g) g' = 1, each step doubles the number of correct coefficients,
+    and it divides by nothing, so it is valid over any coefficient ring.
+    The result is certified by the defining identity log(exp(x)) = x.
     """
     ring, X = log.ring, log.cutoff
     one = ring.one()
     if log.coefficient(1) != one:
         raise ValueError("series_exp needs leading coefficient 1")
-    g = {1: one}
-    support = sorted(e for e in log.coeffs if e >= 2)
-    for e in range(2, X + 1):
-        partial = TruncatedSeries1(ring, g, e)
-        val = ring.zero()
-        pw, pw_exp = None, 0
-        for k in support:
-            if k > e:
-                break
-            if pw is None:
-                pw, pw_exp = partial, 1
-            while pw_exp < k:
-                pw = pw * partial
-                pw_exp += 1
-            val = val + log.coeffs[k] * pw.coefficient(e)
-        if not val.is_zero():
-            g[e] = -val
+    g = {1: one}  # correct through x^k
+    k = 1
+    while k < X:
+        p = min(2 * k, X)
+        gp = TruncatedSeries1(ring, g, p)
+        r = TruncatedSeries1(ring, log.coeffs, p).compose(gp)
+        r = r - TruncatedSeries1.identity(ring, p)
+        # g' = 1 + dg with dg = sum_{e >= 2} e c_e x^{e-1}
+        dg = TruncatedSeries1(
+            ring, {e - 1: ring.from_rational(e) * c for e, c in g.items() if e > 1}, p
+        )
+        g = (gp - r - r * dg).coeffs
+        k = p
     result = TruncatedSeries1(ring, g, X)
     if not log.compose(result).coeffs == {1: one}:
         raise ConsistencyFailure("compositional inverse failed its defining identity")
@@ -458,24 +462,39 @@ def fgl_from_log(l_list, cutoff, integral=True) -> FGL:
             break
     if not integral:
         return FGL(acc, provenance="universal-Araki", log_list=list(l_list))
-    target = None
-    terms = {}
-    for key, c in acc.coeffs.items():
-        try:
-            ci = from_rational_ring(c)
-        except Exception as exc:
-            raise NonIntegralResult(
-                f"coefficient at {key} is not 2-locally integral: {c!r}"
-            ) from exc
-        target = ci.ring
-        terms[key] = ci
-    if target is None:
+    terms = {key: _integral(c, key) for key, c in acc.coeffs.items()}
+    if not terms:
         raise ConsistencyFailure("empty formal group law")
+    target = next(iter(terms.values())).ring
     return FGL(
         TruncatedSeries2(target, terms, cutoff),
         provenance="universal-Araki",
         log_list=list(l_list),
     )
+
+
+def two_series_from_log(l_list, cutoff) -> TruncatedSeries1:
+    """[2](x) = exp(2 log x), certified 2-locally integral.
+
+    The one-variable route to the 2-series of fgl_from_log(l_list, cutoff):
+    it never forms the two-variable law.  The coefficients are moved to the
+    2-local polynomial ring; a NonIntegralResult means [2](x) is not defined
+    over Z_(2) at this cutoff.
+    """
+    ring = l_list[0].ring
+    L = log_series(l_list, ring, cutoff)
+    two = series_exp(L).compose(L.scale(2))
+    terms = {e: _integral(c, e) for e, c in two.coeffs.items()}
+    return TruncatedSeries1(terms[1].ring, terms, cutoff)  # [2](x) = 2x + ...
+
+
+def _integral(c, where):
+    try:
+        return from_rational_ring(c)
+    except NonIntegralCoefficient as exc:
+        raise NonIntegralResult(
+            f"coefficient at {where} is not 2-locally integral: {c!r}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -741,21 +760,24 @@ def homogenize(F: FGL, u, u_inv=None) -> FGL:
 
 
 def height_of_residue_fgl(F: FGL, h_expected=None):
-    """(h, leading coefficient) of [2](x) over a graded field of characteristic 2.
+    """(h, leading coefficient) of [2](x) = F(x, x) over a graded field of
+    characteristic 2; see height_of_two_series."""
+    return height_of_two_series(two_series(F), h_expected)
 
-    Scans [2](x) for its first nonzero coefficient; that index must be a power
-    of 2 (a Frobenius power), and in a graded field the coefficient is a unit.
+
+def height_of_two_series(two: TruncatedSeries1, h_expected=None):
+    """(h, leading coefficient) of a 2-series over a graded field of characteristic 2.
+
+    The first nonzero coefficient of [2](x) must sit at a power of 2 (a
+    Frobenius power), and in a graded field it is a unit.
     """
-    if h_expected is not None and F.cutoff < (1 << h_expected):
+    if h_expected is not None and two.cutoff < (1 << h_expected):
         raise ValueError("cutoff too small for the expected height")
-    two = two_series(F)
-    for e in sorted(two.coeffs):
-        c = two.coeffs[e]
-        if c.is_zero():
-            continue
-        if e & (e - 1):
-            raise ConsistencyFailure(
-                f"first nonzero term of [2] at non-2-power exponent {e}"
-            )
-        return (e.bit_length() - 1, c)
-    raise HeightExceedsCutoff(f"[2](x) = 0 up to x^{F.cutoff}")
+    if not two.coeffs:
+        raise HeightExceedsCutoff(f"[2](x) = 0 up to x^{two.cutoff}")
+    e = min(two.coeffs)
+    if e & (e - 1):
+        raise ConsistencyFailure(
+            f"first nonzero term of [2] at non-2-power exponent {e}"
+        )
+    return (e.bit_length() - 1, two.coeffs[e])

@@ -41,6 +41,7 @@ from fgl_forge.lubin_tate import (
     lt_galois,
     lt_gamma,
     lt_zeta,
+    residue_fgl,
     residue_height,
     v_in_lt,
 )
@@ -51,7 +52,14 @@ from fgl_forge.poly_core import (
     groebner_truncated,
     reduce_mod2,
 )
-from fgl_forge.series_fgl import fgl_from_log, formal_sum, log_from_v, two_series
+from fgl_forge.series_fgl import (
+    fgl_from_log,
+    formal_sum,
+    height_of_residue_fgl,
+    log_from_v,
+    two_series,
+    two_series_from_log,
+)
 
 LOG_GRID = [(1, 4), (2, 4), (3, 3)]
 RECURSION_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
@@ -101,6 +109,7 @@ def test_criterion_01_araki_integrality_and_two_typicality(criterion):
                 assert int(QQ(q).denominator) % 2 == 1  # Z_(2)[v] coefficients
         araki_terms = [(2, 1)] + [(ring.var(V(i)), 1 << i) for i in range(1, 5)]
         assert two_series(F) == formal_sum(F, araki_terms)
+        assert two_series_from_log(log_from_v(4), 16) == two_series(F)
 
 
 def test_criterion_02_log_denominators(criterion):
@@ -169,6 +178,9 @@ def test_criterion_08_residue_height(criterion):
             assert p["coefficient"] == [[(1 << ctx.h) - 1, [1] + [0] * (d - 1)]]
             assert p["beta"] == ((1 << ctx.h) - 1) // ((1 << m) - 1)
             assert p["unit"] is not None  # recorded, per the open-question contract
+            # the two-variable law is the oracle of the 2-series route
+            h, lead = height_of_residue_fgl(residue_fgl(ctx, 1 << ctx.h), ctx.h)
+            assert (p["computed_height"], p["coefficient"]) == (h, lead.to_json())
 
 
 def test_criterion_09_action_suite(criterion):

@@ -1,14 +1,18 @@
 import random
+import sys
+import threading
 
 import pytest
 
-from fgl_forge.coefficients import QQ
+from fgl_forge import poly_core
+from fgl_forge.coefficients import QQ, FiniteFieldSpec
 from fgl_forge.errors import (
     AmbientMismatch,
     DegreeBoundExceeded,
     NonIntegralCoefficient,
     UnassignedVariable,
 )
+from fgl_forge.lubin_tate import KRing
 from fgl_forge.poly_core import (
     T,
     V,
@@ -257,3 +261,46 @@ def test_json_roundtrip_and_term_order():
     assert degs == sorted(degs, reverse=True)  # descending monomial order
     # deterministic: serializing twice gives identical structures
     assert poly_to_json(p) == obj
+
+
+F8 = FiniteFieldSpec.default(3)
+
+
+@pytest.mark.parametrize(
+    "make,cache,key",
+    [
+        (lambda: rn_ring(3, 6), poly_core._RING_CACHE, ("Rn", 3, None, 6, False, False)),
+        (lambda: KRing(FiniteFieldSpec.default(3)), KRing._cache, F8),
+    ],
+    ids=["rn_ring", "KRing"],
+)
+def test_interning_is_atomic_under_threads(make, cache, key):
+    """Racing constructors of one ring on an empty cache get one object."""
+    saved = cache.pop(key, None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    split = 0
+    try:
+        for _ in range(1000):
+            cache.pop(key, None)
+            barrier = threading.Barrier(4)
+            got = []
+
+            def work():
+                barrier.wait(timeout=10)
+                got.append(make())
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 4
+            split += len({id(r) for r in got}) > 1
+    finally:
+        sys.setswitchinterval(interval)
+        cache.pop(key, None)
+        if saved is not None:
+            cache[key] = saved
+    assert split == 0, f"{split} of 1000 trials interned two objects for one key"

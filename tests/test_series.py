@@ -32,6 +32,7 @@ from fgl_forge.series_fgl import (
     strict_iso_from_t,
     t_from_strict_iso,
     two_series,
+    two_series_from_log,
     v_from_log,
 )
 
@@ -59,15 +60,34 @@ def test_series_exp_catalan_oracle():
 
 
 def test_series_exp_round_trip_random():
+    # 7 and 13 are not powers of two: Newton's last step is a partial one
     rng = random.Random(2)
-    for _ in range(5):
-        coeffs = {1: 1}
-        for e in range(2, 9):
-            coeffs[e] = QQ(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-        f = const_series(RQ1, coeffs, 8)
-        g = series_exp(f)
-        assert f.compose(g) == TruncatedSeries1.identity(RQ1, 8)
-        assert g.compose(f) == TruncatedSeries1.identity(RQ1, 8)
+    for cutoff in (7, 8, 13):
+        for _ in range(5):
+            coeffs = {1: 1}
+            for e in range(2, cutoff + 1):
+                coeffs[e] = QQ(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+            f = const_series(RQ1, coeffs, cutoff)
+            g = series_exp(f)
+            assert f.compose(g) == TruncatedSeries1.identity(RQ1, cutoff)
+            assert g.compose(f) == TruncatedSeries1.identity(RQ1, cutoff)
+
+
+def test_series_exp_round_trip_over_integral_ring():
+    # _pullback_fgl reverts series over Z_(2)[v]; no step may leave that ring
+    ring = bp_ring(2)
+    v1, v2 = ring.var(V(1)), ring.var(V(2))
+    rng = random.Random(3)
+    coeffs = {1: ring.one()}
+    for e in range(2, 11):
+        coeffs[e] = (v1 ** rng.randrange(3) * v2 ** rng.randrange(2)).scalar_mul(
+            QQ(rng.randint(-4, 4), rng.choice([1, 3, 5]))
+        )
+    f = TruncatedSeries1(ring, coeffs, 10)
+    g = series_exp(f)
+    assert g.ring is ring
+    assert f.compose(g) == TruncatedSeries1.identity(ring, 10)
+    assert g.compose(f) == TruncatedSeries1.identity(ring, 10)
 
 
 def test_log_from_v_frozen():
@@ -241,11 +261,13 @@ def test_two_series_shapes():
 
 
 def test_araki_two_series_identity():
-    ls = log_from_v(2)
-    F = fgl_from_log(ls, 7)
-    ring = F.ring
-    v1, v2 = ring.var(V(1)), ring.var(V(2))
-    assert two_series(F) == formal_sum(F, [(2, 1), (v1, 2), (v2, 4)])
+    for k, cutoff in ((2, 7), (2, 4), (3, 8)):
+        ls = log_from_v(k)
+        F = fgl_from_log(ls, cutoff)
+        ring = F.ring
+        araki_terms = [(2, 1)] + [(ring.var(V(i)), 1 << i) for i in range(1, k + 1)]
+        assert two_series(F) == formal_sum(F, araki_terms)
+        assert two_series_from_log(ls, cutoff) == two_series(F)  # exp(2 log x) route
 
 
 def test_formal_sum_basics():
