@@ -4,27 +4,26 @@ Three subcommands:
 
     log     print the equivariant logarithm list for a configured ring
     verify  run a single named verification claim
-    suite   run a profile of claims (quick | full), optionally concurrently
+    suite   run a profile of claims (quick | full) in order
 
 Exit codes: 0 everything verified, 1 a verification failed (a machine-readable
 report with the witness is still emitted), 2 usage or configuration error,
 130 interrupted (partial suite report is flushed first).
 
 Reports are wrapped in the canonical envelope of `reports` (schema
-"fgl-forge/1"); identical configurations produce byte-identical JSON.  The
-environment variable FGL_FORGE_THREADS caps suite parallelism.
+"fgl-forge/1"); identical configurations produce byte-identical JSON.
+Requests share the R_n contexts of equivariant_ring.rn_context, so a table
+built for one claim is reused by the next one in the process.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .equivariant_ring import (
-    RnContext,
     chain_inversion_check,
+    rn_context,
     rn_log,
     verify_ideal_invariance,
     verify_log_relations,
@@ -152,26 +151,26 @@ def _verify_reports(args):
     """Dispatch a claim name to verifier calls; returns a list of reports."""
     claim = args.claim
     if claim == "eq351":
-        return [verify_log_relations(RnContext(args.n, args.k))]
+        return [verify_log_relations(rn_context(args.n, args.k))]
     if claim == "recursion":
-        return [verify_tk_recursion(RnContext(args.n, args.k), args.k)]
+        return [verify_tk_recursion(rn_context(args.n, args.k), args.k)]
     if claim == "tkvk":
-        return [verify_tkvk(RnContext(args.n, args.k), args.k)]
+        return [verify_tkvk(rn_context(args.n, args.k), args.k)]
     if claim == "invariance":
-        return [verify_ideal_invariance(RnContext(args.n, args.k), args.k)]
+        return [verify_ideal_invariance(rn_context(args.n, args.k), args.k)]
     if claim == "v-collapse":
         h = (1 << (args.n - 1)) * args.m
-        ctx = RnContext(args.n, max(args.k, h), m=args.m)
+        ctx = rn_context(args.n, max(args.k, h), m=args.m)
         return [verify_v_collapse(ctx, args.k)]
     if claim == "t-collapse":
         # --k names the generator index r; run every level the lemma covers
-        ctx = RnContext(args.n, args.k, m=args.m)
+        ctx = rn_context(args.n, args.k, m=args.m)
         levels = [j for j in range(args.n) if args.k > (1 << j) * args.m]
         if not levels:
             raise ValueError(f"no level satisfies r > 2^k m for r={args.k}, m={args.m}")
         return [verify_t_collapse(ctx, j, args.k) for j in levels]
     if claim == "chain-inversion":
-        return [chain_inversion_check(RnContext(args.n, args.k), cutoff=args.cutoff)]
+        return [chain_inversion_check(rn_context(args.n, args.k), cutoff=args.cutoff)]
     if claim == "cotangent":
         return [cotangent_check(_lt_context(args))]
     if claim == "height":
@@ -190,10 +189,6 @@ def _verify_reports(args):
 def _suite_jobs(profile):
     """The (description, thunk) list for a profile; thunks are independent."""
     jobs = []
-
-    def rn(n, k, m=None):
-        return RnContext(n, k, m=m)
-
     if profile == "quick":
         grids = {"eq351": [(1, 3), (2, 3)], "recursion": [(2, 1), (2, 2)],
                  "tkvk": [(2, 1), (2, 2)], "invariance": [(2, 2)]}
@@ -212,36 +207,42 @@ def _suite_jobs(profile):
         chains = [(1, 2), (2, 3)]
 
     for n, k in grids["eq351"]:
-        jobs.append((f"eq351 n={n}", lambda n=n, k=k: verify_log_relations(rn(n, k))))
+        jobs.append(
+            (f"eq351 n={n}", lambda n=n, k=k: verify_log_relations(rn_context(n, k)))
+        )
     for n, k in grids["recursion"]:
         jobs.append(
             (f"recursion n={n} k={k}",
-             lambda n=n, k=k: verify_tk_recursion(rn(n, k), k))
+             lambda n=n, k=k: verify_tk_recursion(rn_context(n, k), k))
         )
     for n, k in grids["tkvk"]:
-        jobs.append((f"tkvk n={n} k={k}", lambda n=n, k=k: verify_tkvk(rn(n, k), k)))
+        jobs.append(
+            (f"tkvk n={n} k={k}", lambda n=n, k=k: verify_tkvk(rn_context(n, k), k))
+        )
     for n, k in grids["invariance"]:
         jobs.append(
             (f"invariance n={n} k={k}",
-             lambda n=n, k=k: verify_ideal_invariance(rn(n, k), k))
+             lambda n=n, k=k: verify_ideal_invariance(rn_context(n, k), k))
         )
     for n, m, r in collapse_v:
         h = (1 << (n - 1)) * m
         jobs.append(
             (f"v-collapse n={n} m={m} r={r}",
-             lambda n=n, m=m, r=r, h=h: verify_v_collapse(rn(n, max(r, h), m=m), r))
+             lambda n=n, m=m, r=r, h=h:
+                 verify_v_collapse(rn_context(n, max(r, h), m=m), r))
         )
     for n, m, r in collapse_t:
         for j in range(n):
             if r > (1 << j) * m:
                 jobs.append(
                     (f"t-collapse n={n} m={m} r={r} level={n - j}",
-                     lambda n=n, m=m, r=r, j=j: verify_t_collapse(rn(n, r, m=m), j, r))
+                     lambda n=n, m=m, r=r, j=j:
+                         verify_t_collapse(rn_context(n, r, m=m), j, r))
                 )
     for n, k in chains:
         jobs.append(
             (f"chain-inversion n={n}",
-             lambda n=n, k=k: chain_inversion_check(rn(n, k)))
+             lambda n=n, k=k: chain_inversion_check(rn_context(n, k)))
         )
     for n, m, d in scenarios:
         for name, fn in (
@@ -258,41 +259,20 @@ def _suite_jobs(profile):
 
 
 def _run_suite(jobs):
-    """Run jobs concurrently; reports come back in job order.
+    """Run jobs one after another, in job order.
 
-    Returns (reports, interrupted).  A VerificationFailure inside a job is
-    converted to its failed report; any other exception propagates.
+    Returns (reports, interrupted); on Ctrl-C the reports finished so far.
+    A VerificationFailure inside a job is converted to its failed report;
+    any other exception propagates.
     """
-
-    def run(fn):
-        try:
-            return fn()
-        except VerificationFailure as exc:
-            return exc.report
-
-    workers = os.environ.get("FGL_FORGE_THREADS")
-    workers = int(workers) if workers else min(4, os.cpu_count() or 1)
-    workers = max(1, workers)
     reports = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, fn) for _, fn in jobs]
+    for _, fn in jobs:
         try:
-            for future in futures:
-                reports.append(future.result())
+            reports.append(fn())
+        except VerificationFailure as exc:
+            reports.append(exc.report)
         except KeyboardInterrupt:
-            for future in futures:
-                future.cancel()
-            done = []
-            for future in futures:
-                if (
-                    future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    done.append(future.result())
-                else:
-                    break
-            return done, True
+            return reports, True
     return reports, False
 
 
@@ -309,7 +289,7 @@ def _emit(body, args):
 
 
 def _cmd_log(args):
-    ctx = RnContext(args.n, args.k)
+    ctx = rn_context(args.n, args.k)
     values = rn_log(ctx)
     report = {
         "claim": "log",

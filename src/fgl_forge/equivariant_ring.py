@@ -28,12 +28,12 @@ from .errors import (
     VerificationFailure,
 )
 from .poly_core import (
+    AtomicCache,
     GradedPolynomial,
-    GroebnerBasis,
     T,
-    _cached_basis,
     from_rational_ring,
     gamma_act,
+    ideal_normal_form,
     orbit_sum,
     poly_to_json,
     quotient_to_rnm,
@@ -63,6 +63,9 @@ class RnContext:
 
     Caches (logarithm list, v-images, lower-level generator tables, laws)
     are built lazily, cross-checked once, and then treated as immutable.
+    Requests share one context per (n, k_max, m) through rn_context, so a
+    table is built and checked once per process; calling RnContext directly
+    gives a fresh context with empty caches.
     """
 
     def __init__(self, n, k_max, m=None):
@@ -118,6 +121,18 @@ class RnContext:
     def __repr__(self):
         trunc = "" if self.m is None else f"<{self.m}>"
         return f"RnContext(n={self.n}, k_max={self.k_max}){trunc}"
+
+
+_CONTEXTS = AtomicCache()
+
+
+def rn_context(n, k_max, m=None):
+    """The process-wide RnContext for (n, k_max, m), created on first use.
+
+    Its lazy fills take no lock: two threads filling one table compute
+    equal values and the last store wins, so a race costs only time.
+    """
+    return _CONTEXTS.get_or_create((n, k_max, m), lambda: RnContext(n, k_max, m))
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +390,9 @@ def _witness(p):
     return poly_to_json(p)
 
 
-def _nf_mod_ideal(p, gens):
-    """Normal form of p modulo (2, gens): zero iff p is a member.
-
-    Reduction mod 2 first is exact here because the ambient rings are
-    polynomial over Z_(2) and 2 is one of the generators.
-    """
-    pbar = reduce_mod2(p)
-    if pbar.is_zero():
-        return pbar
-    gens_mod2 = [g for g in (reduce_mod2(g) for g in gens) if not g.is_zero()]
-    if not gens_mod2:
-        return pbar
-    D = pbar.degree
-    gb = _cached_basis(pbar.ring, gens_mod2, D)
-    if D > gb.degree_bound:
-        gb = GroebnerBasis(pbar.ring, gens_mod2, D)
-    return gb.normal_form(pbar)
-
-
 def _nf_mod_Ik(ctx, p, k):
     """Normal form modulo I_k = (2, v_1, ..., v_{k-1})."""
-    return _nf_mod_ideal(p, v_in_rn(ctx)[: k - 1])
+    return ideal_normal_form(p, v_in_rn(ctx)[: k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +510,7 @@ def verify_ideal_invariance(ctx, k, spot_checks=8):
                 p = p + GradedPolynomial(ring2, {mono: 1}) * g
             if p.is_zero():
                 continue
-            nf = _nf_mod_ideal(gamma_act(p), vs[: k - 1])
+            nf = ideal_normal_form(gamma_act(p), vs[: k - 1])
             if not nf.is_zero():
                 bad = ("spot", target_deg, nf)
                 break
@@ -540,7 +536,7 @@ def verify_v_collapse(ctx, r):
     if r > ctx.k_max:
         raise ValueError(f"r outside 1..{ctx.k_max}")
     vs = v_in_rn(ctx)
-    nf = _nf_mod_ideal(vs[r - 1], vs[:h])
+    nf = ideal_normal_form(vs[r - 1], vs[:h])
     report = _report(
         "v-collapse",
         {"n": ctx.n, "m": ctx.m, "h": h, "r": r},

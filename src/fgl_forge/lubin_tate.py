@@ -26,7 +26,6 @@ whose constant term 2 is precisely how 2 enters the maximal ideal.
 from __future__ import annotations
 
 import math
-import threading
 
 from .coefficients import (
     QQ,
@@ -37,7 +36,7 @@ from .coefficients import (
     rational_mod2,
     teichmuller,
 )
-from .equivariant_ring import RnContext, _finish, _report, t_level, v_in_rn
+from .equivariant_ring import _finish, _report, rn_context, t_level, v_in_rn
 from .errors import (
     AmbientMismatch,
     ConsistencyFailure,
@@ -48,6 +47,7 @@ from .errors import (
     RankDeficient,
     TruncationOverflow,
 )
+from .poly_core import AtomicCache
 from .series_fgl import (
     TruncatedSeries1,
     conjugate_fgl,
@@ -71,18 +71,15 @@ class KRing:
     the series coefficient-ring protocol, so formal group laws reduce here.
     """
 
-    # interning must be atomic: arithmetic matches rings by identity
-    _cache = {}
-    _lock = threading.Lock()
+    _cache = AtomicCache()
 
     def __new__(cls, spec):
-        with cls._lock:
-            ring = cls._cache.get(spec)
-            if ring is None:
-                ring = super().__new__(cls)
-                ring.spec = spec
-                cls._cache[spec] = ring
-        return ring
+        def build():
+            ring = super(KRing, cls).__new__(cls)
+            ring.spec = spec
+            return ring
+
+        return cls._cache.get_or_create(spec, build)
 
     def zero(self):
         return KElement(self, {})
@@ -218,7 +215,7 @@ class LTContext:
             raise ConsistencyFailure("tau-variable count is off")
         self.tau_index = {t: idx for idx, t in enumerate(self.taus)}
         self._zero_exps = (0,) * len(self.taus)
-        self.rn = RnContext(n, k_max if k_max is not None else self.h)
+        self.rn = rn_context(n, k_max if k_max is not None else self.h)
         self._gamma_var = None  # lazy: index -> image under gamma
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
         self._t_images = None  # (i, j) -> image of gamma^j t_i, or None if killed
@@ -759,19 +756,14 @@ def cotangent_check(ctx):
     return report
 
 
-_TWO_SERIES_CACHE = {}
-_TWO_SERIES_LOCK = threading.Lock()
+_TWO_SERIES_CACHE = AtomicCache()
 
 
 def _integral_two_series(k_max, cutoff):
     """[2](x) of the universal 2-typical law over Z_(2)[v_1..v_k_max], built once."""
-    key = (k_max, cutoff)
-    with _TWO_SERIES_LOCK:
-        two = _TWO_SERIES_CACHE.get(key)
-        if two is None:
-            two = two_series_from_log(log_from_v(k_max), cutoff)
-            _TWO_SERIES_CACHE[key] = two
-    return two
+    return _TWO_SERIES_CACHE.get_or_create(
+        (k_max, cutoff), lambda: two_series_from_log(log_from_v(k_max), cutoff)
+    )
 
 
 def _residue_map(ctx, cutoff):

@@ -205,27 +205,43 @@ class PolyRing:
         return f"R_{self.n}<{self.m}>(k<={self.k_max}{tag})"
 
 
-# interning must be atomic: arithmetic matches rings by identity
-_RING_CACHE = {}
-_RING_LOCK = threading.Lock()
+class AtomicCache(dict):
+    """A process-wide table of derived objects, one per key.
+
+    `get_or_create` checks and inserts under the table's lock, so racing
+    callers get one object for a key: interned rings are matched by identity,
+    and a derived table is built once.  Build functions may fill other
+    tables, never their own.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def get_or_create(self, key, build):
+        with self._lock:
+            value = self.get(key)
+            if value is None:
+                value = self[key] = build()
+        return value
+
+
+_RING_CACHE = AtomicCache()
 
 
 def _make_ring(kind, n, m, k_max, rational, mod2):
-    key = (kind, n, m, k_max, rational, mod2)
-    with _RING_LOCK:
-        ring = _RING_CACHE.get(key)
-        if ring is None:
-            if rational and mod2:
-                raise ValueError("a ring cannot be both rational and mod-2")
-            if kind == "BP":
-                variables = [V(i) for i in range(1, k_max + 1)]
-            else:
-                half = 1 << (n - 1)
-                top = min(k_max, m) if kind == "Rnm" else k_max
-                variables = [T(i, j) for i in range(1, top + 1) for j in range(half)]
-            ring = PolyRing(kind, n, m, k_max, rational, mod2, variables)
-            _RING_CACHE[key] = ring
-    return ring
+    def build():
+        if rational and mod2:
+            raise ValueError("a ring cannot be both rational and mod-2")
+        if kind == "BP":
+            variables = [V(i) for i in range(1, k_max + 1)]
+        else:
+            half = 1 << (n - 1)
+            top = min(k_max, m) if kind == "Rnm" else k_max
+            variables = [T(i, j) for i in range(1, top + 1) for j in range(half)]
+        return PolyRing(kind, n, m, k_max, rational, mod2, variables)
+
+    return _RING_CACHE.get_or_create((kind, n, m, k_max, rational, mod2), build)
 
 
 def bp_ring(k_max, rational=False, mod2=False) -> PolyRing:
@@ -704,7 +720,7 @@ def groebner_truncated(gens, degree_bound) -> GroebnerBasis:
     return GroebnerBasis(gens[0].ring, gens, degree_bound)
 
 
-_GB_CACHE = {}
+_GB_CACHE = AtomicCache()
 
 
 def _cached_basis(ring, gens_mod2, D) -> GroebnerBasis:
@@ -713,32 +729,29 @@ def _cached_basis(ring, gens_mod2, D) -> GroebnerBasis:
         tuple(sorted(frozenset(g.terms) for g in gens_mod2 if not g.is_zero())),
         D,
     )
-    gb = _GB_CACHE.get(key)
-    if gb is None:
-        gb = GroebnerBasis(ring, gens_mod2, D)
-        _GB_CACHE[key] = gb
-    return gb
+    return _GB_CACHE.get_or_create(key, lambda: GroebnerBasis(ring, gens_mod2, D))
 
 
-def ideal_contains(p: GradedPolynomial, gens) -> bool:
-    """Is p in (2, gens) in its ambient ring?  Decided after reduction mod 2.
+def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
+    """Normal form of p modulo (2, gens), over F_2: zero iff p is a member.
 
-    Valid because the ambient rings are polynomial over Z_(2): an element lies
-    in (2, g_1, ..., g_r) iff its mod-2 reduction lies in the ideal of the
-    reductions.  p must be homogeneous (as every identity checked here is).
+    Reduction mod 2 first is exact because the ambient rings are polynomial
+    over Z_(2): an element lies in (2, g_1, ..., g_r) iff its mod-2 reduction
+    lies in the ideal of the reductions.  p must be homogeneous (as every
+    identity checked here is); the basis is truncated at its degree.
     """
     pbar = reduce_mod2(p)
     if pbar.is_zero():
-        return True
-    gens_mod2 = [reduce_mod2(g) for g in gens]
-    gens_mod2 = [g for g in gens_mod2 if not g.is_zero()]
+        return pbar
+    gens_mod2 = [g for g in (reduce_mod2(g) for g in gens) if not g.is_zero()]
     if not gens_mod2:
-        return False
-    D = pbar.degree
-    gb = _cached_basis(pbar.ring, gens_mod2, D)
-    if D > gb.degree_bound:  # cached at a smaller bound: rebuild
-        gb = GroebnerBasis(pbar.ring, gens_mod2, D)
-    return gb.contains(pbar)
+        return pbar
+    return _cached_basis(pbar.ring, gens_mod2, pbar.degree).normal_form(pbar)
+
+
+def ideal_contains(p: GradedPolynomial, gens) -> bool:
+    """Is p in (2, gens) in its ambient ring?  See ideal_normal_form."""
+    return ideal_normal_form(p, gens).is_zero()
 
 
 def ideal_contains_Ik(p: GradedPolynomial, k: int, v_images) -> bool:

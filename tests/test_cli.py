@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from fgl_forge import cli
+from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core
 from fgl_forge.errors import VerificationFailure
+from fgl_forge.poly_core import AtomicCache
 from fgl_forge.reports import CONVENTIONS, SCHEMA, canonical_json, envelope, render_line
 
 
@@ -137,14 +138,59 @@ def test_suite_quick(tmp_path, capsys):
     }
 
 
+def _cold_caches(monkeypatch):
+    """Empty the process-wide derived-object caches for one test.
+
+    Rings stay interned: arithmetic matches them by identity, and module-level
+    rings of other tests would stop matching.  monkeypatch restores the
+    original tables afterwards.
+    """
+    monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
+    monkeypatch.setattr(poly_core, "_GB_CACHE", AtomicCache())
+    monkeypatch.setattr(lubin_tate, "_TWO_SERIES_CACHE", AtomicCache())
+
+
 def test_suite_json_is_deterministic(tmp_path, capsys, monkeypatch):
+    """A suite on cold caches and a second one on warm caches agree byte for byte."""
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("FGL_FORGE_THREADS", "1")
+    _cold_caches(monkeypatch)
     assert cli.main(["suite", "quick", "--json", str(a)]) == 0
-    monkeypatch.setenv("FGL_FORGE_THREADS", "3")
+    assert equivariant_ring._CONTEXTS
     assert cli.main(["suite", "quick", "--json", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "eq351", "--n", "2", "--k", "3"],
+        ["verify", "recursion", "--n", "2", "--k", "3"],
+        ["verify", "tkvk", "--n", "2", "--k", "3"],
+        ["verify", "invariance", "--n", "2", "--k", "3"],
+        ["verify", "v-collapse", "--n", "2", "--m", "1", "--k", "3"],
+        ["verify", "t-collapse", "--n", "2", "--m", "1", "--k", "3"],
+        ["verify", "chain-inversion", "--n", "2", "--k", "2"],
+        ["verify", "cotangent", "--n", "2", "--m", "1"],
+        ["verify", "height", "--n", "2", "--m", "1"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_shared_contexts_give_cold_bytes(argv, capsys, monkeypatch):
+    """A request answered from a warm context prints what a cold one printed."""
+    _cold_caches(monkeypatch)
+    cold = _run(argv, capsys)
+    assert equivariant_ring._CONTEXTS
+    assert _run(argv, capsys) == cold
+    assert cold[0] == 0
+
+
+def test_rn_context_is_shared_and_constructor_is_fresh(monkeypatch):
+    _cold_caches(monkeypatch)
+    ctx = equivariant_ring.rn_context(2, 3)
+    assert equivariant_ring.rn_context(2, 3) is ctx
+    assert equivariant_ring.RnContext(2, 3) is not ctx
+    assert equivariant_ring.rn_context(2, 3, m=1) is not ctx
 
 
 def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from fgl_forge import poly_core
+from fgl_forge import equivariant_ring, poly_core
 from fgl_forge.coefficients import QQ, FiniteFieldSpec
 from fgl_forge.errors import (
     AmbientMismatch,
@@ -12,6 +12,7 @@ from fgl_forge.errors import (
     NonIntegralCoefficient,
     UnassignedVariable,
 )
+from fgl_forge.equivariant_ring import rn_context
 from fgl_forge.lubin_tate import KRing
 from fgl_forge.poly_core import (
     T,
@@ -271,11 +272,12 @@ F8 = FiniteFieldSpec.default(3)
     [
         (lambda: rn_ring(3, 6), poly_core._RING_CACHE, ("Rn", 3, None, 6, False, False)),
         (lambda: KRing(FiniteFieldSpec.default(3)), KRing._cache, F8),
+        (lambda: rn_context(2, 3), equivariant_ring._CONTEXTS, (2, 3, None)),
     ],
-    ids=["rn_ring", "KRing"],
+    ids=["rn_ring", "KRing", "rn_context"],
 )
 def test_interning_is_atomic_under_threads(make, cache, key):
-    """Racing constructors of one ring on an empty cache get one object."""
+    """Racing constructors of one key on an empty cache get one object."""
     saved = cache.pop(key, None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
