@@ -1,7 +1,7 @@
 """Exact coefficient domains.
 
-Rationals (exact, gmpy2-backed when available), 2-local integers Z_(2),
-finite fields F_{2^d} in polynomial-basis form, and truncated Witt vectors
+Rationals (`fractions.Fraction`, exported as QQ) and the 2-local tests on
+them, finite fields F_{2^d} in polynomial-basis form, and truncated Witt vectors
 W(F_{2^d}) modeled as Z_2[x]/(f~) with coefficients reduced mod 2^N, where f~
 is the {0,1}-lift of the chosen irreducible modulus.  Teichmuller lifts are
 computed by the fixed-point iteration z -> z^(2^d); the Frobenius is evaluated
@@ -12,21 +12,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction as QQ
 
 from .errors import ConsistencyFailure, InverseOfNonUnit, NonIntegralCoefficient
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as QQ
-
-QQ_ZERO = QQ(0)
-QQ_ONE = QQ(1)
-
 
 def two_valuation(q) -> int:
-    """2-adic valuation of a nonzero rational."""
-    n, d = int(q.numerator), int(q.denominator)
+    """2-adic valuation of a nonzero rational (an int or a QQ)."""
+    n, d = q.numerator, q.denominator
     if n == 0:
         raise ValueError("two_valuation(0) is undefined")
     return ((n & -n).bit_length() - 1) - ((d & -d).bit_length() - 1)
@@ -34,85 +27,23 @@ def two_valuation(q) -> int:
 
 def is_two_local(q) -> bool:
     """True when q lies in Z_(2), i.e. its reduced denominator is odd."""
-    return int(q.denominator) & 1 == 1
+    return q.denominator & 1 == 1
 
 
 def rational_mod2(q) -> int:
     """Reduction of a 2-local rational to F_2 (odd denominators are units)."""
     if not is_two_local(q):
         raise NonIntegralCoefficient(f"{q} has even denominator")
-    return int(q.numerator) & 1
+    return q.numerator & 1
 
 
 def qq_to_string(q) -> str:
-    n, d = int(q.numerator), int(q.denominator)
+    n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
 
 
 def qq_from_string(s: str):
     return QQ(s)
-
-
-# ---------------------------------------------------------------------------
-# 2-local integers
-# ---------------------------------------------------------------------------
-
-class TwoLocalInt:
-    """An element of Z_(2): a rational whose reduced denominator is odd.
-
-    The odd-denominator invariant is checked on every construction, so any
-    arithmetic that silently leaves Z_(2) raises immediately.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value, den=None):
-        q = QQ(value, den) if den is not None else QQ(value)
-        if not is_two_local(q):
-            raise NonIntegralCoefficient(f"{q} is not 2-locally integral")
-        object.__setattr__(self, "value", q)
-
-    def __add__(self, other):
-        return TwoLocalInt(self.value + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return TwoLocalInt(self.value - self._coerce(other))
-
-    def __mul__(self, other):
-        return TwoLocalInt(self.value * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TwoLocalInt(-self.value)
-
-    def inverse(self) -> "TwoLocalInt":
-        if self.value == 0 or int(self.value.numerator) % 2 == 0:
-            raise InverseOfNonUnit(f"{self.value} is not a unit in Z_(2)")
-        return TwoLocalInt(1 / self.value)
-
-    def is_unit(self) -> bool:
-        return self.value != 0 and int(self.value.numerator) % 2 == 1
-
-    def mod2(self) -> int:
-        return rational_mod2(self.value)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, TwoLocalInt):
-            return other.value
-        return QQ(other)
-
-    def __eq__(self, other):
-        return self.value == self._coerce(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"TwoLocalInt({qq_to_string(self.value)})"
 
 
 # ---------------------------------------------------------------------------

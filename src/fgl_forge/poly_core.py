@@ -24,9 +24,14 @@ from .errors import (
 )
 
 _BITS = 10
-_SCALAR_TYPES = (int, type(QQ(0)))
+SCALAR_TYPES = (int, QQ)
 _MASK = (1 << _BITS) - 1
 _EXP_LIMIT = 1 << _BITS
+
+
+def _canonical(q):
+    """The stored form of a coefficient: an int when integral, else the QQ."""
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +171,15 @@ class PolyRing:
         return GradedPolynomial(self, {})
 
     def one(self):
-        return self.from_rational(1)
+        return GradedPolynomial(self, {0: 1}, _checked=True)
 
     def from_rational(self, q):
-        q = QQ(q)
-        if q == 0:
-            return self.zero()
-        return GradedPolynomial(self, {0: q})
+        return GradedPolynomial(self, {0: q})  # the constructor drops a zero
 
     def var(self, v: Variable):
         if v not in self.var_index:
             raise AmbientMismatch(f"{v.name} is not a variable of {self}")
-        return GradedPolynomial(self, {self.mono_of(v): QQ(1)})
+        return GradedPolynomial(self, {self.mono_of(v): 1})
 
     def descriptor(self):
         d = {"kind": self.kind, "k_max": self.k_max}
@@ -279,7 +281,11 @@ class GradedPolynomial:
     """Sparse polynomial: map packed-monomial -> nonzero coefficient.
 
     Coefficients are exact rationals (two-locality enforced unless the ring is
-    a Q-extension) or ints mod 2 for mod-2 rings.  Immutable by convention.
+    a Q-extension) or ints mod 2 for mod-2 rings.  Over Q and Z_(2) each
+    coefficient has one stored form: a Python int when it is integral, a QQ
+    (Fraction) only when its denominator is not 1; so integral arithmetic
+    runs on ints, and equal polynomials have equal terms.  Immutable by
+    convention.
     """
 
     __slots__ = ("ring", "terms", "_degree")
@@ -294,7 +300,7 @@ class GradedPolynomial:
                     if c:
                         clean[mono] = 1
                 else:
-                    c = QQ(c)
+                    c = _canonical(QQ(c))
                     if c != 0:
                         if not ring.rational and not is_two_local(c):
                             raise NonIntegralCoefficient(
@@ -322,7 +328,7 @@ class GradedPolynomial:
         return self._degree
 
     def coefficient(self, mono: int):
-        return self.terms.get(mono, 0 if self.ring.mod2 else QQ(0))
+        return self.terms.get(mono, 0)
 
     def constant_term(self):
         return self.coefficient(0)
@@ -345,7 +351,7 @@ class GradedPolynomial:
             raise AmbientMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             other = self.ring.from_rational(other)
         self._check(other)
         if self.ring.mod2:
@@ -366,7 +372,7 @@ class GradedPolynomial:
                 if s == 0:
                     del terms[m]
                 else:
-                    terms[m] = s
+                    terms[m] = s if type(s) is int else _canonical(s)
         return GradedPolynomial(self.ring, terms, _checked=True)
 
     __radd__ = __add__
@@ -379,7 +385,7 @@ class GradedPolynomial:
         )
 
     def __sub__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             other = self.ring.from_rational(other)
         return self + (-other)
 
@@ -387,7 +393,7 @@ class GradedPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             return self.scalar_mul(other)
         self._check(other)
         a, b = self.terms, other.terms
@@ -416,9 +422,9 @@ class GradedPolynomial:
                             del acc[m]
                         else:
                             acc[m] = s
-        if not self.ring.rational and not self.ring.mod2:
-            # products of 2-local coefficients stay 2-local; no recheck needed
-            pass
+            for m, c in acc.items():
+                if type(c) is not int:
+                    acc[m] = _canonical(c)
         return GradedPolynomial(self.ring, acc, _checked=True)
 
     __rmul__ = __mul__
@@ -426,13 +432,13 @@ class GradedPolynomial:
     def scalar_mul(self, q):
         if self.ring.mod2:
             return self if int(q) & 1 else self.ring.zero()
-        q = QQ(q)
+        q = _canonical(QQ(q))
         if q == 0:
             return self.ring.zero()
         if not self.ring.rational and not is_two_local(q):
             raise NonIntegralCoefficient(f"scalar {q} is not 2-locally integral")
         return GradedPolynomial(
-            self.ring, {m: c * q for m, c in self.terms.items()}, _checked=True
+            self.ring, {m: _canonical(c * q) for m, c in self.terms.items()}, _checked=True
         )
 
     def __pow__(self, e: int):
@@ -577,7 +583,7 @@ def ring_map(p: GradedPolynomial, assignment, target):
     ring = p.ring
     img_cache = {}
     for mono, c in p.terms.items():
-        term = target.from_rational(c if not ring.mod2 else QQ(int(c)))
+        term = target.from_rational(c)
         for idx, e in enumerate(ring.decode(mono)):
             if not e:
                 continue
@@ -845,5 +851,5 @@ def poly_from_json(obj) -> GradedPolynomial:
             exps[ring.var_index[v]] = int(e)
         mono = ring.encode(exps)
         coeff = qq_from_string(t["coeff"])
-        terms[mono] = terms.get(mono, QQ(0)) + coeff
+        terms[mono] = terms.get(mono, 0) + coeff
     return GradedPolynomial(ring, terms)

@@ -24,6 +24,7 @@ from .errors import (
     SourceTargetMismatch,
 )
 from .poly_core import (
+    SCALAR_TYPES,
     GradedPolynomial,
     V,
     bp_ring,
@@ -32,11 +33,9 @@ from .poly_core import (
     to_rational_ring,
 )
 
-_SCALARS = (int, type(QQ(0)))
-
 
 def _coerce_coeff(ring, c):
-    if isinstance(c, _SCALARS):
+    if isinstance(c, SCALAR_TYPES):
         return ring.from_rational(c)
     return c
 
@@ -406,21 +405,14 @@ def v_from_log(l_list, assert_integral=False):
     """
     if not l_list:
         return []
-    ring = l_list[0].ring
     vs = []
     for k in range(1, len(l_list) + 1):
-        vk = l_list[k - 1].scalar_mul(QQ(2) - QQ(2) ** (1 << k))
+        vk = l_list[k - 1].scalar_mul(2 - 2 ** (1 << k))
         for j in range(1, k):
             vk = vk - l_list[k - j - 1] * vs[j - 1] ** (1 << (k - j))
         vs.append(vk)
     if assert_integral:
-        out = []
-        for vk in vs:
-            try:
-                out.append(from_rational_ring(vk))
-            except Exception as exc:
-                raise NonIntegralResult(f"v-image not 2-locally integral: {exc}") from exc
-        return out
+        return [_integral(vk, f"v_{k}") for k, vk in enumerate(vs, start=1)]
     return vs
 
 
@@ -567,7 +559,7 @@ def formal_sum_via_log(F: FGL, terms) -> TruncatedSeries1:
 
 
 def _lift_to(ring, c):
-    if isinstance(c, _SCALARS):
+    if isinstance(c, SCALAR_TYPES):
         return ring.from_rational(c)
     if isinstance(c, GradedPolynomial) and c.ring is not ring:
         return to_rational_ring(c)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fgl_forge
 from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core
 from fgl_forge.errors import VerificationFailure
 from fgl_forge.poly_core import AtomicCache
@@ -238,10 +241,14 @@ def test_render_line_marks_failures():
 
 
 def test_module_entry_point():
+    # the child imports the same fgl_forge as this process, installed or not
+    src = str(Path(fgl_forge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fgl_forge", "verify", "eq351", "--n", "1", "--k", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True

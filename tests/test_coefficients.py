@@ -4,7 +4,6 @@ from fgl_forge.coefficients import (
     QQ,
     FiniteFieldSpec,
     GFElement,
-    TwoLocalInt,
     WittElement,
     frobenius_lift,
     is_two_local,
@@ -20,20 +19,6 @@ F8 = FiniteFieldSpec.default(3)
 
 # ---- rationals and Z_(2) ----------------------------------------------------
 
-def test_two_local_arithmetic():
-    assert TwoLocalInt(1, 3) + TwoLocalInt(1, 5) == QQ(8, 15)
-    assert TwoLocalInt(3).inverse() == QQ(1, 3)
-    assert TwoLocalInt(-7, 9) * TwoLocalInt(3) == QQ(-7, 3)
-    with pytest.raises(InverseOfNonUnit):
-        TwoLocalInt(2).inverse()
-    with pytest.raises(InverseOfNonUnit):
-        TwoLocalInt(0).inverse()
-    with pytest.raises(NonIntegralCoefficient):
-        TwoLocalInt(1, 2)
-    with pytest.raises(NonIntegralCoefficient):
-        TwoLocalInt(1, 3) + TwoLocalInt(1, 6)
-
-
 def test_two_valuation_and_mod2():
     assert two_valuation(QQ(12)) == 2
     assert two_valuation(QQ(3, 4)) == -2
@@ -43,6 +28,10 @@ def test_two_valuation_and_mod2():
     assert rational_mod2(QQ(6, 3)) == 0
     with pytest.raises(NonIntegralCoefficient):
         rational_mod2(QQ(1, 2))
+    # integral coefficients are stored as plain ints
+    assert two_valuation(12) == 2 and two_valuation(-8) == 3 and two_valuation(7) == 0
+    assert is_two_local(5) and is_two_local(-6)
+    assert rational_mod2(7) == 1 and rational_mod2(-6) == 0
 
 
 # ---- finite fields -----------------------------------------------------------

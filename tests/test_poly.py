@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from fgl_forge.poly_core import (
     GradedPolynomial,
     bp_ring,
     f2_membership_linear,
+    from_rational_ring,
     gamma_act,
     groebner_truncated,
     ideal_contains,
@@ -262,6 +264,104 @@ def test_json_roundtrip_and_term_order():
     assert degs == sorted(degs, reverse=True)  # descending monomial order
     # deterministic: serializing twice gives identical structures
     assert poly_to_json(p) == obj
+
+
+# ---- the canonical coefficient form --------------------------------------------
+
+def _plain(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def _clean(d):
+    return {m: c for m, c in d.items() if c != 0}
+
+
+def _plain_add(a, b):
+    return _clean({m: a.get(m, 0) + b.get(m, 0) for m in a.keys() | b.keys()})
+
+
+def _plain_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return _clean(out)
+
+
+def _plain_gamma(ring, a, r):
+    """gamma^r by its definition: gamma^j t_i -> gamma^{j+1} t_i, wrapping to -t_i."""
+    half = 1 << (ring.n - 1)
+    for _ in range(r):
+        out = {}
+        for mono, c in a.items():
+            exps = [0] * ring.nvars
+            for v, e in zip(ring.variables, ring.decode(mono)):
+                if e:
+                    j = (v.j + 1) % half
+                    exps[ring.var_index[T(v.i, j)]] = e
+                    if j == 0 and e % 2:
+                        c = -c
+            out[ring.encode(exps)] = c
+        a = out
+    return a
+
+
+def _assert_canonical(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), (c, p)
+
+
+@pytest.mark.parametrize("rational", [True, False], ids=["RnQ", "Rn"])
+def test_coefficients_are_ints_exactly_when_integral(rational):
+    ring = rn_ring(2, 3, rational=rational)
+    dens = (1, 2, 3, 4) if rational else (1, 3)
+    rng = random.Random(41)
+
+    def rand(nterms=5):
+        terms = {}
+        for _ in range(nterms):
+            mono = rng.choice(ring.monomials_of_degree(rng.choice((2, 4, 6))))
+            terms[mono] = QQ(rng.randint(-6, 6) * rng.choice((1, 3)), rng.choice(dens))
+        return GradedPolynomial(ring, terms)
+
+    unit = QQ(1, 2) if rational else QQ(1, 3)
+    for _ in range(15):
+        p, q = rand(), rand()
+        a, b = _plain(p), _plain(q)
+        _assert_canonical(p)
+        neg_b = {m: -c for m, c in b.items()}
+        cases = [
+            (p + q, _plain_add(a, b)),
+            (p - q, _plain_add(a, neg_b)),
+            (p * q, _plain_mul(a, b)),
+            (p**3, _plain_mul(a, _plain_mul(a, a))),
+            (p.scalar_mul(unit), {m: c * unit for m, c in a.items()}),
+            (p.scalar_mul(unit).scalar_mul(unit.denominator), a),
+            (p + p.scalar_mul(-1), {}),
+        ]
+        cases += [(gamma_act(p, r), _plain_gamma(ring, a, r)) for r in range(1, 4)]
+        if rational:
+            whole = p.scalar_mul(12)
+            cases.append((from_rational_ring(whole), _plain(whole)))
+        else:
+            cases.append((from_rational_ring(to_rational_ring(p)), a))
+        for got, want in cases:
+            _assert_canonical(got)
+            assert _plain(got) == want
+
+
+@pytest.mark.parametrize("rational", [True, False], ids=["RnQ", "Rn"])
+def test_integral_fraction_and_int_build_one_polynomial(rational):
+    ring = rn_ring(2, 3, rational=rational)
+    m = ring.mono_of(T(2, 1)) + ring.mono_of(T(1, 0))
+    from_qq = GradedPolynomial(ring, {m: QQ(3)})
+    from_int = GradedPolynomial(ring, {m: 3})
+    assert from_qq.terms == {m: 3} and type(from_qq.terms[m]) is int
+    assert from_qq == from_int and hash(from_qq) == hash(from_int)
+    assert poly_to_json(from_qq) == poly_to_json(from_int)
+    assert poly_to_json(from_qq)["terms"][0]["coeff"] == "3"
+    assert ring.from_rational(QQ(6, 2)).terms == {0: 3}
 
 
 F8 = FiniteFieldSpec.default(3)

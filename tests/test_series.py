@@ -2,15 +2,17 @@ import random
 
 import pytest
 
+from fgl_forge import series_fgl
 from fgl_forge.coefficients import QQ, rational_mod2, two_valuation
 from fgl_forge.errors import (
     HeightExceedsCutoff,
+    NonIntegralCoefficient,
     NonIntegralResult,
     NonTwoTypicalIso,
     NonUnit,
     SourceTargetMismatch,
 )
-from fgl_forge.poly_core import V, bp_ring, reduce_mod2, to_rational_ring
+from fgl_forge.poly_core import T, V, bp_ring, reduce_mod2, rn_ring, to_rational_ring
 from fgl_forge.series_fgl import (
     FGL,
     TruncatedSeries1,
@@ -133,11 +135,18 @@ def test_v_from_log_round_trip_and_zero():
     assert v_from_log([]) == []
 
 
-def test_v_from_log_non_integral():
-    ring = RQ1
-    bad = [ring.var(V(1)).scalar_mul(QQ(1, 4))]
-    with pytest.raises(NonIntegralResult):
-        v_from_log(bad, assert_integral=True)
+def test_v_from_log_non_integral(monkeypatch):
+    for l1 in (RQ1.var(V(1)), rn_ring(2, 1, rational=True).var(T(1))):
+        with pytest.raises(NonIntegralResult) as info:
+            v_from_log([l1.scalar_mul(QQ(1, 4))], assert_integral=True)
+        assert isinstance(info.value.__cause__, NonIntegralCoefficient)
+    # only non-integrality becomes NonIntegralResult; other failures propagate
+    def broken(p):
+        raise RuntimeError("broken pipeline")
+
+    monkeypatch.setattr(series_fgl, "from_rational_ring", broken)
+    with pytest.raises(RuntimeError):
+        v_from_log(log_from_v(1), assert_integral=True)
 
 
 # ---- law construction ------------------------------------------------------------
