@@ -12,8 +12,9 @@ report with the witness is still emitted), 2 usage or configuration error,
 
 Reports are wrapped in the canonical envelope of `reports` (schema
 "fgl-forge/1"); identical configurations produce byte-identical JSON.
-Requests share the R_n contexts of equivariant_ring.rn_context, so a table
-built for one claim is reused by the next one in the process.
+Requests share the R_n contexts of equivariant_ring.rn_context and the
+Lubin-Tate contexts of lubin_tate.lt_context, so a table built for one claim
+is reused by the next one in the process.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .equivariant_ring import (
 )
 from .errors import ForgeError, VerificationFailure
 from .lubin_tate import (
-    LTContext,
     cotangent_check,
     d_factors,
     fixed_subring_presentation,
+    lt_context,
     residue_height,
 )
 from .poly_core import poly_to_json
@@ -136,7 +137,7 @@ def _config(args):
 
 
 def _lt_context(args, k_max=None):
-    return LTContext(
+    return lt_context(
         args.n,
         args.m,
         d=args.d,
@@ -253,7 +254,7 @@ def _suite_jobs(profile):
         ):
             jobs.append(
                 (f"{name} n={n} m={m} d={d}",
-                 lambda n=n, m=m, d=d, fn=fn: fn(LTContext(n, m, d=d)))
+                 lambda n=n, m=m, d=d, fn=fn: fn(lt_context(n, m, d=d)))
             )
     return jobs
 

@@ -75,7 +75,7 @@ def _gf2_powmod(a, e, modbits, d):
     return r
 
 
-DEFAULT_MODULI = {1: (1, 1), 2: (1, 1, 1), 3: (1, 1, 0, 1)}
+DEFAULT_MODULI = {1: (1, 1), 2: (1, 1, 1), 3: (1, 1, 0, 1), 4: (1, 1, 0, 0, 1)}
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,11 @@ class LTContext:
     field k = F_{2^d}; `precision` is the Witt coefficient precision N and
     `madic` the truncation order M in the maximal ideal (N >= M required).
     Immutable after construction; all operations on elements are pure.
+
+    Requests share one context per configuration through lt_context, so its
+    tables (v-images, level families, gamma images, Teichmuller powers) are
+    built once per process; calling LTContext directly gives a fresh context
+    with empty tables.
     """
 
     def __init__(self, n, m, d=1, modulus=None, precision=8, madic=6, k_max=None):
@@ -221,6 +226,7 @@ class LTContext:
         self._t_images = None  # (i, j) -> image of gamma^j t_i, or None if killed
         self._v_lt = {}
         self._levels = {}
+        self._zeta_powers = {}  # zeta bits -> (T(zeta)^0, ..., T(zeta)^(2^d-2))
 
     # -- coefficient-ring protocol ------------------------------------------
 
@@ -310,6 +316,26 @@ class LTContext:
             f"LTContext(n={self.n}, m={self.m}, d={self.spec.d}, "
             f"N={self.precision}, M={self.madic})"
         )
+
+
+_LT_CONTEXTS = AtomicCache()
+
+
+def lt_context(n, m, d=1, modulus=None, precision=8, madic=6, k_max=None):
+    """The process-wide LTContext for a configuration, created on first use.
+
+    The key is normalised: an explicit default modulus and modulus=None name
+    one field, and k_max=None means k_max = h.  As in rn_context, the lazy
+    tables of a shared context take no lock; a race costs only time.
+    """
+    spec = FiniteFieldSpec(d, modulus) if modulus is not None else FiniteFieldSpec.default(d)
+    if k_max is None and n >= 1:
+        k_max = (1 << (n - 1)) * m
+    return _LT_CONTEXTS.get_or_create(
+        (n, m, spec, precision, madic, k_max),
+        lambda: LTContext(n, m, d=d, modulus=spec.modulus, precision=precision,
+                          madic=madic, k_max=k_max),
+    )
 
 
 class LTElement:
@@ -537,6 +563,27 @@ def lt_gamma(ctx, e: LTElement, r: int = 1) -> LTElement:
     return e
 
 
+def _teichmuller_powers(ctx, zeta):
+    """(T(zeta)^0, ..., T(zeta)^(2^d-2)), built once per context and zeta.
+
+    A Teichmuller lift of a nonzero zeta in F_{2^d} satisfies T^(2^d-1) = 1
+    in W(k) mod 2^N, so this table holds every power T(zeta)^chi at index
+    chi mod (2^d - 1); the identity is checked when the table is built.
+    """
+    powers = ctx._zeta_powers.get(zeta.bits)
+    if powers is None:
+        t = teichmuller(zeta, ctx.precision)
+        acc = WittElement.one(ctx.spec, ctx.precision)
+        table = []
+        for _ in range((1 << ctx.spec.d) - 1):
+            table.append(acc)
+            acc = acc * t
+        if not acc == 1:
+            raise ConsistencyFailure(f"T(zeta)^{(1 << ctx.spec.d) - 1} != 1")
+        powers = ctx._zeta_powers[zeta.bits] = tuple(table)
+    return powers
+
+
 def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
     """The k^x[q]-action: u -> T(zeta)^{-1} u, tau_i -> T(zeta)^{2^i-1} tau_i.
 
@@ -550,25 +597,11 @@ def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
         raise AmbientMismatch("zeta from a different field")
     if not (zeta ** ctx.q) == ctx.spec.one:
         raise NotQTorsion(f"zeta^{ctx.q} != 1")
-    t = teichmuller(zeta, ctx.precision)
-    t_inv = t.inverse()
-    powers = {}
-
-    def t_pow(k):
-        w = powers.get(k)
-        if w is None:
-            w = t ** k if k >= 0 else t_inv ** (-k)
-            powers[k] = w
-        return w
-
+    powers = _teichmuller_powers(ctx, zeta)
+    order = len(powers)
     out = {}
     for (exps, ue), c in e.terms.items():
-        chi = -ue
-        for idx, ex in enumerate(exps):
-            if ex:
-                i, _ = ctx.taus[idx]
-                chi += ((1 << i) - 1) * ex
-        out[(exps, ue)] = c * t_pow(chi)
+        out[(exps, ue)] = c * powers[_chi(ctx, exps, ue) % order]
     return LTElement(ctx, out)
 
 

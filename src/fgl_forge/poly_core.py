@@ -24,6 +24,8 @@ from .errors import (
 )
 
 _BITS = 10
+# QQ is an ABC, so an isinstance test against it is slow; the operators
+# test a GradedPolynomial operand by exact type first
 SCALAR_TYPES = (int, QQ)
 _MASK = (1 << _BITS) - 1
 _EXP_LIMIT = 1 << _BITS
@@ -351,7 +353,7 @@ class GradedPolynomial:
             raise AmbientMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
-        if isinstance(other, SCALAR_TYPES):
+        if type(other) is not GradedPolynomial and isinstance(other, SCALAR_TYPES):
             other = self.ring.from_rational(other)
         self._check(other)
         if self.ring.mod2:
@@ -385,7 +387,7 @@ class GradedPolynomial:
         )
 
     def __sub__(self, other):
-        if isinstance(other, SCALAR_TYPES):
+        if type(other) is not GradedPolynomial and isinstance(other, SCALAR_TYPES):
             other = self.ring.from_rational(other)
         return self + (-other)
 
@@ -393,7 +395,7 @@ class GradedPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
+        if type(other) is not GradedPolynomial and isinstance(other, SCALAR_TYPES):
             return self.scalar_mul(other)
         self._check(other)
         a, b = self.terms, other.terms

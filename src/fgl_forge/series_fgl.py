@@ -35,7 +35,7 @@ from .poly_core import (
 
 
 def _coerce_coeff(ring, c):
-    if isinstance(c, SCALAR_TYPES):
+    if type(c) is not GradedPolynomial and isinstance(c, SCALAR_TYPES):
         return ring.from_rational(c)
     return c
 

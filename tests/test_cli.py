@@ -63,6 +63,11 @@ def test_log_usage_error():
         ["verify", "height", "--n", "2", "--m", "1"],
         ["verify", "unit-factors", "--n", "2", "--m", "1"],
         ["verify", "fixed-subring", "--n", "2", "--m", "1"],
+        # d = 4 is the documented limit of --d
+        ["verify", "cotangent", "--n", "2", "--m", "1", "--d", "4"],
+        ["verify", "height", "--n", "2", "--m", "1", "--d", "4"],
+        ["verify", "unit-factors", "--n", "2", "--m", "1", "--d", "4"],
+        ["verify", "fixed-subring", "--n", "2", "--m", "1", "--d", "4"],
     ],
 )
 def test_verify_claims_pass(argv, capsys):
@@ -149,6 +154,7 @@ def _cold_caches(monkeypatch):
     original tables afterwards.
     """
     monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
+    monkeypatch.setattr(lubin_tate, "_LT_CONTEXTS", AtomicCache())
     monkeypatch.setattr(poly_core, "_GB_CACHE", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_TWO_SERIES_CACHE", AtomicCache())
 
@@ -176,6 +182,10 @@ def test_suite_json_is_deterministic(tmp_path, capsys, monkeypatch):
         ["verify", "chain-inversion", "--n", "2", "--k", "2"],
         ["verify", "cotangent", "--n", "2", "--m", "1"],
         ["verify", "height", "--n", "2", "--m", "1"],
+        ["verify", "unit-factors", "--n", "2", "--m", "1"],
+        ["verify", "fixed-subring", "--n", "2", "--m", "1", "--d", "2"],
+        pytest.param(["verify", "height", "--n", "2", "--m", "1", "--cutoff", "8"],
+                     id="height-cutoff8"),
     ],
     ids=lambda argv: argv[1],
 )
@@ -194,6 +204,32 @@ def test_rn_context_is_shared_and_constructor_is_fresh(monkeypatch):
     assert equivariant_ring.rn_context(2, 3) is ctx
     assert equivariant_ring.RnContext(2, 3) is not ctx
     assert equivariant_ring.rn_context(2, 3, m=1) is not ctx
+
+
+def test_lt_context_is_shared_and_constructor_is_fresh(capsys, monkeypatch):
+    _cold_caches(monkeypatch)
+    ctx = lubin_tate.lt_context(2, 1)
+    assert lubin_tate.lt_context(2, 1, modulus=(1, 1), k_max=2) is ctx
+    assert lubin_tate.LTContext(2, 1) is not ctx
+    assert ctx.rn is equivariant_ring.rn_context(2, 2)
+    for other in (
+        lubin_tate.lt_context(2, 1, k_max=3),
+        lubin_tate.lt_context(2, 1, d=2),
+        lubin_tate.lt_context(2, 1, precision=10, madic=8),
+        lubin_tate.lt_context(2, 2),
+    ):
+        assert other is not ctx
+    # modulus=None and the explicit default modulus name one field
+    f8 = lubin_tate.lt_context(2, 1, d=3)
+    assert lubin_tate.lt_context(2, 1, d=3, modulus=(1, 1, 0, 1)) is f8
+    assert lubin_tate.lt_context(2, 1, d=3, modulus=(1, 0, 1, 1)) is not f8
+    # height --cutoff 4 at h = 2 needs k_max = 2 = h: the claims share one context
+    _cold_caches(monkeypatch)
+    for argv in (["verify", "cotangent", "--n", "2", "--m", "1"],
+                 ["verify", "height", "--n", "2", "--m", "1", "--cutoff", "4"],
+                 ["verify", "unit-factors", "--n", "2", "--m", "1"]):
+        assert _run(argv, capsys)[0] == 0
+    assert list(lubin_tate._LT_CONTEXTS.values()) == [lubin_tate.lt_context(2, 1)]
 
 
 def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):

@@ -44,10 +44,13 @@ def test_field_spec_validation():
         FiniteFieldSpec(3, (0, 0, 0, 1))  # x^3
     with pytest.raises(ValueError):
         FiniteFieldSpec(2, (1, 1))  # degree mismatch
+    assert FiniteFieldSpec.default(4).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
+    with pytest.raises(ValueError):
+        FiniteFieldSpec.default(5)
 
 
 def test_gf_field_axioms_exhaustive():
-    for spec in (F4, F8):
+    for spec in (F4, F8, FiniteFieldSpec.default(4)):
         elts = list(spec.elements())
         one = spec.one
         for a in elts:

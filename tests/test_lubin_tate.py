@@ -8,8 +8,10 @@ from fgl_forge.coefficients import (
     WittElement,
     teichmuller,
 )
+from fgl_forge import lubin_tate
 from fgl_forge.errors import (
     AmbientMismatch,
+    ConsistencyFailure,
     InverseOfNonUnit,
     NonIntegralCoefficient,
     NonUnit,
@@ -281,6 +283,45 @@ def test_action_commutation_relations():
         # sigma f_zeta sigma^{-1} = f_{sigma(zeta)} (sigma is an involution at d = 2)
         lhs = lt_galois(ctx, lt_zeta(ctx, omega, lt_galois(ctx, x)))
         assert lhs == lt_zeta(ctx, omega.frobenius(), x)
+
+
+def _zeta_by_powering(ctx, zeta, x):
+    """The torus action term by term: T(zeta)^chi, through T(zeta)^-1 for chi < 0."""
+    t = teichmuller(zeta, ctx.precision)
+    out = {}
+    for (exps, ue), c in x.terms.items():
+        chi = -ue + sum(((1 << ctx.taus[idx][0]) - 1) * ex for idx, ex in enumerate(exps))
+        out[(exps, ue)] = c * (t ** chi if chi >= 0 else t.inverse() ** -chi)
+    return LTElement(ctx, out)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("d,modulus", [(1, None), (2, None), (3, None), (3, (1, 0, 1, 1))])
+def test_zeta_table_matches_teichmuller_powering(d, modulus, N):
+    # m = d makes every unit of k a qth root of unity (q = 2^d - 1)
+    ctx = LTContext(2, d, d=d, modulus=modulus, precision=N, madic=N)
+    rng = random.Random(100 * d + N + len(modulus or ()))
+    roots = [z for z in ctx.spec.elements() if not z.is_zero() and z ** ctx.q == ctx.spec.one]
+    assert len(roots) == ctx.q
+    for zeta in roots:
+        for _ in range(4):
+            terms = {}
+            for _ in range(6):
+                exps = [0] * len(ctx.taus)
+                for _ in range(rng.randrange(4)):
+                    exps[rng.randrange(len(exps))] += 1
+                key = (tuple(exps), rng.randrange(-9, 10))
+                terms[key] = WittElement.from_int(ctx.spec, N, rng.randrange(1, 1 << N))
+            x = LTElement(ctx, terms)
+            assert lt_zeta(ctx, zeta, x) == _zeta_by_powering(ctx, zeta, x)
+
+
+def test_zeta_table_checks_the_teichmuller_order(monkeypatch):
+    ctx = LTContext(2, 2, d=2)
+    three = WittElement.from_int(ctx.spec, ctx.precision, 3)
+    monkeypatch.setattr(lubin_tate, "teichmuller", lambda a, N: teichmuller(a, N) * three)
+    with pytest.raises(ConsistencyFailure):
+        lt_zeta(ctx, ctx.spec.omega, ctx.u_pow(1))
 
 
 # ---- specialization from the equivariant polynomial ring -----------------------

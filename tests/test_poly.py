@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fgl_forge import equivariant_ring, poly_core
+from fgl_forge import equivariant_ring, lubin_tate, poly_core
 from fgl_forge.coefficients import QQ, FiniteFieldSpec
 from fgl_forge.errors import (
     AmbientMismatch,
@@ -14,7 +14,7 @@ from fgl_forge.errors import (
     UnassignedVariable,
 )
 from fgl_forge.equivariant_ring import rn_context
-from fgl_forge.lubin_tate import KRing
+from fgl_forge.lubin_tate import KRing, lt_context
 from fgl_forge.poly_core import (
     T,
     V,
@@ -373,8 +373,9 @@ F8 = FiniteFieldSpec.default(3)
         (lambda: rn_ring(3, 6), poly_core._RING_CACHE, ("Rn", 3, None, 6, False, False)),
         (lambda: KRing(FiniteFieldSpec.default(3)), KRing._cache, F8),
         (lambda: rn_context(2, 3), equivariant_ring._CONTEXTS, (2, 3, None)),
+        (lambda: lt_context(2, 1, d=3), lubin_tate._LT_CONTEXTS, (2, 1, F8, 8, 6, 2)),
     ],
-    ids=["rn_ring", "KRing", "rn_context"],
+    ids=["rn_ring", "KRing", "rn_context", "lt_context"],
 )
 def test_interning_is_atomic_under_threads(make, cache, key):
     """Racing constructors of one key on an empty cache get one object."""
