@@ -20,6 +20,7 @@ is reused by the next one in the process.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .equivariant_ring import (
@@ -111,6 +112,12 @@ def _build_parser():
     p_suite.add_argument("profile", choices=("quick", "full"), nargs="?", default="quick")
     common(p_suite)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The process's one parser; parsing leaves it unchanged, so requests share it."""
+    return _build_parser()
 
 
 def _check_limits(args, parser):
@@ -333,7 +340,7 @@ def _cmd_suite(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     _check_limits(args, parser)
     try:

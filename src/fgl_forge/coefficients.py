@@ -184,7 +184,11 @@ class GFElement:
         return [(self.bits >> i) & 1 for i in range(self.spec.d)]
 
     def _check(self, other):
-        if not isinstance(other, GFElement) or other.spec != self.spec:
+        # specs are almost always one object: test identity before the
+        # dataclass __eq__
+        if not isinstance(other, GFElement) or (
+            other.spec is not self.spec and other.spec != self.spec
+        ):
             raise ValueError("mixed-field arithmetic")
 
     def __add__(self, other):
@@ -284,7 +288,7 @@ class WittElement:
     def _check(self, other):
         if (
             not isinstance(other, WittElement)
-            or other.spec != self.spec
+            or (other.spec is not self.spec and other.spec != self.spec)
             or other.precision != self.precision
         ):
             raise ValueError("mixed Witt-ring arithmetic")

@@ -7,10 +7,21 @@ integer addition and the graded-reverse-lex order is integer comparison within
 a degree.  On top of that: the cyclic group action, mod-2 reduction, ring
 maps/substitution, degree-truncated Buchberger over F_2, and an independent
 linear-algebra membership route used to cross-check the Groebner one.
+
+Normal forms over F_2 pop leading monomials from a heap keyed by
+(-degree, packed monomial) and skip entries whose monomial has cancelled
+since it was pushed (lazy deletion; Monagan & Pearce, "Sparse polynomial
+division using a heap", JSC 2011), so a reduction step costs a logarithm of
+the support, not a scan of it.  The process keeps one Groebner basis per
+(ring, generator set), truncated at the largest degree asked so far: a basis
+truncated at D' >= D gives the same full normal form to every homogeneous
+input of degree <= D, so a request at a lower degree reuses it and only a
+request at a higher degree rebuilds it.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from dataclasses import dataclass
@@ -105,6 +116,7 @@ class PolyRing:
         self.degrees = tuple(v.degree for v in self.variables)
         self.shifts = tuple(_BITS * (self.nvars - 1 - idx) for idx in range(self.nvars))
         self._deg_cache = {}
+        self._monos_by_degree = {}
         if kind in ("Rn", "Rnm"):
             self._gamma_perm, self._gamma_sign = self._build_gamma()
         else:
@@ -145,8 +157,18 @@ class PolyRing:
     def mono_of(self, var: Variable, exp: int = 1) -> int:
         return exp << self.shifts[self.var_index[var]]
 
-    def monomials_of_degree(self, degree: int):
-        """All monomials of the given total degree (weights are all positive here)."""
+    def monomials_of_degree(self, degree: int) -> tuple:
+        """All monomials of the given total degree (weights are all positive here).
+
+        Tabulated per degree; the tuple keeps the enumeration order and cannot
+        be changed by a caller.
+        """
+        monos = self._monos_by_degree.get(degree)
+        if monos is None:
+            monos = self._monos_by_degree[degree] = tuple(self._enumerate(degree))
+        return monos
+
+    def _enumerate(self, degree):
         out = []
 
         def rec(idx, rem, acc):
@@ -214,18 +236,19 @@ class AtomicCache(dict):
 
     `get_or_create` checks and inserts under the table's lock, so racing
     callers get one object for a key: interned rings are matched by identity,
-    and a derived table is built once.  Build functions may fill other
-    tables, never their own.
+    and a derived table is built once.  A stored value that `keep` rejects
+    is rebuilt and replaced under the same lock.  Build functions may fill
+    other tables, never their own.
     """
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
 
-    def get_or_create(self, key, build):
+    def get_or_create(self, key, build, keep=None):
         with self._lock:
             value = self.get(key)
-            if value is None:
+            if value is None or (keep is not None and not keep(value)):
                 value = self[key] = build()
         return value
 
@@ -626,34 +649,44 @@ def _divides(ring, a: int, b: int) -> bool:
     return True
 
 
-def _nf(p: GradedPolynomial, basis) -> GradedPolynomial:
-    """Full normal form over F_2 (reduce every reducible monomial)."""
+def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
+    """Full normal form over F_2 (reduce every reducible monomial).
+
+    `reducers` lists (leading monomial, basis element) pairs; the first whose
+    leading monomial divides the current one reduces it.  The live monomials
+    of the remainder sit in a set beside a heap keyed by (-degree, packed
+    monomial), whose top is the leading monomial (greatest degree, then the
+    smallest packed int).  A reduction adds or cancels monomials below the
+    popped one, so a cancelled monomial keeps its heap entry, skipped when
+    popped (lazy deletion), and no popped monomial comes back.
+    """
     ring = p.ring
-    work = dict(p.terms)
+    degree = ring.mono_degree
+    live = set(p.terms)
+    heap = [(-degree(m), m) for m in live]
+    heapq.heapify(heap)
     out = {}
-    lms = [(g.leading_monomial(), g) for g in basis]
-    while work:
-        deg = max(ring.mono_degree(m) for m in work)
-        mono = min(m for m in work if ring.mono_degree(m) == deg)
-        del work[mono]
-        reducer = None
-        for lm, g in lms:
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        if mono not in live:
+            continue
+        live.remove(mono)
+        for lm, g in reducers:
             if _divides(ring, lm, mono):
-                reducer = (lm, g)
                 break
-        if reducer is None:
+        else:
             out[mono] = 1
             continue
-        lm, g = reducer
         q = mono - lm  # packed-int monomial division
         for gm in g.terms:
             m2 = gm + q
             if m2 == mono:
                 continue
-            if m2 in work:
-                del work[m2]
+            if m2 in live:
+                live.remove(m2)
             else:
-                work[m2] = 1
+                live.add(m2)
+                heapq.heappush(heap, (-degree(m2), m2))
     return GradedPolynomial(ring, out, _checked=True)
 
 
@@ -673,24 +706,23 @@ class GroebnerBasis:
             if not g.is_homogeneous():
                 raise DegreeBoundExceeded("generators must be homogeneous")
         self.ring = ring
-        self.generators = list(gens)
         self.degree_bound = degree_bound
-        self.basis = self._buchberger(gens, degree_bound)
-        self.complete_up_to_bound = True
+        self._reducers = self._buchberger(gens, degree_bound)
+        self.basis = [g for _, g in self._reducers]
 
     def _buchberger(self, gens, D):
+        """The basis as (leading monomial, element) pairs, in insertion order."""
         ring = self.ring
-        basis = []
+        reducers = []
         for g in gens:
             if g.degree <= D:
-                g = _nf(g, basis)
+                g = _nf(g, reducers)
                 if not g.is_zero():
-                    basis.append(g)
-        pairs = list(itertools.combinations(range(len(basis)), 2))
+                    reducers.append((g.leading_monomial(), g))
+        pairs = list(itertools.combinations(range(len(reducers)), 2))
         while pairs:
             i, j = pairs.pop()
-            gi, gj = basis[i], basis[j]
-            mi, mj = gi.leading_monomial(), gj.leading_monomial()
+            (mi, gi), (mj, gj) = reducers[i], reducers[j]
             lcm = ring.encode(
                 tuple(max(a, b) for a, b in zip(ring.decode(mi), ring.decode(mj)))
             )
@@ -701,13 +733,13 @@ class GroebnerBasis:
             s = gi * GradedPolynomial(ring, {lcm - mi: 1}, _checked=True) + gj * (
                 GradedPolynomial(ring, {lcm - mj: 1}, _checked=True)
             )
-            s = _nf(s, basis)
+            s = _nf(s, reducers)
             if not s.is_zero():
                 if s.degree > D:
                     raise DegreeBoundExceeded("S-polynomial escaped the degree bound")
-                basis.append(s)
-                pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
-        return basis
+                reducers.append((s.leading_monomial(), s))
+                pairs.extend((t, len(reducers) - 1) for t in range(len(reducers) - 1))
+        return reducers
 
     def normal_form(self, p: GradedPolynomial) -> GradedPolynomial:
         if p.ring is not self.ring:
@@ -716,7 +748,7 @@ class GroebnerBasis:
             raise DegreeBoundExceeded(
                 f"degree {p.degree} exceeds basis bound {self.degree_bound}"
             )
-        return _nf(p, self.basis)
+        return _nf(p, self._reducers)
 
     def contains(self, p: GradedPolynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -732,12 +764,21 @@ _GB_CACHE = AtomicCache()
 
 
 def _cached_basis(ring, gens_mod2, D) -> GroebnerBasis:
-    key = (
-        id(ring),
-        tuple(sorted(frozenset(g.terms) for g in gens_mod2 if not g.is_zero())),
-        D,
+    """The process-wide basis of (gens_mod2) in ring, truncated at >= D.
+
+    One entry per (ring, generator set), at the largest degree asked so far;
+    a request above it builds the basis at D and replaces the entry.  Both
+    happen under the cache's lock, so racing callers build no basis twice and
+    never replace a larger one with a smaller.
+    """
+    # a set of generator sets: frozensets sort by inclusion only, so no sorted
+    # tuple of them is independent of the order the generators come in
+    key = (id(ring), frozenset(frozenset(g.terms) for g in gens_mod2 if not g.is_zero()))
+    return _GB_CACHE.get_or_create(
+        key,
+        lambda: GroebnerBasis(ring, gens_mod2, D),
+        keep=lambda gb: gb.degree_bound >= D,
     )
-    return _GB_CACHE.get_or_create(key, lambda: GroebnerBasis(ring, gens_mod2, D))
 
 
 def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
@@ -746,7 +787,8 @@ def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
     Reduction mod 2 first is exact because the ambient rings are polynomial
     over Z_(2): an element lies in (2, g_1, ..., g_r) iff its mod-2 reduction
     lies in the ideal of the reductions.  p must be homogeneous (as every
-    identity checked here is); the basis is truncated at its degree.
+    identity checked here is); the ideal's cached basis is truncated at its
+    degree or above.
     """
     pbar = reduce_mod2(p)
     if pbar.is_zero():

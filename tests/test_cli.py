@@ -122,6 +122,36 @@ def test_feasibility_limits_and_force():
     cli._check_limits(args, parser)  # no exit
 
 
+def test_shared_parser_matches_fresh_parsers(capsys, monkeypatch):
+    """Usage errors between requests leave the one parser as a fresh one would be."""
+    sequence = [
+        ["verify", "nonsense"],
+        ["verify", "eq351", "--n", "3", "--k", "3"],
+        ["verify", "eq351", "--k", "7"],
+        ["verify", "eq351"],
+        ["verify", "--k"],
+        ["log", "--n", "2", "--k", "1"],
+        ["verify", "tkvk", "--n", "2", "--k", "2"],
+    ]
+
+    def serve():
+        seen = []
+        for argv in sequence:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            seen.append((code, out, err))
+        return seen
+
+    shared = serve()
+    assert cli._parser() is cli._parser()
+    assert [code for code, _, _ in shared] == [2, 0, 2, 0, 2, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    assert serve() == shared
+
+
 def test_height_cutoff_flag(capsys):
     code, out = _run(["verify", "height", "--n", "2", "--m", "1", "--cutoff", "8"], capsys)
     assert code == 0
@@ -157,6 +187,20 @@ def _cold_caches(monkeypatch):
     monkeypatch.setattr(lubin_tate, "_LT_CONTEXTS", AtomicCache())
     monkeypatch.setattr(poly_core, "_GB_CACHE", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_TWO_SERIES_CACHE", AtomicCache())
+
+
+def test_cold_caches_empty_the_one_basis_cache(capsys, monkeypatch):
+    argv = ["verify", "recursion", "--n", "2", "--k", "4"]
+    _cold_caches(monkeypatch)
+    assert _run(argv, capsys)[0] == 0
+    warm = poly_core._GB_CACHE
+    assert warm
+    _cold_caches(monkeypatch)
+    assert not poly_core._GB_CACHE
+    assert _run(argv, capsys)[0] == 0
+    cold = poly_core._GB_CACHE
+    assert cold.keys() == warm.keys()
+    assert all(cold[key] is not warm[key] for key in cold)
 
 
 def test_suite_json_is_deterministic(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -239,6 +240,173 @@ def test_groebner_vs_linear_algebra_on_random_polys():
             sel = rng.sample(monos, k=min(4, len(monos)))
             p = GradedPolynomial(g1.ring, {m: 1 for m in sel})
             assert ideal_contains(p, [g1, g2]) == f2_membership_linear(p, [g1, g2])
+
+
+def _nf_by_scan(p, basis):
+    """Reference normal form: rescan the work dict for the leading monomial each step."""
+    ring = p.ring
+    work = dict(p.terms)
+    out = {}
+    lms = [(g.leading_monomial(), g) for g in basis]
+    while work:
+        deg = max(ring.mono_degree(m) for m in work)
+        mono = min(m for m in work if ring.mono_degree(m) == deg)
+        del work[mono]
+        reducer = None
+        for lm, g in lms:
+            if poly_core._divides(ring, lm, mono):
+                reducer = (lm, g)
+                break
+        if reducer is None:
+            out[mono] = 1
+            continue
+        lm, g = reducer
+        q = mono - lm
+        for gm in g.terms:
+            m2 = gm + q
+            if m2 == mono:
+                continue
+            if m2 in work:
+                del work[m2]
+            else:
+                work[m2] = 1
+    return GradedPolynomial(ring, out, _checked=True)
+
+
+def _random_f2(ring, rng, degrees, nterms):
+    terms = {}
+    for _ in range(nterms):
+        terms[rng.choice(ring.monomials_of_degree(rng.choice(degrees)))] = 1
+    return GradedPolynomial(ring, terms)
+
+
+def _test_ideals():
+    """(generators, degree bound): the ideals of the Groebner tests here and in
+    test_equivariant, and seeded random ones whose bases need many S-pairs."""
+    ring = rn_ring(2, 2)
+    t1, g1t1, t2, g1t2 = (ring.var(T(i, j)) for i in (1, 2) for j in (0, 1))
+    v_images = [reduce_mod2(v) for v in equivariant_ring.v_in_rn(equivariant_ring.RnContext(2, 3))]
+    ideals = [
+        ([reduce_mod2(t1 + g1t1), reduce_mod2(t2 + g1t2 + t1 * g1t1**2)], 14),
+        ([reduce_mod2(t1 + g1t1), reduce_mod2(t2 + g1t2)], 8),
+        (v_images[:2], 14),
+        (v_images, 16),
+    ]
+    rng = random.Random(71)
+    ring3 = rn_ring(3, 2, mod2=True)
+    for _ in range(3):
+        ideals.append(([_random_f2(ring3, rng, [d], 5) for d in (4, 4, 6)], 12))
+    return ideals
+
+
+def test_heap_normal_form_matches_the_scan(monkeypatch):
+    rng = random.Random(61)
+    for gens, D in _test_ideals():
+        gb = groebner_truncated(gens, D)
+        ring = gens[0].ring
+        degrees = [d for d in range(2, D + 1, 2) if ring.monomials_of_degree(d)]
+        for _ in range(40):
+            # homogeneous inputs, and mixed degrees to exercise the heap key
+            p = _random_f2(ring, rng, [rng.choice(degrees)], rng.randint(1, 8))
+            q = p + _random_f2(ring, rng, degrees, rng.randint(0, 8))
+            for x in (p, q):
+                assert gb.normal_form(x) == _nf_by_scan(x, gb.basis)
+            assert gb.contains(p) == f2_membership_linear(p, gens)
+        # Buchberger itself builds the same basis on either normal form
+        with monkeypatch.context() as m:
+            m.setattr(poly_core, "_nf", lambda p, reducers: _nf_by_scan(p, [g for _, g in reducers]))
+            assert groebner_truncated(gens, D).basis == gb.basis
+
+
+def _v_ideal():
+    """(v_1, v_2, v_3) of R_2 mod 2, and its ring; v_3 has degree 14."""
+    gens = [reduce_mod2(v) for v in equivariant_ring.v_in_rn(equivariant_ring.RnContext(2, 3))]
+    return gens, gens[0].ring
+
+
+def _low_degree_inputs(ring, rng, top):
+    """Every monomial of degree <= top, and seeded random homogeneous sums."""
+    inputs = []
+    for d in range(2, top + 1, 2):
+        monos = ring.monomials_of_degree(d)
+        inputs += [GradedPolynomial(ring, {m: 1}) for m in monos]
+        inputs += [_random_f2(ring, rng, [d], 4) for _ in range(10)]
+    return [p for p in inputs if not p.is_zero()]
+
+
+def test_one_basis_per_ideal_serves_lower_degrees(monkeypatch):
+    monkeypatch.setattr(poly_core, "_GB_CACHE", poly_core.AtomicCache())
+    gens, ring = _v_ideal()
+    top = ring.zero()
+    for mono in ring.monomials_of_degree(14)[:5]:
+        top = top + GradedPolynomial(ring, {mono: 1})
+    poly_core.ideal_normal_form(top, gens)
+    (gb14,) = poly_core._GB_CACHE.values()
+    assert gb14.degree_bound == 14
+    fresh = groebner_truncated(gens, 6)
+    for p in _low_degree_inputs(ring, random.Random(81), 6):
+        assert poly_core.ideal_normal_form(p, gens) == fresh.normal_form(p)
+    assert list(poly_core._GB_CACHE.values()) == [gb14]
+
+
+def test_a_higher_degree_replaces_the_basis(monkeypatch):
+    monkeypatch.setattr(poly_core, "_GB_CACHE", poly_core.AtomicCache())
+    gens, ring = _v_ideal()
+    gb6 = poly_core._cached_basis(ring, gens, 6)
+    assert poly_core._cached_basis(ring, gens, 4) is gb6
+    gb14 = poly_core._cached_basis(ring, gens, 14)
+    assert gb14 is not gb6 and gb14.degree_bound == 14
+    assert list(poly_core._GB_CACHE.values()) == [gb14]
+    assert poly_core._cached_basis(ring, gens, 6) is gb14
+    # generator order and zero generators do not make another ideal
+    assert poly_core._cached_basis(ring, gens[::-1] + [ring.zero()], 10) is gb14
+    assert len(poly_core._GB_CACHE) == 1
+
+
+def test_one_basis_cache_under_threads(monkeypatch):
+    """Threads asking one ideal at mixed degrees get the serial normal forms."""
+    gens, ring = _v_ideal()
+    rng = random.Random(91)
+    degrees = (6, 14, 10, 8, 14, 4, 12, 6)
+    inputs = {d: _low_degree_inputs(ring, rng, d)[-12:] for d in set(degrees)}
+    serial = {d: [groebner_truncated(gens, d).normal_form(p) for p in ps] for d, ps in inputs.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(poly_core, "_GB_CACHE", poly_core.AtomicCache())
+            barrier = threading.Barrier(len(degrees))
+            got = {}
+
+            def work(slot, d):
+                barrier.wait(timeout=10)
+                got[slot] = [poly_core.ideal_normal_form(p, gens) for p in inputs[d]]
+
+            threads = [threading.Thread(target=work, args=(slot, d)) for slot, d in enumerate(degrees)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {slot: serial[d] for slot, d in enumerate(degrees)}
+            (gb,) = poly_core._GB_CACHE.values()
+            assert gb.degree_bound == max(degrees)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_monomials_of_degree_are_tabulated_in_enumeration_order():
+    for ring in (rn_ring(2, 3), rn_ring(3, 2, mod2=True), bp_ring(3)):
+        for d in (-2, 0, 2, 5, 6, 14):
+            monos = ring.monomials_of_degree(d)
+            assert type(monos) is tuple and ring.monomials_of_degree(d) is monos
+            ranges = [range(d // w + 1) if d >= 0 else () for w in ring.degrees]
+            want = sorted(
+                ring.encode(e)
+                for e in itertools.product(*ranges)
+                if sum(x * w for x, w in zip(e, ring.degrees)) == d
+            )
+            assert monos == tuple(want)
 
 
 def test_ideal_contains_Ik_shapes():
