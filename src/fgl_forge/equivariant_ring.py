@@ -247,40 +247,43 @@ def _psi_gamma(ctx, F):
     return StrictIso(formal_sum(Fg, terms), F, Fg)
 
 
-def _conjugate_iso(iso, r):
-    """(gamma^r)* of a strict isomorphism: conjugate series, source and target."""
-    psi = TruncatedSeries1(
-        iso.psi.ring,
-        {e: gamma_act(c, r) for e, c in iso.psi.coeffs.items()},
-        iso.psi.cutoff,
-    )
+def _chain_steps(ctx, steps, cutoff):
+    """The twisted isomorphisms F^{gamma^i} -> F^{gamma^{i+1}}, for i < steps.
 
-    def conj(p):
-        return gamma_act(p, r)
-
-    return StrictIso(
-        psi,
-        conjugate_fgl(iso.source, conj),
-        conjugate_fgl(iso.target, conj),
-    )
+    Step 0 is psi_gamma.  Each later step is built from the one before: its
+    series is gamma of the previous series, its source is the previous
+    target, and its target is gamma of that, so each law F^{gamma^j} is
+    conjugated once.
+    """
+    step = _psi_gamma(ctx, ctx.law(cutoff))
+    yield step
+    for _ in range(1, steps):
+        psi = {e: gamma_act(c) for e, c in step.psi.coeffs.items()}
+        step = StrictIso(
+            TruncatedSeries1(step.psi.ring, psi, cutoff),
+            step.target,
+            conjugate_fgl(step.target, gamma_act),
+        )
+        yield step
 
 
 def chain_composite(ctx, steps=None, cutoff=None):
     """Composite of `steps` successive twisted isomorphisms starting at psi_gamma.
 
     The step-i factor is (gamma^i)* psi_gamma: F^{gamma^i} -> F^{gamma^{i+1}},
-    so the composite is a strict isomorphism F -> F^{gamma^steps}.  With the
-    default steps = 2^{n-1} this is the chain whose comparison against the
-    (negated) formal inverse chain_inversion_check performs.
+    so the composite is a strict isomorphism F -> F^{gamma^steps}.  The steps
+    come from _chain_steps, which conjugates each law in the chain once.
+    With the default steps = 2^{n-1} this is the chain whose comparison
+    against the (negated) formal inverse chain_inversion_check performs.
     """
     steps = ctx.half if steps is None else steps
     if steps < 1:
         raise ValueError("need at least one step")
     X = cutoff if cutoff is not None else (1 << ctx.k_max)
-    psi1 = _psi_gamma(ctx, ctx.law(X))
-    iso = psi1
-    for i in range(1, steps):
-        iso = compose_iso(_conjugate_iso(psi1, i), iso)
+    chain = _chain_steps(ctx, steps, X)
+    iso = next(chain)
+    for step in chain:
+        iso = compose_iso(step, iso)
     return iso
 
 

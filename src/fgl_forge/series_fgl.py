@@ -567,24 +567,39 @@ def _lift_to(ring, c):
 
 
 def formal_inverse(F: FGL) -> TruncatedSeries1:
-    """The series i(x) with F(x, i(x)) = 0; starts with -x."""
+    """The series i(x) with F(x, i(x)) = 0; starts with -x.
+
+    With F = x + y + sum a_{jk} x^j y^k (j, k >= 1), the coefficient of x^e
+    in F(x, i(x)) is i_e + sum a_{jk} [x^{e-j}] i^k for e >= 2, and the sum
+    uses only i_1 .. i_{e-1}; so i_e = -sum a_{jk} [x^{e-j}] i^k, one
+    coefficient per order.  The table pw[k][m] = [x^m] i^k is filled by
+    column: once i_m is final, so is every [x^m] i^k, from
+    [x^m] i^k = sum_t i_t [x^{m-t}] i^{k-1}.  The result is certified by
+    F(x, i(x)) = 0 at the full cutoff.
+    """
     ring, X = F.ring, F.cutoff
-    inv = {1: -ring.one()}
+    zero = ring.zero()
+    mixed = [(j, k, c) for (j, k), c in F.two_var.coeffs.items() if j and k]
+    k_top = max((k for _, k, _ in mixed), default=1)
+    inv = [zero, -ring.one()]  # inv[e] = i_e; it is row 1 of the table
+    pw = [None, inv] + [[zero] * X for _ in range(2, k_top + 1)]
     for e in range(2, X + 1):
-        partial = TruncatedSeries1(ring, inv, e)
-        # F(x, partial) truncated at order e; unknown coefficient appears linearly
-        x = TruncatedSeries1.identity(ring, e)
-        val = fgl_apply(
-            FGL(
-                TruncatedSeries2(ring, dict(F.two_var.coeffs), e),
-                provenance=F.provenance,
-            ),
-            x,
-            partial,
-        ).coefficient(e)
-        if not val.is_zero():
-            inv[e] = -val
-    out = TruncatedSeries1(ring, inv, X)
+        m = e - 1  # i_m became final at the last order: fill column m
+        for k in range(2, min(k_top, m) + 1):
+            acc, prev = zero, pw[k - 1]
+            for t in range(1, m - k + 2):
+                a, b = inv[t], prev[m - t]
+                if not (a.is_zero() or b.is_zero()):
+                    acc = acc + a * b
+            pw[k][m] = acc
+        val = zero
+        for j, k, c in mixed:
+            if j + k <= e:
+                b = pw[k][e - j]
+                if not b.is_zero():
+                    val = val + c * b
+        inv.append(-val)
+    out = TruncatedSeries1(ring, dict(enumerate(inv[1:], start=1)), X)
     if not fgl_apply(F, TruncatedSeries1.identity(ring, X), out).is_zero():
         raise ConsistencyFailure("formal inverse failed F(x, i(x)) = 0")
     return out

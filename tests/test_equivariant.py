@@ -6,6 +6,8 @@ from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
 from fgl_forge.errors import VerificationFailure
 from fgl_forge.equivariant_ring import (
     RnContext,
+    _chain_steps,
+    _psi_gamma,
     chain_composite,
     chain_inversion_check,
     quotient_to_m,
@@ -28,7 +30,14 @@ from fgl_forge.poly_core import (
     reduce_mod2,
     ring_map,
 )
-from fgl_forge.series_fgl import additive_fgl, formal_inverse
+from fgl_forge.series_fgl import (
+    StrictIso,
+    TruncatedSeries1,
+    additive_fgl,
+    compose_iso,
+    conjugate_fgl,
+    formal_inverse,
+)
 
 
 # ---- the equivariant logarithm ---------------------------------------------------
@@ -308,6 +317,48 @@ def test_chain_is_negated_inverse_not_raw_inverse():
     F = ctx.law(7)
     assert iso.psi == formal_inverse(F).scale(-1)
     assert iso.psi != formal_inverse(F)
+
+
+def _conjugate_iso(iso, r):
+    """(gamma^r)* of a strict isomorphism: conjugate series, source and target."""
+    def conj(p):
+        return gamma_act(p, r)
+
+    psi = {e: conj(c) for e, c in iso.psi.coeffs.items()}
+    return StrictIso(
+        TruncatedSeries1(iso.psi.ring, psi, iso.psi.cutoff),
+        conjugate_fgl(iso.source, conj),
+        conjugate_fgl(iso.target, conj),
+    )
+
+
+def _chain_by_conjugating_psi_gamma(ctx, X):
+    """Oracle: conjugate psi_gamma, its source and its target afresh at each step."""
+    psi1 = _psi_gamma(ctx, ctx.law(X))
+    iso = psi1
+    for i in range(1, ctx.half):
+        iso = compose_iso(_conjugate_iso(psi1, i), iso)
+    return iso
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_steps_conjugate_each_law_once(n):
+    ctx = RnContext(n, 2)
+    X = 7
+    F = ctx.law(X)
+    steps = list(_chain_steps(ctx, ctx.half, X))
+    assert len(steps) == ctx.half
+    for j, step in enumerate(steps):
+        assert step.source == conjugate_fgl(F, lambda p: gamma_act(p, j))
+        assert step.target == conjugate_fgl(F, lambda p: gamma_act(p, j + 1))
+        assert step.verify()
+    for prev, step in zip(steps, steps[1:]):
+        assert step.source is prev.target
+    iso = chain_composite(ctx, cutoff=X)
+    old = _chain_by_conjugating_psi_gamma(ctx, X)
+    assert iso.psi == old.psi
+    assert iso.source == old.source
+    assert iso.target == old.target
 
 
 def test_chain_additive_degeneration_is_uninformative():

@@ -5,6 +5,7 @@ import pytest
 from fgl_forge import series_fgl
 from fgl_forge.coefficients import QQ, rational_mod2, two_valuation
 from fgl_forge.errors import (
+    ConsistencyFailure,
     HeightExceedsCutoff,
     NonIntegralCoefficient,
     NonIntegralResult,
@@ -327,6 +328,62 @@ def test_formal_inverse_oracles():
     F = fgl_from_log(log_from_v(2), 7)
     x = TruncatedSeries1.identity(F.ring, 7)
     assert fgl_apply(F, x, formal_inverse(F)).is_zero()
+
+
+def _formal_inverse_by_apply(F):
+    """Oracle: the coefficient of x^e in F(x, i_{<e}) evaluated in full, per order."""
+    ring, X = F.ring, F.cutoff
+    inv = {1: -ring.one()}
+    for e in range(2, X + 1):
+        partial = TruncatedSeries1(ring, inv, e)
+        law = FGL(TruncatedSeries2(ring, dict(F.two_var.coeffs), e))
+        val = fgl_apply(law, TruncatedSeries1.identity(ring, e), partial).coefficient(e)
+        if not val.is_zero():
+            inv[e] = -val
+    return TruncatedSeries1(ring, inv, X)
+
+
+def _random_law(ring, cutoff, seed):
+    """x + y + a symmetric sum of seeded random mixed terms over bp_ring(2)."""
+    rng = random.Random(seed)
+    v1, v2 = ring.var(V(1)), ring.var(V(2))
+    coeffs = {(1, 0): ring.one(), (0, 1): ring.one()}
+    for j in range(1, cutoff):
+        for k in range(j, cutoff - j + 1):
+            if rng.random() < 0.3:
+                continue
+            c = (v1 ** rng.randrange(3) * v2 ** rng.randrange(2)).scalar_mul(
+                rng.randint(-3, 3)
+            )
+            coeffs[(j, k)] = coeffs[(k, j)] = c
+    return FGL(TruncatedSeries2(ring, coeffs, cutoff))
+
+
+def test_formal_inverse_matches_the_per_order_evaluation():
+    from fgl_forge.equivariant_ring import RnContext
+
+    R1 = bp_ring(1)
+    v1 = R1.var(V(1))
+    laws = [additive_fgl(R1, 9), additive_fgl(RQ1, 1)]
+    for X in (1, 2, 9):
+        laws.append(FGL(TruncatedSeries2(
+            R1, {(1, 0): R1.one(), (0, 1): R1.one(), (1, 1): v1}, X
+        )))
+    laws += [fgl_from_log(log_from_v(k), X) for k, X in ((2, 7), (3, 15))]
+    laws += [fgl_from_log(log_from_v(2), X) for X in (1, 2)]
+    laws += [RnContext(2, 3).law(10), RnContext(3, 2).law(7)]
+    laws += [_random_law(bp_ring(2), X, seed) for X, seed in ((2, 0), (9, 1), (12, 2))]
+    for F in laws:
+        assert formal_inverse(F) == _formal_inverse_by_apply(F), F
+
+
+def test_formal_inverse_certificate_fires(monkeypatch):
+    F = fgl_from_log(log_from_v(2), 7)
+    formal_inverse(F)
+    bogus = TruncatedSeries1.monomial(F.ring, 1, F.cutoff, F.cutoff)
+    monkeypatch.setattr(series_fgl, "fgl_apply", lambda *args: bogus)
+    with pytest.raises(ConsistencyFailure):
+        formal_inverse(F)
 
 
 def test_negate_fgl_is_involution():
