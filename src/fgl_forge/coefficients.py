@@ -132,7 +132,7 @@ class FiniteFieldSpec:
         return GFElement(self, coeffs)
 
     def from_bits(self, bits: int) -> "GFElement":
-        return GFElement(self, [(bits >> i) & 1 for i in range(self.d)])
+        return GFElement(self, bits)
 
     @property
     def zero(self):
@@ -222,7 +222,7 @@ class GFElement:
     def __eq__(self, other):
         return (
             isinstance(other, GFElement)
-            and other.spec == self.spec
+            and (other.spec is self.spec or other.spec == self.spec)
             and other.bits == self.bits
         )
 
@@ -242,6 +242,10 @@ class WittElement:
 
     f~ is the {0,1}-coefficient integer lift of the field modulus, so reduction
     mod 2 of the coefficient vector is exactly the residue map W(k) -> k.
+
+    The public constructor checks and reduces its input.  The arithmetic masks
+    its results to [0, 2^N) itself and builds them through _reduced, so no
+    result is reduced twice.
     """
 
     __slots__ = ("spec", "precision", "coeffs")
@@ -249,18 +253,22 @@ class WittElement:
     def __init__(self, spec, precision, coeffs):
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        coeffs = [int(c) % (1 << precision) for c in coeffs]
+        mask = (1 << precision) - 1
+        coeffs = tuple([int(c) & mask for c in coeffs])
         if len(coeffs) != spec.d:
             raise ValueError(f"need exactly {spec.d} coefficients")
         self.spec = spec
         self.precision = precision
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     # -- constructors --
 
     @staticmethod
     def from_int(spec, precision, c) -> "WittElement":
-        return WittElement(spec, precision, [c] + [0] * (spec.d - 1))
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
+        low = int(c) & ((1 << precision) - 1)
+        return _reduced(spec, precision, (low,) + (0,) * (spec.d - 1))
 
     @staticmethod
     def zero(spec, precision):
@@ -277,7 +285,7 @@ class WittElement:
         if j <= 0:
             return WittElement.zero(self.spec, self.precision)
         mask = (1 << j) - 1
-        return WittElement(self.spec, self.precision, [c & mask for c in self.coeffs])
+        return _reduced(self.spec, self.precision, tuple([c & mask for c in self.coeffs]))
 
     @staticmethod
     def one(spec, precision):
@@ -285,17 +293,14 @@ class WittElement:
 
     # -- structure --
 
-    def _check(self, other):
-        if (
-            not isinstance(other, WittElement)
-            or (other.spec is not self.spec and other.spec != self.spec)
-            or other.precision != self.precision
-        ):
-            raise ValueError("mixed Witt-ring arithmetic")
-
     def _coerce(self, other):
         if isinstance(other, WittElement):
-            self._check(other)
+            # specs are almost always one object: test identity before the
+            # dataclass __eq__
+            if (
+                other.spec is not self.spec and other.spec != self.spec
+            ) or other.precision != self.precision:
+                raise ValueError("mixed Witt-ring arithmetic")
             return other
         if isinstance(other, int):
             return WittElement.from_int(self.spec, self.precision, other)
@@ -305,8 +310,11 @@ class WittElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return WittElement(
-            self.spec, self.precision, [a + b for a, b in zip(self.coeffs, o.coeffs)]
+        mask = (1 << self.precision) - 1
+        return _reduced(
+            self.spec,
+            self.precision,
+            tuple([(a + b) & mask for a, b in zip(self.coeffs, o.coeffs)]),
         )
 
     __radd__ = __add__
@@ -315,21 +323,28 @@ class WittElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return WittElement(
-            self.spec, self.precision, [a - b for a, b in zip(self.coeffs, o.coeffs)]
+        mask = (1 << self.precision) - 1
+        return _reduced(
+            self.spec,
+            self.precision,
+            tuple([(a - b) & mask for a, b in zip(self.coeffs, o.coeffs)]),
         )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return WittElement(self.spec, self.precision, [-a for a in self.coeffs])
+        mask = (1 << self.precision) - 1
+        return _reduced(self.spec, self.precision, tuple([-a & mask for a in self.coeffs]))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        mask = (1 << self.precision) - 1
         d = self.spec.d
+        if d == 1:
+            return _reduced(self.spec, self.precision, ((self.coeffs[0] * o.coeffs[0]) & mask,))
         prod = [0] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -343,7 +358,7 @@ class WittElement:
                     if f:
                         prod[k - d + i] -= c
                 prod[k] = 0
-        return WittElement(self.spec, self.precision, prod[:d])
+        return _reduced(self.spec, self.precision, tuple([c & mask for c in prod[:d]]))
 
     __rmul__ = __mul__
 
@@ -364,7 +379,7 @@ class WittElement:
         return GFElement(self.spec, [c & 1 for c in self.coeffs])
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_unit(self):
         return not self.residue().is_zero()
@@ -395,7 +410,7 @@ class WittElement:
             other = WittElement.from_int(self.spec, self.precision, other)
         return (
             isinstance(other, WittElement)
-            and other.spec == self.spec
+            and (other.spec is self.spec or other.spec == self.spec)
             and other.precision == self.precision
             and other.coeffs == self.coeffs
         )
@@ -412,6 +427,15 @@ class WittElement:
     @staticmethod
     def from_json(spec, obj):
         return WittElement(spec, obj["precision"], obj["coeffs"])
+
+
+def _reduced(spec, precision, coeffs):
+    """A WittElement on a coordinate tuple already in [0, 2^precision), unchecked."""
+    w = object.__new__(WittElement)
+    w.spec = spec
+    w.precision = precision
+    w.coeffs = coeffs
+    return w
 
 
 def teichmuller(a: GFElement, N: int) -> WittElement:
@@ -470,13 +494,31 @@ def _frobenius_root(spec: FiniteFieldSpec, N: int) -> WittElement:
     raise ConsistencyFailure("Hensel lift for the Frobenius root did not converge")
 
 
-def frobenius_lift(w: WittElement) -> WittElement:
-    """The lift of Frobenius to W(F_{2^d}): substitute the Hensel root for x."""
-    r = _frobenius_root(w.spec, w.precision)
-    acc = WittElement.zero(w.spec, w.precision)
-    p = WittElement.one(w.spec, w.precision)
-    for c in w.coeffs:
-        if c:
-            acc = acc + p * c
+@functools.cache
+def _frobenius_basis_images(spec: FiniteFieldSpec, N: int) -> tuple:
+    # coordinates of r^0, ..., r^(d-1) for the Hensel root r: the images of
+    # the basis 1, x, ..., x^(d-1) under the Frobenius lift
+    r = _frobenius_root(spec, N)
+    p = WittElement.one(spec, N)
+    images = []
+    for _ in range(spec.d):
+        images.append(p.coeffs)
         p = p * r
-    return acc
+    return tuple(images)
+
+
+def frobenius_lift(w: WittElement) -> WittElement:
+    """The lift of Frobenius to W(F_{2^d}): substitute the Hensel root for x.
+
+    The lift is Z_2-linear, so the image is sum_i c_i phi(x^i) over the
+    coordinates c_i of w, read off a table of the basis images built once
+    per (spec, N).
+    """
+    images = _frobenius_basis_images(w.spec, w.precision)
+    acc = [0] * w.spec.d
+    for c, image in zip(w.coeffs, images):
+        if c:
+            for k, b in enumerate(image):
+                acc[k] += c * b
+    mask = (1 << w.precision) - 1
+    return _reduced(w.spec, w.precision, tuple([a & mask for a in acc]))

@@ -26,6 +26,7 @@ whose constant term 2 is precisely how 2 enters the maximal ideal.
 from __future__ import annotations
 
 import math
+from operator import add, itemgetter
 
 from .coefficients import (
     QQ,
@@ -222,6 +223,7 @@ class LTContext:
         self._zero_exps = (0,) * len(self.taus)
         self.rn = rn_context(n, k_max if k_max is not None else self.h)
         self._gamma_var = None  # lazy: index -> image under gamma
+        self._gamma_var_pow = {}  # (index, exponent) -> gamma(tau_index)^exponent
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
         self._t_images = None  # (i, j) -> image of gamma^j t_i, or None if killed
         self._v_lt = {}
@@ -241,7 +243,7 @@ class LTContext:
         return LTElement(self, {(self._zero_exps, 0): w})
 
     def from_witt(self, w: WittElement):
-        if w.spec != self.spec or w.precision != self.precision:
+        if (w.spec is not self.spec and w.spec != self.spec) or w.precision != self.precision:
             raise AmbientMismatch("Witt coefficient from a different context")
         return LTElement(self, {(self._zero_exps, 0): w})
 
@@ -341,26 +343,29 @@ def lt_context(n, m, d=1, modulus=None, precision=8, madic=6, k_max=None):
 class LTElement:
     """Truncated element: {(tau exponent tuple, u exponent): Witt coefficient}."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_graded")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
+        M = ctx.madic
         clean = {}
-        for (exps, ue), c in terms.items():
+        for key, c in terms.items():
             if c.is_zero():
                 continue
-            if abs(ue) > _U_CAP or any(e > _U_CAP for e in exps):
+            exps, ue = key
+            if abs(ue) > _U_CAP or max(exps, default=0) > _U_CAP:
                 raise TruncationOverflow("exponent beyond the representable window")
             s = sum(exps)
-            if s >= ctx.madic:
+            if s >= M:
                 continue
             # canonical representative mod m^M: the tau^B-component of m^M is
             # exactly 2^{M-|B|} W(k), so mask the coefficient down to it
-            c = c.mod_two_power(ctx.madic - s)
+            c = c.mod_two_power(M - s)
             if c.is_zero():
                 continue
-            clean[(exps, ue)] = c
+            clean[key] = c
         self.terms = clean
+        self._graded = None  # lazy: the terms sorted by filtration, for __mul__
 
     # -- ring operations ------------------------------------------------------
 
@@ -382,17 +387,40 @@ class LTElement:
     def __sub__(self, other):
         return self + (-other)
 
+    def _by_filtration(self):
+        """The terms as (v_2(c) + |tau-degree|, exps, ue, c), filtration ascending."""
+        graded = self._graded
+        if graded is None:
+            graded = sorted(
+                (
+                    (c.two_valuation() + sum(exps), exps, ue, c)
+                    for (exps, ue), c in self.terms.items()
+                ),
+                key=itemgetter(0),
+            )
+            self._graded = graded
+        return graded
+
     def __mul__(self, other):
+        """The product mod m^M.
+
+        A pair of terms with filtrations f1, f2 has a product in m^{f1+f2}, so
+        the pair is dropped when f1 + f2 >= M.  Both operands are walked in
+        filtration order, so each loop stops at its first dropped pair.
+        """
         self._check(other)
-        out = {}
         M = self.ctx.madic
-        for (e1, u1), c1 in self.terms.items():
-            v1 = c1.two_valuation()
-            for (e2, u2), c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if v1 + c2.two_valuation() + sum(exps) >= M:
-                    continue
-                key = (exps, u1 + u2)
+        right = other._by_filtration()
+        f_min = right[0][0] if right else M
+        out = {}
+        for f1, e1, u1, c1 in self._by_filtration():
+            room = M - f1
+            if f_min >= room:
+                break
+            for f2, e2, u2, c2 in right:
+                if f2 >= room:
+                    break
+                key = (tuple(map(add, e1, e2)), u1 + u2)
                 p = c1 * c2
                 s = out.get(key)
                 out[key] = p if s is None else s + p
@@ -542,24 +570,39 @@ def _gamma_u_power(ctx, e):
     return img
 
 
+def _gamma_var_power(ctx, idx, ex):
+    key = (idx, ex)
+    img = ctx._gamma_var_pow.get(key)
+    if img is None:
+        img = ctx._gamma_var_pow[key] = _gamma_var_images(ctx)[idx] ** ex
+    return img
+
+
 def lt_gamma(ctx, e: LTElement, r: int = 1) -> LTElement:
     """The W(k)-linear ring automorphism gamma, applied r times.
 
     tau-variables advance cyclically with period 2^{n-1} (the top tau_m image
     is the geometric series with constant term 2); u picks up (1 - tau_m).
+
+    The image of a term c tau^A u^s is c gamma(u)^s prod gamma(tau_i)^{A_i}.
+    The powers gamma(u)^s and gamma(tau_i)^{A_i} come from lazy per-context
+    tables, and the scaled monomial images are summed into one dict, which
+    is normalised once per application of gamma.
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
     for _ in range(r % (1 << ctx.n)):
-        images = _gamma_var_images(ctx)
-        acc = ctx.zero()
+        out = {}
         for (exps, ue), c in e.terms.items():
-            term = ctx.from_witt(c) * _gamma_u_power(ctx, ue)
+            image = _gamma_u_power(ctx, ue)
             for idx, ex in enumerate(exps):
                 if ex:
-                    term = term * images[idx] ** ex
-            acc = acc + term
-        e = acc
+                    image = image * _gamma_var_power(ctx, idx, ex)
+            for key, w in image.terms.items():
+                p = c * w
+                s = out.get(key)
+                out[key] = p if s is None else s + p
+        e = LTElement(ctx, out)
     return e
 
 
@@ -593,7 +636,7 @@ def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
-    if zeta.spec != ctx.spec:
+    if zeta.spec is not ctx.spec and zeta.spec != ctx.spec:
         raise AmbientMismatch("zeta from a different field")
     if not (zeta ** ctx.q) == ctx.spec.one:
         raise NotQTorsion(f"zeta^{ctx.q} != 1")
@@ -637,7 +680,8 @@ def lt_specialize(ctx, p) -> LTElement:
     t_m -> u^{2^m-1}, t_i -> 0 (i > m), extended gamma-equivariantly.
 
     Accepts polynomials over R_n or R_n<m> (integral or rational descriptors);
-    coefficients must be 2-locally integral.
+    coefficients must be 2-locally integral.  The term images are summed into
+    one dict, which is normalised once.
     """
     ring = getattr(p, "ring", None)
     if ring is None or ring.kind not in ("Rn", "Rnm") or ring.mod2:
@@ -657,7 +701,7 @@ def lt_specialize(ctx, p) -> LTElement:
             pow_memo[key] = w
         return w
 
-    acc = ctx.zero()
+    out = {}
     for mono, c in p.terms.items():
         exps = ring.decode(mono)
         if any(e and killed[idx] for idx, e in enumerate(exps)):
@@ -666,8 +710,10 @@ def lt_specialize(ctx, p) -> LTElement:
         for idx, e in enumerate(exps):
             if e:
                 term = term * img_pow(idx, e)
-        acc = acc + term
-    return acc
+        for key, w in term.terms.items():
+            s = out.get(key)
+            out[key] = w if s is None else s + w
+    return LTElement(ctx, out)
 
 
 def v_in_lt(ctx, k) -> LTElement:
@@ -978,9 +1024,9 @@ def fixed_subring_presentation(ctx, tau_bound=2, u_bound=None):
 
         yield from rec(0, bound, [])
 
+    one = WittElement.one(ctx.spec, ctx.precision)
     for exps in monomials(tau_bound):
         for ue in range(-u_bound, u_bound + 1):
-            one = WittElement.one(ctx.spec, ctx.precision)
             mono = LTElement(ctx, {(exps, ue): one})
             if mono.is_zero():
                 continue

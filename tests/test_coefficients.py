@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fgl_forge.coefficients import (
@@ -5,6 +7,7 @@ from fgl_forge.coefficients import (
     FiniteFieldSpec,
     GFElement,
     WittElement,
+    _frobenius_root,
     frobenius_lift,
     is_two_local,
     rational_mod2,
@@ -158,7 +161,90 @@ def test_frobenius_lift():
             assert frobenius_lift(teichmuller(spec.omega, 8)) != teichmuller(spec.omega, 8)
 
 
+def _frobenius_by_substitution(w):
+    """Substitute the Hensel root for x in the coordinates of w."""
+    r = _frobenius_root(w.spec, w.precision)
+    acc = WittElement.zero(w.spec, w.precision)
+    p = WittElement.one(w.spec, w.precision)
+    for c in w.coeffs:
+        if c:
+            acc = acc + p * c
+        p = p * r
+    return acc
+
+
+@pytest.mark.parametrize("N", [1, 8, 10])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_frobenius_table_matches_substitution(d, N):
+    spec = FiniteFieldSpec.default(d)
+    rng = random.Random(100 * d + N)
+    for _ in range(20):
+        w = WittElement(spec, N, [rng.randrange(-(1 << N), 1 << N) for _ in range(d)])
+        assert frobenius_lift(w) == _frobenius_by_substitution(w)
+    assert frobenius_lift(WittElement.zero(spec, N)).is_zero()
+
+
 def test_witt_json_roundtrip():
     w = WittElement(F8, 8, [62, 221, 48])
     assert w.to_json() == {"precision": 8, "coeffs": [62, 221, 48]}
     assert WittElement.from_json(F8, w.to_json()) == w
+
+
+# ---- every arithmetic result is in canonical form ------------------------------
+
+def _raw_product(spec, a, b):
+    """Coordinates of a * b in Z[x]/(f~), not reduced mod 2^N."""
+    d = spec.d
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    # x^d = -(f_0 + f_1 x + ... + f_{d-1} x^{d-1}), folded from the top
+    for k in range(2 * d - 2, d - 1, -1):
+        c, prod[k] = prod[k], 0
+        for i, f in enumerate(spec.modulus[:d]):
+            prod[k - d + i] -= c * f
+    return prod[:d]
+
+
+def _raw_inverse(spec, N, a):
+    """a^(|unit group| - 1) in Z[x]/(f~, 2^N), by square and multiply on raw lists."""
+    e = ((1 << spec.d) - 1) * (1 << (spec.d * (N - 1))) - 1
+    r, base = [1] + [0] * (spec.d - 1), list(a)
+    while e:
+        if e & 1:
+            r = [c % (1 << N) for c in _raw_product(spec, r, base)]
+        base = [c % (1 << N) for c in _raw_product(spec, base, base)]
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_witt_results_are_canonical(d):
+    spec = FiniteFieldSpec.default(d)
+    rng = random.Random(40 + d)
+    for N in (1, 5, 8):
+        top = 1 << N
+
+        def canonical(w, raw):
+            assert all(0 <= c < top for c in w.coeffs)
+            assert w.coeffs == WittElement(spec, N, raw).coeffs
+
+        for _ in range(25):
+            ra = [rng.randrange(-3 * top, 3 * top) for _ in range(d)]
+            rb = [rng.randrange(-3 * top, 3 * top) for _ in range(d)]
+            a, b = WittElement(spec, N, ra), WittElement(spec, N, rb)
+            canonical(a, ra)
+            canonical(a + b, [x + y for x, y in zip(ra, rb)])
+            canonical(a - b, [x - y for x, y in zip(ra, rb)])
+            canonical(-a, [-x for x in ra])
+            canonical(a * b, _raw_product(spec, ra, rb))
+            k = rng.randrange(-top, top)
+            canonical(a + k, [ra[0] + k] + ra[1:])
+            canonical(k - a, [k - ra[0]] + [-x for x in ra[1:]])
+            canonical(a * k, [x * k for x in ra])
+            canonical(WittElement.from_int(spec, N, k), [k] + [0] * (d - 1))
+            for j in range(-1, N + 2):
+                canonical(a.mod_two_power(j), [x % (1 << max(j, 0)) if j < N else x for x in ra])
+            if a.is_unit():
+                canonical(a.inverse(), _raw_inverse(spec, N, ra))

@@ -232,6 +232,102 @@ def test_two_telescope(n, m):
     assert two == ctx.from_int(2)
 
 
+# ---- the product and gamma against their term-by-term routes ----------------
+
+KERNEL_SCENARIOS = [(2, 1, 1), (2, 2, 2), (3, 1, 1), (2, 2, 3)]
+
+
+def _filtered_element(ctx, rng, nterms=7):
+    """Terms at random filtrations below M, one of them at M - 1 and one a unit,
+    with u-exponents from -3 to 3."""
+    M = ctx.madic
+    terms = {}
+    for k in range(nterms):
+        f = M - 1 if k == 0 else 0 if k == 1 else rng.randrange(M)
+        exps = [0] * len(ctx.taus)
+        deg = rng.randrange(f + 1)
+        for _ in range(deg):
+            exps[rng.randrange(len(exps))] += 1
+        key = (tuple(exps), rng.randrange(-3, 4))
+        if key in terms:
+            continue
+        # an odd first coordinate makes the valuation exactly f - deg
+        unit = [rng.randrange(1 << ctx.precision) | (i == 0) for i in range(ctx.spec.d)]
+        terms[key] = WittElement(ctx.spec, ctx.precision, [c << (f - deg) for c in unit])
+    x = LTElement(ctx, terms)
+    assert len(x.terms) == len(terms)  # every term is below M, so none is dropped
+    return x
+
+
+def _mul_pairwise(a, b):
+    """The product over every pair of terms, each pair tested on its own."""
+    ctx = a.ctx
+    out = {}
+    for (e1, u1), c1 in a.terms.items():
+        v1 = c1.two_valuation()
+        for (e2, u2), c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if v1 + c2.two_valuation() + sum(exps) >= ctx.madic:
+                continue
+            key = (exps, u1 + u2)
+            p = c1 * c2
+            s = out.get(key)
+            out[key] = p if s is None else s + p
+    return LTElement(ctx, out)
+
+
+def _gamma_per_term(ctx, e, r=1):
+    """gamma term by term: each term's image is built from gamma(u) and the
+    generator images by repeated products and summed element by element."""
+    images = lubin_tate._gamma_var_images(ctx)
+    gu = ctx.gamma_u(1)
+    for _ in range(r % (1 << ctx.n)):
+        acc = ctx.zero()
+        for (exps, ue), c in e.terms.items():
+            term = ctx.from_witt(c) * (gu ** ue if ue >= 0 else gu.inverse() ** -ue)
+            for idx, ex in enumerate(exps):
+                if ex:
+                    term = term * images[idx] ** ex
+            acc = acc + term
+        e = acc
+    return e
+
+
+@pytest.mark.parametrize("n,m,d", KERNEL_SCENARIOS)
+def test_product_matches_pairwise_oracle(n, m, d):
+    ctx = LTContext(n, m, d=d)
+    rng = random.Random(31 * n + 7 * m + d)
+    for _ in range(10):
+        a = _filtered_element(ctx, rng)
+        b = _filtered_element(ctx, rng)
+        assert a * b == _mul_pairwise(a, b)
+        assert b * a == _mul_pairwise(b, a)
+        assert a * a == _mul_pairwise(a, a)
+    top = ctx.tau(ctx.taus[0][0], ctx.taus[0][1]) ** (ctx.madic - 1)
+    assert top.filtration() == ctx.madic - 1
+    assert top * ctx.u_pow(-2) == _mul_pairwise(top, ctx.u_pow(-2))
+    assert (top * ctx.from_int(2)).is_zero()
+    assert (top * ctx.zero()).is_zero() and (ctx.zero() * top).is_zero()
+
+
+@pytest.mark.parametrize("n,m,d", KERNEL_SCENARIOS)
+def test_gamma_tables_match_per_term_oracle(n, m, d):
+    rng = random.Random(17 * n + 5 * m + d)
+    warm = LTContext(n, m, d=d)
+    for _ in range(3):
+        lt_gamma(warm, _filtered_element(warm, rng))
+    filled = dict(warm._gamma_var_pow)
+    assert filled and all(0 < ex < warm.madic for _, ex in filled)
+    for r in (1, 2, 1 << n):
+        fresh = LTContext(n, m, d=d)
+        assert not fresh._gamma_var_pow and not fresh._gamma_u_pow
+        x = _filtered_element(fresh, rng)
+        assert lt_gamma(fresh, x, r) == _gamma_per_term(fresh, x, r)
+        y = _filtered_element(warm, rng)
+        assert lt_gamma(warm, y, r) == _gamma_per_term(warm, y, r)
+    assert all(warm._gamma_var_pow[key] is img for key, img in filled.items())
+
+
 # ---- the torus and Galois actions ---------------------------------------------
 
 def test_zeta_identity_and_torsion_guard():
