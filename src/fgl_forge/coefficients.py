@@ -5,12 +5,15 @@ them, finite fields F_{2^d} in polynomial-basis form, and truncated Witt vectors
 W(F_{2^d}) modeled as Z_2[x]/(f~) with coefficients reduced mod 2^N, where f~
 is the {0,1}-lift of the chosen irreducible modulus.  Teichmuller lifts are
 computed by the fixed-point iteration z -> z^(2^d); the Frobenius is evaluated
-through a Hensel-lifted root of f~.
+through a Hensel-lifted root of f~.  AtomicCache, the lock-guarded table behind
+every process-wide cache, lives here too, and finite_field interns the field
+specs through one.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction as QQ
 
@@ -75,7 +78,46 @@ def _gf2_powmod(a, e, modbits, d):
     return r
 
 
+class AtomicCache(dict):
+    """A process-wide table of derived objects, one per key.
+
+    `get_or_create` checks and inserts under the table's lock, so racing
+    callers get one object for a key: interned rings are matched by identity,
+    and a derived table is built once.  A stored value that `keep` rejects
+    is rebuilt and replaced under the same lock.  Build functions may fill
+    other tables, never their own.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def get_or_create(self, key, build, keep=None):
+        with self._lock:
+            value = self.get(key)
+            if value is None or (keep is not None and not keep(value)):
+                value = self[key] = build()
+        return value
+
+
 DEFAULT_MODULI = {1: (1, 1), 2: (1, 1, 1), 3: (1, 1, 0, 1), 4: (1, 1, 0, 0, 1)}
+_FIELDS = AtomicCache()
+
+
+def finite_field(d: int, modulus=None) -> "FiniteFieldSpec":
+    """The process-wide FiniteFieldSpec of F_2[x]/(modulus); None names the default.
+
+    The key is the reduced bit tuple, so each field is one object, checked
+    once: identity tests on specs hit across contexts, and tables keyed by a
+    spec find it without comparing fields.  An invalid modulus raises and
+    leaves nothing behind.
+    """
+    if modulus is None:
+        if d not in DEFAULT_MODULI:
+            raise ValueError(f"no default modulus for d={d}")
+        modulus = DEFAULT_MODULI[d]
+    mod = tuple(int(b) & 1 for b in modulus)
+    return _FIELDS.get_or_create((d, mod), lambda: FiniteFieldSpec(d, mod))
 
 
 @dataclass(frozen=True)
@@ -84,6 +126,8 @@ class FiniteFieldSpec:
 
     modulus is a bit tuple low-to-high of length d+1 with leading bit 1;
     irreducibility is checked at construction (Rabin test, fine for small d).
+    The constructor builds a fresh spec; finite_field, default and from_json
+    return the shared one.
     """
 
     d: int
@@ -101,9 +145,7 @@ class FiniteFieldSpec:
 
     @staticmethod
     def default(d: int) -> "FiniteFieldSpec":
-        if d not in DEFAULT_MODULI:
-            raise ValueError(f"no default modulus for d={d}")
-        return FiniteFieldSpec(d, DEFAULT_MODULI[d])
+        return finite_field(d)
 
     @property
     def modbits(self) -> int:
@@ -158,7 +200,7 @@ class FiniteFieldSpec:
 
     @staticmethod
     def from_json(obj):
-        return FiniteFieldSpec(obj["d"], tuple(obj["modulus"]))
+        return finite_field(obj["d"], obj["modulus"])
 
 
 class GFElement:

@@ -30,9 +30,9 @@ from operator import add, itemgetter
 
 from .coefficients import (
     QQ,
-    FiniteFieldSpec,
     GFElement,
     WittElement,
+    finite_field,
     frobenius_lift,
     rational_mod2,
     teichmuller,
@@ -206,9 +206,7 @@ class LTContext:
         self.half = 1 << (n - 1)
         self.h = self.half * m
         self.q = (1 << m) - 1
-        self.spec = (
-            FiniteFieldSpec(d, modulus) if modulus is not None else FiniteFieldSpec.default(d)
-        )
+        self.spec = finite_field(d, modulus)
         self.precision = precision
         self.madic = madic
         self.alpha = math.gcd(self.q, (1 << d) - 1)
@@ -330,7 +328,7 @@ def lt_context(n, m, d=1, modulus=None, precision=8, madic=6, k_max=None):
     one field, and k_max=None means k_max = h.  As in rn_context, the lazy
     tables of a shared context take no lock; a race costs only time.
     """
-    spec = FiniteFieldSpec(d, modulus) if modulus is not None else FiniteFieldSpec.default(d)
+    spec = finite_field(d, modulus)
     if k_max is None and n >= 1:
         k_max = (1 << (n - 1)) * m
     return _LT_CONTEXTS.get_or_create(

@@ -4,9 +4,11 @@ Rings are interned descriptors (one object per parameter set), monomials are
 dense exponent vectors packed into a single integer (10 bits per variable,
 earlier variables in more significant bits), so monomial multiplication is
 integer addition and the graded-reverse-lex order is integer comparison within
-a degree.  On top of that: the cyclic group action, mod-2 reduction, ring
-maps/substitution, degree-truncated Buchberger over F_2, and an independent
-linear-algebra membership route used to cross-check the Groebner one.
+a degree.  Every product runs through one sum-of-products kernel
+(PolyRing.dot).  On top of that: the cyclic group action (two masked shifts
+per monomial), mod-2 reduction, ring maps/substitution, degree-truncated
+Buchberger over F_2, and an independent linear-algebra membership route used
+to cross-check the Groebner one.
 
 Normal forms over F_2 pop leading monomials from a heap keyed by
 (-degree, packed monomial) and skip entries whose monomial has cancelled
@@ -23,10 +25,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass
 
-from .coefficients import QQ, is_two_local, qq_from_string, qq_to_string, rational_mod2
+from .coefficients import (
+    QQ,
+    AtomicCache,
+    is_two_local,
+    qq_from_string,
+    qq_to_string,
+    rational_mod2,
+)
 from .errors import (
     AmbientMismatch,
     DegreeBoundExceeded,
@@ -117,22 +125,45 @@ class PolyRing:
         self.shifts = tuple(_BITS * (self.nvars - 1 - idx) for idx in range(self.nvars))
         self._deg_cache = {}
         self._monos_by_degree = {}
+        self._gamma_masks = {}
         if kind in ("Rn", "Rnm"):
-            self._gamma_perm, self._gamma_sign = self._build_gamma()
-        else:
-            self._gamma_perm = self._gamma_sign = None
+            half = 1 << (n - 1)
+            if any(v.kind != "t" or v.j != idx % half for idx, v in enumerate(self.variables)):
+                raise ValueError("gamma masks need blocks of 2^(n-1) conjugates gamma^j t_i")
 
-    def _build_gamma(self):
-        half = 1 << (self.n - 1)
-        perm, sign = [], []
-        for v in self.variables:
-            if v.j < half - 1:
-                perm.append(self.var_index[Variable(v.kind, v.i, v.j + 1)])
-                sign.append(1)
-            else:
-                perm.append(self.var_index[Variable(v.kind, v.i, 0)])
-                sign.append(-1)
-        return tuple(perm), tuple(sign)
+    def gamma_masks(self, r):
+        """The bit masks that apply gamma^r to a packed monomial, or None for r = 0.
+
+        The variables come in blocks gamma^0 t_i .. gamma^{half-1} t_i, j
+        contiguous, so with r = q half + s (0 <= s < half) gamma^r moves the
+        field of gamma^j t_i to gamma^{j+s} t_i when j + s < half ("stay":
+        s fields to the right) and to gamma^{j+s-half} t_i otherwise ("wrap":
+        half - s fields to the left).  Each move across gamma^{half} t_i =
+        -t_i flips the sign once per unit of exponent, so the sign is the
+        parity of the exponents in the wrapping fields, plus all fields when
+        q = 1: the parity of the low bits under the returned `odd` mask.
+        Returns (stay, wrap, odd, right shift, left shift); tabulated per r.
+        """
+        if self.kind == "BP":
+            raise AmbientMismatch(f"{self} carries no cyclic action")
+        r %= 1 << self.n
+        if r == 0:
+            return None
+        masks = self._gamma_masks.get(r)
+        if masks is None:
+            half = 1 << (self.n - 1)
+            q, s = divmod(r, half)
+            stay = wrap = stay_low = wrap_low = 0
+            for v, shift in zip(self.variables, self.shifts):
+                if v.j + s < half:
+                    stay |= _MASK << shift
+                    stay_low |= 1 << shift
+                else:
+                    wrap |= _MASK << shift
+                    wrap_low |= 1 << shift
+            odd = stay_low if q else wrap_low
+            masks = self._gamma_masks[r] = (stay, wrap, odd, _BITS * s, _BITS * (half - s))
+        return masks
 
     # -- monomial helpers --
 
@@ -189,6 +220,47 @@ class PolyRing:
         rec(0, degree, 0)
         return out
 
+    # -- the multiply kernel --
+
+    def dot(self, pairs):
+        """sum a*b over the (a, b) pairs of polynomials of this ring.
+
+        One terms dict accumulates every product, and each coefficient is
+        canonicalised (an int when integral) once, at the end; a product of
+        two polynomials is the dot of one pair.
+        """
+        acc = {}
+        if self.mod2:
+            for a, b in pairs:
+                if a.ring is not self or b.ring is not self:
+                    raise AmbientMismatch(f"{a.ring} vs {b.ring}")
+                for m1 in a.terms:
+                    for m2 in b.terms:
+                        m = m1 + m2
+                        if m in acc:
+                            del acc[m]
+                        else:
+                            acc[m] = 1
+            return GradedPolynomial(self, acc, _checked=True)
+        get = acc.get
+        for a, b in pairs:
+            if a.ring is not self or b.ring is not self:
+                raise AmbientMismatch(f"{a.ring} vs {b.ring}")
+            short, long = a.terms, b.terms
+            if len(short) > len(long):
+                short, long = long, short
+            long = long.items()
+            for m1, c1 in short.items():
+                for m2, c2 in long:
+                    m = m1 + m2
+                    s = get(m)
+                    acc[m] = c1 * c2 if s is None else s + c1 * c2
+        return GradedPolynomial(
+            self,
+            {m: c if type(c) is int else _canonical(c) for m, c in acc.items() if c},
+            _checked=True,
+        )
+
     # -- element constructors --
 
     def zero(self):
@@ -229,28 +301,6 @@ class PolyRing:
         if self.kind == "Rn":
             return f"R_{self.n}(k<={self.k_max}{tag})"
         return f"R_{self.n}<{self.m}>(k<={self.k_max}{tag})"
-
-
-class AtomicCache(dict):
-    """A process-wide table of derived objects, one per key.
-
-    `get_or_create` checks and inserts under the table's lock, so racing
-    callers get one object for a key: interned rings are matched by identity,
-    and a derived table is built once.  A stored value that `keep` rejects
-    is rebuilt and replaced under the same lock.  Build functions may fill
-    other tables, never their own.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def get_or_create(self, key, build, keep=None):
-        with self._lock:
-            value = self.get(key)
-            if value is None or (keep is not None and not keep(value)):
-                value = self[key] = build()
-        return value
 
 
 _RING_CACHE = AtomicCache()
@@ -420,37 +470,7 @@ class GradedPolynomial:
     def __mul__(self, other):
         if type(other) is not GradedPolynomial and isinstance(other, SCALAR_TYPES):
             return self.scalar_mul(other)
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        acc = {}
-        if self.ring.mod2:
-            for m1 in a:
-                for m2 in b:
-                    m = m1 + m2
-                    if m in acc:
-                        del acc[m]
-                    else:
-                        acc[m] = 1
-        else:
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = m1 + m2
-                    c = c1 * c2
-                    s = acc.get(m)
-                    if s is None:
-                        acc[m] = c
-                    else:
-                        s = s + c
-                        if s == 0:
-                            del acc[m]
-                        else:
-                            acc[m] = s
-            for m, c in acc.items():
-                if type(c) is not int:
-                    acc[m] = _canonical(c)
-        return GradedPolynomial(self.ring, acc, _checked=True)
+        return self.ring.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -513,47 +533,24 @@ class GradedPolynomial:
 # ---------------------------------------------------------------------------
 
 def gamma_act(p: GradedPolynomial, r: int = 1) -> GradedPolynomial:
-    """Apply the generator of C_{2^n} r times (ring automorphism of R_n / R_n<m>)."""
+    """Apply the generator of C_{2^n} r times (ring automorphism of R_n / R_n<m>).
+
+    gamma^r permutes the variables up to sign, so it maps monomials one to
+    one: each image is two masked shifts of the packed monomial, and its sign
+    a bit count (PolyRing.gamma_masks).
+    """
     ring = p.ring
-    if ring._gamma_perm is None:
-        raise AmbientMismatch(f"{ring} carries no cyclic action")
-    r %= 1 << ring.n
-    if r == 0 or p.is_zero():
+    masks = ring.gamma_masks(r)
+    if masks is None or not p.terms:
         return p
-    # compose the one-step permutation r times
-    perm = list(range(ring.nvars))
-    sign = [1] * ring.nvars
-    for _ in range(r):
-        new_perm = [ring._gamma_perm[v] for v in perm]
-        new_sign = [s * ring._gamma_sign[v] for s, v in zip(sign, perm)]
-        perm, sign = new_perm, new_sign
-    shifts = ring.shifts
-    out = {}
-    for mono, c in p.terms.items():
-        nm = 0
-        sgn = 1
-        for idx in range(ring.nvars):
-            e = (mono >> shifts[idx]) & _MASK
-            if e:
-                nm |= e << shifts[perm[idx]]
-                if sign[idx] < 0 and e & 1:
-                    sgn = -sgn
-        if ring.mod2:
-            if nm in out:
-                del out[nm]
-            else:
-                out[nm] = 1
-        else:
-            cc = c if sgn > 0 else -c
-            s = out.get(nm)
-            if s is None:
-                out[nm] = cc
-            else:
-                s = s + cc
-                if s == 0:
-                    del out[nm]
-                else:
-                    out[nm] = s
+    stay, wrap, odd, right, left = masks
+    if ring.mod2:
+        out = {((m & stay) >> right) | ((m & wrap) << left): 1 for m in p.terms}
+    else:
+        out = {
+            ((m & stay) >> right) | ((m & wrap) << left): -c if (m & odd).bit_count() & 1 else c
+            for m, c in p.terms.items()
+        }
     return GradedPolynomial(ring, out, _checked=True)
 
 

@@ -40,6 +40,22 @@ def _coerce_coeff(ring, c):
     return c
 
 
+def _sum_of_products(ring):
+    """sum a*b over (a, b) pairs of coefficients: the ring's fused kernel
+    (PolyRing.dot) when it has one, else products added one at a time."""
+    dot = getattr(ring, "dot", None)
+    if dot is not None:
+        return dot
+
+    def generic(pairs):
+        acc = ring.zero()
+        for a, b in pairs:
+            acc = acc + a * b
+        return acc
+
+    return generic
+
+
 # ---------------------------------------------------------------------------
 # one-variable truncated series (no constant term)
 # ---------------------------------------------------------------------------
@@ -103,22 +119,25 @@ class TruncatedSeries1:
         return self + (-other)
 
     def __mul__(self, other):
-        """Series product, truncated."""
+        """Series product, truncated.
+
+        The pairs are grouped by output order, so each coefficient is one sum
+        of products: one call of the fused kernel over a polynomial ring.
+        """
         self._check(other)
-        out = {}
+        X = self.cutoff
+        orders = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                if e > self.cutoff:
-                    continue
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return TruncatedSeries1(self.ring, out, self.cutoff)
+                if e <= X:
+                    pairs = orders.get(e)
+                    if pairs is None:
+                        orders[e] = [(c1, c2)]
+                    else:
+                        pairs.append((c1, c2))
+        dot = _sum_of_products(self.ring)
+        return TruncatedSeries1(self.ring, {e: dot(pairs) for e, pairs in orders.items()}, X)
 
     def scale(self, c):
         c = _coerce_coeff(self.ring, c)
@@ -358,9 +377,23 @@ def additive_fgl(ring, cutoff) -> FGL:
 
 
 def fgl_apply(F: FGL, a, b):
-    """F(a, b) for two series of the same kind (both 1-var or both 2-var)."""
+    """F(a, b) for two series of the same kind (both 1-var or both 2-var).
+
+    A one-variable call where one argument is a single term takes
+    _apply_term; every other call takes _apply_series.
+    """
     if a.ring is not F.ring or b.ring is not F.ring:
         raise AmbientMismatch("series ring differs from the law's ring")
+    if type(a) is TruncatedSeries1 and type(b) is TruncatedSeries1:
+        if len(b.coeffs) == 1:
+            return _apply_term(F, a, b)
+        if len(a.coeffs) == 1:
+            return _apply_term(F, b, a)  # F(a, b) = F(b, a): FGL checks commutativity
+    return _apply_series(F, a, b)
+
+
+def _apply_series(F: FGL, a, b):
+    """F(a, b) expanded term by term: each c_{jk} a^j b^k from series powers."""
     acc = a + b
     max1 = max((e1 for (e1, e2) in F.two_var.coeffs if e2 >= 1), default=0)
     max2 = max((e2 for (e1, e2) in F.two_var.coeffs if e1 >= 1), default=0)
@@ -373,6 +406,52 @@ def fgl_apply(F: FGL, a, b):
             term = (pa[e1] * pb[e2]).scale(c)
             acc = acc + term
     return acc
+
+
+def _apply_term(F: FGL, a: TruncatedSeries1, term: TruncatedSeries1) -> TruncatedSeries1:
+    """F(a, beta x^s) = a + beta x^s + sum c_{jk} beta^k x^{sk} a^j.
+
+    Each (j, k) is a^j scaled by c_{jk} beta^k and shifted by s k, and the
+    contributions to one order meet in one sum of products.  Only (j, k)
+    with j ord(a) + s k <= X can reach the cutoff X, so the powers of a
+    stop at the largest such j.
+    """
+    acc = a + term  # raises AmbientMismatch on mismatched cutoffs
+    if not a.coeffs:
+        return acc
+    ring, X = a.ring, a.cutoff
+    ((s, beta),) = term.coeffs.items()
+    low = min(a.coeffs)
+    mixed = [
+        (j, k, c) for (j, k), c in F.two_var.coeffs.items()
+        if j and k and j * low + s * k <= X
+    ]
+    if not mixed:
+        return acc
+    pa = a.powers(max(j for j, _, _ in mixed))
+    beta_pw = None if beta == ring.one() else [None, beta]
+    orders = {}
+    for j, k, c in mixed:
+        if beta_pw is not None:
+            while len(beta_pw) <= k:
+                beta_pw.append(beta_pw[-1] * beta)
+            c = c * beta_pw[k]
+        shift = s * k
+        for e, aj in pa[j].coeffs.items():
+            e += shift
+            if e <= X:
+                pairs = orders.get(e)
+                if pairs is None:
+                    orders[e] = [(c, aj)]
+                else:
+                    pairs.append((c, aj))
+    dot = _sum_of_products(ring)
+    out = dict(acc.coeffs)
+    for e, pairs in orders.items():
+        v = dot(pairs)
+        prev = out.get(e)
+        out[e] = v if prev is None else prev + v
+    return TruncatedSeries1(ring, out, X)
 
 
 # ---------------------------------------------------------------------------
@@ -583,22 +662,13 @@ def formal_inverse(F: FGL) -> TruncatedSeries1:
     k_top = max((k for _, k, _ in mixed), default=1)
     inv = [zero, -ring.one()]  # inv[e] = i_e; it is row 1 of the table
     pw = [None, inv] + [[zero] * X for _ in range(2, k_top + 1)]
+    dot = _sum_of_products(ring)
     for e in range(2, X + 1):
         m = e - 1  # i_m became final at the last order: fill column m
         for k in range(2, min(k_top, m) + 1):
-            acc, prev = zero, pw[k - 1]
-            for t in range(1, m - k + 2):
-                a, b = inv[t], prev[m - t]
-                if not (a.is_zero() or b.is_zero()):
-                    acc = acc + a * b
-            pw[k][m] = acc
-        val = zero
-        for j, k, c in mixed:
-            if j + k <= e:
-                b = pw[k][e - j]
-                if not b.is_zero():
-                    val = val + c * b
-        inv.append(-val)
+            prev = pw[k - 1]
+            pw[k][m] = dot([(inv[t], prev[m - t]) for t in range(1, m - k + 2)])
+        inv.append(-dot([(c, pw[k][e - j]) for j, k, c in mixed if j + k <= e]))
     out = TruncatedSeries1(ring, dict(enumerate(inv[1:], start=1)), X)
     if not fgl_apply(F, TruncatedSeries1.identity(ring, X), out).is_zero():
         raise ConsistencyFailure("formal inverse failed F(x, i(x)) = 0")

@@ -134,6 +134,27 @@ def test_context_mixing_raises():
         verify_unit(a, b.one())
 
 
+def test_contexts_over_one_field_share_one_spec():
+    from fgl_forge import coefficients
+
+    spec = FiniteFieldSpec.default(3)
+    assert coefficients.finite_field(3, [1, 1, 0, 1]) is spec
+    assert FiniteFieldSpec.from_json(spec.to_json()) is spec
+    contexts = [LTContext(2, 1, d=3), LTContext(2, 2, d=3, modulus=(1, 1, 0, 3)),
+                lubin_tate.lt_context(2, 1, d=3), lubin_tate.lt_context(2, 1, d=3, precision=9)]
+    assert all(ctx.spec is spec for ctx in contexts)
+    assert lubin_tate.lt_context(2, 1, d=3, modulus=(1, 1, 0, 1)) is contexts[2]
+    # the public constructor still checks and builds a fresh spec
+    fresh = FiniteFieldSpec(3, (1, 1, 0, 1))
+    assert fresh == spec and fresh is not spec
+    for build in (lambda: LTContext(2, 1, d=2, modulus=(1, 0, 1)),
+                  lambda: lubin_tate.lt_context(2, 1, d=2, modulus=(1, 0, 1)),
+                  lambda: coefficients.finite_field(2, (1, 0, 1))):
+        with pytest.raises(ValueError):
+            build()  # x^2 + 1 = (x + 1)^2
+    assert (2, (1, 0, 1)) not in coefficients._FIELDS
+
+
 def test_units_and_inverses():
     ctx = LTContext(2, 1)
     u = ctx.u_pow(1)

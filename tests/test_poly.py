@@ -104,6 +104,66 @@ def test_gamma_is_automorphism():
             assert gamma_act(p + q) == gamma_act(p) + gamma_act(q)
 
 
+def _gamma_by_perm(p, r):
+    """Oracle: gamma^r as the r-fold composite of the one-step variable permutation.
+
+    One step sends gamma^j t_i to gamma^{j+1} t_i and gamma^{half-1} t_i to
+    -t_i; each monomial is rebuilt variable by variable.
+    """
+    ring = p.ring
+    half = 1 << (ring.n - 1)
+    step_perm, step_sign = [], []
+    for v in ring.variables:
+        wraps = v.j == half - 1
+        step_perm.append(ring.var_index[T(v.i, 0 if wraps else v.j + 1)])
+        step_sign.append(-1 if wraps else 1)
+    perm, sign = list(range(ring.nvars)), [1] * ring.nvars
+    for _ in range(r % (1 << ring.n)):
+        perm, sign = [step_perm[v] for v in perm], [s * step_sign[v] for s, v in zip(sign, perm)]
+    out = {}
+    for mono, c in p.terms.items():
+        exps = [0] * ring.nvars
+        for idx, e in enumerate(ring.decode(mono)):
+            exps[perm[idx]] = e
+            if sign[idx] < 0 and e & 1:
+                c = -c
+        out[ring.encode(exps)] = c
+    return GradedPolynomial(ring, out)  # the constructor reduces mod 2 where needed
+
+
+@pytest.mark.parametrize("form", ["Z2", "Q", "F2"])
+def test_gamma_masks_match_the_permutation_loop(form):
+    rng = random.Random(17)
+    flags = {"Z2": {}, "Q": {"rational": True}, "F2": {"mod2": True}}[form]
+    for n in (1, 2, 3):
+        rings = [rn_ring(n, 3, **flags), rnm_ring(n, 1, 3, **flags), rnm_ring(n, 2, 3, **flags)]
+        for ring in rings:
+            polys = []
+            for _ in range(4):
+                terms = {}
+                for _ in range(6):
+                    monos = ring.monomials_of_degree(rng.choice((2, 4, 6, 8, 14)))
+                    if monos:
+                        terms[rng.choice(monos)] = QQ(rng.randint(-9, 9), rng.choice((1, 3)))
+                polys.append(GradedPolynomial(ring, terms))
+            for r in range(-(1 << n), (1 << (n + 1)) + 1):
+                for p in polys:
+                    assert gamma_act(p, r) == _gamma_by_perm(p, r), (ring, r)
+            for v in ring.variables:
+                t = ring.var(v)
+                assert gamma_act(t, 1 << (n - 1)) == -t
+                assert gamma_act(t, 1 << n) is t
+            for p in polys:
+                assert gamma_act(p, 1 << n) == p
+
+
+def test_gamma_masks_need_the_block_layout():
+    with pytest.raises(ValueError):
+        poly_core.PolyRing("Rn", 2, None, 1, False, False, [T(1, 1), T(1, 0)])
+    with pytest.raises(ValueError):
+        poly_core.PolyRing("Rn", 2, None, 2, False, False, [T(1, 0), T(2, 0), T(1, 1), T(2, 1)])
+
+
 def test_gamma_needs_a_cyclic_ring():
     with pytest.raises(AmbientMismatch):
         gamma_act(bp_ring(2).var(V(1)))
@@ -517,6 +577,35 @@ def test_coefficients_are_ints_exactly_when_integral(rational):
         for got, want in cases:
             _assert_canonical(got)
             assert _plain(got) == want
+
+
+@pytest.mark.parametrize("form", ["Z2", "Q", "F2"])
+def test_dot_is_the_sum_of_its_products(form):
+    flags = {"Z2": {}, "Q": {"rational": True}, "F2": {"mod2": True}}[form]
+    ring = rn_ring(2, 3, **flags)
+    rng = random.Random(43)
+
+    def rand():
+        terms = {}
+        for _ in range(5):
+            mono = rng.choice(ring.monomials_of_degree(rng.choice((2, 4))))
+            terms[mono] = QQ(rng.randint(-6, 6), rng.choice((1, 3) if form != "Q" else (1, 2, 3)))
+        return GradedPolynomial(ring, terms)
+
+    for size in (0, 1, 2, 5):
+        pairs = [(rand(), rand()) for _ in range(size)]
+        want = ring.zero()
+        for a, b in pairs:
+            want = want + GradedPolynomial(ring, _plain_mul(_plain(a), _plain(b)))
+        got = ring.dot(pairs)
+        assert got == want
+        if form != "F2":
+            _assert_canonical(got)
+    p, q = rand(), rand()
+    assert ring.dot([(p, q), (-p, q)]).is_zero()  # every product cancels
+    assert ring.dot([(p, q)]) == p * q
+    with pytest.raises(AmbientMismatch):
+        ring.dot([(p, rn_ring(2, 2, **flags).one())])
 
 
 @pytest.mark.parametrize("rational", [True, False], ids=["RnQ", "Rn"])

@@ -5,6 +5,7 @@ import pytest
 from fgl_forge import series_fgl
 from fgl_forge.coefficients import QQ, rational_mod2, two_valuation
 from fgl_forge.errors import (
+    AmbientMismatch,
     ConsistencyFailure,
     HeightExceedsCutoff,
     NonIntegralCoefficient,
@@ -384,6 +385,135 @@ def test_formal_inverse_certificate_fires(monkeypatch):
     monkeypatch.setattr(series_fgl, "fgl_apply", lambda *args: bogus)
     with pytest.raises(ConsistencyFailure):
         formal_inverse(F)
+
+
+# ---- the fused kernels -----------------------------------------------------------
+
+def _mul_pairwise(a, b):
+    """Oracle: the truncated series product, adding one coefficient product at a time."""
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if e <= a.cutoff:
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+    return TruncatedSeries1(a.ring, out, a.cutoff)  # drops the sums that cancel
+
+
+def _random_poly_series(ring, cutoff, rng, dens):
+    v1, v2 = ring.var(V(1)), ring.var(V(2))
+    monos = [ring.one(), v1, v2, v1 * v1, v1 * v2, v2**2]
+    coeffs = {}
+    for e in range(1, cutoff + 1):
+        if rng.random() < 0.75:
+            c = ring.zero()
+            for m in rng.sample(monos, 3):
+                c = c + m.scalar_mul(QQ(rng.randint(-4, 4), rng.choice(dens)))
+            coeffs[e] = c
+    return TruncatedSeries1(ring, coeffs, cutoff)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["Z2", "Q"])
+def test_fused_series_product_matches_the_pairwise_one(rational):
+    ring = bp_ring(2, rational=rational)
+    dens = (1, 2, 3, 4) if rational else (1, 3, 5)
+    rng = random.Random(11)
+    for cutoff in (1, 4, 9):
+        for _ in range(6):
+            a = _random_poly_series(ring, cutoff, rng, dens)
+            b = _random_poly_series(ring, cutoff, rng, dens)
+            assert a * b == _mul_pairwise(a, b)
+            assert (a + b) * (a - b) == _mul_pairwise(a + b, a - b)
+            assert (a * (b - b)).is_zero()
+            for c in (a * b).coeffs.values():
+                for q in c.terms.values():
+                    assert type(q) is (int if q.denominator == 1 else QQ)
+
+
+def test_generic_series_product_on_local_and_residue_coefficients():
+    from fgl_forge.lubin_tate import KRing, lt_context
+
+    ctx = lt_context(2, 2, d=2)
+    K = KRing(ctx.spec)
+    assert getattr(ctx, "dot", None) is None and getattr(K, "dot", None) is None
+    rng = random.Random(5)
+    gens = [ctx.tau(1, 0), ctx.tau(1, 1), ctx.tau(2, 0), ctx.u_pow(1), ctx.from_int(3)]
+    omega = ctx.spec.omega
+
+    def lt_series():
+        coeffs = {}
+        for e in range(1, 7):
+            c = ctx.zero()
+            for g in rng.sample(gens, 2):
+                c = c + g * ctx.from_int(rng.randint(-3, 3))
+            coeffs[e] = c
+        return TruncatedSeries1(ctx, coeffs, 6)
+
+    def k_series():
+        coeffs = {}
+        for e in range(1, 7):
+            c = K.zero()
+            for _ in range(2):
+                c = c + K.from_gf(omega ** rng.randrange(3), rng.randint(-2, 2))
+            coeffs[e] = c
+        return TruncatedSeries1(K, coeffs, 6)
+
+    for make in (lt_series, k_series):
+        for _ in range(4):
+            a, b = make(), make()
+            assert a * b == _mul_pairwise(a, b)
+
+
+def _apply_cases():
+    """(law, series, [(beta, s)]) triples over Z_(2), R_n (x) Q and the residue field."""
+    from fgl_forge.equivariant_ring import RnContext
+    from fgl_forge.lubin_tate import lt_context, residue_fgl
+
+    cases = []
+    F = fgl_from_log(log_from_v(2), 7)
+    v1, v2 = F.ring.var(V(1)), F.ring.var(V(2))
+    series = TruncatedSeries1(F.ring, {1: F.ring.one(), 2: v1, 3: v2 - v1**3, 5: v1 * v2}, 7)
+    # s k > X for every k >= 2 once s > 3
+    cases.append((F, series, [(1, 1), (v1, 2), (v2 - v1**3, 4), (v1, 5), (v2, 7)]))
+    ctx = RnContext(2, 2)
+    G = ctx.law(7)
+    t1, t2 = ctx.generator(1, rational=True), ctx.generator(2, rational=True)
+    cases.append((G, formal_inverse(G), [(1, 1), (t1, 2), (t2, 4), (t1 * t2, 6), (1, 7)]))
+    R = residue_fgl(lt_context(2, 1), 7)
+    ubar = R.ring.ubar()
+    cases.append((R, two_series(R) + TruncatedSeries1.identity(R.ring, 7),
+                  [(1, 1), (ubar, 2), (ubar**3, 4)]))
+    ring = bp_ring(2)
+    sparse = TruncatedSeries1(ring, {1: ring.one(), 3: ring.var(V(2))}, 8)
+    cases.append((_random_law(ring, 8, 3), sparse, [(1, 1), (2, 3)]))
+    return cases
+
+
+def test_single_term_apply_matches_the_general_route():
+    for F, a, terms in _apply_cases():
+        ring, X = F.ring, F.cutoff
+        for beta, s in terms:
+            term = TruncatedSeries1.monomial(ring, beta, s, X)
+            for left, right in ((a, term), (term, a), (term, term)):
+                assert fgl_apply(F, left, right) == series_fgl._apply_series(F, left, right)
+            other = TruncatedSeries1.monomial(ring, beta, max(1, X - s), X)
+            assert fgl_apply(F, term, other) == series_fgl._apply_series(F, term, other)
+
+
+def test_single_term_apply_rejects_what_the_general_route_rejects():
+    F = fgl_from_log(log_from_v(2), 7)
+    v1 = F.ring.var(V(1))
+    a = TruncatedSeries1(F.ring, {1: F.ring.one(), 2: v1}, 7)
+    short = TruncatedSeries1.monomial(F.ring, v1, 2, 6)
+    foreign = TruncatedSeries1.monomial(bp_ring(2, rational=True), 1, 2, 7)
+    for left, right in ((a, short), (short, a), (short, TruncatedSeries1.identity(F.ring, 7)),
+                        (a, foreign), (foreign, a)):
+        with pytest.raises(AmbientMismatch):
+            fgl_apply(F, left, right)
+        if left.ring is F.ring and right.ring is F.ring:
+            with pytest.raises(AmbientMismatch):
+                series_fgl._apply_series(F, left, right)
 
 
 def test_negate_fgl_is_involution():
