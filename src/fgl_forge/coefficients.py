@@ -5,9 +5,11 @@ them, finite fields F_{2^d} in polynomial-basis form, and truncated Witt vectors
 W(F_{2^d}) modeled as Z_2[x]/(f~) with coefficients reduced mod 2^N, where f~
 is the {0,1}-lift of the chosen irreducible modulus.  Teichmuller lifts are
 computed by the fixed-point iteration z -> z^(2^d); the Frobenius is evaluated
-through a Hensel-lifted root of f~.  AtomicCache, the lock-guarded table behind
-every process-wide cache, lives here too, and finite_field interns the field
-specs through one.
+through a Hensel-lifted root of f~.  The coordinate arithmetic itself (the
+product reduced by f~ and the Frobenius image, on plain int tuples) is one
+WittKernel per (field, N), shared by WittElement and the Lubin-Tate ring.
+AtomicCache, the lock-guarded table behind every process-wide cache, lives
+here too, and finite_field interns the field specs through one.
 """
 
 from __future__ import annotations
@@ -140,16 +142,18 @@ class FiniteFieldSpec:
         object.__setattr__(self, "modulus", mod)
         if len(mod) != self.d + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree d")
+        # derived attributes, kept out of the fields so that equality, hashing
+        # and repr still see (d, modulus) alone: the modulus as an int (bit i
+        # is the coefficient of x^i), and precision N -> the WittKernel of
+        # W(F_{2^d}) mod 2^N (see witt_kernel)
+        object.__setattr__(self, "modbits", sum(b << i for i, b in enumerate(mod)))
+        object.__setattr__(self, "_kernels", AtomicCache())
         if not self._irreducible():
             raise ValueError(f"modulus {list(mod)} is reducible over F_2")
 
     @staticmethod
     def default(d: int) -> "FiniteFieldSpec":
         return finite_field(d)
-
-    @property
-    def modbits(self) -> int:
-        return sum(b << i for i, b in enumerate(self.modulus))
 
     def _irreducible(self) -> bool:
         # Rabin test: f irreducible over F_2 iff x^(2^d) == x mod f and
@@ -383,24 +387,9 @@ class WittElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        mask = (1 << self.precision) - 1
-        d = self.spec.d
-        if d == 1:
-            return _reduced(self.spec, self.precision, ((self.coeffs[0] * o.coeffs[0]) & mask,))
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] += a * b
-        fb = self.spec.modulus
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                for i, f in enumerate(fb):
-                    if f:
-                        prod[k - d + i] -= c
-                prod[k] = 0
-        return _reduced(self.spec, self.precision, tuple([c & mask for c in prod[:d]]))
+        kernel = witt_kernel(self.spec, self.precision)
+        product = kernel.mul(self.coeffs, o.coeffs)
+        return _reduced(self.spec, self.precision, kernel.masked(product))
 
     __rmul__ = __mul__
 
@@ -536,7 +525,6 @@ def _frobenius_root(spec: FiniteFieldSpec, N: int) -> WittElement:
     raise ConsistencyFailure("Hensel lift for the Frobenius root did not converge")
 
 
-@functools.cache
 def _frobenius_basis_images(spec: FiniteFieldSpec, N: int) -> tuple:
     # coordinates of r^0, ..., r^(d-1) for the Hensel root r: the images of
     # the basis 1, x, ..., x^(d-1) under the Frobenius lift
@@ -549,18 +537,89 @@ def _frobenius_basis_images(spec: FiniteFieldSpec, N: int) -> tuple:
     return tuple(images)
 
 
+def _coordinate_product(spec: FiniteFieldSpec):
+    """The product of two coordinate tuples in Z[x]/(f~), unmasked."""
+    d = spec.d
+    if d == 1:
+        return lambda a, b: (a[0] * b[0],)
+    # x^d = -sum_{i<d} f_i x^i, folded in from the top degree down
+    taps = tuple(i for i in range(d) if spec.modulus[i])
+    high = range(2 * d - 2, d - 1, -1)
+    width = 2 * d - 1
+
+    def mul(a, b):
+        prod = [0] * width
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        for k in high:
+            c = prod[k]
+            if c:
+                for i in taps:
+                    prod[k - d + i] -= c
+        return tuple(prod[:d])
+
+    return mul
+
+
+class WittKernel:
+    """Coordinate arithmetic of W(F_{2^d}) mod 2^N on plain int tuples.
+
+    `mul` and `frobenius` return integer coordinates that are reduced by f~
+    but not masked, so a caller that sums several results masks once: to
+    [0, 2^N) through `masked` (WittElement), or to a coarser 2^j (a term of
+    the Lubin-Tate ring).  Both maps are Z-linear in each argument, so
+    masking afterwards gives the same residue as masking each step.  One
+    kernel exists per (spec, N), from witt_kernel; WittElement arithmetic
+    and frobenius_lift run on it.
+    """
+
+    __slots__ = ("spec", "precision", "mask", "mul", "_images")
+
+    def __init__(self, spec, precision):
+        self.spec = spec
+        self.precision = precision
+        self.mask = (1 << precision) - 1
+        self.mul = _coordinate_product(spec)
+        self._images = None  # lazy: the Frobenius images of the basis
+
+    def masked(self, coords) -> tuple:
+        mask = self.mask
+        return tuple([c & mask for c in coords])
+
+    def frobenius(self, coords) -> tuple:
+        """The Frobenius lift sum_i c_i phi(x^i), from a table of the basis
+        images built on first use (the Hensel root needs the kernel itself)."""
+        images = self._images
+        if images is None:
+            images = self._images = _frobenius_basis_images(self.spec, self.precision)
+        acc = [0] * self.spec.d
+        for c, image in zip(coords, images):
+            if c:
+                for k, b in enumerate(image):
+                    acc[k] += c * b
+        return tuple(acc)
+
+
+def witt_kernel(spec: FiniteFieldSpec, N: int) -> WittKernel:
+    """The coordinate kernel of W(spec) mod 2^N, one per spec and N.
+
+    The kernels live on the spec, so the lookup on every WittElement
+    operation is one dict probe; a miss builds under the table's lock.
+    """
+    kernel = spec._kernels.get(N)
+    if kernel is None:
+        kernel = spec._kernels.get_or_create(N, lambda: WittKernel(spec, N))
+    return kernel
+
+
 def frobenius_lift(w: WittElement) -> WittElement:
     """The lift of Frobenius to W(F_{2^d}): substitute the Hensel root for x.
 
     The lift is Z_2-linear, so the image is sum_i c_i phi(x^i) over the
-    coordinates c_i of w, read off a table of the basis images built once
-    per (spec, N).
+    coordinates c_i of w, read off the table of basis images of the
+    (spec, N) kernel.
     """
-    images = _frobenius_basis_images(w.spec, w.precision)
-    acc = [0] * w.spec.d
-    for c, image in zip(w.coeffs, images):
-        if c:
-            for k, b in enumerate(image):
-                acc[k] += c * b
-    mask = (1 << w.precision) - 1
-    return _reduced(w.spec, w.precision, tuple([a & mask for a in acc]))
+    kernel = witt_kernel(w.spec, w.precision)
+    return _reduced(w.spec, w.precision, kernel.masked(kernel.frobenius(w.coeffs)))

@@ -26,16 +26,19 @@ whose constant term 2 is precisely how 2 enters the maximal ideal.
 from __future__ import annotations
 
 import math
-from operator import add, itemgetter
+import operator
+from functools import reduce
+from operator import add, itemgetter, or_
+from types import MappingProxyType
 
 from .coefficients import (
     QQ,
     GFElement,
     WittElement,
     finite_field,
-    frobenius_lift,
     rational_mod2,
     teichmuller,
+    witt_kernel,
 )
 from .equivariant_ring import _finish, _report, rn_context, t_level, v_in_rn
 from .errors import (
@@ -209,6 +212,10 @@ class LTContext:
         self.spec = finite_field(d, modulus)
         self.precision = precision
         self.madic = madic
+        self.kernel = witt_kernel(self.spec, precision)
+        # the coefficient of a term of tau-degree s is kept masked to 2^{M-s}
+        self._masks = tuple((1 << (madic - s)) - 1 for s in range(madic))
+        self._unit = (1,) + (0,) * (d - 1)  # the coordinates of 1
         self.alpha = math.gcd(self.q, (1 << d) - 1)
         # tau-variables: gamma^j tau_i for i < m (j < 2^{n-1}) and i = m
         # (j < 2^{n-1} - 1); exactly h - 1 of them.
@@ -218,6 +225,8 @@ class LTContext:
         if len(self.taus) != self.h - 1:
             raise ConsistencyFailure("tau-variable count is off")
         self.tau_index = {t: idx for idx, t in enumerate(self.taus)}
+        # the torus weight 2^i - 1 of gamma^j tau_i, for the character chi
+        self._chi_weights = tuple((1 << i) - 1 for i, _ in self.taus)
         self._zero_exps = (0,) * len(self.taus)
         self.rn = rn_context(n, k_max if k_max is not None else self.h)
         self._gamma_var = None  # lazy: index -> image under gamma
@@ -226,34 +235,35 @@ class LTContext:
         self._t_images = None  # (i, j) -> image of gamma^j t_i, or None if killed
         self._v_lt = {}
         self._levels = {}
-        self._zeta_powers = {}  # zeta bits -> (T(zeta)^0, ..., T(zeta)^(2^d-2))
+        # zeta bits -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
+        # for q-torsion zeta
+        self._zeta_powers = {}
 
     # -- coefficient-ring protocol ------------------------------------------
 
     def zero(self):
-        return LTElement(self, {})
+        return _element(self, {})
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, c):
-        w = WittElement.from_int(self.spec, self.precision, c)
-        return LTElement(self, {(self._zero_exps, 0): w})
+        return self.monomial(self._zero_exps, 0, (int(c),) + self._unit[1:])
 
-    def from_witt(self, w: WittElement):
+    def _witt_coords(self, w: WittElement):
         if (w.spec is not self.spec and w.spec != self.spec) or w.precision != self.precision:
             raise AmbientMismatch("Witt coefficient from a different context")
-        return LTElement(self, {(self._zero_exps, 0): w})
+        return w.coeffs
+
+    def from_witt(self, w: WittElement):
+        return self.monomial(self._zero_exps, 0, self._witt_coords(w))
 
     def from_rational(self, q):
-        q = QQ(q)
-        num, den = int(q.numerator), int(q.denominator)
-        if den % 2 == 0:
-            raise NonIntegralCoefficient(f"{q} has even denominator")
-        w = WittElement.from_int(self.spec, self.precision, num)
-        if den != 1:
-            w = w * WittElement.from_int(self.spec, self.precision, den).inverse()
-        return self.from_witt(w)
+        return self.from_int(_two_local_int(QQ(q), self.precision))
+
+    def monomial(self, exps, ue, coords=None):
+        """coords * tau^exps u^ue (coords defaults to 1), reduced mod m^M."""
+        return _element(self, _canonical(self, {(exps, ue): coords or self._unit}))
 
     def invert(self, e):
         return e.inverse()
@@ -266,12 +276,10 @@ class LTContext:
             raise ValueError(f"gamma^{j} tau_{i} is not a generator here")
         exps = list(self._zero_exps)
         exps[idx] = 1
-        one = WittElement.one(self.spec, self.precision)
-        return LTElement(self, {(tuple(exps), 0): one})
+        return self.monomial(tuple(exps), 0)
 
     def u_pow(self, e=1):
-        one = WittElement.one(self.spec, self.precision)
-        return LTElement(self, {(self._zero_exps, e): one})
+        return self.monomial(self._zero_exps, e)
 
     def tau_name(self, idx):
         i, j = self.taus[idx]
@@ -338,32 +346,87 @@ def lt_context(n, m, d=1, modulus=None, precision=8, madic=6, k_max=None):
     )
 
 
-class LTElement:
-    """Truncated element: {(tau exponent tuple, u exponent): Witt coefficient}."""
+def _two_local_int(q, N):
+    """The integer congruent mod 2^N to a 2-local rational q."""
+    num, den = q.numerator, q.denominator
+    if not den & 1:
+        raise NonIntegralCoefficient(f"{q} has even denominator")
+    return num if den == 1 else num * pow(den, -1, 1 << N)
 
-    __slots__ = ("ctx", "terms", "_graded")
+
+def _valuation(coords):
+    """v_2 of a nonzero coordinate tuple: the lowest set bit of any coordinate."""
+    x = reduce(or_, coords)
+    return (x & -x).bit_length() - 1
+
+
+def _canonical(ctx, raw):
+    """{(exps, ue): coordinates} in normal form mod m^M.
+
+    raw may hold any integer coordinates, such as unmasked sums of kernel
+    products.  A term of tau-degree s >= M is dropped; otherwise its
+    coordinates are masked to 2^{M-s}, the canonical representative (the
+    tau^A-component of m^M is exactly 2^{M-|A|} W(k)), and a term that masks
+    to 0 is dropped.  A term that is nonzero mod 2^N with an exponent beyond
+    the representable window raises TruncationOverflow.
+    """
+    M = ctx.madic
+    masks = ctx._masks
+    clean = {}
+    for key, c in raw.items():
+        exps, ue = key
+        s = sum(exps)
+        if not -_U_CAP <= ue <= _U_CAP or s > _U_CAP:  # max(exps) <= s
+            _check_window(ctx, exps, ue, c)
+        if s >= M:
+            continue
+        mask = masks[s]
+        c = tuple([x & mask for x in c])
+        if any(c):
+            clean[key] = c
+    return clean
+
+
+def _check_window(ctx, exps, ue, c):
+    if (abs(ue) > _U_CAP or max(exps) > _U_CAP) and any(x & ctx.kernel.mask for x in c):
+        raise TruncationOverflow("exponent beyond the representable window")
+
+
+def _element(ctx, coords):
+    """An LTElement on coordinates already in normal form, unchecked."""
+    e = object.__new__(LTElement)
+    e.ctx = ctx
+    e.coords = coords
+    e._graded = None
+    return e
+
+
+class LTElement:
+    """Truncated element {(tau exponent tuple, u exponent): coefficient}.
+
+    A coefficient is held as `coords`, the coordinate tuple of an element of
+    W(k) mod 2^N, in normal form: masked to [0, 2^{M-|A|}) for the term
+    tau^A u^s, and nonzero.  So equality of elements is equality of dicts.
+    The arithmetic runs on the tuples through the context's Witt kernel and
+    masks once per result.  The constructor takes WittElement coefficients
+    of the context's field and precision, and `terms` is a read-only view
+    with WittElement values.
+    """
+
+    __slots__ = ("ctx", "coords", "_graded")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
-        M = ctx.madic
-        clean = {}
-        for key, c in terms.items():
-            if c.is_zero():
-                continue
-            exps, ue = key
-            if abs(ue) > _U_CAP or max(exps, default=0) > _U_CAP:
-                raise TruncationOverflow("exponent beyond the representable window")
-            s = sum(exps)
-            if s >= M:
-                continue
-            # canonical representative mod m^M: the tau^B-component of m^M is
-            # exactly 2^{M-|B|} W(k), so mask the coefficient down to it
-            c = c.mod_two_power(M - s)
-            if c.is_zero():
-                continue
-            clean[key] = c
-        self.terms = clean
+        self.coords = _canonical(ctx, {key: ctx._witt_coords(c) for key, c in terms.items()})
         self._graded = None  # lazy: the terms sorted by filtration, for __mul__
+
+    @property
+    def terms(self):
+        """{(exps, ue): WittElement}, a read-only view of the coefficients."""
+        spec, N = self.ctx.spec, self.ctx.precision
+        return MappingProxyType(
+            {key: WittElement(spec, N, c) for key, c in self.coords.items()}
+        )
 
     # -- ring operations ------------------------------------------------------
 
@@ -373,14 +436,14 @@ class LTElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
+        out = dict(self.coords)
+        for key, c in other.coords.items():
             s = out.get(key)
-            out[key] = c if s is None else s + c
-        return LTElement(self.ctx, out)
+            out[key] = c if s is None else tuple(map(add, s, c))
+        return _element(self.ctx, _canonical(self.ctx, out))
 
     def __neg__(self):
-        return LTElement(self.ctx, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -391,8 +454,8 @@ class LTElement:
         if graded is None:
             graded = sorted(
                 (
-                    (c.two_valuation() + sum(exps), exps, ue, c)
-                    for (exps, ue), c in self.terms.items()
+                    (_valuation(c) + sum(exps), exps, ue, c)
+                    for (exps, ue), c in self.coords.items()
                 ),
                 key=itemgetter(0),
             )
@@ -404,10 +467,13 @@ class LTElement:
 
         A pair of terms with filtrations f1, f2 has a product in m^{f1+f2}, so
         the pair is dropped when f1 + f2 >= M.  Both operands are walked in
-        filtration order, so each loop stops at its first dropped pair.
+        filtration order, so each loop stops at its first dropped pair.  The
+        kernel products are summed unmasked and masked once.
         """
         self._check(other)
-        M = self.ctx.madic
+        ctx = self.ctx
+        M = ctx.madic
+        mul = ctx.kernel.mul
         right = other._by_filtration()
         f_min = right[0][0] if right else M
         out = {}
@@ -419,10 +485,10 @@ class LTElement:
                 if f2 >= room:
                     break
                 key = (tuple(map(add, e1, e2)), u1 + u2)
-                p = c1 * c2
+                p = mul(c1, c2)
                 s = out.get(key)
-                out[key] = p if s is None else s + p
-        return LTElement(self.ctx, out)
+                out[key] = p if s is None else tuple(map(add, s, p))
+        return _element(ctx, _canonical(ctx, out))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -438,27 +504,32 @@ class LTElement:
 
     def scale(self, c):
         """Multiply by an integer or Witt scalar."""
+        ctx = self.ctx
         if isinstance(c, int):
-            c = WittElement.from_int(self.ctx.spec, self.ctx.precision, c)
-        return LTElement(self.ctx, {k: c * v for k, v in self.terms.items()})
+            out = {k: tuple([c * x for x in v]) for k, v in self.coords.items()}
+        else:
+            w, mul = ctx._witt_coords(c), ctx.kernel.mul
+            out = {k: mul(w, v) for k, v in self.coords.items()}
+        return _element(ctx, _canonical(ctx, out))
 
     def map_coefficients(self, f):
+        """Apply f, a map of WittElements, to every coefficient."""
         return LTElement(self.ctx, {k: f(c) for k, c in self.terms.items()})
 
     def is_zero(self):
-        return not self.terms
+        return not self.coords
 
     def __eq__(self, other):
         return (
             isinstance(other, LTElement)
             and other.ctx is self.ctx
-            and other.terms == self.terms
+            and other.coords == self.coords
         )
 
     # -- structure ------------------------------------------------------------
 
     def u_exponents(self):
-        return sorted({ue for (_, ue) in self.terms})
+        return sorted({ue for (_, ue) in self.coords})
 
     def is_homogeneous(self):
         return len(self.u_exponents()) <= 1
@@ -472,26 +543,25 @@ class LTElement:
 
     def filtration(self):
         """Largest j with self in m^j (= madic for 0); exact per-term here."""
-        if not self.terms:
+        if not self.coords:
             return self.ctx.madic
-        return min(
-            c.two_valuation() + sum(exps) for (exps, _), c in self.terms.items()
-        )
+        return min(_valuation(c) + sum(exps) for (exps, _), c in self.coords.items())
 
     def in_ideal_two(self):
-        """Membership in (2): every Witt coefficient has valuation >= 1."""
-        return all(c.two_valuation() >= 1 for c in self.terms.values())
+        """Membership in (2): every Witt coordinate is even."""
+        return not any(x & 1 for c in self.coords.values() for x in c)
 
     def residue(self) -> KElement:
         """Image in K = F_{2^d}[ubar^{+-1}] (kill the maximal ideal)."""
-        K = KRing(self.ctx.spec)
+        spec = self.ctx.spec
+        zero = self.ctx._zero_exps
         out = {}
-        for (exps, ue), c in self.terms.items():
-            if sum(exps) == 0 and c.two_valuation() == 0:
-                r = c.residue()
-                s = out.get(ue)
-                out[ue] = r if s is None else s + r
-        return KElement(K, out)
+        for (exps, ue), c in self.coords.items():
+            if exps == zero:  # one such term per u-exponent
+                r = GFElement(spec, c)  # the coordinates mod 2
+                if not r.is_zero():
+                    out[ue] = r
+        return KElement(KRing(spec), out)
 
     def is_unit(self):
         """Units of the graded local ring: residue a single nonzero monomial."""
@@ -501,8 +571,9 @@ class LTElement:
         if not self.is_unit():
             raise InverseOfNonUnit(f"residue of {self!r} is not a unit")
         (ue, _), = self.residue().coeffs.items()
-        lead = self.terms[(self.ctx._zero_exps, ue)]
-        b = self.ctx.from_witt(lead.inverse()) * self.ctx.u_pow(-ue)
+        lead = self.coords[(self.ctx._zero_exps, ue)]
+        lead = WittElement(self.ctx.spec, self.ctx.precision, lead).inverse()
+        b = self.ctx.from_witt(lead) * self.ctx.u_pow(-ue)
         eps = self * b - self.ctx.one()
         # Neumann series: 1/(1+eps) = sum (-eps)^i; eps is in the maximal
         # ideal, so the sum terminates within madic steps.
@@ -521,7 +592,7 @@ class LTElement:
 
     def __repr__(self):
         bits = []
-        for (exps, ue), c in sorted(self.terms.items())[:6]:
+        for (exps, ue), c in sorted(self.coords.items())[:6]:
             mono = "*".join(
                 self.ctx.tau_name(idx) + (f"^{e}" if e > 1 else "")
                 for idx, e in enumerate(exps)
@@ -529,15 +600,16 @@ class LTElement:
             )
             upart = "" if ue == 0 else ("u" if ue == 1 else f"u^{ue}")
             stem = "*".join(x for x in (mono, upart) if x) or "1"
-            bits.append(f"({list(c.coeffs)})*{stem}")
-        tail = " + ..." if len(self.terms) > 6 else ""
+            bits.append(f"({list(c)})*{stem}")
+        tail = " + ..." if len(self.coords) > 6 else ""
         return (" + ".join(bits) or "0") + tail
 
     def to_json(self):
-        rows = []
-        for (exps, ue), c in sorted(self.terms.items()):
-            rows.append([list(exps), ue, c.to_json()])
-        return rows
+        N = self.ctx.precision
+        return [
+            [list(exps), ue, {"precision": N, "coeffs": list(c)}]
+            for (exps, ue), c in sorted(self.coords.items())
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -584,42 +656,50 @@ def lt_gamma(ctx, e: LTElement, r: int = 1) -> LTElement:
 
     The image of a term c tau^A u^s is c gamma(u)^s prod gamma(tau_i)^{A_i}.
     The powers gamma(u)^s and gamma(tau_i)^{A_i} come from lazy per-context
-    tables, and the scaled monomial images are summed into one dict, which
-    is normalised once per application of gamma.
+    tables, and the scaled monomial images are summed unmasked into one
+    dict, which is normalised once per application of gamma.
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
+    mul = ctx.kernel.mul
     for _ in range(r % (1 << ctx.n)):
         out = {}
-        for (exps, ue), c in e.terms.items():
+        for (exps, ue), c in e.coords.items():
             image = _gamma_u_power(ctx, ue)
             for idx, ex in enumerate(exps):
                 if ex:
                     image = image * _gamma_var_power(ctx, idx, ex)
-            for key, w in image.terms.items():
-                p = c * w
+            for key, w in image.coords.items():
+                p = mul(c, w)
                 s = out.get(key)
-                out[key] = p if s is None else s + p
-        e = LTElement(ctx, out)
+                out[key] = p if s is None else tuple(map(add, s, p))
+        e = _element(ctx, _canonical(ctx, out))
     return e
 
 
 def _teichmuller_powers(ctx, zeta):
-    """(T(zeta)^0, ..., T(zeta)^(2^d-2)), built once per context and zeta.
+    """The coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), built once per
+    context and zeta.
 
-    A Teichmuller lift of a nonzero zeta in F_{2^d} satisfies T^(2^d-1) = 1
-    in W(k) mod 2^N, so this table holds every power T(zeta)^chi at index
-    chi mod (2^d - 1); the identity is checked when the table is built.
+    zeta must be a qth root of unity, which is checked when the table is
+    built; a zeta that fails raises NotQTorsion and gets no table, so it
+    raises again on every call.  A Teichmuller lift of a nonzero zeta in
+    F_{2^d} satisfies T^(2^d-1) = 1 in W(k) mod 2^N, so this table holds every
+    power T(zeta)^chi at index chi mod (2^d - 1); that identity is checked
+    too.
     """
     powers = ctx._zeta_powers.get(zeta.bits)
     if powers is None:
-        t = teichmuller(zeta, ctx.precision)
-        acc = WittElement.one(ctx.spec, ctx.precision)
+        if not (zeta ** ctx.q) == ctx.spec.one:
+            raise NotQTorsion(f"zeta^{ctx.q} != 1")
+        kernel = ctx.kernel
+        t = teichmuller(zeta, ctx.precision).coeffs
+        acc = ctx._unit
         table = []
         for _ in range((1 << ctx.spec.d) - 1):
             table.append(acc)
-            acc = acc * t
-        if not acc == 1:
+            acc = kernel.masked(kernel.mul(acc, t))
+        if acc != ctx._unit:
             raise ConsistencyFailure(f"T(zeta)^{(1 << ctx.spec.d) - 1} != 1")
         powers = ctx._zeta_powers[zeta.bits] = tuple(table)
     return powers
@@ -630,27 +710,32 @@ def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
 
     Diagonal on monomials: the term tau^A u^s scales by T(zeta)^chi with
     chi = sum (2^i - 1) A_{ij} - s (tau_m contributes 0 mod q).  zeta must be
-    a qth root of unity.
+    a qth root of unity (checked once, when its table of powers is built).
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
     if zeta.spec is not ctx.spec and zeta.spec != ctx.spec:
         raise AmbientMismatch("zeta from a different field")
-    if not (zeta ** ctx.q) == ctx.spec.one:
-        raise NotQTorsion(f"zeta^{ctx.q} != 1")
     powers = _teichmuller_powers(ctx, zeta)
     order = len(powers)
-    out = {}
-    for (exps, ue), c in e.terms.items():
-        out[(exps, ue)] = c * powers[_chi(ctx, exps, ue) % order]
-    return LTElement(ctx, out)
+    mul = ctx.kernel.mul
+    out = {
+        (exps, ue): mul(c, powers[_chi(ctx, exps, ue) % order])
+        for (exps, ue), c in e.coords.items()
+    }
+    return _element(ctx, _canonical(ctx, out))
 
 
 def lt_galois(ctx, e: LTElement) -> LTElement:
-    """Frobenius on the Witt coefficients; fixes u and every tau."""
+    """Frobenius on the Witt coefficients; fixes u and every tau.
+
+    Each coefficient goes through the kernel's Frobenius image, the route
+    of frobenius_lift.
+    """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
-    return e.map_coefficients(frobenius_lift)
+    frobenius = ctx.kernel.frobenius
+    return _element(ctx, _canonical(ctx, {k: frobenius(c) for k, c in e.coords.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +763,9 @@ def lt_specialize(ctx, p) -> LTElement:
     t_m -> u^{2^m-1}, t_i -> 0 (i > m), extended gamma-equivariantly.
 
     Accepts polynomials over R_n or R_n<m> (integral or rational descriptors);
-    coefficients must be 2-locally integral.  The term images are summed into
-    one dict, which is normalised once.
+    coefficients must be 2-locally integral, and each acts as the integer it
+    is congruent to mod 2^N.  The scaled monomial images are summed unmasked
+    into one dict, which is normalised once.
     """
     ring = getattr(p, "ring", None)
     if ring is None or ring.kind not in ("Rn", "Rnm") or ring.mod2:
@@ -699,19 +785,23 @@ def lt_specialize(ctx, p) -> LTElement:
             pow_memo[key] = w
         return w
 
+    constant = ctx.one().coords
     out = {}
     for mono, c in p.terms.items():
         exps = ring.decode(mono)
         if any(e and killed[idx] for idx, e in enumerate(exps)):
             continue
-        term = ctx.from_rational(c)
+        scalar = _two_local_int(c, ctx.precision)
+        image = None
         for idx, e in enumerate(exps):
             if e:
-                term = term * img_pow(idx, e)
-        for key, w in term.terms.items():
+                w = img_pow(idx, e)
+                image = w if image is None else image * w
+        for key, w in (constant if image is None else image.coords).items():
+            t = tuple([scalar * x for x in w])
             s = out.get(key)
-            out[key] = w if s is None else s + w
-    return LTElement(ctx, out)
+            out[key] = t if s is None else tuple(map(add, s, t))
+    return _element(ctx, _canonical(ctx, out))
 
 
 def v_in_lt(ctx, k) -> LTElement:
@@ -782,8 +872,13 @@ def cotangent_check(ctx):
     Every generator is first checked to lie in the maximal ideal (so the ideal
     it generates is contained in m); full rank h then certifies, by Nakayama,
     that the two ideals are equal.  Raises RankDeficient (carrying .matrix) on
-    a rank drop.
+    a rank drop.  m/m^2 vanishes when M = 1, so the claim needs madic >= 2
+    (ValueError otherwise).
     """
+    if ctx.madic < 2:
+        raise ValueError(
+            f"cotangent needs madic >= 2: m/m^2 is zero at madic {ctx.madic}"
+        )
     h = ctx.h
     labels = ["2"] + [ctx.tau_name(idx) for idx in range(len(ctx.taus))]
     gens = [("2", ctx.from_int(2))]
@@ -798,17 +893,15 @@ def cotangent_check(ctx):
         ues = g.u_exponents()
         s = ues[0] if ues else 0
         row = []
-        c2 = g.terms.get((ctx._zero_exps, s))
+        c2 = g.coords.get((ctx._zero_exps, s))
         row.append(
-            ctx.spec.zero
-            if c2 is None
-            else GFElement(ctx.spec, [(x >> 1) & 1 for x in c2.coeffs])
+            ctx.spec.zero if c2 is None else GFElement(ctx.spec, [x >> 1 for x in c2])
         )
         for idx in range(len(ctx.taus)):
             exps = list(ctx._zero_exps)
             exps[idx] = 1
-            c = g.terms.get((tuple(exps), s))
-            row.append(ctx.spec.zero if c is None else c.residue())
+            c = g.coords.get((tuple(exps), s))
+            row.append(ctx.spec.zero if c is None else GFElement(ctx.spec, c))
         matrix.append(row)
     rank = _gf_rank(matrix)
     bits = [[c.bits for c in row] for row in matrix]
@@ -981,12 +1074,7 @@ def _multiplicative_generator(spec):
 
 
 def _chi(ctx, exps, ue):
-    chi = -ue
-    for idx, ex in enumerate(exps):
-        if ex:
-            i, _ = ctx.taus[idx]
-            chi += ((1 << i) - 1) * ex
-    return chi
+    return sum(map(operator.mul, ctx._chi_weights, exps)) - ue
 
 
 def fixed_subring_presentation(ctx, tau_bound=2, u_bound=None):
@@ -1022,10 +1110,9 @@ def fixed_subring_presentation(ctx, tau_bound=2, u_bound=None):
 
         yield from rec(0, bound, [])
 
-    one = WittElement.one(ctx.spec, ctx.precision)
     for exps in monomials(tau_bound):
         for ue in range(-u_bound, u_bound + 1):
-            mono = LTElement(ctx, {(exps, ue): one})
+            mono = ctx.monomial(exps, ue)
             if mono.is_zero():
                 continue
             predicted = _chi(ctx, exps, ue) % alpha == 0

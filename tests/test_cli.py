@@ -107,6 +107,17 @@ def test_verify_config_error_exits_two(capsys):
     assert code == 2
 
 
+def test_cotangent_needs_madic_two(capsys):
+    # m/m^2 is zero at madic 1: a config error naming the bound, not a rank drop
+    argv = ["verify", "cotangent", "--n", "2", "--m", "1"]
+    assert cli.main(argv + ["--madic", "1", "--precision", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "madic >= 2" in captured.err
+    assert "rank" not in captured.err
+    code, out = _run(argv + ["--madic", "2"], capsys)
+    assert code == 0 and _body(out)["reports"][0]["status"] == "verified"
+
+
 def test_unknown_claim_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from fgl_forge.coefficients import (
     rational_mod2,
     teichmuller,
     two_valuation,
+    witt_kernel,
 )
 from fgl_forge.errors import InverseOfNonUnit, NonIntegralCoefficient
 
@@ -248,3 +250,57 @@ def test_witt_results_are_canonical(d):
                 canonical(a.mod_two_power(j), [x % (1 << max(j, 0)) if j < N else x for x in ra])
             if a.is_unit():
                 canonical(a.inverse(), _raw_inverse(spec, N, ra))
+
+
+# ---- the coordinate kernel ----------------------------------------------------
+
+def _product_by_power_table(spec, a, b):
+    """sum a_i b_j [x^(i+j) mod f~] over the integers, with the residues of
+    x^k read off a table built one multiplication by x at a time."""
+    d = spec.d
+    powers = [[int(i == k) for i in range(d)] for k in range(d)]
+    for _ in range(d - 1):
+        top, low = powers[-1][-1], [0] + powers[-1][:-1]
+        powers.append([c - top * f for c, f in zip(low, spec.modulus)])
+    out = [0] * d
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for k, r in enumerate(powers[i + j]):
+                out[k] += x * y * r
+    return tuple(out)
+
+
+@pytest.mark.parametrize("N", [1, 8, 10])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_coordinate_product_matches_witt_product(d, N):
+    spec = FiniteFieldSpec.default(d)
+    kernel = witt_kernel(spec, N)
+    assert witt_kernel(spec, N) is kernel and witt_kernel(spec, N + 1) is not kernel
+    rng = random.Random(200 * d + N)
+    top = 1 << N
+    acc, witt_acc = [0] * d, WittElement.zero(spec, N)
+    for _ in range(30):
+        a = tuple(rng.randrange(-3 * top, 3 * top) for _ in range(d))
+        b = tuple(rng.randrange(-3 * top, 3 * top) for _ in range(d))
+        raw = kernel.mul(a, b)
+        # unmasked: the exact product in Z[x]/(f~)
+        assert raw == _product_by_power_table(spec, a, b)
+        product = WittElement(spec, N, a) * WittElement(spec, N, b)
+        assert kernel.masked(raw) == product.coeffs
+        # sums of unmasked products mask once to the sum of the Witt products
+        acc = [x + y for x, y in zip(acc, raw)]
+        witt_acc = witt_acc + product
+        assert kernel.masked(kernel.frobenius(a)) == frobenius_lift(WittElement(spec, N, a)).coeffs
+    assert kernel.masked(acc) == witt_acc.coeffs
+
+
+def test_spec_equality_and_hash_ignore_the_derived_attributes():
+    fresh = FiniteFieldSpec(3, (1, 1, 0, 1))
+    assert fresh.modbits == 0b1011 and F8.modbits == 0b1011
+    witt_kernel(F8, 7)  # fills the shared spec's kernel table, not the fresh one's
+    assert fresh == F8 and hash(fresh) == hash(F8) == hash((3, (1, 1, 0, 1)))
+    assert repr(fresh) == "FiniteFieldSpec(d=3, modulus=(1, 1, 0, 1))"
+    other = FiniteFieldSpec(3, (1, 0, 1, 1))
+    assert other != F8 and other.modbits == 0b1101
+    assert {fresh: 1}[F8] == 1
+    assert [f.name for f in dataclasses.fields(FiniteFieldSpec)] == ["d", "modulus"]

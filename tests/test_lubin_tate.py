@@ -6,6 +6,7 @@ from fgl_forge.coefficients import (
     QQ,
     FiniteFieldSpec,
     WittElement,
+    frobenius_lift,
     teichmuller,
 )
 from fgl_forge import lubin_tate
@@ -439,6 +440,64 @@ def test_zeta_table_checks_the_teichmuller_order(monkeypatch):
     monkeypatch.setattr(lubin_tate, "teichmuller", lambda a, N: teichmuller(a, N) * three)
     with pytest.raises(ConsistencyFailure):
         lt_zeta(ctx, ctx.spec.omega, ctx.u_pow(1))
+
+
+def test_zeta_torsion_is_checked_once_per_table():
+    ctx = LTContext(2, 2, d=4)  # q = 3, 2^d - 1 = 15
+    x = _random_element(ctx, random.Random(23))
+    cube_root = ctx.spec.omega ** 5
+    generator = ctx.spec.omega  # order 15: not a cube root of unity
+    assert cube_root ** 3 == ctx.spec.one and not generator ** 3 == ctx.spec.one
+    for _ in range(2):
+        with pytest.raises(NotQTorsion):
+            lt_zeta(ctx, generator, x)
+        assert generator.bits not in ctx._zeta_powers
+    table = lubin_tate._teichmuller_powers(ctx, cube_root)
+    assert lt_zeta(ctx, cube_root, x) == _zeta_by_powering(ctx, cube_root, x)
+    for _ in range(2):  # a context that holds a table still rejects the other zeta
+        with pytest.raises(NotQTorsion):
+            lt_zeta(ctx, generator, x)
+    assert set(ctx._zeta_powers) == {cube_root.bits}
+    assert lubin_tate._teichmuller_powers(ctx, cube_root) is table
+
+
+@pytest.mark.parametrize("n,m,d", KERNEL_SCENARIOS)
+def test_galois_matches_frobenius_lift_per_coefficient(n, m, d):
+    ctx = LTContext(n, m, d=d)
+    rng = random.Random(13 * n + 3 * m + d)
+    for _ in range(8):
+        x = _filtered_element(ctx, rng)
+        assert lt_galois(ctx, x) == x.map_coefficients(frobenius_lift)
+    assert lt_galois(ctx, ctx.zero()).is_zero()
+
+
+def test_witt_terms_round_trip():
+    ctx = LTContext(2, 2, d=3, precision=8, madic=5)
+    rng = random.Random(29)
+    for _ in range(5):
+        x = _filtered_element(ctx, rng)
+        terms = x.terms
+        assert all(
+            isinstance(w, WittElement) and w.spec is ctx.spec and w.precision == 8
+            for w in terms.values()
+        )
+        assert LTElement(ctx, terms) == x
+        assert {key: w.coeffs for key, w in terms.items()} == x.coords
+        assert x.to_json() == [[list(e), s, w.to_json()] for (e, s), w in sorted(terms.items())]
+        with pytest.raises(TypeError):
+            terms[next(iter(terms))] = WittElement.one(ctx.spec, 8)  # a read-only view
+    # the constructor reduces Witt coefficients mod m^M: 2^5 = 0, tau^1 keeps 2^4
+    tau = (1,) + (0,) * (len(ctx.taus) - 1)
+    raw = {(ctx._zero_exps, 0): WittElement(ctx.spec, 8, [33, 64, 255]),
+           (tau, 1): WittElement(ctx.spec, 8, [16, 0, 17]),
+           (ctx._zero_exps, 2): WittElement(ctx.spec, 8, [32, 0, 96])}
+    y = LTElement(ctx, raw)
+    assert y.coords == {(ctx._zero_exps, 0): (1, 0, 31), (tau, 1): (0, 0, 1)}
+    assert y == ctx.from_witt(raw[(ctx._zero_exps, 0)]) + LTElement(ctx, {(tau, 1): raw[(tau, 1)]})
+    other_field = FiniteFieldSpec.default(2)
+    for foreign in (WittElement(ctx.spec, 9, [1, 0, 0]), WittElement.one(other_field, 8)):
+        with pytest.raises(AmbientMismatch):
+            LTElement(ctx, {(ctx._zero_exps, 0): foreign})
 
 
 # ---- specialization from the equivariant polynomial ring -----------------------
