@@ -320,19 +320,6 @@ class WittElement:
     def zero(spec, precision):
         return WittElement.from_int(spec, precision, 0)
 
-    def mod_two_power(self, j: int) -> "WittElement":
-        """The image in W(k)/2^j, re-embedded by masking each coordinate.
-
-        The ideal (2^j) is exactly the set of elements all of whose basis
-        coordinates are divisible by 2^j, so this is a canonical section.
-        """
-        if j >= self.precision:
-            return self
-        if j <= 0:
-            return WittElement.zero(self.spec, self.precision)
-        mask = (1 << j) - 1
-        return _reduced(self.spec, self.precision, tuple([c & mask for c in self.coeffs]))
-
     @staticmethod
     def one(spec, precision):
         return WittElement.from_int(spec, precision, 1)

@@ -40,7 +40,7 @@ from .coefficients import (
     teichmuller,
     witt_kernel,
 )
-from .equivariant_ring import _finish, _report, rn_context, t_level, v_in_rn
+from .equivariant_ring import _finish, _report, rn_context, rn_log, t_level, v_in_rn
 from .errors import (
     AmbientMismatch,
     ConsistencyFailure,
@@ -51,7 +51,7 @@ from .errors import (
     RankDeficient,
     TruncationOverflow,
 )
-from .poly_core import AtomicCache
+from .poly_core import AtomicCache, bp_ring
 from .series_fgl import (
     TruncatedSeries1,
     conjugate_fgl,
@@ -94,9 +94,6 @@ class KRing:
     def from_rational(self, q):
         bit = rational_mod2(QQ(q))
         return KElement(self, {0: self.spec.from_bits(bit)} if bit else {})
-
-    def from_gf(self, c, e=0):
-        return KElement(self, {e: c})
 
     def ubar(self, e=1):
         return KElement(self, {e: self.spec.one})
@@ -547,10 +544,6 @@ class LTElement:
             return self.ctx.madic
         return min(_valuation(c) + sum(exps) for (exps, _), c in self.coords.items())
 
-    def in_ideal_two(self):
-        """Membership in (2): every Witt coordinate is even."""
-        return not any(x & 1 for c in self.coords.values() for x in c)
-
     def residue(self) -> KElement:
         """Image in K = F_{2^d}[ubar^{+-1}] (kill the maximal ideal)."""
         spec = self.ctx.spec
@@ -926,24 +919,26 @@ def cotangent_check(ctx):
     return report
 
 
-_TWO_SERIES_CACHE = AtomicCache()
-
-
-def _integral_two_series(k_max, cutoff):
-    """[2](x) of the universal 2-typical law over Z_(2)[v_1..v_k_max], built once."""
-    return _TWO_SERIES_CACHE.get_or_create(
-        (k_max, cutoff), lambda: two_series_from_log(log_from_v(k_max), cutoff)
-    )
-
-
-def _residue_map(ctx, cutoff):
-    """(k_max, down): the Araki generators a cutoff needs, and the map
-    Z_(2)[v_1..v_k_max] -> K sending v_k to the residue of its image."""
+def _k_for_cutoff(ctx, cutoff):
+    """The generator count a series to x^cutoff needs: v_k (or l_k) for
+    2^k <= cutoff, and at least h; ValueError beyond the context's k_max."""
     k_max = max(ctx.h, cutoff.bit_length() - 1)
     if k_max > ctx.rn.k_max:
         raise ValueError(
             f"cutoff {cutoff} needs generators up to {k_max} > k_max={ctx.rn.k_max}"
         )
+    return k_max
+
+
+def residue_fgl(ctx, cutoff):
+    """The formal group law over K obtained by killing the maximal ideal.
+
+    The universal law over Z_(2)[v_1..v_k] is built afresh on every call and
+    each coefficient is mapped to K, v_k going to the residue of its image
+    in the local ring.  residue_height reads the height off the logarithm
+    mod (tau) instead, and this route is kept as its independent oracle.
+    """
+    k_max = _k_for_cutoff(ctx, cutoff)
     K = KRing(ctx.spec)
     vbar = [None] + [v_in_lt(ctx, k).residue() for k in range(1, k_max + 1)]
 
@@ -959,43 +954,70 @@ def _residue_map(ctx, cutoff):
             acc = acc + term
         return acc
 
-    return k_max, down
-
-
-def residue_fgl(ctx, cutoff):
-    """The formal group law over K obtained by killing the maximal ideal.
-
-    Builds the two-variable universal law afresh on every call; residue_height
-    reads the height off the one-variable 2-series instead, and this route is
-    kept as its independent oracle.
-    """
-    k_max, down = _residue_map(ctx, cutoff)
     law = fgl_from_log(log_from_v(k_max), cutoff, integral=True)
-    return conjugate_fgl(law, down, target_ring=KRing(ctx.spec), provenance="residue")
+    return conjugate_fgl(law, down, target_ring=K, provenance="residue")
+
+
+def _log_mod_tau(ctx, k_max):
+    """[c_1 .. c_k_max] in Q: the image of l_k in E/(tau) is c_k u^{2^k-1}.
+
+    Mod (tau) the specialization sends every gamma^j t_m to u^{2^m-1} (as
+    gamma^j u = u mod tau for j < 2^{n-1}) and every other t to 0, so c_k is
+    the sum of the coefficients of the t_m-only monomials of l_k.
+    """
+    ring = ctx.rn.ring_q
+    other = [v.i != ctx.m for v in ring.variables]
+    return [
+        sum(
+            c for mono, c in lk.terms.items()
+            if not any(e and o for e, o in zip(ring.decode(mono), other))
+        )
+        for lk in rn_log(ctx.rn)[:k_max]
+    ]
+
+
+_RESIDUE_TWO_SERIES = AtomicCache()
+
+
+def _residue_two_series(ctx, cutoff, k_max):
+    """The exponents e <= cutoff at which [2](x) of the residue law has the
+    coefficient ubar^{e-1}; every other coefficient is 0.
+
+    The residue map kills m = (2, tau), so it factors through E/(tau) =
+    W(k)[u^{+-1}], which has no 2-torsion: the law there has the logarithm
+    x + sum c_k u^{2^k-1} x^{2^k}.  Grading u away, [2](x) = exp(2 log x) is
+    a series over Z_(2) (two_series_from_log on constants certifies it), and
+    its coefficient b_e x^e stands for b_e u^{e-1}, whose residue is
+    ubar^{e-1} when b_e is odd and 0 otherwise.  Independent of the field,
+    the Witt precision and the truncation order, so built once per
+    (n, m, cutoff).
+    """
+    def build():
+        Q = bp_ring(0, rational=True)
+        logs = [Q.from_rational(c) for c in _log_mod_tau(ctx, k_max)]
+        two = two_series_from_log(logs, cutoff)
+        return tuple(e for e, b in sorted(two.coeffs.items()) if rational_mod2(b.coefficient(0)))
+
+    return _RESIDUE_TWO_SERIES.get_or_create((ctx.n, ctx.m, cutoff), build)
 
 
 def residue_height(ctx, cutoff=None):
     """Height of the residue formal group law: exactly h, coefficient ubar^{2^h-1}.
 
-    The 2-series [2](x) = exp(2 log x) of the universal law is computed over
-    Q[v], certified 2-locally integral, cached per (k_max, cutoff), and
-    mapped coefficientwise to K; its first nonzero term gives the height.
-    The leading unit of the 2-series and beta = (2^h-1)/(2^m-1) are recorded
-    in the report; the coefficient is pinned to ubar^{2^h-1} on the nose.
+    The 2-series over K comes from the logarithm mod (tau), one table per
+    (n, m, cutoff) (see _residue_two_series); its first nonzero term gives
+    the height.  The leading unit of the 2-series and beta = (2^h-1)/(2^m-1)
+    are recorded in the report; the coefficient is pinned to ubar^{2^h-1}
+    on the nose.
     """
     h = ctx.h
     if cutoff is None:
         cutoff = 1 << h
     if cutoff < (1 << h):
         raise ValueError(f"cutoff {cutoff} < 2^h = {1 << h}")
-    if ctx.rn.k_max < h:
-        raise ValueError("context was built with k_max < h")
-    k_max, down = _residue_map(ctx, cutoff)
+    odd = _residue_two_series(ctx, cutoff, _k_for_cutoff(ctx, cutoff))
     K = KRing(ctx.spec)
-    two = _integral_two_series(k_max, cutoff)
-    residue_two = TruncatedSeries1(
-        K, {e: down(c) for e, c in two.coeffs.items()}, cutoff
-    )
+    residue_two = TruncatedSeries1(K, {e: K.ubar(e - 1) for e in odd}, cutoff)
     height, lead = height_of_two_series(residue_two, h_expected=h)
     beta = ((1 << h) - 1) // ((1 << ctx.m) - 1)
     expected = K.ubar((1 << h) - 1)

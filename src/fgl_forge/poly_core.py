@@ -405,9 +405,6 @@ class GradedPolynomial:
     def coefficient(self, mono: int):
         return self.terms.get(mono, 0)
 
-    def constant_term(self):
-        return self.coefficient(0)
-
     def leading_monomial(self) -> int:
         """Greatest monomial in graded-reverse-lex (max degree, then min packed)."""
         if not self.terms:

@@ -20,7 +20,6 @@ from .errors import (
     NonIntegralCoefficient,
     NonIntegralResult,
     NonTwoTypicalIso,
-    NonUnit,
     SourceTargetMismatch,
 )
 from .poly_core import (
@@ -294,11 +293,6 @@ class TruncatedSeries2:
         c = _coerce_coeff(self.ring, c)
         return TruncatedSeries2(
             self.ring, {k: c * v for k, v in self.coeffs.items()}, self.cutoff
-        )
-
-    def swap(self):
-        return TruncatedSeries2(
-            self.ring, {(e2, e1): c for (e1, e2), c in self.coeffs.items()}, self.cutoff
         )
 
     def powers(self, max_power):
@@ -684,14 +678,6 @@ def conjugate_fgl(F: FGL, coeff_map, target_ring=None, provenance="conjugated") 
     return FGL(TruncatedSeries2(ring, out, F.cutoff), provenance=provenance)
 
 
-def negate_fgl(F: FGL) -> FGL:
-    """-F(-x, -y): the effect of the conjugation involution on a homogeneous law."""
-    out = {}
-    for (e1, e2), c in F.two_var.coeffs.items():
-        out[(e1, e2)] = c if (e1 + e2) % 2 else -c
-    return FGL(TruncatedSeries2(F.ring, out, F.cutoff), provenance="conjugated")
-
-
 # ---------------------------------------------------------------------------
 # strict isomorphisms
 # ---------------------------------------------------------------------------
@@ -801,40 +787,9 @@ def compose_iso(iso2: StrictIso, iso1: StrictIso) -> StrictIso:
     return StrictIso(iso2.psi.compose(iso1.psi), iso1.source, iso2.target)
 
 
-def identity_iso(F: FGL) -> StrictIso:
-    return StrictIso(TruncatedSeries1.identity(F.ring, F.cutoff), F, F)
-
-
 # ---------------------------------------------------------------------------
-# homogeneous <-> degree-0 translation and height
+# height
 # ---------------------------------------------------------------------------
-
-def _invert_in(ring, u):
-    inv = getattr(ring, "invert", None)
-    if inv is None:
-        raise NonUnit(f"ring {ring!r} supports no inversion")
-    return inv(u)
-
-
-def dehomogenize(F: FGL, u, u_inv=None) -> FGL:
-    """F~(x,y) = u F(u^{-1} x, u^{-1} y): coefficient c_{e1 e2} -> c u^{1-e1-e2}."""
-    if u_inv is None:
-        u_inv = _invert_in(F.ring, u)
-    out = {}
-    for (e1, e2), c in F.two_var.coeffs.items():
-        n = e1 + e2 - 1
-        out[(e1, e2)] = c if n == 0 else c * u_inv**n
-    return FGL(TruncatedSeries2(F.ring, out, F.cutoff), provenance=F.provenance)
-
-
-def homogenize(F: FGL, u, u_inv=None) -> FGL:
-    """Inverse of dehomogenize: coefficient c_{e1 e2} -> c u^{e1+e2-1}."""
-    out = {}
-    for (e1, e2), c in F.two_var.coeffs.items():
-        n = e1 + e2 - 1
-        out[(e1, e2)] = c if n == 0 else c * u**n
-    return FGL(TruncatedSeries2(F.ring, out, F.cutoff), provenance=F.provenance)
-
 
 def height_of_residue_fgl(F: FGL, h_expected=None):
     """(h, leading coefficient) of [2](x) = F(x, x) over a graded field of

@@ -197,7 +197,7 @@ def _cold_caches(monkeypatch):
     monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_LT_CONTEXTS", AtomicCache())
     monkeypatch.setattr(poly_core, "_GB_CACHE", AtomicCache())
-    monkeypatch.setattr(lubin_tate, "_TWO_SERIES_CACHE", AtomicCache())
+    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
 
 
 def test_cold_caches_empty_the_one_basis_cache(capsys, monkeypatch):

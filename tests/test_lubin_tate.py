@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from fgl_forge.coefficients import (
     teichmuller,
 )
 from fgl_forge import lubin_tate
+from fgl_forge.equivariant_ring import rn_log
 from fgl_forge.errors import (
     AmbientMismatch,
     ConsistencyFailure,
@@ -39,8 +41,8 @@ from fgl_forge.lubin_tate import (
     v_in_lt,
     verify_unit,
 )
-from fgl_forge.poly_core import bp_ring, gamma_act, reduce_mod2
-from fgl_forge.series_fgl import dehomogenize, homogenize, two_series
+from fgl_forge.poly_core import AtomicCache, bp_ring, gamma_act, reduce_mod2
+from fgl_forge.series_fgl import fgl_from_log, height_of_residue_fgl, log_from_v, two_series
 
 
 def _random_element(ctx, rng, nterms=4):
@@ -120,8 +122,6 @@ def test_element_arithmetic_and_grading():
     assert (ctx.from_int(2) + tau).filtration() == 1
     assert tau.scale(4).filtration() == 3
     assert ctx.zero().filtration() == ctx.madic
-    assert ctx.from_int(6).in_ideal_two()
-    assert not (ctx.from_int(2) + tau).in_ideal_two()
 
 
 def test_context_mixing_raises():
@@ -685,22 +685,83 @@ def test_residue_height_reports(n, m, d, beta):
     assert p["unit"] == [1] + [0] * (d - 1)  # the unit is literally 1 here
 
 
-def test_residue_height_guards():
+def test_residue_height_guards(monkeypatch):
+    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
     with pytest.raises(ValueError):
         residue_height(LTContext(2, 1), cutoff=2)
     with pytest.raises(ValueError):
         residue_height(LTContext(2, 1, k_max=1))
+    # a table built for a context with k_max = 5 does not lift a smaller bound
+    assert residue_height(LTContext(2, 1, k_max=5), cutoff=32)["status"] == "verified"
+    with pytest.raises(ValueError, match="needs generators up to 5"):
+        residue_height(LTContext(2, 1), cutoff=32)
 
 
-def test_dehomogenize_round_trip_over_residue_field():
-    ctx = LTContext(2, 1, k_max=3)
+def _oracle_cases():
+    cases = []
+    for n, m in ((1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (3, 1)):
+        h = (1 << (n - 1)) * m
+        for d in (1, 2):
+            cases.append((n, m, d, 1 << h))
+            if h == 2:
+                cases.append((n, m, d, 32))
+    return cases
+
+
+@functools.cache
+def _universal_law(k_max, cutoff):
+    return fgl_from_log(log_from_v(k_max), cutoff)
+
+
+@pytest.mark.parametrize("n,m,d,cutoff", _oracle_cases())
+def test_residue_height_matches_the_residue_law(n, m, d, cutoff, monkeypatch):
+    """The mod-(tau) route against the two-variable residue law: the same
+    (height, coefficient), and the same whole 2-series up to the cutoff."""
+    # residue_fgl builds fgl_from_log(log_from_v(k), X) afresh; one law per
+    # (k, X) serves every (n, m, d), as at cutoff 32 it takes seconds
+    monkeypatch.setattr(
+        lubin_tate, "fgl_from_log", lambda ls, X, integral=True: _universal_law(len(ls), X)
+    )
+    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
+    ctx = LTContext(n, m, d=d, k_max=cutoff.bit_length() - 1)
+    F = residue_fgl(ctx, cutoff)
+    height, lead = height_of_residue_fgl(F, ctx.h)
+    p = residue_height(ctx, cutoff)["params"]
+    assert (p["computed_height"], p["coefficient"]) == (height, lead.to_json())
+    assert height == ctx.h
     K = KRing(ctx.spec)
-    F = residue_fgl(ctx, cutoff=8)
-    flat = dehomogenize(F, K.ubar(1))
-    # the 2-series coefficient becomes the degree-0 unit 1
-    assert two_series(flat).coeffs[4] == K.one()
-    back = homogenize(flat, K.ubar(1))
-    assert back.two_var.coeffs == F.two_var.coeffs
+    odd = lubin_tate._residue_two_series(ctx, cutoff, ctx.rn.k_max)
+    assert two_series(F).coeffs == {e: K.ubar(e - 1) for e in odd}
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_log_mod_tau_is_the_tau_free_part_of_the_specialized_log(n, m):
+    """c_k against lt_specialize(2^k l_k): its tau-degree-0 part is exactly
+    2^k c_k u^{2^k-1} (mod 2^M), and 2^k l_k is integral, so no case is
+    lost to a denominator."""
+    ctx = LTContext(n, m, precision=10, madic=10, k_max=4)
+    cs = lubin_tate._log_mod_tau(ctx, 4)
+    assert any(QQ(c).denominator > 1 for c in cs)  # the check sees fractions
+    for k, (lk, ck) in enumerate(zip(rn_log(ctx.rn), cs), start=1):
+        image = lt_specialize(ctx, lk.scalar_mul(1 << k))
+        tau_free = {key: c for key, c in image.coords.items() if not any(key[0])}
+        expected = ctx.from_rational(ck * (1 << k)) * ctx.u_pow((1 << k) - 1)
+        assert tau_free == expected.coords
+
+
+def test_residue_height_runs_without_the_v_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("residue_height left the mod-(tau) route")
+
+    for name in ("v_in_lt", "v_in_rn", "lt_specialize", "log_from_v", "fgl_from_log",
+                 "residue_fgl"):
+        monkeypatch.setattr(lubin_tate, name, refuse)
+    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
+    # (2, 2) and (2, 1) share n and the cutoff 16 but not the table
+    cases = ((2, 1, 1, 32), (2, 2, 2, 16), (2, 1, 1, 16), (3, 1, 1, 16), (1, 4, 2, 16))
+    for n, m, d, cutoff in cases:
+        ctx = LTContext(n, m, d=d, k_max=cutoff.bit_length() - 1)
+        assert residue_height(ctx, cutoff)["status"] == "verified"
 
 
 # ---- norm factors and the fixed subring ----------------------------------------

@@ -11,27 +11,24 @@ from fgl_forge.errors import (
     NonIntegralCoefficient,
     NonIntegralResult,
     NonTwoTypicalIso,
-    NonUnit,
     SourceTargetMismatch,
 )
 from fgl_forge.poly_core import T, V, bp_ring, reduce_mod2, rn_ring, to_rational_ring
 from fgl_forge.series_fgl import (
     FGL,
+    StrictIso,
     TruncatedSeries1,
     TruncatedSeries2,
     additive_fgl,
     compose_iso,
-    dehomogenize,
     fgl_apply,
     fgl_from_log,
     formal_inverse,
     formal_sum,
     formal_sum_via_log,
     height_of_residue_fgl,
-    identity_iso,
     log_from_v,
     log_series,
-    negate_fgl,
     series_exp,
     strict_iso_from_t,
     t_from_strict_iso,
@@ -432,7 +429,7 @@ def test_fused_series_product_matches_the_pairwise_one(rational):
 
 
 def test_generic_series_product_on_local_and_residue_coefficients():
-    from fgl_forge.lubin_tate import KRing, lt_context
+    from fgl_forge.lubin_tate import KElement, KRing, lt_context
 
     ctx = lt_context(2, 2, d=2)
     K = KRing(ctx.spec)
@@ -455,7 +452,8 @@ def test_generic_series_product_on_local_and_residue_coefficients():
         for e in range(1, 7):
             c = K.zero()
             for _ in range(2):
-                c = c + K.from_gf(omega ** rng.randrange(3), rng.randint(-2, 2))
+                unit = omega ** rng.randrange(3)
+                c = c + KElement(K, {rng.randint(-2, 2): unit})
             coeffs[e] = c
         return TruncatedSeries1(K, coeffs, 6)
 
@@ -516,15 +514,6 @@ def test_single_term_apply_rejects_what_the_general_route_rejects():
                 series_fgl._apply_series(F, left, right)
 
 
-def test_negate_fgl_is_involution():
-    F = fgl_from_log(log_from_v(2), 7)
-    G = negate_fgl(F)
-    assert negate_fgl(G) == F
-    add = additive_fgl(bp_ring(1), 5)
-    assert negate_fgl(add) == add
-    assert G.coefficient(1, 1) == -F.coefficient(1, 1)
-
-
 # ---- strict isomorphisms ------------------------------------------------------------
 
 def test_strict_iso_identity_and_additive():
@@ -567,8 +556,6 @@ def test_non_two_typical_detection():
     R1 = bp_ring(1)
     add = additive_fgl(R1, 8)
     psi = TruncatedSeries1(R1, {1: R1.one(), 3: R1.var(V(1))}, 8)
-    from fgl_forge.series_fgl import StrictIso
-
     iso = StrictIso(psi, add, add)
     with pytest.raises(NonTwoTypicalIso):
         t_from_strict_iso(iso)
@@ -585,7 +572,7 @@ def test_strict_iso_verify_and_pullback():
 
 def test_compose_iso():
     F = fgl_from_log(log_from_v(2), 7)
-    ident = identity_iso(F)
+    ident = StrictIso(TruncatedSeries1.identity(F.ring, F.cutoff), F, F)
     ring = F.ring
     v1 = ring.var(V(1))
     iso = strict_iso_from_t([v1], F)
@@ -601,15 +588,7 @@ def test_compose_iso():
     assert left.psi == right.psi
 
 
-# ---- dehomogenize / height -----------------------------------------------------------
-
-def test_dehomogenize_needs_a_unit():
-    R1 = bp_ring(1)
-    v1 = R1.var(V(1))
-    F = FGL(TruncatedSeries2(R1, {(1, 0): R1.one(), (0, 1): R1.one(), (1, 1): v1}, 5))
-    with pytest.raises(NonUnit):
-        dehomogenize(F, v1)
-
+# ---- height -----------------------------------------------------------
 
 def test_height_additive_exceeds_cutoff():
     ring = bp_ring(1, mod2=True)
