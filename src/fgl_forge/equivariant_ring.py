@@ -204,7 +204,7 @@ def rn_log(ctx):
             continue
         if not lk.is_homogeneous() or lk.degree != 2 * ((1 << k) - 1):
             raise ConsistencyFailure(f"l_{k} has the wrong degree in {ctx!r}")
-        if any(two_valuation(c) < -k for c in lk.terms.values()):
+        if two_valuation(lk.den) > k:
             raise ConsistencyFailure(f"denominator of l_{k} exceeds 2^{k}")
     ctx._log = ls
     return list(ls)

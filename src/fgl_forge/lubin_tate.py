@@ -40,7 +40,7 @@ from .coefficients import (
     teichmuller,
     witt_kernel,
 )
-from .equivariant_ring import _finish, _report, rn_context, rn_log, t_level, v_in_rn
+from .equivariant_ring import _finish, _report, rn_context, t_level, v_in_rn
 from .errors import (
     AmbientMismatch,
     ConsistencyFailure,
@@ -51,7 +51,7 @@ from .errors import (
     RankDeficient,
     TruncationOverflow,
 )
-from .poly_core import AtomicCache, bp_ring
+from .poly_core import AtomicCache, T, bp_ring, gamma_act, orbit_sum, rn_ring
 from .series_fgl import (
     TruncatedSeries1,
     conjugate_fgl,
@@ -962,18 +962,27 @@ def _log_mod_tau(ctx, k_max):
     """[c_1 .. c_k_max] in Q: the image of l_k in E/(tau) is c_k u^{2^k-1}.
 
     Mod (tau) the specialization sends every gamma^j t_m to u^{2^m-1} (as
-    gamma^j u = u mod tau for j < 2^{n-1}) and every other t to 0, so c_k is
-    the sum of the coefficients of the t_m-only monomials of l_k.
+    gamma^j u = u mod tau for j < 2^{n-1}) and every other t to 0.  Killing
+    every gamma^j t_i with i != m is a gamma-equivariant map of Q-algebras,
+    so the image lbar_k of l_k obeys the recursion of rn_log, in which only
+    the term with t_{k-j} = t_m survives:
+
+        2 lbar_k = sum_{r < 2^{n-1}} gamma^r ( gamma(lbar_{k-m}) t_m^{2^{k-m}} ),
+
+    with lbar_0 = 1 (so lbar_k = 0 unless m divides k); c_k is the sum of
+    the coefficients of lbar_k.  l_k itself, over all of R_n, is never formed.
     """
-    ring = ctx.rn.ring_q
-    other = [v.i != ctx.m for v in ring.variables]
-    return [
-        sum(
-            c for mono, c in lk.terms.items()
-            if not any(e and o for e, o in zip(ring.decode(mono), other))
-        )
-        for lk in rn_log(ctx.rn)[:k_max]
-    ]
+    m = ctx.m
+    ring = rn_ring(ctx.n, m, rational=True)
+    tm = ring.var(T(m))
+    lbar = [ring.one()]
+    for k in range(1, k_max + 1):
+        if k % m:
+            lbar.append(ring.zero())
+        else:
+            a = gamma_act(lbar[k - m]) * tm ** (1 << (k - m))
+            lbar.append(orbit_sum(a).scalar_mul(QQ(1, 2)))
+    return [QQ(sum(lk.num.values()), lk.den) for lk in lbar[1:]]
 
 
 _RESIDUE_TWO_SERIES = AtomicCache()

@@ -4,7 +4,10 @@ Rings are interned descriptors (one object per parameter set), monomials are
 dense exponent vectors packed into a single integer (10 bits per variable,
 earlier variables in more significant bits), so monomial multiplication is
 integer addition and the graded-reverse-lex order is integer comparison within
-a degree.  Every product runs through one sum-of-products kernel
+a degree.  A polynomial over Q or Z_(2) stores int numerators over one
+reduced denominator (the form of FLINT's fmpq_poly), so arithmetic runs on
+ints and touches the denominators once per operand, not once per
+coefficient.  Every product runs through one sum-of-products kernel
 (PolyRing.dot).  On top of that: the cyclic group action (two masked shifts
 per monomial), mod-2 reduction, ring maps/substitution, degree-truncated
 Buchberger over F_2, and an independent linear-algebra membership route used
@@ -26,11 +29,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .coefficients import (
     QQ,
     AtomicCache,
-    is_two_local,
     qq_from_string,
     qq_to_string,
     rational_mod2,
@@ -48,11 +51,6 @@ _BITS = 10
 SCALAR_TYPES = (int, QQ)
 _MASK = (1 << _BITS) - 1
 _EXP_LIMIT = 1 << _BITS
-
-
-def _canonical(q):
-    """The stored form of a coefficient: an int when integral, else the QQ."""
-    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +223,19 @@ class PolyRing:
     def dot(self, pairs):
         """sum a*b over the (a, b) pairs of polynomials of this ring.
 
-        One terms dict accumulates every product, and each coefficient is
-        canonicalised (an int when integral) once, at the end; a product of
-        two polynomials is the dot of one pair.
+        One dict of int numerators accumulates every product, over a common
+        denominator: a pair whose denominator product d divides it is added
+        with its shorter factor scaled by the quotient, and one that does not
+        first moves the sum to the lcm.  The sum is reduced once, at the end;
+        a product of two polynomials is the dot of one pair.
         """
         acc = {}
         if self.mod2:
             for a, b in pairs:
                 if a.ring is not self or b.ring is not self:
                     raise AmbientMismatch(f"{a.ring} vs {b.ring}")
-                for m1 in a.terms:
-                    for m2 in b.terms:
+                for m1 in a.num:
+                    for m2 in b.num:
                         m = m1 + m2
                         if m in acc:
                             del acc[m]
@@ -243,23 +243,31 @@ class PolyRing:
                             acc[m] = 1
             return GradedPolynomial(self, acc, _checked=True)
         get = acc.get
+        den = 1
         for a, b in pairs:
             if a.ring is not self or b.ring is not self:
                 raise AmbientMismatch(f"{a.ring} vs {b.ring}")
-            short, long = a.terms, b.terms
+            short, long = a.num, b.num
             if len(short) > len(long):
                 short, long = long, short
+            d = a.den * b.den
+            if d != den:
+                g = gcd(den, d)
+                if g != d:  # d does not divide den: move the sum to the lcm
+                    f = d // g
+                    for m in acc:
+                        acc[m] *= f
+                    den *= f
+                if d != den:
+                    s = den // d
+                    short = {m: c * s for m, c in short.items()}
             long = long.items()
             for m1, c1 in short.items():
                 for m2, c2 in long:
                     m = m1 + m2
                     s = get(m)
                     acc[m] = c1 * c2 if s is None else s + c1 * c2
-        return GradedPolynomial(
-            self,
-            {m: c if type(c) is int else _canonical(c) for m, c in acc.items() if c},
-            _checked=True,
-        )
+        return _reduced(self, {m: c for m, c in acc.items() if c}, den)
 
     # -- element constructors --
 
@@ -352,65 +360,114 @@ def ring_from_descriptor(d) -> PolyRing:
 # polynomials
 # ---------------------------------------------------------------------------
 
-class GradedPolynomial:
-    """Sparse polynomial: map packed-monomial -> nonzero coefficient.
+def _from_coefficients(ring, terms):
+    """(numerators, denominator) of a map monomial -> rational; see GradedPolynomial."""
+    if ring.mod2:
+        return {m: 1 for m, c in terms.items() if _mod2(c)}, 1
+    clean = {}
+    den = 1
+    for mono, c in terms.items():
+        if type(c) is not int:
+            c = QQ(c)
+            if c.denominator == 1:
+                c = c.numerator
+            else:
+                den = den // gcd(den, c.denominator) * c.denominator
+        if c:
+            clean[mono] = c
+    if den == 1:
+        return clean, 1
+    if not ring.rational and not den & 1:
+        bad = next(c for c in clean.values() if type(c) is not int and not c.denominator & 1)
+        raise NonIntegralCoefficient(f"coefficient {bad} is not 2-locally integral in {ring}")
+    # den is the lcm of the denominators, so the numerators share no factor with it
+    return {
+        m: c * den if type(c) is int else c.numerator * (den // c.denominator)
+        for m, c in clean.items()
+    }, den
 
-    Coefficients are exact rationals (two-locality enforced unless the ring is
-    a Q-extension) or ints mod 2 for mod-2 rings.  Over Q and Z_(2) each
-    coefficient has one stored form: a Python int when it is integral, a QQ
-    (Fraction) only when its denominator is not 1; so integral arithmetic
-    runs on ints, and equal polynomials have equal terms.  Immutable by
-    convention.
+
+def _mod2(c) -> int:
+    return c & 1 if type(c) is int else rational_mod2(QQ(c))
+
+
+def _reduced(ring, num, den):
+    """num / den with the common factor of den and every numerator divided out."""
+    if den != 1:
+        g = gcd(den, *num.values()) if num else den
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return GradedPolynomial(ring, num, _checked=True, _den=den)
+
+
+def _coefficient(c, den):
+    """The rational c / den: an int when integral, else a QQ."""
+    if den == 1:
+        return c
+    q = QQ(c, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _first_even_denominator(p):
+    return next(q for q in p.terms.values() if type(q) is not int and not q.denominator & 1)
+
+
+class GradedPolynomial:
+    """Sparse polynomial: int numerators over one positive denominator.
+
+    `num` maps each packed monomial of the support to a nonzero int and `den`
+    is the common denominator (1 for mod-2 rings, whose numerators are all 1).
+    Over Q and Z_(2) the pair is reduced: den shares no factor with every
+    numerator at once, so equal polynomials have equal storage, an integral
+    polynomial has den 1 and runs on plain ints, and 2-locality (enforced
+    unless the ring is a Q-extension) is an odd den.  `terms` is the map
+    monomial -> coefficient (an int when integral, else a QQ): `num` itself
+    when den is 1, else a fresh dict.  Immutable by convention.
     """
 
-    __slots__ = ("ring", "terms", "_degree")
+    __slots__ = ("ring", "num", "den", "_degree")
 
-    def __init__(self, ring, terms, _checked=False):
+    def __init__(self, ring, terms, _checked=False, _den=1):
         self.ring = ring
         if not _checked:
-            clean = {}
-            for mono, c in terms.items():
-                if ring.mod2:
-                    c = int(c) & 1
-                    if c:
-                        clean[mono] = 1
-                else:
-                    c = _canonical(QQ(c))
-                    if c != 0:
-                        if not ring.rational and not is_two_local(c):
-                            raise NonIntegralCoefficient(
-                                f"coefficient {c} is not 2-locally integral in {ring}"
-                            )
-                        clean[mono] = c
-            terms = clean
-        self.terms = terms
+            terms, _den = _from_coefficients(ring, terms)
+        self.num = terms
+        self.den = _den
         self._degree = None
+
+    @property
+    def terms(self):
+        den = self.den
+        if den == 1:
+            return self.num
+        return {m: _coefficient(c, den) for m, c in self.num.items()}
 
     # -- structure --
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def is_homogeneous(self):
-        degs = {self.ring.mono_degree(m) for m in self.terms}
+        degs = {self.ring.mono_degree(m) for m in self.num}
         return len(degs) <= 1
 
     @property
     def degree(self):
         """Total degree when homogeneous (None for 0), else the max degree."""
-        if self._degree is None and self.terms:
-            self._degree = max(self.ring.mono_degree(m) for m in self.terms)
+        if self._degree is None and self.num:
+            self._degree = max(self.ring.mono_degree(m) for m in self.num)
         return self._degree
 
     def coefficient(self, mono: int):
-        return self.terms.get(mono, 0)
+        return _coefficient(self.num.get(mono, 0), self.den)
 
     def leading_monomial(self) -> int:
         """Greatest monomial in graded-reverse-lex (max degree, then min packed)."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading monomial")
         deg = self.degree
-        return min(m for m in self.terms if self.ring.mono_degree(m) == deg)
+        return min(m for m in self.num if self.ring.mono_degree(m) == deg)
 
     def sorted_terms(self):
         """Terms in descending monomial order (deterministic serialization order)."""
@@ -425,41 +482,54 @@ class GradedPolynomial:
     def __add__(self, other):
         if type(other) is not GradedPolynomial and isinstance(other, SCALAR_TYPES):
             other = self.ring.from_rational(other)
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def _combine(self, other, sign):
+        """self + sign * other, on numerators scaled to the lcm of the denominators."""
         self._check(other)
-        if self.ring.mod2:
-            terms = dict(self.terms)
-            for m in other.terms:
+        ring = self.ring
+        if ring.mod2:
+            terms = dict(self.num)
+            for m in other.num:
                 if m in terms:
                     del terms[m]
                 else:
                     terms[m] = 1
-            return GradedPolynomial(self.ring, terms, _checked=True)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
+            return GradedPolynomial(ring, terms, _checked=True)
+        da, db = self.den, other.den
+        if da == db:
+            fa, fb = 1, sign
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+        terms = dict(self.num) if fa == 1 else {m: c * fa for m, c in self.num.items()}
+        add = other.num if fb == 1 else {m: c * fb for m, c in other.num.items()}
+        get = terms.get
+        for m, c in add.items():
+            s = get(m)
             if s is None:
                 terms[m] = c
             else:
-                s = s + c
-                if s == 0:
-                    del terms[m]
+                s += c
+                if s:
+                    terms[m] = s
                 else:
-                    terms[m] = s if type(s) is int else _canonical(s)
-        return GradedPolynomial(self.ring, terms, _checked=True)
-
-    __radd__ = __add__
+                    del terms[m]
+        return _reduced(ring, terms, da * fa)
 
     def __neg__(self):
         if self.ring.mod2:
             return self
         return GradedPolynomial(
-            self.ring, {m: -c for m, c in self.terms.items()}, _checked=True
+            self.ring, {m: -c for m, c in self.num.items()}, _checked=True, _den=self.den
         )
 
     def __sub__(self, other):
         if type(other) is not GradedPolynomial and isinstance(other, SCALAR_TYPES):
             other = self.ring.from_rational(other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -473,15 +543,14 @@ class GradedPolynomial:
 
     def scalar_mul(self, q):
         if self.ring.mod2:
-            return self if int(q) & 1 else self.ring.zero()
-        q = _canonical(QQ(q))
-        if q == 0:
+            return self if _mod2(q) else self.ring.zero()
+        q = q if type(q) is int else QQ(q)
+        n, d = q.numerator, q.denominator
+        if not n:
             return self.ring.zero()
-        if not self.ring.rational and not is_two_local(q):
+        if not self.ring.rational and not d & 1:
             raise NonIntegralCoefficient(f"scalar {q} is not 2-locally integral")
-        return GradedPolynomial(
-            self.ring, {m: _canonical(c * q) for m, c in self.terms.items()}, _checked=True
-        )
+        return _reduced(self.ring, {m: c * n for m, c in self.num.items()}, self.den * d)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -496,16 +565,25 @@ class GradedPolynomial:
         return r
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_rational(other)
-        return (
-            isinstance(other, GradedPolynomial)
-            and other.ring is self.ring
-            and other.terms == self.terms
-        )
+        if type(other) is GradedPolynomial:
+            return other.ring is self.ring and other.den == self.den and other.num == self.num
+        if not isinstance(other, SCALAR_TYPES):
+            return False
+        # a scalar is a constant: compare with the one stored form it has
+        n, d = other.numerator, other.denominator
+        if self.ring.mod2:
+            return d & 1 == 1 and self.num == ({0: 1} if n & 1 else {})
+        if not n:
+            return not self.num
+        return self.den == d and self.num == {0: n}
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        num = self.num
+        if not num:
+            return hash(0)
+        if len(num) == 1 and 0 in num:  # equal to its scalar, so hashed as one
+            return hash(_coefficient(num[0], self.den))
+        return hash((id(self.ring), self.den, frozenset(num.items())))
 
     def __repr__(self):
         if self.is_zero():
@@ -521,7 +599,7 @@ class GradedPolynomial:
             body = "*".join(names) if names else "1"
             cs = str(c)
             bits.append(body if cs == "1" and names else f"{cs}*{body}" if names else cs)
-        more = "" if len(self.terms) <= 12 else f" + ({len(self.terms) - 12} more)"
+        more = "" if len(self.num) <= 12 else f" + ({len(self.num) - 12} more)"
         return " + ".join(bits) + more
 
 
@@ -534,21 +612,21 @@ def gamma_act(p: GradedPolynomial, r: int = 1) -> GradedPolynomial:
 
     gamma^r permutes the variables up to sign, so it maps monomials one to
     one: each image is two masked shifts of the packed monomial, and its sign
-    a bit count (PolyRing.gamma_masks).
+    a bit count (PolyRing.gamma_masks).  The denominator does not change.
     """
     ring = p.ring
     masks = ring.gamma_masks(r)
-    if masks is None or not p.terms:
+    if masks is None or not p.num:
         return p
     stay, wrap, odd, right, left = masks
     if ring.mod2:
-        out = {((m & stay) >> right) | ((m & wrap) << left): 1 for m in p.terms}
+        out = {((m & stay) >> right) | ((m & wrap) << left): 1 for m in p.num}
     else:
         out = {
             ((m & stay) >> right) | ((m & wrap) << left): -c if (m & odd).bit_count() & 1 else c
-            for m, c in p.terms.items()
+            for m, c in p.num.items()
         }
-    return GradedPolynomial(ring, out, _checked=True)
+    return GradedPolynomial(ring, out, _checked=True, _den=p.den)
 
 
 def orbit_sum(p: GradedPolynomial) -> GradedPolynomial:
@@ -560,16 +638,18 @@ def orbit_sum(p: GradedPolynomial) -> GradedPolynomial:
 
 
 def reduce_mod2(p: GradedPolynomial) -> GradedPolynomial:
-    """Coefficient-wise reduction to the mod-2 ambient ring."""
+    """Coefficient-wise reduction to the mod-2 ambient ring.
+
+    An odd denominator is a unit mod 2, so a coefficient reduces to the
+    parity of its numerator.
+    """
     ring = p.ring
     if ring.mod2:
         return p
+    if not p.den & 1:
+        raise NonIntegralCoefficient(f"{_first_even_denominator(p)} has even denominator")
     target = _make_ring(ring.kind, ring.n, ring.m, ring.k_max, False, True)
-    terms = {}
-    for m, c in p.terms.items():
-        if rational_mod2(c):
-            terms[m] = 1
-    return GradedPolynomial(target, terms, _checked=True)
+    return GradedPolynomial(target, {m: 1 for m, c in p.num.items() if c & 1}, _checked=True)
 
 
 def to_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
@@ -579,7 +659,7 @@ def to_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
     if ring.mod2:
         raise AmbientMismatch("cannot lift a mod-2 polynomial to Q")
     target = _make_ring(ring.kind, ring.n, ring.m, ring.k_max, True, False)
-    return GradedPolynomial(target, dict(p.terms), _checked=True)
+    return GradedPolynomial(target, p.num, _checked=True, _den=p.den)
 
 
 def from_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
@@ -588,7 +668,11 @@ def from_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
     if not ring.rational:
         return p
     target = _make_ring(ring.kind, ring.n, ring.m, ring.k_max, False, False)
-    return GradedPolynomial(target, dict(p.terms))  # constructor re-checks
+    if not p.den & 1:
+        raise NonIntegralCoefficient(
+            f"coefficient {_first_even_denominator(p)} is not 2-locally integral in {target}"
+        )
+    return GradedPolynomial(target, p.num, _checked=True, _den=p.den)
 
 
 def ring_map(p: GradedPolynomial, assignment, target):
@@ -656,7 +740,7 @@ def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
     """
     ring = p.ring
     degree = ring.mono_degree
-    live = set(p.terms)
+    live = set(p.num)
     heap = [(-degree(m), m) for m in live]
     heapq.heapify(heap)
     out = {}
@@ -672,7 +756,7 @@ def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
             out[mono] = 1
             continue
         q = mono - lm  # packed-int monomial division
-        for gm in g.terms:
+        for gm in g.num:
             m2 = gm + q
             if m2 == mono:
                 continue
@@ -767,7 +851,7 @@ def _cached_basis(ring, gens_mod2, D) -> GroebnerBasis:
     """
     # a set of generator sets: frozensets sort by inclusion only, so no sorted
     # tuple of them is independent of the order the generators come in
-    key = (id(ring), frozenset(frozenset(g.terms) for g in gens_mod2 if not g.is_zero()))
+    key = (id(ring), frozenset(frozenset(g.num) for g in gens_mod2 if not g.is_zero()))
     return _GB_CACHE.get_or_create(
         key,
         lambda: GroebnerBasis(ring, gens_mod2, D),
@@ -827,7 +911,7 @@ def f2_membership_linear(p: GradedPolynomial, gens) -> bool:
 
     def vec(poly):
         b = 0
-        for m in poly.terms:
+        for m in poly.num:
             b |= 1 << basis_monos[m]
         return b
 

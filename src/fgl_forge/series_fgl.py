@@ -157,10 +157,11 @@ class TruncatedSeries1:
         Each power of inner in self's support is reached from the previous
         one by squaring while the exponent at most doubles, then by single
         multiplications; a 2-typical log, supported on 2-powers, needs only
-        squarings.
+        squarings.  Each coefficient of the result is one sum of products
+        over the powers.
         """
         self._check(inner)
-        acc = TruncatedSeries1.zero(self.ring, self.cutoff)
+        orders = {}
         pw, pw_exp = inner, 1
         for e in sorted(self.coeffs):
             while 2 * pw_exp <= e:
@@ -169,8 +170,13 @@ class TruncatedSeries1:
             while pw_exp < e:
                 pw = pw * inner
                 pw_exp += 1
-            acc = acc + pw.scale(self.coeffs[e])
-        return acc
+            c = self.coeffs[e]
+            for o, v in pw.coeffs.items():
+                orders.setdefault(o, []).append((c, v))
+        dot = _sum_of_products(self.ring)
+        return TruncatedSeries1(
+            self.ring, {o: dot(pairs) for o, pairs in orders.items()}, self.cutoff
+        )
 
     def __eq__(self, other):
         return (
@@ -273,21 +279,22 @@ class TruncatedSeries2:
         return self + (-other)
 
     def __mul__(self, other):
+        """Series product, truncated; as TruncatedSeries1.__mul__, one sum of
+        products per output (e1, e2)."""
         self._check(other)
-        out = {}
+        X = self.cutoff
+        keys = {}
         for (a1, a2), c1 in self.coeffs.items():
             for (b1, b2), c2 in other.coeffs.items():
-                if a1 + a2 + b1 + b2 > self.cutoff:
-                    continue
-                k = (a1 + b1, a2 + b2)
-                c = c1 * c2
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return TruncatedSeries2(self.ring, out, self.cutoff)
+                if a1 + a2 + b1 + b2 <= X:
+                    k = (a1 + b1, a2 + b2)
+                    pairs = keys.get(k)
+                    if pairs is None:
+                        keys[k] = [(c1, c2)]
+                    else:
+                        pairs.append((c1, c2))
+        dot = _sum_of_products(self.ring)
+        return TruncatedSeries2(self.ring, {k: dot(pairs) for k, pairs in keys.items()}, X)
 
     def scale(self, c):
         c = _coerce_coeff(self.ring, c)
@@ -320,6 +327,53 @@ class TruncatedSeries2:
         return [
             [e1, e2, _coeff_json(c)] for (e1, e2), c in sorted(self.coeffs.items())
         ]
+
+
+def compose_symmetric(outer: TruncatedSeries1, inner: TruncatedSeries2) -> TruncatedSeries2:
+    """outer(inner(x, y)) for a symmetric inner: c_{e1 e2} = c_{e2 e1}.
+
+    Every power of inner is symmetric too, so each power and the result are
+    computed at e1 <= e2 only and mirrored.  The powers come one product at
+    a time, and each coefficient is one sum of products (the fused kernel
+    over a polynomial ring).  Raises ValueError on an inner that is not
+    symmetric.
+    """
+    if outer.ring is not inner.ring or outer.cutoff != inner.cutoff:
+        raise AmbientMismatch("series from different contexts")
+    base = inner.coeffs
+    if any(base.get((e2, e1)) != c for (e1, e2), c in base.items() if e1 != e2):
+        raise ValueError("compose_symmetric needs a symmetric inner series")
+    ring, X = inner.ring, inner.cutoff
+    dot = _sum_of_products(ring)
+
+    def mirrored(keys):
+        out = {}
+        for (e1, e2), pairs in keys.items():
+            v = dot(pairs)
+            if not v.is_zero():
+                out[(e1, e2)] = out[(e2, e1)] = v
+        return out
+
+    result = {}
+    pw = base
+    top = max(outer.coeffs, default=0)
+    for e in range(1, top + 1):
+        if e > 1:
+            keys = {}
+            for (a1, a2), c1 in pw.items():
+                for (b1, b2), c2 in base.items():
+                    k1, k2 = a1 + b1, a2 + b2
+                    if k1 <= k2 and k1 + k2 <= X:
+                        keys.setdefault((k1, k2), []).append((c1, c2))
+            pw = mirrored(keys)
+            if not pw:
+                break
+        c = outer.coeffs.get(e)
+        if c is not None:
+            for key, v in pw.items():
+                if key[0] <= key[1]:
+                    result.setdefault(key, []).append((c, v))
+    return TruncatedSeries2(ring, mirrored(result), X)
 
 
 class FGL:
@@ -517,14 +571,7 @@ def fgl_from_log(l_list, cutoff, integral=True) -> FGL:
         e = 1 << k
         if e <= cutoff:
             S = S + TruncatedSeries2(ring, {(e, 0): lk, (0, e): lk}, cutoff)
-    acc = TruncatedSeries2(ring, {}, cutoff)
-    pw = None
-    for e in range(1, cutoff + 1):
-        pw = S if pw is None else pw * S
-        if e in E.coeffs:
-            acc = acc + pw.scale(E.coeffs[e])
-        if pw.is_zero():
-            break
+    acc = compose_symmetric(E, S)
     if not integral:
         return FGL(acc, provenance="universal-Araki", log_list=list(l_list))
     terms = {key: _integral(c, key) for key, c in acc.coeffs.items()}
@@ -700,14 +747,7 @@ class StrictIso:
         """Exact check of psi(F(x,y)) = G(psi x, psi y) to cutoff; quadratic cost."""
         F, G, psi = self.source, self.target, self.psi
         ring, X = psi.ring, psi.cutoff
-        lhs = TruncatedSeries2(ring, {}, X)
-        pw = None
-        for e in range(1, X + 1):
-            pw = F.two_var if pw is None else pw * F.two_var
-            if e in psi.coeffs:
-                lhs = lhs + pw.scale(psi.coeffs[e])
-            if pw.is_zero():
-                break
+        lhs = compose_symmetric(psi, F.two_var)
         px = TruncatedSeries2(ring, {(e, 0): c for e, c in psi.coeffs.items()}, X)
         py = TruncatedSeries2(ring, {(0, e): c for e, c in psi.coeffs.items()}, X)
         rhs = fgl_apply(G, px, py)
@@ -743,15 +783,7 @@ def _pullback_fgl(psi: TruncatedSeries1, G: FGL) -> FGL:
     inv = series_exp(psi) if psi.coefficient(1) == ring.one() else None
     if inv is None:
         raise ValueError("not strict")
-    acc = TruncatedSeries2(ring, {}, X)
-    pw = None
-    for e in range(1, X + 1):
-        pw = g if pw is None else pw * g
-        if e in inv.coeffs:
-            acc = acc + pw.scale(inv.coeffs[e])
-        if pw.is_zero():
-            break
-    return FGL(acc, provenance="adhoc")
+    return FGL(compose_symmetric(inv, g), provenance="adhoc")
 
 
 def t_from_strict_iso(iso: StrictIso):

@@ -749,6 +749,30 @@ def test_log_mod_tau_is_the_tau_free_part_of_the_specialized_log(n, m):
         assert tau_free == expected.coords
 
 
+def _log_mod_tau_from_rn_log(ctx, k_max):
+    """Oracle: sum the coefficients of the t_m-only monomials of l_k over all of R_n."""
+    ring = ctx.rn.ring_q
+    other = [v.i != ctx.m for v in ring.variables]
+    return [
+        sum(
+            (c for mono, c in lk.terms.items()
+             if not any(e and o for e, o in zip(ring.decode(mono), other))),
+            QQ(0),
+        )
+        for lk in rn_log(ctx.rn)[:k_max]
+    ]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3)])
+def test_log_mod_tau_matches_the_logarithm_over_all_of_rn(n, m):
+    """The recursion on the image of Q[gamma^j t_m] against rn_log of R_n."""
+    k_max = max(4, (1 << (n - 1)) * m)
+    ctx = LTContext(n, m, k_max=k_max)
+    cs = lubin_tate._log_mod_tau(ctx, k_max)
+    assert cs == _log_mod_tau_from_rn_log(ctx, k_max)
+    assert any(c for c in cs)
+
+
 def test_residue_height_runs_without_the_v_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("residue_height left the mod-(tau) route")

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import random
 import sys
 import threading
@@ -664,3 +666,145 @@ def test_interning_is_atomic_under_threads(make, cache, key):
         if saved is not None:
             cache[key] = saved
     assert split == 0, f"{split} of 1000 trials interned two objects for one key"
+
+
+# ---- the common-denominator form against the Fraction route ----------------------
+
+# 2^a, and the odd parts of the log_from_v denominators 2 - 2^{2^k} (k = 2, 3)
+_DENS = (1, 2, 4, 8, 7, 14, 127, 254)
+
+
+def _random_plain(ring, rng, nterms=6, dens=_DENS):
+    """A map monomial -> Fraction on the first few degrees of the ring."""
+    out = {}
+    for _ in range(nterms):
+        mono = rng.choice(ring.monomials_of_degree(rng.choice((2, 4, 6))))
+        out[mono] = Fraction(rng.randint(-9, 9), rng.choice(dens))
+    return _clean(out)
+
+
+def _plain_json(ring, d):
+    """poly_to_json of the Fraction map, from its definition."""
+    terms = []
+    for mono in sorted(d, key=lambda m: (-ring.mono_degree(m), m)):
+        c = d[mono]
+        coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        monomial = {v.name: e for v, e in zip(ring.variables, ring.decode(mono)) if e}
+        terms.append({"monomial": monomial, "coeff": coeff})
+    return json.dumps({"ring": ring.descriptor(), "terms": terms}, sort_keys=True)
+
+
+def _assert_matches(got, want):
+    """got is the polynomial of the Fraction map want, in its one stored form."""
+    ring = got.ring
+    assert _plain(got) == want
+    assert got.den > 0 and math.gcd(got.den, *got.num.values()) == 1
+    if all(c.denominator == 1 for c in want.values()):
+        assert got.den == 1 and got.terms is got.num  # the raw dict, no copy
+    built = GradedPolynomial(ring, want)
+    assert got == built and hash(got) == hash(built)
+    assert json.dumps(poly_to_json(got), sort_keys=True) == _plain_json(ring, want)
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["R2Q", "R3Q"])
+def test_common_denominator_form_matches_the_fraction_route(n):
+    ring = rn_ring(n, 2, rational=True)
+    rng = random.Random(97 + n)
+    for _ in range(12):
+        a, b = _random_plain(ring, rng), _random_plain(ring, rng)
+        p, q = GradedPolynomial(ring, a), GradedPolynomial(ring, b)
+        _assert_matches(p, a)
+        neg_a = {m: -c for m, c in a.items()}
+        whole = {m: Fraction(rng.randint(-5, 5)) for m in rng.sample(sorted(a), min(2, len(a)))}
+        to_whole = _plain_add(_clean(whole), neg_a)  # p + this is integral
+        pairs = [
+            (GradedPolynomial(ring, _random_plain(ring, rng, 3)),
+             GradedPolynomial(ring, _random_plain(ring, rng, 3)))
+            for _ in range(rng.randint(2, 5))
+        ]
+        want_dot = {}
+        for x, y in pairs:
+            want_dot = _plain_add(want_dot, _plain_mul(_plain(x), _plain(y)))
+        unit = Fraction(rng.choice((3, -5)), rng.choice((2, 7, 254)))
+        want_orbit = {}
+        for r in range(1 << (n - 1)):
+            want_orbit = _plain_add(want_orbit, _plain_gamma(ring, a, r))
+        cases = [
+            (ring.dot(pairs), want_dot),
+            (p * q, _plain_mul(a, b)),
+            (p + q, _plain_add(a, b)),
+            (p + (-p), {}),
+            (p + GradedPolynomial(ring, to_whole), _clean(whole)),
+            (p - q, _plain_add(a, {m: -c for m, c in b.items()})),
+            (-p, neg_a),
+            (p.scalar_mul(unit), {m: c * unit for m, c in a.items()}),
+            (p.scalar_mul(unit).scalar_mul(1 / unit), a),
+            (p.scalar_mul(2 * 127), {m: c * 254 for m, c in a.items()}),
+            (orbit_sum(p), want_orbit),
+        ]
+        cases += [(gamma_act(p, r), _plain_gamma(ring, a, r)) for r in range(1, 1 << n)]
+        for got, want in cases:
+            _assert_matches(got, want)
+        # back to Z_(2) and down to F_2 exactly when every denominator is odd
+        for d in (a, _plain_add(a, b), {m: c * 8 for m, c in a.items()}):
+            x = GradedPolynomial(ring, d)
+            if all(c.denominator % 2 for c in d.values()):
+                z = from_rational_ring(x)
+                assert z == GradedPolynomial(z.ring, d) and to_rational_ring(z) == x
+                assert reduce_mod2(x).num == {m: 1 for m, c in d.items() if c.numerator % 2}
+            else:
+                with pytest.raises(NonIntegralCoefficient):
+                    from_rational_ring(x)
+                with pytest.raises(NonIntegralCoefficient):
+                    reduce_mod2(x)
+
+
+def test_scalars_compare_as_constants():
+    for ring in (R2, R2Q, rn_ring(2, 2, mod2=True)):
+        one = ring.one()
+        for c in (1, QQ(1), QQ(3, 3)):
+            assert one == c and hash(one) == hash(c)
+        assert ring.zero() == 0 and ring.zero() == QQ(0) and hash(ring.zero()) == hash(0)
+        assert one != QQ(1, 2) and ring.var(T(1, 0)) != 1
+    half = R2Q.from_rational(QQ(1, 2))
+    assert half == QQ(1, 2) and hash(half) == hash(QQ(1, 2))
+    assert half != 1 and half != QQ(1, 4)
+    third = R2.from_rational(QQ(-2, 3))  # 2-local, so it lives in R_2 too
+    assert third == QQ(-2, 3) and hash(third) == hash(QQ(-2, 3))
+    # equal polynomials hash alike, whichever coefficients built them
+    t = R2Q.var(T(1, 0)) + R2Q.var(T(2, 1))
+    built = GradedPolynomial(R2Q, {m: Fraction(c, 4) for m, c in t.terms.items()})
+    summed = t.scalar_mul(QQ(1, 2)) - t.scalar_mul(QQ(1, 4))
+    assert built == summed and hash(built) == hash(summed)
+    assert t.scalar_mul(QQ(1, 4)).scalar_mul(4) == t and t.scalar_mul(QQ(1, 4)).den == 4
+    assert hash(t) == hash(GradedPolynomial(R2Q, {m: QQ(c) for m, c in t.terms.items()}))
+
+
+def test_terms_view_under_threads():
+    """Threads reading .terms of shared cached polynomials, an integral law
+    coefficient and a logarithm coefficient over 2^k, see the serial dicts."""
+    ctx = rn_context(2, 3)
+    shared = [c for _, c in sorted(ctx.law(8).two_var.coeffs.items())[:6]]
+    shared += equivariant_ring.rn_log(ctx)
+    assert any(p.den > 1 for p in shared) and any(p.den == 1 for p in shared)
+    serial = [dict(p.terms) for p in shared]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            barrier = threading.Barrier(4)
+            got = {}
+
+            def work(slot):
+                barrier.wait(timeout=10)
+                got[slot] = [dict(p.terms) for _ in range(20) for p in shared][-len(shared):]
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {slot: serial for slot in range(4)}
+    finally:
+        sys.setswitchinterval(interval)

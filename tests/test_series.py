@@ -463,6 +463,102 @@ def test_generic_series_product_on_local_and_residue_coefficients():
             assert a * b == _mul_pairwise(a, b)
 
 
+def _mul2_pairwise(a, b):
+    """Oracle: the truncated two-variable product, one coefficient product and
+    one sum at a time."""
+    out = {}
+    for (a1, a2), c1 in a.coeffs.items():
+        for (b1, b2), c2 in b.coeffs.items():
+            if a1 + a2 + b1 + b2 <= a.cutoff:
+                k = (a1 + b1, a2 + b2)
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+    return TruncatedSeries2(a.ring, out, a.cutoff)  # drops the sums that cancel
+
+
+def _random_poly_series2(ring, cutoff, rng, dens):
+    one = _random_poly_series(ring, cutoff, rng, dens)
+    coeffs = {}
+    for e, c in one.coeffs.items():
+        e1 = rng.randint(0, e)
+        coeffs[(e1, e - e1)] = c
+    return TruncatedSeries2(ring, coeffs, cutoff)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["Z2", "Q"])
+def test_grouped_two_variable_product_matches_the_pairwise_one(rational):
+    ring = bp_ring(2, rational=rational)
+    dens = (1, 2, 4, 7, 254) if rational else (1, 3, 7)
+    rng = random.Random(29)
+    for cutoff in (1, 4, 8):
+        for _ in range(6):
+            a = _random_poly_series2(ring, cutoff, rng, dens)
+            b = _random_poly_series2(ring, cutoff, rng, dens)
+            assert a * b == _mul2_pairwise(a, b)
+            assert (a + b) * (a - b) == _mul2_pairwise(a + b, a - b)
+            assert (a * (b - b)).is_zero()
+
+
+def _compose2_by_powers(outer, inner):
+    """Oracle: outer(inner(x, y)) as a sum of scaled powers of inner, each
+    power by the pairwise product."""
+    acc = TruncatedSeries2(inner.ring, {}, inner.cutoff)
+    pw = None
+    for e in range(1, inner.cutoff + 1):
+        pw = inner if pw is None else _mul2_pairwise(pw, inner)
+        if e in outer.coeffs:
+            acc = acc + pw.scale(outer.coeffs[e])
+    return acc
+
+
+def _symmetric(series):
+    """series(x, y) + series(y, x)."""
+    swapped = {(e2, e1): c for (e1, e2), c in series.coeffs.items()}
+    return series + TruncatedSeries2(series.ring, swapped, series.cutoff)
+
+
+def test_symmetric_composition_matches_the_sum_of_powers(monkeypatch):
+    """compose_symmetric against the sum of powers: on random series, in the
+    law of fgl_from_log over R_n (x) Q, in the pull-back of a strict
+    isomorphism, and over the generic local ring."""
+    from fgl_forge.equivariant_ring import RnContext, rn_log
+    from fgl_forge.lubin_tate import lt_context
+
+    ring = bp_ring(2, rational=True)
+    rng = random.Random(31)
+    for cutoff in (2, 5, 8):
+        for _ in range(3):
+            outer = _random_poly_series(ring, cutoff, rng, (1, 2, 7, 254))
+            inner = _symmetric(_random_poly_series2(ring, cutoff, rng, (1, 4, 127)))
+            got = series_fgl.compose_symmetric(outer, inner)
+            assert got == _compose2_by_powers(outer, inner)
+    lopsided = TruncatedSeries2(ring, {(1, 0): ring.one(), (1, 1): ring.one(), (2, 1): ring.one()}, 4)
+    with pytest.raises(ValueError):
+        series_fgl.compose_symmetric(TruncatedSeries1.identity(ring, 4), lopsided)
+
+    ls = rn_log(RnContext(2, 2))
+    X = 7
+    S = TruncatedSeries2(ls[0].ring, {(1, 0): ls[0].ring.one(), (0, 1): ls[0].ring.one()}, X)
+    for k, lk in enumerate(ls, start=1):
+        S = S + TruncatedSeries2(lk.ring, {(1 << k, 0): lk, (0, 1 << k): lk}, X)
+    E = series_exp(log_series(ls, ls[0].ring, X))
+    assert fgl_from_log(ls, X, integral=False).two_var == _compose2_by_powers(E, S)
+
+    F = fgl_from_log(log_from_v(2), 9, integral=False)
+    iso = strict_iso_from_t([F.ring.from_rational(QQ(3, 7)), F.ring.var(V(1))], F)
+    px = TruncatedSeries2(F.ring, {(e, 0): c for e, c in iso.psi.coeffs.items()}, 9)
+    py = TruncatedSeries2(F.ring, {(0, e): c for e, c in iso.psi.coeffs.items()}, 9)
+    with monkeypatch.context() as m:
+        m.setattr(TruncatedSeries2, "__mul__", _mul2_pairwise)
+        g = fgl_apply(F, px, py)
+    assert iso.source.two_var == _compose2_by_powers(series_exp(iso.psi), g)
+
+    ctx = lt_context(2, 1)
+    T2 = _symmetric(TruncatedSeries2(ctx, {(1, 0): ctx.tau(1, 0) + ctx.one(), (1, 1): ctx.u_pow(1)}, 5))
+    outer = TruncatedSeries1(ctx, {1: ctx.one(), 2: ctx.tau(1, 0) * ctx.u_pow(1), 4: ctx.from_int(3)}, 5)
+    assert series_fgl.compose_symmetric(outer, T2) == _compose2_by_powers(outer, T2)
+
+
 def _apply_cases():
     """(law, series, [(beta, s)]) triples over Z_(2), R_n (x) Q and the residue field."""
     from fgl_forge.equivariant_ring import RnContext
