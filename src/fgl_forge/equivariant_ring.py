@@ -44,8 +44,8 @@ from .poly_core import (
 from .series_fgl import (
     StrictIso,
     TruncatedSeries1,
-    compose_iso,
     conjugate_fgl,
+    fgl_apply,
     fgl_from_log,
     formal_inverse,
     formal_sum,
@@ -232,47 +232,39 @@ def v_in_rn(ctx):
 # lower-level generators
 # ---------------------------------------------------------------------------
 
-def _psi_gamma(ctx, F):
-    """The twisted strict isomorphism psi_gamma: F -> F^gamma.
+def _chain_series(ctx, steps, cutoff):
+    """The series of the composite of `steps` twisted isomorphisms from F.
 
-    Its series is the F^gamma-sum of x and the t_i x^{2^i}; its 2-typical
-    coordinates are the generators themselves.
+    Step j of the chain is (gamma^j)* psi_gamma: F^{gamma^j} -> F^{gamma^{j+1}},
+    where psi_gamma is the F^gamma-sum of x and the t_i x^{2^i}.  gamma acts
+    on coefficients as a ring automorphism, so gamma_* commutes with F-sums:
+    psi_gamma = gamma_* phi with phi = x +^F sum^F gamma^{-1}(t_i) x^{2^i},
+    and step j is gamma^{j+1}_* phi.  So the chain is one F-sum in F itself,
+    gamma^j applied to its coefficients at each step, and series
+    composition; no conjugate law F^{gamma^j} is built.
     """
-    Fg = conjugate_fgl(F, gamma_act)
+    F = ctx.law(cutoff)
     terms = [(1, 1)]
     for i in range(1, ctx.k_max + 1):
         ti = ctx.generator(i, rational=True)
-        if not ti.is_zero() and (1 << i) <= F.cutoff:
-            terms.append((ti, 1 << i))
-    return StrictIso(formal_sum(Fg, terms), F, Fg)
-
-
-def _chain_steps(ctx, steps, cutoff):
-    """The twisted isomorphisms F^{gamma^i} -> F^{gamma^{i+1}}, for i < steps.
-
-    Step 0 is psi_gamma.  Each later step is built from the one before: its
-    series is gamma of the previous series, its source is the previous
-    target, and its target is gamma of that, so each law F^{gamma^j} is
-    conjugated once.
-    """
-    step = _psi_gamma(ctx, ctx.law(cutoff))
-    yield step
-    for _ in range(1, steps):
-        psi = {e: gamma_act(c) for e, c in step.psi.coeffs.items()}
-        step = StrictIso(
-            TruncatedSeries1(step.psi.ring, psi, cutoff),
-            step.target,
-            conjugate_fgl(step.target, gamma_act),
+        if not ti.is_zero() and (1 << i) <= cutoff:
+            terms.append((gamma_act(ti, -1), 1 << i))
+    phi = formal_sum(F, terms)
+    psi = None
+    for j in range(1, steps + 1):
+        step = TruncatedSeries1(
+            phi.ring, {e: gamma_act(c, j) for e, c in phi.coeffs.items()}, cutoff
         )
-        yield step
+        psi = step if psi is None else step.compose(psi)
+    return psi
 
 
 def chain_composite(ctx, steps=None, cutoff=None):
     """Composite of `steps` successive twisted isomorphisms starting at psi_gamma.
 
     The step-i factor is (gamma^i)* psi_gamma: F^{gamma^i} -> F^{gamma^{i+1}},
-    so the composite is a strict isomorphism F -> F^{gamma^steps}.  The steps
-    come from _chain_steps, which conjugates each law in the chain once.
+    so the composite is a strict isomorphism F -> F^{gamma^steps}: the series
+    of _chain_series, with the one conjugate law F^{gamma^steps} as target.
     With the default steps = 2^{n-1} this is the chain whose comparison
     against the (negated) formal inverse chain_inversion_check performs.
     """
@@ -280,11 +272,9 @@ def chain_composite(ctx, steps=None, cutoff=None):
     if steps < 1:
         raise ValueError("need at least one step")
     X = cutoff if cutoff is not None else (1 << ctx.k_max)
-    chain = _chain_steps(ctx, steps, X)
-    iso = next(chain)
-    for step in chain:
-        iso = compose_iso(step, iso)
-    return iso
+    F = ctx.law(X)
+    target = conjugate_fgl(F, lambda p: gamma_act(p, steps))
+    return StrictIso(_chain_series(ctx, steps, X), F, target)
 
 
 def t_level(ctx, r, method="log"):
@@ -310,15 +300,18 @@ def t_level(ctx, r, method="log"):
     s = 1 << (ctx.n - r)
     ls = rn_log(ctx)
     if method == "log":
+        gls = [gamma_act(l, s) for l in ls]
         tq = []
+        squares = []  # at level k, squares[i - 1] = t_i^{2^{k-i}}
         for k in range(1, ctx.k_max + 1):
-            acc = ls[k - 1]
-            for j in range(1, k + 1):
-                prev = ctx.ring_q.one() if j == k else tq[k - j - 1]
-                if prev.is_zero():
-                    continue
-                acc = acc - gamma_act(ls[j - 1], s) * prev ** (1 << j)
+            squares = [p * p for p in squares]
+            acc = ls[k - 1] - gls[k - 1]  # j = k, with t_0 = 1
+            for j in range(1, k):
+                prev = squares[k - j - 1]
+                if not prev.is_zero():
+                    acc = acc - gls[j - 1] * prev
             tq.append(acc)
+            squares.append(acc)
     else:
         tq = t_from_strict_iso(chain_composite(ctx, steps=s))[: ctx.k_max]
     out = [from_rational_ring(t) for t in tq]
@@ -591,6 +584,15 @@ def chain_inversion_check(ctx, cutoff=None):
     A context with generators up to k_max determines the chain exactly
     through order 2^{k_max+1} - 1; beyond that the identity needs t_{k_max+1},
     so larger cutoffs are rejected rather than reported as failures.
+
+    The check is one certificate, F(x, -psi(x)) = 0 at the full cutoff X.
+    F(x, y) = 0 has exactly one solution mod x^{X+1}, namely [-1](x): with
+    F = x + y + sum a_{jk} x^j y^k (j, k >= 1), the coefficient of x^e in
+    F(x, y) is 1 + y_1 at e = 1 and y_e + P_e(y_1, ..., y_{e-1}) above, so
+    the equations fix y_1 = -1, y_2, y_3, ... one at a time.  Hence the
+    certificate holds exactly when psi = -[-1](x) through x^X.  Only when it
+    fails is the formal inverse solved, to report the lowest coefficient of
+    the difference as the witness.
     """
     window = (1 << (ctx.k_max + 1)) - 1
     X = cutoff if cutoff is not None else window
@@ -598,13 +600,16 @@ def chain_inversion_check(ctx, cutoff=None):
         raise ValueError(
             f"cutoff {X} exceeds the order-{window} window of k_max={ctx.k_max}"
         )
-    iso = chain_composite(ctx, cutoff=X)
     F = ctx.law(X)
-    target = formal_inverse(F).scale(-1)
-    diff = iso.psi - target
+    psi = _chain_series(ctx, ctx.half, X)
     first = None
-    if not diff.is_zero():
-        first = diff.coefficient(min(e for e, c in diff.coeffs.items()))
+    if not fgl_apply(F, TruncatedSeries1.identity(psi.ring, X), -psi).is_zero():
+        diff = psi - formal_inverse(F).scale(-1)
+        if diff.is_zero():
+            raise ConsistencyFailure(
+                f"F(x, -psi) is not 0 although psi = -[-1](x) at n={ctx.n}"
+            )
+        first = diff.coefficient(min(diff.coeffs))
     report = _report(
         "chain-inversion",
         {"n": ctx.n, "cutoff": X, "convention": "minus-formal-inverse"},

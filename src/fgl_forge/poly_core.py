@@ -678,41 +678,48 @@ def from_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
 def ring_map(p: GradedPolynomial, assignment, target):
     """The ring-homomorphic extension of a variable assignment.
 
-    `assignment` maps Variable -> element of the target; `target` must expose
-    zero()/one()/from_rational().  Variables appearing in p with a nonzero
-    exponent but missing from the assignment raise UnassignedVariable.
+    `assignment` maps Variable -> element of the target PolyRing.  Each
+    monomial's image is a product of cached variable powers, and the images
+    scaled by their coefficients are summed in one call of the multiply
+    kernel.  Variables appearing in p with a nonzero exponent but missing
+    from the assignment raise UnassignedVariable.
     """
-    acc = target.zero()
     ring = p.ring
     img_cache = {}
+    pairs = []
     for mono, c in p.terms.items():
-        term = target.from_rational(c)
+        img = None
         for idx, e in enumerate(ring.decode(mono)):
             if not e:
                 continue
-            v = ring.variables[idx]
             key = (idx, e)
             pw = img_cache.get(key)
             if pw is None:
+                v = ring.variables[idx]
                 if v not in assignment:
                     raise UnassignedVariable(f"no image for {v.name}")
                 pw = assignment[v] ** e
                 img_cache[key] = pw
-            term = term * pw
-        acc = acc + term
-    return acc
+            img = pw if img is None else img * pw
+        pairs.append((target.from_rational(c), target.one() if img is None else img))
+    return target.dot(pairs)
 
 
 def quotient_to_rnm(p: GradedPolynomial, m: int) -> GradedPolynomial:
-    """Image of p under R_n -> R_n<m> (kill t_i and all conjugates for i > m)."""
+    """Image of p under R_n -> R_n<m> (kill t_i and all conjugates for i > m).
+
+    The variables of t_{m+1}, t_{m+2}, ... fill the low bits of a packed
+    monomial, so the map keeps the monomials whose low bits are 0 and drops
+    those bits: one mask test and one shift per monomial.
+    """
     ring = p.ring
     if ring.kind != "Rn":
         raise AmbientMismatch("quotient_to_rnm starts from R_n")
     target = _make_ring("Rnm", ring.n, m, ring.k_max, ring.rational, ring.mod2)
-    assignment = {}
-    for v in ring.variables:
-        assignment[v] = target.var(v) if v.i <= m else target.zero()
-    return ring_map(p, assignment, target)
+    shift = _BITS * (ring.nvars - target.nvars)
+    low = (1 << shift) - 1
+    num = {mono >> shift: c for mono, c in p.num.items() if not mono & low}
+    return _reduced(target, num, p.den)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ cutoff.
 
 from __future__ import annotations
 
+import operator
+
 from .coefficients import QQ
 from .errors import (
     AmbientMismatch,
@@ -441,19 +443,45 @@ def fgl_apply(F: FGL, a, b):
 
 
 def _apply_series(F: FGL, a, b):
-    """F(a, b) expanded term by term: each c_{jk} a^j b^k from series powers."""
+    """F(a, b) = a + b + sum_j a^j B_j, where B_j = sum_k c_{jk} b^k.
+
+    Each coefficient of each B_j is one sum of products over k, and the
+    contributions of every a^j B_j to one output key meet in one sum of
+    products; no product a^j b^k is formed on its own.
+    """
     acc = a + b
-    max1 = max((e1 for (e1, e2) in F.two_var.coeffs if e2 >= 1), default=0)
-    max2 = max((e2 for (e1, e2) in F.two_var.coeffs if e1 >= 1), default=0)
-    if max1 == 0 or max2 == 0:
+    rows = {}
+    for (j, k), c in F.two_var.coeffs.items():
+        if j and k:
+            rows.setdefault(j, []).append((k, c))
+    if not rows:
         return acc
-    pa = a.powers(max1)
-    pb = b.powers(max2)
-    for (e1, e2), c in F.two_var.coeffs.items():
-        if e1 >= 1 and e2 >= 1:
-            term = (pa[e1] * pb[e2]).scale(c)
-            acc = acc + term
-    return acc
+    ring, X = a.ring, a.cutoff
+    if type(a) is TruncatedSeries2:  # keys (e1, e2), of order e1 + e2
+        add, order = (lambda p, q: (p[0] + q[0], p[1] + q[1])), sum
+    else:
+        add, order = operator.add, int
+    dot = _sum_of_products(ring)
+    pa = a.powers(max(rows))
+    pb = b.powers(max(k for row in rows.values() for k, _ in row))
+    keys = {}
+    for j, row in rows.items():
+        aj = pa[j].coeffs
+        if not aj:
+            continue
+        reach = X - min(order(ka) for ka in aj)  # no key of B_j above this counts
+        bj = {}
+        for k, c in row:
+            for key, v in pb[k].coeffs.items():
+                if order(key) <= reach:
+                    bj.setdefault(key, []).append((c, v))
+        bj = [(kb, order(kb), dot(pairs)) for kb, pairs in bj.items()]
+        for ka, va in aj.items():
+            room = X - order(ka)
+            for kb, ob, vb in bj:
+                if ob <= room:
+                    keys.setdefault(add(ka, kb), []).append((va, vb))
+    return acc + type(a)(ring, {key: dot(pairs) for key, pairs in keys.items()}, X)
 
 
 def _apply_term(F: FGL, a: TruncatedSeries1, term: TruncatedSeries1) -> TruncatedSeries1:
@@ -533,11 +561,14 @@ def v_from_log(l_list, assert_integral=False):
     if not l_list:
         return []
     vs = []
+    squares = []  # at level k, squares[j - 1] = v_j^{2^{k-j}}
     for k in range(1, len(l_list) + 1):
+        squares = [p * p for p in squares]
         vk = l_list[k - 1].scalar_mul(2 - 2 ** (1 << k))
         for j in range(1, k):
-            vk = vk - l_list[k - j - 1] * vs[j - 1] ** (1 << (k - j))
+            vk = vk - l_list[k - j - 1] * squares[j - 1]
         vs.append(vk)
+        squares.append(vk)
     if assert_integral:
         return [_integral(vk, f"v_{k}") for k, vk in enumerate(vs, start=1)]
     return vs

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from fgl_forge import equivariant_ring
 from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
-from fgl_forge.errors import VerificationFailure
+from fgl_forge.errors import ConsistencyFailure, VerificationFailure
+from fgl_forge.reports import canonical_json
 from fgl_forge.equivariant_ring import (
     RnContext,
-    _chain_steps,
-    _psi_gamma,
     chain_composite,
     chain_inversion_check,
     quotient_to_m,
@@ -24,8 +24,10 @@ from fgl_forge.equivariant_ring import (
 from fgl_forge.poly_core import (
     GradedPolynomial,
     T,
+    from_rational_ring,
     gamma_act,
     ideal_contains,
+    poly_to_json,
     quotient_to_rnm,
     reduce_mod2,
     ring_map,
@@ -37,6 +39,8 @@ from fgl_forge.series_fgl import (
     compose_iso,
     conjugate_fgl,
     formal_inverse,
+    formal_sum,
+    v_from_log,
 )
 
 
@@ -135,6 +139,46 @@ def test_t_level_bad_level():
 def test_t_level_series_route_agrees(n, k_max, r):
     ctx = RnContext(n, k_max)
     assert t_level(ctx, r, method="log") == t_level(ctx, r, method="series")
+
+
+def _t_level_by_powers(ctx, r):
+    """Oracle: the log route with gamma^s(l_j) and t_{k-j}^{2^j} formed afresh
+    for every (k, j)."""
+    s = 1 << (ctx.n - r)
+    ls = rn_log(ctx)
+    tq = []
+    for k in range(1, ctx.k_max + 1):
+        acc = ls[k - 1]
+        for j in range(1, k + 1):
+            prev = ctx.ring_q.one() if j == k else tq[k - j - 1]
+            if prev.is_zero():
+                continue
+            acc = acc - gamma_act(ls[j - 1], s) * prev ** (1 << j)
+        tq.append(acc)
+    return [from_rational_ring(t) for t in tq]
+
+
+def _v_from_log_by_powers(l_list):
+    """Oracle: v_k with each v_j^{2^{k-j}} formed afresh."""
+    vs = []
+    for k in range(1, len(l_list) + 1):
+        vk = l_list[k - 1].scalar_mul(2 - 2 ** (1 << k))
+        for j in range(1, k):
+            vk = vk - l_list[k - j - 1] * vs[j - 1] ** (1 << (k - j))
+        vs.append(vk)
+    return vs
+
+
+@pytest.mark.parametrize("n,k_max", [(2, 5), (3, 4)])
+def test_squares_tables_match_the_power_by_power_loops(n, k_max):
+    ctx = RnContext(n, k_max)
+    ls = rn_log(ctx)
+    assert v_from_log(ls) == _v_from_log_by_powers(ls)
+    for r in range(1, n + 1):
+        got = t_level(ctx, r)
+        want = _t_level_by_powers(ctx, r)
+        assert got == want
+        assert [poly_to_json(t) for t in got] == [poly_to_json(t) for t in want]
 
 
 def test_t_level_functorial_in_n():
@@ -332,6 +376,42 @@ def _conjugate_iso(iso, r):
     )
 
 
+def _psi_gamma(ctx, F):
+    """Oracle: the twisted strict isomorphism psi_gamma: F -> F^gamma, as the
+    F^gamma-sum of x and the t_i x^{2^i} in the conjugated law."""
+    Fg = conjugate_fgl(F, gamma_act)
+    terms = [(1, 1)]
+    for i in range(1, ctx.k_max + 1):
+        ti = ctx.generator(i, rational=True)
+        if not ti.is_zero() and (1 << i) <= F.cutoff:
+            terms.append((ti, 1 << i))
+    return StrictIso(formal_sum(Fg, terms), F, Fg)
+
+
+def _chain_steps(ctx, steps, cutoff):
+    """Oracle: the steps F^{gamma^i} -> F^{gamma^{i+1}}, i < steps, each built
+    from the one before by conjugating its series and its target law."""
+    step = _psi_gamma(ctx, ctx.law(cutoff))
+    yield step
+    for _ in range(1, steps):
+        psi = {e: gamma_act(c) for e, c in step.psi.coeffs.items()}
+        step = StrictIso(
+            TruncatedSeries1(step.psi.ring, psi, cutoff),
+            step.target,
+            conjugate_fgl(step.target, gamma_act),
+        )
+        yield step
+
+
+def _chain_by_conjugated_laws(ctx, steps, X):
+    """Oracle: the composite of _chain_steps through compose_iso."""
+    chain = _chain_steps(ctx, steps, X)
+    iso = next(chain)
+    for step in chain:
+        iso = compose_iso(step, iso)
+    return iso
+
+
 def _chain_by_conjugating_psi_gamma(ctx, X):
     """Oracle: conjugate psi_gamma, its source and its target afresh at each step."""
     psi1 = _psi_gamma(ctx, ctx.law(X))
@@ -339,6 +419,75 @@ def _chain_by_conjugating_psi_gamma(ctx, X):
     for i in range(1, ctx.half):
         iso = compose_iso(_conjugate_iso(psi1, i), iso)
     return iso
+
+
+def _chain_report_by_inverse(ctx, X, psi):
+    """Oracle: the chain-inversion report from the solved formal inverse and
+    the lowest coefficient of the difference."""
+    diff = psi - formal_inverse(ctx.law(X)).scale(-1)
+    first = None
+    if not diff.is_zero():
+        first = diff.coefficient(min(diff.coeffs))
+    return {
+        "claim": "chain-inversion",
+        "params": {"n": ctx.n, "cutoff": X, "convention": "minus-formal-inverse"},
+        "status": "verified" if first is None else "failed",
+        "witness": None if first is None else poly_to_json(first),
+        "bounds": ctx.bounds(),
+    }
+
+
+def _window(ctx, cutoff):
+    return cutoff if cutoff is not None else (1 << (ctx.k_max + 1)) - 1
+
+
+# every (n, k, cutoff) of the chain-series benchmark pool, and the smallest cases
+CHAIN_CASES = [(1, 3, None), (2, 2, None), (2, 3, 8), (2, 3, 10), (3, 1, None),
+               (3, 2, 5), (3, 2, None), (1, 1, None), (1, 2, None), (2, 1, None)]
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", CHAIN_CASES)
+def test_chain_report_matches_the_conjugated_law_route(n, k_max, cutoff):
+    ctx = RnContext(n, k_max)
+    X = _window(ctx, cutoff)
+    old = _chain_by_conjugated_laws(ctx, ctx.half, X)
+    report = chain_inversion_check(ctx, cutoff=cutoff)
+    assert report == _chain_report_by_inverse(ctx, X, old.psi)
+    assert report["status"] == "verified"
+    for steps in range(1, ctx.half + 1):
+        iso = chain_composite(ctx, steps=steps, cutoff=X)
+        want = _chain_by_conjugated_laws(ctx, steps, X)
+        assert iso.psi == want.psi
+        assert iso.source == want.source
+        assert iso.target == want.target
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", CHAIN_CASES)
+def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, k_max, cutoff):
+    ctx = RnContext(n, k_max)
+    X = _window(ctx, cutoff)
+    psi = equivariant_ring._chain_series(ctx, ctx.half, X)
+    t1 = ctx.generator(1, rational=True)
+    for e in range(2, X + 1):
+        bump = TruncatedSeries1.monomial(psi.ring, t1 ** (e - 1), e, X)
+        for bad in (psi + bump, psi - bump.scale(QQ(1, 3))):
+            monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
+            with pytest.raises(VerificationFailure) as exc:
+                chain_inversion_check(ctx, cutoff=cutoff)
+            report = exc.value.report
+            assert report["status"] == "failed"
+            want = _chain_report_by_inverse(ctx, X, bad)
+            assert canonical_json(report) == canonical_json(want)
+
+
+def test_a_failed_certificate_with_no_difference_is_inconsistent(monkeypatch):
+    ctx = RnContext(2, 2)
+    chain_inversion_check(ctx)
+    ring = ctx.ring_q
+    bogus = TruncatedSeries1.monomial(ring, 1, 7, 7)
+    monkeypatch.setattr(equivariant_ring, "fgl_apply", lambda *args: bogus)
+    with pytest.raises(ConsistencyFailure):
+        chain_inversion_check(ctx)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -228,6 +228,63 @@ def test_ring_map_unassigned():
         ring_map(p, {T(1, 0): R2.zero()}, R2)
 
 
+def _ring_map_term_by_term(p, assignment, target):
+    """Oracle: each term's image added to the running sum on its own."""
+    acc = target.zero()
+    for mono, c in p.terms.items():
+        term = target.from_rational(c)
+        for v, e in zip(p.ring.variables, p.ring.decode(mono)):
+            if e:
+                term = term * assignment[v] ** e
+        acc = acc + term
+    return acc
+
+
+def _quotient_by_ring_map(p, m):
+    """Oracle: R_n -> R_n<m> as the ring map sending t_i (i > m) to 0."""
+    ring = p.ring
+    target = rnm_ring(ring.n, m, ring.k_max, rational=ring.rational, mod2=ring.mod2)
+    image = {v: target.var(v) if v.i <= m else target.zero() for v in ring.variables}
+    return _ring_map_term_by_term(p, image, target)
+
+
+@pytest.mark.parametrize("form", ["Z2", "Q", "F2"])
+def test_ring_map_and_quotient_match_the_term_by_term_sum(form):
+    rng = random.Random(41)
+    dens = (1, 2, 4, 3) if form == "Q" else (1, 3, 5)
+    for n, k_max in ((1, 3), (2, 3), (3, 2)):
+        ring = rn_ring(n, k_max, rational=form == "Q", mod2=form == "F2")
+        polys = [ring.zero(), ring.one()]
+        for _ in range(6):
+            p = ring.from_rational(QQ(rng.randint(-3, 3), rng.choice(dens)))
+            for _ in range(5):
+                monos = ring.monomials_of_degree(rng.choice((2, 6, 8, 14)))
+                c = QQ(rng.randint(-9, 9), rng.choice(dens))
+                p = p + GradedPolynomial(ring, {rng.choice(monos): c})
+            polys.append(p)
+        for p in polys:
+            image = {v: rand_poly(ring, rng, max_deg=4, nterms=rng.randrange(3))
+                     for v in ring.variables}
+            assert ring_map(p, image, ring) == _ring_map_term_by_term(p, image, ring)
+            for m in range(1, k_max + 2):
+                got = quotient_to_rnm(p, m)
+                assert got == _quotient_by_ring_map(p, m)
+                assert got.ring is rnm_ring(n, m, k_max, rational=form == "Q", mod2=form == "F2")
+    if form == "Q":
+        # (2 t_1 + t_2) / 4 -> t_1 / 2: the surviving numerators share a factor with den
+        ring = rn_ring(2, 2, rational=True)
+        p = (ring.var(T(1, 0)).scalar_mul(2) + ring.var(T(2, 1))).scalar_mul(QQ(1, 4))
+        got = quotient_to_rnm(p, 1)
+        assert got.den == 2 and got == _quotient_by_ring_map(p, 1)
+
+
+def test_quotient_matches_the_ring_map_on_v_images():
+    ctx = equivariant_ring.RnContext(2, 4)
+    for v in equivariant_ring.v_in_rn(ctx) + equivariant_ring.rn_log(ctx):
+        for m in (1, 2, 3, 4):
+            assert quotient_to_rnm(v, m) == _quotient_by_ring_map(v, m)
+
+
 # ---- Groebner machinery --------------------------------------------------------
 
 def test_principal_ideal():

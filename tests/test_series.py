@@ -595,6 +595,44 @@ def test_single_term_apply_matches_the_general_route():
             assert fgl_apply(F, term, other) == series_fgl._apply_series(F, term, other)
 
 
+def _apply_per_coefficient(F, a, b):
+    """Oracle: F(a, b) with one product (a^j b^k) c_{jk} and one series sum
+    per coefficient of the law."""
+    acc = a + b
+    mixed = [(j, k, c) for (j, k), c in F.two_var.coeffs.items() if j and k]
+    if not mixed:
+        return acc
+    pa = a.powers(max(j for j, _, _ in mixed))
+    pb = b.powers(max(k for _, k, _ in mixed))
+    for j, k, c in mixed:
+        acc = acc + (pa[j] * pb[k]).scale(c)
+    return acc
+
+
+def test_grouped_series_apply_matches_the_per_coefficient_route():
+    for F, a, terms in _apply_cases():
+        ring, X = F.ring, F.cutoff
+        b = a * a + TruncatedSeries1.monomial(ring, terms[-1][0], terms[-1][1], X)
+        for left, right in ((a, a), (a, b), (b, a), (a, -a)):
+            assert series_fgl._apply_series(F, left, right) == _apply_per_coefficient(F, left, right)
+    rng = random.Random(43)
+    for X in (1, 4, 9):
+        F = _random_law(bp_ring(2), X, X)
+        ring = F.ring
+        for _ in range(3):
+            a = _random_poly_series(ring, X, rng, (1, 3))
+            b = _random_poly_series(ring, X, rng, (1, 5))
+            assert series_fgl._apply_series(F, a, b) == _apply_per_coefficient(F, a, b)
+            a2 = _random_poly_series2(ring, X, rng, (1, 3))
+            b2 = _random_poly_series2(ring, X, rng, (1, 7))
+            assert series_fgl._apply_series(F, a2, b2) == _apply_per_coefficient(F, a2, b2)
+    F = fgl_from_log(log_from_v(2), 9, integral=False)
+    iso = strict_iso_from_t([F.ring.from_rational(QQ(3, 7)), F.ring.var(V(1))], F)
+    px = TruncatedSeries2(F.ring, {(e, 0): c for e, c in iso.psi.coeffs.items()}, 9)
+    py = TruncatedSeries2(F.ring, {(0, e): c for e, c in iso.psi.coeffs.items()}, 9)
+    assert fgl_apply(F, px, py) == _apply_per_coefficient(F, px, py)
+
+
 def test_single_term_apply_rejects_what_the_general_route_rejects():
     F = fgl_from_log(log_from_v(2), 7)
     v1 = F.ring.var(V(1))
