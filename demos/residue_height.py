@@ -28,7 +28,7 @@ for n, m, d in SCENARIOS:
     h = ctx.h
     print(f"=== (n, m, d) = ({n}, {m}, {d}): expected height h = {h} ===")
 
-    height, coeff = height_of_residue_fgl(residue_fgl(ctx, cutoff=1 << h), h)
+    height, coeff = height_of_residue_fgl(residue_fgl(ctx, cutoff=1 << h))
     print(f"[2](x) = F(x, x) over the residue field starts in degree 2^{height}")
     assert height == h
     K = KRing(ctx.spec)

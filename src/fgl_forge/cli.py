@@ -143,7 +143,7 @@ def _config(args):
     return out
 
 
-def _lt_context(args, k_max=None):
+def _lt_context(args):
     return lt_context(
         args.n,
         args.m,
@@ -151,7 +151,6 @@ def _lt_context(args, k_max=None):
         modulus=args.modulus,
         precision=args.precision,
         madic=args.madic,
-        k_max=k_max,
     )
 
 
@@ -182,11 +181,7 @@ def _verify_reports(args):
     if claim == "cotangent":
         return [cotangent_check(_lt_context(args))]
     if claim == "height":
-        k_max = None
-        if args.cutoff is not None:
-            h = (1 << (args.n - 1)) * args.m
-            k_max = max(h, args.cutoff.bit_length() - 1)
-        return [residue_height(_lt_context(args, k_max=k_max), cutoff=args.cutoff)]
+        return [residue_height(_lt_context(args), cutoff=args.cutoff)]
     if claim == "unit-factors":
         return [d_factors(_lt_context(args))]
     if claim == "fixed-subring":

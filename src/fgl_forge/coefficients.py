@@ -128,8 +128,8 @@ class FiniteFieldSpec:
 
     modulus is a bit tuple low-to-high of length d+1 with leading bit 1;
     irreducibility is checked at construction (Rabin test, fine for small d).
-    The constructor builds a fresh spec; finite_field, default and from_json
-    return the shared one.
+    The constructor builds a fresh spec; finite_field and from_json return
+    the shared one.
     """
 
     d: int
@@ -151,10 +151,6 @@ class FiniteFieldSpec:
         if not self._irreducible():
             raise ValueError(f"modulus {list(mod)} is reducible over F_2")
 
-    @staticmethod
-    def default(d: int) -> "FiniteFieldSpec":
-        return finite_field(d)
-
     def _irreducible(self) -> bool:
         # Rabin test: f irreducible over F_2 iff x^(2^d) == x mod f and
         # x^(2^(d/p)) != x for every prime p dividing d.
@@ -173,9 +169,6 @@ class FiniteFieldSpec:
         if n > 1:
             primes.append(n)
         return all(_gf2_powmod(2, 1 << (d // p), mb, d) != 2 for p in primes)
-
-    def element(self, coeffs) -> "GFElement":
-        return GFElement(self, coeffs)
 
     def from_bits(self, bits: int) -> "GFElement":
         return GFElement(self, bits)

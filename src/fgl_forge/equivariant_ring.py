@@ -22,11 +22,7 @@ VerificationFailure (with the failed report attached) otherwise.
 import random
 
 from .coefficients import QQ, two_valuation
-from .errors import (
-    AmbientMismatch,
-    ConsistencyFailure,
-    VerificationFailure,
-)
+from .errors import ConsistencyFailure, VerificationFailure
 from .poly_core import (
     AtomicCache,
     GradedPolynomial,
@@ -49,9 +45,11 @@ from .series_fgl import (
     fgl_from_log,
     formal_inverse,
     formal_sum,
-    t_from_strict_iso,
     v_from_log,
 )
+
+# verify_ideal_invariance checks gamma on this many seeded random elements of I_k
+_SPOT_CHECKS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +106,7 @@ class RnContext:
         """The 2-typical law with logarithm rn_log(self), over R_n (x) Q."""
         F = self._laws.get(cutoff)
         if F is None:
-            F = fgl_from_log(rn_log(self), cutoff, integral=False)
+            F = fgl_from_log(rn_log(self), cutoff)
             self._laws[cutoff] = F
         return F
 
@@ -218,7 +216,7 @@ def v_in_rn(ctx):
     """
     if ctx._v is not None:
         return list(ctx._v)
-    vs = v_from_log(rn_log(ctx), assert_integral=True)
+    vs = v_from_log(rn_log(ctx))
     for k, vk in enumerate(vs, start=1):
         if vk.is_zero():
             continue
@@ -267,6 +265,8 @@ def chain_composite(ctx, steps=None, cutoff=None):
     of _chain_series, with the one conjugate law F^{gamma^steps} as target.
     With the default steps = 2^{n-1} this is the chain whose comparison
     against the (negated) formal inverse chain_inversion_check performs.
+    No request builds it: with series_fgl.t_from_strict_iso it is the test
+    oracle of t_level.
     """
     steps = ctx.half if steps is None else steps
     if steps < 1:
@@ -277,43 +277,37 @@ def chain_composite(ctx, steps=None, cutoff=None):
     return StrictIso(_chain_series(ctx, steps, X), F, target)
 
 
-def t_level(ctx, r, method="log"):
+def t_level(ctx, r):
     """Images of the level-r generators t_k^{C_{2^r}} in R_n, k <= k_max.
 
     These are the 2-typical coordinates of the composite of s = 2^{n-r}
-    twisted strict isomorphisms F -> F^{gamma^s}.  The default route reads
-    them off against the logarithm of the target law, which is triangular:
+    twisted strict isomorphisms F -> F^{gamma^s}, read off against the
+    logarithm of the target law, which is triangular:
 
         t_k^{C_{2^r}} = l_k - sum_{j=1}^{k} gamma^s(l_j) (t_{k-j}^{C_{2^r}})^{2^j}
 
-    with t_0 = 1.  method="series" builds the composite isomorphism
-    literally and extracts coordinates slot by slot; both routes agree and
-    the test suite checks that.  Results are integral and homogeneous.
+    with t_0 = 1.  The test suite checks them against the coordinates of
+    the composite itself (chain_composite and t_from_strict_iso).  Results
+    are integral and homogeneous.
     """
     if not 1 <= r <= ctx.n:
         raise ValueError("level r must satisfy 1 <= r <= n")
-    if method not in ("log", "series"):
-        raise ValueError("method must be 'log' or 'series'")
-    key = (r, method)
-    if key in ctx._t_level:
-        return list(ctx._t_level[key])
+    if r in ctx._t_level:
+        return list(ctx._t_level[r])
     s = 1 << (ctx.n - r)
     ls = rn_log(ctx)
-    if method == "log":
-        gls = [gamma_act(l, s) for l in ls]
-        tq = []
-        squares = []  # at level k, squares[i - 1] = t_i^{2^{k-i}}
-        for k in range(1, ctx.k_max + 1):
-            squares = [p * p for p in squares]
-            acc = ls[k - 1] - gls[k - 1]  # j = k, with t_0 = 1
-            for j in range(1, k):
-                prev = squares[k - j - 1]
-                if not prev.is_zero():
-                    acc = acc - gls[j - 1] * prev
-            tq.append(acc)
-            squares.append(acc)
-    else:
-        tq = t_from_strict_iso(chain_composite(ctx, steps=s))[: ctx.k_max]
+    gls = [gamma_act(l, s) for l in ls]
+    tq = []
+    squares = []  # at level k, squares[i - 1] = t_i^{2^{k-i}}
+    for k in range(1, ctx.k_max + 1):
+        squares = [p * p for p in squares]
+        acc = ls[k - 1] - gls[k - 1]  # j = k, with t_0 = 1
+        for j in range(1, k):
+            prev = squares[k - j - 1]
+            if not prev.is_zero():
+                acc = acc - gls[j - 1] * prev
+        tq.append(acc)
+        squares.append(acc)
     out = [from_rational_ring(t) for t in tq]
     for k, tk in enumerate(out, start=1):
         if tk.is_zero():
@@ -322,7 +316,7 @@ def t_level(ctx, r, method="log"):
             raise ConsistencyFailure(
                 f"t_{k} at level {r} has the wrong degree in {ctx!r}"
             )
-    ctx._t_level[key] = out
+    ctx._t_level[r] = out
     return list(out)
 
 
@@ -349,9 +343,7 @@ def quotient_to_m(ctx, m):
         mapped = [quotient_to_rnm(v, m) for v in ctx._v]
         if mapped != v_in_rn(out):
             raise ConsistencyFailure("quotient map does not commute with v_in_rn")
-    for (r, method), table in ctx._t_level.items():
-        if method != "log":
-            continue
+    for r, table in ctx._t_level.items():
         mapped = [quotient_to_rnm(t, m) for t in table]
         if mapped != t_level(out, r):
             raise ConsistencyFailure(
@@ -475,7 +467,7 @@ def verify_tkvk(ctx, k):
     return _finish(report, f"t_{k}^(C_2) = v_{k} mod I_{k} failed at n={ctx.n}")
 
 
-def verify_ideal_invariance(ctx, k, spot_checks=8):
+def verify_ideal_invariance(ctx, k):
     """gamma-invariance of the ideals: v_j - gamma(v_j) in I_j for all j <= k.
 
     Also spot-checks the consequence that gamma maps I_j into itself, on
@@ -495,7 +487,7 @@ def verify_ideal_invariance(ctx, k, spot_checks=8):
         mod2 = [reduce_mod2(v) for v in vs[: k - 1]]
         mod2 = [g for g in mod2 if not g.is_zero()]
         ring2 = mod2[0].ring if mod2 else None
-        for _ in range(spot_checks if mod2 else 0):
+        for _ in range(_SPOT_CHECKS if mod2 else 0):
             target_deg = max(g.degree for g in mod2) + rng.choice((0, 2, 4))
             p = ring2.zero()
             for g in mod2:

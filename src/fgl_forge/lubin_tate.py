@@ -62,6 +62,7 @@ from .series_fgl import (
 )
 
 _U_CAP = 1 << 20  # sanity cap on u-exponents; beyond this the model is broken
+_TAU_BOUND = 2  # fixed_subring_presentation checks every tau-degree up to this
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,9 @@ class LTContext:
     n, m fix the group and the height h = 2^{n-1} m; (d, modulus) fix the
     field k = F_{2^d}; `precision` is the Witt coefficient precision N and
     `madic` the truncation order M in the maximal ideal (N >= M required).
-    Immutable after construction; all operations on elements are pure.
+    Its equivariant ring `rn` is R_n with generators up to t_h, the ring of
+    every v_k (k <= h) and level generator a claim reads.  Immutable after
+    construction; all operations on elements are pure.
 
     Requests share one context per configuration through lt_context, so its
     tables (v-images, level families, gamma images, Teichmuller powers) are
@@ -194,7 +197,7 @@ class LTContext:
     with empty tables.
     """
 
-    def __init__(self, n, m, d=1, modulus=None, precision=8, madic=6, k_max=None):
+    def __init__(self, n, m, d=1, modulus=None, precision=8, madic=6):
         if n < 1 or m < 1:
             raise ValueError("n and m must be >= 1")
         if madic < 1:
@@ -225,7 +228,7 @@ class LTContext:
         # the torus weight 2^i - 1 of gamma^j tau_i, for the character chi
         self._chi_weights = tuple((1 << i) - 1 for i, _ in self.taus)
         self._zero_exps = (0,) * len(self.taus)
-        self.rn = rn_context(n, k_max if k_max is not None else self.h)
+        self.rn = rn_context(n, self.h)
         self._gamma_var = None  # lazy: index -> image under gamma
         self._gamma_var_pow = {}  # (index, exponent) -> gamma(tau_index)^exponent
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
@@ -326,20 +329,18 @@ class LTContext:
 _LT_CONTEXTS = AtomicCache()
 
 
-def lt_context(n, m, d=1, modulus=None, precision=8, madic=6, k_max=None):
+def lt_context(n, m, d=1, modulus=None, precision=8, madic=6):
     """The process-wide LTContext for a configuration, created on first use.
 
-    The key is normalised: an explicit default modulus and modulus=None name
-    one field, and k_max=None means k_max = h.  As in rn_context, the lazy
-    tables of a shared context take no lock; a race costs only time.
+    The key (n, m, field, precision, madic) is normalised: an explicit
+    default modulus and modulus=None name one field.  As in rn_context, the
+    lazy tables of a shared context take no lock; a race costs only time.
     """
     spec = finite_field(d, modulus)
-    if k_max is None and n >= 1:
-        k_max = (1 << (n - 1)) * m
     return _LT_CONTEXTS.get_or_create(
-        (n, m, spec, precision, madic, k_max),
+        (n, m, spec, precision, madic),
         lambda: LTContext(n, m, d=d, modulus=spec.modulus, precision=precision,
-                          madic=madic, k_max=k_max),
+                          madic=madic),
     )
 
 
@@ -736,17 +737,14 @@ def lt_galois(ctx, e: LTElement) -> LTElement:
 # ---------------------------------------------------------------------------
 
 def _t_variable_images(ctx):
+    """(i, j) -> image of gamma^j t_i for i <= m; every t_i with i > m maps
+    to 0, so it has no entry, in an R_n of any k_max."""
     if ctx._t_images is None:
         images = {}
-        for i in range(1, ctx.rn.k_max + 1):
+        for i in range(1, ctx.m + 1):
             for j in range(ctx.half):
-                if i < ctx.m:
-                    img = ctx.tau(i, j) * ctx.gamma_u(j) ** ((1 << i) - 1)
-                elif i == ctx.m:
-                    img = ctx.gamma_u(j) ** ((1 << i) - 1)
-                else:
-                    img = None
-                images[(i, j)] = img
+                img = ctx.gamma_u(j) ** ((1 << i) - 1)
+                images[(i, j)] = ctx.tau(i, j) * img if i < ctx.m else img
         ctx._t_images = images
     return ctx._t_images
 
@@ -798,9 +796,9 @@ def lt_specialize(ctx, p) -> LTElement:
 
 
 def v_in_lt(ctx, k) -> LTElement:
-    """Image in the Lubin-Tate ring of the k-th Araki generator."""
-    if not 1 <= k <= ctx.rn.k_max:
-        raise ValueError(f"k={k} outside the configured bound {ctx.rn.k_max}")
+    """Image in the Lubin-Tate ring of the k-th Araki generator, 1 <= k <= h."""
+    if not 1 <= k <= ctx.h:
+        raise ValueError(f"k={k} outside 1..h = {ctx.h}")
     img = ctx._v_lt.get(k)
     if img is None:
         img = lt_specialize(ctx, v_in_rn(ctx.rn)[k - 1])
@@ -921,26 +919,26 @@ def cotangent_check(ctx):
 
 def _k_for_cutoff(ctx, cutoff):
     """The generator count a series to x^cutoff needs: v_k (or l_k) for
-    2^k <= cutoff, and at least h; ValueError beyond the context's k_max."""
-    k_max = max(ctx.h, cutoff.bit_length() - 1)
-    if k_max > ctx.rn.k_max:
-        raise ValueError(
-            f"cutoff {cutoff} needs generators up to {k_max} > k_max={ctx.rn.k_max}"
-        )
-    return k_max
+    2^k <= cutoff, and at least h."""
+    return max(ctx.h, cutoff.bit_length() - 1)
 
 
 def residue_fgl(ctx, cutoff):
     """The formal group law over K obtained by killing the maximal ideal.
 
-    The universal law over Z_(2)[v_1..v_k] is built afresh on every call and
+    The universal law over Q[v_1..v_k] is built afresh on every call, and
     each coefficient is mapped to K, v_k going to the residue of its image
-    in the local ring.  residue_height reads the height off the logarithm
-    mod (tau) instead, and this route is kept as its independent oracle.
+    in the local ring.  K.from_rational raises NonIntegralCoefficient on an
+    even denominator, so every coefficient is certified 2-locally integral
+    on the way.  The image of v_k is specialized from v_in_rn of R_n with
+    generators up to t_k, which is exact for k > h too, since every t_i
+    with i > m maps to 0.  residue_height reads the height off the
+    logarithm mod (tau) instead, and this route is kept as its independent
+    oracle.
     """
-    k_max = _k_for_cutoff(ctx, cutoff)
+    k = _k_for_cutoff(ctx, cutoff)
     K = KRing(ctx.spec)
-    vbar = [None] + [v_in_lt(ctx, k).residue() for k in range(1, k_max + 1)]
+    vbar = [lt_specialize(ctx, v).residue() for v in v_in_rn(rn_context(ctx.n, k))]
 
     def down(p):
         acc = K.zero()
@@ -950,12 +948,11 @@ def residue_fgl(ctx, cutoff):
                 if term.is_zero():
                     break
                 if e:
-                    term = term * vbar[idx + 1] ** e
+                    term = term * vbar[idx] ** e
             acc = acc + term
         return acc
 
-    law = fgl_from_log(log_from_v(k_max), cutoff, integral=True)
-    return conjugate_fgl(law, down, target_ring=K, provenance="residue")
+    return conjugate_fgl(fgl_from_log(log_from_v(k), cutoff), down)
 
 
 def _log_mod_tau(ctx, k_max):
@@ -988,7 +985,7 @@ def _log_mod_tau(ctx, k_max):
 _RESIDUE_TWO_SERIES = AtomicCache()
 
 
-def _residue_two_series(ctx, cutoff, k_max):
+def _residue_two_series(ctx, cutoff):
     """The exponents e <= cutoff at which [2](x) of the residue law has the
     coefficient ubar^{e-1}; every other coefficient is 0.
 
@@ -1003,7 +1000,7 @@ def _residue_two_series(ctx, cutoff, k_max):
     """
     def build():
         Q = bp_ring(0, rational=True)
-        logs = [Q.from_rational(c) for c in _log_mod_tau(ctx, k_max)]
+        logs = [Q.from_rational(c) for c in _log_mod_tau(ctx, _k_for_cutoff(ctx, cutoff))]
         two = two_series_from_log(logs, cutoff)
         return tuple(e for e, b in sorted(two.coeffs.items()) if rational_mod2(b.coefficient(0)))
 
@@ -1024,10 +1021,10 @@ def residue_height(ctx, cutoff=None):
         cutoff = 1 << h
     if cutoff < (1 << h):
         raise ValueError(f"cutoff {cutoff} < 2^h = {1 << h}")
-    odd = _residue_two_series(ctx, cutoff, _k_for_cutoff(ctx, cutoff))
+    odd = _residue_two_series(ctx, cutoff)
     K = KRing(ctx.spec)
     residue_two = TruncatedSeries1(K, {e: K.ubar(e - 1) for e in odd}, cutoff)
-    height, lead = height_of_two_series(residue_two, h_expected=h)
+    height, lead = height_of_two_series(residue_two)
     beta = ((1 << h) - 1) // ((1 << ctx.m) - 1)
     expected = K.ubar((1 << h) - 1)
     unit = lead.coeffs.get((1 << h) - 1, ctx.spec.zero) if height == h else None
@@ -1061,9 +1058,7 @@ def d_factors(ctx):
     verdicts = []
     total = ctx.one()
     for i in range(1, ctx.n + 1):
-        k_i = (1 << (ctx.n - i)) * ctx.m
-        if k_i > ctx.rn.k_max:
-            raise ValueError(f"factor {i} needs generator index {k_i} > k_max")
+        k_i = (1 << (ctx.n - i)) * ctx.m  # <= h, the generator bound of ctx.rn
         x = t_level_in_lt(ctx, i)[k_i - 1]
         factor = ctx.one()
         conj = x
@@ -1108,7 +1103,7 @@ def _chi(ctx, exps, ue):
     return sum(map(operator.mul, ctx._chi_weights, exps)) - ue
 
 
-def fixed_subring_presentation(ctx, tau_bound=2, u_bound=None):
+def fixed_subring_presentation(ctx):
     """Check, monomial by monomial in a finite box, that the fixed subspace of
     the Galois-and-torus action is spanned over Z_2 by monomials whose
     character exponent chi = sum (2^i - 1) A_{ij} - u_exp is divisible by
@@ -1117,11 +1112,12 @@ def fixed_subring_presentation(ctx, tau_bound=2, u_bound=None):
     Both actions are diagonal in this basis (the torus scales each monomial by
     T(zeta)^chi; Galois acts on coefficients only), so the span claim reduces
     to the per-monomial character computation being right, which is what gets
-    verified against the actual action maps.
+    verified against the actual action maps.  The box holds every tau-degree
+    up to _TAU_BOUND and every u-exponent of absolute value up to
+    max(2q, alpha + 1).
     """
     alpha = ctx.alpha
-    if u_bound is None:
-        u_bound = max(2 * ctx.q, alpha + 1)
+    u_bound = max(2 * ctx.q, alpha + 1)
     zeta = _multiplicative_generator(ctx.spec) ** (((1 << ctx.spec.d) - 1) // alpha)
     if not (zeta ** ctx.q) == ctx.spec.one:
         raise ConsistencyFailure("torsion generator construction failed")
@@ -1141,7 +1137,7 @@ def fixed_subring_presentation(ctx, tau_bound=2, u_bound=None):
 
         yield from rec(0, bound, [])
 
-    for exps in monomials(tau_bound):
+    for exps in monomials(_TAU_BOUND):
         for ue in range(-u_bound, u_bound + 1):
             mono = ctx.monomial(exps, ue)
             if mono.is_zero():
@@ -1168,7 +1164,7 @@ def fixed_subring_presentation(ctx, tau_bound=2, u_bound=None):
         },
         ok,
         witness=witness,
-        bounds={**ctx.bounds(), "tau_degree": tau_bound, "u_window": u_bound},
+        bounds={**ctx.bounds(), "tau_degree": _TAU_BOUND, "u_window": u_bound},
     )
     return _finish(report, "fixed-subspace prediction failed on a monomial")
 

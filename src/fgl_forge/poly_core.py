@@ -59,33 +59,25 @@ _EXP_LIMIT = 1 << _BITS
 
 @dataclass(frozen=True)
 class Variable:
-    """A named ring generator: v_i, gamma^j t_i, gamma^j u (or u^-1), gamma^j tau_i."""
+    """A named ring generator: v_i or gamma^j t_i, of degree 2(2^i - 1)."""
 
-    kind: str  # "v" | "t" | "u" | "uinv" | "tau"
+    kind: str  # "v" | "t"
     i: int = 0
     j: int = 0  # conjugation index
 
     def __post_init__(self):
-        if self.kind not in ("v", "t", "u", "uinv", "tau"):
+        if self.kind not in ("v", "t"):
             raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind in ("v", "t") and self.i < 1:
+        if self.i < 1:
             raise ValueError("level index must be >= 1")
 
     @property
     def degree(self) -> int:
-        if self.kind in ("v", "t"):
-            return 2 * ((1 << self.i) - 1)
-        if self.kind == "u":
-            return 2
-        if self.kind == "uinv":
-            return -2
-        return 0  # tau
+        return 2 * ((1 << self.i) - 1)
 
     @property
     def name(self) -> str:
-        stem = {"v": f"v{self.i}", "t": f"t{self.i}", "u": "u", "uinv": "uinv", "tau": f"tau{self.i}"}[
-            self.kind
-        ]
+        stem = f"{self.kind}{self.i}"
         return stem if self.j == 0 else f"g{self.j}{stem}"
 
 
@@ -835,15 +827,6 @@ class GroebnerBasis:
             )
         return _nf(p, self._reducers)
 
-    def contains(self, p: GradedPolynomial) -> bool:
-        return self.normal_form(p).is_zero()
-
-
-def groebner_truncated(gens, degree_bound) -> GroebnerBasis:
-    if not gens:
-        raise ValueError("need at least the ambient ring; pass ring.zero() for the zero ideal")
-    return GroebnerBasis(gens[0].ring, gens, degree_bound)
-
 
 _GB_CACHE = AtomicCache()
 
@@ -887,13 +870,6 @@ def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
 def ideal_contains(p: GradedPolynomial, gens) -> bool:
     """Is p in (2, gens) in its ambient ring?  See ideal_normal_form."""
     return ideal_normal_form(p, gens).is_zero()
-
-
-def ideal_contains_Ik(p: GradedPolynomial, k: int, v_images) -> bool:
-    """Membership in I_k = (2, v_1, ..., v_{k-1}); v_images[i] is v_{i+1}'s image."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return ideal_contains(p, list(v_images[: k - 1]))
 
 
 def f2_membership_linear(p: GradedPolynomial, gens) -> bool:

@@ -31,7 +31,6 @@ from .poly_core import (
     bp_ring,
     from_rational_ring,
     poly_to_json,
-    to_rational_ring,
 )
 
 
@@ -383,13 +382,12 @@ class FGL:
 
     The unit and commutativity axioms are enforced at construction; exact
     associativity to the cutoff is a property the test suite verifies on every
-    family this package constructs.  `provenance` records how the law arose:
-    universal-Araki | conjugated | specialized | residue | adhoc.
+    family this package constructs.
     """
 
-    __slots__ = ("two_var", "ring", "provenance", "cutoff", "log_list")
+    __slots__ = ("two_var", "ring", "cutoff")
 
-    def __init__(self, two_var: TruncatedSeries2, provenance="adhoc", log_list=None):
+    def __init__(self, two_var: TruncatedSeries2):
         ring = two_var.ring
         one = ring.one()
         if two_var.coefficient(1, 0) != one or two_var.coefficient(0, 1) != one:
@@ -402,8 +400,6 @@ class FGL:
         self.two_var = two_var
         self.ring = ring
         self.cutoff = two_var.cutoff
-        self.provenance = provenance
-        self.log_list = log_list  # optional: the l_k used to build a universal law
 
     def coefficient(self, e1, e2):
         return self.two_var.coefficient(e1, e2)
@@ -416,14 +412,12 @@ class FGL:
         )
 
     def __repr__(self):
-        return f"FGL[{self.provenance}]@{self.ring!r}(cutoff={self.cutoff})"
+        return f"FGL@{self.ring!r}(cutoff={self.cutoff})"
 
 
 def additive_fgl(ring, cutoff) -> FGL:
     one = ring.one()
-    return FGL(
-        TruncatedSeries2(ring, {(1, 0): one, (0, 1): one}, cutoff), provenance="adhoc"
-    )
+    return FGL(TruncatedSeries2(ring, {(1, 0): one, (0, 1): one}, cutoff))
 
 
 def fgl_apply(F: FGL, a, b):
@@ -552,11 +546,12 @@ def log_from_v(k_max: int):
     return ls
 
 
-def v_from_log(l_list, assert_integral=False):
+def v_from_log(l_list):
     """Invert log_from_v: v_k = (2 - 2^{2^k}) l_k - sum_{j=1}^{k-1} l_{k-j} v_j^{2^{k-j}}.
 
-    With assert_integral the outputs are converted to the 2-local ring and a
-    NonIntegralResult is raised if any coefficient has even denominator.
+    The outputs are certified integral: they are converted to the 2-local
+    ring, and a NonIntegralResult is raised if any coefficient has even
+    denominator.
     """
     if not l_list:
         return []
@@ -569,9 +564,7 @@ def v_from_log(l_list, assert_integral=False):
             vk = vk - l_list[k - j - 1] * squares[j - 1]
         vs.append(vk)
         squares.append(vk)
-    if assert_integral:
-        return [_integral(vk, f"v_{k}") for k, vk in enumerate(vs, start=1)]
-    return vs
+    return [_integral(vk, f"v_{k}") for k, vk in enumerate(vs, start=1)]
 
 
 def log_series(l_list, ring, cutoff) -> TruncatedSeries1:
@@ -583,12 +576,12 @@ def log_series(l_list, ring, cutoff) -> TruncatedSeries1:
     return TruncatedSeries1(ring, coeffs, cutoff)
 
 
-def fgl_from_log(l_list, cutoff, integral=True) -> FGL:
-    """F(x, y) = exp(log x + log y), optionally certified integral.
+def fgl_from_log(l_list, cutoff) -> FGL:
+    """F(x, y) = exp(log x + log y), over the ring of the logarithm.
 
-    With integral=True (the universal-Araki route) the coefficients are moved
-    to the 2-local polynomial ring; a NonIntegralResult means the law is not
-    defined over Z_(2) at this cutoff.
+    The universal law of log_from_v(k) is 2-locally integral through order
+    2^{k+1} - 1; a caller that needs it over Z_(2) converts the coefficients
+    with from_rational_ring.
     """
     if l_list:
         ring = l_list[0].ring
@@ -602,18 +595,7 @@ def fgl_from_log(l_list, cutoff, integral=True) -> FGL:
         e = 1 << k
         if e <= cutoff:
             S = S + TruncatedSeries2(ring, {(e, 0): lk, (0, e): lk}, cutoff)
-    acc = compose_symmetric(E, S)
-    if not integral:
-        return FGL(acc, provenance="universal-Araki", log_list=list(l_list))
-    terms = {key: _integral(c, key) for key, c in acc.coeffs.items()}
-    if not terms:
-        raise ConsistencyFailure("empty formal group law")
-    target = next(iter(terms.values())).ring
-    return FGL(
-        TruncatedSeries2(target, terms, cutoff),
-        provenance="universal-Araki",
-        log_list=list(l_list),
-    )
+    return FGL(compose_symmetric(E, S))
 
 
 def two_series_from_log(l_list, cutoff) -> TruncatedSeries1:
@@ -680,41 +662,16 @@ def formal_sum(F: FGL, terms) -> TruncatedSeries1:
     return acc
 
 
-def formal_sum_via_log(F: FGL, terms) -> TruncatedSeries1:
-    """Fast route using the logarithm: exp(sum log(c x^e)); internal cross-check.
-
-    Only available when F carries its log list (universal-Araki route); the
-    equality with the left-iterated formal_sum is part of the test suite.
+def formal_sum_via_log(F: FGL, l_list, terms) -> TruncatedSeries1:
+    """Oracle for formal_sum: exp(sum log(c x^e)), for the law F of fgl_from_log
+    with logarithm list l_list.  The test suite checks the two routes agree.
     """
-    if F.log_list is None:
-        raise ValueError("law carries no logarithm")
-    lring = F.log_list[0].ring if F.log_list else None
-    if lring is None:
-        raise ValueError("need at least one log coefficient")
-    X = F.cutoff
-    L = log_series(F.log_list, lring, X)
-    total = TruncatedSeries1.zero(lring, X)
+    ring, X = F.ring, F.cutoff
+    L = log_series(l_list, ring, X)
+    total = TruncatedSeries1.zero(ring, X)
     for c, e in terms:
-        mono = TruncatedSeries1.monomial(lring, _lift_to(lring, c), e, X)
-        total = total + L.compose(mono)
-    E = series_exp(L)
-    out = E.compose(total)
-    # move back to the integral ring of F
-    terms_out = {}
-    for e, cc in out.coeffs.items():
-        ci = from_rational_ring(cc)
-        if ci.ring is not F.ring:
-            raise AmbientMismatch("log route landed in an unexpected ring")
-        terms_out[e] = ci
-    return TruncatedSeries1(F.ring, terms_out, X)
-
-
-def _lift_to(ring, c):
-    if isinstance(c, SCALAR_TYPES):
-        return ring.from_rational(c)
-    if isinstance(c, GradedPolynomial) and c.ring is not ring:
-        return to_rational_ring(c)
-    return c
+        total = total + L.compose(TruncatedSeries1.monomial(ring, c, e, X))
+    return series_exp(L).compose(total)
 
 
 def formal_inverse(F: FGL) -> TruncatedSeries1:
@@ -747,13 +704,11 @@ def formal_inverse(F: FGL) -> TruncatedSeries1:
     return out
 
 
-def conjugate_fgl(F: FGL, coeff_map, target_ring=None, provenance="conjugated") -> FGL:
-    """Apply a coefficient-ring homomorphism to every coefficient of F."""
-    ring = target_ring if target_ring is not None else F.ring
-    out = {}
-    for k, c in F.two_var.coeffs.items():
-        out[k] = coeff_map(c)
-    return FGL(TruncatedSeries2(ring, out, F.cutoff), provenance=provenance)
+def conjugate_fgl(F: FGL, coeff_map) -> FGL:
+    """Apply a coefficient-ring homomorphism to every coefficient of F; the
+    target ring is the ring of the image of the x coefficient, 1."""
+    out = {k: coeff_map(c) for k, c in F.two_var.coeffs.items()}
+    return FGL(TruncatedSeries2(out[(1, 0)].ring, out, F.cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -810,11 +765,8 @@ def _pullback_fgl(psi: TruncatedSeries1, G: FGL) -> FGL:
     px = TruncatedSeries2(ring, {(e, 0): c for e, c in psi.coeffs.items()}, X)
     py = TruncatedSeries2(ring, {(0, e): c for e, c in psi.coeffs.items()}, X)
     g = fgl_apply(G, px, py)
-    # compositional inverse of psi, then substitute
-    inv = series_exp(psi) if psi.coefficient(1) == ring.one() else None
-    if inv is None:
-        raise ValueError("not strict")
-    return FGL(compose_symmetric(inv, g), provenance="adhoc")
+    # compositional inverse of psi (ValueError unless psi is strict), then substitute
+    return FGL(compose_symmetric(series_exp(psi), g))
 
 
 def t_from_strict_iso(iso: StrictIso):
@@ -823,6 +775,8 @@ def t_from_strict_iso(iso: StrictIso):
     t_{r} is read off at x^{2^r} against the partial reconstruction; if after
     exhausting all 2-powers the reconstruction differs from psi, the
     isomorphism was not 2-typical and NonTwoTypicalIso reports the exponents.
+    Applied to equivariant_ring.chain_composite, this is the test oracle of
+    t_level, which reads the same coordinates off the logarithm instead.
     """
     psi, G = iso.psi, iso.target
     ring, X = psi.ring, psi.cutoff
@@ -854,20 +808,18 @@ def compose_iso(iso2: StrictIso, iso1: StrictIso) -> StrictIso:
 # height
 # ---------------------------------------------------------------------------
 
-def height_of_residue_fgl(F: FGL, h_expected=None):
+def height_of_residue_fgl(F: FGL):
     """(h, leading coefficient) of [2](x) = F(x, x) over a graded field of
     characteristic 2; see height_of_two_series."""
-    return height_of_two_series(two_series(F), h_expected)
+    return height_of_two_series(two_series(F))
 
 
-def height_of_two_series(two: TruncatedSeries1, h_expected=None):
+def height_of_two_series(two: TruncatedSeries1):
     """(h, leading coefficient) of a 2-series over a graded field of characteristic 2.
 
     The first nonzero coefficient of [2](x) must sit at a power of 2 (a
     Frobenius power), and in a graded field it is a unit.
     """
-    if h_expected is not None and two.cutoff < (1 << h_expected):
-        raise ValueError("cutoff too small for the expected height")
     if not two.coeffs:
         raise HeightExceedsCutoff(f"[2](x) = 0 up to x^{two.cutoff}")
     e = min(two.coeffs)

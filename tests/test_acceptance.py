@@ -14,8 +14,8 @@ import pytest
 
 from fgl_forge.coefficients import (
     QQ,
-    FiniteFieldSpec,
     WittElement,
+    finite_field,
     frobenius_lift,
     rational_mod2,
     teichmuller,
@@ -47,12 +47,14 @@ from fgl_forge.lubin_tate import (
 )
 from fgl_forge.poly_core import (
     GradedPolynomial,
+    GroebnerBasis,
     V,
     f2_membership_linear,
-    groebner_truncated,
+    from_rational_ring,
     reduce_mod2,
 )
 from fgl_forge.series_fgl import (
+    conjugate_fgl,
     fgl_from_log,
     formal_sum,
     height_of_residue_fgl,
@@ -102,7 +104,8 @@ def _random_lt(ctx, rng, nterms=4, u_exp=None):
 
 def test_criterion_01_araki_integrality_and_two_typicality(criterion):
     with criterion(1, 60, "universal law k<=4, X=16: integral, [2] = sum^F v_i x^(2^i)"):
-        F = fgl_from_log(log_from_v(4), 16, integral=True)
+        # from_rational_ring raises on an even denominator
+        F = conjugate_fgl(fgl_from_log(log_from_v(4), 16), from_rational_ring)
         ring = F.ring
         for coeff in F.two_var.coeffs.values():
             for q in coeff.terms.values():
@@ -179,7 +182,7 @@ def test_criterion_08_residue_height(criterion):
             assert p["beta"] == ((1 << ctx.h) - 1) // ((1 << m) - 1)
             assert p["unit"] is not None  # recorded, per the open-question contract
             # the two-variable law is the oracle of the 2-series route
-            h, lead = height_of_residue_fgl(residue_fgl(ctx, 1 << ctx.h), ctx.h)
+            h, lead = height_of_residue_fgl(residue_fgl(ctx, 1 << ctx.h))
             assert (p["computed_height"], p["coefficient"]) == (h, lead.to_json())
 
 
@@ -220,7 +223,7 @@ def test_criterion_09_action_suite(criterion):
 def test_criterion_10_witt_suite(criterion):
     with criterion(10, 30, "Teichmuller multiplicative (exhaustive F_4, F_8), Frobenius"):
         for d in (2, 3):
-            spec = FiniteFieldSpec.default(d)
+            spec = finite_field(d)
             N = 8
             lifts = {a.bits: teichmuller(a, N) for a in spec.elements()}
             for a in spec.elements():
@@ -253,17 +256,17 @@ def test_criterion_12_membership_cross_validation(criterion):
     with criterion(12, 120, "Groebner vs F_2-linear membership, degrees <= 10, n = 2"):
         gens = [reduce_mod2(v) for v in v_in_rn(RnContext(2, 2))]
         ring = gens[0].ring
-        gb = groebner_truncated(gens, 10)
+        gb = GroebnerBasis(ring, gens, 10)
         rng = random.Random(12)
         for degree in range(2, 11, 2):
             monos = ring.monomials_of_degree(degree)
             polys = [GradedPolynomial(ring, {mono: 1}) for mono in monos]
             for p in polys:
-                assert gb.contains(p) == f2_membership_linear(p, gens)
+                assert gb.normal_form(p).is_zero() == f2_membership_linear(p, gens)
             for _ in range(25):
                 p = ring.zero()
                 for q in polys:
                     if rng.randrange(2):
                         p = p + q
                 if not p.is_zero():
-                    assert gb.contains(p) == f2_membership_linear(p, gens)
+                    assert gb.normal_form(p).is_zero() == f2_membership_linear(p, gens)

@@ -264,11 +264,10 @@ def test_rn_context_is_shared_and_constructor_is_fresh(monkeypatch):
 def test_lt_context_is_shared_and_constructor_is_fresh(capsys, monkeypatch):
     _cold_caches(monkeypatch)
     ctx = lubin_tate.lt_context(2, 1)
-    assert lubin_tate.lt_context(2, 1, modulus=(1, 1), k_max=2) is ctx
+    assert lubin_tate.lt_context(2, 1, modulus=(1, 1)) is ctx
     assert lubin_tate.LTContext(2, 1) is not ctx
     assert ctx.rn is equivariant_ring.rn_context(2, 2)
     for other in (
-        lubin_tate.lt_context(2, 1, k_max=3),
         lubin_tate.lt_context(2, 1, d=2),
         lubin_tate.lt_context(2, 1, precision=10, madic=8),
         lubin_tate.lt_context(2, 2),
@@ -278,13 +277,16 @@ def test_lt_context_is_shared_and_constructor_is_fresh(capsys, monkeypatch):
     f8 = lubin_tate.lt_context(2, 1, d=3)
     assert lubin_tate.lt_context(2, 1, d=3, modulus=(1, 1, 0, 1)) is f8
     assert lubin_tate.lt_context(2, 1, d=3, modulus=(1, 0, 1, 1)) is not f8
-    # height --cutoff 4 at h = 2 needs k_max = 2 = h: the claims share one context
+    # the cutoff selects no context: every claim at one configuration shares one
     _cold_caches(monkeypatch)
     for argv in (["verify", "cotangent", "--n", "2", "--m", "1"],
                  ["verify", "height", "--n", "2", "--m", "1", "--cutoff", "4"],
+                 ["verify", "height", "--n", "2", "--m", "1", "--cutoff", "32"],
+                 ["verify", "height", "--n", "2", "--m", "1", "--cutoff", "64"],
                  ["verify", "unit-factors", "--n", "2", "--m", "1"]):
         assert _run(argv, capsys)[0] == 0
     assert list(lubin_tate._LT_CONTEXTS.values()) == [lubin_tate.lt_context(2, 1)]
+    assert list(equivariant_ring._CONTEXTS) == [(2, 2, None)]  # and one R_2, at k_max = h
 
 
 def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from fgl_forge.coefficients import (
     GFElement,
     WittElement,
     _frobenius_root,
+    finite_field,
     frobenius_lift,
     is_two_local,
     rational_mod2,
@@ -18,8 +19,8 @@ from fgl_forge.coefficients import (
 )
 from fgl_forge.errors import InverseOfNonUnit, NonIntegralCoefficient
 
-F4 = FiniteFieldSpec.default(2)
-F8 = FiniteFieldSpec.default(3)
+F4 = finite_field(2)
+F8 = finite_field(3)
 
 
 # ---- rationals and Z_(2) ----------------------------------------------------
@@ -49,13 +50,13 @@ def test_field_spec_validation():
         FiniteFieldSpec(3, (0, 0, 0, 1))  # x^3
     with pytest.raises(ValueError):
         FiniteFieldSpec(2, (1, 1))  # degree mismatch
-    assert FiniteFieldSpec.default(4).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
+    assert finite_field(4).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
     with pytest.raises(ValueError):
-        FiniteFieldSpec.default(5)
+        finite_field(5)
 
 
 def test_gf_field_axioms_exhaustive():
-    for spec in (F4, F8, FiniteFieldSpec.default(4)):
+    for spec in (F4, F8, finite_field(4)):
         elts = list(spec.elements())
         one = spec.one
         for a in elts:
@@ -178,7 +179,7 @@ def _frobenius_by_substitution(w):
 @pytest.mark.parametrize("N", [1, 8, 10])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_frobenius_table_matches_substitution(d, N):
-    spec = FiniteFieldSpec.default(d)
+    spec = finite_field(d)
     rng = random.Random(100 * d + N)
     for _ in range(20):
         w = WittElement(spec, N, [rng.randrange(-(1 << N), 1 << N) for _ in range(d)])
@@ -223,7 +224,7 @@ def _raw_inverse(spec, N, a):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_witt_results_are_canonical(d):
-    spec = FiniteFieldSpec.default(d)
+    spec = finite_field(d)
     rng = random.Random(40 + d)
     for N in (1, 5, 8):
         top = 1 << N
@@ -271,7 +272,7 @@ def _product_by_power_table(spec, a, b):
 @pytest.mark.parametrize("N", [1, 8, 10])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_coordinate_product_matches_witt_product(d, N):
-    spec = FiniteFieldSpec.default(d)
+    spec = finite_field(d)
     kernel = witt_kernel(spec, N)
     assert witt_kernel(spec, N) is kernel and witt_kernel(spec, N + 1) is not kernel
     rng = random.Random(200 * d + N)

@@ -40,6 +40,7 @@ from fgl_forge.series_fgl import (
     conjugate_fgl,
     formal_inverse,
     formal_sum,
+    t_from_strict_iso,
     v_from_log,
 )
 
@@ -131,14 +132,19 @@ def test_t_level_bad_level():
         t_level(ctx, 0)
     with pytest.raises(ValueError):
         t_level(ctx, 3)
-    with pytest.raises(ValueError):
-        t_level(ctx, 1, method="guess")
+
+
+def _t_level_by_chain(ctx, r):
+    """Oracle: the 2-typical coordinates of the composite of 2^{n-r} twisted
+    strict isomorphisms, built literally and read off slot by slot."""
+    iso = chain_composite(ctx, steps=1 << (ctx.n - r))
+    return [from_rational_ring(t) for t in t_from_strict_iso(iso)[: ctx.k_max]]
 
 
 @pytest.mark.parametrize("n,k_max,r", [(2, 2, 1), (2, 3, 1), (3, 2, 2), (3, 2, 1)])
 def test_t_level_series_route_agrees(n, k_max, r):
     ctx = RnContext(n, k_max)
-    assert t_level(ctx, r, method="log") == t_level(ctx, r, method="series")
+    assert t_level(ctx, r) == _t_level_by_chain(ctx, r)
 
 
 def _t_level_by_powers(ctx, r):
@@ -159,7 +165,7 @@ def _t_level_by_powers(ctx, r):
 
 
 def _v_from_log_by_powers(l_list):
-    """Oracle: v_k with each v_j^{2^{k-j}} formed afresh."""
+    """Oracle: v_k with each v_j^{2^{k-j}} formed afresh, over the ring of l_list."""
     vs = []
     for k in range(1, len(l_list) + 1):
         vk = l_list[k - 1].scalar_mul(2 - 2 ** (1 << k))
@@ -173,7 +179,8 @@ def _v_from_log_by_powers(l_list):
 def test_squares_tables_match_the_power_by_power_loops(n, k_max):
     ctx = RnContext(n, k_max)
     ls = rn_log(ctx)
-    assert v_from_log(ls) == _v_from_log_by_powers(ls)
+    # v_from_log certifies its outputs integral; the oracle is converted after
+    assert v_from_log(ls) == [from_rational_ring(v) for v in _v_from_log_by_powers(ls)]
     for r in range(1, n + 1):
         got = t_level(ctx, r)
         want = _t_level_by_powers(ctx, r)
@@ -314,13 +321,13 @@ def test_groebner_closure_on_real_v_images():
     # basis of (v1bar, v2bar) in R_2 mod 2 at D = 14: every S-polynomial with
     # lcm degree <= D reduces to 0, and random ideal combinations are members
     # by both decision routes
-    from fgl_forge.poly_core import f2_membership_linear, groebner_truncated
+    from fgl_forge.poly_core import GroebnerBasis, f2_membership_linear
 
     ctx = RnContext(2, 2)
     g1, g2 = (reduce_mod2(v) for v in v_in_rn(ctx))
     D = 14
-    gb = groebner_truncated([g1, g2], D)
     ring = g1.ring
+    gb = GroebnerBasis(ring, [g1, g2], D)
     for a in range(len(gb.basis)):
         for b in range(a + 1, len(gb.basis)):
             ma, mb = gb.basis[a].leading_monomial(), gb.basis[b].leading_monomial()
@@ -341,7 +348,7 @@ def test_groebner_closure_on_real_v_images():
         comb = g1 * GradedPolynomial(ring, {ca: 1}) + g2 * GradedPolynomial(ring, {cb: 1})
         if comb.is_zero():
             continue
-        assert gb.contains(comb)
+        assert gb.normal_form(comb).is_zero()
         assert f2_membership_linear(comb, [g1, g2])
 
 

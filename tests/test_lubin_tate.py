@@ -7,11 +7,12 @@ from fgl_forge.coefficients import (
     QQ,
     FiniteFieldSpec,
     WittElement,
+    finite_field,
     frobenius_lift,
     teichmuller,
 )
 from fgl_forge import lubin_tate
-from fgl_forge.equivariant_ring import rn_log
+from fgl_forge.equivariant_ring import rn_context, rn_log, v_in_rn
 from fgl_forge.errors import (
     AmbientMismatch,
     ConsistencyFailure,
@@ -138,7 +139,7 @@ def test_context_mixing_raises():
 def test_contexts_over_one_field_share_one_spec():
     from fgl_forge import coefficients
 
-    spec = FiniteFieldSpec.default(3)
+    spec = finite_field(3)
     assert coefficients.finite_field(3, [1, 1, 0, 1]) is spec
     assert FiniteFieldSpec.from_json(spec.to_json()) is spec
     contexts = [LTContext(2, 1, d=3), LTContext(2, 2, d=3, modulus=(1, 1, 0, 3)),
@@ -177,8 +178,8 @@ def test_units_and_inverses():
 
 
 def test_residue_ring():
-    K = KRing(FiniteFieldSpec.default(1))
-    assert KRing(FiniteFieldSpec.default(1)) is K
+    K = KRing(finite_field(1))
+    assert KRing(finite_field(1)) is K
     ub = K.ubar()
     assert ub * ub == K.ubar(2)
     assert ub ** -3 == K.ubar(-3)
@@ -361,7 +362,7 @@ def test_zeta_identity_and_torsion_guard():
     with pytest.raises(NotQTorsion):
         lt_zeta(ctx1, ctx1.spec.omega, ctx1.one())
     with pytest.raises(AmbientMismatch):
-        lt_zeta(LTContext(2, 1), FiniteFieldSpec.default(2).omega, LTContext(2, 1).one())
+        lt_zeta(LTContext(2, 1), finite_field(2).omega, LTContext(2, 1).one())
 
 
 def test_zeta_on_generators():
@@ -494,7 +495,7 @@ def test_witt_terms_round_trip():
     y = LTElement(ctx, raw)
     assert y.coords == {(ctx._zero_exps, 0): (1, 0, 31), (tau, 1): (0, 0, 1)}
     assert y == ctx.from_witt(raw[(ctx._zero_exps, 0)]) + LTElement(ctx, {(tau, 1): raw[(tau, 1)]})
-    other_field = FiniteFieldSpec.default(2)
+    other_field = finite_field(2)
     for foreign in (WittElement(ctx.spec, 9, [1, 0, 0]), WittElement.one(other_field, 8)):
         with pytest.raises(AmbientMismatch):
             LTElement(ctx, {(ctx._zero_exps, 0): foreign})
@@ -556,7 +557,7 @@ def test_v_images_height_two():
     with pytest.raises(ValueError):
         v_in_lt(ctx, 0)
     with pytest.raises(ValueError):
-        v_in_lt(ctx, ctx.rn.k_max + 1)
+        v_in_lt(ctx, ctx.h + 1)
 
 
 def test_v_images_height_four():
@@ -577,11 +578,17 @@ def test_v_images_height_four():
 
 def test_v_images_beyond_the_height():
     # no uniform statement above h: at (2,1) the image of v_3 is again a
-    # unit, while v_4 sits deep in the maximal ideal
-    ctx = LTContext(2, 1, k_max=4)
+    # unit, while v_4 sits deep in the maximal ideal; v_in_lt stops at h, so
+    # v_3 and v_4 are specialized from R_2 with generators up to t_4
+    ctx = LTContext(2, 1)
     K = KRing(ctx.spec)
-    assert v_in_lt(ctx, 3).residue() == K.ubar(7)
-    assert v_in_lt(ctx, 4).filtration() == 3
+    vs = v_in_rn(rn_context(2, 4))
+    for k in (1, 2):  # t_3, t_4 map to 0, so the larger ring changes no image
+        assert lt_specialize(ctx, vs[k - 1]) == v_in_lt(ctx, k)
+    assert lt_specialize(ctx, vs[2]).residue() == K.ubar(7)
+    assert lt_specialize(ctx, vs[3]).filtration() == 3
+    with pytest.raises(ValueError):
+        v_in_lt(ctx, 3)
 
 
 def test_level_generator_images_height_two():
@@ -660,15 +667,21 @@ def test_cotangent_rank_drop_is_reported():
 
 # ---- the residue formal group law and its height --------------------------------
 
-def test_residue_law_coefficients_height_two():
-    ctx = LTContext(2, 1, k_max=3)
+def test_residue_law_coefficients_height_two(monkeypatch):
+    ctx = LTContext(2, 1)
     K = KRing(ctx.spec)
     assert v_in_lt(ctx, 1).residue().is_zero()  # v_1 lies in m^1 fully
     assert v_in_lt(ctx, 2).residue() == K.ubar(3)
     F = residue_fgl(ctx, cutoff=8)
+    assert F.ring is K  # conjugate_fgl reads the target ring off the image of 1
     two = two_series(F)
     assert all(two.coeffs[e].is_zero() for e in two.coeffs if e < 4)
     assert two.coeffs[4] == K.ubar(3)
+    # the law comes over Q[v]; a coefficient with an even denominator (the
+    # law of l_1 alone at x^4) is refused on the way to K
+    monkeypatch.setattr(lubin_tate, "fgl_from_log", lambda ls, X: fgl_from_log(ls[:1], X))
+    with pytest.raises(NonIntegralCoefficient):
+        residue_fgl(ctx, cutoff=4)
 
 
 @pytest.mark.parametrize(
@@ -689,12 +702,9 @@ def test_residue_height_guards(monkeypatch):
     monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
     with pytest.raises(ValueError):
         residue_height(LTContext(2, 1), cutoff=2)
-    with pytest.raises(ValueError):
-        residue_height(LTContext(2, 1, k_max=1))
-    # a table built for a context with k_max = 5 does not lift a smaller bound
-    assert residue_height(LTContext(2, 1, k_max=5), cutoff=32)["status"] == "verified"
-    with pytest.raises(ValueError, match="needs generators up to 5"):
-        residue_height(LTContext(2, 1), cutoff=32)
+    # the cutoff selects no context: cutoff 32 needs l_1..l_5, and the
+    # default context, whose R_2 stops at t_2, serves it
+    assert residue_height(LTContext(2, 1), cutoff=32)["status"] == "verified"
 
 
 def _oracle_cases():
@@ -719,18 +729,16 @@ def test_residue_height_matches_the_residue_law(n, m, d, cutoff, monkeypatch):
     (height, coefficient), and the same whole 2-series up to the cutoff."""
     # residue_fgl builds fgl_from_log(log_from_v(k), X) afresh; one law per
     # (k, X) serves every (n, m, d), as at cutoff 32 it takes seconds
-    monkeypatch.setattr(
-        lubin_tate, "fgl_from_log", lambda ls, X, integral=True: _universal_law(len(ls), X)
-    )
+    monkeypatch.setattr(lubin_tate, "fgl_from_log", lambda ls, X: _universal_law(len(ls), X))
     monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
-    ctx = LTContext(n, m, d=d, k_max=cutoff.bit_length() - 1)
+    ctx = LTContext(n, m, d=d)
     F = residue_fgl(ctx, cutoff)
-    height, lead = height_of_residue_fgl(F, ctx.h)
+    height, lead = height_of_residue_fgl(F)
     p = residue_height(ctx, cutoff)["params"]
     assert (p["computed_height"], p["coefficient"]) == (height, lead.to_json())
     assert height == ctx.h
     K = KRing(ctx.spec)
-    odd = lubin_tate._residue_two_series(ctx, cutoff, ctx.rn.k_max)
+    odd = lubin_tate._residue_two_series(ctx, cutoff)
     assert two_series(F).coeffs == {e: K.ubar(e - 1) for e in odd}
 
 
@@ -739,10 +747,10 @@ def test_log_mod_tau_is_the_tau_free_part_of_the_specialized_log(n, m):
     """c_k against lt_specialize(2^k l_k): its tau-degree-0 part is exactly
     2^k c_k u^{2^k-1} (mod 2^M), and 2^k l_k is integral, so no case is
     lost to a denominator."""
-    ctx = LTContext(n, m, precision=10, madic=10, k_max=4)
+    ctx = LTContext(n, m, precision=10, madic=10)
     cs = lubin_tate._log_mod_tau(ctx, 4)
     assert any(QQ(c).denominator > 1 for c in cs)  # the check sees fractions
-    for k, (lk, ck) in enumerate(zip(rn_log(ctx.rn), cs), start=1):
+    for k, (lk, ck) in enumerate(zip(rn_log(rn_context(n, 4)), cs), start=1):
         image = lt_specialize(ctx, lk.scalar_mul(1 << k))
         tau_free = {key: c for key, c in image.coords.items() if not any(key[0])}
         expected = ctx.from_rational(ck * (1 << k)) * ctx.u_pow((1 << k) - 1)
@@ -751,7 +759,8 @@ def test_log_mod_tau_is_the_tau_free_part_of_the_specialized_log(n, m):
 
 def _log_mod_tau_from_rn_log(ctx, k_max):
     """Oracle: sum the coefficients of the t_m-only monomials of l_k over all of R_n."""
-    ring = ctx.rn.ring_q
+    rn = rn_context(ctx.n, k_max)
+    ring = rn.ring_q
     other = [v.i != ctx.m for v in ring.variables]
     return [
         sum(
@@ -759,7 +768,7 @@ def _log_mod_tau_from_rn_log(ctx, k_max):
              if not any(e and o for e, o in zip(ring.decode(mono), other))),
             QQ(0),
         )
-        for lk in rn_log(ctx.rn)[:k_max]
+        for lk in rn_log(rn)
     ]
 
 
@@ -767,7 +776,7 @@ def _log_mod_tau_from_rn_log(ctx, k_max):
 def test_log_mod_tau_matches_the_logarithm_over_all_of_rn(n, m):
     """The recursion on the image of Q[gamma^j t_m] against rn_log of R_n."""
     k_max = max(4, (1 << (n - 1)) * m)
-    ctx = LTContext(n, m, k_max=k_max)
+    ctx = LTContext(n, m)
     cs = lubin_tate._log_mod_tau(ctx, k_max)
     assert cs == _log_mod_tau_from_rn_log(ctx, k_max)
     assert any(c for c in cs)
@@ -784,7 +793,7 @@ def test_residue_height_runs_without_the_v_route(monkeypatch):
     # (2, 2) and (2, 1) share n and the cutoff 16 but not the table
     cases = ((2, 1, 1, 32), (2, 2, 2, 16), (2, 1, 1, 16), (3, 1, 1, 16), (1, 4, 2, 16))
     for n, m, d, cutoff in cases:
-        ctx = LTContext(n, m, d=d, k_max=cutoff.bit_length() - 1)
+        ctx = LTContext(n, m, d=d)
         assert residue_height(ctx, cutoff)["status"] == "verified"
 
 

@@ -13,7 +13,15 @@ from fgl_forge.errors import (
     NonTwoTypicalIso,
     SourceTargetMismatch,
 )
-from fgl_forge.poly_core import T, V, bp_ring, reduce_mod2, rn_ring, to_rational_ring
+from fgl_forge.poly_core import (
+    T,
+    V,
+    bp_ring,
+    from_rational_ring,
+    gamma_act,
+    reduce_mod2,
+    rn_ring,
+)
 from fgl_forge.series_fgl import (
     FGL,
     StrictIso,
@@ -21,6 +29,7 @@ from fgl_forge.series_fgl import (
     TruncatedSeries2,
     additive_fgl,
     compose_iso,
+    conjugate_fgl,
     fgl_apply,
     fgl_from_log,
     formal_inverse,
@@ -123,21 +132,17 @@ def test_l_denominator_exactly_2k():
 
 
 def test_v_from_log_round_trip_and_zero():
-    ls = log_from_v(3)
-    vs = v_from_log(ls, assert_integral=True)
+    # the outputs are certified: they land in the integral ring Z_(2)[v]
     integral = bp_ring(3)
-    for k, vk in enumerate(vs, start=1):
+    for k, vk in enumerate(v_from_log(log_from_v(3)), start=1):
         assert vk == integral.var(V(k))
-    rational = v_from_log(ls)
-    for k, vk in enumerate(rational, start=1):
-        assert vk == ls[0].ring.var(V(k))
     assert v_from_log([]) == []
 
 
 def test_v_from_log_non_integral(monkeypatch):
     for l1 in (RQ1.var(V(1)), rn_ring(2, 1, rational=True).var(T(1))):
         with pytest.raises(NonIntegralResult) as info:
-            v_from_log([l1.scalar_mul(QQ(1, 4))], assert_integral=True)
+            v_from_log([l1.scalar_mul(QQ(1, 4))])
         assert isinstance(info.value.__cause__, NonIntegralCoefficient)
     # only non-integrality becomes NonIntegralResult; other failures propagate
     def broken(p):
@@ -145,13 +150,13 @@ def test_v_from_log_non_integral(monkeypatch):
 
     monkeypatch.setattr(series_fgl, "from_rational_ring", broken)
     with pytest.raises(RuntimeError):
-        v_from_log(log_from_v(1), assert_integral=True)
+        v_from_log(log_from_v(1))
 
 
 # ---- law construction ------------------------------------------------------------
 
 def test_fgl_from_log_additive():
-    F = fgl_from_log([], 6, integral=False)
+    F = fgl_from_log([], 6)
     assert F.coefficient(1, 1).is_zero()
     assert two_series(F).coefficient(1) == F.ring.from_rational(2)
 
@@ -164,10 +169,12 @@ def test_fgl_from_log_order3_oracle():
 
 
 def test_fgl_integrality_window():
-    # integral exactly while cutoff <= 2^(k_max+1) - 1; the next order needs l_{k+1}
-    fgl_from_log(log_from_v(2), 7)
-    with pytest.raises(NonIntegralResult):
-        fgl_from_log(log_from_v(1), 4)
+    # integral exactly while cutoff <= 2^(k_max+1) - 1; the next order needs
+    # l_{k+1}.  The law comes over Q[v]; from_rational_ring is the check.
+    F = conjugate_fgl(fgl_from_log(log_from_v(2), 7), from_rational_ring)
+    assert F.ring is bp_ring(2)
+    with pytest.raises(NonIntegralCoefficient):
+        conjugate_fgl(fgl_from_log(log_from_v(1), 4), from_rational_ring)
 
 
 def test_homogeneity_of_coefficients():
@@ -240,7 +247,7 @@ def test_associativity_three_variables():
 def test_log_criterion_for_associativity():
     # log(F(x,y)) = log(x) + log(y): the torsion-free associativity criterion
     ls = log_from_v(3)
-    F = fgl_from_log(ls, 15, integral=False)
+    F = fgl_from_log(ls, 15)
     ring = F.ring
     L = log_series(ls, ring, 15)
     lhs = TruncatedSeries2(ring, {}, 15)
@@ -271,7 +278,7 @@ def test_two_series_shapes():
 def test_araki_two_series_identity():
     for k, cutoff in ((2, 7), (2, 4), (3, 8)):
         ls = log_from_v(k)
-        F = fgl_from_log(ls, cutoff)
+        F = conjugate_fgl(fgl_from_log(ls, cutoff), from_rational_ring)  # over Z_(2)[v]
         ring = F.ring
         araki_terms = [(2, 1)] + [(ring.var(V(i)), 1 << i) for i in range(1, k + 1)]
         assert two_series(F) == formal_sum(F, araki_terms)
@@ -308,7 +315,15 @@ def test_formal_sum_via_log_agrees():
     ring = F.ring
     v1, v2 = ring.var(V(1)), ring.var(V(2))
     terms = [(2, 1), (v1, 2), (v2, 4)]
-    assert formal_sum_via_log(F, terms) == formal_sum(F, terms)
+    assert formal_sum_via_log(F, log_from_v(2), terms) == formal_sum(F, terms)
+    # and over R_2 (x) Q, with the logarithm of the context's law
+    from fgl_forge.equivariant_ring import RnContext, rn_log
+
+    ctx = RnContext(2, 2)
+    G = ctx.law(7)
+    t1, t2 = ctx.generator(1, rational=True), ctx.generator(2, rational=True)
+    terms = [(1, 1), (gamma_act(t1), 2), (t1 * t2, 6), (QQ(1, 3), 3)]
+    assert formal_sum_via_log(G, rn_log(ctx), terms) == formal_sum(G, terms)
 
 
 def test_formal_inverse_oracles():
@@ -542,9 +557,9 @@ def test_symmetric_composition_matches_the_sum_of_powers(monkeypatch):
     for k, lk in enumerate(ls, start=1):
         S = S + TruncatedSeries2(lk.ring, {(1 << k, 0): lk, (0, 1 << k): lk}, X)
     E = series_exp(log_series(ls, ls[0].ring, X))
-    assert fgl_from_log(ls, X, integral=False).two_var == _compose2_by_powers(E, S)
+    assert fgl_from_log(ls, X).two_var == _compose2_by_powers(E, S)
 
-    F = fgl_from_log(log_from_v(2), 9, integral=False)
+    F = fgl_from_log(log_from_v(2), 9)
     iso = strict_iso_from_t([F.ring.from_rational(QQ(3, 7)), F.ring.var(V(1))], F)
     px = TruncatedSeries2(F.ring, {(e, 0): c for e, c in iso.psi.coeffs.items()}, 9)
     py = TruncatedSeries2(F.ring, {(0, e): c for e, c in iso.psi.coeffs.items()}, 9)
@@ -626,7 +641,7 @@ def test_grouped_series_apply_matches_the_per_coefficient_route():
             a2 = _random_poly_series2(ring, X, rng, (1, 3))
             b2 = _random_poly_series2(ring, X, rng, (1, 7))
             assert series_fgl._apply_series(F, a2, b2) == _apply_per_coefficient(F, a2, b2)
-    F = fgl_from_log(log_from_v(2), 9, integral=False)
+    F = fgl_from_log(log_from_v(2), 9)
     iso = strict_iso_from_t([F.ring.from_rational(QQ(3, 7)), F.ring.var(V(1))], F)
     px = TruncatedSeries2(F.ring, {(e, 0): c for e, c in iso.psi.coeffs.items()}, 9)
     py = TruncatedSeries2(F.ring, {(0, e): c for e, c in iso.psi.coeffs.items()}, 9)
@@ -638,7 +653,7 @@ def test_single_term_apply_rejects_what_the_general_route_rejects():
     v1 = F.ring.var(V(1))
     a = TruncatedSeries1(F.ring, {1: F.ring.one(), 2: v1}, 7)
     short = TruncatedSeries1.monomial(F.ring, v1, 2, 6)
-    foreign = TruncatedSeries1.monomial(bp_ring(2, rational=True), 1, 2, 7)
+    foreign = TruncatedSeries1.monomial(bp_ring(2), 1, 2, 7)  # the law is over Q[v]
     for left, right in ((a, short), (short, a), (short, TruncatedSeries1.identity(F.ring, 7)),
                         (a, foreign), (foreign, a)):
         with pytest.raises(AmbientMismatch):
@@ -674,7 +689,7 @@ def test_t_round_trip():
 
 
 def test_t_round_trip_property_random():
-    F = fgl_from_log(log_from_v(2), 15, integral=False)
+    F = fgl_from_log(log_from_v(2), 15)
     ring = F.ring
     rng = random.Random(17)
     for _ in range(4):
@@ -735,7 +750,7 @@ def test_height_multiplicative_like():
     ring = bp_ring(1, mod2=True)
     v1 = reduce_mod2(bp_ring(1).var(V(1)))
     F = FGL(TruncatedSeries2(ring, {(1, 0): ring.one(), (0, 1): ring.one(), (1, 1): v1}, 8))
-    h, coeff = height_of_residue_fgl(F, 1)
+    h, coeff = height_of_residue_fgl(F)
     assert h == 1 and coeff == v1
 
 
