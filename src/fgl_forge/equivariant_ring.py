@@ -41,10 +41,10 @@ from .series_fgl import (
     StrictIso,
     TruncatedSeries1,
     conjugate_fgl,
-    fgl_apply,
     fgl_from_log,
     formal_inverse,
     formal_sum,
+    log_series,
     v_from_log,
 )
 
@@ -230,6 +230,13 @@ def v_in_rn(ctx):
 # lower-level generators
 # ---------------------------------------------------------------------------
 
+def _gamma_shift(series, a):
+    """gamma^a applied to every coefficient of a series."""
+    return TruncatedSeries1(
+        series.ring, {e: gamma_act(c, a) for e, c in series.coeffs.items()}, series.cutoff
+    )
+
+
 def _chain_series(ctx, steps, cutoff):
     """The series of the composite of `steps` twisted isomorphisms from F.
 
@@ -237,9 +244,15 @@ def _chain_series(ctx, steps, cutoff):
     where psi_gamma is the F^gamma-sum of x and the t_i x^{2^i}.  gamma acts
     on coefficients as a ring automorphism, so gamma_* commutes with F-sums:
     psi_gamma = gamma_* phi with phi = x +^F sum^F gamma^{-1}(t_i) x^{2^i},
-    and step j is gamma^{j+1}_* phi.  So the chain is one F-sum in F itself,
-    gamma^j applied to its coefficients at each step, and series
+    and step j is gamma^j_* of step 0, gamma_* phi.  So the chain is one
+    F-sum in F itself, gamma^j applied to coefficients, and series
     composition; no conjugate law F^{gamma^j} is built.
+
+    gamma_* also commutes with composition, so with P_s the composite of the
+    first s steps, P_{a+b} = gamma^a_*(P_b) o P_a.  The chain is built by
+    binary powering over the bits of `steps`: P_{2s} = gamma^s_*(P_s) o P_s
+    per bit, and one more composition per set bit below the top one, so
+    2^{n-1} steps take n-1 compositions.
     """
     F = ctx.law(cutoff)
     terms = [(1, 1)]
@@ -247,14 +260,16 @@ def _chain_series(ctx, steps, cutoff):
         ti = ctx.generator(i, rational=True)
         if not ti.is_zero() and (1 << i) <= cutoff:
             terms.append((gamma_act(ti, -1), 1 << i))
-    phi = formal_sum(F, terms)
-    psi = None
-    for j in range(1, steps + 1):
-        step = TruncatedSeries1(
-            phi.ring, {e: gamma_act(c, j) for e, c in phi.coeffs.items()}, cutoff
-        )
-        psi = step if psi is None else step.compose(psi)
-    return psi
+    power, span = _gamma_shift(formal_sum(F, terms), 1), 1  # P_1
+    psi, done = None, 0  # psi = P_done
+    while True:
+        if steps & span:
+            psi = power if psi is None else _gamma_shift(power, done).compose(psi)
+            done += span
+        if done == steps:
+            return psi
+        power = _gamma_shift(power, span).compose(power)
+        span *= 2
 
 
 def chain_composite(ctx, steps=None, cutoff=None):
@@ -577,14 +592,19 @@ def chain_inversion_check(ctx, cutoff=None):
     through order 2^{k_max+1} - 1; beyond that the identity needs t_{k_max+1},
     so larger cutoffs are rejected rather than reported as failures.
 
-    The check is one certificate, F(x, -psi(x)) = 0 at the full cutoff X.
+    The check is one certificate through the logarithm L = x + sum l_k x^{2^k}
+    of F: L(x) + L(-psi(x)) = 0 at the full cutoff X.  The law is built as
+    F(x, y) = exp(L(x) + L(y)) through x^X, so F(x, -psi) = exp(L(x) + L(-psi))
+    mod x^{X+1}, and exp, the inverse of the strict series L, is strict too:
+    the certificate holds exactly when F(x, -psi(x)) = 0 through x^X.
     F(x, y) = 0 has exactly one solution mod x^{X+1}, namely [-1](x): with
     F = x + y + sum a_{jk} x^j y^k (j, k >= 1), the coefficient of x^e in
     F(x, y) is 1 + y_1 at e = 1 and y_e + P_e(y_1, ..., y_{e-1}) above, so
     the equations fix y_1 = -1, y_2, y_3, ... one at a time.  Hence the
-    certificate holds exactly when psi = -[-1](x) through x^X.  Only when it
-    fails is the formal inverse solved, to report the lowest coefficient of
-    the difference as the witness.
+    certificate holds exactly when psi = -[-1](x) through x^X.  L is
+    supported on powers of two, so L(-psi) needs only the squarings psi^2,
+    psi^4, ...  Only when the certificate fails is the formal inverse
+    solved, to report the lowest coefficient of the difference as the witness.
     """
     window = (1 << (ctx.k_max + 1)) - 1
     X = cutoff if cutoff is not None else window
@@ -592,14 +612,14 @@ def chain_inversion_check(ctx, cutoff=None):
         raise ValueError(
             f"cutoff {X} exceeds the order-{window} window of k_max={ctx.k_max}"
         )
-    F = ctx.law(X)
     psi = _chain_series(ctx, ctx.half, X)
+    L = log_series(rn_log(ctx), ctx.ring_q, X)
     first = None
-    if not fgl_apply(F, TruncatedSeries1.identity(psi.ring, X), -psi).is_zero():
-        diff = psi - formal_inverse(F).scale(-1)
+    if not (L + L.compose(-psi)).is_zero():
+        diff = psi - formal_inverse(ctx.law(X)).scale(-1)
         if diff.is_zero():
             raise ConsistencyFailure(
-                f"F(x, -psi) is not 0 although psi = -[-1](x) at n={ctx.n}"
+                f"L(x) + L(-psi) is not 0 although psi = -[-1](x) at n={ctx.n}"
             )
         first = diff.coefficient(min(diff.coeffs))
     report = _report(

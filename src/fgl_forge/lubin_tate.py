@@ -228,7 +228,6 @@ class LTContext:
         # the torus weight 2^i - 1 of gamma^j tau_i, for the character chi
         self._chi_weights = tuple((1 << i) - 1 for i, _ in self.taus)
         self._zero_exps = (0,) * len(self.taus)
-        self.rn = rn_context(n, self.h)
         self._gamma_var = None  # lazy: index -> image under gamma
         self._gamma_var_pow = {}  # (index, exponent) -> gamma(tau_index)^exponent
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
@@ -238,6 +237,12 @@ class LTContext:
         # zeta bits -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
         # for q-torsion zeta
         self._zeta_powers = {}
+
+    @property
+    def rn(self):
+        """The shared R_n context with generators up to t_h; built on first
+        read, so claims that never read it (fixed-subring, height) build none."""
+        return rn_context(self.n, self.h)
 
     # -- coefficient-ring protocol ------------------------------------------
 

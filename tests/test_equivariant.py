@@ -35,11 +35,15 @@ from fgl_forge.poly_core import (
 from fgl_forge.series_fgl import (
     StrictIso,
     TruncatedSeries1,
+    TruncatedSeries2,
     additive_fgl,
     compose_iso,
+    compose_symmetric,
     conjugate_fgl,
+    fgl_apply,
     formal_inverse,
     formal_sum,
+    log_series,
     t_from_strict_iso,
     v_from_log,
 )
@@ -469,15 +473,45 @@ def test_chain_report_matches_the_conjugated_law_route(n, k_max, cutoff):
         assert iso.target == want.target
 
 
-@pytest.mark.parametrize("n,k_max,cutoff", CHAIN_CASES)
+def _law_certificate(F, psi):
+    """Oracle for the verdict's certificate: F(x, -psi(x)) = 0 through the cutoff."""
+    return fgl_apply(F, TruncatedSeries1.identity(psi.ring, F.cutoff), -psi).is_zero()
+
+
+# the chain cases, and cutoffs 1 (log x = x) and 2 (log x = x + l_1 x^2)
+CERTIFICATE_CASES = CHAIN_CASES + [(1, 1, 1), (2, 2, 1), (1, 1, 2), (2, 2, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", CERTIFICATE_CASES)
+def test_the_log_certificate_holds_with_the_law_certificate(n, k_max, cutoff):
+    ctx = RnContext(n, k_max)
+    X = _window(ctx, cutoff)
+    F = ctx.law(X)
+    ring = ctx.ring_q
+    ls = rn_log(ctx)
+    # log F(x, y) = log x + log y as a two-variable series
+    sides = {(1, 0): ring.one(), (0, 1): ring.one()}
+    for k, lk in enumerate(ls, start=1):
+        if (1 << k) <= X:
+            sides[(1 << k, 0)] = sides[(0, 1 << k)] = lk
+    L = log_series(ls, ring, X)
+    assert compose_symmetric(L, F.two_var) == TruncatedSeries2(ring, sides, X)
+    psi = equivariant_ring._chain_series(ctx, ctx.half, X)
+    assert _law_certificate(F, psi)
+    assert chain_inversion_check(ctx, cutoff=cutoff)["status"] == "verified"
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", CERTIFICATE_CASES)
 def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, k_max, cutoff):
     ctx = RnContext(n, k_max)
     X = _window(ctx, cutoff)
+    F = ctx.law(X)
     psi = equivariant_ring._chain_series(ctx, ctx.half, X)
     t1 = ctx.generator(1, rational=True)
     for e in range(2, X + 1):
         bump = TruncatedSeries1.monomial(psi.ring, t1 ** (e - 1), e, X)
         for bad in (psi + bump, psi - bump.scale(QQ(1, 3))):
+            assert not _law_certificate(F, bad)
             monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
             with pytest.raises(VerificationFailure) as exc:
                 chain_inversion_check(ctx, cutoff=cutoff)
@@ -490,11 +524,45 @@ def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, 
 def test_a_failed_certificate_with_no_difference_is_inconsistent(monkeypatch):
     ctx = RnContext(2, 2)
     chain_inversion_check(ctx)
-    ring = ctx.ring_q
-    bogus = TruncatedSeries1.monomial(ring, 1, 7, 7)
-    monkeypatch.setattr(equivariant_ring, "fgl_apply", lambda *args: bogus)
+    real = equivariant_ring.log_series
+
+    def wrong_log(l_list, ring, cutoff):
+        # one more x^2: L(x) + L(-psi) gains 2 x^2, psi stays -[-1](x)
+        return real(l_list, ring, cutoff) + TruncatedSeries1.monomial(ring, 1, 2, cutoff)
+
+    monkeypatch.setattr(equivariant_ring, "log_series", wrong_log)
     with pytest.raises(ConsistencyFailure):
         chain_inversion_check(ctx)
+
+
+def _chain_series_by_steps(ctx, steps, cutoff):
+    """Oracle for _chain_series: compose the steps one at a time, the j-th
+    (j >= 1) being gamma^j applied to the coefficients of the F-sum phi."""
+    F = ctx.law(cutoff)
+    terms = [(1, 1)]
+    for i in range(1, ctx.k_max + 1):
+        ti = ctx.generator(i, rational=True)
+        if not ti.is_zero() and (1 << i) <= cutoff:
+            terms.append((gamma_act(ti, -1), 1 << i))
+    phi = formal_sum(F, terms)
+    psi = None
+    for j in range(1, steps + 1):
+        step = TruncatedSeries1(
+            phi.ring, {e: gamma_act(c, j) for e, c in phi.coeffs.items()}, cutoff
+        )
+        psi = step if psi is None else step.compose(psi)
+    return psi
+
+
+# every step count 1..2^{n-1} at n = 1, 2, 3, 4; n = 4 reaches 3, 5, 6 and 7
+@pytest.mark.parametrize("n,k_max,cutoff", [(1, 3, None), (2, 2, None), (3, 2, None),
+                                            (4, 1, None), (4, 2, 7)])
+def test_the_chain_by_doubling_is_the_chain_step_by_step(n, k_max, cutoff):
+    ctx = RnContext(n, k_max)
+    X = _window(ctx, cutoff)
+    for steps in range(1, ctx.half + 1):
+        want = _chain_series_by_steps(ctx, steps, X)
+        assert equivariant_ring._chain_series(ctx, steps, X) == want
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -11,7 +11,7 @@ from fgl_forge.coefficients import (
     frobenius_lift,
     teichmuller,
 )
-from fgl_forge import lubin_tate
+from fgl_forge import equivariant_ring, lubin_tate
 from fgl_forge.equivariant_ring import rn_context, rn_log, v_in_rn
 from fgl_forge.errors import (
     AmbientMismatch,
@@ -834,6 +834,17 @@ def test_fixed_subring_cube_roots():
     assert p["alpha"] == 3 and p["q"] == 3
     assert 0 < p["monomials_fixed"] < p["monomials_checked"]
     assert p["u_power_generator"] == 3  # u^3 is the smallest fixed power of u
+
+
+def test_fixed_subring_and_height_build_no_rn_context(monkeypatch):
+    # neither claim reads ctx.rn, so neither builds the R_2 context at k_max = h = 6
+    monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
+    ctx = LTContext(2, 3)
+    assert fixed_subring_presentation(ctx)["status"] == "verified"
+    assert residue_height(ctx)["status"] == "verified"
+    assert not equivariant_ring._CONTEXTS
+    assert ctx.rn is rn_context(2, 6)
+    assert list(equivariant_ring._CONTEXTS) == [(2, 6, None)]
 
 
 # ---- serialization and tables ---------------------------------------------------
