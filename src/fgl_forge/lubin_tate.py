@@ -46,6 +46,7 @@ from .errors import (
     ConsistencyFailure,
     InverseOfNonUnit,
     NonIntegralCoefficient,
+    NonIntegralResult,
     NonUnit,
     NotQTorsion,
     RankDeficient,
@@ -187,12 +188,17 @@ class LTContext:
     n, m fix the group and the height h = 2^{n-1} m; (d, modulus) fix the
     field k = F_{2^d}; `precision` is the Witt coefficient precision N and
     `madic` the truncation order M in the maximal ideal (N >= M required).
-    Its equivariant ring `rn` is R_n with generators up to t_h, the ring of
-    every v_k (k <= h) and level generator a claim reads.  Immutable after
-    construction; all operations on elements are pure.
+    Immutable after construction; all operations on elements are pure.
+
+    No claim reads a polynomial over R_n: cotangent, unit-factors and height
+    read the orbit table of (n, m) (orbit_table), which every field and
+    truncation shares.  The equivariant ring `rn`, R_n with generators up to
+    t_h, and the specialized v-images and level families built from it serve
+    the oracles (lt_specialize, v_in_lt, t_level_in_lt) and the witness of a
+    falsified unit-factors verdict.
 
     Requests share one context per configuration through lt_context, so its
-    tables (v-images, level families, gamma images, Teichmuller powers) are
+    tables (gamma images, Teichmuller powers, and those of the oracles) are
     built once per process; calling LTContext directly gives a fresh context
     with empty tables.
     """
@@ -240,8 +246,8 @@ class LTContext:
 
     @property
     def rn(self):
-        """The shared R_n context with generators up to t_h; built on first
-        read, so claims that never read it (fixed-subring, height) build none."""
+        """The shared R_n context with generators up to t_h, for the oracles;
+        built on first read, so the claims, which never read it, build none."""
         return rn_context(self.n, self.h)
 
     # -- coefficient-ring protocol ------------------------------------------
@@ -738,7 +744,187 @@ def lt_galois(ctx, e: LTElement) -> LTElement:
 
 
 # ---------------------------------------------------------------------------
-# specialization from the equivariant polynomial ring
+# the specialized logarithm on one gamma-orbit
+# ---------------------------------------------------------------------------
+
+def _a_mul(a, b):
+    """The product in A = Q[tau's]/(tau's)^2 of two (c, x_1, ..., x_{h-1}) tuples."""
+    a0, b0 = a[0], b[0]
+    return (a0 * b0,) + tuple([a0 * y + b0 * x for x, y in zip(a[1:], b[1:])])
+
+
+def _a_pow(a, e):
+    """a^e in A, e >= 1: (c + x)^e = c^e + e c^{e-1} x."""
+    c = a[0]
+    s = e * c ** (e - 1)
+    return (c ** e,) + tuple([s * x for x in a[1:]])
+
+
+def _exact_shift(values, k, name):
+    """values / 2^k, which must be integral: every denominator on the orbit
+    is a power of 2, so this is the test for an odd denominator."""
+    if any(c & ((1 << k) - 1) for c in values):
+        raise NonIntegralResult(f"the image of {name} has an even denominator")
+    return tuple([c >> k for c in values])
+
+
+class OrbitTable:
+    """The specialized logarithm on one gamma-orbit, for one (n, m).
+
+    The specialization rho of R_n into E (lt_specialize) is a gamma-
+    equivariant ring map, and each Lubin-Tate claim reads only a small
+    quotient of E, in which the image of every generator is explicit.  With u
+    graded away (every image is homogeneous), in A = Q[tau's]/(tau's)^2, and
+    with s = floor(p / 2^{n-1}), p' = p mod 2^{n-1} and q = 2^m - 1:
+
+        rho(gamma^p t_i) = (-1)^s tau_{i,p'}                      (i < m)
+        rho(gamma^p t_m) = (-1)^s (1 - q sum_{r<p'} tau_{m,r})
+        rho(gamma^p t_i) = 0                                      (i > m)
+
+    since gamma^{2^{n-1}} negates every t_i and, for j < 2^{n-1},
+    gamma^j u = (1 - gamma^{j-1} tau_m) ... (1 - tau_m) u.  So the rn_log
+    recursion runs on values, p taken mod 2^n and f_0 = 1:
+
+        f_k(p) = rho(gamma^p l_k)
+               = 1/2 sum_{r < 2^{n-1}} sum_{j < k} f_j(p+r+1) rho(gamma^{p+r} t_{k-j})^{2^j},
+
+    and no polynomial over R_n is formed.  A value is the tuple
+    (c_0, c_1, ..., c_{h-1}) of c_0 + sum c_idx tau_idx, with the tau's
+    indexed as in LTContext.taus; its constant part is its value mod (tau).
+    l_k has a denominator dividing 2^k, so 2^k f_k(p) is stored, in ints.
+
+    The tables grow by prefix and are replaced, never changed in place, so
+    a race between two fills costs only time.  They do not depend on the
+    field, the Witt precision or the truncation order: orbit_table keeps one
+    per (n, m).
+    """
+
+    def __init__(self, n, m):
+        self.n = n
+        self.m = m
+        self.half = 1 << (n - 1)
+        self.h = self.half * m
+        self._images = self._generator_images()
+        self._logs = ()  # _logs[k-1][p] = 2^k f_k(p)
+        self._v = ()  # _v[k-1] = the image of v_k
+        self._levels = {}  # s -> the images of t_1, t_2, ... at level s, mod (tau)
+
+    def _generator_images(self):
+        """images[i-1][p] = rho(gamma^p t_i) for i <= m and p < 2^n."""
+        half, q = self.half, (1 << self.m) - 1
+        images = []
+        for i in range(1, self.m + 1):
+            base = 1 + (i - 1) * half  # the slot of gamma^0 tau_i
+            row = []
+            for p in range(2 * half):
+                sign = -1 if p >= half else 1
+                j = p % half
+                img = [0] * self.h
+                if i < self.m:
+                    img[base + j] = sign
+                else:
+                    img[0] = sign
+                    for r in range(j):
+                        img[base + r] = -sign * q
+                row.append(tuple(img))
+            images.append(tuple(row))
+        return tuple(images)
+
+    def logs(self, k):
+        """(2^j f_j(p) for p < 2^n) for j = 1 .. k."""
+        logs = self._logs
+        if len(logs) < k:
+            logs = list(logs)
+            period = 2 * self.half
+            one = (1,) + (0,) * (self.h - 1)
+            for kk in range(len(logs) + 1, k + 1):
+                # only t_{kk-j} with kk - j <= m survives rho, and mod (tau)^2
+                # a power 2^j >= 2 of a tau-multiple vanishes
+                terms = []
+                for j in range(max(0, kk - self.m), kk):
+                    i = kk - j
+                    if j and i < self.m:
+                        continue
+                    images = self._images[i - 1]
+                    if j:
+                        images = [_a_pow(g, 1 << j) for g in images]
+                    terms.append((j, images))
+                row = []
+                for p in range(period):
+                    acc = (0,) * self.h
+                    for j, images in terms:
+                        scale = 1 << (kk - 1 - j)
+                        for r in range(self.half):
+                            fj = one if j == 0 else logs[j - 1][(p + r + 1) % period]
+                            term = _a_mul(fj, images[(p + r) % period])
+                            acc = tuple([a + scale * t for a, t in zip(acc, term)])
+                    row.append(acc)
+                logs.append(tuple(row))
+            logs = self._logs = tuple(logs)
+        return logs[:k]
+
+    def log_constants(self, k):
+        """[c_1 .. c_k]: the image of l_j in E/(tau) is c_j u^{2^j-1}."""
+        return [QQ(row[0][0], 1 << j) for j, row in enumerate(self.logs(k), start=1)]
+
+    def v_images(self, k):
+        """The images of v_1 .. v_k in A, integral, by the v_from_log recursion
+
+            v_k = (2 - 2^{2^k}) f_k(0) - sum_{j=1}^{k-1} f_{k-j}(0) v_j^{2^{k-j}},
+
+        run on 2^k v_k.  Integrality is a free check: an even denominator
+        raises NonIntegralResult.
+        """
+        vs = self._v
+        if len(vs) < k:
+            logs = self.logs(k)
+            vs = list(vs)
+            for kk in range(len(vs) + 1, k + 1):
+                acc = tuple([c * (2 - 2 ** (1 << kk)) for c in logs[kk - 1][0]])
+                for j in range(1, kk):
+                    term = _a_mul(logs[kk - j - 1][0], _a_pow(vs[j - 1], 1 << (kk - j)))
+                    acc = tuple([a - (t << j) for a, t in zip(acc, term)])
+                vs.append(_exact_shift(acc, kk, f"v_{kk}"))
+            vs = self._v = tuple(vs)
+        return vs[:k]
+
+    def level(self, s, k):
+        """The images of t_1 .. t_k at the level of s twisted isomorphisms
+        (t_level with s = 2^{n-r}), mod (tau) and integral:
+
+            T_k = f_k(0) - sum_{j=1}^{k} f_j(s) T_{k-j}^{2^j},   T_0 = 1,
+
+        run on 2^k T_k.  Integrality is a free check: an even denominator
+        raises NonIntegralResult.
+        """
+        ts = self._levels.get(s, ())
+        if len(ts) < k:
+            logs = self.logs(k)
+            ts = [1] + list(ts)  # T_0 first
+            for kk in range(len(ts), k + 1):
+                acc = logs[kk - 1][0][0]
+                for j in range(1, kk + 1):
+                    acc -= (logs[j - 1][s][0] * ts[kk - j] ** (1 << j)) << (kk - j)
+                ts += _exact_shift((acc,), kk, f"t_{kk} at level s = {s}")
+            ts = self._levels[s] = tuple(ts[1:])
+        return ts[:k]
+
+
+_ORBIT_TABLES = AtomicCache()
+
+
+def orbit_table(n, m):
+    """The process-wide OrbitTable of (n, m), created on first use."""
+    return _ORBIT_TABLES.get_or_create((n, m), lambda: OrbitTable(n, m))
+
+
+# ---------------------------------------------------------------------------
+# specialization from the equivariant polynomial ring (oracles)
+#
+# No claim reads these on its request path.  They specialize whole R_n
+# polynomials, and the tests check the orbit table against them;
+# d_factors falls back to _orbit_product_factors only to report the witness
+# of a falsified verdict.
 # ---------------------------------------------------------------------------
 
 def _t_variable_images(ctx):
@@ -824,6 +1010,49 @@ def t_level_in_lt(ctx, r) -> list:
     return out
 
 
+def _log_mod_tau(ctx, k_max):
+    """[c_1 .. c_k_max] in Q: the image of l_k in E/(tau) is c_k u^{2^k-1}.
+
+    Mod (tau) the specialization sends every gamma^j t_m to u^{2^m-1} (as
+    gamma^j u = u mod tau for j < 2^{n-1}) and every other t to 0.  Killing
+    every gamma^j t_i with i != m is a gamma-equivariant map of Q-algebras,
+    so the image lbar_k of l_k obeys the recursion of rn_log, in which only
+    the term with t_{k-j} = t_m survives:
+
+        2 lbar_k = sum_{r < 2^{n-1}} gamma^r ( gamma(lbar_{k-m}) t_m^{2^{k-m}} ),
+
+    with lbar_0 = 1 (so lbar_k = 0 unless m divides k); c_k is the sum of
+    the coefficients of lbar_k.  l_k itself, over all of R_n, is never formed.
+    The polynomial route to OrbitTable.log_constants, kept as its oracle.
+    """
+    m = ctx.m
+    ring = rn_ring(ctx.n, m, rational=True)
+    tm = ring.var(T(m))
+    lbar = [ring.one()]
+    for k in range(1, k_max + 1):
+        if k % m:
+            lbar.append(ring.zero())
+        else:
+            a = gamma_act(lbar[k - m]) * tm ** (1 << (k - m))
+            lbar.append(orbit_sum(a).scalar_mul(QQ(1, 2)))
+    return [QQ(sum(lk.num.values()), lk.den) for lk in lbar[1:]]
+
+
+def _orbit_product_factors(ctx):
+    """The norm factors of d_factors as elements of E: factor i is the product
+    of the 2^{n-1} conjugates of the image of the level-2^i generator at index
+    2^{n-i} m, specialized from R_n."""
+    factors = []
+    for i in range(1, ctx.n + 1):
+        k_i = (1 << (ctx.n - i)) * ctx.m  # <= h, the generator bound of ctx.rn
+        conj = factor = t_level_in_lt(ctx, i)[k_i - 1]
+        for _ in range(ctx.half - 1):
+            conj = lt_gamma(ctx, conj)
+            factor = factor * conj
+        factors.append(factor)
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
@@ -835,41 +1064,33 @@ def verify_unit(ctx, e: LTElement) -> bool:
     return e.is_unit()
 
 
-def _gf_rank(rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                piv = r
+def _f2_rank(rows):
+    """Rank over F_2 of 0/1 rows; a matrix over F_2 has this rank over every
+    extension field too."""
+    pivots = {}
+    for row in rows:
+        r = sum(bit << col for col, bit in enumerate(row))
+        while r:
+            top = r.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = r
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+            r ^= pivots[top]
+    return len(pivots)
 
 
 def cotangent_check(ctx):
     """Images of {2, v_1, ..., v_{h-1}} in m/m^2 against the basis {2, tau's}.
 
-    Every generator is first checked to lie in the maximal ideal (so the ideal
-    it generates is contained in m); full rank h then certifies, by Nakayama,
-    that the two ideals are equal.  Raises RankDeficient (carrying .matrix) on
-    a rank drop.  m/m^2 vanishes when M = 1, so the claim needs madic >= 2
-    (ValueError otherwise).
+    The image of v_k is c_0 + sum c_idx tau_idx mod (tau)^2, with u graded
+    away (OrbitTable.v_images).  It lies in the maximal ideal exactly when
+    c_0 is even, and its class in m/m^2 is then the row (c_0/2, c_idx) mod 2.
+    Every generator is first checked to lie in the maximal ideal (so the
+    ideal it generates is contained in m); full rank h then certifies, by
+    Nakayama, that the two ideals are equal.  The rows are integral, so the
+    rank over k is their rank over F_2.  Raises RankDeficient (carrying
+    .matrix) on a rank drop.  m/m^2 vanishes when M = 1, so the claim needs
+    madic >= 2 (ValueError otherwise).
     """
     if ctx.madic < 2:
         raise ValueError(
@@ -877,42 +1098,24 @@ def cotangent_check(ctx):
         )
     h = ctx.h
     labels = ["2"] + [ctx.tau_name(idx) for idx in range(len(ctx.taus))]
-    gens = [("2", ctx.from_int(2))]
-    for k in range(1, h):
-        gens.append((f"v{k}", v_in_lt(ctx, k)))
-    matrix = []
-    for name, g in gens:
-        if g.filtration() < 1:
-            raise ConsistencyFailure(f"{name} is not in the maximal ideal")
-        if not g.is_homogeneous():
-            raise ConsistencyFailure(f"{name} image is not homogeneous")
-        ues = g.u_exponents()
-        s = ues[0] if ues else 0
-        row = []
-        c2 = g.coords.get((ctx._zero_exps, s))
-        row.append(
-            ctx.spec.zero if c2 is None else GFElement(ctx.spec, [x >> 1 for x in c2])
-        )
-        for idx in range(len(ctx.taus)):
-            exps = list(ctx._zero_exps)
-            exps[idx] = 1
-            c = g.coords.get((tuple(exps), s))
-            row.append(ctx.spec.zero if c is None else GFElement(ctx.spec, c))
-        matrix.append(row)
-    rank = _gf_rank(matrix)
-    bits = [[c.bits for c in row] for row in matrix]
+    matrix = [[1] + [0] * (h - 1)]
+    for k, (c0, *lin) in enumerate(orbit_table(ctx.n, ctx.m).v_images(h - 1), start=1):
+        if c0 & 1:
+            raise ConsistencyFailure(f"v{k} is not in the maximal ideal")
+        matrix.append([(c0 >> 1) & 1] + [c & 1 for c in lin])
+    rank = _f2_rank(matrix)
     if rank < h:
         exc = RankDeficient(
             f"cotangent rank {rank} < h = {h}; the ideals cannot be equal"
         )
-        exc.matrix = bits
+        exc.matrix = matrix
         raise exc
     report = _report(
         "cotangent",
         {
-            "rows": [name for name, _ in gens],
+            "rows": ["2"] + [f"v{k}" for k in range(1, h)],
             "columns": labels,
-            "matrix": bits,
+            "matrix": matrix,
             "rank": rank,
             "h": h,
         },
@@ -960,33 +1163,6 @@ def residue_fgl(ctx, cutoff):
     return conjugate_fgl(fgl_from_log(log_from_v(k), cutoff), down)
 
 
-def _log_mod_tau(ctx, k_max):
-    """[c_1 .. c_k_max] in Q: the image of l_k in E/(tau) is c_k u^{2^k-1}.
-
-    Mod (tau) the specialization sends every gamma^j t_m to u^{2^m-1} (as
-    gamma^j u = u mod tau for j < 2^{n-1}) and every other t to 0.  Killing
-    every gamma^j t_i with i != m is a gamma-equivariant map of Q-algebras,
-    so the image lbar_k of l_k obeys the recursion of rn_log, in which only
-    the term with t_{k-j} = t_m survives:
-
-        2 lbar_k = sum_{r < 2^{n-1}} gamma^r ( gamma(lbar_{k-m}) t_m^{2^{k-m}} ),
-
-    with lbar_0 = 1 (so lbar_k = 0 unless m divides k); c_k is the sum of
-    the coefficients of lbar_k.  l_k itself, over all of R_n, is never formed.
-    """
-    m = ctx.m
-    ring = rn_ring(ctx.n, m, rational=True)
-    tm = ring.var(T(m))
-    lbar = [ring.one()]
-    for k in range(1, k_max + 1):
-        if k % m:
-            lbar.append(ring.zero())
-        else:
-            a = gamma_act(lbar[k - m]) * tm ** (1 << (k - m))
-            lbar.append(orbit_sum(a).scalar_mul(QQ(1, 2)))
-    return [QQ(sum(lk.num.values()), lk.den) for lk in lbar[1:]]
-
-
 _RESIDUE_TWO_SERIES = AtomicCache()
 
 
@@ -996,7 +1172,8 @@ def _residue_two_series(ctx, cutoff):
 
     The residue map kills m = (2, tau), so it factors through E/(tau) =
     W(k)[u^{+-1}], which has no 2-torsion: the law there has the logarithm
-    x + sum c_k u^{2^k-1} x^{2^k}.  Grading u away, [2](x) = exp(2 log x) is
+    x + sum c_k u^{2^k-1} x^{2^k}, c_k from OrbitTable.log_constants.
+    Grading u away, [2](x) = exp(2 log x) is
     a series over Z_(2) (two_series_from_log on constants certifies it), and
     its coefficient b_e x^e stands for b_e u^{e-1}, whose residue is
     ubar^{e-1} when b_e is odd and 0 otherwise.  Independent of the field,
@@ -1005,7 +1182,8 @@ def _residue_two_series(ctx, cutoff):
     """
     def build():
         Q = bp_ring(0, rational=True)
-        logs = [Q.from_rational(c) for c in _log_mod_tau(ctx, _k_for_cutoff(ctx, cutoff))]
+        table = orbit_table(ctx.n, ctx.m)
+        logs = [Q.from_rational(c) for c in table.log_constants(_k_for_cutoff(ctx, cutoff))]
         two = two_series_from_log(logs, cutoff)
         return tuple(e for e, b in sorted(two.coeffs.items()) if rational_mod2(b.coefficient(0)))
 
@@ -1015,7 +1193,7 @@ def _residue_two_series(ctx, cutoff):
 def residue_height(ctx, cutoff=None):
     """Height of the residue formal group law: exactly h, coefficient ubar^{2^h-1}.
 
-    The 2-series over K comes from the logarithm mod (tau), one table per
+    The 2-series over K comes from the logarithm mod (tau), one series per
     (n, m, cutoff) (see _residue_two_series); its first nonzero term gives
     the height.  The leading unit of the 2-series and beta = (2^h-1)/(2^m-1)
     are recorded in the report; the coefficient is pinned to ubar^{2^h-1}
@@ -1055,36 +1233,43 @@ def d_factors(ctx):
     """The orbit-product factors of the periodicity element, with unit verdicts.
 
     Factor i (1 <= i <= n) is the product over the 2^{n-1} conjugates of the
-    image of the level-2^i generator at index 2^{n-i} m: the underlying shadow
-    of the norm of that class.  Every factor must be a unit, hence the total
-    product as well.
+    image of the level-2^i generator at index k_i = 2^{n-i} m: the underlying
+    shadow of the norm of that class.  Every factor must be a unit, hence the
+    total product as well.  gamma fixes residues (gamma^j u = u mod (tau) for
+    j < 2^{n-1}, and gamma(m) lies in m), so factor i has the residue
+    (T mod 2) ubar^{2^{n-1}(2^{k_i}-1)}, with T the image of the generator
+    mod (tau) from the orbit table.  Only a falsified verdict builds the
+    factors themselves, through _orbit_product_factors, to report the first
+    non-unit as the witness; if that route disagrees on a residue, the claim
+    raises ConsistencyFailure.
     """
-    factors = []
-    verdicts = []
-    total = ctx.one()
-    for i in range(1, ctx.n + 1):
-        k_i = (1 << (ctx.n - i)) * ctx.m  # <= h, the generator bound of ctx.rn
-        x = t_level_in_lt(ctx, i)[k_i - 1]
-        factor = ctx.one()
-        conj = x
-        for j in range(ctx.half):
-            factor = factor * conj
-            if j < ctx.half - 1:
-                conj = lt_gamma(ctx, conj)
-        factors.append(factor)
-        verdicts.append(verify_unit(ctx, factor))
-        total = total * factor
-    ok = all(verdicts) and verify_unit(ctx, total)
+    table = orbit_table(ctx.n, ctx.m)
+    K = KRing(ctx.spec)
+    indices = [(1 << (ctx.n - i)) * ctx.m for i in range(1, ctx.n + 1)]
+    residues = []
+    for i, k_i in enumerate(indices, start=1):
+        t = table.level(1 << (ctx.n - i), k_i)[k_i - 1]
+        residues.append(K.ubar(ctx.half * ((1 << k_i) - 1)) if t & 1 else K.zero())
+    verdicts = [len(r.coeffs) == 1 for r in residues]
+    ok = all(verdicts)  # a product of monomials of K is a monomial
+    witness = None
+    if not ok:
+        factors = _orbit_product_factors(ctx)
+        if [f.residue() for f in factors] != residues:
+            raise ConsistencyFailure(
+                "the orbit table and the orbit product disagree on a norm factor"
+            )
+        witness = [f.to_json() for f in factors if not f.is_unit()][:1]
     report = _report(
         "unit-factors",
         {
-            "indices": [(1 << (ctx.n - i)) * ctx.m for i in range(1, ctx.n + 1)],
+            "indices": indices,
             "verdicts": verdicts,
-            "product_is_unit": verify_unit(ctx, total),
-            "residues": [f.residue().to_json() for f in factors],
+            "product_is_unit": ok,
+            "residues": [r.to_json() for r in residues],
         },
         ok,
-        witness=None if ok else [f.to_json() for f in factors if not f.is_unit()][:1] or None,
+        witness=witness,
         bounds=ctx.bounds(),
     )
     return _finish(report, "a norm factor failed to be a unit")

@@ -1,17 +1,20 @@
 """Graded multivariate polynomials over the coefficient domains.
 
 Rings are interned descriptors (one object per parameter set), monomials are
-dense exponent vectors packed into a single integer (10 bits per variable,
+dense exponent vectors packed into a single integer (11 bits per variable,
 earlier variables in more significant bits), so monomial multiplication is
 integer addition and the graded-reverse-lex order is integer comparison within
-a degree.  A polynomial over Q or Z_(2) stores int numerators over one
-reduced denominator (the form of FLINT's fmpq_poly), so arithmetic runs on
-ints and touches the denominators once per operand, not once per
-coefficient.  Every product runs through one sum-of-products kernel
-(PolyRing.dot).  On top of that: the cyclic group action (two masked shifts
-per monomial), mod-2 reduction, ring maps/substitution, degree-truncated
-Buchberger over F_2, and an independent linear-algebra membership route used
-to cross-check the Groebner one.
+a degree.  An exponent takes the low 10 bits of its field and the top bit is
+a guard: two exponents below 2^10 sum below 2^11 without a carry into the
+next field, so a product with a set guard bit exceeded the bound, and the
+multiply kernel raises DegreeBoundExceeded for it.  A polynomial over Q or
+Z_(2) stores int numerators over one reduced denominator (the form of
+FLINT's fmpq_poly), so arithmetic runs on ints and touches the denominators
+once per operand, not once per coefficient.  Every product runs through one
+sum-of-products kernel (PolyRing.dot).  On top of that: the cyclic group
+action (two masked shifts per monomial), mod-2 reduction, ring
+maps/substitution, degree-truncated Buchberger over F_2, and an independent
+linear-algebra membership route used to cross-check the Groebner one.
 
 Normal forms over F_2 pop leading monomials from a heap keyed by
 (-degree, packed monomial) and skip entries whose monomial has cancelled
@@ -29,7 +32,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import or_
 
 from .coefficients import (
     QQ,
@@ -45,12 +50,12 @@ from .errors import (
     UnassignedVariable,
 )
 
-_BITS = 10
+_BITS = 11  # per variable: 10 exponent bits and a guard bit
 # QQ is an ABC, so an isinstance test against it is slow; the operators
 # test a GradedPolynomial operand by exact type first
 SCALAR_TYPES = (int, QQ)
 _MASK = (1 << _BITS) - 1
-_EXP_LIMIT = 1 << _BITS
+_EXP_LIMIT = 1 << (_BITS - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,7 @@ class PolyRing:
         self.var_by_name = {v.name: v for v in self.variables}
         self.degrees = tuple(v.degree for v in self.variables)
         self.shifts = tuple(_BITS * (self.nvars - 1 - idx) for idx in range(self.nvars))
+        self.guard = sum(_EXP_LIMIT << s for s in self.shifts)  # every guard bit
         self._deg_cache = {}
         self._monos_by_degree = {}
         self._gamma_masks = {}
@@ -219,7 +225,8 @@ class PolyRing:
         denominator: a pair whose denominator product d divides it is added
         with its shorter factor scaled by the quotient, and one that does not
         first moves the sum to the lcm.  The sum is reduced once, at the end;
-        a product of two polynomials is the dot of one pair.
+        a product of two polynomials is the dot of one pair.  An exponent
+        above the packing bound in the result raises DegreeBoundExceeded.
         """
         acc = {}
         if self.mod2:
@@ -233,6 +240,8 @@ class PolyRing:
                             del acc[m]
                         else:
                             acc[m] = 1
+            if acc and reduce(or_, acc) & self.guard:
+                raise _past_the_bound(self)
             return GradedPolynomial(self, acc, _checked=True)
         get = acc.get
         den = 1
@@ -259,6 +268,9 @@ class PolyRing:
                     m = m1 + m2
                     s = get(m)
                     acc[m] = c1 * c2 if s is None else s + c1 * c2
+        # one OR over the monomials of the result, not a test per product
+        if acc and reduce(or_, acc) & self.guard:
+            raise _past_the_bound(self)
         return _reduced(self, {m: c for m, c in acc.items() if c}, den)
 
     # -- element constructors --
@@ -301,6 +313,12 @@ class PolyRing:
         if self.kind == "Rn":
             return f"R_{self.n}(k<={self.k_max}{tag})"
         return f"R_{self.n}<{self.m}>(k<={self.k_max}{tag})"
+
+
+def _past_the_bound(ring):
+    return DegreeBoundExceeded(
+        f"a product has an exponent above the packing bound {_EXP_LIMIT - 1} in {ring}"
+    )
 
 
 _RING_CACHE = AtomicCache()

@@ -118,6 +118,14 @@ def test_cotangent_needs_madic_two(capsys):
     assert code == 0 and _body(out)["reports"][0]["status"] == "verified"
 
 
+def test_exponent_past_the_packing_bound_exits_two(capsys):
+    # l_11 over R_1 holds t_1^2047, past the packing bound 1023 of one exponent
+    assert cli.main(["verify", "eq351", "--n", "1", "--k", "11", "--force"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "packing bound 1023" in captured.err
+    assert "residual" not in captured.err
+
+
 def test_unknown_claim_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"])
@@ -198,6 +206,7 @@ def _cold_caches(monkeypatch):
     monkeypatch.setattr(lubin_tate, "_LT_CONTEXTS", AtomicCache())
     monkeypatch.setattr(poly_core, "_GB_CACHE", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
+    monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
 
 
 def test_cold_caches_empty_the_one_basis_cache(capsys, monkeypatch):
@@ -288,7 +297,9 @@ def test_lt_context_is_shared_and_constructor_is_fresh(capsys, monkeypatch):
                  ["verify", "unit-factors", "--n", "2", "--m", "1"]):
         assert _run(argv, capsys)[0] == 0
     assert list(lubin_tate._LT_CONTEXTS.values()) == [lubin_tate.lt_context(2, 1)]
-    assert list(equivariant_ring._CONTEXTS) == [(2, 2, None)]  # and one R_2, at k_max = h
+    # every claim reads the one orbit table of (n, m), and none builds an R_n context
+    assert list(lubin_tate._ORBIT_TABLES) == [(2, 1)]
+    assert not equivariant_ring._CONTEXTS
 
 
 def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):

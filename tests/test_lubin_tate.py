@@ -6,22 +6,25 @@ import pytest
 from fgl_forge.coefficients import (
     QQ,
     FiniteFieldSpec,
+    GFElement,
     WittElement,
     finite_field,
     frobenius_lift,
     teichmuller,
 )
 from fgl_forge import equivariant_ring, lubin_tate
-from fgl_forge.equivariant_ring import rn_context, rn_log, v_in_rn
+from fgl_forge.equivariant_ring import rn_context, rn_log, t_level, v_in_rn
 from fgl_forge.errors import (
     AmbientMismatch,
     ConsistencyFailure,
     InverseOfNonUnit,
     NonIntegralCoefficient,
+    NonIntegralResult,
     NonUnit,
     NotQTorsion,
     RankDeficient,
     TruncationOverflow,
+    VerificationFailure,
 )
 from fgl_forge.lubin_tate import (
     KRing,
@@ -35,6 +38,7 @@ from fgl_forge.lubin_tate import (
     lt_gamma,
     lt_specialize,
     lt_zeta,
+    orbit_table,
     residue_fgl,
     residue_height,
     t_level_in_lt,
@@ -657,12 +661,19 @@ def test_cotangent_degenerate_group():
     assert report["params"]["matrix"] == [[1, 0], [0, 1]]
 
 
-def test_cotangent_rank_drop_is_reported():
-    ctx = LTContext(2, 1)
-    ctx._v_lt[1] = ctx.from_int(2)  # simulate a collapsed generator image
+def test_cotangent_rank_drop_is_reported(monkeypatch):
+    monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
+    orbit_table(2, 1)._v = ((2, 0),)  # simulate a collapsed image of v_1
     with pytest.raises(RankDeficient) as err:
-        cotangent_check(ctx)
+        cotangent_check(LTContext(2, 1))
     assert err.value.matrix == [[1, 0], [1, 0]]
+
+
+def test_cotangent_refuses_a_unit_generator(monkeypatch):
+    monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
+    orbit_table(2, 1)._v = ((3, 0),)  # an odd constant: a unit, not in m
+    with pytest.raises(ConsistencyFailure, match="v1 is not in the maximal ideal"):
+        cotangent_check(LTContext(2, 1))
 
 
 # ---- the residue formal group law and its height --------------------------------
@@ -787,7 +798,7 @@ def test_residue_height_runs_without_the_v_route(monkeypatch):
         raise AssertionError("residue_height left the mod-(tau) route")
 
     for name in ("v_in_lt", "v_in_rn", "lt_specialize", "log_from_v", "fgl_from_log",
-                 "residue_fgl"):
+                 "residue_fgl", "_log_mod_tau"):
         monkeypatch.setattr(lubin_tate, name, refuse)
     monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
     # (2, 2) and (2, 1) share n and the cutoff 16 but not the table
@@ -818,6 +829,168 @@ def test_d_factor_residue_degrees():
     assert [r[0][0] for r in p["residues"]] == [6, 2]
 
 
+# ---- the orbit table against the specialization route ----------------------------
+
+# every (n, m) the suite covers with the specialization route; at (3, 2) that
+# route takes minutes
+_ORBIT_CASES = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3))
+
+
+def _up_to_tau_squared(ctx, x):
+    """The tau-degree 0 and 1 coordinates of x, with u graded away, in the
+    order of an orbit-table value: (c_0, c_idx) mod 2^M and 2^{M-1}."""
+    out = [0] * ctx.h
+    for (exps, _), c in x.coords.items():
+        if sum(exps) == 0:
+            out[0] = c[0]
+        elif sum(exps) == 1:
+            out[1 + exps.index(1)] = c[0]
+    return out
+
+
+def _as_stored(ctx, value):
+    """An orbit-table value (integers) reduced as a Lubin-Tate element stores it."""
+    masks = [ctx._masks[0]] + [ctx._masks[1]] * (ctx.h - 1)
+    return [c & mask for c, mask in zip(value, masks)]
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_orbit_generator_images_follow_the_sign_rule(n, m):
+    """rho(gamma^p t_i) against lt_specialize(gamma_act(t_i, p)) for every
+    p mod 2^n: past p = 2^{n-1} the image is negated, and t_i with i > m dies."""
+    ctx = LTContext(n, m, precision=10, madic=10)
+    table = orbit_table(n, m)
+    for i in range(1, min(m + 1, ctx.h) + 1):
+        t = ctx.rn.generator(i)
+        for p in range(1 << n):
+            image = lt_specialize(ctx, gamma_act(t, p))
+            assert image.is_homogeneous()
+            expected = table._images[i - 1][p] if i <= m else (0,) * ctx.h
+            assert _up_to_tau_squared(ctx, image) == _as_stored(ctx, expected)
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1), (2, 2), (3, 1)])
+def test_orbit_logs_are_the_specialized_logarithm(n, m):
+    """2^k f_k(p) against lt_specialize(gamma^p (2^k l_k)) mod (tau)^2."""
+    ctx = LTContext(n, m, precision=12, madic=12)
+    logs = orbit_table(n, m).logs(3)
+    for k, lk in enumerate(rn_log(rn_context(n, 3)), start=1):
+        for p in range(1 << n):
+            image = lt_specialize(ctx, gamma_act(lk.scalar_mul(1 << k), p))
+            assert _up_to_tau_squared(ctx, image) == _as_stored(ctx, logs[k - 1][p])
+
+
+@pytest.mark.parametrize("n,m", _ORBIT_CASES)
+def test_orbit_v_and_level_images_are_the_specialized_ones(n, m):
+    """The images of v_1 .. v_4 and of the norm-factor generators against
+    lt_specialize of v_in_rn and t_level, mod (tau)^2 and mod (tau)."""
+    ctx = LTContext(n, m, precision=10, madic=10)
+    table = orbit_table(n, m)
+    vs = v_in_rn(rn_context(n, 4))
+    for v, value in zip(vs, table.v_images(4)):
+        assert _up_to_tau_squared(ctx, lt_specialize(ctx, v)) == _as_stored(ctx, value)
+    for r in range(1, n + 1):
+        k_r = (1 << (n - r)) * m
+        images = t_level(rn_context(n, k_r), r)
+        for x, t in zip(images, table.level(1 << (n - r), k_r)):
+            assert _up_to_tau_squared(ctx, lt_specialize(ctx, x))[0] == _as_stored(ctx, (t,))[0]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3)])
+def test_orbit_log_constants_match_the_log_mod_tau(n, m):
+    ctx = LTContext(n, m)
+    k = max(6, ctx.h)
+    assert orbit_table(n, m).log_constants(k) == lubin_tate._log_mod_tau(ctx, k)
+
+
+def _cotangent_matrix_by_specialization(ctx):
+    """The cotangent rows read off v_1 .. v_{h-1} specialized into E."""
+    rows = [[1] + [0] * (ctx.h - 1)]
+    if ctx.h == 1:
+        return rows
+    for v in v_in_rn(rn_context(ctx.n, ctx.h - 1)):
+        g = lt_specialize(ctx, v)
+        assert g.filtration() >= 1 and g.is_homogeneous()
+        s = g.u_exponents()[0] if g.coords else 0
+        c2 = g.coords.get((ctx._zero_exps, s))
+        row = [0 if c2 is None else GFElement(ctx.spec, [x >> 1 for x in c2]).bits]
+        for idx in range(len(ctx.taus)):
+            exps = [0] * len(ctx.taus)
+            exps[idx] = 1
+            c = g.coords.get((tuple(exps), s))
+            row.append(0 if c is None else GFElement(ctx.spec, c).bits)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,m", _ORBIT_CASES)
+def test_cotangent_matches_the_specialization_route(n, m, d):
+    ctx = LTContext(n, m, d=d)
+    p = cotangent_check(ctx)["params"]
+    assert p["matrix"] == _cotangent_matrix_by_specialization(ctx)
+    assert p["rank"] == ctx.h
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,m", _ORBIT_CASES)
+def test_unit_factors_match_the_orbit_product(n, m, d):
+    ctx = LTContext(n, m, d=d)
+    factors = lubin_tate._orbit_product_factors(ctx)
+    report = d_factors(ctx)
+    p = report["params"]
+    assert p["residues"] == [f.residue().to_json() for f in factors]
+    assert p["verdicts"] == [f.is_unit() for f in factors]
+    assert p["product_is_unit"] == verify_unit(ctx, functools.reduce(LTElement.__mul__, factors))
+    assert report["witness"] is None
+
+
+def _falsify_first_factor(monkeypatch, ctx):
+    """Make the orbit table report the first norm factor of (2, 1) as a
+    non-unit: its generator, t_2 at level 2^1, gets an even image."""
+    monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
+    table = orbit_table(ctx.n, ctx.m)
+    s = 1 << (ctx.n - 1)
+    table._levels[s] = table.level(s, 1) + (2,)
+
+
+def test_falsified_unit_factor_reports_the_orbit_product_witness(monkeypatch):
+    ctx = LTContext(2, 1)
+    _falsify_first_factor(monkeypatch, ctx)
+    # the specialization route agrees once its level generator is 2 u^3
+    fake = [ctx.from_int(1), ctx.from_int(2) * ctx.u_pow(3)]
+    monkeypatch.setattr(lubin_tate, "t_level_in_lt",
+                        lambda c, r: fake if r == 1 else t_level_in_lt(c, r))
+    factor = lubin_tate._orbit_product_factors(ctx)[0]
+    assert not factor.is_unit()
+    with pytest.raises(VerificationFailure) as err:
+        d_factors(ctx)
+    report = err.value.report
+    assert report["status"] == "failed"
+    assert report["params"]["verdicts"] == [False, True]
+    assert report["params"]["product_is_unit"] is False
+    assert report["witness"] == [factor.to_json()]
+
+
+def test_unit_factor_routes_that_disagree_raise(monkeypatch):
+    ctx = LTContext(2, 1)
+    _falsify_first_factor(monkeypatch, ctx)  # the orbit product still finds a unit
+    with pytest.raises(ConsistencyFailure, match="disagree"):
+        d_factors(ctx)
+
+
+def test_orbit_values_must_be_integral():
+    # 2 f_1(0) = 1 and every other f_1(p), f_2(p) zero: then T_1 = f_1(0) -
+    # f_1(1) = 1/2, v_1 = -2 f_1(0) = -1 and v_2 = -14 f_2(0) - f_1(0) v_1^2 = -1/2
+    table = lubin_tate.OrbitTable(2, 1)
+    zero = ((0, 0),) * 4
+    table._logs = (((1, 0),) + zero[1:], zero)
+    with pytest.raises(NonIntegralResult, match="t_1"):
+        table.level(1, 1)
+    with pytest.raises(NonIntegralResult, match="v_2"):
+        table.v_images(2)
+
+
 def test_fixed_subring_trivial_torus():
     report = fixed_subring_presentation(LTContext(2, 1, d=1))
     p = report["params"]
@@ -836,12 +1009,12 @@ def test_fixed_subring_cube_roots():
     assert p["u_power_generator"] == 3  # u^3 is the smallest fixed power of u
 
 
-def test_fixed_subring_and_height_build_no_rn_context(monkeypatch):
-    # neither claim reads ctx.rn, so neither builds the R_2 context at k_max = h = 6
+def test_the_claims_build_no_rn_context(monkeypatch):
+    # no claim reads ctx.rn, so none builds the R_2 context at k_max = h = 6
     monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
     ctx = LTContext(2, 3)
-    assert fixed_subring_presentation(ctx)["status"] == "verified"
-    assert residue_height(ctx)["status"] == "verified"
+    for claim in (fixed_subring_presentation, residue_height, cotangent_check, d_factors):
+        assert claim(ctx)["status"] == "verified"
     assert not equivariant_ring._CONTEXTS
     assert ctx.rn is rn_context(2, 6)
     assert list(equivariant_ring._CONTEXTS) == [(2, 6, None)]

@@ -313,6 +313,53 @@ def test_degree_bound_enforced_on_queries():
         gb.normal_form(reduce_mod2(R2.var(T(2, 0))))
 
 
+# ---- the exponent packing ------------------------------------------------------
+
+def test_products_past_the_packing_bound_raise():
+    ring = rn_ring(2, 2, rational=True)
+    t2 = ring.var(T(2, 0))
+    assert ring.decode((t2 ** 1023).leading_monomial())[2] == 1023
+    with pytest.raises(DegreeBoundExceeded, match="packing bound 1023"):
+        t2 ** 600 * t2 ** 600  # once wrapped to g1t1*t2^176
+    with pytest.raises(DegreeBoundExceeded, match="packing bound 1023"):
+        t2 ** 1500  # once wrapped to g1t1*t2^476
+    with pytest.raises(DegreeBoundExceeded):
+        reduce_mod2(t2 ** 600) * reduce_mod2(t2 ** 600)
+
+
+@pytest.mark.parametrize(
+    "ring", [rn_ring(2, 2, rational=True), rn_ring(3, 1), rn_ring(2, 2, mod2=True), bp_ring(3)],
+    ids=repr,
+)
+def test_products_near_the_packing_bound(ring):
+    """A product of monomials is exact while every exponent sum stays below
+    2^10 and raises once one reaches it; gamma stays a homomorphism there."""
+    rng = random.Random(ring.nvars)
+    limit = 1 << 10
+
+    def exponents():
+        return [rng.randrange(limit - 40, limit) if rng.random() < 0.3 else rng.randrange(40)
+                for _ in range(ring.nvars)]
+
+    seen = set()
+    for _ in range(60):
+        a, b = exponents(), exponents()
+        pa = GradedPolynomial(ring, {ring.encode(a): 1})
+        pb = GradedPolynomial(ring, {ring.encode(b): 1})
+        fits = all(x + y < limit for x, y in zip(a, b))
+        seen.add(fits)
+        if not fits:
+            with pytest.raises(DegreeBoundExceeded):
+                pa * pb
+            continue
+        (mono,) = (pa * pb).num
+        assert ring.decode(mono) == tuple(x + y for x, y in zip(a, b))
+        if ring.kind != "BP":
+            for r in range(1 << ring.n):
+                assert gamma_act(pa * pb, r) == gamma_act(pa, r) * gamma_act(pb, r)
+    assert seen == {True, False}
+
+
 def test_buchberger_closure_and_random_combinations():
     # two homogeneous generators with interacting leading terms
     ring = rn_ring(2, 2)
