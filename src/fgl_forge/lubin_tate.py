@@ -1304,16 +1304,25 @@ def fixed_subring_presentation(ctx):
     to the per-monomial character computation being right, which is what gets
     verified against the actual action maps.  The box holds every tau-degree
     up to _TAU_BOUND and every u-exponent of absolute value up to
-    max(2q, alpha + 1).
+    max(2q, alpha + 1); a monomial of tau-degree >= M is 0 and not checked.
+
+    The box is one element, the sum of its monomials, and each map is
+    applied to it once.  Both maps are additive, so for a diagonal map the
+    coefficient of a monomial in the image of the box is its coefficient in
+    the image of the monomial: a monomial is fixed exactly when the image
+    keeps its coefficient.  The monomials are walked in enumeration order and
+    the first one whose behaviour differs from the prediction is the witness.
+    An image with a monomial outside the box shows a map that is not
+    diagonal, and raises ConsistencyFailure.
     """
     alpha = ctx.alpha
     u_bound = max(2 * ctx.q, alpha + 1)
     zeta = _multiplicative_generator(ctx.spec) ** (((1 << ctx.spec.d) - 1) // alpha)
     if not (zeta ** ctx.q) == ctx.spec.one:
         raise ConsistencyFailure("torsion generator construction failed")
-    checked = 0
-    fixed = 0
-    witness = None
+    # before the box is built: past the cap it would hold millions of monomials
+    if u_bound > _U_CAP:
+        raise TruncationOverflow("exponent beyond the representable window")
 
     def monomials(bound):
         def rec(idx, rem, acc):
@@ -1327,21 +1336,31 @@ def fixed_subring_presentation(ctx):
 
         yield from rec(0, bound, [])
 
-    for exps in monomials(_TAU_BOUND):
-        for ue in range(-u_bound, u_bound + 1):
-            mono = ctx.monomial(exps, ue)
-            if mono.is_zero():
-                continue
-            predicted = _chi(ctx, exps, ue) % alpha == 0
-            actual = lt_zeta(ctx, zeta, mono) == mono
-            galois_fixed = lt_galois(ctx, mono) == mono
-            if actual != predicted or not galois_fixed:
-                witness = mono.to_json()
-                break
-            checked += 1
-            fixed += int(predicted)
-        if witness is not None:
+    # the unit is in normal form at every tau-degree below M
+    unit = ctx._unit
+    box = _element(ctx, {
+        (exps, ue): unit
+        for exps in monomials(min(_TAU_BOUND, ctx.madic - 1))
+        for ue in range(-u_bound, u_bound + 1)
+    })
+    zeta_image = lt_zeta(ctx, zeta, box).coords
+    galois_image = lt_galois(ctx, box).coords
+    keys = box.coords.keys()
+    if not (zeta_image.keys() <= keys and galois_image.keys() <= keys):
+        raise ConsistencyFailure("an action moved a monomial of the box")
+    checked = 0
+    fixed = 0
+    witness = None
+    for key in keys:
+        exps, ue = key
+        predicted = _chi(ctx, exps, ue) % alpha == 0
+        actual = zeta_image.get(key) == unit
+        galois_fixed = galois_image.get(key) == unit
+        if actual != predicted or not galois_fixed:
+            witness = ctx.monomial(exps, ue).to_json()
             break
+        checked += 1
+        fixed += int(predicted)
     ok = witness is None
     report = _report(
         "fixed-subring",

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from fgl_forge.coefficients import (
     frobenius_lift,
     teichmuller,
 )
-from fgl_forge import equivariant_ring, lubin_tate
+from fgl_forge import cli, equivariant_ring, lubin_tate
 from fgl_forge.equivariant_ring import rn_context, rn_log, t_level, v_in_rn
 from fgl_forge.errors import (
     AmbientMismatch,
@@ -47,6 +48,7 @@ from fgl_forge.lubin_tate import (
     verify_unit,
 )
 from fgl_forge.poly_core import AtomicCache, bp_ring, gamma_act, reduce_mod2
+from fgl_forge.reports import canonical_json
 from fgl_forge.series_fgl import fgl_from_log, height_of_residue_fgl, log_from_v, two_series
 
 
@@ -1007,6 +1009,183 @@ def test_fixed_subring_cube_roots():
     assert p["alpha"] == 3 and p["q"] == 3
     assert 0 < p["monomials_fixed"] < p["monomials_checked"]
     assert p["u_power_generator"] == 3  # u^3 is the smallest fixed power of u
+
+
+def test_fixed_subring_u_window_past_the_cap_raises():
+    # m = 20 puts the u-window at 2^21 - 2, past the cap of 2^20
+    with pytest.raises(TruncationOverflow, match="representable window"):
+        fixed_subring_presentation(LTContext(1, 20))
+
+
+def _fixed_subring_by_monomials(ctx):
+    """The fixed-subring report, one monomial of the box at a time: the oracle
+    for fixed_subring_presentation, which applies each map once to the box.
+
+    Each monomial of the box is built on its own, both maps are applied to
+    it, and it counts as fixed when its image equals it.  The maps are read
+    from the module, so a patched map reaches both routes.
+    """
+    alpha = ctx.alpha
+    u_bound = max(2 * ctx.q, alpha + 1)
+    zeta = lubin_tate._multiplicative_generator(ctx.spec) ** (
+        ((1 << ctx.spec.d) - 1) // alpha
+    )
+    checked = 0
+    fixed = 0
+    witness = None
+
+    def monomials(bound):
+        def rec(idx, rem, acc):
+            if idx == len(ctx.taus):
+                yield tuple(acc)
+                return
+            for e in range(rem + 1):
+                acc.append(e)
+                yield from rec(idx + 1, rem - e, acc)
+                acc.pop()
+
+        yield from rec(0, bound, [])
+
+    for exps in monomials(lubin_tate._TAU_BOUND):
+        for ue in range(-u_bound, u_bound + 1):
+            mono = ctx.monomial(exps, ue)
+            if mono.is_zero():
+                continue
+            predicted = lubin_tate._chi(ctx, exps, ue) % alpha == 0
+            actual = lubin_tate.lt_zeta(ctx, zeta, mono) == mono
+            galois_fixed = lubin_tate.lt_galois(ctx, mono) == mono
+            if actual != predicted or not galois_fixed:
+                witness = mono.to_json()
+                break
+            checked += 1
+            fixed += int(predicted)
+        if witness is not None:
+            break
+    ok = witness is None
+    report = equivariant_ring._report(
+        "fixed-subring",
+        {
+            "alpha": alpha,
+            "q": ctx.q,
+            "monomials_checked": checked,
+            "monomials_fixed": fixed,
+            "u_power_generator": alpha,
+        },
+        ok,
+        witness=witness,
+        bounds={**ctx.bounds(), "tau_degree": lubin_tate._TAU_BOUND, "u_window": u_bound},
+    )
+    return equivariant_ring._finish(report, "fixed-subspace prediction failed on a monomial")
+
+
+def _fixed_subring_report(claim, ctx):
+    """The report of claim(ctx), verified or failed."""
+    try:
+        return claim(ctx)
+    except VerificationFailure as exc:
+        return exc.report
+
+
+_FIXED_SUBRING_CONFIGS = (
+    # every lt-local pool configuration
+    [(2, m, d, madic, precision) for m in (1, 2, 3) for d in (1, 2, 3)
+     for madic, precision in ((6, 8), (8, 10))]
+    + [(n, m, d, 6, 8) for n in (1, 3) for m in (1, 2, 3) for d in (1, 2, 3)]
+    # the truncation edges, where tau-degree 1 or 2 is already 0
+    + [(2, m, d, madic, madic) for m, d in ((1, 1), (2, 2), (3, 3)) for madic in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("n,m,d,madic,precision", _FIXED_SUBRING_CONFIGS)
+def test_fixed_subring_matches_the_monomial_oracle(n, m, d, madic, precision):
+    ctx = LTContext(n, m, d=d, precision=precision, madic=madic)
+    report = fixed_subring_presentation(ctx)
+    assert report["status"] == "verified"
+    assert canonical_json(report) == canonical_json(_fixed_subring_by_monomials(ctx))
+
+
+def _cube_root_case():
+    """(ctx, key of u^0) at (n, m, d) = (2, 2, 2), where alpha = 3."""
+    ctx = LTContext(2, 2, d=2)
+    return ctx, (ctx._zero_exps, 0)
+
+
+def _assert_both_routes_fail_alike(ctx):
+    new = _fixed_subring_report(fixed_subring_presentation, ctx)
+    old = _fixed_subring_report(_fixed_subring_by_monomials, ctx)
+    assert new["status"] == old["status"] == "failed"
+    assert canonical_json(new["witness"]) == canonical_json(old["witness"])
+    assert canonical_json(new) == canonical_json(old)  # and the same counts
+    return new
+
+
+def _assert_cli_fails(capsys):
+    assert cli.main(["verify", "fixed-subring", "--n", "2", "--m", "2", "--d", "2"]) == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["ok"] is False
+    assert body["reports"][0]["status"] == "failed"
+    return body["reports"][0]
+
+
+def test_fixed_subring_falsified_by_the_torus_action(monkeypatch, capsys):
+    # u^0 is fixed; a torus action that scales it by T(zeta) falsifies it
+    ctx, key = _cube_root_case()
+    original = lubin_tate.lt_zeta
+
+    def scaled(ctx, z, e):
+        image = original(ctx, z, e)
+        if key not in image.coords:
+            return image
+        term = ctx.monomial(*key, image.coords[key])
+        return image - term + term.scale(teichmuller(z, ctx.precision))
+
+    monkeypatch.setattr(lubin_tate, "lt_zeta", scaled)
+    report = _assert_both_routes_fail_alike(ctx)
+    assert report["witness"] == ctx.monomial(*key).to_json()
+    assert report["params"]["monomials_checked"] == report["bounds"]["u_window"]  # u^-6 .. u^-1
+    assert report["params"]["monomials_fixed"] == 2  # u^-6, u^-3
+    assert _assert_cli_fails(capsys) == report
+
+
+def test_fixed_subring_falsified_by_the_galois_action(monkeypatch, capsys):
+    # a Galois action that adds 2 u^0 moves the coefficient of u^0 from 1 to 3
+    ctx, key = _cube_root_case()
+    original = lubin_tate.lt_galois
+
+    def bumped(ctx, e):
+        image = original(ctx, e)
+        return image + ctx.monomial(*key).scale(2) if key in e.coords else image
+
+    monkeypatch.setattr(lubin_tate, "lt_galois", bumped)
+    report = _assert_both_routes_fail_alike(ctx)
+    assert report["witness"] == ctx.monomial(*key).to_json()
+    assert report["params"]["monomials_checked"] == report["bounds"]["u_window"]
+    assert _assert_cli_fails(capsys) == report
+
+
+def test_fixed_subring_rejects_an_action_that_moves_a_monomial(monkeypatch, capsys):
+    # u^1 is not fixed (chi = -1); moving its term out of the box keeps it
+    # "not fixed" one monomial at a time, but no diagonal map does that
+    ctx = _cube_root_case()[0]
+    key = (ctx._zero_exps, 1)
+    original = lubin_tate.lt_zeta
+
+    def moved(ctx, z, e):
+        image = original(ctx, z, e)
+        if key not in image.coords:
+            return image
+        c = image.coords[key]
+        far = ctx.monomial(key[0], 100, c)
+        return image - ctx.monomial(*key, c) + far
+
+    monkeypatch.setattr(lubin_tate, "lt_zeta", moved)
+    assert _fixed_subring_by_monomials(ctx)["status"] == "verified"
+    with pytest.raises(ConsistencyFailure, match="moved a monomial"):
+        fixed_subring_presentation(ctx)
+    assert cli.main(["verify", "fixed-subring", "--n", "2", "--m", "2", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an action moved a monomial of the box\n"
 
 
 def test_the_claims_build_no_rn_context(monkeypatch):
