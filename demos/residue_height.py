@@ -5,7 +5,7 @@ pushed-forward formal group law has its 2-series supported in degrees that
 detect the height: [2](x) = ubar^(2^h - 1) x^(2^h) + higher terms.  This demo
 computes that 2-series at three parameter choices as F(x, x) of the residue
 law, checks it against residue_height (which reads the height off the
-one-variable series exp(2 log x) instead), confirms the pinned (height,
+first v_k whose image mod (tau) is odd instead), confirms the pinned (height,
 coefficient) pairs, and factors the 2-series coefficient ladder into unit and
 monomial pieces.
 

@@ -42,9 +42,9 @@ from .series_fgl import (
     TruncatedSeries1,
     conjugate_fgl,
     fgl_from_log,
-    formal_inverse,
-    formal_sum,
+    formal_sum_via_log,
     log_series,
+    solve_series,
     v_from_log,
 )
 
@@ -59,11 +59,13 @@ _SPOT_CHECKS = 8
 class RnContext:
     """Cached arithmetic for one (n, k_max) pair, optionally truncated at m.
 
-    Caches (logarithm list, v-images, lower-level generator tables, laws)
-    are built lazily, cross-checked once, and then treated as immutable.
+    Caches (logarithm list, v-images, lower-level generator tables) are
+    built lazily, cross-checked once, and then treated as immutable.
     Requests share one context per (n, k_max, m) through rn_context, so a
     table is built and checked once per process; calling RnContext directly
-    gives a fresh context with empty caches.
+    gives a fresh context with empty caches.  No formal group law is cached:
+    the claims work from the logarithm, and only the oracle chain_composite
+    builds the two-variable law.
     """
 
     def __init__(self, n, k_max, m=None):
@@ -85,7 +87,6 @@ class RnContext:
         self._log = None
         self._v = None
         self._t_level = {}
-        self._laws = {}
 
     @property
     def half(self):
@@ -101,14 +102,6 @@ class RnContext:
         if v in ring.var_index:
             return ring.var(v)
         return ring.zero()
-
-    def law(self, cutoff):
-        """The 2-typical law with logarithm rn_log(self), over R_n (x) Q."""
-        F = self._laws.get(cutoff)
-        if F is None:
-            F = fgl_from_log(rn_log(self), cutoff)
-            self._laws[cutoff] = F
-        return F
 
     def bounds(self):
         b = {"n": self.n, "k_max": self.k_max}
@@ -246,7 +239,10 @@ def _chain_series(ctx, steps, cutoff):
     psi_gamma = gamma_* phi with phi = x +^F sum^F gamma^{-1}(t_i) x^{2^i},
     and step j is gamma^j_* of step 0, gamma_* phi.  So the chain is one
     F-sum in F itself, gamma^j applied to coefficients, and series
-    composition; no conjugate law F^{gamma^j} is built.
+    composition; no conjugate law F^{gamma^j} is built.  The F-sum is taken
+    through the logarithm L of F (formal_sum_via_log): phi solves
+    L(phi) = L(x) + sum_i L(gamma^{-1}(t_i) x^{2^i}), so F itself is not
+    built either.
 
     gamma_* also commutes with composition, so with P_s the composite of the
     first s steps, P_{a+b} = gamma^a_*(P_b) o P_a.  The chain is built by
@@ -254,13 +250,13 @@ def _chain_series(ctx, steps, cutoff):
     per bit, and one more composition per set bit below the top one, so
     2^{n-1} steps take n-1 compositions.
     """
-    F = ctx.law(cutoff)
+    L = log_series(rn_log(ctx), ctx.ring_q, cutoff)
     terms = [(1, 1)]
     for i in range(1, ctx.k_max + 1):
         ti = ctx.generator(i, rational=True)
         if not ti.is_zero() and (1 << i) <= cutoff:
             terms.append((gamma_act(ti, -1), 1 << i))
-    power, span = _gamma_shift(formal_sum(F, terms), 1), 1  # P_1
+    power, span = _gamma_shift(formal_sum_via_log(L, terms), 1), 1  # P_1
     psi, done = None, 0  # psi = P_done
     while True:
         if steps & span:
@@ -281,13 +277,14 @@ def chain_composite(ctx, steps=None, cutoff=None):
     With the default steps = 2^{n-1} this is the chain whose comparison
     against the (negated) formal inverse chain_inversion_check performs.
     No request builds it: with series_fgl.t_from_strict_iso it is the test
-    oracle of t_level.
+    oracle of t_level, and it is the one place that builds the law
+    F = fgl_from_log(rn_log(ctx), X) of the context.
     """
     steps = ctx.half if steps is None else steps
     if steps < 1:
         raise ValueError("need at least one step")
     X = cutoff if cutoff is not None else (1 << ctx.k_max)
-    F = ctx.law(X)
+    F = fgl_from_log(rn_log(ctx), X)
     target = conjugate_fgl(F, lambda p: gamma_act(p, steps))
     return StrictIso(_chain_series(ctx, steps, X), F, target)
 
@@ -593,18 +590,16 @@ def chain_inversion_check(ctx, cutoff=None):
     so larger cutoffs are rejected rather than reported as failures.
 
     The check is one certificate through the logarithm L = x + sum l_k x^{2^k}
-    of F: L(x) + L(-psi(x)) = 0 at the full cutoff X.  The law is built as
-    F(x, y) = exp(L(x) + L(y)) through x^X, so F(x, -psi) = exp(L(x) + L(-psi))
-    mod x^{X+1}, and exp, the inverse of the strict series L, is strict too:
-    the certificate holds exactly when F(x, -psi(x)) = 0 through x^X.
-    F(x, y) = 0 has exactly one solution mod x^{X+1}, namely [-1](x): with
-    F = x + y + sum a_{jk} x^j y^k (j, k >= 1), the coefficient of x^e in
-    F(x, y) is 1 + y_1 at e = 1 and y_e + P_e(y_1, ..., y_{e-1}) above, so
-    the equations fix y_1 = -1, y_2, y_3, ... one at a time.  Hence the
-    certificate holds exactly when psi = -[-1](x) through x^X.  L is
-    supported on powers of two, so L(-psi) needs only the squarings psi^2,
-    psi^4, ...  Only when the certificate fails is the formal inverse
-    solved, to report the lowest coefficient of the difference as the witness.
+    of F: L(x) + L(-psi(x)) = 0 at the full cutoff X.  F(x, y) =
+    exp(L(x) + L(y)) through x^X, so [-1](x), the solution y of F(x, y) = 0,
+    is the g with L(g) = -L(x).  That solution is unique mod x^{X+1}: L is
+    strict, so the coefficient of x^e in L(g) is g_e plus a polynomial in
+    g_1 .. g_{e-1}, and L(g) = -L(x) fixes g_1 = -1, g_2, g_3, ... one at a
+    time.  So the certificate L(-psi) = -L(x) holds exactly when
+    -psi = [-1](x) through x^X.  L is supported on powers of two, so L(-psi)
+    needs only the squarings psi^2, psi^4, ...  Only when the certificate
+    fails is [-1](x) = solve_series(L, -L) solved, to report the lowest
+    coefficient of the difference as the witness.
     """
     window = (1 << (ctx.k_max + 1)) - 1
     X = cutoff if cutoff is not None else window
@@ -616,7 +611,7 @@ def chain_inversion_check(ctx, cutoff=None):
     L = log_series(rn_log(ctx), ctx.ring_q, X)
     first = None
     if not (L + L.compose(-psi)).is_zero():
-        diff = psi - formal_inverse(ctx.law(X)).scale(-1)
+        diff = psi + solve_series(L, -L)  # psi - (-[-1](x))
         if diff.is_zero():
             raise ConsistencyFailure(
                 f"L(x) + L(-psi) is not 0 although psi = -[-1](x) at n={ctx.n}"

@@ -44,6 +44,7 @@ from .equivariant_ring import _finish, _report, rn_context, t_level, v_in_rn
 from .errors import (
     AmbientMismatch,
     ConsistencyFailure,
+    HeightExceedsCutoff,
     InverseOfNonUnit,
     NonIntegralCoefficient,
     NonIntegralResult,
@@ -52,14 +53,11 @@ from .errors import (
     RankDeficient,
     TruncationOverflow,
 )
-from .poly_core import AtomicCache, T, bp_ring, gamma_act, orbit_sum, rn_ring
+from .poly_core import AtomicCache, T, gamma_act, orbit_sum, rn_ring
 from .series_fgl import (
-    TruncatedSeries1,
     conjugate_fgl,
     fgl_from_log,
-    height_of_two_series,
     log_from_v,
-    two_series_from_log,
 )
 
 _U_CAP = 1 << 20  # sanity cap on u-exponents; beyond this the model is broken
@@ -1125,12 +1123,6 @@ def cotangent_check(ctx):
     return report
 
 
-def _k_for_cutoff(ctx, cutoff):
-    """The generator count a series to x^cutoff needs: v_k (or l_k) for
-    2^k <= cutoff, and at least h."""
-    return max(ctx.h, cutoff.bit_length() - 1)
-
-
 def residue_fgl(ctx, cutoff):
     """The formal group law over K obtained by killing the maximal ideal.
 
@@ -1140,11 +1132,11 @@ def residue_fgl(ctx, cutoff):
     even denominator, so every coefficient is certified 2-locally integral
     on the way.  The image of v_k is specialized from v_in_rn of R_n with
     generators up to t_k, which is exact for k > h too, since every t_i
-    with i > m maps to 0.  residue_height reads the height off the
-    logarithm mod (tau) instead, and this route is kept as its independent
+    with i > m maps to 0.  residue_height reads the height off the v_k
+    images mod (tau) instead, and this route is kept as its independent
     oracle.
     """
-    k = _k_for_cutoff(ctx, cutoff)
+    k = max(ctx.h, cutoff.bit_length() - 1)  # v_k for 2^k <= cutoff, and at least h
     K = KRing(ctx.spec)
     vbar = [lt_specialize(ctx, v).residue() for v in v_in_rn(rn_context(ctx.n, k))]
 
@@ -1163,51 +1155,38 @@ def residue_fgl(ctx, cutoff):
     return conjugate_fgl(fgl_from_log(log_from_v(k), cutoff), down)
 
 
-_RESIDUE_TWO_SERIES = AtomicCache()
-
-
-def _residue_two_series(ctx, cutoff):
-    """The exponents e <= cutoff at which [2](x) of the residue law has the
-    coefficient ubar^{e-1}; every other coefficient is 0.
-
-    The residue map kills m = (2, tau), so it factors through E/(tau) =
-    W(k)[u^{+-1}], which has no 2-torsion: the law there has the logarithm
-    x + sum c_k u^{2^k-1} x^{2^k}, c_k from OrbitTable.log_constants.
-    Grading u away, [2](x) = exp(2 log x) is
-    a series over Z_(2) (two_series_from_log on constants certifies it), and
-    its coefficient b_e x^e stands for b_e u^{e-1}, whose residue is
-    ubar^{e-1} when b_e is odd and 0 otherwise.  Independent of the field,
-    the Witt precision and the truncation order, so built once per
-    (n, m, cutoff).
-    """
-    def build():
-        Q = bp_ring(0, rational=True)
-        table = orbit_table(ctx.n, ctx.m)
-        logs = [Q.from_rational(c) for c in table.log_constants(_k_for_cutoff(ctx, cutoff))]
-        two = two_series_from_log(logs, cutoff)
-        return tuple(e for e, b in sorted(two.coeffs.items()) if rational_mod2(b.coefficient(0)))
-
-    return _RESIDUE_TWO_SERIES.get_or_create((ctx.n, ctx.m, cutoff), build)
-
-
 def residue_height(ctx, cutoff=None):
     """Height of the residue formal group law: exactly h, coefficient ubar^{2^h-1}.
 
-    The 2-series over K comes from the logarithm mod (tau), one series per
-    (n, m, cutoff) (see _residue_two_series); its first nonzero term gives
-    the height.  The leading unit of the 2-series and beta = (2^h-1)/(2^m-1)
-    are recorded in the report; the coefficient is pinned to ubar^{2^h-1}
-    on the nose.
+    For a 2-typical law with Araki generators v_i (v_0 = 2), [2](x) =
+    sum^F_i v_i x^{2^i} (Ravenel, Complex Cobordism, A2.2.4).  Over the
+    residue field 2 = 0, and an F-sum starts with its lowest term, so the
+    residue 2-series starts at x^{2^k} with the coefficient vbar_k, at the
+    first k whose vbar_k is not 0.  The residue map kills m = (2, tau) and so
+    factors through E/(tau) = W(k)[u^{+-1}], where v_k maps to c_0 u^{2^k-1}
+    with c_0 the constant part of OrbitTable.v_images; vbar_k is ubar^{2^k-1}
+    when c_0 is odd and 0 otherwise.  So the height is the first k with
+    2^k <= cutoff and c_0 odd, and HeightExceedsCutoff is raised when there
+    is none.  The 2-series of the residue law (residue_fgl) and
+    two_series_from_log on OrbitTable.log_constants are its oracles in the
+    tests.  The leading unit of the 2-series and beta = (2^h-1)/(2^m-1) are
+    recorded in the report; the coefficient is pinned to ubar^{2^h-1} on the
+    nose.
     """
     h = ctx.h
     if cutoff is None:
         cutoff = 1 << h
     if cutoff < (1 << h):
         raise ValueError(f"cutoff {cutoff} < 2^h = {1 << h}")
-    odd = _residue_two_series(ctx, cutoff)
+    table = orbit_table(ctx.n, ctx.m)
+    height = next(
+        (k for k in range(1, cutoff.bit_length()) if table.v_images(k)[k - 1][0] & 1),
+        None,
+    )
+    if height is None:
+        raise HeightExceedsCutoff(f"[2](x) = 0 up to x^{cutoff}")
     K = KRing(ctx.spec)
-    residue_two = TruncatedSeries1(K, {e: K.ubar(e - 1) for e in odd}, cutoff)
-    height, lead = height_of_two_series(residue_two)
+    lead = K.ubar((1 << height) - 1)
     beta = ((1 << h) - 1) // ((1 << ctx.m) - 1)
     expected = K.ubar((1 << h) - 1)
     unit = lead.coeffs.get((1 << h) - 1, ctx.spec.zero) if height == h else None

@@ -1,6 +1,13 @@
 """Truncated power-series calculus: logs, exponentials, formal group laws,
 formal sums, strict isomorphisms and their 2-typical coordinates.
 
+One routine reverts series: solve_series(L, S) is the g with L(g) = S.  The
+exponential, the F-sum through the logarithm (formal_sum_via_log) and the
+formal inverse [-1](x) = solve_series(L, -L) are all this one solve, so the
+claims never form a two-variable law.  The two-variable routines
+(fgl_from_log, fgl_apply, formal_sum, formal_inverse, the strict
+isomorphisms) are kept as the test oracles of those routes.
+
 Series coefficients live in any ring object exposing zero()/one()/
 from_rational(); the elements themselves must support +, -, *, ** (integer),
 ==, and is_zero().  Graded polynomial rings, the Lubin-Tate ring, and its
@@ -201,33 +208,69 @@ def _coeff_json(c):
     return c.to_json()
 
 
-def series_exp(log: TruncatedSeries1) -> TruncatedSeries1:
-    """Compositional inverse of a series with leading coefficient 1.
+def solve_series(log: TruncatedSeries1, rhs: TruncatedSeries1) -> TruncatedSeries1:
+    """The series g with log(g) = rhs, for a log with leading coefficient 1.
 
-    Newton iteration g <- g - (log(g) - x) g' (Brent & Kung 1978): since
-    log'(g) g' = 1, each step doubles the number of correct coefficients,
-    and it divides by nothing, so it is valid over any coefficient ring.
-    The result is certified by the defining identity log(exp(x)) = x.
+    The coefficient of x^e in log(g) is g_e + sum_{j >= 2} l_j [x^e] g^j, and
+    [x^e] g^j uses only g_1 .. g_{e-1}; so g_e = rhs_e - sum_j l_j [x^e] g^j,
+    one sum of products per order.  The powers of g in log's support are
+    reached as compose reaches them, by squaring while the exponent at most
+    doubles and then by multiplying by g, and each is a table
+    [x^m] g^p filled by column: column e of every power needs only columns
+    below e, so it is final before g_e is solved.  A 2-typical log needs only
+    squarings.  It divides by nothing, so it is valid over any coefficient
+    ring.  The result is not certified here; series_exp certifies its own.
     """
+    log._check(rhs)
     ring, X = log.ring, log.cutoff
     one = ring.one()
     if log.coefficient(1) != one:
-        raise ValueError("series_exp needs leading coefficient 1")
-    g = {1: one}  # correct through x^k
-    k = 1
-    while k < X:
-        p = min(2 * k, X)
-        gp = TruncatedSeries1(ring, g, p)
-        r = TruncatedSeries1(ring, log.coeffs, p).compose(gp)
-        r = r - TruncatedSeries1.identity(ring, p)
-        # g' = 1 + dg with dg = sum_{e >= 2} e c_e x^{e-1}
-        dg = TruncatedSeries1(
-            ring, {e - 1: ring.from_rational(e) * c for e, c in g.items() if e > 1}, p
-        )
-        g = (gp - r - r * dg).coeffs
-        k = p
-    result = TruncatedSeries1(ring, g, X)
-    if not log.compose(result).coeffs == {1: one}:
+        raise ValueError("solve_series needs a log with leading coefficient 1")
+    g = [None] * (X + 1)  # g[m] = g_m, None for 0; row 0 of the table
+    rows, exps = [g], [1]  # rows[i][m] = [x^m] g^{exps[i]}
+    chain = []  # (row, source row, squared?): the row is the source squared or times g
+    uses = []  # (-l_j, row of g^j) for j >= 2
+    for j in sorted(log.coeffs):
+        if j == 1:
+            continue
+        while exps[-1] < j:
+            square = 2 * exps[-1] <= j
+            chain.append((len(rows), len(rows) - 1, square))
+            exps.append(2 * exps[-1] if square else exps[-1] + 1)
+            rows.append([None] * (X + 1))
+        uses.append((-log.coeffs[j], len(rows) - 1))
+    dot = _sum_of_products(ring)
+    for e in range(1, X + 1):
+        for i, s, square in chain:
+            src, q = rows[s], exps[s]  # src[m] is 0 below m = q
+            if square:
+                pairs = [(src[a], src[e - a]) for a in range(q, e - q + 1)
+                         if src[a] is not None and src[e - a] is not None]
+            else:
+                pairs = [(g[t], src[e - t]) for t in range(1, e - q + 1)
+                         if g[t] is not None and src[e - t] is not None]
+            if pairs:
+                v = dot(pairs)
+                if not v.is_zero():
+                    rows[i][e] = v
+        pairs = [(c, rows[i][e]) for c, i in uses if rows[i][e] is not None]
+        r = rhs.coeffs.get(e)
+        if r is not None:
+            pairs.append((r, one))
+        if pairs:
+            v = dot(pairs)
+            if not v.is_zero():
+                g[e] = v
+    return TruncatedSeries1(ring, {e: c for e, c in enumerate(g) if c is not None}, X)
+
+
+def series_exp(log: TruncatedSeries1) -> TruncatedSeries1:
+    """Compositional inverse of a series with leading coefficient 1:
+    solve_series(log, x), certified by the defining identity log(exp(x)) = x.
+    """
+    ring, X = log.ring, log.cutoff
+    result = solve_series(log, TruncatedSeries1.identity(ring, X))
+    if not log.compose(result).coeffs == {1: ring.one()}:
         raise ConsistencyFailure("compositional inverse failed its defining identity")
     return result
 
@@ -421,29 +464,16 @@ def additive_fgl(ring, cutoff) -> FGL:
 
 
 def fgl_apply(F: FGL, a, b):
-    """F(a, b) for two series of the same kind (both 1-var or both 2-var).
-
-    A one-variable call where one argument is a single term takes
-    _apply_term; every other call takes _apply_series.
-    """
-    if a.ring is not F.ring or b.ring is not F.ring:
-        raise AmbientMismatch("series ring differs from the law's ring")
-    if type(a) is TruncatedSeries1 and type(b) is TruncatedSeries1:
-        if len(b.coeffs) == 1:
-            return _apply_term(F, a, b)
-        if len(a.coeffs) == 1:
-            return _apply_term(F, b, a)  # F(a, b) = F(b, a): FGL checks commutativity
-    return _apply_series(F, a, b)
-
-
-def _apply_series(F: FGL, a, b):
-    """F(a, b) = a + b + sum_j a^j B_j, where B_j = sum_k c_{jk} b^k.
+    """F(a, b) for two series of the same kind (both 1-var or both 2-var):
+    F(a, b) = a + b + sum_j a^j B_j, where B_j = sum_k c_{jk} b^k.
 
     Each coefficient of each B_j is one sum of products over k, and the
     contributions of every a^j B_j to one output key meet in one sum of
     products; no product a^j b^k is formed on its own.
     """
-    acc = a + b
+    if a.ring is not F.ring or b.ring is not F.ring:
+        raise AmbientMismatch("series ring differs from the law's ring")
+    acc = a + b  # raises AmbientMismatch on mismatched cutoffs
     rows = {}
     for (j, k), c in F.two_var.coeffs.items():
         if j and k:
@@ -476,52 +506,6 @@ def _apply_series(F: FGL, a, b):
                 if ob <= room:
                     keys.setdefault(add(ka, kb), []).append((va, vb))
     return acc + type(a)(ring, {key: dot(pairs) for key, pairs in keys.items()}, X)
-
-
-def _apply_term(F: FGL, a: TruncatedSeries1, term: TruncatedSeries1) -> TruncatedSeries1:
-    """F(a, beta x^s) = a + beta x^s + sum c_{jk} beta^k x^{sk} a^j.
-
-    Each (j, k) is a^j scaled by c_{jk} beta^k and shifted by s k, and the
-    contributions to one order meet in one sum of products.  Only (j, k)
-    with j ord(a) + s k <= X can reach the cutoff X, so the powers of a
-    stop at the largest such j.
-    """
-    acc = a + term  # raises AmbientMismatch on mismatched cutoffs
-    if not a.coeffs:
-        return acc
-    ring, X = a.ring, a.cutoff
-    ((s, beta),) = term.coeffs.items()
-    low = min(a.coeffs)
-    mixed = [
-        (j, k, c) for (j, k), c in F.two_var.coeffs.items()
-        if j and k and j * low + s * k <= X
-    ]
-    if not mixed:
-        return acc
-    pa = a.powers(max(j for j, _, _ in mixed))
-    beta_pw = None if beta == ring.one() else [None, beta]
-    orders = {}
-    for j, k, c in mixed:
-        if beta_pw is not None:
-            while len(beta_pw) <= k:
-                beta_pw.append(beta_pw[-1] * beta)
-            c = c * beta_pw[k]
-        shift = s * k
-        for e, aj in pa[j].coeffs.items():
-            e += shift
-            if e <= X:
-                pairs = orders.get(e)
-                if pairs is None:
-                    orders[e] = [(c, aj)]
-                else:
-                    pairs.append((c, aj))
-    dot = _sum_of_products(ring)
-    out = dict(acc.coeffs)
-    for e, pairs in orders.items():
-        v = dot(pairs)
-        prev = out.get(e)
-        out[e] = v if prev is None else prev + v
-    return TruncatedSeries1(ring, out, X)
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +646,28 @@ def formal_sum(F: FGL, terms) -> TruncatedSeries1:
     return acc
 
 
-def formal_sum_via_log(F: FGL, l_list, terms) -> TruncatedSeries1:
-    """Oracle for formal_sum: exp(sum log(c x^e)), for the law F of fgl_from_log
-    with logarithm list l_list.  The test suite checks the two routes agree.
+def formal_sum_via_log(log: TruncatedSeries1, terms) -> TruncatedSeries1:
+    """Sigma^F of monomials c x^e in the law F with logarithm `log`, without F:
+    the g with log(g) = sum log(c x^e) (solve_series).
+
+    log(c x^e) = sum_j l_j c^j x^{e j} is written down directly, the powers of
+    c reached as compose reaches powers; each coefficient of the sum is one
+    sum of products.  formal_sum on F = exp(log x + log y) is its test oracle.
     """
-    ring, X = F.ring, F.cutoff
-    L = log_series(l_list, ring, X)
-    total = TruncatedSeries1.zero(ring, X)
+    ring, X = log.ring, log.cutoff
+    orders = {}
     for c, e in terms:
-        total = total + L.compose(TruncatedSeries1.monomial(ring, c, e, X))
-    return series_exp(L).compose(total)
+        c = _coerce_coeff(ring, c)
+        pw, p = c, 1  # pw = c^p
+        for j, lj in sorted(log.coeffs.items()):
+            if e * j > X:
+                break
+            while p < j:
+                pw, p = (pw * pw, 2 * p) if 2 * p <= j else (pw * c, p + 1)
+            orders.setdefault(e * j, []).append((lj, pw))
+    dot = _sum_of_products(ring)
+    total = TruncatedSeries1(ring, {o: dot(pairs) for o, pairs in orders.items()}, X)
+    return solve_series(log, total)
 
 
 def formal_inverse(F: FGL) -> TruncatedSeries1:

@@ -205,7 +205,6 @@ def _cold_caches(monkeypatch):
     monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_LT_CONTEXTS", AtomicCache())
     monkeypatch.setattr(poly_core, "_GB_CACHE", AtomicCache())
-    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
 
 

@@ -43,10 +43,14 @@ from fgl_forge.series_fgl import (
     fgl_apply,
     formal_inverse,
     formal_sum,
+    formal_sum_via_log,
     log_series,
+    solve_series,
     t_from_strict_iso,
     v_from_log,
 )
+
+from laws import rn_law
 
 
 # ---- the equivariant logarithm ---------------------------------------------------
@@ -369,7 +373,7 @@ def test_chain_inversion_grid():
 def test_chain_is_negated_inverse_not_raw_inverse():
     ctx = RnContext(1, 2)
     iso = chain_composite(ctx, cutoff=7)
-    F = ctx.law(7)
+    F = rn_law(ctx, 7)
     assert iso.psi == formal_inverse(F).scale(-1)
     assert iso.psi != formal_inverse(F)
 
@@ -402,7 +406,7 @@ def _psi_gamma(ctx, F):
 def _chain_steps(ctx, steps, cutoff):
     """Oracle: the steps F^{gamma^i} -> F^{gamma^{i+1}}, i < steps, each built
     from the one before by conjugating its series and its target law."""
-    step = _psi_gamma(ctx, ctx.law(cutoff))
+    step = _psi_gamma(ctx, rn_law(ctx, cutoff))
     yield step
     for _ in range(1, steps):
         psi = {e: gamma_act(c) for e, c in step.psi.coeffs.items()}
@@ -425,7 +429,7 @@ def _chain_by_conjugated_laws(ctx, steps, X):
 
 def _chain_by_conjugating_psi_gamma(ctx, X):
     """Oracle: conjugate psi_gamma, its source and its target afresh at each step."""
-    psi1 = _psi_gamma(ctx, ctx.law(X))
+    psi1 = _psi_gamma(ctx, rn_law(ctx, X))
     iso = psi1
     for i in range(1, ctx.half):
         iso = compose_iso(_conjugate_iso(psi1, i), iso)
@@ -435,7 +439,7 @@ def _chain_by_conjugating_psi_gamma(ctx, X):
 def _chain_report_by_inverse(ctx, X, psi):
     """Oracle: the chain-inversion report from the solved formal inverse and
     the lowest coefficient of the difference."""
-    diff = psi - formal_inverse(ctx.law(X)).scale(-1)
+    diff = psi - formal_inverse(rn_law(ctx, X)).scale(-1)
     first = None
     if not diff.is_zero():
         first = diff.coefficient(min(diff.coeffs))
@@ -486,7 +490,7 @@ CERTIFICATE_CASES = CHAIN_CASES + [(1, 1, 1), (2, 2, 1), (1, 1, 2), (2, 2, 2), (
 def test_the_log_certificate_holds_with_the_law_certificate(n, k_max, cutoff):
     ctx = RnContext(n, k_max)
     X = _window(ctx, cutoff)
-    F = ctx.law(X)
+    F = rn_law(ctx, X)
     ring = ctx.ring_q
     ls = rn_log(ctx)
     # log F(x, y) = log x + log y as a two-variable series
@@ -505,7 +509,7 @@ def test_the_log_certificate_holds_with_the_law_certificate(n, k_max, cutoff):
 def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, k_max, cutoff):
     ctx = RnContext(n, k_max)
     X = _window(ctx, cutoff)
-    F = ctx.law(X)
+    F = rn_law(ctx, X)
     psi = equivariant_ring._chain_series(ctx, ctx.half, X)
     t1 = ctx.generator(1, rational=True)
     for e in range(2, X + 1):
@@ -522,29 +526,45 @@ def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, 
 
 
 def test_a_failed_certificate_with_no_difference_is_inconsistent(monkeypatch):
+    # a perturbed chain fails the certificate, and a witness solve that returns
+    # its negation leaves no difference to report: the two routes disagree
     ctx = RnContext(2, 2)
-    chain_inversion_check(ctx)
-    real = equivariant_ring.log_series
-
-    def wrong_log(l_list, ring, cutoff):
-        # one more x^2: L(x) + L(-psi) gains 2 x^2, psi stays -[-1](x)
-        return real(l_list, ring, cutoff) + TruncatedSeries1.monomial(ring, 1, 2, cutoff)
-
-    monkeypatch.setattr(equivariant_ring, "log_series", wrong_log)
+    X = _window(ctx, None)
+    psi = equivariant_ring._chain_series(ctx, ctx.half, X)
+    bad = psi + TruncatedSeries1.monomial(psi.ring, 1, 2, X)
+    monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
+    monkeypatch.setattr(equivariant_ring, "solve_series", lambda L, S: -bad)
     with pytest.raises(ConsistencyFailure):
         chain_inversion_check(ctx)
 
 
-def _chain_series_by_steps(ctx, steps, cutoff):
-    """Oracle for _chain_series: compose the steps one at a time, the j-th
-    (j >= 1) being gamma^j applied to the coefficients of the F-sum phi."""
-    F = ctx.law(cutoff)
+def _phi_terms(ctx, cutoff):
+    """The terms (1, 1) and (gamma^{-1}(t_i), 2^i) of the F-sum phi of _chain_series."""
     terms = [(1, 1)]
     for i in range(1, ctx.k_max + 1):
         ti = ctx.generator(i, rational=True)
         if not ti.is_zero() and (1 << i) <= cutoff:
             terms.append((gamma_act(ti, -1), 1 << i))
-    phi = formal_sum(F, terms)
+    return terms
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", CERTIFICATE_CASES)
+def test_the_log_routes_match_the_law_routes(n, k_max, cutoff):
+    """The F-sum phi and [-1](x) from the logarithm alone, against formal_sum
+    and formal_inverse on the two-variable law."""
+    ctx = RnContext(n, k_max)
+    X = _window(ctx, cutoff)
+    F = rn_law(ctx, X)
+    L = log_series(rn_log(ctx), ctx.ring_q, X)
+    terms = _phi_terms(ctx, X)
+    assert formal_sum_via_log(L, terms) == formal_sum(F, terms)
+    assert solve_series(L, -L) == formal_inverse(F)
+
+
+def _chain_series_by_steps(ctx, steps, cutoff):
+    """Oracle for _chain_series: compose the steps one at a time, the j-th
+    (j >= 1) being gamma^j applied to the coefficients of the F-sum phi."""
+    phi = formal_sum(rn_law(ctx, cutoff), _phi_terms(ctx, cutoff))
     psi = None
     for j in range(1, steps + 1):
         step = TruncatedSeries1(
@@ -569,7 +589,7 @@ def test_the_chain_by_doubling_is_the_chain_step_by_step(n, k_max, cutoff):
 def test_chain_steps_conjugate_each_law_once(n):
     ctx = RnContext(n, 2)
     X = 7
-    F = ctx.law(X)
+    F = rn_law(ctx, X)
     steps = list(_chain_steps(ctx, ctx.half, X))
     assert len(steps) == ctx.half
     for j, step in enumerate(steps):

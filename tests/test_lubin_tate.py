@@ -11,6 +11,7 @@ from fgl_forge.coefficients import (
     WittElement,
     finite_field,
     frobenius_lift,
+    rational_mod2,
     teichmuller,
 )
 from fgl_forge import cli, equivariant_ring, lubin_tate
@@ -18,6 +19,7 @@ from fgl_forge.equivariant_ring import rn_context, rn_log, t_level, v_in_rn
 from fgl_forge.errors import (
     AmbientMismatch,
     ConsistencyFailure,
+    HeightExceedsCutoff,
     InverseOfNonUnit,
     NonIntegralCoefficient,
     NonIntegralResult,
@@ -49,7 +51,15 @@ from fgl_forge.lubin_tate import (
 )
 from fgl_forge.poly_core import AtomicCache, bp_ring, gamma_act, reduce_mod2
 from fgl_forge.reports import canonical_json
-from fgl_forge.series_fgl import fgl_from_log, height_of_residue_fgl, log_from_v, two_series
+from fgl_forge.series_fgl import (
+    TruncatedSeries1,
+    fgl_from_log,
+    height_of_residue_fgl,
+    height_of_two_series,
+    log_from_v,
+    two_series,
+    two_series_from_log,
+)
 
 
 def _random_element(ctx, rng, nterms=4):
@@ -711,8 +721,7 @@ def test_residue_height_reports(n, m, d, beta):
     assert p["unit"] == [1] + [0] * (d - 1)  # the unit is literally 1 here
 
 
-def test_residue_height_guards(monkeypatch):
-    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
+def test_residue_height_guards():
     with pytest.raises(ValueError):
         residue_height(LTContext(2, 1), cutoff=2)
     # the cutoff selects no context: cutoff 32 needs l_1..l_5, and the
@@ -736,14 +745,40 @@ def _universal_law(k_max, cutoff):
     return fgl_from_log(log_from_v(k_max), cutoff)
 
 
+@functools.cache
+def _residue_two_series(n, m, cutoff):
+    """Oracle: the exponents e <= cutoff at which [2](x) of the residue law
+    has the coefficient ubar^{e-1}; every other coefficient is 0.
+
+    The residue map factors through E/(tau) = W(k)[u^{+-1}], where the law has
+    the logarithm x + sum c_k u^{2^k-1} x^{2^k} (OrbitTable.log_constants).
+    With u graded away, [2](x) = exp(2 log x) is a series over Z_(2)
+    (two_series_from_log certifies it), and b_e x^e stands for b_e u^{e-1},
+    whose residue is ubar^{e-1} when b_e is odd and 0 otherwise.
+    """
+    Q = bp_ring(0, rational=True)
+    k = max((1 << (n - 1)) * m, cutoff.bit_length() - 1)
+    logs = [Q.from_rational(c) for c in orbit_table(n, m).log_constants(k)]
+    two = two_series_from_log(logs, cutoff)
+    return tuple(e for e, b in sorted(two.coeffs.items()) if rational_mod2(b.coefficient(0)))
+
+
+def _height_by_two_series(ctx, cutoff):
+    """Oracle: (height, coefficient JSON) off the residue 2-series of _residue_two_series."""
+    K = KRing(ctx.spec)
+    odd = _residue_two_series(ctx.n, ctx.m, cutoff)
+    height, lead = height_of_two_series(TruncatedSeries1(K, {e: K.ubar(e - 1) for e in odd}, cutoff))
+    return height, lead.to_json()
+
+
 @pytest.mark.parametrize("n,m,d,cutoff", _oracle_cases())
 def test_residue_height_matches_the_residue_law(n, m, d, cutoff, monkeypatch):
-    """The mod-(tau) route against the two-variable residue law: the same
-    (height, coefficient), and the same whole 2-series up to the cutoff."""
+    """The v-image route against the two-variable residue law: the same
+    (height, coefficient), and the residue law's whole 2-series up to the
+    cutoff against the two-series oracle."""
     # residue_fgl builds fgl_from_log(log_from_v(k), X) afresh; one law per
     # (k, X) serves every (n, m, d), as at cutoff 32 it takes seconds
     monkeypatch.setattr(lubin_tate, "fgl_from_log", lambda ls, X: _universal_law(len(ls), X))
-    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
     ctx = LTContext(n, m, d=d)
     F = residue_fgl(ctx, cutoff)
     height, lead = height_of_residue_fgl(F)
@@ -751,8 +786,40 @@ def test_residue_height_matches_the_residue_law(n, m, d, cutoff, monkeypatch):
     assert (p["computed_height"], p["coefficient"]) == (height, lead.to_json())
     assert height == ctx.h
     K = KRing(ctx.spec)
-    odd = lubin_tate._residue_two_series(ctx, cutoff)
+    odd = _residue_two_series(n, m, cutoff)
     assert two_series(F).coeffs == {e: K.ubar(e - 1) for e in odd}
+
+
+# every (n, m) with n <= 3, m <= 4 and h <= 8, at the cutoffs 2^h, 32 and 64
+_HEIGHT_CASES = [
+    (n, m, d, cutoff)
+    for n, m in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2))
+    for d in (1, 2)
+    for cutoff in sorted({1 << ((1 << (n - 1)) * m), 32, 64})
+    if cutoff >= 1 << ((1 << (n - 1)) * m)
+]
+
+
+@pytest.mark.parametrize("n,m,d,cutoff", _HEIGHT_CASES)
+def test_residue_height_matches_the_two_series(n, m, d, cutoff):
+    """The first odd v_k image against the first odd coefficient of [2](x)."""
+    ctx = LTContext(n, m, d=d)
+    p = residue_height(ctx, cutoff)["params"]
+    assert (p["computed_height"], p["coefficient"]) == _height_by_two_series(ctx, cutoff)
+    assert p["computed_height"] == ctx.h
+
+
+def test_residue_height_with_no_odd_v_image_exceeds_the_cutoff(monkeypatch, capsys):
+    def even(self, k):
+        return tuple((2,) + (0,) * (self.h - 1) for _ in range(k))
+
+    monkeypatch.setattr(lubin_tate.OrbitTable, "v_images", even)
+    with pytest.raises(HeightExceedsCutoff):
+        residue_height(LTContext(2, 1))
+    assert cli.main(["verify", "height", "--n", "2", "--m", "1", "--cutoff", "32"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [2](x) = 0 up to x^32\n"
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
@@ -802,7 +869,7 @@ def test_residue_height_runs_without_the_v_route(monkeypatch):
     for name in ("v_in_lt", "v_in_rn", "lt_specialize", "log_from_v", "fgl_from_log",
                  "residue_fgl", "_log_mod_tau"):
         monkeypatch.setattr(lubin_tate, name, refuse)
-    monkeypatch.setattr(lubin_tate, "_RESIDUE_TWO_SERIES", AtomicCache())
+    monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
     # (2, 2) and (2, 1) share n and the cutoff 16 but not the table
     cases = ((2, 1, 1, 32), (2, 2, 2, 16), (2, 1, 1, 16), (3, 1, 1, 16), (1, 4, 2, 16))
     for n, m, d, cutoff in cases:

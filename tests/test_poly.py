@@ -39,6 +39,8 @@ from fgl_forge.poly_core import (
     to_rational_ring,
 )
 
+from laws import rn_law
+
 R2 = rn_ring(2, 2)
 R2Q = rn_ring(2, 2, rational=True)
 
@@ -889,7 +891,7 @@ def test_terms_view_under_threads():
     """Threads reading .terms of shared cached polynomials, an integral law
     coefficient and a logarithm coefficient over 2^k, see the serial dicts."""
     ctx = rn_context(2, 3)
-    shared = [c for _, c in sorted(ctx.law(8).two_var.coeffs.items())[:6]]
+    shared = [c for _, c in sorted(rn_law(ctx, 8).two_var.coeffs.items())[:6]]
     shared += equivariant_ring.rn_log(ctx)
     assert any(p.den > 1 for p in shared) and any(p.den == 1 for p in shared)
     serial = [dict(p.terms) for p in shared]

@@ -39,12 +39,15 @@ from fgl_forge.series_fgl import (
     log_from_v,
     log_series,
     series_exp,
+    solve_series,
     strict_iso_from_t,
     t_from_strict_iso,
     two_series,
     two_series_from_log,
     v_from_log,
 )
+
+from laws import rn_law
 
 RQ1 = bp_ring(1, rational=True)
 
@@ -70,7 +73,7 @@ def test_series_exp_catalan_oracle():
 
 
 def test_series_exp_round_trip_random():
-    # 7 and 13 are not powers of two: Newton's last step is a partial one
+    # 7 and 13 are not powers of two, and every order of the log is present
     rng = random.Random(2)
     for cutoff in (7, 8, 13):
         for _ in range(5):
@@ -98,6 +101,56 @@ def test_series_exp_round_trip_over_integral_ring():
     assert g.ring is ring
     assert f.compose(g) == TruncatedSeries1.identity(ring, 10)
     assert g.compose(f) == TruncatedSeries1.identity(ring, 10)
+
+
+def _random_strict_series(ring, cutoff, rng, coeff):
+    """x + a seeded random coefficient at every order 2..cutoff, most of them
+    nonzero, so the power chain of solve_series multiplies as well as squares."""
+    coeffs = {1: ring.one()}
+    for e in range(2, cutoff + 1):
+        if rng.random() < 0.8:
+            coeffs[e] = coeff(rng)
+    return TruncatedSeries1(ring, coeffs, cutoff)
+
+
+def test_solve_series_inverts_the_log_over_the_rationals():
+    rng = random.Random(5)
+    for cutoff in (1, 2, 7, 12):
+        for _ in range(3):
+            L = _random_strict_series(
+                RQ1, cutoff, rng, lambda r: RQ1.from_rational(QQ(r.randint(-5, 5), r.choice([1, 2, 3])))
+            )
+            S = _random_strict_series(
+                RQ1, cutoff, rng, lambda r: RQ1.from_rational(QQ(r.randint(-4, 4), r.choice([1, 5])))
+            )
+            for rhs in (S, S.scale(-3), S - TruncatedSeries1.identity(RQ1, cutoff), -L):
+                g = solve_series(L, rhs)
+                assert L.compose(g) == rhs
+
+
+def test_solve_series_inverts_the_log_over_an_integral_ring():
+    # no step divides, so an integral log and right-hand side give an integral g
+    ring = bp_ring(2)
+    v1, v2 = ring.var(V(1)), ring.var(V(2))
+    rng = random.Random(6)
+
+    def coeff(r):
+        return (v1 ** r.randrange(3) * v2 ** r.randrange(2)).scalar_mul(r.randint(-3, 3))
+
+    for cutoff in (3, 9, 11):
+        L = _random_strict_series(ring, cutoff, rng, coeff)
+        S = _random_strict_series(ring, cutoff, rng, coeff) + TruncatedSeries1.monomial(ring, v1, 1, cutoff)
+        g = solve_series(L, S)
+        assert g.ring is ring
+        assert L.compose(g) == S
+
+
+def test_solve_series_rejects():
+    f = const_series(RQ1, {1: 2, 2: 1}, 5)
+    with pytest.raises(ValueError):
+        solve_series(f, TruncatedSeries1.identity(RQ1, 5))
+    with pytest.raises(AmbientMismatch):
+        solve_series(TruncatedSeries1.identity(RQ1, 5), TruncatedSeries1.identity(RQ1, 4))
 
 
 def test_log_from_v_frozen():
@@ -314,16 +367,18 @@ def test_formal_sum_via_log_agrees():
     F = fgl_from_log(log_from_v(2), 7)
     ring = F.ring
     v1, v2 = ring.var(V(1)), ring.var(V(2))
-    terms = [(2, 1), (v1, 2), (v2, 4)]
-    assert formal_sum_via_log(F, log_from_v(2), terms) == formal_sum(F, terms)
+    L = log_series(log_from_v(2), ring, 7)
+    for terms in ([(2, 1), (v1, 2), (v2, 4)], [(v1, 3)], [(1, 1), (v2, 8)], []):
+        assert formal_sum_via_log(L, terms) == formal_sum(F, terms)
     # and over R_2 (x) Q, with the logarithm of the context's law
     from fgl_forge.equivariant_ring import RnContext, rn_log
 
     ctx = RnContext(2, 2)
-    G = ctx.law(7)
+    G = rn_law(ctx, 7)
     t1, t2 = ctx.generator(1, rational=True), ctx.generator(2, rational=True)
     terms = [(1, 1), (gamma_act(t1), 2), (t1 * t2, 6), (QQ(1, 3), 3)]
-    assert formal_sum_via_log(G, rn_log(ctx), terms) == formal_sum(G, terms)
+    L = log_series(rn_log(ctx), ctx.ring_q, 7)
+    assert formal_sum_via_log(L, terms) == formal_sum(G, terms)
 
 
 def test_formal_inverse_oracles():
@@ -384,7 +439,7 @@ def test_formal_inverse_matches_the_per_order_evaluation():
         )))
     laws += [fgl_from_log(log_from_v(k), X) for k, X in ((2, 7), (3, 15))]
     laws += [fgl_from_log(log_from_v(2), X) for X in (1, 2)]
-    laws += [RnContext(2, 3).law(10), RnContext(3, 2).law(7)]
+    laws += [rn_law(RnContext(2, 3), 10), rn_law(RnContext(3, 2), 7)]
     laws += [_random_law(bp_ring(2), X, seed) for X, seed in ((2, 0), (9, 1), (12, 2))]
     for F in laws:
         assert formal_inverse(F) == _formal_inverse_by_apply(F), F
@@ -586,7 +641,7 @@ def _apply_cases():
     # s k > X for every k >= 2 once s > 3
     cases.append((F, series, [(1, 1), (v1, 2), (v2 - v1**3, 4), (v1, 5), (v2, 7)]))
     ctx = RnContext(2, 2)
-    G = ctx.law(7)
+    G = rn_law(ctx, 7)
     t1, t2 = ctx.generator(1, rational=True), ctx.generator(2, rational=True)
     cases.append((G, formal_inverse(G), [(1, 1), (t1, 2), (t2, 4), (t1 * t2, 6), (1, 7)]))
     R = residue_fgl(lt_context(2, 1), 7)
@@ -597,17 +652,6 @@ def _apply_cases():
     sparse = TruncatedSeries1(ring, {1: ring.one(), 3: ring.var(V(2))}, 8)
     cases.append((_random_law(ring, 8, 3), sparse, [(1, 1), (2, 3)]))
     return cases
-
-
-def test_single_term_apply_matches_the_general_route():
-    for F, a, terms in _apply_cases():
-        ring, X = F.ring, F.cutoff
-        for beta, s in terms:
-            term = TruncatedSeries1.monomial(ring, beta, s, X)
-            for left, right in ((a, term), (term, a), (term, term)):
-                assert fgl_apply(F, left, right) == series_fgl._apply_series(F, left, right)
-            other = TruncatedSeries1.monomial(ring, beta, max(1, X - s), X)
-            assert fgl_apply(F, term, other) == series_fgl._apply_series(F, term, other)
 
 
 def _apply_per_coefficient(F, a, b):
@@ -628,8 +672,13 @@ def test_grouped_series_apply_matches_the_per_coefficient_route():
     for F, a, terms in _apply_cases():
         ring, X = F.ring, F.cutoff
         b = a * a + TruncatedSeries1.monomial(ring, terms[-1][0], terms[-1][1], X)
-        for left, right in ((a, a), (a, b), (b, a), (a, -a)):
-            assert series_fgl._apply_series(F, left, right) == _apply_per_coefficient(F, left, right)
+        pairs = [(a, a), (a, b), (b, a), (a, -a)]
+        for beta, s in terms:  # single terms on either side, and two of them
+            term = TruncatedSeries1.monomial(ring, beta, s, X)
+            other = TruncatedSeries1.monomial(ring, beta, max(1, X - s), X)
+            pairs += [(a, term), (term, a), (term, term), (term, other)]
+        for left, right in pairs:
+            assert fgl_apply(F, left, right) == _apply_per_coefficient(F, left, right)
     rng = random.Random(43)
     for X in (1, 4, 9):
         F = _random_law(bp_ring(2), X, X)
@@ -637,10 +686,10 @@ def test_grouped_series_apply_matches_the_per_coefficient_route():
         for _ in range(3):
             a = _random_poly_series(ring, X, rng, (1, 3))
             b = _random_poly_series(ring, X, rng, (1, 5))
-            assert series_fgl._apply_series(F, a, b) == _apply_per_coefficient(F, a, b)
+            assert fgl_apply(F, a, b) == _apply_per_coefficient(F, a, b)
             a2 = _random_poly_series2(ring, X, rng, (1, 3))
             b2 = _random_poly_series2(ring, X, rng, (1, 7))
-            assert series_fgl._apply_series(F, a2, b2) == _apply_per_coefficient(F, a2, b2)
+            assert fgl_apply(F, a2, b2) == _apply_per_coefficient(F, a2, b2)
     F = fgl_from_log(log_from_v(2), 9)
     iso = strict_iso_from_t([F.ring.from_rational(QQ(3, 7)), F.ring.var(V(1))], F)
     px = TruncatedSeries2(F.ring, {(e, 0): c for e, c in iso.psi.coeffs.items()}, 9)
@@ -648,7 +697,7 @@ def test_grouped_series_apply_matches_the_per_coefficient_route():
     assert fgl_apply(F, px, py) == _apply_per_coefficient(F, px, py)
 
 
-def test_single_term_apply_rejects_what_the_general_route_rejects():
+def test_apply_rejects_mismatched_series():
     F = fgl_from_log(log_from_v(2), 7)
     v1 = F.ring.var(V(1))
     a = TruncatedSeries1(F.ring, {1: F.ring.one(), 2: v1}, 7)
@@ -658,9 +707,6 @@ def test_single_term_apply_rejects_what_the_general_route_rejects():
                         (a, foreign), (foreign, a)):
         with pytest.raises(AmbientMismatch):
             fgl_apply(F, left, right)
-        if left.ring is F.ring and right.ring is F.ring:
-            with pytest.raises(AmbientMismatch):
-                series_fgl._apply_series(F, left, right)
 
 
 # ---- strict isomorphisms ------------------------------------------------------------
