@@ -30,7 +30,7 @@ for k, lk in enumerate(rn_log(ctx), start=1):
 
 print()
 print("=== Araki images v_k = image of the universal Araki generator ===")
-for k, vk in enumerate(v_in_rn(ctx), start=1):
+for k, vk in enumerate(v_in_rn(ctx, ctx.k_max), start=1):
     if len(vk.terms) <= 8:
         print(f"v_{k} ({len(vk.terms)} terms, degree {vk.degree}):")
         print(f"  {vk!r}")

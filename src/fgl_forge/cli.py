@@ -4,7 +4,9 @@ Three subcommands:
 
     log     print the equivariant logarithm list for a configured ring
     verify  run a single named verification claim
-    suite   run a profile of claims (quick | full) in order
+    suite   run a profile (quick | full) of verify requests in order
+
+Both verify and suite run a claim through its one entry in _CLAIMS.
 
 Exit codes: 0 everything verified, 1 a verification failed (a machine-readable
 report with the witness is still emitted), 2 usage or configuration error,
@@ -45,20 +47,6 @@ from .lubin_tate import (
 from .poly_core import poly_to_json
 from .reports import canonical_json, envelope, render_line
 
-CLAIMS = (
-    "recursion",
-    "tkvk",
-    "invariance",
-    "v-collapse",
-    "t-collapse",
-    "chain-inversion",
-    "cotangent",
-    "height",
-    "unit-factors",
-    "fixed-subring",
-    "eq351",
-)
-
 # documented feasibility limits; --force bypasses them
 _LIMITS = {"n": 3, "m": 3, "k": 6, "d": 4, "precision": 16, "madic": 10, "cutoff": 64}
 
@@ -77,6 +65,24 @@ def _modulus(text):
     return bits
 
 
+# every flag of `verify`; `log` takes the four it reads
+_FLAGS = {
+    "--n": dict(type=_positive, default=2, help="group exponent: C_{2^n}"),
+    "--m": dict(type=_positive, default=1, help="truncation level"),
+    "--k": dict(type=_positive, default=3, help="generator index bound"),
+    "--d": dict(type=_positive, default=1, help="residue field F_{2^d}"),
+    "--modulus": dict(
+        type=_modulus, default=None,
+        help="field modulus bits, constant term first (e.g. 1,1,1 for x^2+x+1)",
+    ),
+    "--precision": dict(type=_positive, default=8, help="Witt precision N"),
+    "--madic": dict(type=_positive, default=6, help="truncation order M"),
+    "--cutoff": dict(type=_positive, default=None, help="series cutoff"),
+    "--json": dict(metavar="PATH", default=None, help="write JSON here"),
+    "--force": dict(action="store_true", help="bypass feasibility limits"),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fgl-forge",
@@ -85,32 +91,18 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_cutoff=True):
-        p.add_argument("--n", type=_positive, default=2, help="group exponent: C_{2^n}")
-        p.add_argument("--m", type=_positive, default=1, help="truncation level")
-        p.add_argument("--k", type=_positive, default=3, help="generator index bound")
-        p.add_argument("--d", type=_positive, default=1, help="residue field F_{2^d}")
-        p.add_argument(
-            "--modulus", type=_modulus, default=None,
-            help="field modulus bits, constant term first (e.g. 1,1,1 for x^2+x+1)",
-        )
-        p.add_argument("--precision", type=_positive, default=8, help="Witt precision N")
-        p.add_argument("--madic", type=_positive, default=6, help="truncation order M")
-        if with_cutoff:
-            p.add_argument("--cutoff", type=_positive, default=None, help="series cutoff")
-        p.add_argument("--json", metavar="PATH", default=None, help="write JSON here")
-        p.add_argument("--force", action="store_true", help="bypass feasibility limits")
-
     p_log = sub.add_parser("log", help="print the equivariant logarithm list")
-    common(p_log, with_cutoff=False)
+    for flag in ("--n", "--k", "--json", "--force"):
+        p_log.add_argument(flag, **_FLAGS[flag])
 
     p_verify = sub.add_parser("verify", help="run one verification claim")
     p_verify.add_argument("claim", choices=CLAIMS)
-    common(p_verify)
+    for flag, spec in _FLAGS.items():
+        p_verify.add_argument(flag, **spec)
 
     p_suite = sub.add_parser("suite", help="run a claim profile")
-    p_suite.add_argument("profile", choices=("quick", "full"), nargs="?", default="quick")
-    common(p_suite)
+    p_suite.add_argument("profile", choices=tuple(PROFILES), nargs="?", default="quick")
+    p_suite.add_argument("--json", **_FLAGS["--json"])
     return parser
 
 
@@ -133,12 +125,10 @@ def _check_limits(args, parser):
 
 
 def _config(args):
-    keys = ("command", "claim", "profile", "n", "m", "k", "d", "modulus",
-            "precision", "madic", "cutoff")
+    """Every flag the subcommand reads, less where the output goes and --force."""
     out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if value is not None and key not in ("json", "force"):
             out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
@@ -154,110 +144,77 @@ def _lt_context(args):
     )
 
 
-def _verify_reports(args):
-    """Dispatch a claim name to verifier calls; returns a list of reports."""
-    claim = args.claim
-    if claim == "eq351":
-        return [verify_log_relations(rn_context(args.n, args.k))]
-    if claim == "recursion":
-        return [verify_tk_recursion(rn_context(args.n, args.k), args.k)]
-    if claim == "tkvk":
-        return [verify_tkvk(rn_context(args.n, args.k), args.k)]
-    if claim == "invariance":
-        return [verify_ideal_invariance(rn_context(args.n, args.k), args.k)]
-    if claim == "v-collapse":
-        h = (1 << (args.n - 1)) * args.m
-        ctx = rn_context(args.n, max(args.k, h), m=args.m)
-        return [verify_v_collapse(ctx, args.k)]
-    if claim == "t-collapse":
-        # --k names the generator index r; run every level the lemma covers
-        ctx = rn_context(args.n, args.k, m=args.m)
-        levels = [j for j in range(args.n) if args.k > (1 << j) * args.m]
-        if not levels:
-            raise ValueError(f"no level satisfies r > 2^k m for r={args.k}, m={args.m}")
-        return [verify_t_collapse(ctx, j, args.k) for j in levels]
-    if claim == "chain-inversion":
-        return [chain_inversion_check(rn_context(args.n, args.k), cutoff=args.cutoff)]
-    if claim == "cotangent":
-        return [cotangent_check(_lt_context(args))]
-    if claim == "height":
-        return [residue_height(_lt_context(args), cutoff=args.cutoff)]
-    if claim == "unit-factors":
-        return [d_factors(_lt_context(args))]
-    if claim == "fixed-subring":
-        return [fixed_subring_presentation(_lt_context(args))]
-    raise ValueError(f"unknown claim {claim!r}")
+def _one(run):
+    """The entry of a claim with one report: run(args), deferred."""
+    return lambda args: [functools.partial(run, args)]
+
+
+def _t_collapse(args):
+    """--k names the generator index r; one report per level the lemma covers."""
+    levels = [j for j in range(args.n) if args.k > (1 << j) * args.m]
+    if not levels:
+        raise ValueError(f"no level satisfies r > 2^k m for r={args.k}, m={args.m}")
+    return [
+        lambda j=j: verify_t_collapse(rn_context(args.n, args.k, m=args.m), j, args.k)
+        for j in levels
+    ]
+
+
+# Each claim maps parsed `verify` arguments to one thunk per report, in order;
+# thunks look their verifier up when called, so a patched module name reaches them.
+_CLAIMS = {
+    "recursion": _one(lambda a: verify_tk_recursion(rn_context(a.n, a.k), a.k)),
+    "tkvk": _one(lambda a: verify_tkvk(rn_context(a.n, a.k), a.k)),
+    "invariance": _one(lambda a: verify_ideal_invariance(rn_context(a.n, a.k), a.k)),
+    # the context reaches v_r and the ideal's v_1 .. v_h, h = 2^{n-1} m
+    "v-collapse": _one(lambda a: verify_v_collapse(
+        rn_context(a.n, max(a.k, (1 << (a.n - 1)) * a.m), m=a.m), a.k)),
+    "t-collapse": _t_collapse,
+    "chain-inversion": _one(
+        lambda a: chain_inversion_check(rn_context(a.n, a.k), cutoff=a.cutoff)),
+    "cotangent": _one(lambda a: cotangent_check(_lt_context(a))),
+    "height": _one(lambda a: residue_height(_lt_context(a), cutoff=a.cutoff)),
+    "unit-factors": _one(lambda a: d_factors(_lt_context(a))),
+    "fixed-subring": _one(lambda a: fixed_subring_presentation(_lt_context(a))),
+    "eq351": _one(lambda a: verify_log_relations(rn_context(a.n, a.k))),
+}
+CLAIMS = tuple(_CLAIMS)
+
+_SCENARIOS = ("cotangent", "height", "unit-factors", "fixed-subring")
+_ACCEPTANCE_GRID = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3))
+
+# A profile is a tuple of `verify` arguments, run in order through _CLAIMS.
+PROFILES = {
+    "quick": (
+        "eq351 --n 1 --k 3", "eq351 --n 2 --k 3",
+        "recursion --n 2 --k 1", "recursion --n 2 --k 2",
+        "tkvk --n 2 --k 1", "tkvk --n 2 --k 2",
+        "invariance --n 2 --k 2",
+        "v-collapse --n 2 --m 1 --k 3",
+        "t-collapse --n 2 --m 1 --k 3",
+        "chain-inversion --n 2 --k 2",
+        *(f"{claim} --n 2 --m 1 --d 1" for claim in _SCENARIOS),
+    ),
+    "full": (
+        "eq351 --n 1 --k 4", "eq351 --n 2 --k 4", "eq351 --n 3 --k 3",
+        *(f"recursion --n {n} --k {k}" for n, k in _ACCEPTANCE_GRID),
+        *(f"tkvk --n {n} --k {k}" for n, k in _ACCEPTANCE_GRID),
+        "invariance --n 2 --k 4", "invariance --n 3 --k 3",
+        "v-collapse --n 2 --m 1 --k 3", "v-collapse --n 2 --m 1 --k 4",
+        "t-collapse --n 2 --m 1 --k 2", "t-collapse --n 2 --m 1 --k 3",
+        "chain-inversion --n 1 --k 2", "chain-inversion --n 2 --k 3",
+        *(f"{claim} --n {n} --m {m} --d {d}"
+          for n, m, d in ((2, 1, 1), (2, 2, 2), (3, 1, 1)) for claim in _SCENARIOS),
+    ),
+}
 
 
 def _suite_jobs(profile):
-    """The (description, thunk) list for a profile; thunks are independent."""
+    """The report thunks of a profile, in order; thunks are independent."""
     jobs = []
-    if profile == "quick":
-        grids = {"eq351": [(1, 3), (2, 3)], "recursion": [(2, 1), (2, 2)],
-                 "tkvk": [(2, 1), (2, 2)], "invariance": [(2, 2)]}
-        scenarios = [(2, 1, 1)]
-        collapse_v = [(2, 1, 3)]
-        collapse_t = [(2, 1, 3)]
-        chains = [(2, 2)]
-    else:
-        grids = {"eq351": [(1, 4), (2, 4), (3, 3)],
-                 "recursion": [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)],
-                 "tkvk": [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)],
-                 "invariance": [(2, 4), (3, 3)]}
-        scenarios = [(2, 1, 1), (2, 2, 2), (3, 1, 1)]
-        collapse_v = [(2, 1, 3), (2, 1, 4)]
-        collapse_t = [(2, 1, 2), (2, 1, 3)]
-        chains = [(1, 2), (2, 3)]
-
-    for n, k in grids["eq351"]:
-        jobs.append(
-            (f"eq351 n={n}", lambda n=n, k=k: verify_log_relations(rn_context(n, k)))
-        )
-    for n, k in grids["recursion"]:
-        jobs.append(
-            (f"recursion n={n} k={k}",
-             lambda n=n, k=k: verify_tk_recursion(rn_context(n, k), k))
-        )
-    for n, k in grids["tkvk"]:
-        jobs.append(
-            (f"tkvk n={n} k={k}", lambda n=n, k=k: verify_tkvk(rn_context(n, k), k))
-        )
-    for n, k in grids["invariance"]:
-        jobs.append(
-            (f"invariance n={n} k={k}",
-             lambda n=n, k=k: verify_ideal_invariance(rn_context(n, k), k))
-        )
-    for n, m, r in collapse_v:
-        h = (1 << (n - 1)) * m
-        jobs.append(
-            (f"v-collapse n={n} m={m} r={r}",
-             lambda n=n, m=m, r=r, h=h:
-                 verify_v_collapse(rn_context(n, max(r, h), m=m), r))
-        )
-    for n, m, r in collapse_t:
-        for j in range(n):
-            if r > (1 << j) * m:
-                jobs.append(
-                    (f"t-collapse n={n} m={m} r={r} level={n - j}",
-                     lambda n=n, m=m, r=r, j=j:
-                         verify_t_collapse(rn_context(n, r, m=m), j, r))
-                )
-    for n, k in chains:
-        jobs.append(
-            (f"chain-inversion n={n}",
-             lambda n=n, k=k: chain_inversion_check(rn_context(n, k)))
-        )
-    for n, m, d in scenarios:
-        for name, fn in (
-            ("cotangent", cotangent_check),
-            ("height", residue_height),
-            ("unit-factors", d_factors),
-            ("fixed-subring", fixed_subring_presentation),
-        ):
-            jobs.append(
-                (f"{name} n={n} m={m} d={d}",
-                 lambda n=n, m=m, d=d, fn=fn: fn(lt_context(n, m, d=d)))
-            )
+    for entry in PROFILES[profile]:
+        args = _parser().parse_args(["verify", *entry.split()])
+        jobs.extend(_CLAIMS[args.claim](args))
     return jobs
 
 
@@ -269,9 +226,9 @@ def _run_suite(jobs):
     any other exception propagates.
     """
     reports = []
-    for _, fn in jobs:
+    for job in jobs:
         try:
-            reports.append(fn())
+            reports.append(job())
         except VerificationFailure as exc:
             reports.append(exc.report)
         except KeyboardInterrupt:
@@ -318,17 +275,14 @@ def _cmd_log(args):
 
 def _cmd_verify(args):
     try:
-        reports = _verify_reports(args)
+        reports = [job() for job in _CLAIMS[args.claim](args)]
     except VerificationFailure as exc:
-        body = envelope([exc.report], config=_config(args))
-        _emit(body, args)
-        return 1
+        reports = [exc.report]  # the first failed report alone; status "failed", exit 1
     return _emit(envelope(reports, config=_config(args)), args)
 
 
 def _cmd_suite(args):
-    jobs = _suite_jobs(args.profile)
-    reports, interrupted = _run_suite(jobs)
+    reports, interrupted = _run_suite(_suite_jobs(args.profile))
     body = envelope(reports, config=_config(args), interrupted=interrupted)
     code = _emit(body, args)
     return 130 if interrupted else code
@@ -346,10 +300,6 @@ def main(argv=None):
         return _cmd_suite(args)
     except KeyboardInterrupt:
         return 130
-    except VerificationFailure as exc:
-        body = envelope([exc.report], config=_config(args))
-        sys.stdout.write(canonical_json(body))
-        return 1
     except (ForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,7 +60,8 @@ class RnContext:
     """Cached arithmetic for one (n, k_max) pair, optionally truncated at m.
 
     Caches (logarithm list, v-images, lower-level generator tables) are
-    built lazily, cross-checked once, and then treated as immutable.
+    built lazily, cross-checked once, and then treated as immutable; the
+    v-images grow by prefix, only as far as a claim reads.
     Requests share one context per (n, k_max, m) through rn_context, so a
     table is built and checked once per process; calling RnContext directly
     gives a fresh context with empty caches.  No formal group law is cached:
@@ -85,7 +86,7 @@ class RnContext:
             self.ring = rnm_ring(n, m, k_max)
             self.ring_q = rnm_ring(n, m, k_max, rational=True)
         self._log = None
-        self._v = None
+        self._v = ()  # v_1 .. v_j for the longest prefix asked for so far
         self._t_level = {}
 
     @property
@@ -201,22 +202,26 @@ def rn_log(ctx):
     return list(ls)
 
 
-def v_in_rn(ctx):
-    """Images [v_1 .. v_k_max] of the 2-typical generators in R_n (integral).
+def v_in_rn(ctx, k):
+    """Images [v_1 .. v_k] of the 2-typical generators in R_n (integral).
 
-    Integrality is a theorem, so the NonIntegralResult this can raise always
-    signals a pipeline bug, never a mathematical discovery.
+    v_k needs only l_1 .. l_k, so the context keeps the longest prefix asked
+    for so far and builds no v_j past it.  Integrality is a theorem, so the
+    NonIntegralResult this can raise always signals a pipeline bug, never a
+    mathematical discovery.
     """
-    if ctx._v is not None:
-        return list(ctx._v)
-    vs = v_from_log(rn_log(ctx))
-    for k, vk in enumerate(vs, start=1):
-        if vk.is_zero():
-            continue
-        if not vk.is_homogeneous() or vk.degree != 2 * ((1 << k) - 1):
-            raise ConsistencyFailure(f"v_{k} has the wrong degree in {ctx!r}")
-    ctx._v = vs
-    return list(vs)
+    if not 0 <= k <= ctx.k_max:
+        raise ValueError(f"k={k} outside 0..{ctx.k_max}")
+    vs = ctx._v
+    if len(vs) < k:
+        vs = tuple(v_from_log(rn_log(ctx)[:k]))
+        for j, vj in enumerate(vs, start=1):
+            if vj.is_zero():
+                continue
+            if not vj.is_homogeneous() or vj.degree != 2 * ((1 << j) - 1):
+                raise ConsistencyFailure(f"v_{j} has the wrong degree in {ctx!r}")
+        ctx._v = vs
+    return list(vs[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +356,9 @@ def quotient_to_m(ctx, m):
         mapped = [quotient_to_rnm(l, m) for l in ctx._log]
         if mapped != rn_log(out):
             raise ConsistencyFailure("quotient map does not commute with rn_log")
-    if ctx._v is not None:
+    if ctx._v:
         mapped = [quotient_to_rnm(v, m) for v in ctx._v]
-        if mapped != v_in_rn(out):
+        if mapped != v_in_rn(out, len(mapped)):
             raise ConsistencyFailure("quotient map does not commute with v_in_rn")
     for r, table in ctx._t_level.items():
         mapped = [quotient_to_rnm(t, m) for t in table]
@@ -392,7 +397,7 @@ def _witness(p):
 
 def _nf_mod_Ik(ctx, p, k):
     """Normal form modulo I_k = (2, v_1, ..., v_{k-1})."""
-    return ideal_normal_form(p, v_in_rn(ctx)[: k - 1])
+    return ideal_normal_form(p, v_in_rn(ctx, k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +472,7 @@ def verify_tkvk(ctx, k):
     """t_k^{C_2} = v_k modulo I_k (exact membership via normal form)."""
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
-    diff = t_level(ctx, 1)[k - 1] - v_in_rn(ctx)[k - 1]
+    diff = t_level(ctx, 1)[k - 1] - v_in_rn(ctx, k)[k - 1]
     nf = _nf_mod_Ik(ctx, diff, k)
     report = _report(
         "tkvk",
@@ -487,7 +492,7 @@ def verify_ideal_invariance(ctx, k):
     """
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
-    vs = v_in_rn(ctx)
+    vs = v_in_rn(ctx, k)
     bad = None
     for j in range(1, k + 1):
         nf = _nf_mod_Ik(ctx, vs[j - 1] - gamma_act(vs[j - 1]), j)
@@ -535,7 +540,7 @@ def verify_v_collapse(ctx, r):
         raise ValueError(f"r must exceed h = {h}")
     if r > ctx.k_max:
         raise ValueError(f"r outside 1..{ctx.k_max}")
-    vs = v_in_rn(ctx)
+    vs = v_in_rn(ctx, r)
     nf = ideal_normal_form(vs[r - 1], vs[:h])
     report = _report(
         "v-collapse",

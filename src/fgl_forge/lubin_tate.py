@@ -990,7 +990,7 @@ def v_in_lt(ctx, k) -> LTElement:
         raise ValueError(f"k={k} outside 1..h = {ctx.h}")
     img = ctx._v_lt.get(k)
     if img is None:
-        img = lt_specialize(ctx, v_in_rn(ctx.rn)[k - 1])
+        img = lt_specialize(ctx, v_in_rn(ctx.rn, k)[k - 1])
         if not img.is_homogeneous():
             raise ConsistencyFailure("v-image is not homogeneous")
         if not img.is_zero() and img.degree != 2 * ((1 << k) - 1):
@@ -1138,7 +1138,7 @@ def residue_fgl(ctx, cutoff):
     """
     k = max(ctx.h, cutoff.bit_length() - 1)  # v_k for 2^k <= cutoff, and at least h
     K = KRing(ctx.spec)
-    vbar = [lt_specialize(ctx, v).residue() for v in v_in_rn(rn_context(ctx.n, k))]
+    vbar = [lt_specialize(ctx, v).residue() for v in v_in_rn(rn_context(ctx.n, k), k)]
 
     def down(p):
         acc = K.zero()

@@ -254,7 +254,7 @@ def test_criterion_11_d_factors_are_units(criterion):
 
 def test_criterion_12_membership_cross_validation(criterion):
     with criterion(12, 120, "Groebner vs F_2-linear membership, degrees <= 10, n = 2"):
-        gens = [reduce_mod2(v) for v in v_in_rn(RnContext(2, 2))]
+        gens = [reduce_mod2(v) for v in v_in_rn(RnContext(2, 2), 2)]
         ring = gens[0].ring
         gb = GroebnerBasis(ring, gens, 10)
         rng = random.Random(12)

@@ -11,6 +11,7 @@ from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core
 from fgl_forge.errors import VerificationFailure
 from fgl_forge.poly_core import AtomicCache
 from fgl_forge.reports import CONVENTIONS, SCHEMA, canonical_json, envelope, render_line
+from fgl_forge.series_fgl import v_from_log
 
 
 def _run(argv, capsys):
@@ -315,14 +316,58 @@ def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):
 
 
 def test_full_profile_covers_acceptance_grid():
-    names = [name for name, _ in cli._suite_jobs("full")]
+    entries = cli.PROFILES["full"]
     for n, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:
-        assert f"recursion n={n} k={k}" in names
-        assert f"tkvk n={n} k={k}" in names
-    for scenario in ["n=2 m=1 d=1", "n=2 m=2 d=2", "n=3 m=1 d=1"]:
+        assert f"recursion --n {n} --k {k}" in entries
+        assert f"tkvk --n {n} --k {k}" in entries
+    for scenario in ["--n 2 --m 1 --d 1", "--n 2 --m 2 --d 2", "--n 3 --m 1 --d 1"]:
         for claim in ["cotangent", "height", "unit-factors", "fixed-subring"]:
-            assert f"{claim} {scenario}" in names
-    assert "v-collapse n=2 m=1 r=3" in names and "v-collapse n=2 m=1 r=4" in names
+            assert f"{claim} {scenario}" in entries
+    assert "v-collapse --n 2 --m 1 --k 3" in entries
+    assert "v-collapse --n 2 --m 1 --k 4" in entries
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_suite_reports_are_the_verify_reports_of_its_entries(profile, capsys):
+    """A suite runs each of its entries as `verify` does, in profile order."""
+    expected = []
+    for entry in cli.PROFILES[profile]:
+        code, out = _run(["verify", *entry.split()], capsys)
+        assert code == 0, entry
+        expected.extend(_body(out)["reports"])
+    code, out = _run(["suite", profile], capsys)
+    assert code == 0
+    assert _body(out)["reports"] == expected
+    assert len(expected) == len(cli._suite_jobs(profile))
+
+
+def test_suite_and_log_take_only_the_flags_they_read(capsys):
+    code, out = _run(["suite", "full"], capsys)
+    assert code == 0 and _body(out)["config"] == {"command": "suite", "profile": "full"}
+    code, out = _run(["log", "--n", "2", "--k", "1"], capsys)
+    assert code == 0 and _body(out)["config"] == {"command": "log", "k": 1, "n": 2}
+    for argv in (["suite", "quick", "--n", "3"], ["suite", "quick", "--force"],
+                 ["log", "--m", "2"], ["log", "--cutoff", "8"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+    # log keeps the limits of the two flags it reads
+    with pytest.raises(SystemExit) as err:
+        cli.main(["log", "--k", "7"])
+    assert err.value.code == 2
+
+
+def test_recursion_builds_only_the_v_it_reads(capsys, monkeypatch):
+    """recursion at k works mod I_k = (2, v_1 .. v_{k-1}) and builds no v_k."""
+    _cold_caches(monkeypatch)
+    assert _run(["verify", "recursion", "--n", "2", "--k", "4"], capsys)[0] == 0
+    ctx = equivariant_ring.rn_context(2, 4)
+    assert len(ctx._v) == 3
+    vs = equivariant_ring.v_in_rn(ctx, 4)
+    assert vs == v_from_log(equivariant_ring.rn_log(ctx))
+    assert len(ctx._v) == 4 and equivariant_ring.v_in_rn(ctx, 2) == vs[:2]
+    with pytest.raises(ValueError):
+        equivariant_ring.v_in_rn(ctx, 5)
 
 
 # ---- envelope and rendering ------------------------------------------------------

@@ -99,15 +99,15 @@ def test_log_relations_exact(n, k_max):
 
 def test_v_images():
     c1 = RnContext(1, 2)
-    assert v_in_rn(c1)[0] == -c1.ring.var(T(1))
+    assert v_in_rn(c1, 1)[0] == -c1.ring.var(T(1))
     c2 = RnContext(2, 2)
-    vs = v_in_rn(c2)
+    vs = v_in_rn(c2, 2)
     t1 = c2.ring.var(T(1))
     gt1 = c2.ring.var(T(1, 1))
     assert reduce_mod2(vs[0]) == reduce_mod2(t1 + gt1)
     for n in (1, 2, 3):
         ctx = RnContext(n, 2)
-        assert v_in_rn(ctx)[1].degree == 6
+        assert v_in_rn(ctx, 2)[1].degree == 6
 
 
 # ---- lower-level generators -------------------------------------------------------
@@ -131,7 +131,7 @@ def test_t_level_examples():
     claimed = t2 + gt2 + gt1 * t1**2
     diff = table[1] - claimed
     assert not diff.is_zero()
-    assert ideal_contains(diff, v_in_rn(ctx)[:1])
+    assert ideal_contains(diff, v_in_rn(ctx, 1))
 
 
 def test_t_level_bad_level():
@@ -238,7 +238,7 @@ def test_tkvk_and_invariance():
 
 def test_verification_failure_carries_report():
     ctx = RnContext(1, 1)
-    ctx._v = [ctx.ring.zero()]  # sabotage the cache: t_1 - 0 is not in I_1 = (2)
+    ctx._v = (ctx.ring.zero(),)  # sabotage the cache: t_1 - 0 is not in I_1 = (2)
     with pytest.raises(VerificationFailure) as exc:
         verify_tkvk(ctx, 1)
     report = exc.value.report
@@ -257,10 +257,10 @@ def test_report_shape():
 
 def test_quotient_identity_when_m_large():
     ctx = RnContext(2, 3)
-    rn_log(ctx), v_in_rn(ctx), t_level(ctx, 1)
+    rn_log(ctx), v_in_rn(ctx, 3), t_level(ctx, 1)
     q = quotient_to_m(ctx, 3)
     assert q.m == 3
-    for a, b in zip(v_in_rn(ctx), v_in_rn(q)):
+    for a, b in zip(v_in_rn(ctx, 3), v_in_rn(q, 3)):
         assert a.terms == b.terms
     for a, b in zip(t_level(ctx, 1), t_level(q, 1)):
         assert a.terms == b.terms
@@ -268,15 +268,15 @@ def test_quotient_identity_when_m_large():
 
 def test_quotient_kills_high_generators():
     ctx = RnContext(2, 4)
-    rn_log(ctx), v_in_rn(ctx), t_level(ctx, 1)
+    rn_log(ctx), v_in_rn(ctx, 4), t_level(ctx, 1)
     q = quotient_to_m(ctx, 1)
     # generators t_2, t_3, ... appear in no cached element
-    for p in rn_log(q) + v_in_rn(q) + t_level(q, 1):
+    for p in rn_log(q) + v_in_rn(q, 4) + t_level(q, 1):
         for mono in p.terms:
             for v, e in zip(p.ring.variables, p.ring.decode(mono)):
                 assert not (e and v.i > 1)
     # v_2 image keeps the cross monomial t1^2 gamma(t1) mod 2
-    v2bar = reduce_mod2(v_in_rn(q)[1])
+    v2bar = reduce_mod2(v_in_rn(q, 2)[1])
     ring2 = v2bar.ring
     cross = reduce_mod2(q.ring.var(T(1)) ** 2 * q.ring.var(T(1, 1)))
     assert cross.terms.keys() <= v2bar.terms.keys()
@@ -322,7 +322,7 @@ def test_t_collapse_bound_is_sharp():
     # at the excluded boundary r = 2^k m the membership genuinely fails
     q = quotient_to_m(RnContext(2, 4), 1)
     boundary = t_level(q, 1)[1]
-    assert not ideal_contains(boundary, v_in_rn(q)[:1])
+    assert not ideal_contains(boundary, v_in_rn(q, 1))
 
 
 def test_groebner_closure_on_real_v_images():
@@ -332,7 +332,7 @@ def test_groebner_closure_on_real_v_images():
     from fgl_forge.poly_core import GroebnerBasis, f2_membership_linear
 
     ctx = RnContext(2, 2)
-    g1, g2 = (reduce_mod2(v) for v in v_in_rn(ctx))
+    g1, g2 = (reduce_mod2(v) for v in v_in_rn(ctx, 2))
     D = 14
     ring = g1.ring
     gb = GroebnerBasis(ring, [g1, g2], D)

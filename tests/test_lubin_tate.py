@@ -598,7 +598,7 @@ def test_v_images_beyond_the_height():
     # v_3 and v_4 are specialized from R_2 with generators up to t_4
     ctx = LTContext(2, 1)
     K = KRing(ctx.spec)
-    vs = v_in_rn(rn_context(2, 4))
+    vs = v_in_rn(rn_context(2, 4), 4)
     for k in (1, 2):  # t_3, t_4 map to 0, so the larger ring changes no image
         assert lt_specialize(ctx, vs[k - 1]) == v_in_lt(ctx, k)
     assert lt_specialize(ctx, vs[2]).residue() == K.ubar(7)
@@ -955,7 +955,7 @@ def test_orbit_v_and_level_images_are_the_specialized_ones(n, m):
     lt_specialize of v_in_rn and t_level, mod (tau)^2 and mod (tau)."""
     ctx = LTContext(n, m, precision=10, madic=10)
     table = orbit_table(n, m)
-    vs = v_in_rn(rn_context(n, 4))
+    vs = v_in_rn(rn_context(n, 4), 4)
     for v, value in zip(vs, table.v_images(4)):
         assert _up_to_tau_squared(ctx, lt_specialize(ctx, v)) == _as_stored(ctx, value)
     for r in range(1, n + 1):
@@ -977,7 +977,7 @@ def _cotangent_matrix_by_specialization(ctx):
     rows = [[1] + [0] * (ctx.h - 1)]
     if ctx.h == 1:
         return rows
-    for v in v_in_rn(rn_context(ctx.n, ctx.h - 1)):
+    for v in v_in_rn(rn_context(ctx.n, ctx.h - 1), ctx.h - 1):
         g = lt_specialize(ctx, v)
         assert g.filtration() >= 1 and g.is_homogeneous()
         s = g.u_exponents()[0] if g.coords else 0

@@ -281,7 +281,7 @@ def test_ring_map_and_quotient_match_the_term_by_term_sum(form):
 
 def test_quotient_matches_the_ring_map_on_v_images():
     ctx = equivariant_ring.RnContext(2, 4)
-    for v in equivariant_ring.v_in_rn(ctx) + equivariant_ring.rn_log(ctx):
+    for v in equivariant_ring.v_in_rn(ctx, 4) + equivariant_ring.rn_log(ctx):
         for m in (1, 2, 3, 4):
             assert quotient_to_rnm(v, m) == _quotient_by_ring_map(v, m)
 
@@ -453,7 +453,8 @@ def _test_ideals():
     test_equivariant, and seeded random ones whose bases need many S-pairs."""
     ring = rn_ring(2, 2)
     t1, g1t1, t2, g1t2 = (ring.var(T(i, j)) for i in (1, 2) for j in (0, 1))
-    v_images = [reduce_mod2(v) for v in equivariant_ring.v_in_rn(equivariant_ring.RnContext(2, 3))]
+    vs = equivariant_ring.v_in_rn(equivariant_ring.RnContext(2, 3), 3)
+    v_images = [reduce_mod2(v) for v in vs]
     ideals = [
         ([reduce_mod2(t1 + g1t1), reduce_mod2(t2 + g1t2 + t1 * g1t1**2)], 14),
         ([reduce_mod2(t1 + g1t1), reduce_mod2(t2 + g1t2)], 8),
@@ -488,7 +489,8 @@ def test_heap_normal_form_matches_the_scan(monkeypatch):
 
 def _v_ideal():
     """(v_1, v_2, v_3) of R_2 mod 2, and its ring; v_3 has degree 14."""
-    gens = [reduce_mod2(v) for v in equivariant_ring.v_in_rn(equivariant_ring.RnContext(2, 3))]
+    vs = equivariant_ring.v_in_rn(equivariant_ring.RnContext(2, 3), 3)
+    gens = [reduce_mod2(v) for v in vs]
     return gens, gens[0].ring
 
 
