@@ -708,12 +708,25 @@ def _teichmuller_powers(ctx, zeta):
     return powers
 
 
+def _tau_chi(ctx, exps):
+    """The tau part sum (2^i - 1) A_{ij} of the character exponent of tau^A."""
+    return sum(map(operator.mul, ctx._chi_weights, exps))
+
+
 def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
     """The k^x[q]-action: u -> T(zeta)^{-1} u, tau_i -> T(zeta)^{2^i-1} tau_i.
 
     Diagonal on monomials: the term tau^A u^s scales by T(zeta)^chi with
     chi = sum (2^i - 1) A_{ij} - s (tau_m contributes 0 mod q).  zeta must be
     a qth root of unity (checked once, when its table of powers is built).
+
+    The terms of e are walked once.  Each run of terms with one tau exponent
+    tuple computes its tau-degree and the tau part of chi once, and each
+    distinct (coefficient, chi mod (2^d - 1), tau-degree) has its image
+    computed once, masked to that degree; a term that masks to 0 is dropped.
+    A diagonal map keeps the keys of its input, and an element in normal
+    form has no key outside the representable window with a nonzero
+    coefficient, so the image is in normal form without a pass of _canonical.
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
@@ -722,23 +735,57 @@ def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
     powers = _teichmuller_powers(ctx, zeta)
     order = len(powers)
     mul = ctx.kernel.mul
-    out = {
-        (exps, ue): mul(c, powers[_chi(ctx, exps, ue) % order])
-        for (exps, ue), c in e.coords.items()
-    }
-    return _element(ctx, _canonical(ctx, out))
+    masks = ctx._masks
+    images = {}  # (coefficient, chi mod 2^d - 1, tau-degree) -> masked image, () if 0
+    out = {}
+    last = None
+    for key, c in e.coords.items():
+        exps, ue = key
+        if exps != last:
+            last = exps
+            s = sum(exps)
+            tau_chi = _tau_chi(ctx, exps)
+        cls = (tau_chi - ue) % order
+        image = images.get((c, cls, s))
+        if image is None:
+            mask = masks[s]
+            image = tuple([x & mask for x in mul(c, powers[cls])])
+            image = images[c, cls, s] = image if any(image) else ()
+        if image:
+            out[key] = image
+    return _element(ctx, out)
 
 
 def lt_galois(ctx, e: LTElement) -> LTElement:
     """Frobenius on the Witt coefficients; fixes u and every tau.
 
     Each coefficient goes through the kernel's Frobenius image, the route
-    of frobenius_lift.
+    of frobenius_lift.  Like lt_zeta this is a diagonal map: the terms are
+    walked once, the image of each distinct (coefficient, tau-degree) is
+    computed once and masked to that degree, a term that masks to 0 is
+    dropped, and the keys of e stay in the window, so no _canonical pass
+    runs.
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
     frobenius = ctx.kernel.frobenius
-    return _element(ctx, _canonical(ctx, {k: frobenius(c) for k, c in e.coords.items()}))
+    masks = ctx._masks
+    images = {}  # (coefficient, tau-degree) -> masked image, () if 0
+    out = {}
+    last = None
+    for key, c in e.coords.items():
+        exps = key[0]
+        if exps != last:
+            last = exps
+            s = sum(exps)
+        image = images.get((c, s))
+        if image is None:
+            mask = masks[s]
+            image = tuple([x & mask for x in frobenius(c)])
+            image = images[c, s] = image if any(image) else ()
+        if image:
+            out[key] = image
+    return _element(ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1268,10 +1315,6 @@ def _multiplicative_generator(spec):
     raise ConsistencyFailure("no multiplicative generator found")
 
 
-def _chi(ctx, exps, ue):
-    return sum(map(operator.mul, ctx._chi_weights, exps)) - ue
-
-
 def fixed_subring_presentation(ctx):
     """Check, monomial by monomial in a finite box, that the fixed subspace of
     the Galois-and-torus action is spanned over Z_2 by monomials whose
@@ -1289,10 +1332,13 @@ def fixed_subring_presentation(ctx):
     applied to it once.  Both maps are additive, so for a diagonal map the
     coefficient of a monomial in the image of the box is its coefficient in
     the image of the monomial: a monomial is fixed exactly when the image
-    keeps its coefficient.  The monomials are walked in enumeration order and
-    the first one whose behaviour differs from the prediction is the witness.
-    An image with a monomial outside the box shows a map that is not
-    diagonal, and raises ConsistencyFailure.
+    keeps its coefficient.  The monomials are walked in enumeration order,
+    with the tau part of chi computed once per exponent tuple, and the first
+    one whose behaviour differs from the prediction is the witness.  An image
+    with a monomial outside the box shows a map that is not diagonal, and
+    raises ConsistencyFailure.  The box is the one element built without a
+    normal-form check: every coefficient is the unit, every tau-degree is
+    below M, and u_bound is checked against the window before it is built.
     """
     alpha = ctx.alpha
     u_bound = max(2 * ctx.q, alpha + 1)
@@ -1330,9 +1376,13 @@ def fixed_subring_presentation(ctx):
     checked = 0
     fixed = 0
     witness = None
+    last = None
     for key in keys:
         exps, ue = key
-        predicted = _chi(ctx, exps, ue) % alpha == 0
+        if exps != last:
+            last = exps
+            tau_chi = _tau_chi(ctx, exps)
+        predicted = (tau_chi - ue) % alpha == 0
         actual = zeta_image.get(key) == unit
         galois_fixed = galois_image.get(key) == unit
         if actual != predicted or not galois_fixed:

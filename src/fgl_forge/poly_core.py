@@ -177,7 +177,9 @@ class PolyRing:
     def mono_degree(self, mono: int) -> int:
         d = self._deg_cache.get(mono)
         if d is None:
-            d = sum(e * w for e, w in zip(self.decode(mono), self.degrees))
+            d = 0
+            for s, w in zip(self.shifts, self.degrees):
+                d += (mono >> s & _MASK) * w
             self._deg_cache[mono] = d
         return d
 
@@ -459,8 +461,15 @@ class GradedPolynomial:
         return not self.num
 
     def is_homogeneous(self):
-        degs = {self.ring.mono_degree(m) for m in self.num}
-        return len(degs) <= 1
+        """Whether every monomial has one degree: one pass, which stops at
+        the first other degree and records the degree for `degree`."""
+        degs = map(self.ring.mono_degree, self.num)
+        deg = next(degs, None)
+        for d in degs:
+            if d != deg:
+                return False
+        self._degree = deg
+        return True
 
     @property
     def degree(self):

@@ -420,12 +420,16 @@ def test_action_commutation_relations():
         assert lhs == lt_zeta(ctx, omega.frobenius(), x)
 
 
+def _chi_of(ctx, exps, ue):
+    return sum(((1 << ctx.taus[idx][0]) - 1) * ex for idx, ex in enumerate(exps)) - ue
+
+
 def _zeta_by_powering(ctx, zeta, x):
     """The torus action term by term: T(zeta)^chi, through T(zeta)^-1 for chi < 0."""
     t = teichmuller(zeta, ctx.precision)
     out = {}
     for (exps, ue), c in x.terms.items():
-        chi = -ue + sum(((1 << ctx.taus[idx][0]) - 1) * ex for idx, ex in enumerate(exps))
+        chi = _chi_of(ctx, exps, ue)
         out[(exps, ue)] = c * (t ** chi if chi >= 0 else t.inverse() ** -chi)
     return LTElement(ctx, out)
 
@@ -486,6 +490,71 @@ def test_galois_matches_frobenius_lift_per_coefficient(n, m, d):
         x = _filtered_element(ctx, rng)
         assert lt_galois(ctx, x) == x.map_coefficients(frobenius_lift)
     assert lt_galois(ctx, ctx.zero()).is_zero()
+
+
+def _zeta_per_term(ctx, zeta, x):
+    """The torus action one kernel product per term, then one normal-form
+    pass: the earlier route of lt_zeta, kept as a second oracle."""
+    powers = lubin_tate._teichmuller_powers(ctx, zeta)
+    raw = {
+        (exps, ue): ctx.kernel.mul(c, powers[_chi_of(ctx, exps, ue) % len(powers)])
+        for (exps, ue), c in x.coords.items()
+    }
+    return lubin_tate._element(ctx, lubin_tate._canonical(ctx, raw))
+
+
+def _galois_per_term(ctx, x):
+    """Frobenius one term at a time, then one normal-form pass: the earlier
+    route of lt_galois, kept as a second oracle."""
+    raw = {key: ctx.kernel.frobenius(c) for key, c in x.coords.items()}
+    return lubin_tate._element(ctx, lubin_tate._canonical(ctx, raw))
+
+
+def _shared_coefficient_element(ctx, rng, top):
+    """An element whose terms all carry one coefficient tuple, at every
+    tau-degree 0..top and at u-exponents of both signs.
+
+    The tuple lies below 2^{M - top}, so it is in normal form at every one of
+    those degrees, while its images under the actions are not: an image
+    memoised at one tau-degree and reused at another is masked wrongly.
+    """
+    M = ctx.madic
+    c = (0,) * ctx.spec.d
+    while not any(c):
+        c = tuple(rng.randrange(1 << (M - top)) for _ in range(ctx.spec.d))
+    terms = {}
+    for s in range(top + 1):
+        for ue in (-9, -4, -1, 0, 2, 5):
+            exps = [0] * len(ctx.taus)
+            for _ in range(s):
+                exps[rng.randrange(len(exps))] += 1
+            terms[(tuple(exps), ue + rng.randrange(3))] = WittElement(ctx.spec, ctx.precision, c)
+    x = LTElement(ctx, terms)
+    assert set(x.coords.values()) == {c}
+    assert {sum(exps) for exps, _ in x.coords} == set(range(top + 1))
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("M,top", [(4, 2), (8, 3)])
+def test_diagonal_maps_key_each_image_by_tau_degree(d, M, top):
+    # m = d makes every unit of k a qth root of unity; M = N, so the mask at
+    # tau-degree 0 is the whole precision
+    ctx = LTContext(2, d, d=d, precision=M, madic=M)
+    rng = random.Random(31 * d + M)
+    roots = [z for z in ctx.spec.elements() if not z.is_zero()]
+    order = (1 << d) - 1
+    for _ in range(3):
+        x = _shared_coefficient_element(ctx, rng, top)
+        residues = {_chi_of(ctx, exps, ue) % order for exps, ue in x.coords}
+        assert len(residues) >= min(order, 3)
+        for zeta in roots:
+            image = lt_zeta(ctx, zeta, x)
+            assert image == _zeta_by_powering(ctx, zeta, x)
+            assert image == _zeta_per_term(ctx, zeta, x)
+        image = lt_galois(ctx, x)
+        assert image == x.map_coefficients(frobenius_lift)
+        assert image == _galois_per_term(ctx, x)
 
 
 def test_witt_terms_round_trip():
@@ -1118,7 +1187,7 @@ def _fixed_subring_by_monomials(ctx):
             mono = ctx.monomial(exps, ue)
             if mono.is_zero():
                 continue
-            predicted = lubin_tate._chi(ctx, exps, ue) % alpha == 0
+            predicted = _chi_of(ctx, exps, ue) % alpha == 0
             actual = lubin_tate.lt_zeta(ctx, zeta, mono) == mono
             galois_fixed = lubin_tate.lt_galois(ctx, mono) == mono
             if actual != predicted or not galois_fixed:
@@ -1160,6 +1229,8 @@ _FIXED_SUBRING_CONFIGS = (
     + [(n, m, d, 6, 8) for n in (1, 3) for m in (1, 2, 3) for d in (1, 2, 3)]
     # the truncation edges, where tau-degree 1 or 2 is already 0
     + [(2, m, d, madic, madic) for m, d in ((1, 1), (2, 2), (3, 3)) for madic in (1, 2)]
+    # d = 4, the largest field within the documented limits
+    + [(2, 2, 4, 6, 8), (3, 3, 4, 10, 16)]
 )
 
 

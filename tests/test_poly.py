@@ -66,6 +66,27 @@ def test_binomial_and_degrees():
     assert (t1 * R2.zero()).is_zero() and not (t1 * R2.zero()).terms
 
 
+def test_homogeneity_is_exact_and_records_the_degree():
+    rng = random.Random(41)
+    for ring in (R2, rn_ring(3, 3), bp_ring(4)):
+        def by_decode(m):
+            return sum(e * w for e, w in zip(ring.decode(m), ring.degrees))
+
+        for _ in range(12):
+            p = rand_poly(ring, rng, max_deg=12)
+            degs = {by_decode(m) for m in p.num}
+            assert all(ring.mono_degree(m) == by_decode(m) for m in p.num)
+            assert p.is_homogeneous() == (len(degs) <= 1)
+            assert p.degree == max(degs, default=None)
+        # one monomial of another degree, last in the support, is still seen
+        body = {m: 1 for m in ring.monomials_of_degree(8)}
+        last = ring.monomials_of_degree(10)[-1]
+        assert not GradedPolynomial(ring, {**body, last: 1}).is_homogeneous()
+        p = GradedPolynomial(ring, body)
+        assert p.is_homogeneous() and p._degree == 8 and p.degree == 8
+    assert R2.zero().is_homogeneous() and R2.zero().degree is None
+
+
 def test_ambient_mismatch_and_integrality():
     with pytest.raises(AmbientMismatch):
         R2.var(T(1, 0)) + rn_ring(2, 3).var(T(1, 0))
