@@ -1,7 +1,8 @@
 """Reading the height off the residue formal group law.
 
-Killing the maximal ideal of W(k)[[tau's]][u^(+-1)] leaves k[u^(+-1)], and the
-pushed-forward formal group law has its 2-series supported in degrees that
+Killing the maximal ideal of W(k)[[tau's]][u^(+-1)] leaves K = k[ubar^(+-1)],
+which is the same Lubin-Tate ring truncated at order 1 (ctx.residue_ring), and
+the pushed-forward formal group law has its 2-series supported in degrees that
 detect the height: [2](x) = ubar^(2^h - 1) x^(2^h) + higher terms.  This demo
 computes that 2-series at three parameter choices as F(x, x) of the residue
 law, checks it against residue_height (which reads the height off the
@@ -13,11 +14,11 @@ Run:  python3 demos/residue_height.py
 """
 
 from fgl_forge.lubin_tate import (
-    KRing,
     LTContext,
     d_factors,
     residue_fgl,
     residue_height,
+    residue_json,
 )
 from fgl_forge.series_fgl import height_of_residue_fgl
 
@@ -31,14 +32,14 @@ for n, m, d in SCENARIOS:
     height, coeff = height_of_residue_fgl(residue_fgl(ctx, cutoff=1 << h))
     print(f"[2](x) = F(x, x) over the residue field starts in degree 2^{height}")
     assert height == h
-    K = KRing(ctx.spec)
-    assert coeff == K.ubar((1 << h) - 1)
+    K = ctx.residue_ring
+    assert coeff.ring is K and coeff == K.u_pow((1 << h) - 1)
     print(f"  leading coefficient = ubar^{(1 << h) - 1}  (a unit: height is exactly {h})")
 
     report = residue_height(ctx)
     p = report["params"]
     assert p["computed_height"] == h and report["status"] == "verified"
-    assert p["coefficient"] == coeff.to_json()
+    assert p["coefficient"] == residue_json(coeff)
     print(f"  residue_height report: computed_height={p['computed_height']},"
           f" beta={p['beta']}, unit={p['unit']}")
     print()

@@ -45,7 +45,7 @@ from .lubin_tate import (
     residue_height,
 )
 from .poly_core import poly_to_json
-from .reports import canonical_json, envelope, render_line
+from .reports import _report, canonical_json, envelope, render_line
 
 # documented feasibility limits; --force bypasses them
 _LIMITS = {"n": 3, "m": 3, "k": 6, "d": 4, "precision": 16, "madic": 10, "cutoff": 64}
@@ -251,17 +251,12 @@ def _emit(body, args):
 def _cmd_log(args):
     ctx = rn_context(args.n, args.k)
     values = rn_log(ctx)
-    report = {
-        "claim": "log",
-        "params": {
-            "n": args.n,
-            "k_max": args.k,
-            "values": [poly_to_json(l) for l in values],
-        },
-        "status": "verified",
-        "witness": None,
-        "bounds": ctx.bounds(),
-    }
+    report = _report(
+        "log",
+        {"n": args.n, "k_max": args.k, "values": [poly_to_json(l) for l in values]},
+        True,
+        bounds=ctx.bounds(),
+    )
     body = envelope([report], config=_config(args))
     if args.json:
         with open(args.json, "w") as fh:

@@ -42,6 +42,19 @@ def rational_mod2(q) -> int:
     return q.numerator & 1
 
 
+def power(x, e: int, one):
+    """x^e for e >= 0 by square-and-multiply from `one`, the 1 of x's ring;
+    the last squaring, which no bit reads, is skipped."""
+    r = one
+    while e:
+        if e & 1:
+            r = r * x
+        e >>= 1
+        if e:
+            x = x * x
+    return r
+
+
 def qq_to_string(q) -> str:
     n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
@@ -376,14 +389,7 @@ class WittElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        r = WittElement.one(self.spec, self.precision)
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
+        return power(self, e, WittElement.one(self.spec, self.precision))
 
     def residue(self) -> GFElement:
         """Reduction mod 2 down to F_{2^d}."""

@@ -22,7 +22,7 @@ VerificationFailure (with the failed report attached) otherwise.
 import random
 
 from .coefficients import QQ, two_valuation
-from .errors import ConsistencyFailure, VerificationFailure
+from .errors import ConsistencyFailure
 from .poly_core import (
     AtomicCache,
     GradedPolynomial,
@@ -37,6 +37,7 @@ from .poly_core import (
     rn_ring,
     rnm_ring,
 )
+from .reports import _finish, _report
 from .series_fgl import (
     StrictIso,
     TruncatedSeries1,
@@ -370,24 +371,8 @@ def quotient_to_m(ctx, m):
 
 
 # ---------------------------------------------------------------------------
-# reports and ideal arithmetic
+# ideal arithmetic
 # ---------------------------------------------------------------------------
-
-def _report(claim, params, ok, witness=None, bounds=None):
-    return {
-        "claim": claim,
-        "params": params,
-        "status": "verified" if ok else "failed",
-        "witness": witness,
-        "bounds": bounds or {},
-    }
-
-
-def _finish(report, message):
-    if report["status"] != "verified":
-        raise VerificationFailure(message, report=report)
-    return report
-
 
 def _witness(p):
     if p is None or p.is_zero():

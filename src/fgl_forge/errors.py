@@ -46,10 +46,6 @@ class SourceTargetMismatch(ForgeError):
     """Composite of isomorphisms whose target/source formal group laws differ."""
 
 
-class NonUnit(ForgeError):
-    """An element required to be a unit (e.g. in a residue field) is not."""
-
-
 class HeightExceedsCutoff(ForgeError):
     """No nonzero coefficient found in the 2-series up to the configured cutoff."""
 

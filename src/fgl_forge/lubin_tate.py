@@ -21,13 +21,18 @@ missing orbit variable gamma^{2^{n-1}-1} tau_m is the series
     1 + 1/((1 - tau_m)(1 - gamma tau_m) ... (1 - gamma^{2^{n-1}-2} tau_m)),
 
 whose constant term 2 is precisely how 2 enters the maximal ideal.
+
+The residue field K = E/m = k[ubar^{+-1}] is this ring at M = 1 (and N = 1):
+every tau-term is 0 and every coefficient is reduced mod 2.  So K is no
+separate engine: LTContext.residue_ring is that context, shared by every
+truncation of one (n, m, field), and LTElement.residue maps into it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, itemgetter, or_
 from types import MappingProxyType
 
@@ -36,11 +41,11 @@ from .coefficients import (
     GFElement,
     WittElement,
     finite_field,
-    rational_mod2,
+    power,
     teichmuller,
     witt_kernel,
 )
-from .equivariant_ring import _finish, _report, rn_context, t_level, v_in_rn
+from .equivariant_ring import rn_context, t_level, v_in_rn
 from .errors import (
     AmbientMismatch,
     ConsistencyFailure,
@@ -48,12 +53,12 @@ from .errors import (
     InverseOfNonUnit,
     NonIntegralCoefficient,
     NonIntegralResult,
-    NonUnit,
     NotQTorsion,
     RankDeficient,
     TruncationOverflow,
 )
-from .poly_core import AtomicCache, T, gamma_act, orbit_sum, rn_ring
+from .poly_core import AtomicCache, T, f2_reduce, gamma_act, orbit_sum, rn_ring
+from .reports import _finish, _report
 from .series_fgl import (
     conjugate_fgl,
     fgl_from_log,
@@ -62,118 +67,6 @@ from .series_fgl import (
 
 _U_CAP = 1 << 20  # sanity cap on u-exponents; beyond this the model is broken
 _TAU_BOUND = 2  # fixed_subring_presentation checks every tau-degree up to this
-
-
-# ---------------------------------------------------------------------------
-# the residue ring k[ubar^{+-1}]
-# ---------------------------------------------------------------------------
-
-class KRing:
-    """Graded Laurent ring F_{2^d}[ubar^{+-1}]; the residue of the local ring.
-
-    Homogeneous nonzero elements (single monomials) are the units.  Satisfies
-    the series coefficient-ring protocol, so formal group laws reduce here.
-    """
-
-    _cache = AtomicCache()
-
-    def __new__(cls, spec):
-        def build():
-            ring = super(KRing, cls).__new__(cls)
-            ring.spec = spec
-            return ring
-
-        return cls._cache.get_or_create(spec, build)
-
-    def zero(self):
-        return KElement(self, {})
-
-    def one(self):
-        return KElement(self, {0: self.spec.one})
-
-    def from_rational(self, q):
-        bit = rational_mod2(QQ(q))
-        return KElement(self, {0: self.spec.from_bits(bit)} if bit else {})
-
-    def ubar(self, e=1):
-        return KElement(self, {e: self.spec.one})
-
-    def invert(self, x):
-        if len(x.coeffs) != 1:
-            raise NonUnit(f"{x!r} is not a monomial, hence not a unit here")
-        (e, c), = x.coeffs.items()
-        return KElement(self, {-e: c.inverse()})
-
-    def __repr__(self):
-        return f"K(d={self.spec.d})"
-
-
-class KElement:
-    """Laurent polynomial in ubar with coefficients in F_{2^d}."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
-
-    def _check(self, other):
-        if not isinstance(other, KElement) or other.ring is not self.ring:
-            raise AmbientMismatch("mixed residue-ring arithmetic")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return KElement(self.ring, out)
-
-    def __neg__(self):
-        return self  # characteristic 2
-
-    def __sub__(self, other):
-        return self + other
-
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                p = c1 * c2
-                s = out.get(e)
-                out[e] = p if s is None else s + p
-        return KElement(self.ring, out)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.ring.invert(self) ** (-e)
-        r = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KElement)
-            and other.ring is self.ring
-            and other.coeffs == self.coeffs
-        )
-
-    def __repr__(self):
-        bits = [f"({c!r})ubar^{e}" for e, c in sorted(self.coeffs.items())]
-        return " + ".join(bits) or "0"
-
-    def to_json(self):
-        return [[e, c.coeffs] for e, c in sorted(self.coeffs.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +87,9 @@ class LTContext:
     t_h, and the specialized v-images and level families built from it serve
     the oracles (lt_specialize, v_in_lt, t_level_in_lt) and the witness of a
     falsified unit-factors verdict.
+
+    At M = 1 the context is the residue field K = k[ubar^{+-1}], u playing
+    ubar; residue_ring is that context, the same for every N and M.
 
     Requests share one context per configuration through lt_context, so its
     tables (gamma images, Teichmuller powers, and those of the oracles) are
@@ -248,6 +144,13 @@ class LTContext:
         built on first read, so the claims, which never read it, build none."""
         return rn_context(self.n, self.h)
 
+    @cached_property
+    def residue_ring(self):
+        """K = k[ubar^{+-1}]: the shared context of (n, m, k) at N = M = 1.
+        No claim reads it; is_unit, inverse and the oracles do."""
+        return lt_context(self.n, self.m, self.spec.d, self.spec.modulus,
+                          precision=1, madic=1)
+
     # -- coefficient-ring protocol ------------------------------------------
 
     def zero(self):
@@ -273,9 +176,6 @@ class LTContext:
     def monomial(self, exps, ue, coords=None):
         """coords * tau^exps u^ue (coords defaults to 1), reduced mod m^M."""
         return _element(self, _canonical(self, {(exps, ue): coords or self._unit}))
-
-    def invert(self, e):
-        return e.inverse()
 
     # -- generators -----------------------------------------------------------
 
@@ -428,6 +328,11 @@ class LTElement:
         self._graded = None  # lazy: the terms sorted by filtration, for __mul__
 
     @property
+    def ring(self):
+        """The context, under the name the series coefficient protocol reads."""
+        return self.ctx
+
+    @property
     def terms(self):
         """{(exps, ue): WittElement}, a read-only view of the coefficients."""
         spec, N = self.ctx.spec, self.ctx.precision
@@ -500,14 +405,7 @@ class LTElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        r = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
+        return power(self, e, self.ctx.one())
 
     def scale(self, c):
         """Multiply by an integer or Witt scalar."""
@@ -554,26 +452,22 @@ class LTElement:
             return self.ctx.madic
         return min(_valuation(c) + sum(exps) for (exps, _), c in self.coords.items())
 
-    def residue(self) -> KElement:
-        """Image in K = F_{2^d}[ubar^{+-1}] (kill the maximal ideal)."""
-        spec = self.ctx.spec
-        zero = self.ctx._zero_exps
-        out = {}
-        for (exps, ue), c in self.coords.items():
-            if exps == zero:  # one such term per u-exponent
-                r = GFElement(spec, c)  # the coordinates mod 2
-                if not r.is_zero():
-                    out[ue] = r
-        return KElement(KRing(spec), out)
+    def residue(self) -> LTElement:
+        """The image in K = ctx.residue_ring (kill the maximal ideal): the
+        tau-free terms with their coefficients mod 2, which is the normal form
+        at M = 1."""
+        ring = self.ctx.residue_ring
+        return _element(ring, _canonical(ring, self.coords))
 
     def is_unit(self):
         """Units of the graded local ring: residue a single nonzero monomial."""
-        return len(self.residue().coeffs) == 1
+        return len(self.residue().coords) == 1
 
     def inverse(self):
-        if not self.is_unit():
+        residue = self.residue().coords
+        if len(residue) != 1:
             raise InverseOfNonUnit(f"residue of {self!r} is not a unit")
-        (ue, _), = self.residue().coeffs.items()
+        (_, ue), = residue
         lead = self.coords[(self.ctx._zero_exps, ue)]
         lead = WittElement(self.ctx.spec, self.ctx.precision, lead).inverse()
         b = self.ctx.from_witt(lead) * self.ctx.u_pow(-ue)
@@ -1102,26 +996,16 @@ def _orbit_product_factors(ctx):
 # verifiers
 # ---------------------------------------------------------------------------
 
-def verify_unit(ctx, e: LTElement) -> bool:
-    """True iff e is a unit of the graded local ring (nonzero residue monomial)."""
-    if e.ctx is not ctx:
-        raise AmbientMismatch("element from a different context")
-    return e.is_unit()
+def residue_json(x):
+    """[[e, bits], ...], e ascending: the JSON of a residue sum_e c_e ubar^e,
+    with bits the coordinates of c_e in k.
 
-
-def _f2_rank(rows):
-    """Rank over F_2 of 0/1 rows; a matrix over F_2 has this rank over every
-    extension field too."""
-    pivots = {}
-    for row in rows:
-        r = sum(bit << col for col, bit in enumerate(row))
-        while r:
-            top = r.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = r
-                break
-            r ^= pivots[top]
-    return len(pivots)
+    x is an element of a residue ring, or the mapping {e: coordinates of c_e}
+    by which the claims, which build no residue ring, name a residue.
+    """
+    if isinstance(x, LTElement):
+        x = {ue: c for (_, ue), c in x.coords.items()}
+    return [[e, list(c)] for e, c in sorted(x.items())]
 
 
 def cotangent_check(ctx):
@@ -1148,7 +1032,10 @@ def cotangent_check(ctx):
         if c0 & 1:
             raise ConsistencyFailure(f"v{k} is not in the maximal ideal")
         matrix.append([(c0 >> 1) & 1] + [c & 1 for c in lin])
-    rank = _f2_rank(matrix)
+    pivots = {}
+    for row in matrix:
+        f2_reduce(sum(bit << col for col, bit in enumerate(row)), pivots)
+    rank = len(pivots)
     if rank < h:
         exc = RankDeficient(
             f"cotangent rank {rank} < h = {h}; the ideals cannot be equal"
@@ -1171,7 +1058,8 @@ def cotangent_check(ctx):
 
 
 def residue_fgl(ctx, cutoff):
-    """The formal group law over K obtained by killing the maximal ideal.
+    """The formal group law over K = ctx.residue_ring obtained by killing the
+    maximal ideal.
 
     The universal law over Q[v_1..v_k] is built afresh on every call, and
     each coefficient is mapped to K, v_k going to the residue of its image
@@ -1184,7 +1072,7 @@ def residue_fgl(ctx, cutoff):
     oracle.
     """
     k = max(ctx.h, cutoff.bit_length() - 1)  # v_k for 2^k <= cutoff, and at least h
-    K = KRing(ctx.spec)
+    K = ctx.residue_ring
     vbar = [lt_specialize(ctx, v).residue() for v in v_in_rn(rn_context(ctx.n, k), k)]
 
     def down(p):
@@ -1216,9 +1104,10 @@ def residue_height(ctx, cutoff=None):
     2^k <= cutoff and c_0 odd, and HeightExceedsCutoff is raised when there
     is none.  The 2-series of the residue law (residue_fgl) and
     two_series_from_log on OrbitTable.log_constants are its oracles in the
-    tests.  The leading unit of the 2-series and beta = (2^h-1)/(2^m-1) are
-    recorded in the report; the coefficient is pinned to ubar^{2^h-1} on the
-    nose.
+    tests.  Whatever height k is found, the 2-series leads with 1 * ubar^{2^k-1},
+    so the claim holds exactly when k = h.  The report records that
+    coefficient as residue_json writes it, its unit and beta =
+    (2^h-1)/(2^m-1).
     """
     h = ctx.h
     if cutoff is None:
@@ -1232,24 +1121,21 @@ def residue_height(ctx, cutoff=None):
     )
     if height is None:
         raise HeightExceedsCutoff(f"[2](x) = 0 up to x^{cutoff}")
-    K = KRing(ctx.spec)
-    lead = K.ubar((1 << height) - 1)
     beta = ((1 << h) - 1) // ((1 << ctx.m) - 1)
-    expected = K.ubar((1 << h) - 1)
-    unit = lead.coeffs.get((1 << h) - 1, ctx.spec.zero) if height == h else None
-    ok = height == h and lead == expected
+    lead = residue_json({(1 << height) - 1: ctx._unit})
+    ok = height == h
     report = _report(
         "height",
         {
             "h": h,
             "beta": beta,
             "computed_height": height,
-            "coefficient": lead.to_json(),
-            "unit": list(unit.coeffs) if unit is not None else None,
+            "coefficient": lead,
+            "unit": list(ctx._unit) if ok else None,
             "cutoff": cutoff,
         },
         ok,
-        witness=None if ok else lead.to_json(),
+        witness=None if ok else lead,
         bounds=ctx.bounds(),
     )
     return _finish(report, f"residue height is not (h, ubar^(2^h-1)) at h={h}")
@@ -1270,18 +1156,17 @@ def d_factors(ctx):
     raises ConsistencyFailure.
     """
     table = orbit_table(ctx.n, ctx.m)
-    K = KRing(ctx.spec)
     indices = [(1 << (ctx.n - i)) * ctx.m for i in range(1, ctx.n + 1)]
     residues = []
     for i, k_i in enumerate(indices, start=1):
         t = table.level(1 << (ctx.n - i), k_i)[k_i - 1]
-        residues.append(K.ubar(ctx.half * ((1 << k_i) - 1)) if t & 1 else K.zero())
-    verdicts = [len(r.coeffs) == 1 for r in residues]
+        residues.append(residue_json({ctx.half * ((1 << k_i) - 1): ctx._unit} if t & 1 else {}))
+    verdicts = [len(r) == 1 for r in residues]
     ok = all(verdicts)  # a product of monomials of K is a monomial
     witness = None
     if not ok:
         factors = _orbit_product_factors(ctx)
-        if [f.residue() for f in factors] != residues:
+        if [residue_json(f.residue()) for f in factors] != residues:
             raise ConsistencyFailure(
                 "the orbit table and the orbit product disagree on a norm factor"
             )
@@ -1292,7 +1177,7 @@ def d_factors(ctx):
             "indices": indices,
             "verdicts": verdicts,
             "product_is_unit": ok,
-            "residues": [r.to_json() for r in residues],
+            "residues": residues,
         },
         ok,
         witness=witness,

@@ -39,6 +39,7 @@ from operator import or_
 from .coefficients import (
     QQ,
     AtomicCache,
+    power,
     qq_from_string,
     qq_to_string,
     rational_mod2,
@@ -574,14 +575,7 @@ class GradedPolynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not defined here")
-        r = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return r
+        return power(self, e, self.ring.one())
 
     def __eq__(self, other):
         if type(other) is GradedPolynomial:
@@ -936,23 +930,28 @@ def f2_membership_linear(p: GradedPolynomial, gens) -> bool:
             prod = g * GradedPolynomial(ring, {m: 1}, _checked=True)
             if not prod.is_zero():
                 rows.append(vec(prod))
-    # Gaussian elimination over F_2 with bitmask rows
     pivots = {}
     for r in rows:
-        while r:
-            top = r.bit_length() - 1
-            if top in pivots:
-                r ^= pivots[top]
-            else:
-                pivots[top] = r
-                break
-    target = vec(p)
-    while target:
-        top = target.bit_length() - 1
-        if top not in pivots:
-            return False
-        target ^= pivots[top]
-    return True
+        f2_reduce(r, pivots)
+    return not f2_reduce(vec(p), pivots)
+
+
+def f2_reduce(row, pivots):
+    """Gaussian elimination over F_2 on int bitmask rows, one row at a time.
+
+    Reduces row against pivots, {leading bit: row}, and returns the
+    remainder: 0 when row is in their span.  A nonzero remainder joins
+    pivots under its leading bit, so len(pivots) is the rank of the rows fed
+    in, over F_2 and over every extension field of it.
+    """
+    while row:
+        top = row.bit_length() - 1
+        pivot = pivots.get(top)
+        if pivot is None:
+            pivots[top] = row
+            break
+        row ^= pivot
+    return row
 
 
 # ---------------------------------------------------------------------------

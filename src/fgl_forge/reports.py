@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 
+from .errors import VerificationFailure
+
 SCHEMA = "fgl-forge/1"
 
 # Choices that change the literal formulas being verified; recorded in every
@@ -27,6 +29,24 @@ CONVENTIONS = {
     # t_k^{C_2} is normalized as 2 l_k - sum_{j>=1} gamma(l_j) (t_{k-j})^{2^j}
     "tC2-normalization": "two-l-minus-lower",
 }
+
+
+def _report(claim, params, ok, witness=None, bounds=None):
+    """One verifier report in the shape above; bounds default to {}."""
+    return {
+        "claim": claim,
+        "params": params,
+        "status": "verified" if ok else "failed",
+        "witness": witness,
+        "bounds": bounds or {},
+    }
+
+
+def _finish(report, message):
+    """The report, or VerificationFailure carrying it when it failed."""
+    if report["status"] != "verified":
+        raise VerificationFailure(message, report=report)
+    return report
 
 
 def envelope(reports, config=None, interrupted=False):

@@ -10,8 +10,10 @@ isomorphisms) are kept as the test oracles of those routes.
 
 Series coefficients live in any ring object exposing zero()/one()/
 from_rational(); the elements themselves must support +, -, *, ** (integer),
-==, and is_zero().  Graded polynomial rings, the Lubin-Tate ring, and its
-residue field all satisfy this protocol, so one engine serves every stage of
+==, and is_zero(), and name their ring as `.ring` (conjugate_fgl reads the
+target ring off the image of 1).  Graded polynomial rings and the Lubin-Tate
+ring satisfy this protocol, and so does the residue field, which is the
+Lubin-Tate ring at truncation order 1, so one engine serves every stage of
 the pipeline.  Every series is truncated at a fixed cutoff in the series
 variable(s); all identities asserted by this module are exact up to that
 cutoff.

@@ -43,6 +43,7 @@ from fgl_forge.lubin_tate import (
     lt_zeta,
     residue_fgl,
     residue_height,
+    residue_json,
     v_in_lt,
 )
 from fgl_forge.poly_core import (
@@ -183,7 +184,7 @@ def test_criterion_08_residue_height(criterion):
             assert p["unit"] is not None  # recorded, per the open-question contract
             # the two-variable law is the oracle of the 2-series route
             h, lead = height_of_residue_fgl(residue_fgl(ctx, 1 << ctx.h))
-            assert (p["computed_height"], p["coefficient"]) == (h, lead.to_json())
+            assert (p["computed_height"], p["coefficient"]) == (h, residue_json(lead))
 
 
 def test_criterion_09_action_suite(criterion):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -40,6 +41,15 @@ def test_log_command(capsys):
         "t1": "1/2",
         "g1t1": "1/2",
     }
+
+
+def test_log_stdout_is_pinned(capsys):
+    """The log envelope, byte for byte: its report is built by reports._report."""
+    code, out = _run(["log", "--n", "2", "--k", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "61c6ad30e466de6e30f9ec7da1049bf26610022f21ce7fb2ac97cfdb4fc66f31"
+    )
 
 
 def test_log_usage_error():

@@ -12,6 +12,7 @@ from fgl_forge.coefficients import (
     finite_field,
     frobenius_lift,
     is_two_local,
+    power,
     rational_mod2,
     teichmuller,
     two_valuation,
@@ -303,3 +304,28 @@ def test_spec_equality_and_hash_ignore_the_derived_attributes():
     assert other != F8 and other.modbits == 0b1101
     assert {fresh: 1}[F8] == 1
     assert [f.name for f in dataclasses.fields(FiniteFieldSpec)] == ["d", "modulus"]
+
+
+# ---- powers ---------------------------------------------------------------------
+
+def _power_bases():
+    from fgl_forge.lubin_tate import lt_context
+    from fgl_forge.poly_core import T, rn_ring
+
+    ctx = lt_context(2, 2, d=2)
+    ring = rn_ring(2, 2, rational=True)
+    return {
+        "witt": WittElement(F8, 6, [3, 5, 2]),
+        "lubin-tate": (ctx.from_int(3) + ctx.tau(1, 0)) * ctx.u_pow(1) + ctx.tau(2, 0),
+        "polynomial": ring.var(T(1)) + ring.var(T(2, 1)).scalar_mul(QQ(1, 3)) + ring.one(),
+    }
+
+
+@pytest.mark.parametrize("name", ["witt", "lubin-tate", "polynomial"])
+def test_power_is_the_repeated_product(name):
+    x = _power_bases()[name]
+    one = x ** 0
+    product = one
+    for e in range(10):
+        assert x ** e == product == power(x, e, one)
+        product = product * x

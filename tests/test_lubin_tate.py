@@ -23,14 +23,12 @@ from fgl_forge.errors import (
     InverseOfNonUnit,
     NonIntegralCoefficient,
     NonIntegralResult,
-    NonUnit,
     NotQTorsion,
     RankDeficient,
     TruncationOverflow,
     VerificationFailure,
 )
 from fgl_forge.lubin_tate import (
-    KRing,
     LTContext,
     LTElement,
     action_table,
@@ -44,13 +42,13 @@ from fgl_forge.lubin_tate import (
     orbit_table,
     residue_fgl,
     residue_height,
+    residue_json,
     t_level_in_lt,
     two_telescope,
     v_in_lt,
-    verify_unit,
 )
 from fgl_forge.poly_core import AtomicCache, bp_ring, gamma_act, reduce_mod2
-from fgl_forge.reports import canonical_json
+from fgl_forge.reports import _finish, _report, canonical_json
 from fgl_forge.series_fgl import (
     TruncatedSeries1,
     fgl_from_log,
@@ -148,8 +146,6 @@ def test_context_mixing_raises():
         a.one() + b.one()
     with pytest.raises(AmbientMismatch):
         lt_gamma(a, b.one())
-    with pytest.raises(AmbientMismatch):
-        verify_unit(a, b.one())
 
 
 def test_contexts_over_one_field_share_one_spec():
@@ -177,37 +173,108 @@ def test_units_and_inverses():
     ctx = LTContext(2, 1)
     u = ctx.u_pow(1)
     tau = ctx.tau(1, 0)
-    assert verify_unit(ctx, u)
+    assert u.is_unit()
     assert u.inverse() == ctx.u_pow(-1)
     geo = (ctx.one() - tau).inverse()
     expected = ctx.zero()
     for k in range(ctx.madic):
         expected = expected + tau ** k
     assert geo == expected
-    assert not verify_unit(ctx, tau)
-    assert not verify_unit(ctx, ctx.from_int(2))
-    assert not verify_unit(ctx, ctx.from_int(2) + tau)  # in m, not a unit
+    assert not tau.is_unit()
+    assert not ctx.from_int(2).is_unit()
+    assert not (ctx.from_int(2) + tau).is_unit()  # in m, not a unit
     with pytest.raises(InverseOfNonUnit):
         tau.inverse()
     mixed = (ctx.one() + tau) * u + ctx.from_int(3) * u ** 2
-    assert not verify_unit(ctx, mixed)  # residue has two monomials
+    assert not mixed.is_unit()  # residue has two monomials
 
 
 def test_residue_ring():
-    K = KRing(finite_field(1))
-    assert KRing(finite_field(1)) is K
-    ub = K.ubar()
-    assert ub * ub == K.ubar(2)
-    assert ub ** -3 == K.ubar(-3)
+    ctx = LTContext(2, 1)
+    K = ctx.residue_ring
+    assert K is lubin_tate.lt_context(2, 1, precision=1, madic=1)
+    # one K per (n, m, field), whatever N and M are
+    assert lubin_tate.lt_context(2, 1, precision=10, madic=8).residue_ring is K
+    assert K.residue_ring is K
+    assert K.tau(1, 0).is_zero()  # every tau-term is 0 at M = 1
+    ub = K.u_pow()
+    assert ub * ub == K.u_pow(2)
+    assert ub ** -3 == K.u_pow(-3)
     assert K.from_rational(3) == K.one()
     assert K.from_rational(2).is_zero()
+    with pytest.raises(NonIntegralCoefficient):
+        K.from_rational(QQ(1, 2))
     assert (ub + ub).is_zero()  # characteristic 2
     assert ub - ub == ub + ub
-    with pytest.raises(NonUnit):
-        K.invert(K.one() + ub)
-    ctx = LTContext(2, 1)
+    with pytest.raises(InverseOfNonUnit):
+        (K.one() + ub).inverse()
     x = (ctx.one() + ctx.tau(1, 0)) * ctx.u_pow(2) + ctx.from_int(2)
-    assert x.residue() == KRing(ctx.spec).ubar(2)
+    assert x.residue() == K.u_pow(2)
+    assert residue_json(x.residue()) == [[2, [1]]]
+
+
+def _dense_element(ctx, rng, nterms=6):
+    """A random element whose coefficients have every coordinate random mod
+    2^N; about half of its terms are tau-free."""
+    spec, N = ctx.spec, ctx.precision
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * len(ctx.taus)
+        if rng.randrange(2):
+            exps[rng.randrange(len(exps))] = rng.randrange(1, 3)
+        coords = [rng.randrange(1 << N) for _ in range(spec.d)]
+        terms[tuple(exps), rng.randrange(-2, 3)] = WittElement(spec, N, coords)
+    return LTElement(ctx, terms)
+
+
+# d = 1 .. 4, and d = 3 on a second modulus
+_RESIDUE_CASES = [(2, 1, 1, None), (2, 2, 2, None), (3, 1, 3, (1, 0, 1, 1)),
+                  (2, 2, 3, None), (2, 1, 4, None)]
+
+
+@pytest.mark.parametrize("n,m,d,modulus", _RESIDUE_CASES)
+def test_residue_is_a_ring_map(n, m, d, modulus):
+    ctx = lubin_tate.lt_context(n, m, d=d, modulus=modulus, precision=6, madic=4)
+    K = ctx.residue_ring
+    rng = random.Random(d)
+    for _ in range(12):
+        x, y = _dense_element(ctx, rng), _dense_element(ctx, rng)
+        assert (x * y).residue() == x.residue() * y.residue()
+        assert (x + y).residue() == x.residue() + y.residue()
+        assert (x - y).residue() == x.residue() - y.residue()
+        assert x.residue().ring is K
+        if x.is_unit():
+            assert x.inverse().residue() == x.residue().inverse()
+
+
+@pytest.mark.parametrize("n,m,d,modulus", _RESIDUE_CASES)
+def test_residue_json_against_the_field_elements(n, m, d, modulus):
+    """The residue against F_{2^d} itself: the tau-free terms of x, each
+    coefficient reduced by GFElement."""
+    ctx = lubin_tate.lt_context(n, m, d=d, modulus=modulus, precision=6, madic=4)
+    rng = random.Random(10 + d)
+    seen_high_bits = False
+    for _ in range(12):
+        x = _dense_element(ctx, rng)
+        expected = []
+        for (exps, ue), c in sorted(x.coords.items()):
+            r = GFElement(ctx.spec, c)
+            seen_high_bits |= any(v > 1 for v in c)
+            if not any(exps) and not r.is_zero():
+                expected.append([ue, r.coeffs])
+        assert residue_json(x.residue()) == expected
+    assert seen_high_bits  # so a residue that kept a second bit would show
+
+
+def test_a_non_unit_residue_has_no_inverse():
+    ctx = lubin_tate.lt_context(2, 2, d=2)
+    u, tau = ctx.u_pow(1), ctx.tau(1, 0)
+    for x in (tau * u, ctx.from_int(2), u + u ** 2, ctx.zero()):
+        assert not x.is_unit()
+        with pytest.raises(InverseOfNonUnit):
+            x.residue().inverse()
+        with pytest.raises(InverseOfNonUnit):
+            x.inverse()
 
 
 # ---- the tau_m orbit and gamma ------------------------------------------------
@@ -650,15 +717,15 @@ def test_v_images_height_four():
     u = ctx.u_pow(1)
     expected_v1 = (ctx.tau(1, 0) * u + ctx.tau(1, 1) * ctx.gamma_u(1)).scale(-1)
     assert v_in_lt(ctx, 1) == expected_v1
-    K = KRing(ctx.spec)
+    K = ctx.residue_ring
     for k in range(1, ctx.h + 1):
         vk = v_in_lt(ctx, k)
         assert vk.is_homogeneous() and vk.degree == 2 * ((1 << k) - 1)
         if k < ctx.h:
             assert vk.filtration() >= 1  # below the height: maximal ideal
         else:
-            assert verify_unit(ctx, vk)  # at the height: a unit
-            assert vk.residue() == K.ubar((1 << ctx.h) - 1)
+            assert vk.is_unit()  # at the height: a unit
+            assert vk.residue() == K.u_pow((1 << ctx.h) - 1)
 
 
 def test_v_images_beyond_the_height():
@@ -666,11 +733,11 @@ def test_v_images_beyond_the_height():
     # unit, while v_4 sits deep in the maximal ideal; v_in_lt stops at h, so
     # v_3 and v_4 are specialized from R_2 with generators up to t_4
     ctx = LTContext(2, 1)
-    K = KRing(ctx.spec)
+    K = ctx.residue_ring
     vs = v_in_rn(rn_context(2, 4), 4)
     for k in (1, 2):  # t_3, t_4 map to 0, so the larger ring changes no image
         assert lt_specialize(ctx, vs[k - 1]) == v_in_lt(ctx, k)
-    assert lt_specialize(ctx, vs[2]).residue() == K.ubar(7)
+    assert lt_specialize(ctx, vs[2]).residue() == K.u_pow(7)
     assert lt_specialize(ctx, vs[3]).filtration() == 3
     with pytest.raises(ValueError):
         v_in_lt(ctx, 3)
@@ -688,7 +755,7 @@ def test_level_generator_images_height_two():
     assert level1[0] == v_in_lt(ctx, 1).scale(-1)
     # t_2^{C_2} = (3 - 4 tau + tau^2) u^3, a unit
     assert level1[1] == (ctx.from_int(3) - tau.scale(4) + tau ** 2) * u ** 3
-    assert verify_unit(ctx, level1[1])
+    assert level1[1].is_unit()
     # t_1^{C_4} - gamma t_1^{C_4} = u - gamma u on the nose
     top = t_level_in_lt(ctx, 2)[0]
     assert top - lt_gamma(ctx, top) == u - gu
@@ -708,7 +775,7 @@ def test_difference_of_conjugates_factors_through_u_orbit():
     for i in range(3):
         total = total + u ** i * gu ** (2 - i)
     assert t2 - gt2 == (u - gu) * total
-    assert verify_unit(ctx, total)
+    assert total.is_unit()
 
 
 # ---- cotangent space: m = (2, v_1, ..., v_{h-1}) -------------------------------
@@ -761,14 +828,14 @@ def test_cotangent_refuses_a_unit_generator(monkeypatch):
 
 def test_residue_law_coefficients_height_two(monkeypatch):
     ctx = LTContext(2, 1)
-    K = KRing(ctx.spec)
+    K = ctx.residue_ring
     assert v_in_lt(ctx, 1).residue().is_zero()  # v_1 lies in m^1 fully
-    assert v_in_lt(ctx, 2).residue() == K.ubar(3)
+    assert v_in_lt(ctx, 2).residue() == K.u_pow(3)
     F = residue_fgl(ctx, cutoff=8)
     assert F.ring is K  # conjugate_fgl reads the target ring off the image of 1
     two = two_series(F)
     assert all(two.coeffs[e].is_zero() for e in two.coeffs if e < 4)
-    assert two.coeffs[4] == K.ubar(3)
+    assert two.coeffs[4] == K.u_pow(3)
     # the law comes over Q[v]; a coefficient with an even denominator (the
     # law of l_1 alone at x^4) is refused on the way to K
     monkeypatch.setattr(lubin_tate, "fgl_from_log", lambda ls, X: fgl_from_log(ls[:1], X))
@@ -834,10 +901,10 @@ def _residue_two_series(n, m, cutoff):
 
 def _height_by_two_series(ctx, cutoff):
     """Oracle: (height, coefficient JSON) off the residue 2-series of _residue_two_series."""
-    K = KRing(ctx.spec)
+    K = ctx.residue_ring
     odd = _residue_two_series(ctx.n, ctx.m, cutoff)
-    height, lead = height_of_two_series(TruncatedSeries1(K, {e: K.ubar(e - 1) for e in odd}, cutoff))
-    return height, lead.to_json()
+    height, lead = height_of_two_series(TruncatedSeries1(K, {e: K.u_pow(e - 1) for e in odd}, cutoff))
+    return height, residue_json(lead)
 
 
 @pytest.mark.parametrize("n,m,d,cutoff", _oracle_cases())
@@ -852,11 +919,11 @@ def test_residue_height_matches_the_residue_law(n, m, d, cutoff, monkeypatch):
     F = residue_fgl(ctx, cutoff)
     height, lead = height_of_residue_fgl(F)
     p = residue_height(ctx, cutoff)["params"]
-    assert (p["computed_height"], p["coefficient"]) == (height, lead.to_json())
+    assert (p["computed_height"], p["coefficient"]) == (height, residue_json(lead))
     assert height == ctx.h
-    K = KRing(ctx.spec)
+    K = ctx.residue_ring
     odd = _residue_two_series(n, m, cutoff)
-    assert two_series(F).coeffs == {e: K.ubar(e - 1) for e in odd}
+    assert two_series(F).coeffs == {e: K.u_pow(e - 1) for e in odd}
 
 
 # every (n, m) with n <= 3, m <= 4 and h <= 8, at the cutoffs 2^h, 32 and 64
@@ -1077,9 +1144,9 @@ def test_unit_factors_match_the_orbit_product(n, m, d):
     factors = lubin_tate._orbit_product_factors(ctx)
     report = d_factors(ctx)
     p = report["params"]
-    assert p["residues"] == [f.residue().to_json() for f in factors]
+    assert p["residues"] == [residue_json(f.residue()) for f in factors]
     assert p["verdicts"] == [f.is_unit() for f in factors]
-    assert p["product_is_unit"] == verify_unit(ctx, functools.reduce(LTElement.__mul__, factors))
+    assert p["product_is_unit"] == functools.reduce(LTElement.__mul__, factors).is_unit()
     assert report["witness"] is None
 
 
@@ -1198,7 +1265,7 @@ def _fixed_subring_by_monomials(ctx):
         if witness is not None:
             break
     ok = witness is None
-    report = equivariant_ring._report(
+    report = _report(
         "fixed-subring",
         {
             "alpha": alpha,
@@ -1211,7 +1278,7 @@ def _fixed_subring_by_monomials(ctx):
         witness=witness,
         bounds={**ctx.bounds(), "tau_degree": lubin_tate._TAU_BOUND, "u_window": u_bound},
     )
-    return equivariant_ring._finish(report, "fixed-subspace prediction failed on a monomial")
+    return _finish(report, "fixed-subspace prediction failed on a monomial")
 
 
 def _fixed_subring_report(claim, ctx):
@@ -1346,8 +1413,8 @@ def test_json_shapes():
     assert rows == sorted(rows)
     assert all(len(r) == 3 for r in rows)
     assert [(0,), 0] == [tuple(rows[0][0]), rows[0][1]]
-    K = KRing(ctx.spec)
-    assert (K.ubar(2) + K.one()).to_json() == [[0, [1]], [2, [1]]]
+    K = ctx.residue_ring
+    assert residue_json(K.u_pow(2) + K.one()) == [[0, [1]], [2, [1]]]
 
 
 def test_action_table():

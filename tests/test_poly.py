@@ -17,7 +17,7 @@ from fgl_forge.errors import (
     UnassignedVariable,
 )
 from fgl_forge.equivariant_ring import rn_context
-from fgl_forge.lubin_tate import KRing, lt_context
+from fgl_forge.lubin_tate import lt_context
 from fgl_forge.poly_core import (
     T,
     V,
@@ -760,11 +760,10 @@ F8 = finite_field(3)
     "make,cache,key",
     [
         (lambda: rn_ring(3, 6), poly_core._RING_CACHE, ("Rn", 3, None, 6, False, False)),
-        (lambda: KRing(finite_field(3)), KRing._cache, F8),
         (lambda: rn_context(2, 3), equivariant_ring._CONTEXTS, (2, 3, None)),
         (lambda: lt_context(2, 1, d=3), lubin_tate._LT_CONTEXTS, (2, 1, F8, 8, 6)),
     ],
-    ids=["rn_ring", "KRing", "rn_context", "lt_context"],
+    ids=["rn_ring", "rn_context", "lt_context"],
 )
 def test_interning_is_atomic_under_threads(make, cache, key):
     """Racing constructors of one key on an empty cache get one object."""

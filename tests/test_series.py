@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fgl_forge import series_fgl
-from fgl_forge.coefficients import QQ, rational_mod2, two_valuation
+from fgl_forge.coefficients import QQ, WittElement, rational_mod2, two_valuation
 from fgl_forge.errors import (
     AmbientMismatch,
     ConsistencyFailure,
@@ -499,10 +499,10 @@ def test_fused_series_product_matches_the_pairwise_one(rational):
 
 
 def test_generic_series_product_on_local_and_residue_coefficients():
-    from fgl_forge.lubin_tate import KElement, KRing, lt_context
+    from fgl_forge.lubin_tate import lt_context
 
     ctx = lt_context(2, 2, d=2)
-    K = KRing(ctx.spec)
+    K = ctx.residue_ring
     assert getattr(ctx, "dot", None) is None and getattr(K, "dot", None) is None
     rng = random.Random(5)
     gens = [ctx.tau(1, 0), ctx.tau(1, 1), ctx.tau(2, 0), ctx.u_pow(1), ctx.from_int(3)]
@@ -522,8 +522,8 @@ def test_generic_series_product_on_local_and_residue_coefficients():
         for e in range(1, 7):
             c = K.zero()
             for _ in range(2):
-                unit = omega ** rng.randrange(3)
-                c = c + KElement(K, {rng.randint(-2, 2): unit})
+                unit = WittElement(K.spec, K.precision, (omega ** rng.randrange(3)).coeffs)
+                c = c + K.u_pow(rng.randint(-2, 2)).scale(unit)
             coeffs[e] = c
         return TruncatedSeries1(K, coeffs, 6)
 
@@ -645,7 +645,7 @@ def _apply_cases():
     t1, t2 = ctx.generator(1, rational=True), ctx.generator(2, rational=True)
     cases.append((G, formal_inverse(G), [(1, 1), (t1, 2), (t2, 4), (t1 * t2, 6), (1, 7)]))
     R = residue_fgl(lt_context(2, 1), 7)
-    ubar = R.ring.ubar()
+    ubar = R.ring.u_pow(1)
     cases.append((R, two_series(R) + TruncatedSeries1.identity(R.ring, 7),
                   [(1, 1), (ubar, 2), (ubar**3, 4)]))
     ring = bp_ring(2)
