@@ -84,6 +84,7 @@ _FLAGS = {
 
 
 def _build_parser():
+    """The top-level parser and {command: the parser of that command}."""
     parser = argparse.ArgumentParser(
         prog="fgl-forge",
         description="Exact verifiers for 2-typical formal group laws "
@@ -103,13 +104,33 @@ def _build_parser():
     p_suite = sub.add_parser("suite", help="run a claim profile")
     p_suite.add_argument("profile", choices=tuple(PROFILES), nargs="?", default="quick")
     p_suite.add_argument("--json", **_FLAGS["--json"])
-    return parser
+    return parser, {"log": p_log, "verify": p_verify, "suite": p_suite}
 
 
 @functools.cache
 def _parser():
-    """The process's one parser; parsing leaves it unchanged, so requests share it."""
+    """The process's parsers; parsing leaves them unchanged, so requests share them."""
     return _build_parser()
+
+
+def _parse(argv):
+    """Parse argv in one pass, through the parser of the command argv[0] names.
+
+    The output matches a parse through the top-level parser, which runs only
+    when argv[0] names no command (no argv, -h, an unknown command); arguments
+    the command does not take are reported by the top-level parser, as its
+    subparser action reports them.
+    """
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _check_limits(args, parser):
@@ -213,7 +234,7 @@ def _suite_jobs(profile):
     """The report thunks of a profile, in order; thunks are independent."""
     jobs = []
     for entry in PROFILES[profile]:
-        args = _parser().parse_args(["verify", *entry.split()])
+        args = _parse(["verify", *entry.split()])
         jobs.extend(_CLAIMS[args.claim](args))
     return jobs
 
@@ -257,15 +278,10 @@ def _cmd_log(args):
         True,
         bounds=ctx.bounds(),
     )
-    body = envelope([report], config=_config(args))
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(canonical_json(body))
-    else:
-        sys.stdout.write(canonical_json(body))
+    code = _emit(envelope([report], config=_config(args)), args)
     for k, l in enumerate(values, start=1):
         print(f"# l_{k} = {l!r}", file=sys.stderr)
-    return 0
+    return code
 
 
 def _cmd_verify(args):
@@ -284,9 +300,8 @@ def _cmd_suite(args):
 
 
 def main(argv=None):
-    parser = _parser()
-    args = parser.parse_args(argv)
-    _check_limits(args, parser)
+    args = _parse(argv)
+    _check_limits(args, _parser()[0])
     try:
         if args.command == "log":
             return _cmd_log(args)

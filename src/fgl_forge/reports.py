@@ -14,7 +14,7 @@ identical configurations produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import VerificationFailure
 
@@ -65,8 +65,59 @@ def envelope(reports, config=None, interrupted=False):
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Deterministic rendering: sorted keys, fixed separators, trailing newline.
+
+    The bytes are those of json.dumps(obj, sort_keys=True, indent=2,
+    separators=(",", ": ")) + "\n", written without json's pure-Python indent
+    encoder.  Only str, int, bool, None, dicts with str keys, lists and tuples
+    are written; anything else (a float included) raises TypeError.
+    """
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, indent, out):
+    """Append the JSON text of obj to out; indent is the newline of its line."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):  # keys of mixed types raise TypeError here
+            if not isinstance(key, str):
+                raise TypeError(f"canonical_json: dict key {key!r} is not a str")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"canonical_json: cannot write a {type(obj).__name__}")
 
 
 def render_line(report) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -43,13 +44,24 @@ def test_log_command(capsys):
     }
 
 
+# sha256 of the `log --n 2 --k 3` envelope
+_LOG_N2_K3_SHA256 = "61c6ad30e466de6e30f9ec7da1049bf26610022f21ce7fb2ac97cfdb4fc66f31"
+
+
 def test_log_stdout_is_pinned(capsys):
     """The log envelope, byte for byte: its report is built by reports._report."""
     code, out = _run(["log", "--n", "2", "--k", "3"], capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "61c6ad30e466de6e30f9ec7da1049bf26610022f21ce7fb2ac97cfdb4fc66f31"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == _LOG_N2_K3_SHA256
+
+
+def test_log_json_writes_the_envelope_and_one_summary_line(tmp_path, capsys):
+    """log --json writes as verify and suite do: the file, then one line per report."""
+    path = tmp_path / "log.json"
+    code, out = _run(["log", "--n", "2", "--k", "3", "--json", str(path)], capsys)
+    assert code == 0
+    assert out == "[ok ] log: k_max=3, n=2\n"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _LOG_N2_K3_SHA256
 
 
 def test_log_usage_error():
@@ -144,12 +156,22 @@ def test_unknown_claim_is_usage_error():
 
 
 def test_feasibility_limits_and_force():
-    parser = cli._build_parser()
+    parser, _ = cli._build_parser()
     with pytest.raises(SystemExit) as err:
         cli._check_limits(parser.parse_args(["verify", "eq351", "--k", "7"]), parser)
     assert err.value.code == 2
     args = parser.parse_args(["verify", "eq351", "--k", "7", "--force"])
     cli._check_limits(args, parser)  # no exit
+
+
+def _serve(argv, capsys):
+    """(exit code, stdout, stderr) of one request, usage errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_shared_parser_matches_fresh_parsers(capsys, monkeypatch):
@@ -165,21 +187,53 @@ def test_shared_parser_matches_fresh_parsers(capsys, monkeypatch):
     ]
 
     def serve():
-        seen = []
-        for argv in sequence:
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            out, err = capsys.readouterr()
-            seen.append((code, out, err))
-        return seen
+        return [_serve(argv, capsys) for argv in sequence]
 
     shared = serve()
     assert cli._parser() is cli._parser()
     assert [code for code, _, _ in shared] == [2, 0, 2, 0, 2, 0, 0]
     monkeypatch.setattr(cli, "_parser", cli._build_parser)
     assert serve() == shared
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["bogus"], ["verify", "-h"],
+        ["verify", "nonsense"], ["verify", "--k"], ["verify", "eq351", "--n", "0"],
+        ["verify", "eq351", "--bogus"], ["log", "--n", "2", "extra"],
+        # over the documented limits
+        ["verify", "eq351", "--k", "7"], ["log", "--m", "2"], ["suite", "nope"],
+        # one valid request per command
+        ["log", "--n", "2", "--k", "1"], ["verify", "eq351", "--n", "2", "--k", "3"],
+        ["suite", "quick"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argv",
+)
+def test_one_pass_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch):
+    """Exit code, stdout and stderr are those of a parse through the top-level parser."""
+    got = _serve(argv, capsys)
+    if got[0] == 2:
+        assert got[1] == "" and got[2]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser()[0].parse_args(argv))
+    assert _serve(argv, capsys) == got
+
+
+def test_unrecognized_arguments_are_reported_by_the_top_level_parser(capsys):
+    code, out, err = _serve(["verify", "eq351", "--bogus"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fgl-forge [-h]")
+    assert err.endswith("\nfgl-forge: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a request")
+
+    monkeypatch.setattr(cli._parser()[0], "parse_known_args", fail)
+    for argv in (["log", "--n", "2", "--k", "1"], ["verify", "eq351", "--n", "2"],
+                 ["suite", "quick"]):
+        assert _serve(argv, capsys)[0] == 0
 
 
 def test_height_cutoff_flag(capsys):
@@ -390,6 +444,70 @@ def test_canonical_json_is_sorted_and_stable():
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
     assert "timestamp" not in text
+
+
+def _json_dumps(obj):
+    """The reference bytes of canonical_json."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def test_canonical_json_matches_json_dumps_on_suite_full(capsys, monkeypatch):
+    """Every envelope `suite full` and its `verify` entries write."""
+    bodies = []
+
+    def record(body):
+        bodies.append(body)
+        return canonical_json(body)
+
+    monkeypatch.setattr(cli, "canonical_json", record)
+    for entry in cli.PROFILES["full"]:
+        assert cli.main(["verify", *entry.split()]) == 0, entry
+    assert cli.main(["suite", "full"]) == 0
+    capsys.readouterr()
+    assert len(bodies) == len(cli.PROFILES["full"]) + 1
+    for body in bodies:
+        assert canonical_json(body) == _json_dumps(body)
+
+
+_TEXT = 'a Z0/"\\\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u6f22\U0001f600'
+
+
+def _random_value(rng, depth=0):
+    """A JSON value of the types reports hold: nested containers, str, int, bool, None."""
+    kind = rng.randrange(8 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.getrandbits(rng.choice([1, 8, 63, 64, 65, 200]))
+    if kind in (2, 3):
+        return _random_text(rng)
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {_random_text(rng): item for item in items}
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+
+
+def test_canonical_json_matches_json_dumps_on_random_values():
+    rng = random.Random(20)
+    for _ in range(2000):
+        obj = _random_value(rng)
+        assert canonical_json(obj) == _json_dumps(obj), obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, {"reports": [0.0]}, {1: "a"}, {"a": 1, 2: "b"}, [object()], {"x": {1, 2}}],
+    ids=["float", "nested-float", "int-key", "mixed-keys", "object", "set"],
+)
+def test_canonical_json_rejects_what_no_report_holds(obj):
+    with pytest.raises(TypeError):
+        canonical_json(obj)
 
 
 def test_render_line_marks_failures():
