@@ -14,7 +14,6 @@ here too, and finite_field interns the field specs through one.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction as QQ
@@ -472,7 +471,6 @@ def teichmuller(a: GFElement, N: int) -> WittElement:
     raise ConsistencyFailure("Teichmuller iteration did not stabilize within 4N steps")
 
 
-@functools.cache
 def _frobenius_root(spec: FiniteFieldSpec, N: int) -> WittElement:
     # Hensel-lift the root of f~ congruent to x^2 mod 2; f~ is separable mod 2
     # (irreducible), so f~'(r) is a unit and Newton converges quadratically.

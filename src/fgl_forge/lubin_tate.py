@@ -132,8 +132,6 @@ class LTContext:
         self._gamma_var_pow = {}  # (index, exponent) -> gamma(tau_index)^exponent
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
         self._t_images = None  # (i, j) -> image of gamma^j t_i, or None if killed
-        self._v_lt = {}
-        self._levels = {}
         # zeta bits -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
         # for q-torsion zeta
         self._zeta_powers = {}
@@ -929,24 +927,17 @@ def v_in_lt(ctx, k) -> LTElement:
     """Image in the Lubin-Tate ring of the k-th Araki generator, 1 <= k <= h."""
     if not 1 <= k <= ctx.h:
         raise ValueError(f"k={k} outside 1..h = {ctx.h}")
-    img = ctx._v_lt.get(k)
-    if img is None:
-        img = lt_specialize(ctx, v_in_rn(ctx.rn, k)[k - 1])
-        if not img.is_homogeneous():
-            raise ConsistencyFailure("v-image is not homogeneous")
-        if not img.is_zero() and img.degree != 2 * ((1 << k) - 1):
-            raise ConsistencyFailure("v-image has the wrong degree")
-        ctx._v_lt[k] = img
+    img = lt_specialize(ctx, v_in_rn(ctx.rn, k)[k - 1])
+    if not img.is_homogeneous():
+        raise ConsistencyFailure("v-image is not homogeneous")
+    if not img.is_zero() and img.degree != 2 * ((1 << k) - 1):
+        raise ConsistencyFailure("v-image has the wrong degree")
     return img
 
 
 def t_level_in_lt(ctx, r) -> list:
     """Images of the level-2^r generator family, one element per index."""
-    out = ctx._levels.get(r)
-    if out is None:
-        out = [lt_specialize(ctx, x) for x in t_level(ctx.rn, r)]
-        ctx._levels[r] = out
-    return out
+    return [lt_specialize(ctx, x) for x in t_level(ctx.rn, r)]
 
 
 def _log_mod_tau(ctx, k_max):

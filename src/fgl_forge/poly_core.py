@@ -689,33 +689,23 @@ def from_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
 
 
 def ring_map(p: GradedPolynomial, assignment, target):
-    """The ring-homomorphic extension of a variable assignment.
+    """The ring-homomorphic extension of a variable assignment: the sum of
+    the term images c prod_v assignment[v]^e.
 
-    `assignment` maps Variable -> element of the target PolyRing.  Each
-    monomial's image is a product of cached variable powers, and the images
-    scaled by their coefficients are summed in one call of the multiply
-    kernel.  Variables appearing in p with a nonzero exponent but missing
-    from the assignment raise UnassignedVariable.
+    `assignment` maps Variable -> element of the target PolyRing.  Variables
+    appearing in p with a nonzero exponent but missing from the assignment
+    raise UnassignedVariable.
     """
-    ring = p.ring
-    img_cache = {}
-    pairs = []
+    acc = target.zero()
     for mono, c in p.terms.items():
-        img = None
-        for idx, e in enumerate(ring.decode(mono)):
-            if not e:
-                continue
-            key = (idx, e)
-            pw = img_cache.get(key)
-            if pw is None:
-                v = ring.variables[idx]
+        term = target.from_rational(c)
+        for v, e in zip(p.ring.variables, p.ring.decode(mono)):
+            if e:
                 if v not in assignment:
                     raise UnassignedVariable(f"no image for {v.name}")
-                pw = assignment[v] ** e
-                img_cache[key] = pw
-            img = pw if img is None else img * pw
-        pairs.append((target.from_rational(c), target.one() if img is None else img))
-    return target.dot(pairs)
+                term = term * assignment[v] ** e
+        acc = acc + term
+    return acc
 
 
 def quotient_to_rnm(p: GradedPolynomial, m: int) -> GradedPolynomial:
@@ -740,11 +730,10 @@ def quotient_to_rnm(p: GradedPolynomial, m: int) -> GradedPolynomial:
 # ---------------------------------------------------------------------------
 
 def _divides(ring, a: int, b: int) -> bool:
-    # does monomial a divide b?
-    for s in ring.shifts:
-        if (a >> s) & _MASK > (b >> s) & _MASK:
-            return False
-    return True
+    # does monomial a divide b?  With every guard bit of b set, b - a takes
+    # each field to 2^10 + b_i - a_i > 0 (exponents are below 2^10), so no
+    # field borrows from the next, and the guard stays set iff a_i <= b_i
+    return ((b | ring.guard) - a) & ring.guard == ring.guard
 
 
 def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:

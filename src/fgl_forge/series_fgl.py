@@ -6,7 +6,9 @@ exponential, the F-sum through the logarithm (formal_sum_via_log) and the
 formal inverse [-1](x) = solve_series(L, -L) are all this one solve, so the
 claims never form a two-variable law.  The two-variable routines
 (fgl_from_log, fgl_apply, formal_sum, formal_inverse, the strict
-isomorphisms) are kept as the test oracles of those routes.
+isomorphisms) are kept as the test oracles of those routes, in their
+definitional forms: a composite outer(inner(x, y)) is sum_e c_e inner^e
+(compose2), and F(a, b) is a + b + sum c_jk a^j b^k (fgl_apply).
 
 Series coefficients live in any ring object exposing zero()/one()/
 from_rational(); the elements themselves must support +, -, *, ** (integer),
@@ -20,8 +22,6 @@ cutoff.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .coefficients import QQ
 from .errors import (
@@ -375,51 +375,26 @@ class TruncatedSeries2:
         ]
 
 
-def compose_symmetric(outer: TruncatedSeries1, inner: TruncatedSeries2) -> TruncatedSeries2:
-    """outer(inner(x, y)) for a symmetric inner: c_{e1 e2} = c_{e2 e1}.
+def compose2(outer: TruncatedSeries1, inner: TruncatedSeries2) -> TruncatedSeries2:
+    """outer(inner(x, y)) = sum_e c_e inner^e.
 
-    Every power of inner is symmetric too, so each power and the result are
-    computed at e1 <= e2 only and mirrored.  The powers come one product at
-    a time, and each coefficient is one sum of products (the fused kernel
-    over a polynomial ring).  Raises ValueError on an inner that is not
-    symmetric.
+    The powers of inner come one product at a time, and each coefficient of
+    the result is one sum of products over the powers.
     """
     if outer.ring is not inner.ring or outer.cutoff != inner.cutoff:
         raise AmbientMismatch("series from different contexts")
-    base = inner.coeffs
-    if any(base.get((e2, e1)) != c for (e1, e2), c in base.items() if e1 != e2):
-        raise ValueError("compose_symmetric needs a symmetric inner series")
     ring, X = inner.ring, inner.cutoff
-    dot = _sum_of_products(ring)
-
-    def mirrored(keys):
-        out = {}
-        for (e1, e2), pairs in keys.items():
-            v = dot(pairs)
-            if not v.is_zero():
-                out[(e1, e2)] = out[(e2, e1)] = v
-        return out
-
-    result = {}
-    pw = base
-    top = max(outer.coeffs, default=0)
-    for e in range(1, top + 1):
+    keys = {}
+    pw = inner
+    for e in range(1, max(outer.coeffs, default=0) + 1):
         if e > 1:
-            keys = {}
-            for (a1, a2), c1 in pw.items():
-                for (b1, b2), c2 in base.items():
-                    k1, k2 = a1 + b1, a2 + b2
-                    if k1 <= k2 and k1 + k2 <= X:
-                        keys.setdefault((k1, k2), []).append((c1, c2))
-            pw = mirrored(keys)
-            if not pw:
-                break
+            pw = pw * inner
         c = outer.coeffs.get(e)
         if c is not None:
-            for key, v in pw.items():
-                if key[0] <= key[1]:
-                    result.setdefault(key, []).append((c, v))
-    return TruncatedSeries2(ring, mirrored(result), X)
+            for key, v in pw.coeffs.items():
+                keys.setdefault(key, []).append((c, v))
+    dot = _sum_of_products(ring)
+    return TruncatedSeries2(ring, {key: dot(pairs) for key, pairs in keys.items()}, X)
 
 
 class FGL:
@@ -466,48 +441,19 @@ def additive_fgl(ring, cutoff) -> FGL:
 
 
 def fgl_apply(F: FGL, a, b):
-    """F(a, b) for two series of the same kind (both 1-var or both 2-var):
-    F(a, b) = a + b + sum_j a^j B_j, where B_j = sum_k c_{jk} b^k.
-
-    Each coefficient of each B_j is one sum of products over k, and the
-    contributions of every a^j B_j to one output key meet in one sum of
-    products; no product a^j b^k is formed on its own.
-    """
+    """F(a, b) = a + b + sum c_jk a^j b^k for two series of the same kind
+    (both 1-var or both 2-var)."""
     if a.ring is not F.ring or b.ring is not F.ring:
         raise AmbientMismatch("series ring differs from the law's ring")
     acc = a + b  # raises AmbientMismatch on mismatched cutoffs
-    rows = {}
-    for (j, k), c in F.two_var.coeffs.items():
-        if j and k:
-            rows.setdefault(j, []).append((k, c))
-    if not rows:
+    mixed = [(j, k, c) for (j, k), c in F.two_var.coeffs.items() if j and k]
+    if not mixed:
         return acc
-    ring, X = a.ring, a.cutoff
-    if type(a) is TruncatedSeries2:  # keys (e1, e2), of order e1 + e2
-        add, order = (lambda p, q: (p[0] + q[0], p[1] + q[1])), sum
-    else:
-        add, order = operator.add, int
-    dot = _sum_of_products(ring)
-    pa = a.powers(max(rows))
-    pb = b.powers(max(k for row in rows.values() for k, _ in row))
-    keys = {}
-    for j, row in rows.items():
-        aj = pa[j].coeffs
-        if not aj:
-            continue
-        reach = X - min(order(ka) for ka in aj)  # no key of B_j above this counts
-        bj = {}
-        for k, c in row:
-            for key, v in pb[k].coeffs.items():
-                if order(key) <= reach:
-                    bj.setdefault(key, []).append((c, v))
-        bj = [(kb, order(kb), dot(pairs)) for kb, pairs in bj.items()]
-        for ka, va in aj.items():
-            room = X - order(ka)
-            for kb, ob, vb in bj:
-                if ob <= room:
-                    keys.setdefault(add(ka, kb), []).append((va, vb))
-    return acc + type(a)(ring, {key: dot(pairs) for key, pairs in keys.items()}, X)
+    pa = a.powers(max(j for j, _, _ in mixed))
+    pb = b.powers(max(k for _, k, _ in mixed))
+    for j, k, c in mixed:
+        acc = acc + (pa[j] * pb[k]).scale(c)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +527,7 @@ def fgl_from_log(l_list, cutoff) -> FGL:
         e = 1 << k
         if e <= cutoff:
             S = S + TruncatedSeries2(ring, {(e, 0): lk, (0, e): lk}, cutoff)
-    return FGL(compose_symmetric(E, S))
+    return FGL(compose2(E, S))
 
 
 def two_series_from_log(l_list, cutoff) -> TruncatedSeries1:
@@ -731,7 +677,7 @@ class StrictIso:
         """Exact check of psi(F(x,y)) = G(psi x, psi y) to cutoff; quadratic cost."""
         F, G, psi = self.source, self.target, self.psi
         ring, X = psi.ring, psi.cutoff
-        lhs = compose_symmetric(psi, F.two_var)
+        lhs = compose2(psi, F.two_var)
         px = TruncatedSeries2(ring, {(e, 0): c for e, c in psi.coeffs.items()}, X)
         py = TruncatedSeries2(ring, {(0, e): c for e, c in psi.coeffs.items()}, X)
         rhs = fgl_apply(G, px, py)
@@ -764,7 +710,7 @@ def _pullback_fgl(psi: TruncatedSeries1, G: FGL) -> FGL:
     py = TruncatedSeries2(ring, {(0, e): c for e, c in psi.coeffs.items()}, X)
     g = fgl_apply(G, px, py)
     # compositional inverse of psi (ValueError unless psi is strict), then substitute
-    return FGL(compose_symmetric(series_exp(psi), g))
+    return FGL(compose2(series_exp(psi), g))
 
 
 def t_from_strict_iso(iso: StrictIso):

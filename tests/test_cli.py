@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fgl_forge
-from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core
+from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core, series_fgl
 from fgl_forge.errors import VerificationFailure
 from fgl_forge.poly_core import AtomicCache
 from fgl_forge.reports import CONVENTIONS, SCHEMA, canonical_json, envelope, render_line
@@ -364,6 +364,38 @@ def test_lt_context_is_shared_and_constructor_is_fresh(capsys, monkeypatch):
     # every claim reads the one orbit table of (n, m), and none builds an R_n context
     assert list(lubin_tate._ORBIT_TABLES) == [(2, 1)]
     assert not equivariant_ring._CONTEXTS
+
+
+def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
+    """The claims answer on cold caches with the two-variable law engine, the
+    formal inverse, ring_map, the specialization from R_n and the gamma
+    action of the local ring all refusing, wherever a module binds them."""
+    def refuse(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"a claim reached the oracle {name}")
+        return fail
+
+    _cold_caches(monkeypatch)
+    monkeypatch.setattr(series_fgl.TruncatedSeries2, "__init__", refuse("TruncatedSeries2"))
+    monkeypatch.setattr(series_fgl.FGL, "__init__", refuse("FGL"))
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("fgl_forge.")]
+    for home, name in ((series_fgl, "fgl_apply"), (series_fgl, "formal_inverse"),
+                       (poly_core, "ring_map"), (lubin_tate, "lt_specialize"),
+                       (lubin_tate, "lt_gamma")):
+        original = getattr(home, name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse(name))
+    for argv in (
+        ["suite", "full"],
+        ["verify", "height", "--n", "2", "--m", "1", "--cutoff", "32"],
+        ["verify", "chain-inversion", "--n", "2", "--k", "3", "--cutoff", "10"],
+        ["verify", "fixed-subring", "--n", "2", "--m", "3", "--d", "3", "--madic", "8",
+         "--precision", "10"],
+    ):
+        code, _, err = _serve(argv, capsys)
+        assert (code, err) == (0, ""), argv
 
 
 def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):

@@ -250,24 +250,12 @@ def test_ring_map_unassigned():
         ring_map(p, {T(1, 0): R2.zero()}, R2)
 
 
-def _ring_map_term_by_term(p, assignment, target):
-    """Oracle: each term's image added to the running sum on its own."""
-    acc = target.zero()
-    for mono, c in p.terms.items():
-        term = target.from_rational(c)
-        for v, e in zip(p.ring.variables, p.ring.decode(mono)):
-            if e:
-                term = term * assignment[v] ** e
-        acc = acc + term
-    return acc
-
-
 def _quotient_by_ring_map(p, m):
     """Oracle: R_n -> R_n<m> as the ring map sending t_i (i > m) to 0."""
     ring = p.ring
     target = rnm_ring(ring.n, m, ring.k_max, rational=ring.rational, mod2=ring.mod2)
     image = {v: target.var(v) if v.i <= m else target.zero() for v in ring.variables}
-    return _ring_map_term_by_term(p, image, target)
+    return ring_map(p, image, target)
 
 
 @pytest.mark.parametrize("form", ["Z2", "Q", "F2"])
@@ -285,9 +273,6 @@ def test_ring_map_and_quotient_match_the_term_by_term_sum(form):
                 p = p + GradedPolynomial(ring, {rng.choice(monos): c})
             polys.append(p)
         for p in polys:
-            image = {v: rand_poly(ring, rng, max_deg=4, nterms=rng.randrange(3))
-                     for v in ring.variables}
-            assert ring_map(p, image, ring) == _ring_map_term_by_term(p, image, ring)
             for m in range(1, k_max + 2):
                 got = quotient_to_rnm(p, m)
                 assert got == _quotient_by_ring_map(p, m)
@@ -308,6 +293,40 @@ def test_quotient_matches_the_ring_map_on_v_images():
 
 
 # ---- Groebner machinery --------------------------------------------------------
+
+def _divides_field_by_field(ring, a, b):
+    """Oracle: a divides b iff no field of a exceeds that of b, one shift and
+    mask per variable."""
+    for s in ring.shifts:
+        if (a >> s) & 0x7FF > (b >> s) & 0x7FF:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [rn_ring(2, 3), rnm_ring(3, 1, 2, rational=True), bp_ring(4), rn_ring(2, 3, mod2=True),
+     bp_ring(2, mod2=True)],
+    ids=["Rn", "Rnm", "BP", "Rn-mod2", "BP-mod2"],
+)
+def test_guard_bit_divisibility_matches_the_field_by_field_test(ring):
+    """_divides on monomials at the edges of the packing range: exponents 0, 1,
+    1022 and 1023, a drawn apart from b or below it field by field."""
+    rng = random.Random(53)
+    edges = (0, 1, 1022, 1023)
+    seen = set()
+    for _ in range(4000):
+        eb = [rng.choice(edges) for _ in ring.variables]
+        if rng.random() < 0.5:
+            ea = [rng.choice(edges) for _ in ring.variables]
+        else:
+            ea = [rng.choice([e for e in edges if e <= f]) for f in eb]
+        a, b = ring.encode(ea), ring.encode(eb)
+        expected = _divides_field_by_field(ring, a, b)
+        assert poly_core._divides(ring, a, b) is expected
+        seen.add(expected)
+    assert seen == {True, False}
+
 
 def test_principal_ideal():
     t1 = reduce_mod2(R2.var(T(1, 0)))

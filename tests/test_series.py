@@ -569,132 +569,25 @@ def test_grouped_two_variable_product_matches_the_pairwise_one(rational):
             assert (a * (b - b)).is_zero()
 
 
-def _compose2_by_powers(outer, inner):
-    """Oracle: outer(inner(x, y)) as a sum of scaled powers of inner, each
-    power by the pairwise product."""
-    acc = TruncatedSeries2(inner.ring, {}, inner.cutoff)
-    pw = None
-    for e in range(1, inner.cutoff + 1):
-        pw = inner if pw is None else _mul2_pairwise(pw, inner)
-        if e in outer.coeffs:
-            acc = acc + pw.scale(outer.coeffs[e])
-    return acc
-
-
-def _symmetric(series):
-    """series(x, y) + series(y, x)."""
-    swapped = {(e2, e1): c for (e1, e2), c in series.coeffs.items()}
-    return series + TruncatedSeries2(series.ring, swapped, series.cutoff)
-
-
-def test_symmetric_composition_matches_the_sum_of_powers(monkeypatch):
-    """compose_symmetric against the sum of powers: on random series, in the
-    law of fgl_from_log over R_n (x) Q, in the pull-back of a strict
-    isomorphism, and over the generic local ring."""
-    from fgl_forge.equivariant_ring import RnContext, rn_log
-    from fgl_forge.lubin_tate import lt_context
-
+def test_compose2_takes_any_inner_and_the_law_checks_commutativity():
+    """compose2 needs no symmetric inner, and FGL rejects the non-commutative
+    law it gives from a lopsided one.  The first composite is x + v1 x^2
+    after x + y + v1 x^2 y, by hand to order 4."""
     ring = bp_ring(2, rational=True)
-    rng = random.Random(31)
-    for cutoff in (2, 5, 8):
-        for _ in range(3):
-            outer = _random_poly_series(ring, cutoff, rng, (1, 2, 7, 254))
-            inner = _symmetric(_random_poly_series2(ring, cutoff, rng, (1, 4, 127)))
-            got = series_fgl.compose_symmetric(outer, inner)
-            assert got == _compose2_by_powers(outer, inner)
-    lopsided = TruncatedSeries2(ring, {(1, 0): ring.one(), (1, 1): ring.one(), (2, 1): ring.one()}, 4)
-    with pytest.raises(ValueError):
-        series_fgl.compose_symmetric(TruncatedSeries1.identity(ring, 4), lopsided)
-
-    ls = rn_log(RnContext(2, 2))
-    X = 7
-    S = TruncatedSeries2(ls[0].ring, {(1, 0): ls[0].ring.one(), (0, 1): ls[0].ring.one()}, X)
-    for k, lk in enumerate(ls, start=1):
-        S = S + TruncatedSeries2(lk.ring, {(1 << k, 0): lk, (0, 1 << k): lk}, X)
-    E = series_exp(log_series(ls, ls[0].ring, X))
-    assert fgl_from_log(ls, X).two_var == _compose2_by_powers(E, S)
-
-    F = fgl_from_log(log_from_v(2), 9)
-    iso = strict_iso_from_t([F.ring.from_rational(QQ(3, 7)), F.ring.var(V(1))], F)
-    px = TruncatedSeries2(F.ring, {(e, 0): c for e, c in iso.psi.coeffs.items()}, 9)
-    py = TruncatedSeries2(F.ring, {(0, e): c for e, c in iso.psi.coeffs.items()}, 9)
-    with monkeypatch.context() as m:
-        m.setattr(TruncatedSeries2, "__mul__", _mul2_pairwise)
-        g = fgl_apply(F, px, py)
-    assert iso.source.two_var == _compose2_by_powers(series_exp(iso.psi), g)
-
-    ctx = lt_context(2, 1)
-    T2 = _symmetric(TruncatedSeries2(ctx, {(1, 0): ctx.tau(1, 0) + ctx.one(), (1, 1): ctx.u_pow(1)}, 5))
-    outer = TruncatedSeries1(ctx, {1: ctx.one(), 2: ctx.tau(1, 0) * ctx.u_pow(1), 4: ctx.from_int(3)}, 5)
-    assert series_fgl.compose_symmetric(outer, T2) == _compose2_by_powers(outer, T2)
-
-
-def _apply_cases():
-    """(law, series, [(beta, s)]) triples over Z_(2), R_n (x) Q and the residue field."""
-    from fgl_forge.equivariant_ring import RnContext
-    from fgl_forge.lubin_tate import lt_context, residue_fgl
-
-    cases = []
-    F = fgl_from_log(log_from_v(2), 7)
-    v1, v2 = F.ring.var(V(1)), F.ring.var(V(2))
-    series = TruncatedSeries1(F.ring, {1: F.ring.one(), 2: v1, 3: v2 - v1**3, 5: v1 * v2}, 7)
-    # s k > X for every k >= 2 once s > 3
-    cases.append((F, series, [(1, 1), (v1, 2), (v2 - v1**3, 4), (v1, 5), (v2, 7)]))
-    ctx = RnContext(2, 2)
-    G = rn_law(ctx, 7)
-    t1, t2 = ctx.generator(1, rational=True), ctx.generator(2, rational=True)
-    cases.append((G, formal_inverse(G), [(1, 1), (t1, 2), (t2, 4), (t1 * t2, 6), (1, 7)]))
-    R = residue_fgl(lt_context(2, 1), 7)
-    ubar = R.ring.u_pow(1)
-    cases.append((R, two_series(R) + TruncatedSeries1.identity(R.ring, 7),
-                  [(1, 1), (ubar, 2), (ubar**3, 4)]))
-    ring = bp_ring(2)
-    sparse = TruncatedSeries1(ring, {1: ring.one(), 3: ring.var(V(2))}, 8)
-    cases.append((_random_law(ring, 8, 3), sparse, [(1, 1), (2, 3)]))
-    return cases
-
-
-def _apply_per_coefficient(F, a, b):
-    """Oracle: F(a, b) with one product (a^j b^k) c_{jk} and one series sum
-    per coefficient of the law."""
-    acc = a + b
-    mixed = [(j, k, c) for (j, k), c in F.two_var.coeffs.items() if j and k]
-    if not mixed:
-        return acc
-    pa = a.powers(max(j for j, _, _ in mixed))
-    pb = b.powers(max(k for _, k, _ in mixed))
-    for j, k, c in mixed:
-        acc = acc + (pa[j] * pb[k]).scale(c)
-    return acc
-
-
-def test_grouped_series_apply_matches_the_per_coefficient_route():
-    for F, a, terms in _apply_cases():
-        ring, X = F.ring, F.cutoff
-        b = a * a + TruncatedSeries1.monomial(ring, terms[-1][0], terms[-1][1], X)
-        pairs = [(a, a), (a, b), (b, a), (a, -a)]
-        for beta, s in terms:  # single terms on either side, and two of them
-            term = TruncatedSeries1.monomial(ring, beta, s, X)
-            other = TruncatedSeries1.monomial(ring, beta, max(1, X - s), X)
-            pairs += [(a, term), (term, a), (term, term), (term, other)]
-        for left, right in pairs:
-            assert fgl_apply(F, left, right) == _apply_per_coefficient(F, left, right)
-    rng = random.Random(43)
-    for X in (1, 4, 9):
-        F = _random_law(bp_ring(2), X, X)
-        ring = F.ring
-        for _ in range(3):
-            a = _random_poly_series(ring, X, rng, (1, 3))
-            b = _random_poly_series(ring, X, rng, (1, 5))
-            assert fgl_apply(F, a, b) == _apply_per_coefficient(F, a, b)
-            a2 = _random_poly_series2(ring, X, rng, (1, 3))
-            b2 = _random_poly_series2(ring, X, rng, (1, 7))
-            assert fgl_apply(F, a2, b2) == _apply_per_coefficient(F, a2, b2)
-    F = fgl_from_log(log_from_v(2), 9)
-    iso = strict_iso_from_t([F.ring.from_rational(QQ(3, 7)), F.ring.var(V(1))], F)
-    px = TruncatedSeries2(F.ring, {(e, 0): c for e, c in iso.psi.coeffs.items()}, 9)
-    py = TruncatedSeries2(F.ring, {(0, e): c for e, c in iso.psi.coeffs.items()}, 9)
-    assert fgl_apply(F, px, py) == _apply_per_coefficient(F, px, py)
+    one, v1 = ring.one(), ring.var(V(1))
+    L = TruncatedSeries1(ring, {1: one, 2: v1}, 4)
+    lopsided = TruncatedSeries2(ring, {(1, 0): one, (0, 1): one, (2, 1): v1}, 4)
+    expected = {(1, 0): one, (0, 1): one, (2, 1): v1, (2, 0): v1, (1, 1): v1.scalar_mul(2),
+                (0, 2): v1, (3, 1): (v1 * v1).scalar_mul(2), (2, 2): (v1 * v1).scalar_mul(2)}
+    assert series_fgl.compose2(L, lopsided) == TruncatedSeries2(ring, expected, 4)
+    # exp(L(x) + L(y) + v1 x^2 y): unital, but not commutative
+    logs = TruncatedSeries2(ring, {(1, 0): one, (0, 1): one, (2, 0): v1, (0, 2): v1}, 4)
+    bent = logs + TruncatedSeries2(ring, {(2, 1): v1}, 4)
+    with pytest.raises(ValueError, match="commutativity"):
+        FGL(series_fgl.compose2(series_exp(L), bent))
+    assert FGL(series_fgl.compose2(series_exp(L), logs)) == fgl_from_log([v1], 4)
+    with pytest.raises(AmbientMismatch):
+        series_fgl.compose2(TruncatedSeries1.identity(ring, 3), lopsided)
 
 
 def test_apply_rejects_mismatched_series():
