@@ -605,79 +605,70 @@ def _tau_chi(ctx, exps):
     return sum(map(operator.mul, ctx._chi_weights, exps))
 
 
-def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
-    """The k^x[q]-action: u -> T(zeta)^{-1} u, tau_i -> T(zeta)^{2^i-1} tau_i.
-
-    Diagonal on monomials: the term tau^A u^s scales by T(zeta)^chi with
-    chi = sum (2^i - 1) A_{ij} - s (tau_m contributes 0 mod q).  zeta must be
-    a qth root of unity (checked once, when its table of powers is built).
+def _diagonal_map(ctx, e: LTElement, image, order=1) -> LTElement:
+    """The map that scales each term c tau^A u^s of e to image(c, cls) tau^A u^s,
+    where cls = chi mod order and chi = sum (2^i - 1) A_{ij} - s.
 
     The terms of e are walked once.  Each run of terms with one tau exponent
     tuple computes its tau-degree and the tau part of chi once, and each
-    distinct (coefficient, chi mod (2^d - 1), tau-degree) has its image
-    computed once, masked to that degree; a term that masks to 0 is dropped.
-    A diagonal map keeps the keys of its input, and an element in normal
-    form has no key outside the representable window with a nonzero
-    coefficient, so the image is in normal form without a pass of _canonical.
+    distinct (coefficient, cls, tau-degree) has its image computed once,
+    masked to that degree; a term that masks to 0 is dropped.  At order 1
+    every class is 0.  A diagonal map keeps the keys of its input, and an
+    element in normal form has no key outside the representable window with
+    a nonzero coefficient, so the image is in normal form without a pass of
+    _canonical.
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
-    if zeta.spec is not ctx.spec and zeta.spec != ctx.spec:
-        raise AmbientMismatch("zeta from a different field")
-    powers = _teichmuller_powers(ctx, zeta)
-    order = len(powers)
-    mul = ctx.kernel.mul
     masks = ctx._masks
-    images = {}  # (coefficient, chi mod 2^d - 1, tau-degree) -> masked image, () if 0
+    by_degree = {}  # tau-degree -> {(coefficient, cls): masked image, () if 0}
     out = {}
     last = None
+    cls = 0
     for key, c in e.coords.items():
         exps, ue = key
         if exps != last:
             last = exps
             s = sum(exps)
             tau_chi = _tau_chi(ctx, exps)
-        cls = (tau_chi - ue) % order
-        image = images.get((c, cls, s))
-        if image is None:
+            images = by_degree.get(s)
+            if images is None:
+                images = by_degree[s] = {}
+        if order > 1:
+            cls = (tau_chi - ue) % order
+        img = images.get((c, cls))
+        if img is None:
             mask = masks[s]
-            image = tuple([x & mask for x in mul(c, powers[cls])])
-            image = images[c, cls, s] = image if any(image) else ()
-        if image:
-            out[key] = image
+            img = tuple([x & mask for x in image(c, cls)])
+            img = images[c, cls] = img if any(img) else ()
+        if img:
+            out[key] = img
     return _element(ctx, out)
+
+
+def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
+    """The k^x[q]-action: u -> T(zeta)^{-1} u, tau_i -> T(zeta)^{2^i-1} tau_i.
+
+    Diagonal on monomials (_diagonal_map): the term tau^A u^s scales by
+    T(zeta)^chi with chi = sum (2^i - 1) A_{ij} - s (tau_m contributes 0 mod
+    q), read at chi mod (2^d - 1) off the table of powers.  zeta must be a
+    qth root of unity (checked once, when its table of powers is built).
+    """
+    if zeta.spec is not ctx.spec and zeta.spec != ctx.spec:
+        raise AmbientMismatch("zeta from a different field")
+    powers = _teichmuller_powers(ctx, zeta)
+    mul = ctx.kernel.mul
+    return _diagonal_map(ctx, e, lambda c, cls: mul(c, powers[cls]), len(powers))
 
 
 def lt_galois(ctx, e: LTElement) -> LTElement:
     """Frobenius on the Witt coefficients; fixes u and every tau.
 
     Each coefficient goes through the kernel's Frobenius image, the route
-    of frobenius_lift.  Like lt_zeta this is a diagonal map: the terms are
-    walked once, the image of each distinct (coefficient, tau-degree) is
-    computed once and masked to that degree, a term that masks to 0 is
-    dropped, and the keys of e stay in the window, so no _canonical pass
-    runs.
+    of frobenius_lift, as a diagonal map with one class (_diagonal_map).
     """
-    if e.ctx is not ctx:
-        raise AmbientMismatch("element from a different context")
     frobenius = ctx.kernel.frobenius
-    masks = ctx._masks
-    images = {}  # (coefficient, tau-degree) -> masked image, () if 0
-    out = {}
-    last = None
-    for key, c in e.coords.items():
-        exps = key[0]
-        if exps != last:
-            last = exps
-            s = sum(exps)
-        image = images.get((c, s))
-        if image is None:
-            mask = masks[s]
-            image = tuple([x & mask for x in frobenius(c)])
-            image = images[c, s] = image if any(image) else ()
-        if image:
-            out[key] = image
-    return _element(ctx, out)
+    return _diagonal_map(ctx, e, lambda c, cls: frobenius(c))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ action (two masked shifts per monomial), mod-2 reduction, ring
 maps/substitution, degree-truncated Buchberger over F_2, and an independent
 linear-algebra membership route used to cross-check the Groebner one.
 
-Normal forms over F_2 pop leading monomials from a heap keyed by
-(-degree, packed monomial) and skip entries whose monomial has cancelled
-since it was pushed (lazy deletion; Monagan & Pearce, "Sparse polynomial
+Normal forms over F_2 pop leading monomials from a heap keyed by the
+packed monomial alone (exact for homogeneous reducers, see _nf) and skip
+entries whose monomial has cancelled since it was pushed (lazy deletion; Monagan & Pearce, "Sparse polynomial
 division using a heap", JSC 2011), so a reduction step costs a logarithm of
 the support, not a scan of it.  The process keeps one Groebner basis per
 (ring, generator set), truncated at the largest degree asked so far: a basis
@@ -741,20 +741,26 @@ def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
 
     `reducers` lists (leading monomial, basis element) pairs; the first whose
     leading monomial divides the current one reduces it.  The live monomials
-    of the remainder sit in a set beside a heap keyed by (-degree, packed
-    monomial), whose top is the leading monomial (greatest degree, then the
-    smallest packed int).  A reduction adds or cancels monomials below the
-    popped one, so a cancelled monomial keeps its heap entry, skipped when
-    popped (lazy deletion), and no popped monomial comes back.
+    of the remainder sit in a set beside a min-heap of packed monomials.
+
+    The packed int alone is the key, and that is exact because every reducer
+    is homogeneous: GroebnerBasis checks its generators, and the S-polynomials
+    of homogeneous elements are homogeneous.  So reducing mu adds or cancels
+    only monomials of deg mu that are smaller than mu in grevlex, which
+    within one degree means larger packed ints.  The heap therefore pops the
+    monomials of each degree in descending grevlex order, and a popped
+    monomial never comes back.  Different degrees never interact, so an
+    input that is not homogeneous is reduced degree by degree, interleaved.
+    A cancelled monomial keeps its heap entry and is skipped when popped
+    (lazy deletion).
     """
     ring = p.ring
-    degree = ring.mono_degree
     live = set(p.num)
-    heap = [(-degree(m), m) for m in live]
+    heap = list(live)
     heapq.heapify(heap)
     out = {}
     while heap:
-        mono = heapq.heappop(heap)[1]
+        mono = heapq.heappop(heap)
         if mono not in live:
             continue
         live.remove(mono)
@@ -773,7 +779,7 @@ def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
                 live.remove(m2)
             else:
                 live.add(m2)
-                heapq.heappush(heap, (-degree(m2), m2))
+                heapq.heappush(heap, m2)
     return GradedPolynomial(ring, out, _checked=True)
 
 

@@ -7,8 +7,9 @@ formal inverse [-1](x) = solve_series(L, -L) are all this one solve, so the
 claims never form a two-variable law.  The two-variable routines
 (fgl_from_log, fgl_apply, formal_sum, formal_inverse, the strict
 isomorphisms) are kept as the test oracles of those routes, in their
-definitional forms: a composite outer(inner(x, y)) is sum_e c_e inner^e
-(compose2), and F(a, b) is a + b + sum c_jk a^j b^k (fgl_apply).
+definitional forms: one compose takes an inner series in one or two
+variables, F(a, b) is a + b + sum c_jk a^j b^k (fgl_apply), and [2](x) is
+F(x, x).
 
 Series coefficients live in any ring object exposing zero()/one()/
 from_rational(); the elements themselves must support +, -, *, ** (integer),
@@ -66,13 +67,66 @@ def _sum_of_products(ring):
 
 
 # ---------------------------------------------------------------------------
-# one-variable truncated series (no constant term)
+# truncated series in one and two variables (no constant term)
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries1:
-    """x-power series sum_{1 <= e <= cutoff} c_e x^e with ring coefficients."""
+class _TruncatedSeries:
+    """What the two kinds share: the coefficient ring, the cutoff and the map
+    coeffs from exponent keys (e for TruncatedSeries1, (e1, e2) for
+    TruncatedSeries2) to nonzero coefficients.  The results keep the kind of
+    self."""
 
     __slots__ = ("ring", "cutoff", "coeffs")
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def _check(self, other):
+        if other.ring is not self.ring or other.cutoff != self.cutoff:
+            raise AmbientMismatch("series from different contexts")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return type(self)(self.ring, out, self.cutoff)
+
+    def __neg__(self):
+        return type(self)(self.ring, {k: -c for k, c in self.coeffs.items()}, self.cutoff)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = _coerce_coeff(self.ring, c)
+        return type(self)(self.ring, {k: c * v for k, v in self.coeffs.items()}, self.cutoff)
+
+    def powers(self, max_power):
+        """[None, self, self^2, ..., self^max_power] (index = exponent)."""
+        out = [None, self]
+        for _ in range(1, max_power):
+            out.append(out[-1] * self)
+        return out
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.ring is self.ring
+            and other.cutoff == self.cutoff
+            and other.coeffs == self.coeffs
+        )
+
+
+class TruncatedSeries1(_TruncatedSeries):
+    """x-power series sum_{1 <= e <= cutoff} c_e x^e with ring coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, ring, coeffs, cutoff):
         self.ring = ring
@@ -100,33 +154,6 @@ class TruncatedSeries1:
     def coefficient(self, e):
         return self.coeffs.get(e, self.ring.zero())
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def _check(self, other):
-        if other.ring is not self.ring or other.cutoff != self.cutoff:
-            raise AmbientMismatch("series from different contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return TruncatedSeries1(self.ring, out, self.cutoff)
-
-    def __neg__(self):
-        return TruncatedSeries1(
-            self.ring, {e: -c for e, c in self.coeffs.items()}, self.cutoff
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """Series product, truncated.
 
@@ -148,21 +175,9 @@ class TruncatedSeries1:
         dot = _sum_of_products(self.ring)
         return TruncatedSeries1(self.ring, {e: dot(pairs) for e, pairs in orders.items()}, X)
 
-    def scale(self, c):
-        c = _coerce_coeff(self.ring, c)
-        return TruncatedSeries1(
-            self.ring, {e: c * v for e, v in self.coeffs.items()}, self.cutoff
-        )
-
-    def powers(self, max_power):
-        """[None, self, self^2, ..., self^max_power] (index = exponent)."""
-        out = [None, self]
-        for _ in range(1, max_power):
-            out.append(out[-1] * self)
-        return out
-
-    def compose(self, inner: "TruncatedSeries1") -> "TruncatedSeries1":
-        """self(inner(x)); inner has no constant term so this is well-defined.
+    def compose(self, inner):
+        """self(inner), for an inner series of either kind, as a series of
+        inner's kind; inner has no constant term so this is well-defined.
 
         Each power of inner in self's support is reached from the previous
         one by squaring while the exponent at most doubles, then by single
@@ -184,17 +199,7 @@ class TruncatedSeries1:
             for o, v in pw.coeffs.items():
                 orders.setdefault(o, []).append((c, v))
         dot = _sum_of_products(self.ring)
-        return TruncatedSeries1(
-            self.ring, {o: dot(pairs) for o, pairs in orders.items()}, self.cutoff
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries1)
-            and other.ring is self.ring
-            and other.cutoff == self.cutoff
-            and other.coeffs == self.coeffs
-        )
+        return type(inner)(self.ring, {o: dot(pairs) for o, pairs in orders.items()}, self.cutoff)
 
     def __repr__(self):
         bits = [f"({c!r})x^{e}" for e, c in sorted(self.coeffs.items())[:8]]
@@ -281,10 +286,10 @@ def series_exp(log: TruncatedSeries1) -> TruncatedSeries1:
 # two-variable truncated series and formal group laws
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries2:
+class TruncatedSeries2(_TruncatedSeries):
     """Series sum c_{e1 e2} x^{e1} y^{e2}, truncated at e1 + e2 <= cutoff."""
 
-    __slots__ = ("ring", "cutoff", "coeffs")
+    __slots__ = ()
 
     def __init__(self, ring, coeffs, cutoff):
         self.ring = ring
@@ -299,30 +304,6 @@ class TruncatedSeries2:
 
     def coefficient(self, e1, e2):
         return self.coeffs.get((e1, e2), self.ring.zero())
-
-    def _check(self, other):
-        if other.ring is not self.ring or other.cutoff != self.cutoff:
-            raise AmbientMismatch("series from different contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TruncatedSeries2(self.ring, out, self.cutoff)
-
-    def __neg__(self):
-        return TruncatedSeries2(
-            self.ring, {k: -c for k, c in self.coeffs.items()}, self.cutoff
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Series product, truncated; as TruncatedSeries1.__mul__, one sum of
@@ -342,29 +323,6 @@ class TruncatedSeries2:
         dot = _sum_of_products(self.ring)
         return TruncatedSeries2(self.ring, {k: dot(pairs) for k, pairs in keys.items()}, X)
 
-    def scale(self, c):
-        c = _coerce_coeff(self.ring, c)
-        return TruncatedSeries2(
-            self.ring, {k: c * v for k, v in self.coeffs.items()}, self.cutoff
-        )
-
-    def powers(self, max_power):
-        out = [None, self]
-        for _ in range(1, max_power):
-            out.append(out[-1] * self)
-        return out
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries2)
-            and other.ring is self.ring
-            and other.cutoff == self.cutoff
-            and other.coeffs == self.coeffs
-        )
-
     def __repr__(self):
         bits = [f"({c!r})x^{a}y^{b}" for (a, b), c in sorted(self.coeffs.items())[:8]]
         return " + ".join(bits) + (" + ..." if len(self.coeffs) > 8 else "") or "0"
@@ -375,26 +333,11 @@ class TruncatedSeries2:
         ]
 
 
-def compose2(outer: TruncatedSeries1, inner: TruncatedSeries2) -> TruncatedSeries2:
-    """outer(inner(x, y)) = sum_e c_e inner^e.
-
-    The powers of inner come one product at a time, and each coefficient of
-    the result is one sum of products over the powers.
-    """
-    if outer.ring is not inner.ring or outer.cutoff != inner.cutoff:
-        raise AmbientMismatch("series from different contexts")
-    ring, X = inner.ring, inner.cutoff
-    keys = {}
-    pw = inner
-    for e in range(1, max(outer.coeffs, default=0) + 1):
-        if e > 1:
-            pw = pw * inner
-        c = outer.coeffs.get(e)
-        if c is not None:
-            for key, v in pw.coeffs.items():
-                keys.setdefault(key, []).append((c, v))
-    dot = _sum_of_products(ring)
-    return TruncatedSeries2(ring, {key: dot(pairs) for key, pairs in keys.items()}, X)
+def _in_x_and_y(f: TruncatedSeries1):
+    """The two-variable series f(x) and f(y)."""
+    ring, X = f.ring, f.cutoff
+    return (TruncatedSeries2(ring, {(e, 0): c for e, c in f.coeffs.items()}, X),
+            TruncatedSeries2(ring, {(0, e): c for e, c in f.coeffs.items()}, X))
 
 
 class FGL:
@@ -520,14 +463,8 @@ def fgl_from_log(l_list, cutoff) -> FGL:
     else:
         ring = bp_ring(1, rational=True)
     L = log_series(l_list, ring, cutoff)
-    E = series_exp(L)
-    one = ring.one()
-    S = TruncatedSeries2(ring, {(1, 0): one, (0, 1): one}, cutoff)
-    for k, lk in enumerate(l_list, start=1):
-        e = 1 << k
-        if e <= cutoff:
-            S = S + TruncatedSeries2(ring, {(e, 0): lk, (0, e): lk}, cutoff)
-    return FGL(compose2(E, S))
+    Lx, Ly = _in_x_and_y(L)
+    return FGL(series_exp(L).compose(Lx + Ly))
 
 
 def two_series_from_log(l_list, cutoff) -> TruncatedSeries1:
@@ -560,19 +497,8 @@ def _integral(c, where):
 
 def two_series(F: FGL) -> TruncatedSeries1:
     """[2](x) = F(x, x)."""
-    out = {}
-    ring = F.ring
-    for (e1, e2), c in F.two_var.coeffs.items():
-        e = e1 + e2
-        if e > F.cutoff:
-            continue
-        s = out.get(e)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return TruncatedSeries1(ring, out, F.cutoff)
+    x = TruncatedSeries1.identity(F.ring, F.cutoff)
+    return fgl_apply(F, x, x)
 
 
 def formal_sum(F: FGL, terms) -> TruncatedSeries1:
@@ -676,12 +602,7 @@ class StrictIso:
     def verify(self):
         """Exact check of psi(F(x,y)) = G(psi x, psi y) to cutoff; quadratic cost."""
         F, G, psi = self.source, self.target, self.psi
-        ring, X = psi.ring, psi.cutoff
-        lhs = compose2(psi, F.two_var)
-        px = TruncatedSeries2(ring, {(e, 0): c for e, c in psi.coeffs.items()}, X)
-        py = TruncatedSeries2(ring, {(0, e): c for e, c in psi.coeffs.items()}, X)
-        rhs = fgl_apply(G, px, py)
-        if lhs != rhs:
+        if psi.compose(F.two_var) != fgl_apply(G, *_in_x_and_y(psi)):
             raise ConsistencyFailure("strict isomorphism failed its defining identity")
         return True
 
@@ -705,12 +626,8 @@ def strict_iso_from_t(t_list, G: FGL, source: FGL = None) -> StrictIso:
 
 
 def _pullback_fgl(psi: TruncatedSeries1, G: FGL) -> FGL:
-    ring, X = psi.ring, psi.cutoff
-    px = TruncatedSeries2(ring, {(e, 0): c for e, c in psi.coeffs.items()}, X)
-    py = TruncatedSeries2(ring, {(0, e): c for e, c in psi.coeffs.items()}, X)
-    g = fgl_apply(G, px, py)
     # compositional inverse of psi (ValueError unless psi is strict), then substitute
-    return FGL(compose2(series_exp(psi), g))
+    return FGL(series_exp(psi).compose(fgl_apply(G, *_in_x_and_y(psi))))
 
 
 def t_from_strict_iso(iso: StrictIso):

@@ -6,7 +6,6 @@ its wall-clock budget.  The summary line prints even under pytest's capture.
 """
 
 import random
-import sys
 import time
 from contextlib import contextmanager
 

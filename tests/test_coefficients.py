@@ -6,7 +6,6 @@ import pytest
 from fgl_forge.coefficients import (
     QQ,
     FiniteFieldSpec,
-    GFElement,
     WittElement,
     _frobenius_root,
     finite_field,

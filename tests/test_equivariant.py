@@ -37,7 +37,6 @@ from fgl_forge.series_fgl import (
     TruncatedSeries1,
     TruncatedSeries2,
     additive_fgl,
-    compose2,
     compose_iso,
     conjugate_fgl,
     fgl_apply,
@@ -499,7 +498,7 @@ def test_the_log_certificate_holds_with_the_law_certificate(n, k_max, cutoff):
         if (1 << k) <= X:
             sides[(1 << k, 0)] = sides[(0, 1 << k)] = lk
     L = log_series(ls, ring, X)
-    assert compose2(L, F.two_var) == TruncatedSeries2(ring, sides, X)
+    assert L.compose(F.two_var) == TruncatedSeries2(ring, sides, X)
     psi = equivariant_ring._chain_series(ctx, ctx.half, X)
     assert _law_certificate(F, psi)
     assert chain_inversion_check(ctx, cutoff=cutoff)["status"] == "verified"

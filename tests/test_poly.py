@@ -515,10 +515,14 @@ def test_heap_normal_form_matches_the_scan(monkeypatch):
         gb = GroebnerBasis(ring, gens, D)
         degrees = [d for d in range(2, D + 1, 2) if ring.monomials_of_degree(d)]
         for _ in range(40):
-            # homogeneous inputs, and mixed degrees to exercise the heap key
+            # homogeneous inputs, mixed degrees, and one part at every degree:
+            # the heap keys by the packed monomial alone, across degrees
             p = _random_f2(ring, rng, [rng.choice(degrees)], rng.randint(1, 8))
             q = p + _random_f2(ring, rng, degrees, rng.randint(0, 8))
-            for x in (p, q):
+            r = ring.zero()
+            for d in degrees:
+                r = r + _random_f2(ring, rng, [d], rng.randint(1, 3))
+            for x in (p, q, r):
                 assert gb.normal_form(x) == _nf_by_scan(x, gb.basis)
             assert gb.normal_form(p).is_zero() == f2_membership_linear(p, gens)
         # Buchberger itself builds the same basis on either normal form

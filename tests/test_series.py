@@ -328,6 +328,27 @@ def test_two_series_shapes():
     assert two_series(add).coeffs == {1: R1.from_rational(2)}
 
 
+def _diagonal_sum(F):
+    """Oracle: F(x, x) as the sum of the law's coefficients by total degree."""
+    out = {}
+    for (e1, e2), c in F.two_var.coeffs.items():
+        out[e1 + e2] = out[e1 + e2] + c if e1 + e2 in out else c
+    return TruncatedSeries1(F.ring, out, F.cutoff)
+
+
+def test_two_series_is_the_diagonal_sum():
+    R1 = bp_ring(1)
+    v1 = R1.var(V(1))
+    laws = [additive_fgl(R1, 6),
+            FGL(TruncatedSeries2(R1, {(1, 0): R1.one(), (0, 1): R1.one(), (1, 1): v1}, 6))]
+    for k, cutoff in ((2, 7), (3, 8)):
+        F = fgl_from_log(log_from_v(k), cutoff)
+        integral = conjugate_fgl(F, from_rational_ring)
+        laws += [F, integral, conjugate_fgl(integral, reduce_mod2)]
+    for F in laws:
+        assert two_series(F) == _diagonal_sum(F)
+
+
 def test_araki_two_series_identity():
     for k, cutoff in ((2, 7), (2, 4), (3, 8)):
         ls = log_from_v(k)
@@ -569,25 +590,49 @@ def test_grouped_two_variable_product_matches_the_pairwise_one(rational):
             assert (a * (b - b)).is_zero()
 
 
-def test_compose2_takes_any_inner_and_the_law_checks_commutativity():
-    """compose2 needs no symmetric inner, and FGL rejects the non-commutative
-    law it gives from a lopsided one.  The first composite is x + v1 x^2
-    after x + y + v1 x^2 y, by hand to order 4."""
+def test_compose_takes_a_two_variable_inner_and_the_law_checks_commutativity():
+    """compose takes an inner series of either kind, needs no symmetric inner,
+    and FGL rejects the non-commutative law it gives from a lopsided one.
+    The first composite is x + v1 x^2 after x + y + v1 x^2 y, by hand to
+    order 4."""
     ring = bp_ring(2, rational=True)
     one, v1 = ring.one(), ring.var(V(1))
     L = TruncatedSeries1(ring, {1: one, 2: v1}, 4)
     lopsided = TruncatedSeries2(ring, {(1, 0): one, (0, 1): one, (2, 1): v1}, 4)
     expected = {(1, 0): one, (0, 1): one, (2, 1): v1, (2, 0): v1, (1, 1): v1.scalar_mul(2),
                 (0, 2): v1, (3, 1): (v1 * v1).scalar_mul(2), (2, 2): (v1 * v1).scalar_mul(2)}
-    assert series_fgl.compose2(L, lopsided) == TruncatedSeries2(ring, expected, 4)
+    assert L.compose(lopsided) == TruncatedSeries2(ring, expected, 4)
     # exp(L(x) + L(y) + v1 x^2 y): unital, but not commutative
     logs = TruncatedSeries2(ring, {(1, 0): one, (0, 1): one, (2, 0): v1, (0, 2): v1}, 4)
     bent = logs + TruncatedSeries2(ring, {(2, 1): v1}, 4)
     with pytest.raises(ValueError, match="commutativity"):
-        FGL(series_fgl.compose2(series_exp(L), bent))
-    assert FGL(series_fgl.compose2(series_exp(L), logs)) == fgl_from_log([v1], 4)
+        FGL(series_exp(L).compose(bent))
+    assert FGL(series_exp(L).compose(logs)) == fgl_from_log([v1], 4)
     with pytest.raises(AmbientMismatch):
-        series_fgl.compose2(TruncatedSeries1.identity(ring, 3), lopsided)
+        TruncatedSeries1.identity(ring, 3).compose(lopsided)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 8])
+def test_compose_keeps_the_kind_of_the_inner_series(cutoff):
+    """outer(inner) against the sum of the powers of inner, for random inner
+    series of both kinds, and outer(f(x)) = (outer(f))(x): the one-variable
+    composite moved into x is the two-variable composite with f(x)."""
+    ring = bp_ring(2, rational=True)
+    rng = random.Random(cutoff)
+    dens = (1, 2, 3)
+    for _ in range(4):
+        outer = _random_poly_series(ring, cutoff, rng, dens)
+        for inner in (_random_poly_series(ring, cutoff, rng, dens),
+                      _random_poly_series2(ring, cutoff, rng, dens)):
+            composite = outer.compose(inner)
+            assert type(composite) is type(inner)
+            by_powers = inner.scale(0)
+            for e, pw in enumerate(inner.powers(cutoff)[1:], start=1):
+                by_powers = by_powers + pw.scale(outer.coefficient(e))
+            assert composite == by_powers
+        f = _random_poly_series(ring, cutoff, rng, dens)
+        composites = series_fgl._in_x_and_y(outer.compose(f))
+        assert tuple(outer.compose(g) for g in series_fgl._in_x_and_y(f)) == composites
 
 
 def test_apply_rejects_mismatched_series():
