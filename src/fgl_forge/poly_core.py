@@ -1,30 +1,33 @@
 """Graded multivariate polynomials over the coefficient domains.
 
 Rings are interned descriptors (one object per parameter set), monomials are
-dense exponent vectors packed into a single integer (11 bits per variable,
-earlier variables in more significant bits), so monomial multiplication is
-integer addition and the graded-reverse-lex order is integer comparison within
-a degree.  An exponent takes the low 10 bits of its field and the top bit is
-a guard: two exponents below 2^10 sum below 2^11 without a carry into the
-next field, so a product with a set guard bit exceeded the bound, and the
-multiply kernel raises DegreeBoundExceeded for it.  A polynomial over Q or
-Z_(2) stores int numerators over one reduced denominator (the form of
-FLINT's fmpq_poly), so arithmetic runs on ints and touches the denominators
-once per operand, not once per coefficient.  Every product runs through one
-sum-of-products kernel (PolyRing.dot).  On top of that: the cyclic group
-action (two masked shifts per monomial), mod-2 reduction, ring
-maps/substitution, degree-truncated Buchberger over F_2, and an independent
-linear-algebra membership route used to cross-check the Groebner one.
+dense exponent vectors packed into a single integer: 11 bits per variable,
+earlier variables in more significant bits, and the weighted degree in the
+most significant field, above them all (the packing of Maple's POLY; Monagan
+& Pearce, ACM CCA 2012).  So monomial multiplication is integer addition,
+which adds the degrees as well, and integer order is degree first, then
+descending graded-reverse-lex within a degree.  An exponent takes the low 10
+bits of its field and the top bit is a guard: two exponents below 2^10 sum
+below 2^11 without a carry into the next field, so a product with a set
+guard bit exceeded the bound, and the multiply kernel raises
+DegreeBoundExceeded for it.  A polynomial over Q or Z_(2) stores int
+numerators over one reduced denominator (the form of FLINT's fmpq_poly), so
+arithmetic runs on ints and touches the denominators once per operand, not
+once per coefficient.  Every product runs through one sum-of-products
+kernel (PolyRing.dot).  On top of that: the cyclic group action (two masked
+shifts per monomial), mod-2 reduction, ring maps/substitution,
+degree-truncated Buchberger over F_2, and an independent linear-algebra
+membership route used to cross-check the Groebner one.
 
-Normal forms over F_2 pop leading monomials from a heap keyed by the
-packed monomial alone (exact for homogeneous reducers, see _nf) and skip
-entries whose monomial has cancelled since it was pushed (lazy deletion; Monagan & Pearce, "Sparse polynomial
-division using a heap", JSC 2011), so a reduction step costs a logarithm of
-the support, not a scan of it.  The process keeps one Groebner basis per
-(ring, generator set), truncated at the largest degree asked so far: a basis
-truncated at D' >= D gives the same full normal form to every homogeneous
-input of degree <= D, so a request at a lower degree reuses it and only a
-request at a higher degree rebuilds it.
+Normal forms over F_2 pop monomials from a heap keyed by the packed int
+(exact for homogeneous reducers, see _nf) and skip entries whose monomial
+has cancelled since it was pushed (lazy deletion; Monagan & Pearce, "Sparse
+polynomial division using a heap", JSC 2011), so a reduction step costs a
+logarithm of the support, not a scan of it.  The process keeps one Groebner
+basis per (ring, generator set), truncated at the largest degree asked so
+far: a basis truncated at D' >= D gives the same full normal form to every
+homogeneous input of degree <= D, so a request at a lower degree reuses it
+and only a request at a higher degree rebuilds it.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class PolyRing:
         self.degrees = tuple(v.degree for v in self.variables)
         self.shifts = tuple(_BITS * (self.nvars - 1 - idx) for idx in range(self.nvars))
         self.guard = sum(_EXP_LIMIT << s for s in self.shifts)  # every guard bit
-        self._deg_cache = {}
+        self.dshift = _BITS * self.nvars  # the weighted degree sits above every field
         self._monos_by_degree = {}
         self._gamma_masks = {}
         if kind in ("Rn", "Rnm"):
@@ -165,27 +168,22 @@ class PolyRing:
     # -- monomial helpers --
 
     def encode(self, exponents) -> int:
-        m = 0
-        for idx, e in enumerate(exponents):
+        m = d = 0
+        for e, s, w in zip(exponents, self.shifts, self.degrees):
             if not 0 <= e < _EXP_LIMIT:
                 raise DegreeBoundExceeded(f"exponent {e} out of packing range")
-            m |= e << self.shifts[idx]
-        return m
+            m |= e << s
+            d += e * w
+        return m | d << self.dshift
 
     def decode(self, mono: int):
         return tuple((mono >> s) & _MASK for s in self.shifts)
 
     def mono_degree(self, mono: int) -> int:
-        d = self._deg_cache.get(mono)
-        if d is None:
-            d = 0
-            for s, w in zip(self.shifts, self.degrees):
-                d += (mono >> s & _MASK) * w
-            self._deg_cache[mono] = d
-        return d
+        return mono >> self.dshift
 
     def mono_of(self, var: Variable, exp: int = 1) -> int:
-        return exp << self.shifts[self.var_index[var]]
+        return exp << self.shifts[self.var_index[var]] | exp * var.degree << self.dshift
 
     def monomials_of_degree(self, degree: int) -> tuple:
         """All monomials of the given total degree (weights are all positive here).
@@ -216,7 +214,7 @@ class PolyRing:
 
         if degree < 0:
             return []
-        rec(0, degree, 0)
+        rec(0, degree, degree << self.dshift)
         return out
 
     # -- the multiply kernel --
@@ -439,7 +437,7 @@ class GradedPolynomial:
     when den is 1, else a fresh dict.  Immutable by convention.
     """
 
-    __slots__ = ("ring", "num", "den", "_degree")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, terms, _checked=False, _den=1):
         self.ring = ring
@@ -447,7 +445,6 @@ class GradedPolynomial:
             terms, _den = _from_coefficients(ring, terms)
         self.num = terms
         self.den = _den
-        self._degree = None
 
     @property
     def terms(self):
@@ -462,36 +459,33 @@ class GradedPolynomial:
         return not self.num
 
     def is_homogeneous(self):
-        """Whether every monomial has one degree: one pass, which stops at
-        the first other degree and records the degree for `degree`."""
-        degs = map(self.ring.mono_degree, self.num)
-        deg = next(degs, None)
-        for d in degs:
-            if d != deg:
-                return False
-        self._degree = deg
-        return True
+        """Whether every monomial has one degree: the least and the greatest
+        packed monomial share the top field."""
+        if not self.num:
+            return True
+        dshift = self.ring.dshift
+        return min(self.num) >> dshift == max(self.num) >> dshift
 
     @property
     def degree(self):
         """Total degree when homogeneous (None for 0), else the max degree."""
-        if self._degree is None and self.num:
-            self._degree = max(self.ring.mono_degree(m) for m in self.num)
-        return self._degree
+        return max(self.num) >> self.ring.dshift if self.num else None
 
     def coefficient(self, mono: int):
         return _coefficient(self.num.get(mono, 0), self.den)
 
     def leading_monomial(self) -> int:
-        """Greatest monomial in graded-reverse-lex (max degree, then min packed)."""
+        """Greatest monomial in graded-reverse-lex: the least packed monomial
+        of the greatest degree."""
         if not self.num:
             raise ValueError("zero polynomial has no leading monomial")
-        deg = self.degree
-        return min(m for m in self.num if self.ring.mono_degree(m) == deg)
+        floor = self.degree << self.ring.dshift
+        return min(m for m in self.num if m >= floor)
 
     def sorted_terms(self):
         """Terms in descending monomial order (deterministic serialization order)."""
-        return sorted(self.terms.items(), key=lambda kv: (-self.ring.mono_degree(kv[0]), kv[0]))
+        dshift = self.ring.dshift
+        return sorted(self.terms.items(), key=lambda kv: (-(kv[0] >> dshift), kv[0]))
 
     # -- arithmetic --
 
@@ -624,19 +618,22 @@ def gamma_act(p: GradedPolynomial, r: int = 1) -> GradedPolynomial:
     """Apply the generator of C_{2^n} r times (ring automorphism of R_n / R_n<m>).
 
     gamma^r permutes the variables up to sign, so it maps monomials one to
-    one: each image is two masked shifts of the packed monomial, and its sign
-    a bit count (PolyRing.gamma_masks).  The denominator does not change.
+    one: each image is two masked shifts of the packed monomial under its
+    unmoved degree field, and its sign a bit count (PolyRing.gamma_masks).
+    The denominator does not change.
     """
     ring = p.ring
     masks = ring.gamma_masks(r)
     if masks is None or not p.num:
         return p
     stay, wrap, odd, right, left = masks
+    top = -1 << ring.dshift
     if ring.mod2:
-        out = {((m & stay) >> right) | ((m & wrap) << left): 1 for m in p.num}
+        out = {(m & top) | ((m & stay) >> right) | ((m & wrap) << left): 1 for m in p.num}
     else:
         out = {
-            ((m & stay) >> right) | ((m & wrap) << left): -c if (m & odd).bit_count() & 1 else c
+            (m & top) | ((m & stay) >> right) | ((m & wrap) << left):
+                -c if (m & odd).bit_count() & 1 else c
             for m, c in p.num.items()
         }
     return GradedPolynomial(ring, out, _checked=True, _den=p.den)
@@ -732,7 +729,8 @@ def quotient_to_rnm(p: GradedPolynomial, m: int) -> GradedPolynomial:
 def _divides(ring, a: int, b: int) -> bool:
     # does monomial a divide b?  With every guard bit of b set, b - a takes
     # each field to 2^10 + b_i - a_i > 0 (exponents are below 2^10), so no
-    # field borrows from the next, and the guard stays set iff a_i <= b_i
+    # field borrows from the next, and the guard stays set iff a_i <= b_i;
+    # a negative difference of the degree fields stays above the guard bits
     return ((b | ring.guard) - a) & ring.guard == ring.guard
 
 
@@ -743,16 +741,16 @@ def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
     leading monomial divides the current one reduces it.  The live monomials
     of the remainder sit in a set beside a min-heap of packed monomials.
 
-    The packed int alone is the key, and that is exact because every reducer
-    is homogeneous: GroebnerBasis checks its generators, and the S-polynomials
+    The heap pops in increasing int order: degree ascending, and within one
+    degree descending grevlex.  That is exact because every reducer is
+    homogeneous: GroebnerBasis checks its generators, and the S-polynomials
     of homogeneous elements are homogeneous.  So reducing mu adds or cancels
-    only monomials of deg mu that are smaller than mu in grevlex, which
-    within one degree means larger packed ints.  The heap therefore pops the
-    monomials of each degree in descending grevlex order, and a popped
-    monomial never comes back.  Different degrees never interact, so an
-    input that is not homogeneous is reduced degree by degree, interleaved.
-    A cancelled monomial keeps its heap entry and is skipped when popped
-    (lazy deletion).
+    only monomials of deg mu that are smaller than mu in grevlex, which are
+    larger packed ints of the same degree field: each is popped after mu,
+    and a popped monomial never comes back.  Different degrees never
+    interact, so an input that is not homogeneous is reduced one degree after
+    another, lowest first.  A cancelled monomial keeps its heap entry and is
+    skipped when popped (lazy deletion).
     """
     ring = p.ring
     live = set(p.num)

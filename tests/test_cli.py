@@ -46,13 +46,17 @@ def test_log_command(capsys):
 
 # sha256 of the `log --n 2 --k 3` envelope
 _LOG_N2_K3_SHA256 = "61c6ad30e466de6e30f9ec7da1049bf26610022f21ce7fb2ac97cfdb4fc66f31"
+# sha256 of the 116,810-byte `log --n 3 --k 4` envelope: many monomials in
+# three variable blocks, written in the sorted_terms order
+_LOG_N3_K4_SHA256 = "b30683fa39408e00ea2b9c968a78573bf32f71685b1165180dcd2d3e2a59d0d8"
 
 
 def test_log_stdout_is_pinned(capsys):
     """The log envelope, byte for byte: its report is built by reports._report."""
-    code, out = _run(["log", "--n", "2", "--k", "3"], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _LOG_N2_K3_SHA256
+    for n, k, digest in (("2", "3", _LOG_N2_K3_SHA256), ("3", "4", _LOG_N3_K4_SHA256)):
+        code, out = _run(["log", "--n", n, "--k", k], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, k)
 
 
 def test_log_json_writes_the_envelope_and_one_summary_line(tmp_path, capsys):

@@ -338,11 +338,10 @@ def test_groebner_closure_on_real_v_images():
     for a in range(len(gb.basis)):
         for b in range(a + 1, len(gb.basis)):
             ma, mb = gb.basis[a].leading_monomial(), gb.basis[b].leading_monomial()
-            lcm = ring.encode(
-                tuple(max(x, y) for x, y in zip(ring.decode(ma), ring.decode(mb)))
-            )
-            if ring.mono_degree(lcm) > D:
+            exps = tuple(max(x, y) for x, y in zip(ring.decode(ma), ring.decode(mb)))
+            if sum(e * w for e, w in zip(exps, ring.degrees)) > D:
                 continue
+            lcm = ring.encode(exps)
             s = gb.basis[a] * GradedPolynomial(ring, {lcm - ma: 1}) + gb.basis[b] * (
                 GradedPolynomial(ring, {lcm - mb: 1})
             )

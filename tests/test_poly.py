@@ -66,16 +66,25 @@ def test_binomial_and_degrees():
     assert (t1 * R2.zero()).is_zero() and not (t1 * R2.zero()).terms
 
 
-def test_homogeneity_is_exact_and_records_the_degree():
+def _degree_by_decode(ring, mono):
+    """Oracle: the weighted degree from the variable fields, not the top field."""
+    return sum(e * w for e, w in zip(ring.decode(mono), ring.degrees))
+
+
+def _assert_top_field_is_the_degree(p):
+    ring = p.ring
+    for m in p.num:
+        assert m >> ring.dshift == _degree_by_decode(ring, m), (ring, ring.decode(m))
+
+
+def test_homogeneity_is_exact_and_the_top_field_is_the_degree():
     rng = random.Random(41)
     for ring in (R2, rn_ring(3, 3), bp_ring(4)):
-        def by_decode(m):
-            return sum(e * w for e, w in zip(ring.decode(m), ring.degrees))
-
         for _ in range(12):
             p = rand_poly(ring, rng, max_deg=12)
-            degs = {by_decode(m) for m in p.num}
-            assert all(ring.mono_degree(m) == by_decode(m) for m in p.num)
+            degs = {_degree_by_decode(ring, m) for m in p.num}
+            _assert_top_field_is_the_degree(p)
+            assert all(ring.mono_degree(m) == _degree_by_decode(ring, m) for m in p.num)
             assert p.is_homogeneous() == (len(degs) <= 1)
             assert p.degree == max(degs, default=None)
         # one monomial of another degree, last in the support, is still seen
@@ -83,8 +92,28 @@ def test_homogeneity_is_exact_and_records_the_degree():
         last = ring.monomials_of_degree(10)[-1]
         assert not GradedPolynomial(ring, {**body, last: 1}).is_homogeneous()
         p = GradedPolynomial(ring, body)
-        assert p.is_homogeneous() and p._degree == 8 and p.degree == 8
+        assert p.is_homogeneous() and p.degree == 8
+        for v in ring.variables:
+            _assert_top_field_is_the_degree(ring.var(v) ** 3)
     assert R2.zero().is_homogeneous() and R2.zero().degree is None
+    # every route that builds monomials without encode writes the top field
+    for n in (1, 2, 3):
+        for flags in ({"rational": True}, {"mod2": True}):
+            ring = rn_ring(n, 3, **flags)
+            p = rand_poly(ring, rng, max_deg=14, nterms=10)
+            for r in range(1 << n):
+                _assert_top_field_is_the_degree(gamma_act(p, r))
+            for m in (1, 2, 3):
+                _assert_top_field_is_the_degree(quotient_to_rnm(p, m))
+        _assert_top_field_is_the_degree(reduce_mod2(rand_poly(rn_ring(n, 3), rng, max_deg=14)))
+    gens, ring = _v_ideal()
+    gb = GroebnerBasis(ring, gens, 14)
+    for g in gb.basis:
+        _assert_top_field_is_the_degree(g)
+    nfs = [gb.normal_form(p) for p in _low_degree_inputs(ring, rng, 14)]
+    assert sum(not nf.is_zero() for nf in nfs) > len(nfs) // 2
+    for nf in nfs:
+        _assert_top_field_is_the_degree(nf)
 
 
 def test_ambient_mismatch_and_integrality():
@@ -415,11 +444,10 @@ def test_buchberger_closure_and_random_combinations():
     for a in range(len(gb.basis)):
         for b in range(a + 1, len(gb.basis)):
             ma, mb = gb.basis[a].leading_monomial(), gb.basis[b].leading_monomial()
-            lcm = ringF.encode(
-                tuple(max(x, y) for x, y in zip(ringF.decode(ma), ringF.decode(mb)))
-            )
-            if ringF.mono_degree(lcm) > D:
+            exps = tuple(max(x, y) for x, y in zip(ringF.decode(ma), ringF.decode(mb)))
+            if sum(e * w for e, w in zip(exps, ringF.degrees)) > D:
                 continue
+            lcm = ringF.encode(exps)
             s = gb.basis[a] * GradedPolynomial(ringF, {lcm - ma: 1}) + gb.basis[b] * (
                 GradedPolynomial(ringF, {lcm - mb: 1})
             )
@@ -457,8 +485,8 @@ def _nf_by_scan(p, basis):
     out = {}
     lms = [(g.leading_monomial(), g) for g in basis]
     while work:
-        deg = max(ring.mono_degree(m) for m in work)
-        mono = min(m for m in work if ring.mono_degree(m) == deg)
+        deg = max(_degree_by_decode(ring, m) for m in work)
+        mono = min(m for m in work if _degree_by_decode(ring, m) == deg)
         del work[mono]
         reducer = None
         for lm, g in lms:
@@ -838,7 +866,7 @@ def _random_plain(ring, rng, nterms=6, dens=_DENS):
 def _plain_json(ring, d):
     """poly_to_json of the Fraction map, from its definition."""
     terms = []
-    for mono in sorted(d, key=lambda m: (-ring.mono_degree(m), m)):
+    for mono in sorted(d, key=lambda m: (-_degree_by_decode(ring, m), m)):
         c = d[mono]
         coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
         monomial = {v.name: e for v, e in zip(ring.variables, ring.decode(mono)) if e}
