@@ -6,11 +6,15 @@ Three subcommands:
     verify  run a single named verification claim
     suite   run a profile (quick | full) of verify requests in order
 
-Both verify and suite run a claim through its one entry in _CLAIMS.
+Both verify and suite run a claim through its one entry in _CLAIMS, which
+returns the claim's reports; a false claim is a report with status "failed"
+and a witness, never an exception.
 
-Exit codes: 0 everything verified, 1 a verification failed (a machine-readable
-report with the witness is still emitted), 2 usage or configuration error,
-130 interrupted (partial suite report is flushed first).
+Exit codes: 0 everything verified, 1 a claim is false (the machine-readable
+report with its witness is still emitted; verify emits the first failed
+report alone), 2 usage or configuration error, or an internal cross-check
+that broke (a ForgeError), 130 interrupted (suite flushes the reports of the
+entries it finished first).
 
 Reports are wrapped in the canonical envelope of `reports` (schema
 "fgl-forge/1"); identical configurations produce byte-identical JSON.
@@ -36,7 +40,7 @@ from .equivariant_ring import (
     verify_tkvk,
     verify_v_collapse,
 )
-from .errors import ForgeError, VerificationFailure
+from .errors import ForgeError
 from .lubin_tate import (
     cotangent_check,
     d_factors,
@@ -165,39 +169,32 @@ def _lt_context(args):
     )
 
 
-def _one(run):
-    """The entry of a claim with one report: run(args), deferred."""
-    return lambda args: [functools.partial(run, args)]
-
-
 def _t_collapse(args):
     """--k names the generator index r; one report per level the lemma covers."""
     levels = [j for j in range(args.n) if args.k > (1 << j) * args.m]
     if not levels:
         raise ValueError(f"no level satisfies r > 2^k m for r={args.k}, m={args.m}")
-    return [
-        lambda j=j: verify_t_collapse(rn_context(args.n, args.k, m=args.m), j, args.k)
-        for j in levels
-    ]
+    ctx = rn_context(args.n, args.k, m=args.m)
+    return [verify_t_collapse(ctx, j, args.k) for j in levels]
 
 
-# Each claim maps parsed `verify` arguments to one thunk per report, in order;
-# thunks look their verifier up when called, so a patched module name reaches them.
+# Each claim maps parsed `verify` arguments to its reports, in order; the
+# entries look their verifier up when called, so a patched module name reaches them.
 _CLAIMS = {
-    "recursion": _one(lambda a: verify_tk_recursion(rn_context(a.n, a.k), a.k)),
-    "tkvk": _one(lambda a: verify_tkvk(rn_context(a.n, a.k), a.k)),
-    "invariance": _one(lambda a: verify_ideal_invariance(rn_context(a.n, a.k), a.k)),
+    "recursion": lambda a: [verify_tk_recursion(rn_context(a.n, a.k), a.k)],
+    "tkvk": lambda a: [verify_tkvk(rn_context(a.n, a.k), a.k)],
+    "invariance": lambda a: [verify_ideal_invariance(rn_context(a.n, a.k), a.k)],
     # the context reaches v_r and the ideal's v_1 .. v_h, h = 2^{n-1} m
-    "v-collapse": _one(lambda a: verify_v_collapse(
-        rn_context(a.n, max(a.k, (1 << (a.n - 1)) * a.m), m=a.m), a.k)),
+    "v-collapse": lambda a: [verify_v_collapse(
+        rn_context(a.n, max(a.k, (1 << (a.n - 1)) * a.m), m=a.m), a.k)],
     "t-collapse": _t_collapse,
-    "chain-inversion": _one(
-        lambda a: chain_inversion_check(rn_context(a.n, a.k), cutoff=a.cutoff)),
-    "cotangent": _one(lambda a: cotangent_check(_lt_context(a))),
-    "height": _one(lambda a: residue_height(_lt_context(a), cutoff=a.cutoff)),
-    "unit-factors": _one(lambda a: d_factors(_lt_context(a))),
-    "fixed-subring": _one(lambda a: fixed_subring_presentation(_lt_context(a))),
-    "eq351": _one(lambda a: verify_log_relations(rn_context(a.n, a.k))),
+    "chain-inversion": lambda a: [
+        chain_inversion_check(rn_context(a.n, a.k), cutoff=a.cutoff)],
+    "cotangent": lambda a: [cotangent_check(_lt_context(a))],
+    "height": lambda a: [residue_height(_lt_context(a), cutoff=a.cutoff)],
+    "unit-factors": lambda a: [d_factors(_lt_context(a))],
+    "fixed-subring": lambda a: [fixed_subring_presentation(_lt_context(a))],
+    "eq351": lambda a: [verify_log_relations(rn_context(a.n, a.k))],
 }
 CLAIMS = tuple(_CLAIMS)
 
@@ -230,28 +227,17 @@ PROFILES = {
 }
 
 
-def _suite_jobs(profile):
-    """The report thunks of a profile, in order; thunks are independent."""
-    jobs = []
-    for entry in PROFILES[profile]:
-        args = _parse(["verify", *entry.split()])
-        jobs.extend(_CLAIMS[args.claim](args))
-    return jobs
+def _run_suite(profile):
+    """Run the entries of a profile one after another, in profile order.
 
-
-def _run_suite(jobs):
-    """Run jobs one after another, in job order.
-
-    Returns (reports, interrupted); on Ctrl-C the reports finished so far.
-    A VerificationFailure inside a job is converted to its failed report;
-    any other exception propagates.
+    Returns (reports, interrupted); on Ctrl-C the reports of the entries
+    finished so far.  Any exception but KeyboardInterrupt propagates.
     """
     reports = []
-    for job in jobs:
+    for entry in PROFILES[profile]:
+        args = _parse(["verify", *entry.split()])
         try:
-            reports.append(job())
-        except VerificationFailure as exc:
-            reports.append(exc.report)
+            reports.extend(_CLAIMS[args.claim](args))
         except KeyboardInterrupt:
             return reports, True
     return reports, False
@@ -285,15 +271,14 @@ def _cmd_log(args):
 
 
 def _cmd_verify(args):
-    try:
-        reports = [job() for job in _CLAIMS[args.claim](args)]
-    except VerificationFailure as exc:
-        reports = [exc.report]  # the first failed report alone; status "failed", exit 1
-    return _emit(envelope(reports, config=_config(args)), args)
+    reports = _CLAIMS[args.claim](args)
+    failed = [r for r in reports if r["status"] != "verified"]
+    # the first failed report alone; status "failed", exit 1
+    return _emit(envelope(failed[:1] or reports, config=_config(args)), args)
 
 
 def _cmd_suite(args):
-    reports, interrupted = _run_suite(_suite_jobs(args.profile))
+    reports, interrupted = _run_suite(args.profile)
     body = envelope(reports, config=_config(args), interrupted=interrupted)
     code = _emit(body, args)
     return 130 if interrupted else code

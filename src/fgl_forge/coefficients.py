@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction as QQ
+from fractions import Fraction
 
 from .errors import ConsistencyFailure, InverseOfNonUnit, NonIntegralCoefficient
+
+QQ = Fraction  # the rationals of every module of the package
 
 
 def two_valuation(q) -> int:
@@ -57,10 +59,6 @@ def power(x, e: int, one):
 def qq_to_string(q) -> str:
     n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-def qq_from_string(s: str):
-    return QQ(s)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +138,7 @@ class FiniteFieldSpec:
 
     modulus is a bit tuple low-to-high of length d+1 with leading bit 1;
     irreducibility is checked at construction (Rabin test, fine for small d).
-    The constructor builds a fresh spec; finite_field and from_json return
-    the shared one.
+    The constructor builds a fresh spec; finite_field returns the shared one.
     """
 
     d: int
@@ -206,10 +203,6 @@ class FiniteFieldSpec:
 
     def to_json(self):
         return {"d": self.d, "modulus": list(self.modulus)}
-
-    @staticmethod
-    def from_json(obj):
-        return finite_field(obj["d"], obj["modulus"])
 
 
 class GFElement:
@@ -439,10 +432,6 @@ class WittElement:
 
     def to_json(self):
         return {"precision": self.precision, "coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json(spec, obj):
-        return WittElement(spec, obj["precision"], obj["coeffs"])
 
 
 def _reduced(spec, precision, coeffs):

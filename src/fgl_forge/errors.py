@@ -1,10 +1,10 @@
 """Exception taxonomy shared by every module in the package.
 
 Two families matter to callers: *usage* errors (you handed an operation
-something outside its contract) and *verification* errors (the computation ran
-fine but a claimed identity does not hold, or an internal cross-check broke).
-The command-line driver maps VerificationFailure to exit code 1 and everything
-else in this module to exit code 2.
+something outside its contract) and *consistency* errors (two internal routes
+to one value disagree, which signals a bug, never a false claim).  A false
+claim is no exception: its verifier returns a failed report.  The
+command line (`cli`) maps every error in this module to exit code 2.
 """
 
 
@@ -54,27 +54,11 @@ class NotQTorsion(ForgeError):
     """A field element required to lie in the q-torsion of k^x does not."""
 
 
-class RankDeficient(ForgeError):
-    """A matrix required to have full rank over the residue field does not."""
-
-
 class TruncationOverflow(ForgeError):
     """An operation needed precision beyond the configured truncation order."""
 
 
-# ---- verification / consistency errors --------------------------------------
-
-class VerificationFailure(ForgeError):
-    """A mathematical claim under test is false at the configured bounds.
-
-    Verifiers attach the failed report (the same JSON document they would have
-    returned on success, with status "failed" and a witness) as `.report`.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
+# ---- consistency errors ------------------------------------------------------
 
 class ConsistencyFailure(ForgeError):
     """Two internally computed routes to the same value disagree."""

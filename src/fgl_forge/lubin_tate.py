@@ -49,16 +49,14 @@ from .equivariant_ring import rn_context, t_level, v_in_rn
 from .errors import (
     AmbientMismatch,
     ConsistencyFailure,
-    HeightExceedsCutoff,
     InverseOfNonUnit,
     NonIntegralCoefficient,
     NonIntegralResult,
     NotQTorsion,
-    RankDeficient,
     TruncationOverflow,
 )
 from .poly_core import AtomicCache, T, f2_reduce, gamma_act, orbit_sum, rn_ring
-from .reports import _finish, _report
+from .reports import _report
 from .series_fgl import (
     conjugate_fgl,
     fgl_from_log,
@@ -996,12 +994,14 @@ def cotangent_check(ctx):
     The image of v_k is c_0 + sum c_idx tau_idx mod (tau)^2, with u graded
     away (OrbitTable.v_images).  It lies in the maximal ideal exactly when
     c_0 is even, and its class in m/m^2 is then the row (c_0/2, c_idx) mod 2.
-    Every generator is first checked to lie in the maximal ideal (so the
-    ideal it generates is contained in m); full rank h then certifies, by
-    Nakayama, that the two ideals are equal.  The rows are integral, so the
-    rank over k is their rank over F_2.  Raises RankDeficient (carrying
-    .matrix) on a rank drop.  m/m^2 vanishes when M = 1, so the claim needs
-    madic >= 2 (ValueError otherwise).
+    Every generator must lie in the maximal ideal (so the ideal it generates
+    is contained in m); full rank h then certifies, by Nakayama, that the two
+    ideals are equal.  The rows are integral, so the rank over k is their
+    rank over F_2.  The claim fails with witness "v{k}" at the first
+    generator v_k whose image is a unit (the rows stop before it), and else
+    with the label of the first row that is in the span of the rows above
+    it.  m/m^2 vanishes when M = 1, so the claim needs madic >= 2
+    (ValueError otherwise).
     """
     if ctx.madic < 2:
         raise ValueError(
@@ -1009,34 +1009,26 @@ def cotangent_check(ctx):
         )
     h = ctx.h
     labels = ["2"] + [ctx.tau_name(idx) for idx in range(len(ctx.taus))]
+    rows = ["2"]
     matrix = [[1] + [0] * (h - 1)]
+    witness = None
     for k, (c0, *lin) in enumerate(orbit_table(ctx.n, ctx.m).v_images(h - 1), start=1):
         if c0 & 1:
-            raise ConsistencyFailure(f"v{k} is not in the maximal ideal")
+            witness = f"v{k}"
+            break
+        rows.append(f"v{k}")
         matrix.append([(c0 >> 1) & 1] + [c & 1 for c in lin])
     pivots = {}
-    for row in matrix:
-        f2_reduce(sum(bit << col for col, bit in enumerate(row)), pivots)
-    rank = len(pivots)
-    if rank < h:
-        exc = RankDeficient(
-            f"cotangent rank {rank} < h = {h}; the ideals cannot be equal"
-        )
-        exc.matrix = matrix
-        raise exc
-    report = _report(
+    for label, row in zip(rows, matrix):
+        if not f2_reduce(sum(bit << col for col, bit in enumerate(row)), pivots):
+            witness = witness or label
+    return _report(
         "cotangent",
-        {
-            "rows": ["2"] + [f"v{k}" for k in range(1, h)],
-            "columns": labels,
-            "matrix": matrix,
-            "rank": rank,
-            "h": h,
-        },
-        True,
-        bounds=ctx.bounds(),
+        {"rows": rows, "columns": labels, "matrix": matrix, "rank": len(pivots), "h": h},
+        witness is None,
+        witness,
+        ctx.bounds(),
     )
-    return report
 
 
 def residue_fgl(ctx, cutoff):
@@ -1083,13 +1075,13 @@ def residue_height(ctx, cutoff=None):
     factors through E/(tau) = W(k)[u^{+-1}], where v_k maps to c_0 u^{2^k-1}
     with c_0 the constant part of OrbitTable.v_images; vbar_k is ubar^{2^k-1}
     when c_0 is odd and 0 otherwise.  So the height is the first k with
-    2^k <= cutoff and c_0 odd, and HeightExceedsCutoff is raised when there
-    is none.  The 2-series of the residue law (residue_fgl) and
-    two_series_from_log on OrbitTable.log_constants are its oracles in the
-    tests.  Whatever height k is found, the 2-series leads with 1 * ubar^{2^k-1},
-    so the claim holds exactly when k = h.  The report records that
-    coefficient as residue_json writes it, its unit and beta =
-    (2^h-1)/(2^m-1).
+    2^k <= cutoff and c_0 odd.  The 2-series of the residue law
+    (residue_fgl) and two_series_from_log on OrbitTable.log_constants are
+    its oracles in the tests.  Whatever height k is found, the 2-series
+    leads with 1 * ubar^{2^k-1}, so the claim holds exactly when k = h.  The
+    report records that coefficient as residue_json writes it, its unit and
+    beta = (2^h-1)/(2^m-1).  With no such k the claim fails with
+    computed_height null and the residue 0, [], as coefficient and witness.
     """
     h = ctx.h
     if cutoff is None:
@@ -1101,12 +1093,10 @@ def residue_height(ctx, cutoff=None):
         (k for k in range(1, cutoff.bit_length()) if table.v_images(k)[k - 1][0] & 1),
         None,
     )
-    if height is None:
-        raise HeightExceedsCutoff(f"[2](x) = 0 up to x^{cutoff}")
     beta = ((1 << h) - 1) // ((1 << ctx.m) - 1)
-    lead = residue_json({(1 << height) - 1: ctx._unit})
+    lead = residue_json({} if height is None else {(1 << height) - 1: ctx._unit})
     ok = height == h
-    report = _report(
+    return _report(
         "height",
         {
             "h": h,
@@ -1120,7 +1110,6 @@ def residue_height(ctx, cutoff=None):
         witness=None if ok else lead,
         bounds=ctx.bounds(),
     )
-    return _finish(report, f"residue height is not (h, ubar^(2^h-1)) at h={h}")
 
 
 def d_factors(ctx):
@@ -1153,7 +1142,7 @@ def d_factors(ctx):
                 "the orbit table and the orbit product disagree on a norm factor"
             )
         witness = [f.to_json() for f in factors if not f.is_unit()][:1]
-    report = _report(
+    return _report(
         "unit-factors",
         {
             "indices": indices,
@@ -1165,7 +1154,6 @@ def d_factors(ctx):
         witness=witness,
         bounds=ctx.bounds(),
     )
-    return _finish(report, "a norm factor failed to be a unit")
 
 
 def _multiplicative_generator(spec):
@@ -1258,7 +1246,7 @@ def fixed_subring_presentation(ctx):
         checked += 1
         fixed += int(predicted)
     ok = witness is None
-    report = _report(
+    return _report(
         "fixed-subring",
         {
             "alpha": alpha,
@@ -1271,7 +1259,6 @@ def fixed_subring_presentation(ctx):
         witness=witness,
         bounds={**ctx.bounds(), "tau_degree": _TAU_BOUND, "u_window": u_bound},
     )
-    return _finish(report, "fixed-subspace prediction failed on a monomial")
 
 
 def two_telescope(ctx):

@@ -43,7 +43,6 @@ from .coefficients import (
     QQ,
     AtomicCache,
     power,
-    qq_from_string,
     qq_to_string,
     rational_mod2,
 )
@@ -119,7 +118,6 @@ class PolyRing:
         self.variables = tuple(variables)
         self.nvars = len(self.variables)
         self.var_index = {v: idx for idx, v in enumerate(self.variables)}
-        self.var_by_name = {v.name: v for v in self.variables}
         self.degrees = tuple(v.degree for v in self.variables)
         self.shifts = tuple(_BITS * (self.nvars - 1 - idx) for idx in range(self.nvars))
         self.guard = sum(_EXP_LIMIT << s for s in self.shifts)  # every guard bit
@@ -354,17 +352,6 @@ def rnm_ring(n, m, k_max, rational=False, mod2=False) -> PolyRing:
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     return _make_ring("Rnm", n, m, k_max, rational, mod2)
-
-
-def ring_from_descriptor(d) -> PolyRing:
-    kind = d["kind"]
-    if kind == "BP":
-        return bp_ring(d["k_max"], d.get("rational", False), d.get("mod2", False))
-    if kind == "Rn":
-        return rn_ring(d["n"], d["k_max"], d.get("rational", False), d.get("mod2", False))
-    if kind == "Rnm":
-        return rnm_ring(d["n"], d["m"], d["k_max"], d.get("rational", False), d.get("mod2", False))
-    raise ValueError(f"unknown ring kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -962,18 +949,3 @@ def poly_to_json(p: GradedPolynomial):
         terms.append({"monomial": monomial, "coeff": coeff})
     return {"ring": p.ring.descriptor(), "terms": terms}
 
-
-def poly_from_json(obj) -> GradedPolynomial:
-    ring = ring_from_descriptor(obj["ring"])
-    terms = {}
-    for t in obj["terms"]:
-        exps = [0] * ring.nvars
-        for name, e in t["monomial"].items():
-            v = ring.var_by_name.get(name)
-            if v is None:
-                raise UnassignedVariable(f"unknown variable {name!r} for {ring}")
-            exps[ring.var_index[v]] = int(e)
-        mono = ring.encode(exps)
-        coeff = qq_from_string(t["coeff"])
-        terms[mono] = terms.get(mono, 0) + coeff
-    return GradedPolynomial(ring, terms)

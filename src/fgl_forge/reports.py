@@ -5,18 +5,18 @@ Every verifier in this package returns a plain dict
     {"claim": id, "params": {...}, "status": "verified" | "failed",
      "witness": ..., "bounds": {...}}
 
-and this module wraps lists of them in a self-describing, deterministic
-envelope: fixed schema tag, the global convention flags that pin the
-sign/normalization choices the underlying formulas depend on, and a stable
-serialization (sorted keys, fixed separators, no timestamps), so that
-identical configurations produce byte-identical JSON.
+whether its claim holds or not (a false claim is a failed report with a
+witness, never an exception), and this module wraps lists of them in a
+self-describing, deterministic envelope: fixed schema tag, the global
+convention flags that pin the sign/normalization choices the underlying
+formulas depend on, and a stable serialization (sorted keys, fixed
+separators, no timestamps), so that identical configurations produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-
-from .errors import VerificationFailure
 
 SCHEMA = "fgl-forge/1"
 
@@ -40,13 +40,6 @@ def _report(claim, params, ok, witness=None, bounds=None):
         "witness": witness,
         "bounds": bounds or {},
     }
-
-
-def _finish(report, message):
-    """The report, or VerificationFailure carrying it when it failed."""
-    if report["status"] != "verified":
-        raise VerificationFailure(message, report=report)
-    return report
 
 
 def envelope(reports, config=None, interrupted=False):

@@ -10,10 +10,9 @@ import pytest
 
 import fgl_forge
 from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core, series_fgl
-from fgl_forge.errors import VerificationFailure
-from fgl_forge.poly_core import AtomicCache
+from fgl_forge.poly_core import AtomicCache, reduce_mod2
 from fgl_forge.reports import CONVENTIONS, SCHEMA, canonical_json, envelope, render_line
-from fgl_forge.series_fgl import v_from_log
+from fgl_forge.series_fgl import TruncatedSeries1, v_from_log
 
 
 def _run(argv, capsys):
@@ -117,15 +116,138 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     report = {"claim": "tkvk", "params": {"n": 2, "k": 2}, "status": "failed",
               "witness": None, "bounds": {}}
 
-    def boom(ctx, k):
-        raise VerificationFailure("forced failure", report=report)
-
-    monkeypatch.setattr(cli, "verify_tkvk", boom)
+    monkeypatch.setattr(cli, "verify_tkvk", lambda ctx, k: report)
     code, out = _run(["verify", "tkvk", "--n", "2", "--k", "2"], capsys)
     assert code == 1
     body = _body(out)
     assert body["ok"] is False
-    assert body["reports"][0]["status"] == "failed"
+    assert body["reports"] == [report]
+
+
+def _fresh_context(monkeypatch, n, k_max, m=None):
+    """The context `verify` will use for (n, k_max, m), on an empty context
+    table, for a test to sabotage; monkeypatch restores the table."""
+    monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
+    return equivariant_ring.rn_context(n, k_max, m)
+
+
+def _sabotage_eq351(monkeypatch):
+    ctx = _fresh_context(monkeypatch, 2, 3)
+    ls = equivariant_ring.rn_log(ctx)
+    ls[1] = ls[1] + ctx.generator(2, rational=True)  # l_2 + t_2: not gamma-balanced
+    ctx._log = ls
+    return ["eq351", "--n", "2", "--k", "3"], {"k": 2, "relation": 1}
+
+
+def _sabotage_recursion(monkeypatch):
+    ctx = _fresh_context(monkeypatch, 2, 2)
+    table = equivariant_ring.t_level(ctx, 1)
+    ctx._t_level[1] = [table[0], table[1] + ctx.generator(2)]
+    return ["recursion", "--n", "2", "--k", "2"], {"exact": False}
+
+
+def _sabotage_tkvk(monkeypatch):
+    ctx = _fresh_context(monkeypatch, 2, 2)
+    ctx._v = (equivariant_ring.v_in_rn(ctx, 1)[0], ctx.ring.zero())
+    return ["tkvk", "--n", "2", "--k", "2"], {}
+
+
+def _sabotage_invariance_generator(monkeypatch):
+    ctx = _fresh_context(monkeypatch, 2, 2)
+    ctx._v = (ctx.generator(1), ctx.generator(2))  # t_1 - gamma t_1 is not in (2)
+    return ["invariance", "--n", "2", "--k", "2"], {"failure": "generator"}
+
+
+def _sabotage_invariance_spot(monkeypatch):
+    # every v_j passes; the spot elements are drawn from (t_1), not from (v_1)
+    ctx = _fresh_context(monkeypatch, 2, 2)
+    t1 = ctx.generator(1)
+    monkeypatch.setattr(equivariant_ring, "reduce_mod2", lambda v: reduce_mod2(t1))
+    return ["invariance", "--n", "2", "--k", "2"], {"failure": "spot"}
+
+
+def _sabotage_v_collapse(monkeypatch):
+    ctx = _fresh_context(monkeypatch, 2, 3, m=1)
+    # every element of degree |v_3| = 14 is in (2, v_1, v_2) at h = 2: a v_3 of
+    # degree 2 stands in
+    ctx._v = (*equivariant_ring.v_in_rn(ctx, 2), ctx.generator(1))
+    return ["v-collapse", "--n", "2", "--m", "1", "--k", "3"], {}
+
+
+def _sabotage_t_collapse(monkeypatch):
+    # level 2 (the first report) holds; level 1 fails at its first conjugate
+    ctx = _fresh_context(monkeypatch, 2, 3, m=1)
+    table = equivariant_ring.t_level(ctx, 1)
+    ctx._t_level[1] = [*table[:2], ctx.generator(1)]  # t_1 is not in I_3
+    return ["t-collapse", "--n", "2", "--m", "1", "--k", "3"], {"level": 1, "conjugate": 0}
+
+
+def _sabotage_chain_inversion(monkeypatch):
+    ctx = _fresh_context(monkeypatch, 2, 2)
+    X = 7  # the order-(2^{k+1} - 1) window
+    psi = equivariant_ring._chain_series(ctx, ctx.half, X)
+    bad = psi + TruncatedSeries1.monomial(psi.ring, ctx.generator(1, rational=True), 3, X)
+    monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
+    return ["chain-inversion", "--n", "2", "--k", "2"], {"cutoff": X}
+
+
+@pytest.mark.parametrize("sabotage", [
+    _sabotage_eq351, _sabotage_recursion, _sabotage_tkvk, _sabotage_invariance_generator,
+    _sabotage_invariance_spot, _sabotage_v_collapse, _sabotage_t_collapse,
+    _sabotage_chain_inversion,
+])
+def test_a_falsified_claim_exits_one_with_its_failed_report_alone(sabotage, capsys, monkeypatch):
+    argv, params = sabotage(monkeypatch)
+    code, out = _run(["verify", *argv], capsys)
+    assert code == 1
+    body = _body(out)
+    assert body["ok"] is False and len(body["reports"]) == 1
+    report = body["reports"][0]
+    assert report["claim"] == argv[0]
+    assert report["status"] == "failed" and report["witness"] is not None
+    assert params.items() <= report["params"].items()
+
+
+def test_suite_goes_on_after_a_failed_entry(capsys, monkeypatch):
+    code, out = _run(["suite", "quick"], capsys)
+    assert code == 0
+    verified = _body(out)["reports"]
+    failed = {"claim": "tkvk", "params": {"n": 2}, "status": "failed",
+              "witness": "forced", "bounds": {}}
+    monkeypatch.setattr(cli, "verify_tkvk", lambda ctx, k: failed)
+    code, out = _run(["suite", "quick"], capsys)
+    assert code == 1
+    body = _body(out)
+    assert body["ok"] is False and "interrupted" not in body
+    expected = [failed if r["claim"] == "tkvk" else r for r in verified]
+    assert body["reports"] == expected
+    assert sum(r["status"] == "failed" for r in expected) == 2  # both tkvk entries
+
+
+# ---- --modulus --------------------------------------------------------------------
+
+def test_modulus_flag_names_the_field(capsys):
+    # x^3 + x^2 + 1, the other irreducible cubic: alpha = 7 and the same counts
+    argv = ["verify", "fixed-subring", "--n", "2", "--m", "3", "--d", "3"]
+    code, out = _run(argv + ["--modulus", "1,0,1,1"], capsys)
+    assert code == 0
+    body = _body(out)
+    assert body["config"]["modulus"] == [1, 0, 1, 1]
+    p = body["reports"][0]["params"]
+    assert (p["alpha"], p["monomials_checked"], p["monomials_fixed"]) == (7, 609, 87)
+    code, out = _run(argv, capsys)
+    assert code == 0 and _body(out)["reports"][0]["params"] == p
+
+
+def test_modulus_flag_rejects_bad_bits_and_reducible_moduli(capsys):
+    argv = ["verify", "fixed-subring", "--n", "2", "--m", "3", "--d", "3", "--modulus"]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["1,2,1"])  # not 0/1 bits: an argparse usage error
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv + ["1,0,0,1"]) == 2  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    captured = capsys.readouterr()
+    assert captured.out == "" and "reducible" in captured.err
 
 
 def test_verify_config_error_exits_two(capsys):
@@ -254,8 +376,8 @@ def test_suite_quick(tmp_path, capsys):
     out_path = tmp_path / "quick.json"
     code, out = _run(["suite", "quick", "--json", str(out_path)], capsys)
     assert code == 0
-    assert out.count("[ok ]") == len(cli._suite_jobs("quick"))
     body = json.loads(out_path.read_text())
+    assert out.count("[ok ]") == len(body["reports"]) == 15
     assert body["ok"] is True
     claims = {r["claim"] for r in body["reports"]}
     assert claims == {
@@ -412,7 +534,8 @@ def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):
     body = _body(out)
     assert body["interrupted"] is True and body["ok"] is False
     assert all(r["status"] == "verified" for r in body["reports"])
-    assert len(body["reports"]) < len(cli._suite_jobs("quick"))
+    # Ctrl-C stops between entries: the reports of the entries before tkvk
+    assert [r["claim"] for r in body["reports"]] == ["eq351", "eq351", "recursion", "recursion"]
 
 
 def test_full_profile_covers_acceptance_grid():
@@ -438,7 +561,7 @@ def test_suite_reports_are_the_verify_reports_of_its_entries(profile, capsys):
     code, out = _run(["suite", profile], capsys)
     assert code == 0
     assert _body(out)["reports"] == expected
-    assert len(expected) == len(cli._suite_jobs(profile))
+    assert len(expected) == {"quick": 15, "full": 38}[profile]
 
 
 def test_suite_and_log_take_only_the_flags_they_read(capsys):

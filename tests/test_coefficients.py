@@ -74,7 +74,7 @@ def test_gf_field_axioms_exhaustive():
 def test_gf_json_roundtrip():
     obj = F8.to_json()
     assert obj == {"d": 3, "modulus": [1, 1, 0, 1]}
-    assert FiniteFieldSpec.from_json(obj) == F8
+    assert finite_field(obj["d"], obj["modulus"]) is F8
 
 
 # ---- Witt vectors ------------------------------------------------------------
@@ -190,7 +190,6 @@ def test_frobenius_table_matches_substitution(d, N):
 def test_witt_json_roundtrip():
     w = WittElement(F8, 8, [62, 221, 48])
     assert w.to_json() == {"precision": 8, "coeffs": [62, 221, 48]}
-    assert WittElement.from_json(F8, w.to_json()) == w
 
 
 # ---- every arithmetic result is in canonical form ------------------------------

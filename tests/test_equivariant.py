@@ -4,7 +4,7 @@ import pytest
 
 from fgl_forge import equivariant_ring
 from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
-from fgl_forge.errors import ConsistencyFailure, VerificationFailure
+from fgl_forge.errors import ConsistencyFailure
 from fgl_forge.reports import canonical_json
 from fgl_forge.equivariant_ring import (
     RnContext,
@@ -238,9 +238,7 @@ def test_tkvk_and_invariance():
 def test_verification_failure_carries_report():
     ctx = RnContext(1, 1)
     ctx._v = (ctx.ring.zero(),)  # sabotage the cache: t_1 - 0 is not in I_1 = (2)
-    with pytest.raises(VerificationFailure) as exc:
-        verify_tkvk(ctx, 1)
-    report = exc.value.report
+    report = verify_tkvk(ctx, 1)
     assert report["claim"] == "tkvk"
     assert report["status"] == "failed"
     assert report["witness"] is not None
@@ -515,9 +513,7 @@ def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, 
         for bad in (psi + bump, psi - bump.scale(QQ(1, 3))):
             assert not _law_certificate(F, bad)
             monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
-            with pytest.raises(VerificationFailure) as exc:
-                chain_inversion_check(ctx, cutoff=cutoff)
-            report = exc.value.report
+            report = chain_inversion_check(ctx, cutoff=cutoff)
             assert report["status"] == "failed"
             want = _chain_report_by_inverse(ctx, X, bad)
             assert canonical_json(report) == canonical_json(want)

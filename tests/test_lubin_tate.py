@@ -19,14 +19,11 @@ from fgl_forge.equivariant_ring import rn_context, rn_log, t_level, v_in_rn
 from fgl_forge.errors import (
     AmbientMismatch,
     ConsistencyFailure,
-    HeightExceedsCutoff,
     InverseOfNonUnit,
     NonIntegralCoefficient,
     NonIntegralResult,
     NotQTorsion,
-    RankDeficient,
     TruncationOverflow,
-    VerificationFailure,
 )
 from fgl_forge.lubin_tate import (
     LTContext,
@@ -48,7 +45,7 @@ from fgl_forge.lubin_tate import (
     v_in_lt,
 )
 from fgl_forge.poly_core import AtomicCache, bp_ring, gamma_act, reduce_mod2
-from fgl_forge.reports import _finish, _report, canonical_json
+from fgl_forge.reports import _report, canonical_json
 from fgl_forge.series_fgl import (
     TruncatedSeries1,
     fgl_from_log,
@@ -153,7 +150,7 @@ def test_contexts_over_one_field_share_one_spec():
 
     spec = finite_field(3)
     assert coefficients.finite_field(3, [1, 1, 0, 1]) is spec
-    assert FiniteFieldSpec.from_json(spec.to_json()) is spec
+    assert spec.to_json() == {"d": 3, "modulus": [1, 1, 0, 1]}
     contexts = [LTContext(2, 1, d=3), LTContext(2, 2, d=3, modulus=(1, 1, 0, 3)),
                 lubin_tate.lt_context(2, 1, d=3), lubin_tate.lt_context(2, 1, d=3, precision=9)]
     assert all(ctx.spec is spec for ctx in contexts)
@@ -809,19 +806,40 @@ def test_cotangent_degenerate_group():
     assert report["params"]["matrix"] == [[1, 0], [0, 1]]
 
 
-def test_cotangent_rank_drop_is_reported(monkeypatch):
+def _cli_failed_report(argv, capsys):
+    """Run argv through cli.main: it must exit 1 with one failed report."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    body = json.loads(captured.out)
+    assert body["ok"] is False and len(body["reports"]) == 1
+    report = body["reports"][0]
+    assert report["status"] == "failed" and report["witness"] is not None
+    return report
+
+
+def test_cotangent_rank_drop_is_reported(monkeypatch, capsys):
     monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
     orbit_table(2, 1)._v = ((2, 0),)  # simulate a collapsed image of v_1
-    with pytest.raises(RankDeficient) as err:
-        cotangent_check(LTContext(2, 1))
-    assert err.value.matrix == [[1, 0], [1, 0]]
+    report = cotangent_check(LTContext(2, 1))
+    assert report["status"] == "failed"
+    assert report["params"]["matrix"] == [[1, 0], [1, 0]]
+    assert report["params"]["rank"] == 1
+    assert report["witness"] == "v1"  # the first row in the span of the rows above
+    argv = ["verify", "cotangent", "--n", "2", "--m", "1"]
+    assert _cli_failed_report(argv, capsys) == report
 
 
-def test_cotangent_refuses_a_unit_generator(monkeypatch):
+def test_cotangent_refuses_a_unit_generator(monkeypatch, capsys):
     monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
     orbit_table(2, 1)._v = ((3, 0),)  # an odd constant: a unit, not in m
-    with pytest.raises(ConsistencyFailure, match="v1 is not in the maximal ideal"):
-        cotangent_check(LTContext(2, 1))
+    report = cotangent_check(LTContext(2, 1))
+    assert report["status"] == "failed"
+    assert report["witness"] == "v1"
+    # the rows stop before the unit generator
+    assert report["params"]["rows"] == ["2"] and report["params"]["matrix"] == [[1, 0]]
+    argv = ["verify", "cotangent", "--n", "2", "--m", "1"]
+    assert _cli_failed_report(argv, capsys) == report
 
 
 # ---- the residue formal group law and its height --------------------------------
@@ -950,12 +968,15 @@ def test_residue_height_with_no_odd_v_image_exceeds_the_cutoff(monkeypatch, caps
         return tuple((2,) + (0,) * (self.h - 1) for _ in range(k))
 
     monkeypatch.setattr(lubin_tate.OrbitTable, "v_images", even)
-    with pytest.raises(HeightExceedsCutoff):
-        residue_height(LTContext(2, 1))
-    assert cli.main(["verify", "height", "--n", "2", "--m", "1", "--cutoff", "32"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: [2](x) = 0 up to x^32\n"
+    report = residue_height(LTContext(2, 1))
+    assert report["status"] == "failed"
+    assert report["params"]["computed_height"] is None
+    assert report["params"]["coefficient"] == report["witness"] == []  # the residue 0
+    argv = ["verify", "height", "--n", "2", "--m", "1", "--cutoff", "32"]
+    report = _cli_failed_report(argv, capsys)
+    assert report["params"]["computed_height"] is None
+    assert report["params"]["cutoff"] == 32
+    assert report["witness"] == []
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
@@ -1159,8 +1180,8 @@ def _falsify_first_factor(monkeypatch, ctx):
     table._levels[s] = table.level(s, 1) + (2,)
 
 
-def test_falsified_unit_factor_reports_the_orbit_product_witness(monkeypatch):
-    ctx = LTContext(2, 1)
+def test_falsified_unit_factor_reports_the_orbit_product_witness(monkeypatch, capsys):
+    ctx = lubin_tate.lt_context(2, 1)
     _falsify_first_factor(monkeypatch, ctx)
     # the specialization route agrees once its level generator is 2 u^3
     fake = [ctx.from_int(1), ctx.from_int(2) * ctx.u_pow(3)]
@@ -1168,13 +1189,13 @@ def test_falsified_unit_factor_reports_the_orbit_product_witness(monkeypatch):
                         lambda c, r: fake if r == 1 else t_level_in_lt(c, r))
     factor = lubin_tate._orbit_product_factors(ctx)[0]
     assert not factor.is_unit()
-    with pytest.raises(VerificationFailure) as err:
-        d_factors(ctx)
-    report = err.value.report
+    report = d_factors(ctx)
     assert report["status"] == "failed"
     assert report["params"]["verdicts"] == [False, True]
     assert report["params"]["product_is_unit"] is False
     assert report["witness"] == [factor.to_json()]
+    argv = ["verify", "unit-factors", "--n", "2", "--m", "1"]
+    assert _cli_failed_report(argv, capsys) == report
 
 
 def test_unit_factor_routes_that_disagree_raise(monkeypatch):
@@ -1265,7 +1286,7 @@ def _fixed_subring_by_monomials(ctx):
         if witness is not None:
             break
     ok = witness is None
-    report = _report(
+    return _report(
         "fixed-subring",
         {
             "alpha": alpha,
@@ -1278,15 +1299,6 @@ def _fixed_subring_by_monomials(ctx):
         witness=witness,
         bounds={**ctx.bounds(), "tau_degree": lubin_tate._TAU_BOUND, "u_window": u_bound},
     )
-    return _finish(report, "fixed-subspace prediction failed on a monomial")
-
-
-def _fixed_subring_report(claim, ctx):
-    """The report of claim(ctx), verified or failed."""
-    try:
-        return claim(ctx)
-    except VerificationFailure as exc:
-        return exc.report
 
 
 _FIXED_SUBRING_CONFIGS = (
@@ -1316,8 +1328,8 @@ def _cube_root_case():
 
 
 def _assert_both_routes_fail_alike(ctx):
-    new = _fixed_subring_report(fixed_subring_presentation, ctx)
-    old = _fixed_subring_report(_fixed_subring_by_monomials, ctx)
+    new = fixed_subring_presentation(ctx)
+    old = _fixed_subring_by_monomials(ctx)
     assert new["status"] == old["status"] == "failed"
     assert canonical_json(new["witness"]) == canonical_json(old["witness"])
     assert canonical_json(new) == canonical_json(old)  # and the same counts
