@@ -222,10 +222,14 @@ class PolyRing:
 
         One dict of int numerators accumulates every product, over a common
         denominator: a pair whose denominator product d divides it is added
-        with its shorter factor scaled by the quotient, and one that does not
-        first moves the sum to the lcm.  The sum is reduced once, at the end;
-        a product of two polynomials is the dot of one pair.  An exponent
-        above the packing bound in the result raises DegreeBoundExceeded.
+        with one factor scaled by the quotient, and one that does not first
+        moves the sum to the lcm.  A pair whose two factors are one object is
+        a square, which visits each unordered pair of terms once: s c_i^2 at
+        2 m_i and 2 s c_i c_j at m_i + m_j, with s the scale to the common
+        denominator (over F_2 the cross terms cancel, and only the m_i + m_i
+        remain).  The sum is reduced once, at the end; a product of two
+        polynomials is the dot of one pair.  An exponent above the packing
+        bound in the result raises DegreeBoundExceeded.
         """
         acc = {}
         if self.mod2:
@@ -233,24 +237,21 @@ class PolyRing:
                 if a.ring is not self or b.ring is not self:
                     raise AmbientMismatch(f"{a.ring} vs {b.ring}")
                 for m1 in a.num:
-                    for m2 in b.num:
+                    for m2 in (m1,) if a is b else b.num:
                         m = m1 + m2
                         if m in acc:
                             del acc[m]
                         else:
                             acc[m] = 1
-            if acc and reduce(or_, acc) & self.guard:
-                raise _past_the_bound(self)
+            self._check_bound(acc)
             return GradedPolynomial(self, acc, _checked=True)
         get = acc.get
         den = 1
         for a, b in pairs:
             if a.ring is not self or b.ring is not self:
                 raise AmbientMismatch(f"{a.ring} vs {b.ring}")
-            short, long = a.num, b.num
-            if len(short) > len(long):
-                short, long = long, short
             d = a.den * b.den
+            s = 1
             if d != den:
                 g = gcd(den, d)
                 if g != d:  # d does not divide den: move the sum to the lcm
@@ -258,19 +259,44 @@ class PolyRing:
                     for m in acc:
                         acc[m] *= f
                     den *= f
-                if d != den:
-                    s = den // d
-                    short = {m: c * s for m, c in short.items()}
+                s = den // d
+            if a is b:
+                terms = list(a.num.items())
+                for i, (m1, c1) in enumerate(terms):
+                    c = c1 * s
+                    m = m1 + m1
+                    v = get(m)
+                    acc[m] = c * c1 if v is None else v + c * c1
+                    c += c
+                    for m2, c2 in terms[i + 1:]:
+                        m = m1 + m2
+                        v = get(m)
+                        acc[m] = c * c2 if v is None else v + c * c2
+                continue
+            short, long = a.num, b.num
+            if len(short) > len(long):
+                short, long = long, short
+            if s != 1:
+                short = {m: c * s for m, c in short.items()}
             long = long.items()
             for m1, c1 in short.items():
                 for m2, c2 in long:
                     m = m1 + m2
-                    s = get(m)
-                    acc[m] = c1 * c2 if s is None else s + c1 * c2
-        # one OR over the monomials of the result, not a test per product
-        if acc and reduce(or_, acc) & self.guard:
-            raise _past_the_bound(self)
+                    v = get(m)
+                    acc[m] = c1 * c2 if v is None else v + c1 * c2
+        self._check_bound(acc)
         return _reduced(self, {m: c for m, c in acc.items() if c}, den)
+
+    def _check_bound(self, acc):
+        """Raise DegreeBoundExceeded if a monomial of acc has a set guard bit.
+
+        Every variable has degree >= 2, so a monomial of degree below
+        2 _EXP_LIMIT has every exponent below _EXP_LIMIT: when the greatest
+        monomial (the greatest degree, in the top field) is below that, no
+        guard bit can be set, and only otherwise are the guard bits read.
+        """
+        if acc and max(acc) >> self.dshift >= 2 * _EXP_LIMIT and reduce(or_, acc) & self.guard:
+            raise _past_the_bound(self)
 
     # -- element constructors --
 
@@ -488,9 +514,19 @@ class GradedPolynomial:
     __radd__ = __add__
 
     def _combine(self, other, sign):
-        """self + sign * other, on numerators scaled to the lcm of the denominators."""
+        """self + sign * other, on numerators scaled to the lcm of the denominators.
+
+        self + self, as a square's cross terms need, halves an even
+        denominator or else doubles the numerators, and either is reduced.
+        """
         self._check(other)
         ring = self.ring
+        if other is self and sign == 1 and not ring.mod2:
+            if self.den & 1:
+                return GradedPolynomial(
+                    ring, {m: c + c for m, c in self.num.items()}, _checked=True, _den=self.den
+                )
+            return GradedPolynomial(ring, self.num, _checked=True, _den=self.den >> 1)
         if ring.mod2:
             terms = dict(self.num)
             for m in other.num:

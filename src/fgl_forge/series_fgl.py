@@ -158,20 +158,39 @@ class TruncatedSeries1(_TruncatedSeries):
         """Series product, truncated.
 
         The pairs are grouped by output order, so each coefficient is one sum
-        of products: one call of the fused kernel over a polynomial ring.
+        of products: one call of the fused kernel over a polynomial ring.  A
+        square visits each unordered pair of orders once: (c_a, c_a) at 2a,
+        which the kernel squares, and (2 c_a, c_b) at a + b for a < b, none
+        when 2 c_a is 0 (over F_2).
         """
         self._check(other)
         X = self.cutoff
         orders = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= X:
-                    pairs = orders.get(e)
-                    if pairs is None:
-                        orders[e] = [(c1, c2)]
-                    else:
-                        pairs.append((c1, c2))
+        if other is self:
+            terms = sorted(self.coeffs.items())
+            for i, (a, ca) in enumerate(terms):
+                if 2 * a > X:
+                    break
+                orders.setdefault(2 * a, []).append((ca, ca))
+                if 2 * a == X:
+                    break
+                twice = ca + ca
+                if twice.is_zero():
+                    continue
+                for b, cb in terms[i + 1:]:
+                    if a + b > X:
+                        break
+                    orders.setdefault(a + b, []).append((twice, cb))
+        else:
+            for e1, c1 in self.coeffs.items():
+                for e2, c2 in other.coeffs.items():
+                    e = e1 + e2
+                    if e <= X:
+                        pairs = orders.get(e)
+                        if pairs is None:
+                            orders[e] = [(c1, c2)]
+                        else:
+                            pairs.append((c1, c2))
         dot = _sum_of_products(self.ring)
         return TruncatedSeries1(self.ring, {e: dot(pairs) for e, pairs in orders.items()}, X)
 
@@ -225,8 +244,10 @@ def solve_series(log: TruncatedSeries1, rhs: TruncatedSeries1) -> TruncatedSerie
     doubles and then by multiplying by g, and each is a table
     [x^m] g^p filled by column: column e of every power needs only columns
     below e, so it is final before g_e is solved.  A 2-typical log needs only
-    squarings.  It divides by nothing, so it is valid over any coefficient
-    ring.  The result is not certified here; series_exp certifies its own.
+    squarings, and a squared row pairs each unordered pair of orders once,
+    as a series square does.  It divides by nothing, so it is valid over any
+    coefficient ring.  The result is not certified here; series_exp
+    certifies its own.
     """
     log._check(rhs)
     ring, X = log.ring, log.cutoff
@@ -246,13 +267,25 @@ def solve_series(log: TruncatedSeries1, rhs: TruncatedSeries1) -> TruncatedSerie
             exps.append(2 * exps[-1] if square else exps[-1] + 1)
             rows.append([None] * (X + 1))
         uses.append((-log.coeffs[j], len(rows) - 1))
+    # twice[s][m] = 2 [x^m] g^{exps[s]} (None for 0) for each squared row s,
+    # so a square pairs each unordered pair of orders once
+    twice = {s: [None] * (X + 1) for _, s, square in chain if square}
     dot = _sum_of_products(ring)
     for e in range(1, X + 1):
+        for s, dbl in twice.items():  # column e - 1 is final; a square reads a < X / 2
+            v = rows[s][e - 1]
+            if v is not None and 2 * (e - 1) < X:
+                v = v + v
+                if not v.is_zero():
+                    dbl[e - 1] = v
         for i, s, square in chain:
             src, q = rows[s], exps[s]  # src[m] is 0 below m = q
             if square:
-                pairs = [(src[a], src[e - a]) for a in range(q, e - q + 1)
-                         if src[a] is not None and src[e - a] is not None]
+                dbl = twice[s]
+                pairs = [(dbl[a], src[e - a]) for a in range(q, (e + 1) // 2)
+                         if dbl[a] is not None and src[e - a] is not None]
+                if not e & 1 and src[e // 2] is not None:
+                    pairs.append((src[e // 2], src[e // 2]))
             else:
                 pairs = [(g[t], src[e - t]) for t in range(1, e - q + 1)
                          if g[t] is not None and src[e - t] is not None]
@@ -422,24 +455,35 @@ def log_from_v(k_max: int):
 
 
 def v_from_log(l_list):
-    """Invert log_from_v: v_k = (2 - 2^{2^k}) l_k - sum_{j=1}^{k-1} l_{k-j} v_j^{2^{k-j}}.
+    """Invert log_from_v: v_k = (2 - 2^{2^k}) l_k - sum_{j=1}^{k-1} l_j v_{k-j}^{2^j}.
 
     The outputs are certified integral: they are converted to the 2-local
     ring, and a NonIntegralResult is raised if any coefficient has even
     denominator.
     """
-    if not l_list:
-        return []
-    vs = []
-    squares = []  # at level k, squares[j - 1] = v_j^{2^{k-j}}
-    for k in range(1, len(l_list) + 1):
-        squares = [p * p for p in squares]
-        vk = l_list[k - 1].scalar_mul(2 - 2 ** (1 << k))
-        for j in range(1, k):
-            vk = vk - l_list[k - j - 1] * squares[j - 1]
-        vs.append(vk)
-        squares.append(vk)
+    bases = [lk.scalar_mul(2 - 2 ** (1 << k)) for k, lk in enumerate(l_list, start=1)]
+    vs = squares_recursion(bases, l_list)
     return [_integral(vk, f"v_{k}") for k, vk in enumerate(vs, start=1)]
+
+
+def squares_recursion(bases, cs):
+    """The x_k = bases[k-1] - sum_{j=1}^{k-1} cs[j-1] x_{k-j}^{2^j}, k >= 1.
+
+    The triangular recursion of v_from_log and of equivariant_ring.t_level.
+    Level k squares each x_i^{2^{k-1-i}} of level k - 1 once (the kernel's
+    square), so every power is one squaring, and its sum is one sum of
+    products.
+    """
+    xs = []
+    squares = []  # at level k, squares[i - 1] = x_i^{2^{k-i}}
+    for k, base in enumerate(bases, start=1):
+        squares = [p * p for p in squares]
+        pairs = [(cs[j - 1], squares[k - j - 1]) for j in range(1, k)
+                 if not squares[k - j - 1].is_zero()]
+        xk = base - _sum_of_products(base.ring)(pairs) if pairs else base
+        xs.append(xk)
+        squares.append(xk)
+    return xs
 
 
 def log_series(l_list, ring, cutoff) -> TruncatedSeries1:

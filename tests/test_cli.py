@@ -158,14 +158,6 @@ def _sabotage_invariance_generator(monkeypatch):
     return ["invariance", "--n", "2", "--k", "2"], {"failure": "generator"}
 
 
-def _sabotage_invariance_spot(monkeypatch):
-    # every v_j passes; the spot elements are drawn from (t_1), not from (v_1)
-    ctx = _fresh_context(monkeypatch, 2, 2)
-    t1 = ctx.generator(1)
-    monkeypatch.setattr(equivariant_ring, "reduce_mod2", lambda v: reduce_mod2(t1))
-    return ["invariance", "--n", "2", "--k", "2"], {"failure": "spot"}
-
-
 def _sabotage_v_collapse(monkeypatch):
     ctx = _fresh_context(monkeypatch, 2, 3, m=1)
     # every element of degree |v_3| = 14 is in (2, v_1, v_2) at h = 2: a v_3 of
@@ -193,8 +185,7 @@ def _sabotage_chain_inversion(monkeypatch):
 
 @pytest.mark.parametrize("sabotage", [
     _sabotage_eq351, _sabotage_recursion, _sabotage_tkvk, _sabotage_invariance_generator,
-    _sabotage_invariance_spot, _sabotage_v_collapse, _sabotage_t_collapse,
-    _sabotage_chain_inversion,
+    _sabotage_v_collapse, _sabotage_t_collapse, _sabotage_chain_inversion,
 ])
 def test_a_falsified_claim_exits_one_with_its_failed_report_alone(sabotage, capsys, monkeypatch):
     argv, params = sabotage(monkeypatch)
@@ -206,6 +197,17 @@ def test_a_falsified_claim_exits_one_with_its_failed_report_alone(sabotage, caps
     assert report["claim"] == argv[0]
     assert report["status"] == "failed" and report["witness"] is not None
     assert params.items() <= report["params"].items()
+
+
+def test_a_broken_invariance_spot_check_is_an_internal_error(capsys, monkeypatch):
+    # every v_j passes, so gamma(I_k) is in I_k; spot elements drawn from (t_1),
+    # not from (v_1), stand in for a broken sampler: exit 2, nothing on stdout
+    ctx = _fresh_context(monkeypatch, 2, 2)
+    t1 = ctx.generator(1)
+    monkeypatch.setattr(equivariant_ring, "reduce_mod2", lambda v: reduce_mod2(t1))
+    code, out, err = _serve(["verify", "invariance", "--n", "2", "--k", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: gamma moves an element of I_2 ")
 
 
 def test_suite_goes_on_after_a_failed_entry(capsys, monkeypatch):

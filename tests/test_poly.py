@@ -794,6 +794,69 @@ def test_dot_is_the_sum_of_its_products(form):
         ring.dot([(p, rn_ring(2, 2, **flags).one())])
 
 
+def _twin(p):
+    """An equal polynomial that is another object: a pair (p, twin) runs the
+    kernel's generic pair loop, the oracle of its square route."""
+    twin = GradedPolynomial(p.ring, dict(p.terms))
+    assert twin == p and twin is not p
+    return twin
+
+
+@pytest.mark.parametrize("form", ["Z2", "Q", "F2"])
+def test_a_square_matches_the_pair_loop(form):
+    flags = {"Z2": {}, "Q": {"rational": True}, "F2": {"mod2": True}}[form]
+    ring = rn_ring(2, 3, **flags)
+    rng = random.Random(71)
+    dens = (1, 2, 3, 4, 9) if form == "Q" else (1, 3, 5)
+
+    def rand(nterms, den=None):
+        terms = {}
+        for _ in range(nterms):
+            mono = rng.choice(ring.monomials_of_degree(rng.choice((2, 4, 6))))
+            terms[mono] = QQ(rng.randint(-6, 6), den or rng.choice(dens))
+        return GradedPolynomial(ring, terms)
+
+    for _ in range(25):
+        p = rand(rng.randint(0, 9))
+        assert ring.dot([(p, p)]) == ring.dot([(p, _twin(p))])
+        assert p * p == _twin(p) * p
+        assert p + p == p + _twin(p)  # the doubling a square's cross terms use
+        assert (p + p).den == (p + _twin(p)).den
+        assert ring.dot([(p, p), (p, -p)]).is_zero()  # the square cancels against a pair
+        pairs = [(rand(3), rand(3)) for _ in range(2)] + [(q, q) for q in (rand(4), rand(5))]
+        rng.shuffle(pairs)
+        assert ring.dot(pairs) == ring.dot([(a, _twin(b)) if a is b else (a, b) for a, b in pairs])
+    # denominator products 3, d^2, 1 and 9 (d = 2, or 5 in Z_(2)): the sum
+    # moves to the lcm at the first and the last square, and every square
+    # is scaled to the common denominator
+    p, q, r = rand(4, 2 if form == "Q" else 5), rand(4, 3), rand(4, 1)
+    pairs = [(q, r), (p, p), (r, r), (q, q)]
+    assert ring.dot(pairs) == ring.dot([(q, r), (p, _twin(p)), (r, _twin(r)), (q, _twin(q))])
+    assert ring.dot(pairs) == GradedPolynomial(
+        ring, _plain_add(_plain_mul(_plain(q), _plain(r)), _plain_add(
+            _plain_mul(_plain(p), _plain(p)),
+            _plain_add(_plain_mul(_plain(r), _plain(r)), _plain_mul(_plain(q), _plain(q))))))
+
+
+@pytest.mark.parametrize("form", ["Z2", "Q", "F2"])
+def test_a_square_past_the_packing_bound_raises(form):
+    flags = {"Z2": {}, "Q": {"rational": True}, "F2": {"mod2": True}}[form]
+    ring = rn_ring(2, 2, **flags)
+    t1, t2 = ring.var(T(1, 0)), ring.var(T(2, 0))
+    # t1 has the least degree, 2: t1^1024 is the first power past the bound,
+    # at degree 2^11, the least degree at which the guard bits are read
+    low = t1 ** 511 + t2.scalar_mul(QQ(1, 3))
+    assert max((low * low).num) >> ring.dshift == 2044
+    assert low * low == low * _twin(low)
+    mid = t2 ** 300 + t1  # t2^600 has degree 3600: the guard bits are read, and clear
+    assert ring.decode(max((mid * mid).num))[2] == 600
+    assert mid * mid == mid * _twin(mid)
+    high = t1 ** 512 + t2
+    for a, b in ((high, high), (high, _twin(high))):
+        with pytest.raises(DegreeBoundExceeded, match="packing bound 1023"):
+            ring.dot([(t1, t1), (a, b)])
+
+
 @pytest.mark.parametrize("rational", [True, False], ids=["RnQ", "Rn"])
 def test_integral_fraction_and_int_build_one_polynomial(rational):
     ring = rn_ring(2, 3, rational=rational)

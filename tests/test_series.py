@@ -16,6 +16,7 @@ from fgl_forge.errors import (
 from fgl_forge.poly_core import (
     T,
     V,
+    GradedPolynomial,
     bp_ring,
     from_rational_ring,
     gamma_act,
@@ -552,6 +553,88 @@ def test_generic_series_product_on_local_and_residue_coefficients():
         for _ in range(4):
             a, b = make(), make()
             assert a * b == _mul_pairwise(a, b)
+
+
+def _with_copied_coefficients(s):
+    """s with every coefficient an equal copy, so s * copy runs the generic
+    product loop, and the kernel the generic pair loop."""
+    zero = s.ring.zero()
+    copy = TruncatedSeries1(s.ring, {e: c + zero for e, c in s.coeffs.items()}, s.cutoff)
+    assert copy == s and all(copy.coeffs[e] is not c for e, c in s.coeffs.items())
+    return copy
+
+
+def _compose_pairwise(f, g):
+    """Oracle: f(g) = sum f_j g^j, every power by _mul_pairwise."""
+    out, pw = TruncatedSeries1.zero(f.ring, f.cutoff), g
+    for j in range(1, f.cutoff + 1):
+        if j in f.coeffs:
+            out = out + pw.scale(f.coeffs[j])
+        pw = _mul_pairwise(pw, g)
+    return out
+
+
+def _square_route_rings():
+    """(ring, coefficient sampler): R_2 (x) Q with denominators, R_2 mod 2, and
+    the Lubin-Tate ring and its residue field, which have no fused kernel."""
+    from fgl_forge.lubin_tate import lt_context
+
+    rq, r2 = rn_ring(2, 3, rational=True), rn_ring(2, 3, mod2=True)
+    ctx = lt_context(2, 2, d=2)
+    K = ctx.residue_ring
+
+    def poly(ring, dens):
+        def sample(rng):
+            c = ring.zero()
+            for _ in range(3):
+                mono = rng.choice(ring.monomials_of_degree(rng.choice((0, 2, 4))))
+                c = c + GradedPolynomial(ring, {mono: QQ(rng.randint(-4, 4), rng.choice(dens))})
+            return c
+        return sample
+
+    gens = [ctx.tau(1, 0), ctx.tau(1, 1), ctx.tau(2, 0), ctx.u_pow(1), ctx.from_int(3)]
+
+    def local(rng):
+        c = ctx.zero()
+        for g in rng.sample(gens, 2):
+            c = c + g * ctx.from_int(rng.randint(-3, 3))
+        return c
+
+    def residue(rng):
+        unit = WittElement(K.spec, K.precision, (K.spec.omega ** rng.randrange(3)).coeffs)
+        return K.u_pow(rng.randint(-2, 2)).scale(unit) + K.from_int(rng.randint(0, 1))
+
+    return {"RnQ": (rq, poly(rq, (1, 2, 3, 4))), "F2": (r2, poly(r2, (1,))),
+            "LT": (ctx, local), "residue": (K, residue)}
+
+
+@pytest.mark.parametrize("form", ["RnQ", "F2", "LT", "residue"])
+def test_a_series_square_matches_the_product_loop(form):
+    ring, coeff = _square_route_rings()[form]
+    rng = random.Random(17)
+    for cutoff in (1, 2, 7, 12):
+        for _ in range(3):
+            a = TruncatedSeries1(ring, {e: coeff(rng) for e in range(1, cutoff + 1)
+                                        if rng.random() < 0.8}, cutoff)
+            assert a * a == a * _with_copied_coefficients(a) == _mul_pairwise(a, a)
+
+
+@pytest.mark.parametrize("form", ["RnQ", "F2", "LT", "residue"])
+def test_solve_series_and_series_exp_pass_their_certificates(form):
+    # the squared rows pair each unordered pair of orders once; the
+    # certificates are composed by the pairwise product
+    ring, coeff = _square_route_rings()[form]
+    rng = random.Random(23)
+    for cutoff in (1, 4, 9):
+        L = _random_strict_series(ring, cutoff, rng, coeff)
+        two_typical = TruncatedSeries1(
+            ring, {e: c for e, c in L.coeffs.items() if not e & (e - 1)}, cutoff)
+        for log in (L, two_typical):
+            S = _random_strict_series(ring, cutoff, rng, coeff)
+            g = solve_series(log, S)
+            assert _compose_pairwise(log, g) == log.compose(g) == S
+            exp = series_exp(log)  # raises unless log(exp(x)) = x
+            assert _compose_pairwise(log, exp) == TruncatedSeries1.identity(ring, cutoff)
 
 
 def _mul2_pairwise(a, b):
