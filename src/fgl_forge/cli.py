@@ -6,6 +6,11 @@ Three subcommands:
     verify  run a single named verification claim
     suite   run a profile (quick | full) of verify requests in order
 
+A well-formed request is read off the flag table _FLAGS in one loop;
+argparse, built from the same table, parses everything else (help,
+abbreviations, usage errors) and is the reference the tests hold the table
+parse to.
+
 Both verify and suite run a claim through its one entry in _CLAIMS, which
 returns the claim's reports; a false claim is a report with status "failed"
 and a witness, never an exception.
@@ -87,6 +92,11 @@ _FLAGS = {
 }
 
 
+# the value argparse gives a flag left out: its default, False for store_true
+_DEFAULTS = {flag: spec.get("default", False if "action" in spec else None)
+             for flag, spec in _FLAGS.items()}
+
+
 def _build_parser():
     """The top-level parser and {command: the parser of that command}."""
     parser = argparse.ArgumentParser(
@@ -95,20 +105,14 @@ def _build_parser():
         "with cyclic 2-group actions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_log = sub.add_parser("log", help="print the equivariant logarithm list")
-    for flag in ("--n", "--k", "--json", "--force"):
-        p_log.add_argument(flag, **_FLAGS[flag])
-
-    p_verify = sub.add_parser("verify", help="run one verification claim")
-    p_verify.add_argument("claim", choices=CLAIMS)
-    for flag, spec in _FLAGS.items():
-        p_verify.add_argument(flag, **spec)
-
-    p_suite = sub.add_parser("suite", help="run a claim profile")
-    p_suite.add_argument("profile", choices=tuple(PROFILES), nargs="?", default="quick")
-    p_suite.add_argument("--json", **_FLAGS["--json"])
-    return parser, {"log": p_log, "verify": p_verify, "suite": p_suite}
+    commands = {}
+    for name, (text, positional, flags) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=text)
+        if positional is not None:
+            command.add_argument(positional[0], **positional[1])
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
+    return parser, commands
 
 
 @functools.cache
@@ -118,15 +122,22 @@ def _parser():
 
 
 def _parse(argv):
-    """Parse argv in one pass, through the parser of the command argv[0] names.
+    """The arguments of argv, as a parse through the top-level parser gives them.
 
-    The output matches a parse through the top-level parser, which runs only
-    when argv[0] names no command (no argv, -h, an unknown command); arguments
-    the command does not take are reported by the top-level parser, as its
-    subparser action reports them.
+    A well-formed request is read off the flag table (_parse_table); anything
+    else (help, an abbreviation, --flag=value, a flag before the positional, a
+    value that starts with "-", a value its type rejects, an unknown token)
+    goes to argparse: through the parser of the command argv[0] names, or the
+    top-level parser when argv[0] names none (no argv, -h, an unknown command).
+    Arguments the command does not take are reported by the top-level parser,
+    as its subparser action reports them.  So help, usage errors and exit 2
+    are argparse's.
     """
-    parser, commands = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_table(argv)
+    if args is not None:
+        return args
+    parser, commands = _parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
@@ -135,6 +146,54 @@ def _parse(argv):
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
+
+
+def _parse_table(argv):
+    """The Namespace argparse gives a well-formed argv, or None to leave it to argparse.
+
+    Well-formed: a command, its positional (a claim; a profile, which may be
+    left out), then only exact flag names of the command, each store_true
+    flag alone and each other flag followed by one value that does not start
+    with "-" and that its type converts.  The last of repeated flags wins, as
+    in argparse.  Never prints, never exits.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, positional, flags = command
+    values = {flag[2:]: _DEFAULTS[flag] for flag in flags}
+    values["command"] = argv[0]
+    i = 1
+    if positional is not None:
+        dest, keywords = positional
+        if len(argv) > 1 and argv[1] in keywords["choices"]:
+            values[dest] = argv[1]
+            i = 2
+        elif "default" in keywords:
+            values[dest] = keywords["default"]
+        else:
+            return None
+    while i < len(argv):
+        flag = argv[i]
+        if flag not in flags:
+            return None
+        spec = _FLAGS[flag]
+        if "action" in spec:  # store_true
+            values[flag[2:]] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        convert = spec.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        values[flag[2:]] = value
+        i += 2
+    return argparse.Namespace(**values)
 
 
 def _check_limits(args, parser):
@@ -224,6 +283,20 @@ PROFILES = {
         *(f"{claim} --n {n} --m {m} --d {d}"
           for n, m, d in ((2, 1, 1), (2, 2, 2), (3, 1, 1)) for claim in _SCENARIOS),
     ),
+}
+
+
+# {command: (its help, its positional (name, argparse keywords) or None, the
+# flags of _FLAGS it takes)}; the argparse parsers and the table parse both
+# read it
+_COMMANDS = {
+    "log": ("print the equivariant logarithm list", None,
+            ("--n", "--k", "--json", "--force")),
+    "verify": ("run one verification claim", ("claim", dict(choices=CLAIMS)),
+               tuple(_FLAGS)),
+    "suite": ("run a claim profile",
+              ("profile", dict(choices=tuple(PROFILES), nargs="?", default="quick")),
+              ("--json",)),
 }
 
 

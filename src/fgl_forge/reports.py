@@ -72,10 +72,16 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, indent, out):
-    """Append the JSON text of obj to out; indent is the newline of its line."""
-    if isinstance(obj, str):
+    """Append the JSON text of obj to out; indent is the newline of its line.
+
+    Exact types are tested first.  The isinstance tests after them write a
+    subclass (an IntEnum member, an OrderedDict) as json.dumps writes it: a
+    container through a copy of its exact type.
+    """
+    cls = type(obj)
+    if cls is str:
         out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
+    elif cls is dict:
         if not obj:
             out.append("{}")
             return
@@ -90,23 +96,34 @@ def _write(obj, indent, out):
             _write(obj[key], inner, out)
             sep = "," + inner
         out.append(indent + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif cls is list or cls is tuple:
         if not obj:
             out.append("[]")
             return
         inner = indent + "  "
+        if all(type(item) is int for item in obj):  # no bool: int.__repr__(True) is "True"
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]")
+            return
         sep = "[" + inner
         for item in obj:
             out.append(sep)
             _write(item, inner, out)
             sep = "," + inner
         out.append(indent + "]")
+    elif cls is int:
+        out.append(int.__repr__(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        _write(dict(obj), indent, out)
+    elif isinstance(obj, (list, tuple)):
+        _write(list(obj), indent, out)
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     else:

@@ -1,4 +1,7 @@
+import collections
+import enum
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -335,11 +338,16 @@ def test_shared_parser_matches_fresh_parsers(capsys, monkeypatch):
         # one valid request per command
         ["log", "--n", "2", "--k", "1"], ["verify", "eq351", "--n", "2", "--k", "3"],
         ["suite", "quick"],
+        # left to argparse: an abbreviation, --flag=value, a flag before the
+        # positional, a value that starts with "-" (a file named "-")
+        ["verify", "height", "--prec", "8"], ["verify", "eq351", "--n=2"],
+        ["verify", "--n", "2", "eq351"], ["verify", "eq351", "--json", "-"],
     ],
     ids=lambda argv: " ".join(argv) or "no-argv",
 )
-def test_one_pass_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch):
+def test_one_pass_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch, tmp_path):
     """Exit code, stdout and stderr are those of a parse through the top-level parser."""
+    monkeypatch.chdir(tmp_path)
     got = _serve(argv, capsys)
     if got[0] == 2:
         assert got[1] == "" and got[2]
@@ -362,6 +370,85 @@ def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
     for argv in (["log", "--n", "2", "--k", "1"], ["verify", "eq351", "--n", "2"],
                  ["suite", "quick"]):
         assert _serve(argv, capsys)[0] == 0
+
+
+_EDGE_TOKENS = ("", "-", "-1", " 4", "07", "+3", "\u0663", "1,2", "--prec", "--n=2", "-h", "--")
+_VALUES = ("1", "2", "3", "8", "1,1,1", "out.json")
+
+
+def _random_argv(rng):
+    """An argv of one command from the flags of _FLAGS, the positionals and edge tokens."""
+    command = rng.choice(("verify", "verify", "log", "suite"))
+    _, positional, flags = cli._COMMANDS[command]
+    words = []
+    for _ in range(rng.randrange(5)):  # up to four flags, often one of them twice
+        pool = flags if rng.random() < 0.8 else tuple(cli._FLAGS)
+        words.append(rng.choice(pool) if rng.random() < 0.9 else rng.choice(_EDGE_TOKENS))
+        if words[-1] != "--force" or rng.random() < 0.1:
+            words.append(rng.choice(_VALUES) if rng.random() < 0.8 else rng.choice(_EDGE_TOKENS))
+    if positional is not None and rng.random() < 0.9:
+        choices = positional[1]["choices"] if rng.random() < 0.9 else _EDGE_TOKENS
+        # the positional first, or after some flags
+        words.insert(0 if rng.random() < 0.85 else rng.randrange(len(words) + 1),
+                     rng.choice(choices))
+    if rng.random() < 0.3:
+        words.insert(rng.randrange(len(words) + 1), "--force")
+    return [command, *words]
+
+
+def test_the_table_parse_is_the_argparse_parse():
+    """Where the flag table reads an argv, argparse reads it to the same Namespace."""
+    parser, _ = cli._parser()
+    rng = random.Random(28)
+    taken = {"log": 0, "verify": 0, "suite": 0}
+    for _ in range(20000):
+        argv = _random_argv(rng)
+        args = cli._parse_table(argv)
+        if args is None:
+            continue
+        taken[argv[0]] += 1
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the table read {argv}, which argparse rejects")
+        assert vars(args) == vars(expected), argv
+    # every command, its positional and each of its flags are read off the table
+    assert min(taken.values()) > 500, taken
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_pools_and_profiles_are_read_off_the_table(monkeypatch):
+    requests = [list(argv) for pool in _workloads().POOLS.values()
+                for argv, _, code in pool if code == 0]
+    requests += [["verify", *entry.split()] for entries in cli.PROFILES.values()
+                 for entry in entries]
+    parser, commands = cli._parser()
+    expected = [vars(parser.parse_args(argv)) for argv in requests]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("argparse parsed a request of a pool or a profile")
+
+    for each in (parser, *commands.values()):
+        monkeypatch.setattr(each, "parse_known_args", fail)
+    assert [vars(cli._parse(argv)) for argv in requests] == expected
+
+
+def test_every_flag_is_one_the_table_reads():
+    """A new kind of flag fails here by name instead of being misread by the table."""
+    for flag, spec in cli._FLAGS.items():
+        assert flag.startswith("--") and flag[2:].isidentifier(), flag
+        assert set(spec) <= {"type", "default", "action", "help", "metavar"}, flag
+        assert spec.get("action", "store_true") == "store_true", flag
+        # argparse would pass a str default through the flag's type
+        assert not isinstance(spec.get("default"), str), flag
 
 
 def test_height_cutoff_flag(capsys):
@@ -659,6 +746,33 @@ def test_canonical_json_matches_json_dumps_on_random_values():
     for _ in range(2000):
         obj = _random_value(rng)
         assert canonical_json(obj) == _json_dumps(obj), obj
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _Level.ONE, [_Level.ONE, 2], _Text("a\u00e9"), {_Text("k"): _Text("v")},
+        collections.OrderedDict([("b", 1), ("a", [2])]), _Items([1, 2]), _Items(),
+        {"x": _Items(["a", None])}, [True, 1, False], [0, False], (1, True), [1, 2, 3],
+    ],
+    ids=["IntEnum", "IntEnum-in-list", "str-subclass", "str-subclass-dict",
+         "OrderedDict", "list-subclass", "empty-list-subclass", "nested-list-subclass",
+         "ints-and-bools", "int-and-bool", "tuple-int-and-bool", "ints"],
+)
+def test_canonical_json_writes_subclasses_and_bools_as_json_dumps(obj):
+    assert canonical_json(obj) == _json_dumps(obj)
 
 
 @pytest.mark.parametrize(
