@@ -90,9 +90,11 @@ class LTContext:
     ubar; residue_ring is that context, the same for every N and M.
 
     Requests share one context per configuration through lt_context, so its
-    tables (gamma images, Teichmuller powers, and those of the oracles) are
-    built once per process; calling LTContext directly gives a fresh context
-    with empty tables.
+    tables (gamma images, Teichmuller powers, the box of monomials of
+    fixed_subring_presentation with its torsion generator, and the tables
+    of the oracles) are built once per process; calling LTContext directly
+    gives a fresh context with empty tables.  A table holds inputs that
+    depend only on the context, never an image or a report of a claim.
     """
 
     def __init__(self, n, m, d=1, modulus=None, precision=8, madic=6):
@@ -133,6 +135,7 @@ class LTContext:
         # zeta bits -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
         # for q-torsion zeta
         self._zeta_powers = {}
+        self._fixed_box = None  # lazy: (zeta, u_bound, box) of fixed_subring_presentation
 
     @property
     def rn(self):
@@ -608,37 +611,49 @@ def _diagonal_map(ctx, e: LTElement, image, order=1) -> LTElement:
     where cls = chi mod order and chi = sum (2^i - 1) A_{ij} - s.
 
     The terms of e are walked once.  Each run of terms with one tau exponent
-    tuple computes its tau-degree and the tau part of chi once, and each
-    distinct (coefficient, cls, tau-degree) has its image computed once,
-    masked to that degree; a term that masks to 0 is dropped.  At order 1
-    every class is 0.  A diagonal map keeps the keys of its input, and an
-    element in normal form has no key outside the representable window with
-    a nonzero coefficient, so the image is in normal form without a pass of
-    _canonical.
+    tuple computes its tau-degree and the tau part of chi once; a run that
+    shares one tuple object, as the fixed-subring box does, is told by
+    identity, with no tuple comparison per term.  Per tau-degree, each
+    distinct coefficient has a row, a list indexed by class, whose images
+    are computed on first use and masked to that degree (() when one masks
+    to 0, and its term is dropped).  The row is looked up again only when
+    the coefficient object changes (c is not last_c) and on every new
+    exponent tuple, where the tau-degree, and with it the mask, may change;
+    so no (coefficient, class) key is built or hashed per term.  At order 1
+    every class is 0.  A diagonal map keeps the keys of its input, in their
+    order, and an element in normal form has no key outside the
+    representable window with a nonzero coefficient, so the image is in
+    normal form without a pass of _canonical.
     """
     if e.ctx is not ctx:
         raise AmbientMismatch("element from a different context")
     masks = ctx._masks
-    by_degree = {}  # tau-degree -> {(coefficient, cls): masked image, () if 0}
+    by_degree = {}  # tau-degree -> {coefficient: row of masked images by class}
     out = {}
     last = None
     cls = 0
     for key, c in e.coords.items():
         exps, ue = key
-        if exps != last:
+        if exps is not last and exps != last:
             last = exps
             s = sum(exps)
             tau_chi = _tau_chi(ctx, exps)
-            images = by_degree.get(s)
-            if images is None:
-                images = by_degree[s] = {}
+            rows = by_degree.get(s)
+            if rows is None:
+                rows = by_degree[s] = {}
+            last_c = None
+        if c is not last_c:
+            last_c = c
+            row = rows.get(c)
+            if row is None:
+                row = rows[c] = [None] * order
         if order > 1:
             cls = (tau_chi - ue) % order
-        img = images.get((c, cls))
+        img = row[cls]
         if img is None:
             mask = masks[s]
             img = tuple([x & mask for x in image(c, cls)])
-            img = images[c, cls] = img if any(img) else ()
+            img = row[cls] = img if any(img) else ()
         if img:
             out[key] = img
     return _element(ctx, out)
@@ -1170,6 +1185,44 @@ def _multiplicative_generator(spec):
     raise ConsistencyFailure("no multiplicative generator found")
 
 
+def _exponent_tuples(k, bound):
+    """Every k-tuple of exponents with sum <= bound, in lexicographic order."""
+    if k == 0:
+        return [()]
+    return [(e,) + rest for e in range(bound + 1)
+            for rest in _exponent_tuples(k - 1, bound - e)]
+
+
+def _fixed_subring_box(ctx):
+    """(zeta, u_bound, box) of fixed_subring_presentation, built once per
+    context on first use.
+
+    zeta generates the torsion k^x[q] and box is the sum of the monomials of
+    the box, the one element built without a normal-form check: every
+    coefficient is the unit, every tau-degree is below M, and u_bound is
+    checked against the window before it is built (past the cap it would
+    hold millions of monomials).  A failed check raises before anything is
+    stored, so it raises again on every call.
+    """
+    if ctx._fixed_box is None:
+        alpha = ctx.alpha
+        u_bound = max(2 * ctx.q, alpha + 1)
+        zeta = _multiplicative_generator(ctx.spec) ** (((1 << ctx.spec.d) - 1) // alpha)
+        if not (zeta ** ctx.q) == ctx.spec.one:
+            raise ConsistencyFailure("torsion generator construction failed")
+        if u_bound > _U_CAP:
+            raise TruncationOverflow("exponent beyond the representable window")
+        # the unit is in normal form at every tau-degree below M
+        unit = ctx._unit
+        box = _element(ctx, {
+            (exps, ue): unit
+            for exps in _exponent_tuples(len(ctx.taus), min(_TAU_BOUND, ctx.madic - 1))
+            for ue in range(-u_bound, u_bound + 1)
+        })
+        ctx._fixed_box = (zeta, u_bound, box)
+    return ctx._fixed_box
+
+
 def fixed_subring_presentation(ctx):
     """Check, monomial by monomial in a finite box, that the fixed subspace of
     the Galois-and-torus action is spanned over Z_2 by monomials whose
@@ -1183,68 +1236,50 @@ def fixed_subring_presentation(ctx):
     up to _TAU_BOUND and every u-exponent of absolute value up to
     max(2q, alpha + 1); a monomial of tau-degree >= M is 0 and not checked.
 
-    The box is one element, the sum of its monomials, and each map is
-    applied to it once.  Both maps are additive, so for a diagonal map the
-    coefficient of a monomial in the image of the box is its coefficient in
-    the image of the monomial: a monomial is fixed exactly when the image
-    keeps its coefficient.  The monomials are walked in enumeration order,
-    with the tau part of chi computed once per exponent tuple, and the first
-    one whose behaviour differs from the prediction is the witness.  An image
-    with a monomial outside the box shows a map that is not diagonal, and
-    raises ConsistencyFailure.  The box is the one element built without a
-    normal-form check: every coefficient is the unit, every tau-degree is
-    below M, and u_bound is checked against the window before it is built.
+    The box is one element, the sum of its monomials.  It and the torsion
+    generator zeta depend only on the context, so they are a table of it
+    (_fixed_subring_box), the input of the check and not its result.  Each
+    request applies both maps to the whole box once and walks the images;
+    no image and no report is kept, so a changed map shows on the next
+    request.  Both maps are additive, so for a diagonal map the coefficient
+    of a monomial in the image of the box is its coefficient in the image of
+    the monomial: a monomial is fixed exactly when the image keeps its
+    coefficient.  The monomials are walked in enumeration order, with the
+    tau part of chi computed once per exponent tuple, and the first one
+    whose behaviour differs from the prediction is the witness.  A diagonal
+    map keeps the key objects of the box in their order, and then the walk
+    zips the box with both images; otherwise it looks each monomial up, and
+    an image with a monomial outside the box shows a map that is not
+    diagonal, and raises ConsistencyFailure.
     """
     alpha = ctx.alpha
-    u_bound = max(2 * ctx.q, alpha + 1)
-    zeta = _multiplicative_generator(ctx.spec) ** (((1 << ctx.spec.d) - 1) // alpha)
-    if not (zeta ** ctx.q) == ctx.spec.one:
-        raise ConsistencyFailure("torsion generator construction failed")
-    # before the box is built: past the cap it would hold millions of monomials
-    if u_bound > _U_CAP:
-        raise TruncationOverflow("exponent beyond the representable window")
-
-    def monomials(bound):
-        def rec(idx, rem, acc):
-            if idx == len(ctx.taus):
-                yield tuple(acc)
-                return
-            for e in range(rem + 1):
-                acc.append(e)
-                yield from rec(idx + 1, rem - e, acc)
-                acc.pop()
-
-        yield from rec(0, bound, [])
-
-    # the unit is in normal form at every tau-degree below M
-    unit = ctx._unit
-    box = _element(ctx, {
-        (exps, ue): unit
-        for exps in monomials(min(_TAU_BOUND, ctx.madic - 1))
-        for ue in range(-u_bound, u_bound + 1)
-    })
+    zeta, u_bound, box = _fixed_subring_box(ctx)
     zeta_image = lt_zeta(ctx, zeta, box).coords
     galois_image = lt_galois(ctx, box).coords
     keys = box.coords.keys()
-    if not (zeta_image.keys() <= keys and galois_image.keys() <= keys):
-        raise ConsistencyFailure("an action moved a monomial of the box")
+    if all(len(image) == len(keys) and all(map(operator.is_, keys, image))
+           for image in (zeta_image, galois_image)):
+        terms = zip(keys, zeta_image.values(), galois_image.values())
+    else:
+        if not (zeta_image.keys() <= keys and galois_image.keys() <= keys):
+            raise ConsistencyFailure("an action moved a monomial of the box")
+        terms = ((key, zeta_image.get(key), galois_image.get(key)) for key in keys)
+    unit = ctx._unit
     checked = 0
     fixed = 0
     witness = None
     last = None
-    for key in keys:
-        exps, ue = key
-        if exps != last:
+    for (exps, ue), zeta_c, galois_c in terms:
+        if exps is not last:  # each run of the box shares one exponent tuple
             last = exps
             tau_chi = _tau_chi(ctx, exps)
         predicted = (tau_chi - ue) % alpha == 0
-        actual = zeta_image.get(key) == unit
-        galois_fixed = galois_image.get(key) == unit
-        if actual != predicted or not galois_fixed:
+        if (zeta_c == unit) is not predicted or galois_c != unit:
             witness = ctx.monomial(exps, ue).to_json()
             break
         checked += 1
-        fixed += int(predicted)
+        if predicted:
+            fixed += 1
     ok = witness is None
     return _report(
         "fixed-subring",

@@ -621,6 +621,60 @@ def test_diagonal_maps_key_each_image_by_tau_degree(d, M, top):
         assert image == _galois_per_term(ctx, x)
 
 
+def _shared_object_element(ctx, rng, top, shared):
+    """An element whose terms carry the coefficient tuple objects of
+    `shared`, each at every tau-degree 0..top, with the degree changing from
+    term to term, and at u-exponents of both signs.
+
+    LTElement(...) masks a new tuple per term, so the element is built with
+    _element; each tuple lies below 2^{M - top}, in normal form at every one
+    of those degrees.
+    """
+    terms = {}
+    for ue in range(-7, 8):
+        for s in range(top + 1):
+            exps = [0] * len(ctx.taus)
+            for _ in range(s):
+                exps[rng.randrange(len(exps))] += 1
+            terms[(tuple(exps), ue)] = shared[(ue + s) % len(shared)]
+    x = lubin_tate._element(ctx, terms)
+    for c in shared:
+        degrees = {sum(exps) for (exps, _), b in x.coords.items() if b is c}
+        assert degrees == set(range(top + 1))
+    return x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("M,top", [(4, 2), (8, 3)])
+def test_diagonal_map_class_rows_stay_within_a_tau_degree_and_a_coefficient(d, M, top):
+    # one coefficient object across tau-degrees: a row kept past a new
+    # exponent tuple is masked for the wrong degree; two objects in turn: a
+    # row keyed by class alone gives one coefficient the image of the other
+    ctx = LTContext(2, d, d=d, precision=M, madic=M)
+    rng = random.Random(47 * d + M)
+    roots = [z for z in ctx.spec.elements() if not z.is_zero()]
+
+    def coefficient():
+        c = (0,) * d
+        while not any(c):
+            c = tuple(rng.randrange(1 << (M - top)) for _ in range(d))
+        return c
+
+    one = coefficient()
+    other = coefficient()
+    while other == one:
+        other = coefficient()
+    for shared in ((one,), (one, other)):
+        x = _shared_object_element(ctx, rng, top, shared)
+        for zeta in roots:
+            image = lt_zeta(ctx, zeta, x)
+            assert image == _zeta_by_powering(ctx, zeta, x)
+            assert image == _zeta_per_term(ctx, zeta, x)
+        image = lt_galois(ctx, x)
+        assert image == x.map_coefficients(frobenius_lift)
+        assert image == _galois_per_term(ctx, x)
+
+
 def test_witt_terms_round_trip():
     ctx = LTContext(2, 2, d=3, precision=8, madic=5)
     rng = random.Random(29)
@@ -1403,6 +1457,53 @@ def test_fixed_subring_rejects_an_action_that_moves_a_monomial(monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: an action moved a monomial of the box\n"
+
+
+def test_fixed_subring_keeps_its_box_and_checks_the_actions_on_every_call(monkeypatch):
+    # the box is a table of the shared context; the images and the verdict
+    # are not, so an action patched after the box is built still fails the
+    # claim, and the claim holds again once it is unpatched
+    ctx = lubin_tate.lt_context(2, 2, d=2)
+    assert fixed_subring_presentation(ctx)["status"] == "verified"
+    box = ctx._fixed_box[2]
+    key = (ctx._zero_exps, 0)
+    zeta_map, galois_map = lubin_tate.lt_zeta, lubin_tate.lt_galois
+
+    def scaled(ctx, z, e):
+        image = zeta_map(ctx, z, e)
+        if key not in image.coords:
+            return image
+        term = ctx.monomial(*key, image.coords[key])
+        return image - term + term.scale(teichmuller(z, ctx.precision))
+
+    def bumped(ctx, e):
+        image = galois_map(ctx, e)
+        return image + ctx.monomial(*key).scale(2) if key in e.coords else image
+
+    for name, patched in (("lt_zeta", scaled), ("lt_galois", bumped)):
+        with monkeypatch.context() as patch:
+            patch.setattr(lubin_tate, name, patched)
+            report = _assert_both_routes_fail_alike(ctx)
+            assert report["witness"] == ctx.monomial(*key).to_json()
+        report = fixed_subring_presentation(ctx)
+        assert report["status"] == "verified"
+        assert canonical_json(report) == canonical_json(_fixed_subring_by_monomials(ctx))
+        assert ctx._fixed_box[2] is box
+
+
+def test_fixed_subring_stores_no_box_when_a_check_raises(monkeypatch):
+    ctx = LTContext(1, 20)  # the u-window past the cap
+    for _ in range(2):
+        with pytest.raises(TruncationOverflow, match="representable window"):
+            fixed_subring_presentation(ctx)
+        assert ctx._fixed_box is None
+    # zeta = 0 fails zeta^q = 1, on every call
+    monkeypatch.setattr(lubin_tate, "_multiplicative_generator", lambda spec: spec.zero)
+    ctx = LTContext(2, 2, d=2)
+    for _ in range(2):
+        with pytest.raises(ConsistencyFailure, match="torsion generator"):
+            fixed_subring_presentation(ctx)
+        assert ctx._fixed_box is None
 
 
 def test_the_claims_build_no_rn_context(monkeypatch):
