@@ -6,10 +6,10 @@ Three subcommands:
     verify  run a single named verification claim
     suite   run a profile (quick | full) of verify requests in order
 
-A well-formed request is read off the flag table _FLAGS in one loop;
-argparse, built from the same table, parses everything else (help,
-abbreviations, usage errors) and is the reference the tests hold the table
-parse to.
+The flag table _FLAGS reads every well-formed request in one loop.  One
+top-level argparse parser, built from the same table on first need, handles
+help, abbreviations, --flag=value and usage errors, and is the reference the
+tests hold the table parse to.
 
 Both verify and suite run a claim through its one entry in _CLAIMS, which
 returns the claim's reports; a false claim is a report with status "failed"
@@ -98,54 +98,40 @@ _DEFAULTS = {flag: spec.get("default", False if "action" in spec else None)
 
 
 def _build_parser():
-    """The top-level parser and {command: the parser of that command}."""
+    """The top-level parser, one subparser per command of _COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="fgl-forge",
         description="Exact verifiers for 2-typical formal group laws "
         "with cyclic 2-group actions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (text, positional, flags) in _COMMANDS.items():
-        command = commands[name] = sub.add_parser(name, help=text)
+        command = sub.add_parser(name, help=text)
         if positional is not None:
             command.add_argument(positional[0], **positional[1])
         for flag in flags:
             command.add_argument(flag, **_FLAGS[flag])
-    return parser, commands
+    return parser
 
 
 @functools.cache
 def _parser():
-    """The process's parsers; parsing leaves them unchanged, so requests share them."""
+    """The process's parser; parsing leaves it unchanged, so requests share it."""
     return _build_parser()
 
 
 def _parse(argv):
-    """The arguments of argv, as a parse through the top-level parser gives them.
+    """The arguments of argv, as the top-level parser gives them.
 
-    A well-formed request is read off the flag table (_parse_table); anything
+    The flag table reads every well-formed request (_parse_table); anything
     else (help, an abbreviation, --flag=value, a flag before the positional, a
     value that starts with "-", a value its type rejects, an unknown token)
-    goes to argparse: through the parser of the command argv[0] names, or the
-    top-level parser when argv[0] names none (no argv, -h, an unknown command).
-    Arguments the command does not take are reported by the top-level parser,
-    as its subparser action reports them.  So help, usage errors and exit 2
-    are argparse's.
+    goes to the one top-level parser, built on first need.  So help, usage
+    errors and exit 2 are argparse's.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_table(argv)
-    if args is not None:
-        return args
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    return _parser().parse_args(argv) if args is None else args
 
 
 def _parse_table(argv):
@@ -196,13 +182,13 @@ def _parse_table(argv):
     return argparse.Namespace(**values)
 
 
-def _check_limits(args, parser):
+def _check_limits(args):
     if getattr(args, "force", False):
         return
     for name, cap in _LIMITS.items():
         value = getattr(args, name, None)
         if value is not None and value > cap:
-            parser.error(
+            _parser().error(
                 f"--{name} {value} exceeds the documented limit {cap} "
                 "(use --force to override)"
             )
@@ -287,7 +273,7 @@ PROFILES = {
 
 
 # {command: (its help, its positional (name, argparse keywords) or None, the
-# flags of _FLAGS it takes)}; the argparse parsers and the table parse both
+# flags of _FLAGS it takes)}; the argparse parser and the table parse both
 # read it
 _COMMANDS = {
     "log": ("print the equivariant logarithm list", None,
@@ -359,7 +345,7 @@ def _cmd_suite(args):
 
 def main(argv=None):
     args = _parse(argv)
-    _check_limits(args, _parser()[0])
+    _check_limits(args)
     try:
         if args.command == "log":
             return _cmd_log(args)

@@ -63,7 +63,8 @@ def canonical_json(obj) -> str:
     The bytes are those of json.dumps(obj, sort_keys=True, indent=2,
     separators=(",", ": ")) + "\n", written without json's pure-Python indent
     encoder.  Only str, int, bool, None, dicts with str keys, lists and tuples
-    are written; anything else (a float included) raises TypeError.
+    are written; anything else (a float, or a value of a subclass of these
+    types) raises TypeError.
     """
     out = []
     _write(obj, "\n", out)
@@ -74,9 +75,8 @@ def canonical_json(obj) -> str:
 def _write(obj, indent, out):
     """Append the JSON text of obj to out; indent is the newline of its line.
 
-    Exact types are tested first.  The isinstance tests after them write a
-    subclass (an IntEnum member, an OrderedDict) as json.dumps writes it: a
-    container through a copy of its exact type.
+    Types are tested exactly, so a subclass (an IntEnum member, an
+    OrderedDict) raises TypeError, as a float does.
     """
     cls = type(obj)
     if cls is str:
@@ -118,14 +118,6 @@ def _write(obj, indent, out):
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        _write(dict(obj), indent, out)
-    elif isinstance(obj, (list, tuple)):
-        _write(list(obj), indent, out)
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
     else:
         raise TypeError(f"canonical_json: cannot write a {type(obj).__name__}")
 

@@ -40,7 +40,6 @@ from .poly_core import (
     V,
     bp_ring,
     from_rational_ring,
-    poly_to_json,
 )
 
 
@@ -224,15 +223,6 @@ class TruncatedSeries1(_TruncatedSeries):
         bits = [f"({c!r})x^{e}" for e, c in sorted(self.coeffs.items())[:8]]
         return " + ".join(bits) + (" + ..." if len(self.coeffs) > 8 else "") or "0"
 
-    def to_json(self):
-        return [[e, _coeff_json(c)] for e, c in sorted(self.coeffs.items())]
-
-
-def _coeff_json(c):
-    if isinstance(c, GradedPolynomial):
-        return poly_to_json(c)
-    return c.to_json()
-
 
 def solve_series(log: TruncatedSeries1, rhs: TruncatedSeries1) -> TruncatedSeries1:
     """The series g with log(g) = rhs, for a log with leading coefficient 1.
@@ -359,11 +349,6 @@ class TruncatedSeries2(_TruncatedSeries):
     def __repr__(self):
         bits = [f"({c!r})x^{a}y^{b}" for (a, b), c in sorted(self.coeffs.items())[:8]]
         return " + ".join(bits) + (" + ..." if len(self.coeffs) > 8 else "") or "0"
-
-    def to_json(self):
-        return [
-            [e1, e2, _coeff_json(c)] for (e1, e2), c in sorted(self.coeffs.items())
-        ]
 
 
 def _in_x_and_y(f: TruncatedSeries1):

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import enum
 import hashlib
@@ -287,12 +288,12 @@ def test_unknown_claim_is_usage_error():
 
 
 def test_feasibility_limits_and_force():
-    parser, _ = cli._build_parser()
+    parser = cli._build_parser()
     with pytest.raises(SystemExit) as err:
-        cli._check_limits(parser.parse_args(["verify", "eq351", "--k", "7"]), parser)
+        cli._check_limits(parser.parse_args(["verify", "eq351", "--k", "7"]))
     assert err.value.code == 2
     args = parser.parse_args(["verify", "eq351", "--k", "7", "--force"])
-    cli._check_limits(args, parser)  # no exit
+    cli._check_limits(args)  # no exit
 
 
 def _serve(argv, capsys):
@@ -351,7 +352,7 @@ def test_one_pass_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatc
     got = _serve(argv, capsys)
     if got[0] == 2:
         assert got[1] == "" and got[2]
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser()[0].parse_args(argv))
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
     assert _serve(argv, capsys) == got
 
 
@@ -362,14 +363,21 @@ def test_unrecognized_arguments_are_reported_by_the_top_level_parser(capsys):
     assert err.endswith("\nfgl-forge: error: unrecognized arguments: --bogus\n")
 
 
-def test_a_command_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("the top-level parser parsed a request")
+def test_a_well_formed_request_builds_no_parser(capsys, monkeypatch):
+    """Only help and usage errors build the argparse parser; a limit error still does."""
+    def fail():
+        raise AssertionError("a well-formed request built the argparse parser")
 
-    monkeypatch.setattr(cli._parser()[0], "parse_known_args", fail)
-    for argv in (["log", "--n", "2", "--k", "1"], ["verify", "eq351", "--n", "2"],
-                 ["suite", "quick"]):
-        assert _serve(argv, capsys)[0] == 0
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_build_parser", fail)
+    requests = [list(argv) for pool in _workloads().POOLS.values()
+                for argv, _, code in pool if code == 0]
+    for argv in [*requests, ["suite", "quick"]]:
+        assert _serve(argv, capsys)[0] == 0, argv
+    monkeypatch.undo()
+    code, out, err = _serve(["verify", "recursion", "--n", "2", "--k", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert "exceeds the documented limit 6" in err
 
 
 _EDGE_TOKENS = ("", "-", "-1", " 4", "07", "+3", "\u0663", "1,2", "--prec", "--n=2", "-h", "--")
@@ -398,7 +406,7 @@ def _random_argv(rng):
 
 def test_the_table_parse_is_the_argparse_parse():
     """Where the flag table reads an argv, argparse reads it to the same Namespace."""
-    parser, _ = cli._parser()
+    parser = cli._parser()
     rng = random.Random(28)
     taken = {"log": 0, "verify": 0, "suite": 0}
     for _ in range(20000):
@@ -430,14 +438,13 @@ def test_the_pools_and_profiles_are_read_off_the_table(monkeypatch):
                 for argv, _, code in pool if code == 0]
     requests += [["verify", *entry.split()] for entries in cli.PROFILES.values()
                  for entry in entries]
-    parser, commands = cli._parser()
+    parser = cli._parser()
     expected = [vars(parser.parse_args(argv)) for argv in requests]
 
     def fail(*args, **kwargs):
         raise AssertionError("argparse parsed a request of a pool or a profile")
 
-    for each in (parser, *commands.values()):
-        monkeypatch.setattr(each, "parse_known_args", fail)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", fail)
     assert [vars(cli._parse(argv)) for argv in requests] == expected
 
 
@@ -748,6 +755,16 @@ def test_canonical_json_matches_json_dumps_on_random_values():
         assert canonical_json(obj) == _json_dumps(obj), obj
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [[True, 1, False], [0, False], (1, True), [1, 2, 3]],
+    ids=["ints-and-bools", "int-and-bool", "tuple-int-and-bool", "ints"],
+)
+def test_canonical_json_writes_subclasses_and_bools_as_json_dumps(obj):
+    """bool, the one subclass a report holds, beside plain ints."""
+    assert canonical_json(obj) == _json_dumps(obj)
+
+
 class _Level(enum.IntEnum):
     ONE = 1
 
@@ -763,22 +780,15 @@ class _Items(list):
 @pytest.mark.parametrize(
     "obj",
     [
+        1.5, {"reports": [0.0]}, {1: "a"}, {"a": 1, 2: "b"}, [object()], {"x": {1, 2}},
+        # a subclass of a type reports hold: reports hold only the exact types
         _Level.ONE, [_Level.ONE, 2], _Text("a\u00e9"), {_Text("k"): _Text("v")},
         collections.OrderedDict([("b", 1), ("a", [2])]), _Items([1, 2]), _Items(),
-        {"x": _Items(["a", None])}, [True, 1, False], [0, False], (1, True), [1, 2, 3],
+        {"x": _Items(["a", None])},
     ],
-    ids=["IntEnum", "IntEnum-in-list", "str-subclass", "str-subclass-dict",
-         "OrderedDict", "list-subclass", "empty-list-subclass", "nested-list-subclass",
-         "ints-and-bools", "int-and-bool", "tuple-int-and-bool", "ints"],
-)
-def test_canonical_json_writes_subclasses_and_bools_as_json_dumps(obj):
-    assert canonical_json(obj) == _json_dumps(obj)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [1.5, {"reports": [0.0]}, {1: "a"}, {"a": 1, 2: "b"}, [object()], {"x": {1, 2}}],
-    ids=["float", "nested-float", "int-key", "mixed-keys", "object", "set"],
+    ids=["float", "nested-float", "int-key", "mixed-keys", "object", "set",
+         "IntEnum", "IntEnum-in-list", "str-subclass", "str-subclass-dict",
+         "OrderedDict", "list-subclass", "empty-list-subclass", "nested-list-subclass"],
 )
 def test_canonical_json_rejects_what_no_report_holds(obj):
     with pytest.raises(TypeError):

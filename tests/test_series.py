@@ -819,11 +819,3 @@ def test_height_multiplicative_like():
     F = FGL(TruncatedSeries2(ring, {(1, 0): ring.one(), (0, 1): ring.one(), (1, 1): v1}, 8))
     h, coeff = height_of_residue_fgl(F)
     assert h == 1 and coeff == v1
-
-
-def test_series_json_ascending():
-    F = fgl_from_log(log_from_v(2), 7)
-    tw = two_series(F)
-    arr = tw.to_json()
-    exps = [row[0] for row in arr]
-    assert exps == sorted(exps)
