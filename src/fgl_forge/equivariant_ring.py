@@ -15,6 +15,11 @@ logarithm relations, the level-drop recursion for t_k, the congruence
 t_k^{C_2} = v_k mod I_k, the gamma-invariance of the ideals I_k, the
 collapse statements in R_n<m>, and the chain-inversion identity.
 
+Ideal membership is decided on F_2: each context keeps the mod-2 images of
+the v_j and t_level entries its claims read, and per ideal I_k one basis
+entry, so a membership check is one sum mod 2 of cached images and one
+normal form (_nf_mod_Ik).
+
 Every verifier returns a JSON-ready report: status "verified", or "failed"
 with a witness when the claim is false.  Exceptions are left to bad input
 (ValueError) and to internal cross-checks that break (ConsistencyFailure).
@@ -28,9 +33,9 @@ from .poly_core import (
     AtomicCache,
     GradedPolynomial,
     T,
+    _cached_basis,
     from_rational_ring,
     gamma_act,
-    ideal_normal_form,
     orbit_sum,
     poly_to_json,
     quotient_to_rnm,
@@ -64,7 +69,11 @@ class RnContext:
 
     Caches (logarithm list, v-images, lower-level generator tables) are
     built lazily, cross-checked once, and then treated as immutable; the
-    v-images grow by prefix, only as far as a claim reads.
+    v-images grow by prefix, only as far as a claim reads.  Beside them the
+    context keeps the mod-2 image of each v_j and each t_level entry that a
+    membership claim reads, each built on its first read from the exact
+    entry held then, and per ideal I_k its nonzero mod-2 generators with the
+    basis _cached_basis last returned for them (see _nf_mod_Ik).
     Requests share one context per (n, k_max, m) through rn_context, so a
     table is built and checked once per process; calling RnContext directly
     gives a fresh context with empty caches.  No formal group law is cached:
@@ -91,6 +100,9 @@ class RnContext:
         self._log = None
         self._v = ()  # v_1 .. v_j for the longest prefix asked for so far
         self._t_level = {}
+        self._v_mod2 = ()  # reduce_mod2(v_j) for a prefix of the v-images
+        self._t_mod2 = {}  # (r, k) -> reduce_mod2(t_level(ctx, r)[k - 1])
+        self._ideals = {}  # k -> (mod-2 generators of I_k, basis or None)
 
     @property
     def half(self):
@@ -134,38 +146,42 @@ def rn_context(n, k_max, m=None):
 # the equivariant logarithm and the v-images
 # ---------------------------------------------------------------------------
 
-def _relation_rhs(ctx, ls, k):
+def _relation_rhs(ctx, gls, g2ls, k):
     """The two correction sums for level k: (sum gamma(l_j) t_{k-j}^{2^j},
-    sum gamma^2(l_j) (gamma t_{k-j})^{2^j}), with l_0 = 1."""
+    sum gamma^2(l_j) (gamma t_{k-j})^{2^j}), read from gls[j] = gamma(l_j)
+    and g2ls[j] = gamma^2(l_j), with l_0 = 1."""
     RQ = ctx.ring_q
     a1 = RQ.zero()
     a2 = RQ.zero()
     for j in range(k):
-        lj = RQ.one() if j == 0 else ls[j - 1]
         tkj = ctx.generator(k - j, rational=True)
         if tkj.is_zero():
             continue
-        a1 = a1 + gamma_act(lj) * tkj ** (1 << j)
-        a2 = a2 + gamma_act(lj, 2) * gamma_act(tkj) ** (1 << j)
+        a1 = a1 + gls[j] * tkj ** (1 << j)
+        a2 = a2 + g2ls[j] * gamma_act(tkj) ** (1 << j)
     return a1, a2
 
 
-def _residuals(lk, a1, a2):
-    """Exact residuals of the three defining relations at one level, from the
-    two correction sums (a1, a2) of _relation_rhs:
+def _residuals(lk, glk, g2lk, a1, a2):
+    """Exact residuals of the three defining relations at one level, from
+    gamma(l_k), gamma^2(l_k) and the two correction sums (a1, a2) of
+    _relation_rhs:
 
     r1: l_k - gamma l_k - sum_j gamma(l_j) t_{k-j}^{2^j}
     r2: gamma l_k - gamma^2 l_k - sum_j gamma^2(l_j) (gamma t_{k-j})^{2^j}
     r3: l_k - gamma^2 l_k - (both sums)         [the sum of r1 and r2]
     """
-    glk = gamma_act(lk)
-    g2lk = gamma_act(lk, 2)
     return lk - glk - a1, glk - g2lk - a2, lk - g2lk - (a1 + a2)
 
 
 def _log_relation_residuals(ctx, ls):
-    """The residuals (r1, r2, r3) of _residuals, per level k."""
-    return [_residuals(lk, *_relation_rhs(ctx, ls, k)) for k, lk in enumerate(ls, start=1)]
+    """The residuals (r1, r2, r3) of _residuals, per level k; each gamma image
+    of an l_j is taken once."""
+    one = ctx.ring_q.one()
+    gls = [one] + [gamma_act(l) for l in ls]
+    g2ls = [one] + [gamma_act(l, 2) for l in ls]
+    return [_residuals(lk, gls[k], g2ls[k], *_relation_rhs(ctx, gls, g2ls, k))
+            for k, lk in enumerate(ls, start=1)]
 
 
 def rn_log(ctx):
@@ -180,16 +196,20 @@ def rn_log(ctx):
 
     Each level is built from the one pair of correction sums of
     _relation_rhs, and the relation and its two translates are re-verified
-    exactly from that pair; a nonzero residual (or a bad degree/denominator)
+    exactly from that pair and the gamma images of l_k, which the later
+    levels read; a nonzero residual (or a bad degree/denominator)
     raises ConsistencyFailure.
     """
     if ctx._log is not None:
         return list(ctx._log)
     ls = []
+    gls, g2ls = [ctx.ring_q.one()], [ctx.ring_q.one()]  # gamma and gamma^2 of l_0 .. l_{k-1}
     for k in range(1, ctx.k_max + 1):
-        a1, a2 = _relation_rhs(ctx, ls, k)
+        a1, a2 = _relation_rhs(ctx, gls, g2ls, k)
         lk = orbit_sum(a1).scalar_mul(QQ(1, 2))
-        if not all(r.is_zero() for r in _residuals(lk, a1, a2)):
+        gls.append(gamma_act(lk))
+        g2ls.append(gamma_act(lk, 2))
+        if not all(r.is_zero() for r in _residuals(lk, gls[k], g2ls[k], a1, a2)):
             raise ConsistencyFailure(
                 f"logarithm relation residual nonzero at k={k} in {ctx!r}"
             )
@@ -372,9 +392,62 @@ def _witness(p):
     return poly_to_json(p)
 
 
-def _nf_mod_Ik(ctx, p, k):
-    """Normal form modulo I_k = (2, v_1, ..., v_{k-1})."""
-    return ideal_normal_form(p, v_in_rn(ctx, k - 1))
+def _v_bars(ctx, k):
+    """The mod-2 images of v_1 .. v_k, each built on its first read from the
+    v_j the context holds then; like the v-images they grow by prefix."""
+    bars = ctx._v_mod2
+    if len(bars) < k:
+        vs = v_in_rn(ctx, k)
+        bars = ctx._v_mod2 = bars + tuple(reduce_mod2(v) for v in vs[len(bars):])
+    return bars[:k]
+
+
+def _t_bar(ctx, r, k):
+    """reduce_mod2(t_k^{C_{2^r}}), built on its first read from the entry held then."""
+    tbar = ctx._t_mod2.get((r, k))
+    if tbar is None:
+        tbar = ctx._t_mod2[r, k] = reduce_mod2(t_level(ctx, r)[k - 1])
+    return tbar
+
+
+def _ideal(ctx, k):
+    """I_k on F_2: (the nonzero mod-2 images of v_1 .. v_{k-1}, the basis
+    kept for them or None)."""
+    entry = ctx._ideals.get(k)
+    if entry is None:
+        entry = ctx._ideals[k] = ([g for g in _v_bars(ctx, k - 1) if not g.is_zero()], None)
+    return entry
+
+
+def _nf_mod_Ik(ctx, pbar, k):
+    """Normal form of the mod-2 polynomial pbar modulo I_k = (2, v_1, ..., v_{k-1}).
+
+    Membership in I_k is decided on F_2, and this is exact.  reduce_mod2 is
+    a ring map Z_(2)[t's] -> F_2[t's] with kernel (2), so p lies in I_k
+    exactly when reduce_mod2(p) lies in (v_1bar, ..., v_{k-1}bar), and
+    ideal_normal_form(p, v_in_rn(ctx, k - 1)) is the normal form of
+    reduce_mod2(p).  reduce_mod2 commutes with sums and with gamma (gamma
+    permutes the variables up to sign, and the signs vanish mod 2), so a
+    verifier that forms its input as a sum mod 2 (an XOR) of the context's
+    cached images, with gamma applied to them, gets the F_2 polynomial the
+    exact difference reduces to: the same verdict and the same witness.
+    ideal_normal_form stays the generic route and the test oracle.
+
+    The context keeps the basis _cached_basis last returned for I_k,
+    truncated at some D', and asks _GB_CACHE again only for a degree above
+    D'.  Every basis truncated at or above deg pbar gives the one full
+    normal form (its monomials are those outside the leading ideal), so the
+    reuse changes no witness either.
+    """
+    if pbar.is_zero():
+        return pbar
+    gens, basis = _ideal(ctx, k)
+    if not gens:
+        return pbar
+    if basis is None or basis.degree_bound < pbar.degree:
+        basis = _cached_basis(pbar.ring, gens, pbar.degree)
+        ctx._ideals[k] = (gens, basis)
+    return basis.normal_form(pbar)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +488,14 @@ def verify_tk_recursion(ctx, k):
 
     t_k^{C_{2^{n-1}}} = t_k + gamma(t_k) + sum_{j=1}^{k-1} gamma(t_j) t_{k-j}^{2^j}
     holds mod I_k = (2, v_1, ..., v_{k-1}); at k = 1 it holds exactly
-    (empty correction sum), and the verifier insists on that.
+    (empty correction sum), and the verifier insists on that.  For k >= 2 the
+    difference is formed on F_2: the cached image of the left side plus the
+    reduction of the right side.
     """
     if ctx.n < 2:
         raise ValueError("the level-drop recursion needs n >= 2")
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
-    tC = t_level(ctx, ctx.n - 1)[k - 1]
     tk = ctx.generator(k)
     rhs = tk + gamma_act(tk)
     for j in range(1, k):
@@ -430,11 +504,10 @@ def verify_tk_recursion(ctx, k):
         if tj.is_zero() or tkj.is_zero():
             continue
         rhs = rhs + gamma_act(tj) * tkj ** (1 << j)
-    diff = tC - rhs
     if k == 1:
-        nf = diff
+        nf = t_level(ctx, ctx.n - 1)[0] - rhs
     else:
-        nf = _nf_mod_Ik(ctx, diff, k)
+        nf = _nf_mod_Ik(ctx, _t_bar(ctx, ctx.n - 1, k) + reduce_mod2(rhs), k)
     return _report(
         "recursion",
         {"n": ctx.n, "k": k, "exact": k == 1},
@@ -445,11 +518,13 @@ def verify_tk_recursion(ctx, k):
 
 
 def verify_tkvk(ctx, k):
-    """t_k^{C_2} = v_k modulo I_k (exact membership via normal form)."""
+    """t_k^{C_2} = v_k modulo I_k (exact membership via normal form on F_2)."""
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
-    diff = t_level(ctx, 1)[k - 1] - v_in_rn(ctx, k)[k - 1]
-    nf = _nf_mod_Ik(ctx, diff, k)
+    # v_k before the level table: t_level built beside the v-images peaks
+    # lower than v_in_rn built beside the level table
+    vbar = _v_bars(ctx, k)[k - 1]
+    nf = _nf_mod_Ik(ctx, _t_bar(ctx, 1, k) + vbar, k)
     return _report(
         "tkvk",
         {"n": ctx.n, "k": k},
@@ -459,41 +534,46 @@ def verify_tkvk(ctx, k):
     )
 
 
+def _spot_elements(gens, rng):
+    """Seeded random nonzero elements of the ideal (gens) over F_2, with their
+    degrees: sum_g mono_g * g, one random monomial mono_g per generator, all
+    at one degree a little above the largest generator's."""
+    ring2 = gens[0].ring
+    for _ in range(_SPOT_CHECKS):
+        target_deg = max(g.degree for g in gens) + rng.choice((0, 2, 4))
+        p = ring2.zero()
+        for g in gens:
+            monos = ring2.monomials_of_degree(target_deg - g.degree)
+            if not monos:
+                continue
+            mono = monos[rng.randrange(len(monos))]
+            p = p + GradedPolynomial(ring2, {mono: 1}) * g
+        if not p.is_zero():
+            yield target_deg, p
+
+
 def verify_ideal_invariance(ctx, k):
     """gamma-invariance of the ideals: v_j - gamma(v_j) in I_j for all j <= k.
 
-    Once every generator passes, gamma maps I_k into itself; that consequence
-    is spot-checked on deterministically seeded random ideal elements, and a
-    spot element outside I_k can only come from a broken normal form or
-    sampler, so it raises ConsistencyFailure rather than falsifying the
-    claim.
+    Each generator is checked on F_2, as v_jbar + gamma(v_jbar).  Once every
+    generator passes, gamma maps I_k into itself; that consequence is
+    spot-checked on deterministically seeded random ideal elements drawn from
+    the cached generators of I_k, and a spot element outside I_k can only
+    come from a broken normal form or sampler, so it raises
+    ConsistencyFailure rather than falsifying the claim.
     """
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
-    vs = v_in_rn(ctx, k)
     bad = None
-    for j in range(1, k + 1):
-        nf = _nf_mod_Ik(ctx, vs[j - 1] - gamma_act(vs[j - 1]), j)
+    for j, vbar in enumerate(_v_bars(ctx, k), start=1):
+        nf = _nf_mod_Ik(ctx, vbar + gamma_act(vbar), j)
         if not nf.is_zero():
             bad = nf
             break
-    if bad is None:
-        rng = random.Random(0x51)
-        mod2 = [reduce_mod2(v) for v in vs[: k - 1]]
-        mod2 = [g for g in mod2 if not g.is_zero()]
-        ring2 = mod2[0].ring if mod2 else None
-        for _ in range(_SPOT_CHECKS if mod2 else 0):
-            target_deg = max(g.degree for g in mod2) + rng.choice((0, 2, 4))
-            p = ring2.zero()
-            for g in mod2:
-                monos = ring2.monomials_of_degree(target_deg - g.degree)
-                if not monos:
-                    continue
-                mono = monos[rng.randrange(len(monos))]
-                p = p + GradedPolynomial(ring2, {mono: 1}) * g
-            if p.is_zero():
-                continue
-            if not ideal_normal_form(gamma_act(p), vs[: k - 1]).is_zero():
+    gens = _ideal(ctx, k)[0] if bad is None else ()
+    if gens:
+        for target_deg, p in _spot_elements(gens, random.Random(0x51)):
+            if not _nf_mod_Ik(ctx, gamma_act(p), k).is_zero():
                 raise ConsistencyFailure(
                     f"gamma moves an element of I_{k} of degree {target_deg} out of I_{k}"
                     f" although every generator passed in {ctx!r}"
@@ -519,8 +599,7 @@ def verify_v_collapse(ctx, r):
         raise ValueError(f"r must exceed h = {h}")
     if r > ctx.k_max:
         raise ValueError(f"r outside 1..{ctx.k_max}")
-    vs = v_in_rn(ctx, r)
-    nf = ideal_normal_form(vs[r - 1], vs[:h])
+    nf = _nf_mod_Ik(ctx, _v_bars(ctx, r)[r - 1], h + 1)
     return _report(
         "v-collapse",
         {"n": ctx.n, "m": ctx.m, "h": h, "r": r},
@@ -540,7 +619,7 @@ def verify_t_collapse(ctx, k, r):
         raise ValueError(f"r must exceed 2^k m = {(1 << k) * ctx.m}")
     if r > ctx.k_max:
         raise ValueError(f"r outside 1..{ctx.k_max}")
-    x = t_level(ctx, ctx.n - k)[r - 1]
+    x = _t_bar(ctx, ctx.n - k, r)
     bad = None
     for j in range(ctx.half):
         nf = _nf_mod_Ik(ctx, gamma_act(x, j), r)

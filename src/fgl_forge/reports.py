@@ -75,8 +75,9 @@ def canonical_json(obj) -> str:
 def _write(obj, indent, out):
     """Append the JSON text of obj to out; indent is the newline of its line.
 
-    Types are tested exactly, so a subclass (an IntEnum member, an
-    OrderedDict) raises TypeError, as a float does.
+    Types are tested exactly, dict keys too, so a subclass (an IntEnum
+    member, an OrderedDict, a str subclass as a key) raises TypeError, as a
+    float does.
     """
     cls = type(obj)
     if cls is str:
@@ -88,7 +89,7 @@ def _write(obj, indent, out):
         inner = indent + "  "
         sep = "{" + inner
         for key in sorted(obj):  # keys of mixed types raise TypeError here
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"canonical_json: dict key {key!r} is not a str")
             out.append(sep)
             out.append(encode_basestring_ascii(key))

@@ -187,14 +187,26 @@ def _sabotage_chain_inversion(monkeypatch):
     return ["chain-inversion", "--n", "2", "--k", "2"], {"cutoff": X}
 
 
-@pytest.mark.parametrize("sabotage", [
-    _sabotage_eq351, _sabotage_recursion, _sabotage_tkvk, _sabotage_invariance_generator,
-    _sabotage_v_collapse, _sabotage_t_collapse, _sabotage_chain_inversion,
-])
+# sha256 of each sabotaged request's stdout, as the exact Z_(2) membership
+# route wrote it: the F_2 route must give the same witnesses
+_SABOTAGE_SHA256 = {
+    _sabotage_eq351: "49b155c1b8dbd0588025884372c9113494cbbd0f20f2436105d9a4e23fd91f47",
+    _sabotage_recursion: "a93b99d0cd99d22a66bf30b573f4253bce9a4bf74533648a7088f3c9ab6c0d9f",
+    _sabotage_tkvk: "564587d60de3c08b1d5dfffb39cebfc415c456912b24edd8da488154095d6ff7",
+    _sabotage_invariance_generator:
+        "9b25dc2f2592e6cb0e4da8a3604ae2bec248b439e9898e34d09ad4526e1792e2",
+    _sabotage_v_collapse: "a670fc9daa3de36992de3f9dbb269457ef4f8e55949713835f15e003e8fee8b1",
+    _sabotage_t_collapse: "bdd29df9fd5fad8e325ac4a8f79427f4a3c7d58e216aaae345cf9d0954db0455",
+    _sabotage_chain_inversion: "92cda44fbb27a490917f6a296e5632ff930adb2304ecefa377eefee025be353f",
+}
+
+
+@pytest.mark.parametrize("sabotage", list(_SABOTAGE_SHA256))
 def test_a_falsified_claim_exits_one_with_its_failed_report_alone(sabotage, capsys, monkeypatch):
     argv, params = sabotage(monkeypatch)
     code, out = _run(["verify", *argv], capsys)
     assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == _SABOTAGE_SHA256[sabotage]
     body = _body(out)
     assert body["ok"] is False and len(body["reports"]) == 1
     report = body["reports"][0]
@@ -205,10 +217,13 @@ def test_a_falsified_claim_exits_one_with_its_failed_report_alone(sabotage, caps
 
 def test_a_broken_invariance_spot_check_is_an_internal_error(capsys, monkeypatch):
     # every v_j passes, so gamma(I_k) is in I_k; spot elements drawn from (t_1),
-    # not from (v_1), stand in for a broken sampler: exit 2, nothing on stdout
+    # not from (v_1), stand in for a broken sampler: exit 2, nothing on stdout.
+    # The fault reaches the spot elements alone: the generator checks and the
+    # normal forms still read the context's v-images
     ctx = _fresh_context(monkeypatch, 2, 2)
-    t1 = ctx.generator(1)
-    monkeypatch.setattr(equivariant_ring, "reduce_mod2", lambda v: reduce_mod2(t1))
+    t1bar = reduce_mod2(ctx.generator(1))
+    sample = equivariant_ring._spot_elements
+    monkeypatch.setattr(equivariant_ring, "_spot_elements", lambda gens, rng: sample([t1bar], rng))
     code, out, err = _serve(["verify", "invariance", "--n", "2", "--k", "2"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: gamma moves an element of I_2 ")
@@ -783,11 +798,13 @@ class _Items(list):
         1.5, {"reports": [0.0]}, {1: "a"}, {"a": 1, 2: "b"}, [object()], {"x": {1, 2}},
         # a subclass of a type reports hold: reports hold only the exact types
         _Level.ONE, [_Level.ONE, 2], _Text("a\u00e9"), {_Text("k"): _Text("v")},
+        {_Text("k"): 1},
         collections.OrderedDict([("b", 1), ("a", [2])]), _Items([1, 2]), _Items(),
         {"x": _Items(["a", None])},
     ],
     ids=["float", "nested-float", "int-key", "mixed-keys", "object", "set",
          "IntEnum", "IntEnum-in-list", "str-subclass", "str-subclass-dict",
+         "str-subclass-key",
          "OrderedDict", "list-subclass", "empty-list-subclass", "nested-list-subclass"],
 )
 def test_canonical_json_rejects_what_no_report_holds(obj):

@@ -1,4 +1,6 @@
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -27,6 +29,7 @@ from fgl_forge.poly_core import (
     from_rational_ring,
     gamma_act,
     ideal_contains,
+    ideal_normal_form,
     poly_to_json,
     quotient_to_rnm,
     reduce_mod2,
@@ -354,6 +357,145 @@ def test_groebner_closure_on_real_v_images():
             continue
         assert gb.normal_form(comb).is_zero()
         assert f2_membership_linear(comb, [g1, g2])
+
+
+# ---- membership on F_2 from the cached mod-2 images ----------------------------------
+# The oracle is the exact route: each claim's difference formed in Z_(2) from
+# the exact tables, and its normal form through poly_core.ideal_normal_form.
+
+def _exact_recursion(ctx, k):
+    tk = ctx.generator(k)
+    rhs = tk + gamma_act(tk)
+    for j in range(1, k):
+        rhs = rhs + gamma_act(ctx.generator(j)) * ctx.generator(k - j) ** (1 << j)
+    return [(t_level(ctx, ctx.n - 1)[k - 1] - rhs, k)]
+
+
+def _exact_tkvk(ctx, k):
+    return [(t_level(ctx, 1)[k - 1] - v_in_rn(ctx, k)[k - 1], k)]
+
+
+def _exact_invariance(ctx, k):
+    vs = v_in_rn(ctx, k)
+    out = [(v - gamma_act(v), j) for j, v in enumerate(vs, start=1)]
+    # the spot elements, sampled from the reductions of the exact v_j with the
+    # verifier's seed
+    rng = random.Random(0x51)
+    mod2 = [g for g in (reduce_mod2(v) for v in vs[: k - 1]) if not g.is_zero()]
+    ring2 = mod2[0].ring if mod2 else None
+    for _ in range(8 if mod2 else 0):
+        target_deg = max(g.degree for g in mod2) + rng.choice((0, 2, 4))
+        p = ring2.zero()
+        for g in mod2:
+            monos = ring2.monomials_of_degree(target_deg - g.degree)
+            if monos:
+                p = p + GradedPolynomial(ring2, {monos[rng.randrange(len(monos))]: 1}) * g
+        if not p.is_zero():
+            out.append((gamma_act(p), k))
+    return out
+
+
+def _exact_v_collapse(ctx, r):
+    h = ctx.half * ctx.m
+    return [(v_in_rn(ctx, r)[r - 1], h + 1)]
+
+
+def _exact_t_collapse(ctx, level, r):
+    x = t_level(ctx, ctx.n - level)[r - 1]
+    return [(gamma_act(x, j), r) for j in range(ctx.half)]
+
+
+_EXACT = {
+    verify_tk_recursion: _exact_recursion,
+    verify_tkvk: _exact_tkvk,
+    verify_ideal_invariance: _exact_invariance,
+    verify_v_collapse: _exact_v_collapse,
+    verify_t_collapse: _exact_t_collapse,
+}
+
+
+def _check_f2_route(ctx, verifier, *args):
+    """Every input verifier(ctx, *args) hands _nf_mod_Ik is reduce_mod2 of the
+    exact difference, and its normal form is the one ideal_normal_form gives
+    the exact difference; the claim holds."""
+    exact = _EXACT[verifier](ctx, *args)
+    calls = []
+    nf_mod_Ik = equivariant_ring._nf_mod_Ik
+
+    def record(ctx_, pbar, k):
+        nf = nf_mod_Ik(ctx_, pbar, k)
+        calls.append((pbar, k, nf))
+        return nf
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivariant_ring, "_nf_mod_Ik", record)
+        report = verifier(ctx, *args)
+    for (pbar, k, nf), (p, k_exact) in zip(calls, exact):
+        assert k == k_exact
+        assert pbar == reduce_mod2(p), "the F_2 input is not the reduced difference"
+        assert nf == ideal_normal_form(p, v_in_rn(ctx, k - 1))
+    assert len(calls) == len(exact)
+    assert report["status"] == "verified"
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)])
+def test_rn_membership_inputs_are_the_reduced_exact_differences(n, k):
+    ctx = RnContext(n, k)
+    for j in range(2, k + 1):
+        _check_f2_route(ctx, verify_tk_recursion, j)
+    for j in range(1, k + 1):
+        _check_f2_route(ctx, verify_tkvk, j)
+    _check_f2_route(ctx, verify_ideal_invariance, k)
+
+
+def test_collapse_inputs_are_the_reduced_exact_differences():
+    """The R_2<m> contexts of the rn-membership benchmark pool."""
+    for m, r in ((1, 3), (1, 4), (1, 5), (2, 5)):
+        _check_f2_route(RnContext(2, max(r, 2 * m), m), verify_v_collapse, r)
+    for m, r in ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)):
+        ctx = RnContext(2, r, m)
+        for level in (0, 1):
+            if r > (1 << level) * m:
+                _check_f2_route(ctx, verify_t_collapse, level, r)
+
+
+@pytest.mark.parametrize("verifier, m, k, j", [
+    (verify_tkvk, None, 3, 3),
+    (verify_ideal_invariance, None, 3, 1),
+    (verify_v_collapse, 1, 4, 4),
+])
+def test_a_flipped_cached_v_image_fails_the_oracle(verifier, m, k, j):
+    """Mutation check: one term of one cached v_jbar flipped, and the oracle
+    comparison above reports it."""
+    ctx = RnContext(2, k, m)
+    bars = equivariant_ring._v_bars(ctx, k)
+    vbar = bars[j - 1]
+    flipped = vbar + GradedPolynomial(vbar.ring, {max(vbar.num): 1})
+    ctx._v_mod2 = (*bars[: j - 1], flipped, *bars[j:])
+    with pytest.raises(AssertionError, match="the F_2 input is not the reduced difference"):
+        _check_f2_route(ctx, verifier, k)
+
+
+def test_four_threads_on_one_fresh_context_give_the_serial_reports():
+    """The lazy mod-2 tables and ideal entries take no lock: four claims
+    filling them at once on one context print what they print one by one."""
+    def jobs(ctx):
+        return [
+            lambda: verify_tk_recursion(ctx, 6),
+            lambda: verify_tkvk(ctx, 6),
+            lambda: verify_ideal_invariance(ctx, 6),
+            lambda: [verify_t_collapse(ctx, level, 6) for level in (0, 1)],
+        ]
+
+    serial = [canonical_json(job()) for job in jobs(RnContext(2, 6, m=2))]
+    start = threading.Barrier(4)
+
+    def run(job):
+        start.wait()
+        return canonical_json(job())
+
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(run, jobs(RnContext(2, 6, m=2)))) == serial
 
 
 # ---- chain inversion ----------------------------------------------------------------
