@@ -95,19 +95,18 @@ class AtomicCache(dict):
 
     `get_or_create` checks and inserts under the table's lock, so racing
     callers get one object for a key: interned rings are matched by identity,
-    and a derived table is built once.  A stored value that `keep` rejects
-    is rebuilt and replaced under the same lock.  Build functions may fill
-    other tables, never their own.
+    and a derived table is built once.  Build functions may fill other
+    tables, never their own.
     """
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
 
-    def get_or_create(self, key, build, keep=None):
+    def get_or_create(self, key, build):
         with self._lock:
             value = self.get(key)
-            if value is None or (keep is not None and not keep(value)):
+            if value is None:
                 value = self[key] = build()
         return value
 

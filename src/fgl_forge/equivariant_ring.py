@@ -16,9 +16,9 @@ t_k^{C_2} = v_k mod I_k, the gamma-invariance of the ideals I_k, the
 collapse statements in R_n<m>, and the chain-inversion identity.
 
 Ideal membership is decided on F_2: each context keeps the mod-2 images of
-the v_j and t_level entries its claims read, and per ideal I_k one basis
-entry, so a membership check is one sum mod 2 of cached images and one
-normal form (_nf_mod_Ik).
+the v_j and t_level entries its claims read, and per ideal I_k its one
+Groebner basis, so a membership check is one sum mod 2 of cached images and
+one normal form (_nf_mod_Ik).
 
 Every verifier returns a JSON-ready report: status "verified", or "failed"
 with a witness when the claim is false.  Exceptions are left to bad input
@@ -32,8 +32,8 @@ from .errors import ConsistencyFailure
 from .poly_core import (
     AtomicCache,
     GradedPolynomial,
+    GroebnerBasis,
     T,
-    _cached_basis,
     from_rational_ring,
     gamma_act,
     orbit_sum,
@@ -72,8 +72,8 @@ class RnContext:
     v-images grow by prefix, only as far as a claim reads.  Beside them the
     context keeps the mod-2 image of each v_j and each t_level entry that a
     membership claim reads, each built on its first read from the exact
-    entry held then, and per ideal I_k its nonzero mod-2 generators with the
-    basis _cached_basis last returned for them (see _nf_mod_Ik).
+    entry held then, and per ideal I_k the Groebner basis of its mod-2
+    generators (see _nf_mod_Ik): no other table keeps a basis.
     Requests share one context per (n, k_max, m) through rn_context, so a
     table is built and checked once per process; calling RnContext directly
     gives a fresh context with empty caches.  No formal group law is cached:
@@ -102,7 +102,7 @@ class RnContext:
         self._t_level = {}
         self._v_mod2 = ()  # reduce_mod2(v_j) for a prefix of the v-images
         self._t_mod2 = {}  # (r, k) -> reduce_mod2(t_level(ctx, r)[k - 1])
-        self._ideals = {}  # k -> (mod-2 generators of I_k, basis or None)
+        self._ideals = {}  # k -> GroebnerBasis of I_k on F_2
 
     @property
     def half(self):
@@ -163,19 +163,23 @@ def _relation_rhs(ctx, gls, g2ls, k):
 
 
 def _residuals(lk, glk, g2lk, a1, a2):
-    """Exact residuals of the three defining relations at one level, from
-    gamma(l_k), gamma^2(l_k) and the two correction sums (a1, a2) of
-    _relation_rhs:
+    """Exact residuals of the defining relation and its gamma-translate at
+    one level, from gamma(l_k), gamma^2(l_k) and the two correction sums
+    (a1, a2) of _relation_rhs:
 
     r1: l_k - gamma l_k - sum_j gamma(l_j) t_{k-j}^{2^j}
     r2: gamma l_k - gamma^2 l_k - sum_j gamma^2(l_j) (gamma t_{k-j})^{2^j}
-    r3: l_k - gamma^2 l_k - (both sums)         [the sum of r1 and r2]
+
+    The third relation, l_k - gamma^2 l_k = (both sums), has the residual
+    r1 + r2 by construction, so it holds whenever these two do and is not
+    formed.  r2 is gamma(r1) only when gamma_act is a ring automorphism,
+    which is what forming it checks.
     """
-    return lk - glk - a1, glk - g2lk - a2, lk - g2lk - (a1 + a2)
+    return lk - glk - a1, glk - g2lk - a2
 
 
 def _log_relation_residuals(ctx, ls):
-    """The residuals (r1, r2, r3) of _residuals, per level k; each gamma image
+    """The residuals (r1, r2) of _residuals, per level k; each gamma image
     of an l_j is taken once."""
     one = ctx.ring_q.one()
     gls = [one] + [gamma_act(l) for l in ls]
@@ -195,10 +199,10 @@ def rn_log(ctx):
         2 l_k = sum_{r < 2^{n-1}} gamma^r ( sum_j gamma(l_j) t_{k-j}^{2^j} ).
 
     Each level is built from the one pair of correction sums of
-    _relation_rhs, and the relation and its two translates are re-verified
+    _relation_rhs, and the relation and its gamma-translate are re-verified
     exactly from that pair and the gamma images of l_k, which the later
-    levels read; a nonzero residual (or a bad degree/denominator)
-    raises ConsistencyFailure.
+    levels read (the gamma^2 relation is their sum, see _residuals); a
+    nonzero residual (or a bad degree/denominator) raises ConsistencyFailure.
     """
     if ctx._log is not None:
         return list(ctx._log)
@@ -411,12 +415,8 @@ def _t_bar(ctx, r, k):
 
 
 def _ideal(ctx, k):
-    """I_k on F_2: (the nonzero mod-2 images of v_1 .. v_{k-1}, the basis
-    kept for them or None)."""
-    entry = ctx._ideals.get(k)
-    if entry is None:
-        entry = ctx._ideals[k] = ([g for g in _v_bars(ctx, k - 1) if not g.is_zero()], None)
-    return entry
+    """The generators of I_k on F_2: the nonzero mod-2 images of v_1 .. v_{k-1}."""
+    return [g for g in _v_bars(ctx, k - 1) if not g.is_zero()]
 
 
 def _nf_mod_Ik(ctx, pbar, k):
@@ -433,20 +433,22 @@ def _nf_mod_Ik(ctx, pbar, k):
     exact difference reduces to: the same verdict and the same witness.
     ideal_normal_form stays the generic route and the test oracle.
 
-    The context keeps the basis _cached_basis last returned for I_k,
-    truncated at some D', and asks _GB_CACHE again only for a degree above
-    D'.  Every basis truncated at or above deg pbar gives the one full
-    normal form (its monomials are those outside the leading ideal), so the
-    reuse changes no witness either.
+    The context keeps one basis of I_k, truncated at the degree of the input
+    that built it, and builds and stores a new one only for an input of
+    higher degree.  Every basis truncated at or above deg pbar gives the one
+    full normal form (its monomials are those outside the leading ideal), so
+    the reuse changes no witness either.  The fill takes no lock: racing
+    fills may build a basis twice, or leave a lower one stored for a while,
+    which costs time and never changes a normal form.
     """
     if pbar.is_zero():
         return pbar
-    gens, basis = _ideal(ctx, k)
-    if not gens:
-        return pbar
+    basis = ctx._ideals.get(k)
     if basis is None or basis.degree_bound < pbar.degree:
-        basis = _cached_basis(pbar.ring, gens, pbar.degree)
-        ctx._ideals[k] = (gens, basis)
+        gens = _ideal(ctx, k)
+        if not gens:
+            return pbar
+        basis = ctx._ideals[k] = GroebnerBasis(pbar.ring, gens, pbar.degree)
     return basis.normal_form(pbar)
 
 
@@ -455,16 +457,18 @@ def _nf_mod_Ik(ctx, pbar, k):
 # ---------------------------------------------------------------------------
 
 def verify_log_relations(ctx):
-    """Check the three defining relations of the equivariant logarithm exactly.
+    """Check the defining relations of the equivariant logarithm exactly.
 
     rn_log already refuses to cache a logarithm that fails them, so this
     verifier recomputes the residuals to produce a citable report (claim id
-    "eq351" on the command line).
+    "eq351" on the command line).  Relations 1 and 2 are checked; the
+    residual of relation 3 is their sum (see _residuals), so it could never
+    be the first nonzero one, and a failed report names relation 1 or 2.
     """
     ls = rn_log(ctx)
     bad = None
     for k, residuals in enumerate(_log_relation_residuals(ctx, ls), start=1):
-        for which, res in zip((1, 2, 3), residuals):
+        for which, res in zip((1, 2), residuals):
             if not res.is_zero():
                 bad = (k, which, res)
                 break
@@ -537,17 +541,19 @@ def verify_tkvk(ctx, k):
 def _spot_elements(gens, rng):
     """Seeded random nonzero elements of the ideal (gens) over F_2, with their
     degrees: sum_g mono_g * g, one random monomial mono_g per generator, all
-    at one degree a little above the largest generator's."""
+    at one degree a little above the largest generator's; each is one sum of
+    products (PolyRing.dot)."""
     ring2 = gens[0].ring
     for _ in range(_SPOT_CHECKS):
         target_deg = max(g.degree for g in gens) + rng.choice((0, 2, 4))
-        p = ring2.zero()
+        pairs = []
         for g in gens:
             monos = ring2.monomials_of_degree(target_deg - g.degree)
             if not monos:
                 continue
             mono = monos[rng.randrange(len(monos))]
-            p = p + GradedPolynomial(ring2, {mono: 1}) * g
+            pairs.append((GradedPolynomial(ring2, {mono: 1}, _checked=True), g))
+        p = ring2.dot(pairs)
         if not p.is_zero():
             yield target_deg, p
 
@@ -570,7 +576,7 @@ def verify_ideal_invariance(ctx, k):
         if not nf.is_zero():
             bad = nf
             break
-    gens = _ideal(ctx, k)[0] if bad is None else ()
+    gens = _ideal(ctx, k) if bad is None else ()
     if gens:
         for target_deg, p in _spot_elements(gens, random.Random(0x51)):
             if not _nf_mod_Ik(ctx, gamma_act(p), k).is_zero():

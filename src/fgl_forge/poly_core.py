@@ -23,11 +23,11 @@ Normal forms over F_2 pop monomials from a heap keyed by the packed int
 (exact for homogeneous reducers, see _nf) and skip entries whose monomial
 has cancelled since it was pushed (lazy deletion; Monagan & Pearce, "Sparse
 polynomial division using a heap", JSC 2011), so a reduction step costs a
-logarithm of the support, not a scan of it.  The process keeps one Groebner
-basis per (ring, generator set), truncated at the largest degree asked so
-far: a basis truncated at D' >= D gives the same full normal form to every
-homogeneous input of degree <= D, so a request at a lower degree reuses it
-and only a request at a higher degree rebuilds it.
+logarithm of the support, not a scan of it.  A basis truncated at
+D' >= D gives the same full normal form to every homogeneous input of
+degree <= D, so whoever keeps one may serve lower degrees from it; this
+module keeps none (the R_n contexts of equivariant_ring keep theirs), and
+ideal_normal_form builds a basis on each call.
 """
 
 from __future__ import annotations
@@ -865,35 +865,16 @@ class GroebnerBasis:
         return _nf(p, self._reducers)
 
 
-_GB_CACHE = AtomicCache()
-
-
-def _cached_basis(ring, gens_mod2, D) -> GroebnerBasis:
-    """The process-wide basis of (gens_mod2) in ring, truncated at >= D.
-
-    One entry per (ring, generator set), at the largest degree asked so far;
-    a request above it builds the basis at D and replaces the entry.  Both
-    happen under the cache's lock, so racing callers build no basis twice and
-    never replace a larger one with a smaller.
-    """
-    # a set of generator sets: frozensets sort by inclusion only, so no sorted
-    # tuple of them is independent of the order the generators come in
-    key = (id(ring), frozenset(frozenset(g.num) for g in gens_mod2 if not g.is_zero()))
-    return _GB_CACHE.get_or_create(
-        key,
-        lambda: GroebnerBasis(ring, gens_mod2, D),
-        keep=lambda gb: gb.degree_bound >= D,
-    )
-
-
 def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
     """Normal form of p modulo (2, gens), over F_2: zero iff p is a member.
 
     Reduction mod 2 first is exact because the ambient rings are polynomial
     over Z_(2): an element lies in (2, g_1, ..., g_r) iff its mod-2 reduction
     lies in the ideal of the reductions.  p must be homogeneous (as every
-    identity checked here is); the ideal's cached basis is truncated at its
-    degree or above.
+    identity checked here is).  Each call builds its own basis, truncated at
+    deg p, and keeps none: this is the generic route and the test oracle of
+    the membership claims, so it shares no basis object with the route it
+    checks.
     """
     pbar = reduce_mod2(p)
     if pbar.is_zero():
@@ -901,7 +882,7 @@ def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
     gens_mod2 = [g for g in (reduce_mod2(g) for g in gens) if not g.is_zero()]
     if not gens_mod2:
         return pbar
-    return _cached_basis(pbar.ring, gens_mod2, pbar.degree).normal_form(pbar)
+    return GroebnerBasis(pbar.ring, gens_mod2, pbar.degree).normal_form(pbar)
 
 
 def ideal_contains(p: GradedPolynomial, gens) -> bool:

@@ -498,7 +498,8 @@ def test_suite_quick(tmp_path, capsys):
 
 
 def _cold_caches(monkeypatch):
-    """Empty the process-wide derived-object caches for one test.
+    """Empty the process-wide derived-object caches for one test; the
+    Groebner bases go with the contexts that keep them.
 
     Rings stay interned: arithmetic matches them by identity, and module-level
     rings of other tests would stop matching.  monkeypatch restores the
@@ -506,20 +507,28 @@ def _cold_caches(monkeypatch):
     """
     monkeypatch.setattr(equivariant_ring, "_CONTEXTS", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_LT_CONTEXTS", AtomicCache())
-    monkeypatch.setattr(poly_core, "_GB_CACHE", AtomicCache())
     monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
+
+
+def _context_bases():
+    """Every Groebner basis the process-wide contexts keep, by (context, ideal)."""
+    return {
+        (key, k): basis
+        for key, ctx in equivariant_ring._CONTEXTS.items()
+        for k, basis in ctx._ideals.items()
+    }
 
 
 def test_cold_caches_empty_the_one_basis_cache(capsys, monkeypatch):
     argv = ["verify", "recursion", "--n", "2", "--k", "4"]
     _cold_caches(monkeypatch)
     assert _run(argv, capsys)[0] == 0
-    warm = poly_core._GB_CACHE
+    warm = _context_bases()
     assert warm
     _cold_caches(monkeypatch)
-    assert not poly_core._GB_CACHE
+    assert not _context_bases()
     assert _run(argv, capsys)[0] == 0
-    cold = poly_core._GB_CACHE
+    cold = _context_bases()
     assert cold.keys() == warm.keys()
     assert all(cold[key] is not warm[key] for key in cold)
 

@@ -433,7 +433,7 @@ def _check_f2_route(ctx, verifier, *args):
     for (pbar, k, nf), (p, k_exact) in zip(calls, exact):
         assert k == k_exact
         assert pbar == reduce_mod2(p), "the F_2 input is not the reduced difference"
-        assert nf == ideal_normal_form(p, v_in_rn(ctx, k - 1))
+        assert nf == ideal_normal_form(p, v_in_rn(ctx, k - 1)), "the normal form is not the oracle's"
     assert len(calls) == len(exact)
     assert report["status"] == "verified"
 
@@ -473,6 +473,22 @@ def test_a_flipped_cached_v_image_fails_the_oracle(verifier, m, k, j):
     flipped = vbar + GradedPolynomial(vbar.ring, {max(vbar.num): 1})
     ctx._v_mod2 = (*bars[: j - 1], flipped, *bars[j:])
     with pytest.raises(AssertionError, match="the F_2 input is not the reduced difference"):
+        _check_f2_route(ctx, verifier, k)
+
+
+@pytest.mark.parametrize("verifier, m, k", [
+    (verify_tk_recursion, None, 3),
+    (verify_tkvk, None, 3),
+    (verify_v_collapse, 1, 4),
+])
+def test_an_emptied_context_basis_fails_the_oracle(verifier, m, k):
+    """Mutation check: the reducers of the one basis a verifier built, emptied
+    in place, and the oracle, which builds its own basis, reports it."""
+    ctx = RnContext(2, k, m)
+    verifier(ctx, k)
+    (basis,) = ctx._ideals.values()
+    basis._reducers.clear()
+    with pytest.raises(AssertionError, match="the normal form is not the oracle's"):
         _check_f2_route(ctx, verifier, k)
 
 

@@ -575,37 +575,44 @@ def _low_degree_inputs(ring, rng, top):
     return [p for p in inputs if not p.is_zero()]
 
 
-def test_one_basis_per_ideal_serves_lower_degrees(monkeypatch):
-    monkeypatch.setattr(poly_core, "_GB_CACHE", poly_core.AtomicCache())
+def _sum_of_monomials(ring, d, count=5):
+    p = ring.zero()
+    for mono in ring.monomials_of_degree(d)[:count]:
+        p = p + GradedPolynomial(ring, {mono: 1})
+    return p
+
+
+# The context entry is the one store of the basis of I_4 = (v_1, v_2, v_3)
+# in a fresh R_2 context: _v_ideal() gives the same generators and ring.
+
+def test_one_basis_per_ideal_serves_lower_degrees():
+    ctx = equivariant_ring.RnContext(2, 3)
     gens, ring = _v_ideal()
-    top = ring.zero()
-    for mono in ring.monomials_of_degree(14)[:5]:
-        top = top + GradedPolynomial(ring, {mono: 1})
-    poly_core.ideal_normal_form(top, gens)
-    (gb14,) = poly_core._GB_CACHE.values()
+    equivariant_ring._nf_mod_Ik(ctx, _sum_of_monomials(ring, 14), 4)
+    gb14 = ctx._ideals[4]
     assert gb14.degree_bound == 14
     fresh = GroebnerBasis(ring, gens, 6)
     for p in _low_degree_inputs(ring, random.Random(81), 6):
-        assert poly_core.ideal_normal_form(p, gens) == fresh.normal_form(p)
-    assert list(poly_core._GB_CACHE.values()) == [gb14]
+        assert equivariant_ring._nf_mod_Ik(ctx, p, 4) == fresh.normal_form(p)
+    assert ctx._ideals == {4: gb14}
 
 
-def test_a_higher_degree_replaces_the_basis(monkeypatch):
-    monkeypatch.setattr(poly_core, "_GB_CACHE", poly_core.AtomicCache())
+def test_a_higher_degree_replaces_the_basis():
+    ctx = equivariant_ring.RnContext(2, 3)
     gens, ring = _v_ideal()
-    gb6 = poly_core._cached_basis(ring, gens, 6)
-    assert poly_core._cached_basis(ring, gens, 4) is gb6
-    gb14 = poly_core._cached_basis(ring, gens, 14)
+    entries = []
+    for d in (6, 4, 14, 6, 10):
+        p = _sum_of_monomials(ring, d)
+        assert equivariant_ring._nf_mod_Ik(ctx, p, 4) == GroebnerBasis(ring, gens, d).normal_form(p)
+        entries.append(ctx._ideals[4])
+    gb6, gb14 = entries[0], entries[2]
+    assert gb6.degree_bound == 6 and entries[1] is gb6
     assert gb14 is not gb6 and gb14.degree_bound == 14
-    assert list(poly_core._GB_CACHE.values()) == [gb14]
-    assert poly_core._cached_basis(ring, gens, 6) is gb14
-    # generator order and zero generators do not make another ideal
-    assert poly_core._cached_basis(ring, gens[::-1] + [ring.zero()], 10) is gb14
-    assert len(poly_core._GB_CACHE) == 1
+    assert entries[3] is gb14 and entries[4] is gb14
 
 
-def test_one_basis_cache_under_threads(monkeypatch):
-    """Threads asking one ideal at mixed degrees get the serial normal forms."""
+def test_one_basis_cache_under_threads():
+    """Threads asking one fresh context at mixed degrees get the serial normal forms."""
     gens, ring = _v_ideal()
     rng = random.Random(91)
     degrees = (6, 14, 10, 8, 14, 4, 12, 6)
@@ -615,13 +622,13 @@ def test_one_basis_cache_under_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            monkeypatch.setattr(poly_core, "_GB_CACHE", poly_core.AtomicCache())
+            ctx = equivariant_ring.RnContext(2, 3)
             barrier = threading.Barrier(len(degrees))
             got = {}
 
             def work(slot, d):
                 barrier.wait(timeout=10)
-                got[slot] = [poly_core.ideal_normal_form(p, gens) for p in inputs[d]]
+                got[slot] = [equivariant_ring._nf_mod_Ik(ctx, p, 4) for p in inputs[d]]
 
             threads = [threading.Thread(target=work, args=(slot, d)) for slot, d in enumerate(degrees)]
             for t in threads:
@@ -630,8 +637,8 @@ def test_one_basis_cache_under_threads(monkeypatch):
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert got == {slot: serial[d] for slot, d in enumerate(degrees)}
-            (gb,) = poly_core._GB_CACHE.values()
-            assert gb.degree_bound == max(degrees)
+            # a racing fill may leave a lower basis stored; it is still one entry
+            assert list(ctx._ideals) == [4] and ctx._ideals[4].degree_bound in degrees
     finally:
         sys.setswitchinterval(interval)
 
