@@ -17,9 +17,10 @@ and a witness, never an exception.
 
 Exit codes: 0 everything verified, 1 a claim is false (the machine-readable
 report with its witness is still emitted; verify emits the first failed
-report alone), 2 usage or configuration error, or an internal cross-check
-that broke (a ForgeError), 130 interrupted (suite flushes the reports of the
-entries it finished first).
+report alone), 2 usage or configuration error (a flag the claim does not read
+given a value other than its default, or a value past the claim's caps
+without --force), or an internal cross-check that broke (a ForgeError), 130
+interrupted (suite flushes the reports of the entries it finished first).
 
 Reports are wrapped in the canonical envelope of `reports` (schema
 "fgl-forge/1"); identical configurations produce byte-identical JSON.
@@ -56,9 +57,6 @@ from .lubin_tate import (
 from .poly_core import poly_to_json
 from .reports import _report, canonical_json, envelope, render_line
 
-# documented feasibility limits; --force bypasses them
-_LIMITS = {"n": 3, "m": 3, "k": 6, "d": 4, "precision": 16, "madic": 10, "cutoff": 64}
-
 
 def _positive(text):
     value = int(text)
@@ -74,7 +72,8 @@ def _modulus(text):
     return bits
 
 
-# every flag of `verify`; `log` takes the four it reads
+# every flag a command takes; each claim of `verify` reads a few of them (its
+# _CLAIMS entry), and `log` takes the four it reads
 _FLAGS = {
     "--n": dict(type=_positive, default=2, help="group exponent: C_{2^n}"),
     "--m": dict(type=_positive, default=1, help="truncation level"),
@@ -88,13 +87,17 @@ _FLAGS = {
     "--madic": dict(type=_positive, default=6, help="truncation order M"),
     "--cutoff": dict(type=_positive, default=None, help="series cutoff"),
     "--json": dict(metavar="PATH", default=None, help="write JSON here"),
-    "--force": dict(action="store_true", help="bypass feasibility limits"),
+    "--force": dict(action="store_true",
+                    help="run past the claim's caps on parameter sizes"),
 }
 
 
 # the value argparse gives a flag left out: its default, False for store_true
 _DEFAULTS = {flag: spec.get("default", False if "action" in spec else None)
              for flag, spec in _FLAGS.items()}
+# the value flags by name, with their defaults: all but --json and --force
+_VALUE_DEFAULTS = {flag[2:]: default for flag, default in _DEFAULTS.items()
+                   if flag not in ("--json", "--force")}
 
 
 def _build_parser():
@@ -182,16 +185,33 @@ def _parse_table(argv):
     return argparse.Namespace(**values)
 
 
-def _check_limits(args):
-    if getattr(args, "force", False):
+def _check_request(args):
+    """A usage error (exit 2) for a flag the claim does not read or a value past its caps.
+
+    An unread flag given at its default leaves the envelope as if it were left
+    out, so it stays accepted.  --force lifts the caps, never the unread-flag
+    rule.  suite has no entry: it takes only --json.
+    """
+    name = args.claim if args.command == "verify" else args.command
+    if name not in _CLAIMS:
         return
-    for name, cap in _LIMITS.items():
-        value = getattr(args, name, None)
+    _, reads, caps = _CLAIMS[name]
+    values = vars(args)
+    unread = [f"--{key}" for key, default in _VALUE_DEFAULTS.items()
+              if key not in reads and values.get(key, default) != default]
+    if unread:
+        _parser().error(f"{name} does not read {', '.join(unread)} "
+                        f"(it reads {', '.join('--' + key for key in reads)})")
+    if args.force:
+        return
+    for key, cap in caps.items():
+        if key == "k":
+            cap = cap[args.n - 1]
+        value = values[key]
         if value is not None and value > cap:
-            _parser().error(
-                f"--{name} {value} exceeds the documented limit {cap} "
-                "(use --force to override)"
-            )
+            where = f" at --n {args.n}" if key == "k" else ""
+            _parser().error(f"--{key} {value} exceeds the limit {cap} of {name}{where} "
+                            "(use --force to override)")
 
 
 def _config(args):
@@ -223,25 +243,50 @@ def _t_collapse(args):
     return [verify_t_collapse(ctx, j, args.k) for j in levels]
 
 
-# Each claim maps parsed `verify` arguments to its reports, in order; the
-# entries look their verifier up when called, so a patched module name reaches them.
+def _log(args):
+    ctx = rn_context(args.n, args.k)
+    values = [poly_to_json(l) for l in rn_log(ctx)]
+    return [_report("log", {"n": args.n, "k_max": args.k, "values": values}, True,
+                    bounds=ctx.bounds())]
+
+
+_RN = ("n", "k")
+_LT = ("n", "m", "d", "modulus", "precision", "madic")
+_LT_CAPS = {"n": 3, "m": 3, "d": 4, "precision": 16, "madic": 10}
+
+# {claim: (its runner, the value flags the runner reads, its caps)}.  The
+# runner maps parsed arguments to the claim's reports, in order, and looks its
+# verifier up when called, so a patched module name reaches it.  The caps are
+# the largest values served without --force, n first; the cap of --k is given
+# at n = 1, 2, 3.  Each edge finishes in a fresh interpreter within 60 s.
+# `log` is not a claim of `verify`, but keeps its flags and caps here too.
 _CLAIMS = {
-    "recursion": lambda a: [verify_tk_recursion(rn_context(a.n, a.k), a.k)],
-    "tkvk": lambda a: [verify_tkvk(rn_context(a.n, a.k), a.k)],
-    "invariance": lambda a: [verify_ideal_invariance(rn_context(a.n, a.k), a.k)],
+    "recursion": (lambda a: [verify_tk_recursion(rn_context(a.n, a.k), a.k)],
+                  _RN, {"n": 3, "k": (6, 6, 5)}),
+    "tkvk": (lambda a: [verify_tkvk(rn_context(a.n, a.k), a.k)],
+             _RN, {"n": 3, "k": (6, 6, 4)}),
+    "invariance": (lambda a: [verify_ideal_invariance(rn_context(a.n, a.k), a.k)],
+                   _RN, {"n": 3, "k": (6, 6, 4)}),
     # the context reaches v_r and the ideal's v_1 .. v_h, h = 2^{n-1} m
-    "v-collapse": lambda a: [verify_v_collapse(
+    "v-collapse": (lambda a: [verify_v_collapse(
         rn_context(a.n, max(a.k, (1 << (a.n - 1)) * a.m), m=a.m), a.k)],
-    "t-collapse": _t_collapse,
-    "chain-inversion": lambda a: [
+        ("n", "m", "k"), {"n": 3, "m": 3, "k": (6, 6, 6)}),
+    "t-collapse": (_t_collapse, ("n", "m", "k"), {"n": 3, "m": 3, "k": (6, 6, 5)}),
+    # the cutoff is held to the window of k_max by chain_inversion_check
+    "chain-inversion": (lambda a: [
         chain_inversion_check(rn_context(a.n, a.k), cutoff=a.cutoff)],
-    "cotangent": lambda a: [cotangent_check(_lt_context(a))],
-    "height": lambda a: [residue_height(_lt_context(a), cutoff=a.cutoff)],
-    "unit-factors": lambda a: [d_factors(_lt_context(a))],
-    "fixed-subring": lambda a: [fixed_subring_presentation(_lt_context(a))],
-    "eq351": lambda a: [verify_log_relations(rn_context(a.n, a.k))],
+        (*_RN, "cutoff"), {"n": 3, "k": (5, 4, 3)}),
+    "cotangent": (lambda a: [cotangent_check(_lt_context(a))], _LT, _LT_CAPS),
+    "height": (lambda a: [residue_height(_lt_context(a), cutoff=a.cutoff)],
+               (*_LT, "cutoff"), {**_LT_CAPS, "cutoff": 64}),
+    "unit-factors": (lambda a: [d_factors(_lt_context(a))], _LT, _LT_CAPS),
+    "fixed-subring": (lambda a: [fixed_subring_presentation(_lt_context(a))],
+                      _LT, _LT_CAPS),
+    "eq351": (lambda a: [verify_log_relations(rn_context(a.n, a.k))],
+              _RN, {"n": 3, "k": (6, 6, 6)}),
+    "log": (_log, _RN, {"n": 3, "k": (6, 6, 6)}),
 }
-CLAIMS = tuple(_CLAIMS)
+CLAIMS = tuple(claim for claim in _CLAIMS if claim != "log")
 
 _SCENARIOS = ("cotangent", "height", "unit-factors", "fixed-subring")
 _ACCEPTANCE_GRID = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3))
@@ -296,7 +341,7 @@ def _run_suite(profile):
     for entry in PROFILES[profile]:
         args = _parse(["verify", *entry.split()])
         try:
-            reports.extend(_CLAIMS[args.claim](args))
+            reports.extend(_CLAIMS[args.claim][0](args))
         except KeyboardInterrupt:
             return reports, True
     return reports, False
@@ -315,22 +360,14 @@ def _emit(body, args):
 
 
 def _cmd_log(args):
-    ctx = rn_context(args.n, args.k)
-    values = rn_log(ctx)
-    report = _report(
-        "log",
-        {"n": args.n, "k_max": args.k, "values": [poly_to_json(l) for l in values]},
-        True,
-        bounds=ctx.bounds(),
-    )
-    code = _emit(envelope([report], config=_config(args)), args)
-    for k, l in enumerate(values, start=1):
+    code = _emit(envelope(_log(args), config=_config(args)), args)
+    for k, l in enumerate(rn_log(rn_context(args.n, args.k)), start=1):
         print(f"# l_{k} = {l!r}", file=sys.stderr)
     return code
 
 
 def _cmd_verify(args):
-    reports = _CLAIMS[args.claim](args)
+    reports = _CLAIMS[args.claim][0](args)
     failed = [r for r in reports if r["status"] != "verified"]
     # the first failed report alone; status "failed", exit 1
     return _emit(envelope(failed[:1] or reports, config=_config(args)), args)
@@ -345,7 +382,7 @@ def _cmd_suite(args):
 
 def main(argv=None):
     args = _parse(argv)
-    _check_limits(args)
+    _check_request(args)
     try:
         if args.command == "log":
             return _cmd_log(args)

@@ -305,10 +305,91 @@ def test_unknown_claim_is_usage_error():
 def test_feasibility_limits_and_force():
     parser = cli._build_parser()
     with pytest.raises(SystemExit) as err:
-        cli._check_limits(parser.parse_args(["verify", "eq351", "--k", "7"]))
+        cli._check_request(parser.parse_args(["verify", "eq351", "--k", "7"]))
     assert err.value.code == 2
     args = parser.parse_args(["verify", "eq351", "--k", "7", "--force"])
-    cli._check_limits(args)  # no exit
+    cli._check_request(args)  # no exit
+
+
+def _smallest_requests():
+    """{claim: the argv of its first `suite quick` entry}, and `log` at its smallest."""
+    requests = {"log": ["log", "--n", "1", "--k", "1"]}
+    for entry in cli.PROFILES["quick"]:
+        claim = entry.split()[0]
+        requests.setdefault(claim, ["verify", *entry.split()])
+    assert set(requests) == set(cli._CLAIMS)
+    return requests
+
+
+def test_each_claim_reads_the_flags_it_declares():
+    """A runner that starts reading a flag its _CLAIMS entry does not name fails here."""
+    for claim, argv in _smallest_requests().items():
+        run, reads, _ = cli._CLAIMS[claim]
+        args = cli._parse(argv)
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        run(Recording(**vars(args)))
+        assert read & set(vars(args)) == set(reads), claim
+
+
+# a value other than the default of each value flag, and the default as typed
+_NON_DEFAULT = {"--n": "1", "--m": "2", "--k": "2", "--d": "2", "--modulus": "1,1,1",
+                "--precision": "4", "--madic": "4", "--cutoff": "8"}
+_DEFAULT_TEXT = {"--m": "1", "--k": "3", "--d": "1", "--precision": "8", "--madic": "6"}
+
+
+def test_an_unread_flag_is_a_usage_error_unless_it_is_the_default(capsys):
+    pairs = 0
+    for claim, argv in _smallest_requests().items():
+        if claim == "log":
+            continue  # log takes only the flags it reads
+        reads = cli._CLAIMS[claim][1]
+        _, expected, _ = _serve(argv, capsys)
+        for flag in _NON_DEFAULT:
+            if flag[2:] in reads:
+                continue
+            pairs += 1
+            for force in ([], ["--force"]):
+                code, out, err = _serve([*argv, flag, _NON_DEFAULT[flag], *force], capsys)
+                assert (code, out) == (2, ""), (claim, flag)
+                assert f"error: {claim} does not read {flag} " in err, (claim, flag)
+            if flag in _DEFAULT_TEXT:
+                got = _serve([*argv, flag, _DEFAULT_TEXT[flag]], capsys)
+                assert got[:2] == (0, expected), (claim, flag)
+    # of the 88 (claim, value flag) pairs of `verify`, 46 are unread
+    assert pairs == 46
+
+
+def test_each_claim_is_capped_by_its_entry(capsys):
+    """At each cap the request passes, one past it exits 2 naming the cap, and
+    --force lifts it; checked on the parsed request, so nothing slow runs."""
+    def check(argv):
+        try:
+            cli._check_request(cli._parse(argv))
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().err
+        return 0, ""
+
+    for claim, (_, _, caps) in cli._CLAIMS.items():
+        assert next(iter(caps)) == "n", claim  # n is checked before its k cap is read
+        command = ["log"] if claim == "log" else ["verify", claim]
+        for key, cap in caps.items():
+            steps = [(f"--n {n} --k", cap[n - 1], f" at --n {n}") for n in (1, 2, 3)] \
+                if key == "k" else [(f"--{key}", cap, "")]
+            for words, edge, where in steps:
+                argv = [*command, *words.split()]
+                assert check([*argv, str(edge)]) == (0, ""), (claim, key, edge)
+                code, err = check([*argv, str(edge + 1)])
+                assert code == 2, (claim, key, edge)
+                assert f"exceeds the limit {edge} of {claim}{where} " in err, err
+                assert check([*argv, str(edge + 1), "--force"]) == (0, "")
+    for entry in (entry for entries in cli.PROFILES.values() for entry in entries):
+        assert check(["verify", *entry.split()]) == (0, ""), entry
 
 
 def _serve(argv, capsys):
@@ -392,7 +473,7 @@ def test_a_well_formed_request_builds_no_parser(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, err = _serve(["verify", "recursion", "--n", "2", "--k", "7"], capsys)
     assert (code, out) == (2, "")
-    assert "exceeds the documented limit 6" in err
+    assert "exceeds the limit 6 of recursion" in err
 
 
 _EDGE_TOKENS = ("", "-", "-1", " 4", "07", "+3", "\u0663", "1,2", "--prec", "--n=2", "-h", "--")
