@@ -18,9 +18,10 @@ and a witness, never an exception.
 Exit codes: 0 everything verified, 1 a claim is false (the machine-readable
 report with its witness is still emitted; verify emits the first failed
 report alone), 2 usage or configuration error (a flag the claim does not read
-given a value other than its default, or a value past the claim's caps
-without --force), or an internal cross-check that broke (a ForgeError), 130
-interrupted (suite flushes the reports of the entries it finished first).
+given a value other than its default, a value past the claim's caps without
+--force, or any other ValueError) or an internal cross-check that broke (a
+ConsistencyFailure), 130 interrupted (suite flushes the reports of the
+entries it finished first).
 
 Reports are wrapped in the canonical envelope of `reports` (schema
 "fgl-forge/1"); identical configurations produce byte-identical JSON.
@@ -46,7 +47,7 @@ from .equivariant_ring import (
     verify_tkvk,
     verify_v_collapse,
 )
-from .errors import ForgeError
+from .errors import ConsistencyFailure
 from .lubin_tate import (
     cotangent_check,
     d_factors,
@@ -267,18 +268,17 @@ _CLAIMS = {
              _RN, {"n": 3, "k": (6, 6, 4)}),
     "invariance": (lambda a: [verify_ideal_invariance(rn_context(a.n, a.k), a.k)],
                    _RN, {"n": 3, "k": (6, 6, 4)}),
-    # the context reaches v_r and the ideal's v_1 .. v_h, h = 2^{n-1} m
-    "v-collapse": (lambda a: [verify_v_collapse(
-        rn_context(a.n, max(a.k, (1 << (a.n - 1)) * a.m), m=a.m), a.k)],
-        ("n", "m", "k"), {"n": 3, "m": 3, "k": (6, 6, 6)}),
+    "v-collapse": (lambda a: [verify_v_collapse(rn_context(a.n, a.k, m=a.m), a.k)],
+                   ("n", "m", "k"), {"n": 3, "m": 3, "k": (6, 6, 6)}),
     "t-collapse": (_t_collapse, ("n", "m", "k"), {"n": 3, "m": 3, "k": (6, 6, 5)}),
     # the cutoff is held to the window of k_max by chain_inversion_check
     "chain-inversion": (lambda a: [
         chain_inversion_check(rn_context(a.n, a.k), cutoff=a.cutoff)],
         (*_RN, "cutoff"), {"n": 3, "k": (5, 4, 3)}),
     "cotangent": (lambda a: [cotangent_check(_lt_context(a))], _LT, _LT_CAPS),
+    # 2^12 = 2^h at the largest (n, m); a verified height stops at v_h
     "height": (lambda a: [residue_height(_lt_context(a), cutoff=a.cutoff)],
-               (*_LT, "cutoff"), {**_LT_CAPS, "cutoff": 64}),
+               (*_LT, "cutoff"), {**_LT_CAPS, "cutoff": 4096}),
     "unit-factors": (lambda a: [d_factors(_lt_context(a))], _LT, _LT_CAPS),
     "fixed-subring": (lambda a: [fixed_subring_presentation(_lt_context(a))],
                       _LT, _LT_CAPS),
@@ -391,7 +391,7 @@ def main(argv=None):
         return _cmd_suite(args)
     except KeyboardInterrupt:
         return 130
-    except (ForgeError, ValueError, OSError) as exc:
+    except (ConsistencyFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

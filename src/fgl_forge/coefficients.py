@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyFailure, InverseOfNonUnit, NonIntegralCoefficient
+from .errors import ConsistencyFailure
 
 QQ = Fraction  # the rationals of every module of the package
 
@@ -39,7 +39,7 @@ def is_two_local(q) -> bool:
 def rational_mod2(q) -> int:
     """Reduction of a 2-local rational to F_2 (odd denominators are units)."""
     if not is_two_local(q):
-        raise NonIntegralCoefficient(f"{q} has even denominator")
+        raise ValueError(f"{q} has even denominator")
     return q.numerator & 1
 
 
@@ -253,7 +253,7 @@ class GFElement:
 
     def inverse(self):
         if self.bits == 0:
-            raise InverseOfNonUnit("0 has no inverse in a field")
+            raise ValueError("0 has no inverse in a field")
         return self ** ((1 << self.spec.d) - 2)
 
     def frobenius(self):
@@ -402,7 +402,7 @@ class WittElement:
 
     def inverse(self) -> "WittElement":
         if not self.is_unit():
-            raise InverseOfNonUnit(f"{self} reduces to 0 mod 2")
+            raise ValueError(f"{self} reduces to 0 mod 2")
         # lift the residue inverse, then Newton: v <- v(2 - wv)
         r = self.residue().inverse()
         v = WittElement(self.spec, self.precision, r.coeffs)

@@ -234,8 +234,8 @@ def v_in_rn(ctx, k):
 
     v_k needs only l_1 .. l_k, so the context keeps the longest prefix asked
     for so far and builds no v_j past it.  Integrality is a theorem, so the
-    NonIntegralResult this can raise always signals a pipeline bug, never a
-    mathematical discovery.
+    non-integral ValueError of v_from_log always signals a pipeline bug
+    here, never a mathematical discovery.
     """
     if not 0 <= k <= ctx.k_max:
         raise ValueError(f"k={k} outside 0..{ctx.k_max}")

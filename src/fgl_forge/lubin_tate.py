@@ -46,15 +46,7 @@ from .coefficients import (
     witt_kernel,
 )
 from .equivariant_ring import rn_context, t_level, v_in_rn
-from .errors import (
-    AmbientMismatch,
-    ConsistencyFailure,
-    InverseOfNonUnit,
-    NonIntegralCoefficient,
-    NonIntegralResult,
-    NotQTorsion,
-    TruncationOverflow,
-)
+from .errors import ConsistencyFailure
 from .poly_core import AtomicCache, T, f2_reduce, gamma_act, orbit_sum, rn_ring
 from .reports import _report
 from .series_fgl import (
@@ -163,7 +155,7 @@ class LTContext:
 
     def _witt_coords(self, w: WittElement):
         if (w.spec is not self.spec and w.spec != self.spec) or w.precision != self.precision:
-            raise AmbientMismatch("Witt coefficient from a different context")
+            raise ValueError("Witt coefficient from a different context")
         return w.coeffs
 
     def from_witt(self, w: WittElement):
@@ -256,7 +248,7 @@ def _two_local_int(q, N):
     """The integer congruent mod 2^N to a 2-local rational q."""
     num, den = q.numerator, q.denominator
     if not den & 1:
-        raise NonIntegralCoefficient(f"{q} has even denominator")
+        raise ValueError(f"{q} has even denominator")
     return num if den == 1 else num * pow(den, -1, 1 << N)
 
 
@@ -274,7 +266,7 @@ def _canonical(ctx, raw):
     coordinates are masked to 2^{M-s}, the canonical representative (the
     tau^A-component of m^M is exactly 2^{M-|A|} W(k)), and a term that masks
     to 0 is dropped.  A term that is nonzero mod 2^N with an exponent beyond
-    the representable window raises TruncationOverflow.
+    the representable window raises ValueError.
     """
     M = ctx.madic
     masks = ctx._masks
@@ -295,7 +287,7 @@ def _canonical(ctx, raw):
 
 def _check_window(ctx, exps, ue, c):
     if (abs(ue) > _U_CAP or max(exps) > _U_CAP) and any(x & ctx.kernel.mask for x in c):
-        raise TruncationOverflow("exponent beyond the representable window")
+        raise ValueError("exponent beyond the representable window")
 
 
 def _element(ctx, coords):
@@ -343,7 +335,7 @@ class LTElement:
 
     def _check(self, other):
         if not isinstance(other, LTElement) or other.ctx is not self.ctx:
-            raise AmbientMismatch("elements from different Lubin-Tate contexts")
+            raise ValueError("elements from different Lubin-Tate contexts")
 
     def __add__(self, other):
         self._check(other)
@@ -465,7 +457,7 @@ class LTElement:
     def inverse(self):
         residue = self.residue().coords
         if len(residue) != 1:
-            raise InverseOfNonUnit(f"residue of {self!r} is not a unit")
+            raise ValueError(f"residue of {self!r} is not a unit")
         (_, ue), = residue
         lead = self.coords[(self.ctx._zero_exps, ue)]
         lead = WittElement(self.ctx.spec, self.ctx.precision, lead).inverse()
@@ -483,7 +475,7 @@ class LTElement:
             acc = acc + pw
         inv = b * acc
         if not (self * inv - self.ctx.one()).is_zero():
-            raise TruncationOverflow("inverse not certified at this truncation order")
+            raise ValueError("inverse not certified at this truncation order")
         return inv
 
     def __repr__(self):
@@ -556,7 +548,7 @@ def lt_gamma(ctx, e: LTElement, r: int = 1) -> LTElement:
     dict, which is normalised once per application of gamma.
     """
     if e.ctx is not ctx:
-        raise AmbientMismatch("element from a different context")
+        raise ValueError("element from a different context")
     mul = ctx.kernel.mul
     for _ in range(r % (1 << ctx.n)):
         out = {}
@@ -578,7 +570,7 @@ def _teichmuller_powers(ctx, zeta):
     context and zeta.
 
     zeta must be a qth root of unity, which is checked when the table is
-    built; a zeta that fails raises NotQTorsion and gets no table, so it
+    built; a zeta that fails raises ValueError and gets no table, so it
     raises again on every call.  A Teichmuller lift of a nonzero zeta in
     F_{2^d} satisfies T^(2^d-1) = 1 in W(k) mod 2^N, so this table holds every
     power T(zeta)^chi at index chi mod (2^d - 1); that identity is checked
@@ -587,7 +579,7 @@ def _teichmuller_powers(ctx, zeta):
     powers = ctx._zeta_powers.get(zeta.bits)
     if powers is None:
         if not (zeta ** ctx.q) == ctx.spec.one:
-            raise NotQTorsion(f"zeta^{ctx.q} != 1")
+            raise ValueError(f"zeta^{ctx.q} != 1")
         kernel = ctx.kernel
         t = teichmuller(zeta, ctx.precision).coeffs
         acc = ctx._unit
@@ -626,7 +618,7 @@ def _diagonal_map(ctx, e: LTElement, image, order=1) -> LTElement:
     normal form without a pass of _canonical.
     """
     if e.ctx is not ctx:
-        raise AmbientMismatch("element from a different context")
+        raise ValueError("element from a different context")
     masks = ctx._masks
     by_degree = {}  # tau-degree -> {coefficient: row of masked images by class}
     out = {}
@@ -668,7 +660,7 @@ def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
     qth root of unity (checked once, when its table of powers is built).
     """
     if zeta.spec is not ctx.spec and zeta.spec != ctx.spec:
-        raise AmbientMismatch("zeta from a different field")
+        raise ValueError("zeta from a different field")
     powers = _teichmuller_powers(ctx, zeta)
     mul = ctx.kernel.mul
     return _diagonal_map(ctx, e, lambda c, cls: mul(c, powers[cls]), len(powers))
@@ -701,12 +693,26 @@ def _a_pow(a, e):
     return (c ** e,) + tuple([s * x for x in a[1:]])
 
 
-def _exact_shift(values, k, name):
-    """values / 2^k, which must be integral: every denominator on the orbit
-    is a power of 2, so this is the test for an odd denominator."""
-    if any(c & ((1 << k) - 1) for c in values):
-        raise NonIntegralResult(f"the image of {name} has an even denominator")
-    return tuple([c >> k for c in values])
+def _triangular(xs, bases, cs, name):
+    """Extend the integral values xs = (x_1, ..., x_i) in A of
+
+        x_k = base_k - sum_{j=1}^{k-1} c_j x_{k-j}^{2^j}
+
+    through k = len(bases), run on 2^k x_k: bases[k-1] is 2^k base_k and
+    cs[j-1] is 2^j c_j.  Every x_k is integral by a theorem, and every
+    denominator on the orbit is a power of 2, so 2^k x_k not divisible by
+    2^k raises ConsistencyFailure, naming x_k as name.format(k).
+    """
+    xs = list(xs)
+    for k in range(len(xs) + 1, len(bases) + 1):
+        acc = bases[k - 1]
+        for j in range(1, k):
+            term = _a_mul(cs[j - 1], _a_pow(xs[k - j - 1], 1 << j))
+            acc = tuple([a - (t << (k - j)) for a, t in zip(acc, term)])
+        if any(c & ((1 << k) - 1) for c in acc):
+            raise ConsistencyFailure(f"the image of {name.format(k)} has an even denominator")
+        xs.append(tuple([c >> k for c in acc]))
+    return tuple(xs)
 
 
 class OrbitTable:
@@ -804,50 +810,36 @@ class OrbitTable:
             logs = self._logs = tuple(logs)
         return logs[:k]
 
-    def log_constants(self, k):
-        """[c_1 .. c_k]: the image of l_j in E/(tau) is c_j u^{2^j-1}."""
-        return [QQ(row[0][0], 1 << j) for j, row in enumerate(self.logs(k), start=1)]
-
     def v_images(self, k):
         """The images of v_1 .. v_k in A, integral, by the v_from_log recursion
 
-            v_k = (2 - 2^{2^k}) f_k(0) - sum_{j=1}^{k-1} f_{k-j}(0) v_j^{2^{k-j}},
+            v_k = (2 - 2^{2^k}) f_k(0) - sum_{j=1}^{k-1} f_j(0) v_{k-j}^{2^j}
 
-        run on 2^k v_k.  Integrality is a free check: an even denominator
-        raises NonIntegralResult.
+        (_triangular).
         """
-        vs = self._v
-        if len(vs) < k:
+        if len(self._v) < k:
             logs = self.logs(k)
-            vs = list(vs)
-            for kk in range(len(vs) + 1, k + 1):
-                acc = tuple([c * (2 - 2 ** (1 << kk)) for c in logs[kk - 1][0]])
-                for j in range(1, kk):
-                    term = _a_mul(logs[kk - j - 1][0], _a_pow(vs[j - 1], 1 << (kk - j)))
-                    acc = tuple([a - (t << j) for a, t in zip(acc, term)])
-                vs.append(_exact_shift(acc, kk, f"v_{kk}"))
-            vs = self._v = tuple(vs)
-        return vs[:k]
+            bases = [tuple([c * (2 - 2 ** (1 << kk)) for c in row[0]])
+                     for kk, row in enumerate(logs, start=1)]
+            self._v = _triangular(self._v, bases, [row[0] for row in logs], "v_{}")
+        return self._v[:k]
 
     def level(self, s, k):
         """The images of t_1 .. t_k at the level of s twisted isomorphisms
-        (t_level with s = 2^{n-r}), mod (tau) and integral:
+        (t_level with s = 2^{n-r}), mod (tau) and integral, by the
+        recursion of t_level
 
-            T_k = f_k(0) - sum_{j=1}^{k} f_j(s) T_{k-j}^{2^j},   T_0 = 1,
+            T_k = (f_k(0) - f_k(s)) - sum_{j=1}^{k-1} f_j(s) T_{k-j}^{2^j}
 
-        run on 2^k T_k.  Integrality is a free check: an even denominator
-        raises NonIntegralResult.
+        on constants as 1-tuples (_triangular).
         """
         ts = self._levels.get(s, ())
         if len(ts) < k:
             logs = self.logs(k)
-            ts = [1] + list(ts)  # T_0 first
-            for kk in range(len(ts), k + 1):
-                acc = logs[kk - 1][0][0]
-                for j in range(1, kk + 1):
-                    acc -= (logs[j - 1][s][0] * ts[kk - j] ** (1 << j)) << (kk - j)
-                ts += _exact_shift((acc,), kk, f"t_{kk} at level s = {s}")
-            ts = self._levels[s] = tuple(ts[1:])
+            bases = [(row[0][0] - row[s][0],) for row in logs]
+            cs = [(row[s][0],) for row in logs]
+            xs = _triangular([(t,) for t in ts], bases, cs, f"t_{{}} at level s = {s}")
+            ts = self._levels[s] = tuple([x for x, in xs])
         return ts[:k]
 
 
@@ -892,9 +884,9 @@ def lt_specialize(ctx, p) -> LTElement:
     """
     ring = getattr(p, "ring", None)
     if ring is None or ring.kind not in ("Rn", "Rnm") or ring.mod2:
-        raise AmbientMismatch("specialization expects an R_n / R_n<m> polynomial")
+        raise ValueError("specialization expects an R_n / R_n<m> polynomial")
     if ring.n != ctx.n:
-        raise AmbientMismatch("group order mismatch")
+        raise ValueError("group order mismatch")
     images = _t_variable_images(ctx)
     killed = [images.get((v.i, v.j)) is None for v in ring.variables]
     var_img = [images.get((v.i, v.j)) for v in ring.variables]
@@ -957,7 +949,8 @@ def _log_mod_tau(ctx, k_max):
 
     with lbar_0 = 1 (so lbar_k = 0 unless m divides k); c_k is the sum of
     the coefficients of lbar_k.  l_k itself, over all of R_n, is never formed.
-    The polynomial route to OrbitTable.log_constants, kept as its oracle.
+    The polynomial route to the constants 2^{-k} OrbitTable.logs(k)[k-1][0][0],
+    kept as their oracle in the tests.
     """
     m = ctx.m
     ring = rn_ring(ctx.n, m, rational=True)
@@ -1052,7 +1045,7 @@ def residue_fgl(ctx, cutoff):
 
     The universal law over Q[v_1..v_k] is built afresh on every call, and
     each coefficient is mapped to K, v_k going to the residue of its image
-    in the local ring.  K.from_rational raises NonIntegralCoefficient on an
+    in the local ring.  K.from_rational raises ValueError on an
     even denominator, so every coefficient is certified 2-locally integral
     on the way.  The image of v_k is specialized from v_in_rn of R_n with
     generators up to t_k, which is exact for k > h too, since every t_i
@@ -1091,12 +1084,13 @@ def residue_height(ctx, cutoff=None):
     with c_0 the constant part of OrbitTable.v_images; vbar_k is ubar^{2^k-1}
     when c_0 is odd and 0 otherwise.  So the height is the first k with
     2^k <= cutoff and c_0 odd.  The 2-series of the residue law
-    (residue_fgl) and two_series_from_log on OrbitTable.log_constants are
-    its oracles in the tests.  Whatever height k is found, the 2-series
-    leads with 1 * ubar^{2^k-1}, so the claim holds exactly when k = h.  The
-    report records that coefficient as residue_json writes it, its unit and
-    beta = (2^h-1)/(2^m-1).  With no such k the claim fails with
-    computed_height null and the residue 0, [], as coefficient and witness.
+    (residue_fgl) and two_series_from_log on the constants of
+    OrbitTable.logs are its oracles in the tests.  Whatever height k is
+    found, the 2-series leads with 1 * ubar^{2^k-1}, so the claim holds
+    exactly when k = h.  The report records that coefficient as residue_json
+    writes it, its unit and beta = (2^h-1)/(2^m-1).  With no such k the
+    claim fails with computed_height null and the residue 0, [], as
+    coefficient and witness.
     """
     h = ctx.h
     if cutoff is None:
@@ -1211,7 +1205,7 @@ def _fixed_subring_box(ctx):
         if not (zeta ** ctx.q) == ctx.spec.one:
             raise ConsistencyFailure("torsion generator construction failed")
         if u_bound > _U_CAP:
-            raise TruncationOverflow("exponent beyond the representable window")
+            raise ValueError("exponent beyond the representable window")
         # the unit is in normal form at every tau-degree below M
         unit = ctx._unit
         box = _element(ctx, {

@@ -9,8 +9,8 @@ which adds the degrees as well, and integer order is degree first, then
 descending graded-reverse-lex within a degree.  An exponent takes the low 10
 bits of its field and the top bit is a guard: two exponents below 2^10 sum
 below 2^11 without a carry into the next field, so a product with a set
-guard bit exceeded the bound, and the multiply kernel raises
-DegreeBoundExceeded for it.  A polynomial over Q or Z_(2) stores int
+guard bit exceeded the bound, and the multiply kernel raises a
+ValueError for it.  A polynomial over Q or Z_(2) stores int
 numerators over one reduced denominator (the form of FLINT's fmpq_poly), so
 arithmetic runs on ints and touches the denominators once per operand, not
 once per coefficient.  Every product runs through one sum-of-products
@@ -46,12 +46,7 @@ from .coefficients import (
     qq_to_string,
     rational_mod2,
 )
-from .errors import (
-    AmbientMismatch,
-    DegreeBoundExceeded,
-    NonIntegralCoefficient,
-    UnassignedVariable,
-)
+from .errors import ConsistencyFailure
 
 _BITS = 11  # per variable: 10 exponent bits and a guard bit
 # QQ is an ABC, so an isinstance test against it is slow; the operators
@@ -143,7 +138,7 @@ class PolyRing:
         Returns (stay, wrap, odd, right shift, left shift); tabulated per r.
         """
         if self.kind == "BP":
-            raise AmbientMismatch(f"{self} carries no cyclic action")
+            raise ValueError(f"{self} carries no cyclic action")
         r %= 1 << self.n
         if r == 0:
             return None
@@ -169,7 +164,7 @@ class PolyRing:
         m = d = 0
         for e, s, w in zip(exponents, self.shifts, self.degrees):
             if not 0 <= e < _EXP_LIMIT:
-                raise DegreeBoundExceeded(f"exponent {e} out of packing range")
+                raise ValueError(f"exponent {e} out of packing range")
             m |= e << s
             d += e * w
         return m | d << self.dshift
@@ -229,13 +224,13 @@ class PolyRing:
         denominator (over F_2 the cross terms cancel, and only the m_i + m_i
         remain).  The sum is reduced once, at the end; a product of two
         polynomials is the dot of one pair.  An exponent above the packing
-        bound in the result raises DegreeBoundExceeded.
+        bound in the result raises ValueError.
         """
         acc = {}
         if self.mod2:
             for a, b in pairs:
                 if a.ring is not self or b.ring is not self:
-                    raise AmbientMismatch(f"{a.ring} vs {b.ring}")
+                    raise ValueError(f"{a.ring} vs {b.ring}")
                 for m1 in a.num:
                     for m2 in (m1,) if a is b else b.num:
                         m = m1 + m2
@@ -249,7 +244,7 @@ class PolyRing:
         den = 1
         for a, b in pairs:
             if a.ring is not self or b.ring is not self:
-                raise AmbientMismatch(f"{a.ring} vs {b.ring}")
+                raise ValueError(f"{a.ring} vs {b.ring}")
             d = a.den * b.den
             s = 1
             if d != den:
@@ -288,7 +283,7 @@ class PolyRing:
         return _reduced(self, {m: c for m, c in acc.items() if c}, den)
 
     def _check_bound(self, acc):
-        """Raise DegreeBoundExceeded if a monomial of acc has a set guard bit.
+        """Raise ValueError if a monomial of acc has a set guard bit.
 
         Every variable has degree >= 2, so a monomial of degree below
         2 _EXP_LIMIT has every exponent below _EXP_LIMIT: when the greatest
@@ -296,7 +291,8 @@ class PolyRing:
         guard bit can be set, and only otherwise are the guard bits read.
         """
         if acc and max(acc) >> self.dshift >= 2 * _EXP_LIMIT and reduce(or_, acc) & self.guard:
-            raise _past_the_bound(self)
+            raise ValueError(f"a product has an exponent above the packing bound "
+                             f"{_EXP_LIMIT - 1} in {self}")
 
     # -- element constructors --
 
@@ -311,7 +307,7 @@ class PolyRing:
 
     def var(self, v: Variable):
         if v not in self.var_index:
-            raise AmbientMismatch(f"{v.name} is not a variable of {self}")
+            raise ValueError(f"{v.name} is not a variable of {self}")
         return GradedPolynomial(self, {self.mono_of(v): 1})
 
     def descriptor(self):
@@ -338,12 +334,6 @@ class PolyRing:
         if self.kind == "Rn":
             return f"R_{self.n}(k<={self.k_max}{tag})"
         return f"R_{self.n}<{self.m}>(k<={self.k_max}{tag})"
-
-
-def _past_the_bound(ring):
-    return DegreeBoundExceeded(
-        f"a product has an exponent above the packing bound {_EXP_LIMIT - 1} in {ring}"
-    )
 
 
 _RING_CACHE = AtomicCache()
@@ -403,7 +393,7 @@ def _from_coefficients(ring, terms):
         return clean, 1
     if not ring.rational and not den & 1:
         bad = next(c for c in clean.values() if type(c) is not int and not c.denominator & 1)
-        raise NonIntegralCoefficient(f"coefficient {bad} is not 2-locally integral in {ring}")
+        raise ValueError(f"coefficient {bad} is not 2-locally integral in {ring}")
     # den is the lcm of the denominators, so the numerators share no factor with it
     return {
         m: c * den if type(c) is int else c.numerator * (den // c.denominator)
@@ -504,7 +494,7 @@ class GradedPolynomial:
 
     def _check(self, other):
         if other.ring is not self.ring:
-            raise AmbientMismatch(f"{self.ring} vs {other.ring}")
+            raise ValueError(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
         if type(other) is not GradedPolynomial and isinstance(other, SCALAR_TYPES):
@@ -586,7 +576,7 @@ class GradedPolynomial:
         if not n:
             return self.ring.zero()
         if not self.ring.rational and not d & 1:
-            raise NonIntegralCoefficient(f"scalar {q} is not 2-locally integral")
+            raise ValueError(f"scalar {q} is not 2-locally integral")
         return _reduced(self.ring, {m: c * n for m, c in self.num.items()}, self.den * d)
 
     def __pow__(self, e: int):
@@ -680,7 +670,7 @@ def reduce_mod2(p: GradedPolynomial) -> GradedPolynomial:
     if ring.mod2:
         return p
     if not p.den & 1:
-        raise NonIntegralCoefficient(f"{_first_even_denominator(p)} has even denominator")
+        raise ValueError(f"{_first_even_denominator(p)} has even denominator")
     target = _make_ring(ring.kind, ring.n, ring.m, ring.k_max, False, True)
     return GradedPolynomial(target, {m: 1 for m, c in p.num.items() if c & 1}, _checked=True)
 
@@ -690,19 +680,19 @@ def to_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
     if ring.rational:
         return p
     if ring.mod2:
-        raise AmbientMismatch("cannot lift a mod-2 polynomial to Q")
+        raise ValueError("cannot lift a mod-2 polynomial to Q")
     target = _make_ring(ring.kind, ring.n, ring.m, ring.k_max, True, False)
     return GradedPolynomial(target, p.num, _checked=True, _den=p.den)
 
 
 def from_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
-    """Inverse of to_rational_ring; raises NonIntegralCoefficient when stuck."""
+    """Inverse of to_rational_ring; raises ValueError when stuck."""
     ring = p.ring
     if not ring.rational:
         return p
     target = _make_ring(ring.kind, ring.n, ring.m, ring.k_max, False, False)
     if not p.den & 1:
-        raise NonIntegralCoefficient(
+        raise ValueError(
             f"coefficient {_first_even_denominator(p)} is not 2-locally integral in {target}"
         )
     return GradedPolynomial(target, p.num, _checked=True, _den=p.den)
@@ -714,7 +704,7 @@ def ring_map(p: GradedPolynomial, assignment, target):
 
     `assignment` maps Variable -> element of the target PolyRing.  Variables
     appearing in p with a nonzero exponent but missing from the assignment
-    raise UnassignedVariable.
+    raise ValueError.
     """
     acc = target.zero()
     for mono, c in p.terms.items():
@@ -722,7 +712,7 @@ def ring_map(p: GradedPolynomial, assignment, target):
         for v, e in zip(p.ring.variables, p.ring.decode(mono)):
             if e:
                 if v not in assignment:
-                    raise UnassignedVariable(f"no image for {v.name}")
+                    raise ValueError(f"no image for {v.name}")
                 term = term * assignment[v] ** e
         acc = acc + term
     return acc
@@ -737,7 +727,7 @@ def quotient_to_rnm(p: GradedPolynomial, m: int) -> GradedPolynomial:
     """
     ring = p.ring
     if ring.kind != "Rn":
-        raise AmbientMismatch("quotient_to_rnm starts from R_n")
+        raise ValueError("quotient_to_rnm starts from R_n")
     target = _make_ring("Rnm", ring.n, m, ring.k_max, ring.rational, ring.mod2)
     shift = _BITS * (ring.nvars - target.nvars)
     low = (1 << shift) - 1
@@ -814,11 +804,11 @@ class GroebnerBasis:
 
     def __init__(self, ring, generators, degree_bound):
         if not ring.mod2:
-            raise AmbientMismatch("Groebner machinery runs over the mod-2 ring")
+            raise ValueError("Groebner machinery runs over the mod-2 ring")
         gens = [g for g in generators if not g.is_zero()]
         for g in gens:
             if not g.is_homogeneous():
-                raise DegreeBoundExceeded("generators must be homogeneous")
+                raise ValueError("generators must be homogeneous")
         self.ring = ring
         self.degree_bound = degree_bound
         self._reducers = self._buchberger(gens, degree_bound)
@@ -850,16 +840,16 @@ class GroebnerBasis:
             s = _nf(s, reducers)
             if not s.is_zero():
                 if s.degree > D:
-                    raise DegreeBoundExceeded("S-polynomial escaped the degree bound")
+                    raise ConsistencyFailure("S-polynomial escaped the degree bound")
                 reducers.append((s.leading_monomial(), s))
                 pairs.extend((t, len(reducers) - 1) for t in range(len(reducers) - 1))
         return reducers
 
     def normal_form(self, p: GradedPolynomial) -> GradedPolynomial:
         if p.ring is not self.ring:
-            raise AmbientMismatch("polynomial from a different ambient ring")
+            raise ValueError("polynomial from a different ambient ring")
         if not p.is_zero() and p.degree > self.degree_bound:
-            raise DegreeBoundExceeded(
+            raise ValueError(
                 f"degree {p.degree} exceeds basis bound {self.degree_bound}"
             )
         return _nf(p, self._reducers)

@@ -562,6 +562,19 @@ def test_height_cutoff_flag(capsys):
     assert report["params"]["computed_height"] == 2
 
 
+def test_height_cutoff_cap_serves_every_height(capsys):
+    """The --cutoff cap is 2^12, 2^h at the largest (n, m): h = 8 and h = 12
+    verify at the cap, and one past it is a usage error."""
+    for m in (2, 3):
+        code, out = _run(["verify", "height", "--n", "3", "--m", str(m), "--cutoff", "4096"], capsys)
+        assert code == 0
+        params = _body(out)["reports"][0]["params"]
+        assert params["cutoff"] == 4096 and params["computed_height"] == params["h"] == 4 * m
+    code, out, err = _serve(["verify", "height", "--n", "3", "--m", "3", "--cutoff", "4097"], capsys)
+    assert code == 2 and out == ""
+    assert "--cutoff 4097 exceeds the limit 4096 of height (use --force to override)" in err
+
+
 # ---- suite ----------------------------------------------------------------------
 
 def test_suite_quick(tmp_path, capsys):

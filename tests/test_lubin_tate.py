@@ -16,15 +16,7 @@ from fgl_forge.coefficients import (
 )
 from fgl_forge import cli, equivariant_ring, lubin_tate
 from fgl_forge.equivariant_ring import rn_context, rn_log, t_level, v_in_rn
-from fgl_forge.errors import (
-    AmbientMismatch,
-    ConsistencyFailure,
-    InverseOfNonUnit,
-    NonIntegralCoefficient,
-    NonIntegralResult,
-    NotQTorsion,
-    TruncationOverflow,
-)
+from fgl_forge.errors import ConsistencyFailure
 from fgl_forge.lubin_tate import (
     LTContext,
     LTElement,
@@ -115,9 +107,9 @@ def test_coefficient_protocol():
     ctx = LTContext(2, 1)
     third = ctx.from_rational(QQ(1, 3))
     assert third.scale(3) == ctx.one()
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(ValueError, match="1/2 has even denominator"):
         ctx.from_rational(QQ(1, 2))
-    with pytest.raises(TruncationOverflow):
+    with pytest.raises(ValueError, match="exponent beyond the representable window"):
         ctx.u_pow((1 << 20) + 1)
 
 
@@ -139,9 +131,9 @@ def test_element_arithmetic_and_grading():
 def test_context_mixing_raises():
     a = LTContext(2, 1)
     b = LTContext(2, 2)
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match="elements from different Lubin-Tate contexts"):
         a.one() + b.one()
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match="element from a different context"):
         lt_gamma(a, b.one())
 
 
@@ -180,7 +172,7 @@ def test_units_and_inverses():
     assert not tau.is_unit()
     assert not ctx.from_int(2).is_unit()
     assert not (ctx.from_int(2) + tau).is_unit()  # in m, not a unit
-    with pytest.raises(InverseOfNonUnit):
+    with pytest.raises(ValueError, match="is not a unit"):
         tau.inverse()
     mixed = (ctx.one() + tau) * u + ctx.from_int(3) * u ** 2
     assert not mixed.is_unit()  # residue has two monomials
@@ -199,11 +191,11 @@ def test_residue_ring():
     assert ub ** -3 == K.u_pow(-3)
     assert K.from_rational(3) == K.one()
     assert K.from_rational(2).is_zero()
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(ValueError, match="1/2 has even denominator"):
         K.from_rational(QQ(1, 2))
     assert (ub + ub).is_zero()  # characteristic 2
     assert ub - ub == ub + ub
-    with pytest.raises(InverseOfNonUnit):
+    with pytest.raises(ValueError, match="is not a unit"):
         (K.one() + ub).inverse()
     x = (ctx.one() + ctx.tau(1, 0)) * ctx.u_pow(2) + ctx.from_int(2)
     assert x.residue() == K.u_pow(2)
@@ -268,9 +260,9 @@ def test_a_non_unit_residue_has_no_inverse():
     u, tau = ctx.u_pow(1), ctx.tau(1, 0)
     for x in (tau * u, ctx.from_int(2), u + u ** 2, ctx.zero()):
         assert not x.is_unit()
-        with pytest.raises(InverseOfNonUnit):
+        with pytest.raises(ValueError, match="is not a unit"):
             x.residue().inverse()
-        with pytest.raises(InverseOfNonUnit):
+        with pytest.raises(ValueError, match="is not a unit"):
             x.inverse()
 
 
@@ -439,9 +431,9 @@ def test_zeta_identity_and_torsion_guard():
     x = _random_element(ctx, rng)
     assert lt_zeta(ctx, ctx.spec.one, x) == x
     ctx1 = LTContext(2, 1, d=2)  # q = 1: only zeta = 1 acts
-    with pytest.raises(NotQTorsion):
+    with pytest.raises(ValueError, match=r"zeta\^1 != 1"):
         lt_zeta(ctx1, ctx1.spec.omega, ctx1.one())
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match="zeta from a different field"):
         lt_zeta(LTContext(2, 1), finite_field(2).omega, LTContext(2, 1).one())
 
 
@@ -534,13 +526,13 @@ def test_zeta_torsion_is_checked_once_per_table():
     generator = ctx.spec.omega  # order 15: not a cube root of unity
     assert cube_root ** 3 == ctx.spec.one and not generator ** 3 == ctx.spec.one
     for _ in range(2):
-        with pytest.raises(NotQTorsion):
+        with pytest.raises(ValueError, match=r"zeta\^3 != 1"):
             lt_zeta(ctx, generator, x)
         assert generator.bits not in ctx._zeta_powers
     table = lubin_tate._teichmuller_powers(ctx, cube_root)
     assert lt_zeta(ctx, cube_root, x) == _zeta_by_powering(ctx, cube_root, x)
     for _ in range(2):  # a context that holds a table still rejects the other zeta
-        with pytest.raises(NotQTorsion):
+        with pytest.raises(ValueError, match=r"zeta\^3 != 1"):
             lt_zeta(ctx, generator, x)
     assert set(ctx._zeta_powers) == {cube_root.bits}
     assert lubin_tate._teichmuller_powers(ctx, cube_root) is table
@@ -700,7 +692,7 @@ def test_witt_terms_round_trip():
     assert y == ctx.from_witt(raw[(ctx._zero_exps, 0)]) + LTElement(ctx, {(tau, 1): raw[(tau, 1)]})
     other_field = finite_field(2)
     for foreign in (WittElement(ctx.spec, 9, [1, 0, 0]), WittElement.one(other_field, 8)):
-        with pytest.raises(AmbientMismatch):
+        with pytest.raises(ValueError, match="Witt coefficient from a different context"):
             LTElement(ctx, {(ctx._zero_exps, 0): foreign})
 
 
@@ -725,11 +717,11 @@ def test_specialize_generator_images():
 def test_specialize_ambient_checks():
     ctx = LTContext(2, 2)
     p = ctx.rn.generator(1)
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match="specialization expects an R_n / R_n<m> polynomial"):
         lt_specialize(ctx, reduce_mod2(p))
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match="specialization expects an R_n / R_n<m> polynomial"):
         lt_specialize(ctx, bp_ring(2).var(bp_ring(2).variables[0]))
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match="group order mismatch"):
         lt_specialize(LTContext(3, 1), p)
 
 
@@ -911,7 +903,7 @@ def test_residue_law_coefficients_height_two(monkeypatch):
     # the law comes over Q[v]; a coefficient with an even denominator (the
     # law of l_1 alone at x^4) is refused on the way to K
     monkeypatch.setattr(lubin_tate, "fgl_from_log", lambda ls, X: fgl_from_log(ls[:1], X))
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(ValueError, match="has even denominator"):
         residue_fgl(ctx, cutoff=4)
 
 
@@ -953,20 +945,26 @@ def _universal_law(k_max, cutoff):
     return fgl_from_log(log_from_v(k_max), cutoff)
 
 
+def _log_constants(n, m, k):
+    """[c_1 .. c_k]: the image of l_j in E/(tau) is c_j u^{2^j-1}, read off
+    the orbit table, which stores 2^j f_j(p)."""
+    return [QQ(row[0][0], 1 << j) for j, row in enumerate(orbit_table(n, m).logs(k), start=1)]
+
+
 @functools.cache
 def _residue_two_series(n, m, cutoff):
     """Oracle: the exponents e <= cutoff at which [2](x) of the residue law
     has the coefficient ubar^{e-1}; every other coefficient is 0.
 
     The residue map factors through E/(tau) = W(k)[u^{+-1}], where the law has
-    the logarithm x + sum c_k u^{2^k-1} x^{2^k} (OrbitTable.log_constants).
+    the logarithm x + sum c_k u^{2^k-1} x^{2^k} (_log_constants).
     With u graded away, [2](x) = exp(2 log x) is a series over Z_(2)
     (two_series_from_log certifies it), and b_e x^e stands for b_e u^{e-1},
     whose residue is ubar^{e-1} when b_e is odd and 0 otherwise.
     """
     Q = bp_ring(0, rational=True)
     k = max((1 << (n - 1)) * m, cutoff.bit_length() - 1)
-    logs = [Q.from_rational(c) for c in orbit_table(n, m).log_constants(k)]
+    logs = [Q.from_rational(c) for c in _log_constants(n, m, k)]
     two = two_series_from_log(logs, cutoff)
     return tuple(e for e, b in sorted(two.coeffs.items()) if rational_mod2(b.coefficient(0)))
 
@@ -1180,7 +1178,7 @@ def test_orbit_v_and_level_images_are_the_specialized_ones(n, m):
 def test_orbit_log_constants_match_the_log_mod_tau(n, m):
     ctx = LTContext(n, m)
     k = max(6, ctx.h)
-    assert orbit_table(n, m).log_constants(k) == lubin_tate._log_mod_tau(ctx, k)
+    assert _log_constants(n, m, k) == lubin_tate._log_mod_tau(ctx, k)
 
 
 def _cotangent_matrix_by_specialization(ctx):
@@ -1265,9 +1263,9 @@ def test_orbit_values_must_be_integral():
     table = lubin_tate.OrbitTable(2, 1)
     zero = ((0, 0),) * 4
     table._logs = (((1, 0),) + zero[1:], zero)
-    with pytest.raises(NonIntegralResult, match="t_1"):
+    with pytest.raises(ConsistencyFailure, match="t_1"):
         table.level(1, 1)
-    with pytest.raises(NonIntegralResult, match="v_2"):
+    with pytest.raises(ConsistencyFailure, match="v_2"):
         table.v_images(2)
 
 
@@ -1291,7 +1289,7 @@ def test_fixed_subring_cube_roots():
 
 def test_fixed_subring_u_window_past_the_cap_raises():
     # m = 20 puts the u-window at 2^21 - 2, past the cap of 2^20
-    with pytest.raises(TruncationOverflow, match="representable window"):
+    with pytest.raises(ValueError, match="representable window"):
         fixed_subring_presentation(LTContext(1, 20))
 
 
@@ -1494,7 +1492,7 @@ def test_fixed_subring_keeps_its_box_and_checks_the_actions_on_every_call(monkey
 def test_fixed_subring_stores_no_box_when_a_check_raises(monkeypatch):
     ctx = LTContext(1, 20)  # the u-window past the cap
     for _ in range(2):
-        with pytest.raises(TruncationOverflow, match="representable window"):
+        with pytest.raises(ValueError, match="representable window"):
             fixed_subring_presentation(ctx)
         assert ctx._fixed_box is None
     # zeta = 0 fails zeta^q = 1, on every call

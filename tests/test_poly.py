@@ -10,12 +10,6 @@ import pytest
 
 from fgl_forge import equivariant_ring, lubin_tate, poly_core
 from fgl_forge.coefficients import QQ, finite_field
-from fgl_forge.errors import (
-    AmbientMismatch,
-    DegreeBoundExceeded,
-    NonIntegralCoefficient,
-    UnassignedVariable,
-)
 from fgl_forge.equivariant_ring import rn_context
 from fgl_forge.lubin_tate import lt_context
 from fgl_forge.poly_core import (
@@ -116,9 +110,9 @@ def test_homogeneity_is_exact_and_the_top_field_is_the_degree():
 
 
 def test_ambient_mismatch_and_integrality():
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match=r"^R_2\(k<=\d+\) vs R_2\(k<=3\)$"):
         R2.var(T(1, 0)) + rn_ring(2, 3).var(T(1, 0))
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(ValueError, match="scalar 1/2 is not 2-locally integral"):
         R2.var(T(1, 0)).scalar_mul(QQ(1, 2))
     # fine in the Q-extension
     half = R2Q.var(T(1, 0)).scalar_mul(QQ(1, 2))
@@ -217,7 +211,7 @@ def test_gamma_masks_need_the_block_layout():
 
 
 def test_gamma_needs_a_cyclic_ring():
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match="carries no cyclic action"):
         gamma_act(bp_ring(2).var(V(1)))
 
 
@@ -235,7 +229,7 @@ def test_reduce_mod2():
     assert reduce_mod2(t1.scalar_mul(3)) == reduce_mod2(t1)
     third = to_rational_ring(t1).scalar_mul(QQ(1, 3))
     assert reduce_mod2(third) == reduce_mod2(t1)
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(ValueError, match="1/2 has even denominator"):
         reduce_mod2(to_rational_ring(t1).scalar_mul(QQ(1, 2)))
 
 
@@ -274,7 +268,7 @@ def test_ring_map_is_homomorphism():
 
 def test_ring_map_unassigned():
     p = R2.var(T(2, 0))
-    with pytest.raises(UnassignedVariable):
+    with pytest.raises(ValueError, match="no image for"):
         ring_map(p, {T(1, 0): R2.zero()}, R2)
 
 
@@ -372,14 +366,14 @@ def test_empty_ideal_membership():
 
 def test_groebner_requires_homogeneous():
     g = reduce_mod2(R2.var(T(1, 0)) + R2.var(T(1, 0)) ** 2)
-    with pytest.raises(DegreeBoundExceeded):
+    with pytest.raises(ValueError, match="generators must be homogeneous"):
         GroebnerBasis(g.ring, [g], 10)
 
 
 def test_degree_bound_enforced_on_queries():
     g = reduce_mod2(R2.var(T(1, 0)))
     gb = GroebnerBasis(g.ring, [g], 4)
-    with pytest.raises(DegreeBoundExceeded):
+    with pytest.raises(ValueError, match="degree 6 exceeds basis bound 4"):
         gb.normal_form(reduce_mod2(R2.var(T(2, 0))))
 
 
@@ -389,11 +383,11 @@ def test_products_past_the_packing_bound_raise():
     ring = rn_ring(2, 2, rational=True)
     t2 = ring.var(T(2, 0))
     assert ring.decode((t2 ** 1023).leading_monomial())[2] == 1023
-    with pytest.raises(DegreeBoundExceeded, match="packing bound 1023"):
+    with pytest.raises(ValueError, match="packing bound 1023"):
         t2 ** 600 * t2 ** 600  # once wrapped to g1t1*t2^176
-    with pytest.raises(DegreeBoundExceeded, match="packing bound 1023"):
+    with pytest.raises(ValueError, match="packing bound 1023"):
         t2 ** 1500  # once wrapped to g1t1*t2^476
-    with pytest.raises(DegreeBoundExceeded):
+    with pytest.raises(ValueError, match="packing bound 1023"):
         reduce_mod2(t2 ** 600) * reduce_mod2(t2 ** 600)
 
 
@@ -419,7 +413,7 @@ def test_products_near_the_packing_bound(ring):
         fits = all(x + y < limit for x, y in zip(a, b))
         seen.add(fits)
         if not fits:
-            with pytest.raises(DegreeBoundExceeded):
+            with pytest.raises(ValueError, match="packing bound 1023"):
                 pa * pb
             continue
         (mono,) = (pa * pb).num
@@ -797,7 +791,7 @@ def test_dot_is_the_sum_of_its_products(form):
     p, q = rand(), rand()
     assert ring.dot([(p, q), (-p, q)]).is_zero()  # every product cancels
     assert ring.dot([(p, q)]) == p * q
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(ValueError, match=" vs "):
         ring.dot([(p, rn_ring(2, 2, **flags).one())])
 
 
@@ -860,7 +854,7 @@ def test_a_square_past_the_packing_bound_raises(form):
     assert mid * mid == mid * _twin(mid)
     high = t1 ** 512 + t2
     for a, b in ((high, high), (high, _twin(high))):
-        with pytest.raises(DegreeBoundExceeded, match="packing bound 1023"):
+        with pytest.raises(ValueError, match="packing bound 1023"):
             ring.dot([(t1, t1), (a, b)])
 
 
@@ -1006,9 +1000,9 @@ def test_common_denominator_form_matches_the_fraction_route(n):
                 assert z == GradedPolynomial(z.ring, d) and to_rational_ring(z) == x
                 assert reduce_mod2(x).num == {m: 1 for m, c in d.items() if c.numerator % 2}
             else:
-                with pytest.raises(NonIntegralCoefficient):
+                with pytest.raises(ValueError, match="is not 2-locally integral in"):
                     from_rational_ring(x)
-                with pytest.raises(NonIntegralCoefficient):
+                with pytest.raises(ValueError, match="has even denominator"):
                     reduce_mod2(x)
 
 
