@@ -12,7 +12,7 @@ Run:  python3 demos/actions_and_fixed_subring.py
 
 import random
 
-from fgl_forge.coefficients import WittElement
+from fgl_forge.coefficients import WittElement, frobenius_lift
 from fgl_forge.lubin_tate import (
     LTContext,
     LTElement,
@@ -68,7 +68,7 @@ for _ in range(5):
     assert lt_gamma(ctx, lt_zeta(ctx, omega, x)) == lt_zeta(ctx, omega, lt_gamma(ctx, x))
     assert lt_gamma(ctx, lt_galois(ctx, x)) == lt_galois(ctx, lt_gamma(ctx, x))
     assert lt_galois(ctx, lt_zeta(ctx, omega, lt_galois(ctx, x))) == lt_zeta(
-        ctx, omega.frobenius(), x
+        ctx, frobenius_lift(omega), x
     )
 print("gamma f_zeta = f_zeta gamma, gamma sigma = sigma gamma,"
       " sigma f_zeta sigma = f_(sigma zeta): all hold on 5 random elements")

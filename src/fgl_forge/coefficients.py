@@ -1,13 +1,19 @@
 """Exact coefficient domains.
 
 Rationals (`fractions.Fraction`, exported as QQ) and the 2-local tests on
-them, finite fields F_{2^d} in polynomial-basis form, and truncated Witt vectors
-W(F_{2^d}) modeled as Z_2[x]/(f~) with coefficients reduced mod 2^N, where f~
-is the {0,1}-lift of the chosen irreducible modulus.  Teichmuller lifts are
-computed by the fixed-point iteration z -> z^(2^d); the Frobenius is evaluated
-through a Hensel-lifted root of f~.  The coordinate arithmetic itself (the
-product reduced by f~ and the Frobenius image, on plain int tuples) is one
-WittKernel per (field, N), shared by WittElement and the Lubin-Tate ring.
+them, and truncated Witt vectors W(F_{2^d}) modeled as Z_2[x]/(f~) with
+coefficients reduced mod 2^N, where f~ is the {0,1}-lift of the chosen
+irreducible modulus.  Teichmuller lifts are computed by the fixed-point
+iteration z -> z^(2^d); the Frobenius is evaluated through a Hensel-lifted
+root of f~.  The coordinate arithmetic itself (the product reduced by f~ and
+the Frobenius image, on plain int tuples) is one WittKernel per (field, N),
+shared by WittElement and the Lubin-Tate ring.
+
+The residue field k = F_{2^d} = F_2[x]/(f) is W(F_{2^d}) at N = 1: every
+coordinate is reduced mod 2, and the kernel's product, masked to one bit, is
+the product of F_2[x]/(f).  So k is no separate engine: FiniteFieldSpec
+hands out WittElements of precision 1, WittElement.residue maps into them,
+and the Frobenius of k is frobenius_lift, which at N = 1 squares.
 AtomicCache, the lock-guarded table behind every process-wide cache, lives
 here too, and finite_field interns the field specs through one.
 """
@@ -61,35 +67,6 @@ def qq_to_string(q) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-# ---------------------------------------------------------------------------
-# F_{2^d}: bit-packed polynomial basis
-# ---------------------------------------------------------------------------
-
-def _gf2_mulmod(a: int, b: int, modbits: int, d: int) -> int:
-    # carry-less multiply then reduce by the degree-d modulus
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> d & 1:
-            a ^= modbits
-    # a may have grown one bit past d between reductions; the loop above keeps
-    # it reduced because we fold immediately after each shift
-    return r
-
-
-def _gf2_powmod(a, e, modbits, d):
-    r = 1
-    while e:
-        if e & 1:
-            r = _gf2_mulmod(r, a, modbits, d)
-        a = _gf2_mulmod(a, a, modbits, d)
-        e >>= 1
-    return r
-
-
 class AtomicCache(dict):
     """A process-wide table of derived objects, one per key.
 
@@ -136,7 +113,8 @@ class FiniteFieldSpec:
     """The field F_{2^d} presented as F_2[x]/(modulus).
 
     modulus is a bit tuple low-to-high of length d+1 with leading bit 1;
-    irreducibility is checked at construction (Rabin test, fine for small d).
+    irreducibility is checked at construction (trial division, fine for small
+    d).  Its elements are the WittElements of precision 1: k is W(k) mod 2.
     The constructor builds a fresh spec; finite_field returns the shared one.
     """
 
@@ -160,26 +138,21 @@ class FiniteFieldSpec:
             raise ValueError(f"modulus {list(mod)} is reducible over F_2")
 
     def _irreducible(self) -> bool:
-        # Rabin test: f irreducible over F_2 iff x^(2^d) == x mod f and
-        # x^(2^(d/p)) != x for every prime p dividing d.
-        mb, d = self.modbits, self.d
-        if d == 1:
-            return True  # both degree-1 polynomials x, x+1 are irreducible
-        if _gf2_powmod(2, 1 << d, mb, d) != 2:
-            return False
-        n, p, primes = d, 2, []
-        while p * p <= n:
-            if n % p == 0:
-                primes.append(p)
-                while n % p == 0:
-                    n //= p
-            p += 1
-        if n > 1:
-            primes.append(n)
-        return all(_gf2_powmod(2, 1 << (d // p), mb, d) != 2 for p in primes)
+        # trial division over F_2 on bit-packed ints: a reducible f has a
+        # factor of degree <= d/2, so f is irreducible iff no g of degree
+        # 1..d//2 divides it
+        f = self.modbits
+        for g in range(2, 1 << (self.d // 2 + 1)):
+            r, width = f, g.bit_length()
+            while r.bit_length() >= width:
+                r ^= g << (r.bit_length() - width)
+            if not r:
+                return False
+        return True
 
-    def from_bits(self, bits: int) -> "GFElement":
-        return GFElement(self, bits)
+    def from_bits(self, bits: int) -> "WittElement":
+        """The element of k = W(k) mod 2 whose coordinate i is bit i of bits."""
+        return _reduced(self, 1, tuple([bits >> i & 1 for i in range(self.d)]))
 
     @property
     def zero(self):
@@ -202,78 +175,6 @@ class FiniteFieldSpec:
 
     def to_json(self):
         return {"d": self.d, "modulus": list(self.modulus)}
-
-
-class GFElement:
-    """Element of F_{2^d} in polynomial-basis coordinates (d bits)."""
-
-    __slots__ = ("spec", "bits")
-
-    def __init__(self, spec, coeffs):
-        self.spec = spec
-        if isinstance(coeffs, int):
-            bits = coeffs
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != spec.d:
-                raise ValueError(f"need exactly {spec.d} coefficients")
-            bits = sum((int(c) & 1) << i for i, c in enumerate(coeffs))
-        if bits >> spec.d:
-            raise ValueError("coefficients out of range")
-        self.bits = bits
-
-    @property
-    def coeffs(self):
-        return [(self.bits >> i) & 1 for i in range(self.spec.d)]
-
-    def _check(self, other):
-        # specs are almost always one object: test identity before the
-        # dataclass __eq__
-        if not isinstance(other, GFElement) or (
-            other.spec is not self.spec and other.spec != self.spec
-        ):
-            raise ValueError("mixed-field arithmetic")
-
-    def __add__(self, other):
-        self._check(other)
-        return GFElement(self.spec, self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        self._check(other)
-        return GFElement(
-            self.spec, _gf2_mulmod(self.bits, other.bits, self.spec.modbits, self.spec.d)
-        )
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return GFElement(self.spec, _gf2_powmod(self.bits, e, self.spec.modbits, self.spec.d))
-
-    def inverse(self):
-        if self.bits == 0:
-            raise ValueError("0 has no inverse in a field")
-        return self ** ((1 << self.spec.d) - 2)
-
-    def frobenius(self):
-        return self * self
-
-    def is_zero(self):
-        return self.bits == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GFElement)
-            and (other.spec is self.spec or other.spec == self.spec)
-            and other.bits == self.bits
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.bits))
-
-    def __repr__(self):
-        return f"GF({self.spec.d}):{self.coeffs}"
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +283,15 @@ class WittElement:
             return self.inverse() ** (-e)
         return power(self, e, WittElement.one(self.spec, self.precision))
 
-    def residue(self) -> GFElement:
-        """Reduction mod 2 down to F_{2^d}."""
-        return GFElement(self.spec, [c & 1 for c in self.coeffs])
+    def residue(self) -> "WittElement":
+        """Reduction mod 2 down to k = F_{2^d}, the ring at precision 1."""
+        return _reduced(self.spec, 1, tuple([c & 1 for c in self.coeffs]))
 
     def is_zero(self):
         return not any(self.coeffs)
 
     def is_unit(self):
-        return not self.residue().is_zero()
+        return any(c & 1 for c in self.coeffs)
 
     def two_valuation(self):
         """Largest e with self in 2^e * W; equals precision when self is 0."""
@@ -403,8 +304,8 @@ class WittElement:
     def inverse(self) -> "WittElement":
         if not self.is_unit():
             raise ValueError(f"{self} reduces to 0 mod 2")
-        # lift the residue inverse, then Newton: v <- v(2 - wv)
-        r = self.residue().inverse()
+        # lift the residue inverse r^(2^d - 2), then Newton: v <- v(2 - wv)
+        r = self.residue() ** ((1 << self.spec.d) - 2)
         v = WittElement(self.spec, self.precision, r.coeffs)
         two = WittElement.from_int(self.spec, self.precision, 2)
         for _ in range(self.precision.bit_length() + 1):
@@ -442,8 +343,8 @@ def _reduced(spec, precision, coeffs):
     return w
 
 
-def teichmuller(a: GFElement, N: int) -> WittElement:
-    """The Teichmuller lift of a to precision N.
+def teichmuller(a: WittElement, N: int) -> WittElement:
+    """The Teichmuller lift to precision N of a in k (precision 1).
 
     Iterates z -> z^(2^d) from the naive {0,1} lift; quadratic 2-adic
     convergence makes this stable within N steps (hard cap 4N).

@@ -38,7 +38,6 @@ from types import MappingProxyType
 
 from .coefficients import (
     QQ,
-    GFElement,
     WittElement,
     finite_field,
     power,
@@ -124,7 +123,7 @@ class LTContext:
         self._gamma_var_pow = {}  # (index, exponent) -> gamma(tau_index)^exponent
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
         self._t_images = None  # (i, j) -> image of gamma^j t_i, or None if killed
-        # zeta bits -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
+        # zeta coordinates -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
         # for q-torsion zeta
         self._zeta_powers = {}
         self._fixed_box = None  # lazy: (zeta, u_bound, box) of fixed_subring_presentation
@@ -569,14 +568,17 @@ def _teichmuller_powers(ctx, zeta):
     """The coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), built once per
     context and zeta.
 
-    zeta must be a qth root of unity, which is checked when the table is
-    built; a zeta that fails raises ValueError and gets no table, so it
-    raises again on every call.  A Teichmuller lift of a nonzero zeta in
-    F_{2^d} satisfies T^(2^d-1) = 1 in W(k) mod 2^N, so this table holds every
-    power T(zeta)^chi at index chi mod (2^d - 1); that identity is checked
-    too.
+    zeta must be an element of k, a WittElement of precision 1 (checked on
+    every call, before the table is read), and a qth root of unity (checked
+    when the table is built).  A zeta that fails raises ValueError and gets
+    no table, so it raises again on every call.  A Teichmuller lift of a
+    nonzero zeta in F_{2^d} satisfies T^(2^d-1) = 1 in W(k) mod 2^N, so this
+    table holds every power T(zeta)^chi at index chi mod (2^d - 1); that
+    identity is checked too.
     """
-    powers = ctx._zeta_powers.get(zeta.bits)
+    if zeta.precision != 1:
+        raise ValueError(f"zeta must have precision 1, not {zeta.precision}")
+    powers = ctx._zeta_powers.get(zeta.coeffs)
     if powers is None:
         if not (zeta ** ctx.q) == ctx.spec.one:
             raise ValueError(f"zeta^{ctx.q} != 1")
@@ -589,7 +591,7 @@ def _teichmuller_powers(ctx, zeta):
             acc = kernel.masked(kernel.mul(acc, t))
         if acc != ctx._unit:
             raise ConsistencyFailure(f"T(zeta)^{(1 << ctx.spec.d) - 1} != 1")
-        powers = ctx._zeta_powers[zeta.bits] = tuple(table)
+        powers = ctx._zeta_powers[zeta.coeffs] = tuple(table)
     return powers
 
 
@@ -651,7 +653,7 @@ def _diagonal_map(ctx, e: LTElement, image, order=1) -> LTElement:
     return _element(ctx, out)
 
 
-def lt_zeta(ctx, zeta: GFElement, e: LTElement) -> LTElement:
+def lt_zeta(ctx, zeta: WittElement, e: LTElement) -> LTElement:
     """The k^x[q]-action: u -> T(zeta)^{-1} u, tau_i -> T(zeta)^{2^i-1} tau_i.
 
     Diagonal on monomials (_diagonal_map): the term tau^A u^s scales by

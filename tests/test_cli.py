@@ -271,6 +271,23 @@ def test_modulus_flag_rejects_bad_bits_and_reducible_moduli(capsys):
     assert captured.out == "" and "reducible" in captured.err
 
 
+def test_a_reducible_sextic_exits_two_and_an_irreducible_one_verifies(capsys):
+    # d = 6 has no default modulus; x^6+x^5+x^2+1 = (x+1)(x^2+x+1)(x^3+x^2+1)
+    # is squarefree with every factor degree dividing 6, so x^64 = x mod f
+    # while x^4 != x and x^8 != x: comparing those powers with x accepts it
+    argv = ["verify", "fixed-subring", "--n", "1", "--m", "1", "--d", "6", "--force",
+            "--modulus"]
+    assert cli.main(argv + ["1,0,1,0,0,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: modulus [1, 0, 1, 0, 0, 1, 1] is reducible over F_2\n"
+    code, out = _run(argv + ["1,1,0,0,0,0,1"], capsys)  # x^6 + x + 1
+    assert code == 0
+    body = _body(out)
+    assert body["config"]["modulus"] == [1, 1, 0, 0, 0, 0, 1]
+    assert [r["status"] for r in body["reports"]] == ["verified"]
+
+
 def test_verify_config_error_exits_two(capsys):
     # r <= h violates the collapse precondition: config error, not failure
     code, _ = _run(["verify", "v-collapse", "--n", "2", "--m", "1", "--k", "2"], capsys)

@@ -49,6 +49,13 @@ def test_field_spec_validation():
         FiniteFieldSpec(3, (0, 0, 0, 1))  # x^3
     with pytest.raises(ValueError):
         FiniteFieldSpec(2, (1, 1))  # degree mismatch
+    # x^6+x^5+x^2+1 = (x+1)(x^2+x+1)(x^3+x^2+1) and x^6+x^5+x =
+    # x(x^2+x+1)(x^3+x+1): squarefree with factor degrees dividing 6, so
+    # x^64 = x mod f while x^4 != x and x^8 != x, yet both are reducible
+    for modulus in ((1, 0, 1, 0, 0, 1, 1), (0, 1, 0, 0, 0, 1, 1)):
+        with pytest.raises(ValueError, match="is reducible over F_2"):
+            FiniteFieldSpec(6, modulus)
+    assert FiniteFieldSpec(6, (1, 1, 0, 0, 0, 0, 1)).modbits == 0b1000011
     assert finite_field(4).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
     with pytest.raises(ValueError):
         finite_field(5)
@@ -93,15 +100,92 @@ def test_witt_ring_basics():
         two.inverse()
 
 
+def _clmul(a: int, b: int) -> int:
+    """The carry-less product of two bit-packed polynomials over F_2."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+    return r
+
+
+def _gf2_mulmod(a: int, b: int, modbits: int, d: int) -> int:
+    # carry-less multiply in F_2[x]/(f) on bit-packed ints, folding x^d back
+    # by the modulus after each shift: an arithmetic of k that shares nothing
+    # with the Witt kernel, kept as the oracle of W(k) at precision 1
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> d & 1:
+            a ^= modbits
+    return r
+
+
+def _reducible(d: int) -> set:
+    """Every reducible monic polynomial of degree d over F_2 (bit-packed), as
+    the products g*h with 1 <= deg g < d: brute force, no division."""
+    return {
+        _clmul(g, h)
+        for dg in range(1, d)
+        for g in range(1 << dg, 2 << dg)
+        for h in range(1 << (d - dg), 2 << (d - dg))
+    }
+
+
+def _bits_tuple(f: int, d: int) -> tuple:
+    return tuple(f >> i & 1 for i in range(d + 1))
+
+
+def _packed(a) -> int:
+    return sum(c << i for i, c in enumerate(a.coeffs))
+
+
+def test_field_check_matches_brute_force_factoring():
+    # Gauss's count of irreducible polynomials of degree d over F_2
+    counts = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
+    for d in range(1, 9):
+        reducible = _reducible(d)
+        accepted = 0
+        for f in range(1 << d, 2 << d):
+            if f in reducible:
+                with pytest.raises(ValueError, match="is reducible over F_2"):
+                    FiniteFieldSpec(d, _bits_tuple(f, d))
+            else:
+                FiniteFieldSpec(d, _bits_tuple(f, d))
+                accepted += 1
+        assert accepted == counts[d]
+
+
 def test_witt_mod2_is_field_arithmetic():
-    # at precision 1 the ring is literally F_{2^d}
-    for spec in (F4, F8):
-        for a in spec.elements():
-            for b in spec.elements():
-                wa = WittElement(spec, 1, a.coeffs)
-                wb = WittElement(spec, 1, b.coeffs)
-                assert (wa * wb).residue() == a * b
-                assert (wa + wb).residue() == a + b
+    # k is W(k) at precision 1: against the carry-less product on bit-packed
+    # ints, every pair of elements of every field with d <= 4, under every
+    # irreducible modulus
+    for d in (1, 2, 3, 4):
+        reducible = _reducible(d)
+        for f in range(1 << d, 2 << d):
+            if f in reducible:
+                continue
+            spec = finite_field(d, _bits_tuple(f, d))
+            elts = list(spec.elements())
+            assert [_packed(a) for a in elts] == list(range(1 << d))
+            assert all(a.precision == 1 for a in elts)
+            lifts = [teichmuller(a, 8) for a in elts]
+            for i, a in enumerate(elts):
+                assert a.residue() == a and a.is_unit() == (i != 0)
+                assert frobenius_lift(a) == a * a
+                assert _packed(frobenius_lift(a)) == _gf2_mulmod(i, i, f, d)
+                if i:
+                    assert _gf2_mulmod(i, _packed(a.inverse()), f, d) == 1
+                assert lifts[i].residue() == a
+                for j, b in enumerate(elts):
+                    assert _packed(a + b) == i ^ j
+                    ij = _gf2_mulmod(i, j, f, d)
+                    assert _packed(a * b) == ij
+                    assert lifts[i] * lifts[j] == lifts[ij]
 
 
 def test_teichmuller_frozen_oracle_d2():
@@ -148,7 +232,7 @@ def test_frobenius_lift():
     for spec, d in ((F4, 2), (F8, 3)):
         for a in spec.elements():
             t = teichmuller(a, 8)
-            assert frobenius_lift(t) == teichmuller(a.frobenius(), 8)
+            assert frobenius_lift(t) == teichmuller(frobenius_lift(a), 8)
         # ring homomorphism on random-ish elements
         w1 = WittElement(spec, 8, list(range(3, 3 + d)))
         w2 = WittElement(spec, 8, list(range(7, 7 + d)))

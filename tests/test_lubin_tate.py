@@ -7,7 +7,6 @@ import pytest
 from fgl_forge.coefficients import (
     QQ,
     FiniteFieldSpec,
-    GFElement,
     WittElement,
     finite_field,
     frobenius_lift,
@@ -239,7 +238,7 @@ def test_residue_is_a_ring_map(n, m, d, modulus):
 @pytest.mark.parametrize("n,m,d,modulus", _RESIDUE_CASES)
 def test_residue_json_against_the_field_elements(n, m, d, modulus):
     """The residue against F_{2^d} itself: the tau-free terms of x, each
-    coefficient reduced by GFElement."""
+    coefficient reduced to k, the Witt ring at precision 1."""
     ctx = lubin_tate.lt_context(n, m, d=d, modulus=modulus, precision=6, madic=4)
     rng = random.Random(10 + d)
     seen_high_bits = False
@@ -247,10 +246,10 @@ def test_residue_json_against_the_field_elements(n, m, d, modulus):
         x = _dense_element(ctx, rng)
         expected = []
         for (exps, ue), c in sorted(x.coords.items()):
-            r = GFElement(ctx.spec, c)
+            r = WittElement(ctx.spec, 1, c)
             seen_high_bits |= any(v > 1 for v in c)
             if not any(exps) and not r.is_zero():
-                expected.append([ue, r.coeffs])
+                expected.append([ue, list(r.coeffs)])
         assert residue_json(x.residue()) == expected
     assert seen_high_bits  # so a residue that kept a second bit would show
 
@@ -453,7 +452,8 @@ def test_galois_action():
     omega = ctx.spec.omega
     t = teichmuller(omega, ctx.precision)
     x = ctx.u_pow(1).scale(t)
-    assert lt_galois(ctx, x) == ctx.u_pow(1).scale(teichmuller(omega.frobenius(), ctx.precision))
+    sigma_t = teichmuller(frobenius_lift(omega), ctx.precision)
+    assert lt_galois(ctx, x) == ctx.u_pow(1).scale(sigma_t)
     assert lt_galois(ctx, lt_galois(ctx, x)) == x  # order d
     assert lt_galois(ctx, ctx.tau(1, 1)) == ctx.tau(1, 1)
     assert lt_galois(ctx, ctx.from_int(7)) == ctx.from_int(7)
@@ -473,7 +473,7 @@ def test_action_commutation_relations():
         assert lt_gamma(ctx, lt_galois(ctx, x)) == lt_galois(ctx, lt_gamma(ctx, x))
         # sigma f_zeta sigma^{-1} = f_{sigma(zeta)} (sigma is an involution at d = 2)
         lhs = lt_galois(ctx, lt_zeta(ctx, omega, lt_galois(ctx, x)))
-        assert lhs == lt_zeta(ctx, omega.frobenius(), x)
+        assert lhs == lt_zeta(ctx, frobenius_lift(omega), x)
 
 
 def _chi_of(ctx, exps, ue):
@@ -528,14 +528,31 @@ def test_zeta_torsion_is_checked_once_per_table():
     for _ in range(2):
         with pytest.raises(ValueError, match=r"zeta\^3 != 1"):
             lt_zeta(ctx, generator, x)
-        assert generator.bits not in ctx._zeta_powers
+        assert generator.coeffs not in ctx._zeta_powers
     table = lubin_tate._teichmuller_powers(ctx, cube_root)
     assert lt_zeta(ctx, cube_root, x) == _zeta_by_powering(ctx, cube_root, x)
     for _ in range(2):  # a context that holds a table still rejects the other zeta
         with pytest.raises(ValueError, match=r"zeta\^3 != 1"):
             lt_zeta(ctx, generator, x)
-    assert set(ctx._zeta_powers) == {cube_root.bits}
+    assert set(ctx._zeta_powers) == {cube_root.coeffs}
     assert lubin_tate._teichmuller_powers(ctx, cube_root) is table
+
+
+def test_zeta_must_be_an_element_of_k():
+    ctx = LTContext(2, 2, d=2)
+    x = ctx.u_pow(1)
+    lifted = teichmuller(ctx.spec.omega, ctx.precision)  # T(omega) in W(k), not in k
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zeta must have precision 1, not 8"):
+            lt_zeta(ctx, lifted, x)
+    assert not ctx._zeta_powers
+    # once omega has a table, an element of precision 4 with omega's
+    # coordinates still raises: the precision is checked before the lookup
+    lt_zeta(ctx, ctx.spec.omega, x)
+    same_coeffs = WittElement(ctx.spec, 4, ctx.spec.omega.coeffs)
+    with pytest.raises(ValueError, match="zeta must have precision 1, not 4"):
+        lt_zeta(ctx, same_coeffs, x)
+    assert set(ctx._zeta_powers) == {ctx.spec.omega.coeffs}
 
 
 @pytest.mark.parametrize("n,m,d", KERNEL_SCENARIOS)
@@ -1181,6 +1198,11 @@ def test_orbit_log_constants_match_the_log_mod_tau(n, m):
     assert _log_constants(n, m, k) == lubin_tate._log_mod_tau(ctx, k)
 
 
+def _packed_residue(spec, coords):
+    """The residue in k of a coordinate tuple, coordinate i as bit i."""
+    return sum(b << i for i, b in enumerate(WittElement(spec, 1, coords).coeffs))
+
+
 def _cotangent_matrix_by_specialization(ctx):
     """The cotangent rows read off v_1 .. v_{h-1} specialized into E."""
     rows = [[1] + [0] * (ctx.h - 1)]
@@ -1191,12 +1213,12 @@ def _cotangent_matrix_by_specialization(ctx):
         assert g.filtration() >= 1 and g.is_homogeneous()
         s = g.u_exponents()[0] if g.coords else 0
         c2 = g.coords.get((ctx._zero_exps, s))
-        row = [0 if c2 is None else GFElement(ctx.spec, [x >> 1 for x in c2]).bits]
+        row = [0 if c2 is None else _packed_residue(ctx.spec, [x >> 1 for x in c2])]
         for idx in range(len(ctx.taus)):
             exps = [0] * len(ctx.taus)
             exps[idx] = 1
             c = g.coords.get((tuple(exps), s))
-            row.append(0 if c is None else GFElement(ctx.spec, c).bits)
+            row.append(0 if c is None else _packed_residue(ctx.spec, c))
         rows.append(row)
     return rows
 
