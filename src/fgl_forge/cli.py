@@ -19,9 +19,11 @@ Exit codes: 0 everything verified, 1 a claim is false (the machine-readable
 report with its witness is still emitted; verify emits the first failed
 report alone), 2 usage or configuration error (a flag the claim does not read
 given a value other than its default, a value past the claim's caps without
---force, or any other ValueError) or an internal cross-check that broke (a
-ConsistencyFailure), 130 interrupted (suite flushes the reports of the
-entries it finished first).
+--force, or any other ValueError), an internal cross-check that broke (a
+ConsistencyFailure) or a request that ran out of memory (a MemoryError, which
+--force requests past the caps can meet), 130 interrupted (suite flushes the
+reports of the entries it finished first).  An exit 2 prints one "error: "
+line on stderr and nothing on stdout.
 
 Reports are wrapped in the canonical envelope of `reports` (schema
 "fgl-forge/1"); identical configurations produce byte-identical JSON.
@@ -393,6 +395,10 @@ def main(argv=None):
         return 130
     except (ConsistencyFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller request, or drop --force",
+              file=sys.stderr)
         return 2
 
 

@@ -72,10 +72,10 @@ class LTContext:
 
     No claim reads a polynomial over R_n: cotangent, unit-factors and height
     read the orbit table of (n, m) (orbit_table), which every field and
-    truncation shares.  The equivariant ring `rn`, R_n with generators up to
-    t_h, and the specialized v-images and level families built from it serve
-    the oracles (lt_specialize, v_in_lt, t_level_in_lt) and the witness of a
-    falsified unit-factors verdict.
+    truncation shares, for their verdicts and their witnesses.  The
+    equivariant ring `rn`, R_n with generators up to t_h, and the specialized
+    v-images and level families built from it serve only the oracles
+    (lt_specialize, v_in_lt, t_level_in_lt).
 
     At M = 1 the context is the residue field K = k[ubar^{+-1}], u playing
     ubar; residue_ring is that context, the same for every N and M.
@@ -857,9 +857,7 @@ def orbit_table(n, m):
 # specialization from the equivariant polynomial ring (oracles)
 #
 # No claim reads these on its request path.  They specialize whole R_n
-# polynomials, and the tests check the orbit table against them;
-# d_factors falls back to _orbit_product_factors only to report the witness
-# of a falsified verdict.
+# polynomials, and the tests check the orbit table against them.
 # ---------------------------------------------------------------------------
 
 def _t_variable_images(ctx):
@@ -965,21 +963,6 @@ def _log_mod_tau(ctx, k_max):
             a = gamma_act(lbar[k - m]) * tm ** (1 << (k - m))
             lbar.append(orbit_sum(a).scalar_mul(QQ(1, 2)))
     return [QQ(sum(lk.num.values()), lk.den) for lk in lbar[1:]]
-
-
-def _orbit_product_factors(ctx):
-    """The norm factors of d_factors as elements of E: factor i is the product
-    of the 2^{n-1} conjugates of the image of the level-2^i generator at index
-    2^{n-i} m, specialized from R_n."""
-    factors = []
-    for i in range(1, ctx.n + 1):
-        k_i = (1 << (ctx.n - i)) * ctx.m  # <= h, the generator bound of ctx.rn
-        conj = factor = t_level_in_lt(ctx, i)[k_i - 1]
-        for _ in range(ctx.half - 1):
-            conj = lt_gamma(ctx, conj)
-            factor = factor * conj
-        factors.append(factor)
-    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -1132,10 +1115,13 @@ def d_factors(ctx):
     total product as well.  gamma fixes residues (gamma^j u = u mod (tau) for
     j < 2^{n-1}, and gamma(m) lies in m), so factor i has the residue
     (T mod 2) ubar^{2^{n-1}(2^{k_i}-1)}, with T the image of the generator
-    mod (tau) from the orbit table.  Only a falsified verdict builds the
-    factors themselves, through _orbit_product_factors, to report the first
-    non-unit as the witness; if that route disagrees on a residue, the claim
-    raises ConsistencyFailure.
+    mod (tau) from the orbit table.  A falsified verdict names the first
+    non-unit factor as the table knows it, with no factor built in E:
+
+        {"factor": i, "index": k_i, "level": 2^i, "residue": []}
+
+    its residue being 0.  The factors themselves, specialized from R_n, are
+    the oracle of the residues and verdicts in the tests.
     """
     table = orbit_table(ctx.n, ctx.m)
     indices = [(1 << (ctx.n - i)) * ctx.m for i in range(1, ctx.n + 1)]
@@ -1147,12 +1133,9 @@ def d_factors(ctx):
     ok = all(verdicts)  # a product of monomials of K is a monomial
     witness = None
     if not ok:
-        factors = _orbit_product_factors(ctx)
-        if [residue_json(f.residue()) for f in factors] != residues:
-            raise ConsistencyFailure(
-                "the orbit table and the orbit product disagree on a norm factor"
-            )
-        witness = [f.to_json() for f in factors if not f.is_unit()][:1]
+        i = verdicts.index(False) + 1  # the first non-unit factor
+        witness = {"factor": i, "index": indices[i - 1], "level": 1 << i,
+                   "residue": residues[i - 1]}
     return _report(
         "unit-factors",
         {

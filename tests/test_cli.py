@@ -725,8 +725,10 @@ def test_lt_context_is_shared_and_constructor_is_fresh(capsys, monkeypatch):
 
 def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     """The claims answer on cold caches with the two-variable law engine, the
-    formal inverse, ring_map, the specialization from R_n and the gamma
-    action of the local ring all refusing, wherever a module binds them."""
+    formal inverse, ring_map, the specialization from R_n (lt_specialize and
+    t_level_in_lt) and the gamma action of the local ring all refusing,
+    wherever a module binds them.  A falsified unit-factors verdict too: it
+    reports its witness from the orbit table and builds no R_n context."""
     def refuse(name):
         def fail(*args, **kwargs):
             raise AssertionError(f"a claim reached the oracle {name}")
@@ -738,7 +740,7 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     modules = [m for n, m in list(sys.modules.items()) if n.startswith("fgl_forge.")]
     for home, name in ((series_fgl, "fgl_apply"), (series_fgl, "formal_inverse"),
                        (poly_core, "ring_map"), (lubin_tate, "lt_specialize"),
-                       (lubin_tate, "lt_gamma")):
+                       (lubin_tate, "t_level_in_lt"), (lubin_tate, "lt_gamma")):
         original = getattr(home, name)
         for module in modules:
             for attr, value in list(vars(module).items()):
@@ -753,6 +755,27 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     ):
         code, _, err = _serve(argv, capsys)
         assert (code, err) == (0, ""), argv
+    # the first norm factor of (2, 1), t_2 at level 2, made a non-unit
+    _cold_caches(monkeypatch)
+    table = lubin_tate.orbit_table(2, 1)
+    table._levels[2] = table.level(2, 1) + (2,)
+    code, out, err = _serve(["verify", "unit-factors", "--n", "2", "--m", "1"], capsys)
+    assert (code, err) == (1, "")
+    assert _body(out)["reports"][0]["witness"] == {
+        "factor": 1, "index": 2, "level": 2, "residue": []}
+    assert not equivariant_ring._CONTEXTS
+
+
+def test_out_of_memory_is_a_usage_style_exit(capsys, monkeypatch):
+    """A MemoryError in a claim exits 2 with one error line and no traceback."""
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._CLAIMS, "unit-factors",
+                        (exhausted, *cli._CLAIMS["unit-factors"][1:]))
+    code, out, err = _serve(["verify", "unit-factors", "--n", "2", "--m", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory; try a smaller request, or drop --force\n"
 
 
 def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):
@@ -949,3 +972,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+# a fresh interpreter capped at 2 GB of address space, with every value of the
+# orbit table's level generators doubled: every norm factor is then a non-unit
+_FALSIFIED_UNIT_FACTORS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from fgl_forge import cli, lubin_tate
+level = lubin_tate.OrbitTable.level
+lubin_tate.OrbitTable.level = lambda self, s, k: tuple(2 * t for t in level(self, s, k))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_falsified_unit_factors_finish_fresh_at_the_caps():
+    """A falsified unit-factors at (n, m) = (3, 3) reports its witness from the
+    orbit table: exit 1 within 60 s under the cap, and no traceback."""
+    src = str(Path(fgl_forge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FALSIFIED_UNIT_FACTORS,
+         "verify", "unit-factors", "--n", "3", "--m", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    body = _body(proc.stdout)
+    assert [r["witness"] for r in body["reports"]] == [
+        {"factor": 1, "index": 12, "level": 2, "residue": []}]

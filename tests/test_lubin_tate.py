@@ -1232,11 +1232,27 @@ def test_cotangent_matches_the_specialization_route(n, m, d):
     assert p["rank"] == ctx.h
 
 
+def _orbit_product_factors(ctx, level=t_level_in_lt):
+    """The norm factors of d_factors as elements of E, the oracle of its
+    residues and verdicts: factor i is the product of the 2^{n-1} conjugates
+    of the image of the level-2^i generator at index 2^{n-i} m, specialized
+    from R_n (level(ctx, i) gives the images of that family)."""
+    factors = []
+    for i in range(1, ctx.n + 1):
+        k_i = (1 << (ctx.n - i)) * ctx.m  # <= h, the generator bound of ctx.rn
+        conj = factor = level(ctx, i)[k_i - 1]
+        for _ in range(ctx.half - 1):
+            conj = lt_gamma(ctx, conj)
+            factor = factor * conj
+        factors.append(factor)
+    return factors
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n,m", _ORBIT_CASES)
 def test_unit_factors_match_the_orbit_product(n, m, d):
     ctx = LTContext(n, m, d=d)
-    factors = lubin_tate._orbit_product_factors(ctx)
+    factors = _orbit_product_factors(ctx)
     report = d_factors(ctx)
     p = report["params"]
     assert p["residues"] == [residue_json(f.residue()) for f in factors]
@@ -1245,38 +1261,65 @@ def test_unit_factors_match_the_orbit_product(n, m, d):
     assert report["witness"] is None
 
 
-def _falsify_first_factor(monkeypatch, ctx):
-    """Make the orbit table report the first norm factor of (2, 1) as a
-    non-unit: its generator, t_2 at level 2^1, gets an even image."""
+def _falsify_factor(monkeypatch, ctx, i):
+    """Make the orbit table report norm factor i of ctx alone as a non-unit:
+    its generator, t_{k_i} at level 2^i (s = 2^{n-i} in OrbitTable.level),
+    gets an even image.  The levels of the factors differ, so no other factor
+    reads the faked value."""
     monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
     table = orbit_table(ctx.n, ctx.m)
-    s = 1 << (ctx.n - 1)
-    table._levels[s] = table.level(s, 1) + (2,)
+    s = 1 << (ctx.n - i)
+    table._levels[s] = table.level(s, s * ctx.m - 1) + (2,)
 
 
-def test_falsified_unit_factor_reports_the_orbit_product_witness(monkeypatch, capsys):
+def _factor_witness(ctx, i):
+    """The witness of a verdict whose first non-unit factor is i."""
+    return {"factor": i, "index": (1 << (ctx.n - i)) * ctx.m, "level": 1 << i, "residue": []}
+
+
+def test_falsified_unit_factor_reports_the_table_witness(monkeypatch, capsys):
     ctx = lubin_tate.lt_context(2, 1)
-    _falsify_first_factor(monkeypatch, ctx)
-    # the specialization route agrees once its level generator is 2 u^3
-    fake = [ctx.from_int(1), ctx.from_int(2) * ctx.u_pow(3)]
-    monkeypatch.setattr(lubin_tate, "t_level_in_lt",
-                        lambda c, r: fake if r == 1 else t_level_in_lt(c, r))
-    factor = lubin_tate._orbit_product_factors(ctx)[0]
-    assert not factor.is_unit()
+    _falsify_factor(monkeypatch, ctx, 1)
     report = d_factors(ctx)
     assert report["status"] == "failed"
     assert report["params"]["verdicts"] == [False, True]
     assert report["params"]["product_is_unit"] is False
-    assert report["witness"] == [factor.to_json()]
+    assert report["witness"] == _factor_witness(ctx, 1) == {
+        "factor": 1, "index": 2, "level": 2, "residue": []}
+    # the oracle finds that same factor a non-unit once its level generator is 2 u^3
+    fake = [ctx.from_int(1), ctx.from_int(2) * ctx.u_pow(3)]
+    factors = _orbit_product_factors(
+        ctx, lambda c, r: fake if r == 1 else t_level_in_lt(c, r))
+    assert [f.is_unit() for f in factors] == report["params"]["verdicts"]
+    assert residue_json(factors[0].residue()) == report["witness"]["residue"]
     argv = ["verify", "unit-factors", "--n", "2", "--m", "1"]
     assert _cli_failed_report(argv, capsys) == report
 
 
-def test_unit_factor_routes_that_disagree_raise(monkeypatch):
+def test_falsified_table_disagrees_with_the_orbit_product(monkeypatch):
+    """A table that calls a unit factor a non-unit fails the oracle comparison
+    of test_unit_factors_match_the_orbit_product: the orbit product still
+    finds a unit."""
     ctx = LTContext(2, 1)
-    _falsify_first_factor(monkeypatch, ctx)  # the orbit product still finds a unit
-    with pytest.raises(ConsistencyFailure, match="disagree"):
-        d_factors(ctx)
+    _falsify_factor(monkeypatch, ctx, 1)
+    table = d_factors(ctx)["params"]["residues"]
+    oracle = [residue_json(f.residue()) for f in _orbit_product_factors(ctx)]
+    assert table != oracle
+    assert table[0] == [] and len(oracle[0]) == 1 and table[1:] == oracle[1:]
+
+
+@pytest.mark.parametrize("n,m,i", [(n, m, i) for n, m in ((2, 1), (2, 2), (3, 1))
+                                   for i in range(1, n + 1)])
+def test_each_falsified_factor_is_the_witness(monkeypatch, n, m, i):
+    ctx = LTContext(n, m)
+    _falsify_factor(monkeypatch, ctx, i)
+    report = d_factors(ctx)
+    p = report["params"]
+    assert report["status"] == "failed"
+    assert p["verdicts"] == [j != i for j in range(1, n + 1)]
+    assert p["residues"][i - 1] == []
+    assert p["product_is_unit"] is False
+    assert report["witness"] == _factor_witness(ctx, i)
 
 
 def test_orbit_values_must_be_integral():
