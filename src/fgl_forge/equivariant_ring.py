@@ -13,7 +13,8 @@ quotient killing t_i (and every conjugate) for i > m.  This module computes
 and exposes the verifiers behind the `verify` command: the defining
 logarithm relations, the level-drop recursion for t_k, the congruence
 t_k^{C_2} = v_k mod I_k, the gamma-invariance of the ideals I_k, the
-collapse statements in R_n<m>, and the chain-inversion identity.
+collapse statements in R_n<m>, and the chain-inversion identity, whose
+verdict and witness are one certificate through the logarithm.
 
 Ideal membership is decided on F_2: each context keeps the mod-2 images of
 the v_j and t_level entries its claims read, and per ideal I_k its one
@@ -51,7 +52,6 @@ from .series_fgl import (
     fgl_from_log,
     formal_sum_via_log,
     log_series,
-    solve_series,
     squares_recursion,
     v_from_log,
 )
@@ -277,27 +277,23 @@ def _chain_series(ctx, steps, cutoff):
     built either.
 
     gamma_* also commutes with composition, so with P_s the composite of the
-    first s steps, P_{a+b} = gamma^a_*(P_b) o P_a.  The chain is built by
-    binary powering over the bits of `steps`: P_{2s} = gamma^s_*(P_s) o P_s
-    per bit, and one more composition per set bit below the top one, so
-    2^{n-1} steps take n-1 compositions.
+    first s steps, P_{2s} = gamma^s_*(P_s) o P_s.  `steps` must be a power
+    of two, and the chain is built by these doublings alone: 2^{n-1} steps
+    take n-1 compositions.
     """
+    if steps < 1 or steps & (steps - 1):
+        raise ValueError(f"the chain takes a power of two of steps, not {steps}")
     L = log_series(rn_log(ctx), ctx.ring_q, cutoff)
     terms = [(1, 1)]
     for i in range(1, ctx.k_max + 1):
         ti = ctx.generator(i, rational=True)
         if not ti.is_zero() and (1 << i) <= cutoff:
             terms.append((gamma_act(ti, -1), 1 << i))
-    power, span = _gamma_shift(formal_sum_via_log(L, terms), 1), 1  # P_1
-    psi, done = None, 0  # psi = P_done
-    while True:
-        if steps & span:
-            psi = power if psi is None else _gamma_shift(power, done).compose(psi)
-            done += span
-        if done == steps:
-            return psi
-        power = _gamma_shift(power, span).compose(power)
+    psi, span = _gamma_shift(formal_sum_via_log(L, terms), 1), 1  # P_1
+    while span < steps:
+        psi = _gamma_shift(psi, span).compose(psi)
         span *= 2
+    return psi
 
 
 def chain_composite(ctx, steps=None, cutoff=None):
@@ -306,19 +302,18 @@ def chain_composite(ctx, steps=None, cutoff=None):
     The step-i factor is (gamma^i)* psi_gamma: F^{gamma^i} -> F^{gamma^{i+1}},
     so the composite is a strict isomorphism F -> F^{gamma^steps}: the series
     of _chain_series, with the one conjugate law F^{gamma^steps} as target.
-    With the default steps = 2^{n-1} this is the chain whose comparison
-    against the (negated) formal inverse chain_inversion_check performs.
-    No request builds it: with series_fgl.t_from_strict_iso it is the test
-    oracle of t_level, and it is the one place that builds the law
-    F = fgl_from_log(rn_log(ctx), X) of the context.
+    As there, `steps` must be a power of two (ValueError otherwise).  With
+    the default steps = 2^{n-1} its series is the one chain_inversion_check
+    certifies.  No request builds it: with series_fgl.t_from_strict_iso it
+    is the test oracle of t_level, and it is the one place that builds the
+    law F = fgl_from_log(rn_log(ctx), X) of the context.
     """
     steps = ctx.half if steps is None else steps
-    if steps < 1:
-        raise ValueError("need at least one step")
     X = cutoff if cutoff is not None else (1 << ctx.k_max)
+    psi = _chain_series(ctx, steps, X)
     F = fgl_from_log(rn_log(ctx), X)
     target = conjugate_fgl(F, lambda p: gamma_act(p, steps))
-    return StrictIso(_chain_series(ctx, steps, X), F, target)
+    return StrictIso(psi, F, target)
 
 
 def t_level(ctx, r):
@@ -658,16 +653,22 @@ def chain_inversion_check(ctx, cutoff=None):
     so larger cutoffs are rejected rather than reported as failures.
 
     The check is one certificate through the logarithm L = x + sum l_k x^{2^k}
-    of F: L(x) + L(-psi(x)) = 0 at the full cutoff X.  F(x, y) =
+    of F: R = L(x) + L(-psi(x)) = 0 at the full cutoff X.  F(x, y) =
     exp(L(x) + L(y)) through x^X, so [-1](x), the solution y of F(x, y) = 0,
-    is the g with L(g) = -L(x).  That solution is unique mod x^{X+1}: L is
+    is the i with L(i) = -L(x).  That solution is unique mod x^{X+1}: L is
     strict, so the coefficient of x^e in L(g) is g_e plus a polynomial in
     g_1 .. g_{e-1}, and L(g) = -L(x) fixes g_1 = -1, g_2, g_3, ... one at a
-    time.  So the certificate L(-psi) = -L(x) holds exactly when
-    -psi = [-1](x) through x^X.  L is supported on powers of two, so L(-psi)
-    needs only the squarings psi^2, psi^4, ...  Only when the certificate
-    fails is [-1](x) = solve_series(L, -L) solved, to report the lowest
-    coefficient of the difference as the witness.
+    time.  So the certificate holds exactly when -psi = [-1](x) through x^X.
+    L is supported on powers of two, so L(-psi) needs only the squarings
+    psi^2, psi^4, ...
+
+    The witness is read off R too.  Let g = -psi, and let g and i agree
+    below order e and differ by delta at e.  For p >= 2, g^p - i^p =
+    (g - i)(g^{p-1} + ... + i^{p-1}) has order at least e + p - 1 > e, so
+    L(g) - L(i), which is R since L(i) = -L(x), is delta x^e + O(x^{e+1}).
+    The lowest coefficient of psi - (-[-1](x)) = -(g - i) is -delta, so the
+    witness is -R_e, e the lowest order of R; [-1](x) = solve_series(L, -L)
+    is solved only by the test oracle.
     """
     window = (1 << (ctx.k_max + 1)) - 1
     X = cutoff if cutoff is not None else window
@@ -677,14 +678,10 @@ def chain_inversion_check(ctx, cutoff=None):
         )
     psi = _chain_series(ctx, ctx.half, X)
     L = log_series(rn_log(ctx), ctx.ring_q, X)
+    residual = L + L.compose(-psi)
     first = None
-    if not (L + L.compose(-psi)).is_zero():
-        diff = psi + solve_series(L, -L)  # psi - (-[-1](x))
-        if diff.is_zero():
-            raise ConsistencyFailure(
-                f"L(x) + L(-psi) is not 0 although psi = -[-1](x) at n={ctx.n}"
-            )
-        first = diff.coefficient(min(diff.coeffs))
+    if not residual.is_zero():
+        first = -residual.coefficient(min(residual.coeffs))
     return _report(
         "chain-inversion",
         {"n": ctx.n, "cutoff": X, "convention": "minus-formal-inverse"},

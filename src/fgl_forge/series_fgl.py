@@ -2,9 +2,9 @@
 formal sums, strict isomorphisms and their 2-typical coordinates.
 
 One routine reverts series: solve_series(L, S) is the g with L(g) = S.  The
-exponential, the F-sum through the logarithm (formal_sum_via_log) and the
-formal inverse [-1](x) = solve_series(L, -L) are all this one solve, so the
-claims never form a two-variable law.  The two-variable routines
+exponential and the F-sum through the logarithm (formal_sum_via_log) are
+this one solve, so the claims never form a two-variable law.  The formal
+inverse [-1](x) = solve_series(L, -L) and the two-variable routines
 (fgl_from_log, fgl_apply, formal_sum, formal_inverse, the strict
 isomorphisms) are kept as the test oracles of those routes, in their
 definitional forms: one compose takes an inner series in one or two

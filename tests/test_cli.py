@@ -14,6 +14,7 @@ import pytest
 
 import fgl_forge
 from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core, series_fgl
+from fgl_forge.coefficients import teichmuller
 from fgl_forge.poly_core import AtomicCache, reduce_mod2
 from fgl_forge.reports import CONVENTIONS, SCHEMA, canonical_json, envelope, render_line
 from fgl_forge.series_fgl import TruncatedSeries1, v_from_log
@@ -201,12 +202,63 @@ _SABOTAGE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("sabotage", list(_SABOTAGE_SHA256))
+def _sabotage_cotangent(monkeypatch):
+    _cold_caches(monkeypatch)
+    lubin_tate.orbit_table(2, 1)._v = ((2, 0),)  # a collapsed image of v_1: the rank drops
+    return ["cotangent", "--n", "2", "--m", "1"], {"rank": 1}
+
+
+def _sabotage_height(monkeypatch):
+    def even(self, k):
+        return tuple((2,) + (0,) * (self.h - 1) for _ in range(k))
+
+    _cold_caches(monkeypatch)
+    monkeypatch.setattr(lubin_tate.OrbitTable, "v_images", even)  # no odd v_k image
+    return ["height", "--n", "2", "--m", "1", "--cutoff", "32"], {"computed_height": None}
+
+
+def _sabotage_unit_factors(monkeypatch):
+    # the first norm factor of (2, 1), t_2 at level 2, made a non-unit
+    _cold_caches(monkeypatch)
+    table = lubin_tate.orbit_table(2, 1)
+    table._levels[2] = table.level(2, 1) + (2,)
+    return ["unit-factors", "--n", "2", "--m", "1"], {"verdicts": [False, True]}
+
+
+def _sabotage_fixed_subring(monkeypatch):
+    # u^0 is fixed; a torus action that scales its term by T(zeta) moves it
+    original = lubin_tate.lt_zeta
+
+    def scaled(ctx, z, e):
+        image = original(ctx, z, e)
+        key = (ctx._zero_exps, 0)
+        if key not in image.coords:
+            return image
+        term = ctx.monomial(*key, image.coords[key])
+        return image - term + term.scale(teichmuller(z, ctx.precision))
+
+    _cold_caches(monkeypatch)
+    monkeypatch.setattr(lubin_tate, "lt_zeta", scaled)
+    return ["fixed-subring", "--n", "2", "--m", "2", "--d", "2"], {"monomials_fixed": 2}
+
+
+# sha256 of each sabotaged Lubin-Tate request's stdout, as the orbit-table
+# and diagonal-map routes wrote it before any rework of OrbitTable
+_LT_SABOTAGE_SHA256 = {
+    _sabotage_cotangent: "b04c8ab6c53af4486dd0b45bf91cbaa35244fb617a6607869360b1efcb15563c",
+    _sabotage_height: "04288346209577386b8fa443b3019899976f18b83c74819d440d5d29baad44c8",
+    _sabotage_unit_factors: "a77a4b629aef56a475cc88bc37e6808c530f97fd44a1bf2fe67c50ba073cea84",
+    _sabotage_fixed_subring: "aa3ef5ba475f5037cdac450f70c97dc042d500f43dae42dc88f5382133514651",
+}
+
+
+@pytest.mark.parametrize("sabotage", [*_SABOTAGE_SHA256, *_LT_SABOTAGE_SHA256])
 def test_a_falsified_claim_exits_one_with_its_failed_report_alone(sabotage, capsys, monkeypatch):
     argv, params = sabotage(monkeypatch)
     code, out = _run(["verify", *argv], capsys)
     assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == _SABOTAGE_SHA256[sabotage]
+    digest = {**_SABOTAGE_SHA256, **_LT_SABOTAGE_SHA256}[sabotage]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     body = _body(out)
     assert body["ok"] is False and len(body["reports"]) == 1
     report = body["reports"][0]
@@ -728,7 +780,10 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     formal inverse, ring_map, the specialization from R_n (lt_specialize and
     t_level_in_lt) and the gamma action of the local ring all refusing,
     wherever a module binds them.  A falsified unit-factors verdict too: it
-    reports its witness from the orbit table and builds no R_n context."""
+    reports its witness from the orbit table and builds no R_n context.  And
+    a falsified chain-inversion verdict reads its witness off the log
+    certificate: it reverts a series (solve_series) exactly as often as the
+    verified request, so the formal inverse is never solved."""
     def refuse(name):
         def fail(*args, **kwargs):
             raise AssertionError(f"a claim reached the oracle {name}")
@@ -764,6 +819,34 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     assert _body(out)["reports"][0]["witness"] == {
         "factor": 1, "index": 2, "level": 2, "residue": []}
     assert not equivariant_ring._CONTEXTS
+    # the chain at (2, 2), verified and then bumped by t_1 x^3
+    solves = []
+    solve = series_fgl.solve_series
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is solve:
+                monkeypatch.setattr(module, attr, counted)
+    chain = equivariant_ring._chain_series
+
+    def bumped(ctx, steps, X):
+        psi = chain(ctx, steps, X)
+        return psi + TruncatedSeries1.monomial(psi.ring, ctx.generator(1, rational=True), 3, X)
+
+    argv = ["verify", "chain-inversion", "--n", "2", "--k", "2"]
+    _cold_caches(monkeypatch)
+    assert _serve(argv, capsys)[::2] == (0, "")
+    verified, solves[:] = len(solves), []
+    _cold_caches(monkeypatch)
+    monkeypatch.setattr(equivariant_ring, "_chain_series", bumped)
+    code, out, err = _serve(argv, capsys)
+    assert (code, err) == (1, "")
+    assert _body(out)["reports"][0]["witness"]["terms"] == [{"coeff": "1", "monomial": {"t1": 1}}]
+    assert len(solves) == verified > 0
 
 
 def test_out_of_memory_is_a_usage_style_exit(capsys, monkeypatch):

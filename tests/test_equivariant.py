@@ -3,10 +3,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgl_forge import equivariant_ring
 from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
-from fgl_forge.errors import ConsistencyFailure
 from fgl_forge.reports import canonical_json
 from fgl_forge.equivariant_ring import (
     RnContext,
@@ -606,6 +606,11 @@ def _chain_report_by_inverse(ctx, X, psi):
     }
 
 
+def _powers_of_two(top):
+    """1, 2, 4, .., top: the step counts a chain takes."""
+    return [1 << j for j in range(top.bit_length())]
+
+
 def _window(ctx, cutoff):
     return cutoff if cutoff is not None else (1 << (ctx.k_max + 1)) - 1
 
@@ -623,7 +628,7 @@ def test_chain_report_matches_the_conjugated_law_route(n, k_max, cutoff):
     report = chain_inversion_check(ctx, cutoff=cutoff)
     assert report == _chain_report_by_inverse(ctx, X, old.psi)
     assert report["status"] == "verified"
-    for steps in range(1, ctx.half + 1):
+    for steps in _powers_of_two(ctx.half):
         iso = chain_composite(ctx, steps=steps, cutoff=X)
         want = _chain_by_conjugated_laws(ctx, steps, X)
         assert iso.psi == want.psi
@@ -677,17 +682,39 @@ def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, 
             assert canonical_json(report) == canonical_json(want)
 
 
-def test_a_failed_certificate_with_no_difference_is_inconsistent(monkeypatch):
-    # a perturbed chain fails the certificate, and a witness solve that returns
-    # its negation leaves no difference to report: the two routes disagree
-    ctx = RnContext(2, 2)
+# one context per configuration, so rn_law builds each law once
+_PROPERTY_CONTEXTS = {(n, k): RnContext(n, k) for n, k in ((1, 3), (2, 2), (3, 1))}
+
+
+@st.composite
+def _bumps(draw, ring, cutoff):
+    """A perturbation of a chain series at one to four orders in 2..cutoff,
+    each coefficient a small rational multiple (odd or even denominator) of
+    a product of the generators t_i and their conjugates."""
+    orders = draw(st.sets(st.integers(2, cutoff), min_size=1, max_size=4))
+    coeffs = {}
+    for e in orders:
+        c = ring.from_rational(QQ(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                                  draw(st.sampled_from([1, 2, 3, 4, 5, 8]))))
+        for v in draw(st.lists(st.sampled_from(ring.variables), max_size=3)):
+            c = c * ring.var(v)
+        coeffs[e] = c
+    return TruncatedSeries1(ring, coeffs, cutoff)
+
+
+@pytest.mark.parametrize("n,k_max", list(_PROPERTY_CONTEXTS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_any_perturbed_chain_fails_with_the_inverse_route_witness(n, k_max, data):
+    ctx = _PROPERTY_CONTEXTS[n, k_max]
     X = _window(ctx, None)
     psi = equivariant_ring._chain_series(ctx, ctx.half, X)
-    bad = psi + TruncatedSeries1.monomial(psi.ring, 1, 2, X)
-    monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
-    monkeypatch.setattr(equivariant_ring, "solve_series", lambda L, S: -bad)
-    with pytest.raises(ConsistencyFailure):
-        chain_inversion_check(ctx)
+    bad = psi + data.draw(_bumps(ctx.ring_q, X))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
+        report = chain_inversion_check(ctx)
+    assert report["status"] == "failed"
+    assert canonical_json(report) == canonical_json(_chain_report_by_inverse(ctx, X, bad))
 
 
 def _phi_terms(ctx, cutoff):
@@ -726,15 +753,22 @@ def _chain_series_by_steps(ctx, steps, cutoff):
     return psi
 
 
-# every step count 1..2^{n-1} at n = 1, 2, 3, 4; n = 4 reaches 3, 5, 6 and 7
+# every step count 1, 2, .., 2^{n-1} at n = 1, 2, 3, 4
 @pytest.mark.parametrize("n,k_max,cutoff", [(1, 3, None), (2, 2, None), (3, 2, None),
                                             (4, 1, None), (4, 2, 7)])
 def test_the_chain_by_doubling_is_the_chain_step_by_step(n, k_max, cutoff):
     ctx = RnContext(n, k_max)
     X = _window(ctx, cutoff)
-    for steps in range(1, ctx.half + 1):
+    for steps in _powers_of_two(ctx.half):
         want = _chain_series_by_steps(ctx, steps, X)
         assert equivariant_ring._chain_series(ctx, steps, X) == want
+
+
+def test_the_chain_takes_a_power_of_two_of_steps():
+    ctx = RnContext(3, 1)
+    for steps in (3, 0, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            chain_composite(ctx, steps=steps)
 
 
 @pytest.mark.parametrize("n", [2, 3])
