@@ -14,7 +14,9 @@ and exposes the verifiers behind the `verify` command: the defining
 logarithm relations, the level-drop recursion for t_k, the congruence
 t_k^{C_2} = v_k mod I_k, the gamma-invariance of the ideals I_k, the
 collapse statements in R_n<m>, and the chain-inversion identity, whose
-verdict and witness are one certificate through the logarithm.
+verdict and witness are one certificate through the logarithm, composed
+with the chain's steps from the outside in so the chain itself is never
+formed.
 
 Ideal membership is decided on F_2: each context keeps the mod-2 images of
 the v_j and t_level entries its claims read, and per ideal I_k its one
@@ -262,34 +264,36 @@ def _gamma_shift(series, a):
     )
 
 
-def _chain_series(ctx, steps, cutoff):
-    """The series of the composite of `steps` twisted isomorphisms from F.
+def _chain_steps(ctx, cutoff):
+    """The 2^{n-1} steps of the chain from F, outermost first: [S_{h-1}, .., S_0].
 
-    Step j of the chain is (gamma^j)* psi_gamma: F^{gamma^j} -> F^{gamma^{j+1}},
-    where psi_gamma is the F^gamma-sum of x and the t_i x^{2^i}.  gamma acts
-    on coefficients as a ring automorphism, so gamma_* commutes with F-sums:
-    psi_gamma = gamma_* phi with phi = x +^F sum^F gamma^{-1}(t_i) x^{2^i},
-    and step j is gamma^j_* of step 0, gamma_* phi.  So the chain is one
-    F-sum in F itself, gamma^j applied to coefficients, and series
-    composition; no conjugate law F^{gamma^j} is built.  The F-sum is taken
-    through the logarithm L of F (formal_sum_via_log): phi solves
-    L(phi) = L(x) + sum_i L(gamma^{-1}(t_i) x^{2^i}), so F itself is not
-    built either.
-
-    gamma_* also commutes with composition, so with P_s the composite of the
-    first s steps, P_{2s} = gamma^s_*(P_s) o P_s.  `steps` must be a power
-    of two, and the chain is built by these doublings alone: 2^{n-1} steps
-    take n-1 compositions.
+    Step j is S_j = (gamma^j)* psi_gamma: F^{gamma^j} -> F^{gamma^{j+1}}, where
+    psi_gamma is the F^gamma-sum of x and the t_i x^{2^i}.  gamma acts on
+    coefficients as a ring automorphism, so gamma_* commutes with F-sums and
+    S_j = gamma^{j+1}_* phi with phi = x +^F sum^F gamma^{-1}(t_i) x^{2^i}:
+    no conjugate law F^{gamma^j} is built.  phi is taken through the
+    logarithm L of F (formal_sum_via_log), so F itself is not built either.
     """
-    if steps < 1 or steps & (steps - 1):
-        raise ValueError(f"the chain takes a power of two of steps, not {steps}")
     L = log_series(rn_log(ctx), ctx.ring_q, cutoff)
     terms = [(1, 1)]
     for i in range(1, ctx.k_max + 1):
         ti = ctx.generator(i, rational=True)
         if not ti.is_zero() and (1 << i) <= cutoff:
             terms.append((gamma_act(ti, -1), 1 << i))
-    psi, span = _gamma_shift(formal_sum_via_log(L, terms), 1), 1  # P_1
+    phi = formal_sum_via_log(L, terms)
+    return [_gamma_shift(phi, j) for j in range(ctx.half, 0, -1)]
+
+
+def _chain_series(ctx, steps, cutoff):
+    """P_steps = S_{steps-1} o .. o S_0, from the steps of _chain_steps.
+
+    gamma_* commutes with composition, so P_{2s} = gamma^s_*(P_s) o P_s: a
+    power of two of steps (ValueError otherwise) is built by doublings alone.
+    This is the body of the oracle chain_composite; no request calls it.
+    """
+    if steps < 1 or steps & (steps - 1):
+        raise ValueError(f"the chain takes a power of two of steps, not {steps}")
+    psi, span = _chain_steps(ctx, cutoff)[-1], 1  # P_1 = S_0
     while span < steps:
         psi = _gamma_shift(psi, span).compose(psi)
         span *= 2
@@ -303,10 +307,11 @@ def chain_composite(ctx, steps=None, cutoff=None):
     so the composite is a strict isomorphism F -> F^{gamma^steps}: the series
     of _chain_series, with the one conjugate law F^{gamma^steps} as target.
     As there, `steps` must be a power of two (ValueError otherwise).  With
-    the default steps = 2^{n-1} its series is the one chain_inversion_check
-    certifies.  No request builds it: with series_fgl.t_from_strict_iso it
-    is the test oracle of t_level, and it is the one place that builds the
-    law F = fgl_from_log(rn_log(ctx), X) of the context.
+    the default steps = 2^{n-1} its series is the chain chain_inversion_check
+    certifies without forming it.  No request builds it: with
+    series_fgl.t_from_strict_iso it is the test oracle of t_level, and it is
+    the one place that builds the law F = fgl_from_log(rn_log(ctx), X) of
+    the context.
     """
     steps = ctx.half if steps is None else steps
     X = cutoff if cutoff is not None else (1 << ctx.k_max)
@@ -659,8 +664,18 @@ def chain_inversion_check(ctx, cutoff=None):
     strict, so the coefficient of x^e in L(g) is g_e plus a polynomial in
     g_1 .. g_{e-1}, and L(g) = -L(x) fixes g_1 = -1, g_2, g_3, ... one at a
     time.  So the certificate holds exactly when -psi = [-1](x) through x^X.
-    L is supported on powers of two, so L(-psi) needs only the squarings
-    psi^2, psi^4, ...
+
+    The chain psi = S_{h-1} o .. o S_0 (h = 2^{n-1}, the steps of
+    _chain_steps) is never formed.  Composition of truncated series with no
+    constant term is associative mod x^{X+1}, and negation acts on the
+    outer values, so
+
+        L(-psi) = (..((L o (-S_{h-1})) o S_{h-2}) o ..) o S_0,
+
+    the same series R is made of.  The first composition squares only the
+    step -S_{h-1}, as L is supported on powers of two, and every later one
+    has a single step as its inner series, so every power built is a power
+    of one step; only the outer series grows.
 
     The witness is read off R too.  Let g = -psi, and let g and i agree
     below order e and differ by delta at e.  For p >= 2, g^p - i^p =
@@ -676,9 +691,12 @@ def chain_inversion_check(ctx, cutoff=None):
         raise ValueError(
             f"cutoff {X} exceeds the order-{window} window of k_max={ctx.k_max}"
         )
-    psi = _chain_series(ctx, ctx.half, X)
+    outer, *inner = _chain_steps(ctx, X)
     L = log_series(rn_log(ctx), ctx.ring_q, X)
-    residual = L + L.compose(-psi)
+    composed = L.compose(-outer)
+    for step in inner:
+        composed = composed.compose(step)
+    residual = L + composed
     first = None
     if not residual.is_zero():
         first = -residual.coefficient(min(residual.coeffs))

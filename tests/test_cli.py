@@ -184,7 +184,7 @@ def _sabotage_chain_inversion(monkeypatch):
     X = 7  # the order-(2^{k+1} - 1) window
     psi = equivariant_ring._chain_series(ctx, ctx.half, X)
     bad = psi + TruncatedSeries1.monomial(psi.ring, ctx.generator(1, rational=True), 3, X)
-    monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
+    monkeypatch.setattr(equivariant_ring, "_chain_steps", lambda *args: [bad])  # one step
     return ["chain-inversion", "--n", "2", "--k", "2"], {"cutoff": X}
 
 
@@ -779,11 +779,14 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     """The claims answer on cold caches with the two-variable law engine, the
     formal inverse, ring_map, the specialization from R_n (lt_specialize and
     t_level_in_lt) and the gamma action of the local ring all refusing,
-    wherever a module binds them.  A falsified unit-factors verdict too: it
-    reports its witness from the orbit table and builds no R_n context.  And
-    a falsified chain-inversion verdict reads its witness off the log
-    certificate: it reverts a series (solve_series) exactly as often as the
-    verified request, so the formal inverse is never solved."""
+    wherever a module binds them, and with the doubling route of the chain
+    (_chain_series) refusing too: the chain-inversion certificate composes
+    the logarithm with the chain's steps and never forms the chain.  A
+    falsified unit-factors verdict answers too: it reports its witness from
+    the orbit table and builds no R_n context.  And a falsified
+    chain-inversion verdict reads its witness off the log certificate: it
+    reverts a series (solve_series) exactly as often as the verified
+    request, so the formal inverse is never solved."""
     def refuse(name):
         def fail(*args, **kwargs):
             raise AssertionError(f"a claim reached the oracle {name}")
@@ -795,7 +798,8 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     modules = [m for n, m in list(sys.modules.items()) if n.startswith("fgl_forge.")]
     for home, name in ((series_fgl, "fgl_apply"), (series_fgl, "formal_inverse"),
                        (poly_core, "ring_map"), (lubin_tate, "lt_specialize"),
-                       (lubin_tate, "t_level_in_lt"), (lubin_tate, "lt_gamma")):
+                       (lubin_tate, "t_level_in_lt"), (lubin_tate, "lt_gamma"),
+                       (equivariant_ring, "_chain_series")):
         original = getattr(home, name)
         for module in modules:
             for attr, value in list(vars(module).items()):
@@ -805,6 +809,7 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
         ["suite", "full"],
         ["verify", "height", "--n", "2", "--m", "1", "--cutoff", "32"],
         ["verify", "chain-inversion", "--n", "2", "--k", "3", "--cutoff", "10"],
+        ["verify", "chain-inversion", "--n", "3", "--k", "2"],  # three compositions
         ["verify", "fixed-subring", "--n", "2", "--m", "3", "--d", "3", "--madic", "8",
          "--precision", "10"],
     ):
@@ -831,18 +836,20 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
         for attr, value in list(vars(module).items()):
             if value is solve:
                 monkeypatch.setattr(module, attr, counted)
-    chain = equivariant_ring._chain_series
+    chain = equivariant_ring._chain_steps
 
-    def bumped(ctx, steps, X):
-        psi = chain(ctx, steps, X)
-        return psi + TruncatedSeries1.monomial(psi.ring, ctx.generator(1, rational=True), 3, X)
+    def bumped(ctx, X):
+        # (S_1 + t_1 x^3) o S_0 = psi + t_1 x^3 + O(x^4)
+        outer, *inner = chain(ctx, X)
+        bump = TruncatedSeries1.monomial(outer.ring, ctx.generator(1, rational=True), 3, X)
+        return [outer + bump, *inner]
 
     argv = ["verify", "chain-inversion", "--n", "2", "--k", "2"]
     _cold_caches(monkeypatch)
     assert _serve(argv, capsys)[::2] == (0, "")
     verified, solves[:] = len(solves), []
     _cold_caches(monkeypatch)
-    monkeypatch.setattr(equivariant_ring, "_chain_series", bumped)
+    monkeypatch.setattr(equivariant_ring, "_chain_steps", bumped)
     code, out, err = _serve(argv, capsys)
     assert (code, err) == (1, "")
     assert _body(out)["reports"][0]["witness"]["terms"] == [{"coeff": "1", "monomial": {"t1": 1}}]

@@ -557,7 +557,7 @@ def _psi_gamma(ctx, F):
     return StrictIso(formal_sum(Fg, terms), F, Fg)
 
 
-def _chain_steps(ctx, steps, cutoff):
+def _chain_isos(ctx, steps, cutoff):
     """Oracle: the steps F^{gamma^i} -> F^{gamma^{i+1}}, i < steps, each built
     from the one before by conjugating its series and its target law."""
     step = _psi_gamma(ctx, rn_law(ctx, cutoff))
@@ -573,8 +573,8 @@ def _chain_steps(ctx, steps, cutoff):
 
 
 def _chain_by_conjugated_laws(ctx, steps, X):
-    """Oracle: the composite of _chain_steps through compose_iso."""
-    chain = _chain_steps(ctx, steps, X)
+    """Oracle: the composite of _chain_isos through compose_iso."""
+    chain = _chain_isos(ctx, steps, X)
     iso = next(chain)
     for step in chain:
         iso = compose_iso(step, iso)
@@ -675,7 +675,7 @@ def test_a_perturbed_chain_fails_with_the_inverse_route_witness(monkeypatch, n, 
         bump = TruncatedSeries1.monomial(psi.ring, t1 ** (e - 1), e, X)
         for bad in (psi + bump, psi - bump.scale(QQ(1, 3))):
             assert not _law_certificate(F, bad)
-            monkeypatch.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
+            monkeypatch.setattr(equivariant_ring, "_chain_steps", lambda *args: [bad])
             report = chain_inversion_check(ctx, cutoff=cutoff)
             assert report["status"] == "failed"
             want = _chain_report_by_inverse(ctx, X, bad)
@@ -711,14 +711,56 @@ def test_any_perturbed_chain_fails_with_the_inverse_route_witness(n, k_max, data
     psi = equivariant_ring._chain_series(ctx, ctx.half, X)
     bad = psi + data.draw(_bumps(ctx.ring_q, X))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equivariant_ring, "_chain_series", lambda *args: bad)
+        mp.setattr(equivariant_ring, "_chain_steps", lambda *args: [bad])
         report = chain_inversion_check(ctx)
     assert report["status"] == "failed"
     assert canonical_json(report) == canonical_json(_chain_report_by_inverse(ctx, X, bad))
 
 
+def _compose_steps(steps):
+    """Oracle: S_{h-1} o .. o S_0 from the steps, outermost first, composed
+    one at a time from the innermost."""
+    *outer, composite = steps
+    for step in reversed(outer):
+        composite = step.compose(composite)
+    return composite
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", CERTIFICATE_CASES)
+def test_the_steps_compose_to_the_chain_by_doubling(n, k_max, cutoff):
+    ctx = RnContext(n, k_max)
+    X = _window(ctx, cutoff)
+    steps = equivariant_ring._chain_steps(ctx, X)
+    assert len(steps) == ctx.half
+    assert _compose_steps(steps) == equivariant_ring._chain_series(ctx, ctx.half, X)
+
+
+# chain-series pool configurations of one, two and four steps
+_STEP_CASES = [(1, 3, None), (2, 2, None), (3, 1, None), (3, 2, 5)]
+_STEP_CONTEXTS = {(n, k): RnContext(n, k) for n, k, _ in _STEP_CASES}
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", _STEP_CASES)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_perturbed_step_fails_as_the_composed_chain(n, k_max, cutoff, data):
+    """The certificate composes L with the steps from the outside in: a bump
+    of any one step gives the report of the chain composed step by step."""
+    ctx = _STEP_CONTEXTS[n, k_max]
+    X = _window(ctx, cutoff)
+    steps = equivariant_ring._chain_steps(ctx, X)
+    j = data.draw(st.integers(0, len(steps) - 1))
+    steps[j] = steps[j] + data.draw(_bumps(ctx.ring_q, X))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivariant_ring, "_chain_steps", lambda *args: steps)
+        report = chain_inversion_check(ctx, cutoff=cutoff)
+    assert report["status"] == "failed"
+    want = _chain_report_by_inverse(ctx, X, _compose_steps(steps))
+    assert canonical_json(report) == canonical_json(want)
+
+
 def _phi_terms(ctx, cutoff):
-    """The terms (1, 1) and (gamma^{-1}(t_i), 2^i) of the F-sum phi of _chain_series."""
+    """The terms (1, 1) and (gamma^{-1}(t_i), 2^i) of the F-sum phi of _chain_steps."""
     terms = [(1, 1)]
     for i in range(1, ctx.k_max + 1):
         ti = ctx.generator(i, rational=True)
@@ -776,7 +818,7 @@ def test_chain_steps_conjugate_each_law_once(n):
     ctx = RnContext(n, 2)
     X = 7
     F = rn_law(ctx, X)
-    steps = list(_chain_steps(ctx, ctx.half, X))
+    steps = list(_chain_isos(ctx, ctx.half, X))
     assert len(steps) == ctx.half
     for j, step in enumerate(steps):
         assert step.source == conjugate_fgl(F, lambda p: gamma_act(p, j))
