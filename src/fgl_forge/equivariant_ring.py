@@ -28,13 +28,10 @@ with a witness when the claim is false.  Exceptions are left to bad input
 (ValueError) and to internal cross-checks that break (ConsistencyFailure).
 """
 
-import random
-
 from .coefficients import QQ, two_valuation
 from .errors import ConsistencyFailure
 from .poly_core import (
     AtomicCache,
-    GradedPolynomial,
     GroebnerBasis,
     T,
     from_rational_ring,
@@ -57,9 +54,6 @@ from .series_fgl import (
     squares_recursion,
     v_from_log,
 )
-
-# verify_ideal_invariance checks gamma on this many seeded random elements of I_k
-_SPOT_CHECKS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +408,6 @@ def _t_bar(ctx, r, k):
     return tbar
 
 
-def _ideal(ctx, k):
-    """The generators of I_k on F_2: the nonzero mod-2 images of v_1 .. v_{k-1}."""
-    return [g for g in _v_bars(ctx, k - 1) if not g.is_zero()]
-
-
 def _nf_mod_Ik(ctx, pbar, k):
     """Normal form of the mod-2 polynomial pbar modulo I_k = (2, v_1, ..., v_{k-1}).
 
@@ -445,7 +434,7 @@ def _nf_mod_Ik(ctx, pbar, k):
         return pbar
     basis = ctx._ideals.get(k)
     if basis is None or basis.degree_bound < pbar.degree:
-        gens = _ideal(ctx, k)
+        gens = [g for g in _v_bars(ctx, k - 1) if not g.is_zero()]
         if not gens:
             return pbar
         basis = ctx._ideals[k] = GroebnerBasis(pbar.ring, gens, pbar.degree)
@@ -538,35 +527,15 @@ def verify_tkvk(ctx, k):
     )
 
 
-def _spot_elements(gens, rng):
-    """Seeded random nonzero elements of the ideal (gens) over F_2, with their
-    degrees: sum_g mono_g * g, one random monomial mono_g per generator, all
-    at one degree a little above the largest generator's; each is one sum of
-    products (PolyRing.dot)."""
-    ring2 = gens[0].ring
-    for _ in range(_SPOT_CHECKS):
-        target_deg = max(g.degree for g in gens) + rng.choice((0, 2, 4))
-        pairs = []
-        for g in gens:
-            monos = ring2.monomials_of_degree(target_deg - g.degree)
-            if not monos:
-                continue
-            mono = monos[rng.randrange(len(monos))]
-            pairs.append((GradedPolynomial(ring2, {mono: 1}, _checked=True), g))
-        p = ring2.dot(pairs)
-        if not p.is_zero():
-            yield target_deg, p
-
-
 def verify_ideal_invariance(ctx, k):
     """gamma-invariance of the ideals: v_j - gamma(v_j) in I_j for all j <= k.
 
-    Each generator is checked on F_2, as v_jbar + gamma(v_jbar).  Once every
-    generator passes, gamma maps I_k into itself; that consequence is
-    spot-checked on deterministically seeded random ideal elements drawn from
-    the cached generators of I_k, and a spot element outside I_k can only
-    come from a broken normal form or sampler, so it raises
-    ConsistencyFailure rather than falsifying the claim.
+    Each generator is checked on F_2, as v_jbar + gamma(v_jbar), one normal
+    form per j.  These checks are the whole claim: gamma is a ring map that
+    fixes 2, and each passing check puts gamma(v_j) in v_j + I_j, which lies
+    in I_k for j < k, so gamma maps every generator of I_k, and with them
+    all of I_k, into I_k.  tests/test_equivariant.py samples that
+    consequence against an independent linear-algebra route.
     """
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
@@ -576,14 +545,6 @@ def verify_ideal_invariance(ctx, k):
         if not nf.is_zero():
             bad = nf
             break
-    gens = _ideal(ctx, k) if bad is None else ()
-    if gens:
-        for target_deg, p in _spot_elements(gens, random.Random(0x51)):
-            if not _nf_mod_Ik(ctx, gamma_act(p), k).is_zero():
-                raise ConsistencyFailure(
-                    f"gamma moves an element of I_{k} of degree {target_deg} out of I_{k}"
-                    f" although every generator passed in {ctx!r}"
-                )
     report = _report(
         "invariance",
         {"n": ctx.n, "k": k},

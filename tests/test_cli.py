@@ -15,7 +15,7 @@ import pytest
 import fgl_forge
 from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core, series_fgl
 from fgl_forge.coefficients import teichmuller
-from fgl_forge.poly_core import AtomicCache, reduce_mod2
+from fgl_forge.poly_core import AtomicCache
 from fgl_forge.reports import CONVENTIONS, SCHEMA, canonical_json, envelope, render_line
 from fgl_forge.series_fgl import TruncatedSeries1, v_from_log
 
@@ -265,20 +265,6 @@ def test_a_falsified_claim_exits_one_with_its_failed_report_alone(sabotage, caps
     assert report["claim"] == argv[0]
     assert report["status"] == "failed" and report["witness"] is not None
     assert params.items() <= report["params"].items()
-
-
-def test_a_broken_invariance_spot_check_is_an_internal_error(capsys, monkeypatch):
-    # every v_j passes, so gamma(I_k) is in I_k; spot elements drawn from (t_1),
-    # not from (v_1), stand in for a broken sampler: exit 2, nothing on stdout.
-    # The fault reaches the spot elements alone: the generator checks and the
-    # normal forms still read the context's v-images
-    ctx = _fresh_context(monkeypatch, 2, 2)
-    t1bar = reduce_mod2(ctx.generator(1))
-    sample = equivariant_ring._spot_elements
-    monkeypatch.setattr(equivariant_ring, "_spot_elements", lambda gens, rng: sample([t1bar], rng))
-    code, out, err = _serve(["verify", "invariance", "--n", "2", "--k", "2"], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: gamma moves an element of I_2 ")
 
 
 def test_suite_goes_on_after_a_failed_entry(capsys, monkeypatch):
@@ -932,6 +918,26 @@ def test_recursion_builds_only_the_v_it_reads(capsys, monkeypatch):
     assert len(ctx._v) == 4 and equivariant_ring.v_in_rn(ctx, 2) == vs[:2]
     with pytest.raises(ValueError):
         equivariant_ring.v_in_rn(ctx, 5)
+
+
+def test_invariance_reduces_only_its_generators(capsys, monkeypatch):
+    """invariance at k runs k normal forms on a cold context, one per
+    generator: v_jbar + gamma(v_jbar) modulo I_j, for j = 1 .. k in order."""
+    nf_mod_Ik = equivariant_ring._nf_mod_Ik
+    calls = []
+
+    def record(ctx, pbar, k):
+        calls.append((pbar, k))
+        return nf_mod_Ik(ctx, pbar, k)
+
+    monkeypatch.setattr(equivariant_ring, "_nf_mod_Ik", record)
+    for n, k in ((2, 4), (3, 3)):
+        _cold_caches(monkeypatch)
+        calls.clear()
+        assert _run(["verify", "invariance", "--n", str(n), "--k", str(k)], capsys)[0] == 0
+        vbars = equivariant_ring._v_bars(equivariant_ring.rn_context(n, k), k)
+        assert calls == [(vbar + poly_core.gamma_act(vbar), j)
+                         for j, vbar in enumerate(vbars, start=1)]
 
 
 # ---- envelope and rendering ------------------------------------------------------

@@ -26,6 +26,7 @@ from fgl_forge.equivariant_ring import (
 from fgl_forge.poly_core import (
     GradedPolynomial,
     T,
+    f2_membership_linear,
     from_rational_ring,
     gamma_act,
     ideal_contains,
@@ -329,7 +330,7 @@ def test_groebner_closure_on_real_v_images():
     # basis of (v1bar, v2bar) in R_2 mod 2 at D = 14: every S-polynomial with
     # lcm degree <= D reduces to 0, and random ideal combinations are members
     # by both decision routes
-    from fgl_forge.poly_core import GroebnerBasis, f2_membership_linear
+    from fgl_forge.poly_core import GroebnerBasis
 
     ctx = RnContext(2, 2)
     g1, g2 = (reduce_mod2(v) for v in v_in_rn(ctx, 2))
@@ -376,23 +377,7 @@ def _exact_tkvk(ctx, k):
 
 
 def _exact_invariance(ctx, k):
-    vs = v_in_rn(ctx, k)
-    out = [(v - gamma_act(v), j) for j, v in enumerate(vs, start=1)]
-    # the spot elements, sampled from the reductions of the exact v_j with the
-    # verifier's seed
-    rng = random.Random(0x51)
-    mod2 = [g for g in (reduce_mod2(v) for v in vs[: k - 1]) if not g.is_zero()]
-    ring2 = mod2[0].ring if mod2 else None
-    for _ in range(8 if mod2 else 0):
-        target_deg = max(g.degree for g in mod2) + rng.choice((0, 2, 4))
-        p = ring2.zero()
-        for g in mod2:
-            monos = ring2.monomials_of_degree(target_deg - g.degree)
-            if monos:
-                p = p + GradedPolynomial(ring2, {monos[rng.randrange(len(monos))]: 1}) * g
-        if not p.is_zero():
-            out.append((gamma_act(p), k))
-    return out
+    return [(v - gamma_act(v), j) for j, v in enumerate(v_in_rn(ctx, k), start=1)]
 
 
 def _exact_v_collapse(ctx, r):
@@ -446,6 +431,32 @@ def test_rn_membership_inputs_are_the_reduced_exact_differences(n, k):
     for j in range(1, k + 1):
         _check_f2_route(ctx, verify_tkvk, j)
     _check_f2_route(ctx, verify_ideal_invariance, k)
+
+
+# one context per case, so each keeps its v_j and its bases of I_k across examples
+_INVARIANCE_CONTEXTS = {(n, k): RnContext(n, k) for n, k in ((2, 3), (2, 4), (3, 3))}
+
+
+@pytest.mark.parametrize("n,k", list(_INVARIANCE_CONTEXTS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_gamma_maps_the_ideal_into_itself(n, k, data):
+    """What the generator checks of verify_ideal_invariance imply: gamma(p)
+    lies in I_k for p = sum_j m_j v_j, one drawn monomial m_j per generator,
+    at deg v_{k-1} + 0, 2 or 4.  The cached-basis route, the generic route
+    and the linear-algebra route all agree."""
+    ctx = _INVARIANCE_CONTEXTS[n, k]
+    vs = v_in_rn(ctx, k - 1)
+    ring = ctx.ring
+    target = vs[-1].degree + data.draw(st.sampled_from([0, 2, 4]))
+    p = ring.zero()
+    for v in vs:
+        mono = data.draw(st.sampled_from(ring.monomials_of_degree(target - v.degree)))
+        p = p + GradedPolynomial(ring, {mono: 1}) * v
+    image = gamma_act(p)
+    assert equivariant_ring._nf_mod_Ik(ctx, reduce_mod2(image), k).is_zero()
+    assert ideal_normal_form(image, vs).is_zero()
+    assert f2_membership_linear(image, vs)
 
 
 def test_collapse_inputs_are_the_reduced_exact_differences():
