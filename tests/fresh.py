@@ -1,0 +1,222 @@
+"""Every request that CI runs in a fresh interpreter: one table, one runner.
+
+Each row of ROWS runs in a fresh interpreter through run(), under one
+address-space cap (MEMORY_CAP) and one time limit (TIME_LIMIT), and is checked
+by its exit code, its stdout and its stderr.  CI runs the module as one step:
+
+    python -m pytest tests/fresh.py -q --durations=0
+
+pytest collects only test_*.py by default, so the tier-1 run skips this
+module.  A new corner is one new row.  The rows are written out by hand: the
+caps of cli._CLAIMS, taken all at once, give invalid requests (v-collapse at
+n = 3, m = 3, k = 6 exits 2 with "r must exceed h = 12").
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fgl_forge import cli, equivariant_ring, lubin_tate
+from fgl_forge.series_fgl import TruncatedSeries1
+
+MEMORY_CAP = 2 << 30  # bytes: RLIMIT_AS of every child
+TIME_LIMIT = 60  # seconds: every edge of cli._CLAIMS finishes within it
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run(*args):
+    """`python *args` in a fresh interpreter that imports fgl_forge from src,
+    under MEMORY_CAP; subprocess.TimeoutExpired past TIME_LIMIT."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=TIME_LIMIT,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP)),
+    )
+
+
+# ---- falsifiers: a falsified row applies one in the child, then runs cli.main ----
+
+def double_levels():
+    """Every value of the orbit table's level generators doubled: every norm
+    factor is then a non-unit."""
+    level = lubin_tate.OrbitTable.level
+    lubin_tate.OrbitTable.level = lambda self, s, k: tuple(2 * t for t in level(self, s, k))
+
+
+def bump_chain():
+    """t_1 x^3 added to the outermost step of the chain: the chain is then
+    psi + t_1 x^3 + O(x^4)."""
+    chain = equivariant_ring._chain_steps
+
+    def bumped(ctx, X):
+        outer, *inner = chain(ctx, X)
+        bump = TruncatedSeries1.monomial(outer.ring, ctx.generator(1, rational=True), 3, X)
+        return [outer + bump, *inner]
+
+    equivariant_ring._chain_steps = bumped
+
+
+def _factor_1(index):
+    """The unit-factors witness of norm factor 1, read off the orbit table."""
+    return {"witness": {"factor": 1, "index": index, "level": 2, "residue": []}}
+
+
+def _t1_at(n, k):
+    """The chain-inversion witness of bump_chain, t_1 in R_n over Q, at the
+    cutoff 2^{k+1} - 1, the window of the log certificate."""
+    ring = {"k_max": k, "kind": "Rn", "n": n, "rational": True}
+    return {"cutoff": (2 << k) - 1,
+            "witness": {"ring": ring, "terms": [{"coeff": "1", "monomial": {"t1": 1}}]}}
+
+
+# (argv, falsifier, exit code, check).  The check of exit 0 is None or an
+# earlier row whose stdout this one must equal (every report must be
+# "verified" either way); of exit 1, the witness of the one report and, for
+# chain-inversion, its params.cutoff; of exit 2, the last line of stderr, the
+# only line for a ValueError of the library
+ROWS = [
+    # the R_n corners at the caps of cli._CLAIMS, which no benchmark pool
+    # runs: recursion, tkvk and invariance at R_2 (nearly all of their time
+    # is squaring v_k and t_k; mod I_6 the recursion builds no v_6); eq351,
+    # invariance, recursion, tkvk, v-collapse at m = 1 and t-collapse at
+    # m = 2 at R_3; t-collapse at R_2; chain-inversion at (1, 5), (2, 4) and
+    # (3, 3), where the chain runs 63, 31 and 15 orders through the logarithm
+    ("verify recursion --n 2 --k 6", None, 0, None),
+    ("verify tkvk --n 2 --k 6", None, 0, None),
+    ("verify invariance --n 2 --k 6", None, 0, None),
+    ("verify eq351 --n 3 --k 6", None, 0, None),
+    ("verify invariance --n 3 --k 4", None, 0, None),
+    ("verify recursion --n 3 --k 5", None, 0, None),
+    ("verify tkvk --n 3 --k 4", None, 0, None),
+    ("verify v-collapse --n 3 --m 1 --k 6", None, 0, None),
+    ("verify t-collapse --n 3 --m 2 --k 5", None, 0, None),
+    ("verify t-collapse --n 2 --m 2 --k 6", None, 0, None),
+    ("verify chain-inversion --n 1 --k 5", None, 0, None),
+    ("verify chain-inversion --n 2 --k 4", None, 0, None),
+    ("verify chain-inversion --n 3 --k 3", None, 0, None),
+    # falsified unit-factors at its cap (3, 3) and at (4, 3) past it: the
+    # witness is factor 1, at index 2^{n-1} m and level 2
+    ("verify unit-factors --n 3 --m 3", "double_levels", 1, _factor_1(12)),
+    ("verify unit-factors --n 4 --m 3 --force", "double_levels", 1, _factor_1(24)),
+    # falsified chain-inversion at each of its caps: the witness is t_1, at
+    # the cutoff 63, 31 and 15
+    ("verify chain-inversion --n 1 --k 5", "bump_chain", 1, _t1_at(1, 5)),
+    ("verify chain-inversion --n 2 --k 4", "bump_chain", 1, _t1_at(2, 4)),
+    ("verify chain-inversion --n 3 --k 3", "bump_chain", 1, _t1_at(3, 3)),
+    # one request read off the flag table, then through argparse as an
+    # abbreviation and as --flag=value: the three stdouts are byte-identical
+    ("verify height --n 2 --m 1 --precision 8", None, 0, None),
+    ("verify height --n 2 --m 1 --prec 8", None, 0, "verify height --n 2 --m 1 --precision 8"),
+    ("verify height --n=2 --m=1 --precision=8", None, 0,
+     "verify height --n 2 --m 1 --precision 8"),
+    # the largest R_2<2> Groebner request of v-collapse at its cap, which no
+    # benchmark pool runs (the pool stops at r = 5)
+    ("verify v-collapse --n 2 --m 2 --k 6", None, 0, None),
+    # the h = 6 height route (logarithm mod (tau))
+    ("verify height --n 2 --m 3", None, 0, None),
+    # h = 8, and a cutoff above 2^h: both share the one context of their
+    # configuration, which the benchmark pools do not cover
+    ("verify height --n 3 --m 2", None, 0, None),
+    ("verify height --n 2 --m 1 --cutoff 64", None, 0, None),
+    # the h = 12 height, read off the first odd v_k image mod (tau) with no
+    # 2-series expanded
+    ("verify height --n 3 --m 3", None, 0, None),
+    # cotangent and unit-factors from the orbit table at h = 6, 8 and 12
+    ("verify cotangent --n 2 --m 3", None, 0, None),
+    ("verify unit-factors --n 2 --m 3", None, 0, None),
+    ("verify cotangent --n 3 --m 2", None, 0, None),
+    ("verify unit-factors --n 3 --m 2", None, 0, None),
+    ("verify cotangent --n 3 --m 3", None, 0, None),
+    ("verify unit-factors --n 3 --m 3", None, 0, None),
+    # fixed-subring with each action applied once to the whole box: a
+    # 2262-monomial box at (3, 3, d=3) that no benchmark pool covers, and
+    # (2, 3, d=2)
+    ("verify fixed-subring --n 3 --m 3 --d 3", None, 0, None),
+    ("verify fixed-subring --n 2 --m 3 --d 2", None, 0, None),
+    # an explicit --modulus, x^3 + x^2 + 1 (alpha = 7); its config records
+    # the modulus
+    ("verify fixed-subring --n 2 --m 3 --d 3 --modulus 1,0,1,1", None, 0, None),
+    # the largest box within the caps (d = 4, M = 10, N = 16), through the
+    # diagonal maps
+    ("verify fixed-subring --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
+    # height and unit-factors at d = 4, which no benchmark pool runs, writing
+    # their residues through residue_json with no residue ring built
+    ("verify height --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
+    ("verify unit-factors --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
+    # h = 8 and h = 12 at the --cutoff cap 2^12, which reads no v_k past v_h
+    ("verify height --n 3 --m 2 --cutoff 4096", None, 0, None),
+    ("verify height --n 3 --m 3 --cutoff 4096", None, 0, None),
+    # a field with no default modulus: F_64 as F_2[x]/(x^6 + x + 1)
+    ("verify fixed-subring --n 1 --m 1 --d 6 --modulus 1,1,0,0,0,0,1 --force", None, 0, None),
+    # a request over a cap: the table reads it, and the argparse parser is
+    # built only to report the error
+    ("verify recursion --n 2 --k 7", None, 2,
+     "fgl-forge: error: --k 7 exceeds the limit 6 of recursion at --n 2 "
+     "(use --force to override)"),
+    # a flag the claim does not read (tkvk reads --n and --k)
+    ("verify tkvk --n 2 --k 2 --m 3", None, 2,
+     "fgl-forge: error: tkvk does not read --m (it reads --n, --k)"),
+    # usage errors raised inside the library, each a ValueError: madic 1, a
+    # cutoff below 2^h within the cap, a u-window past its cap, a reducible
+    # sextic modulus
+    ("verify cotangent --n 2 --m 1 --madic 1 --precision 1", None, 2,
+     "error: cotangent needs madic >= 2: m/m^2 is zero at madic 1"),
+    ("verify height --n 3 --m 2 --cutoff 64", None, 2, "error: cutoff 64 < 2^h = 256"),
+    ("verify fixed-subring --n 1 --m 20 --force", None, 2,
+     "error: exponent beyond the representable window"),
+    ("verify fixed-subring --n 1 --m 1 --d 6 --modulus 1,0,1,0,0,1,1 --force", None, 2,
+     "error: modulus [1, 0, 1, 0, 0, 1, 1] is reducible over F_2"),
+]
+
+
+def run_row(argv, falsifier=None):
+    """One row's request in a fresh interpreter: `python -m fgl_forge argv`,
+    or, with a falsifier, this module applying it before cli.main(argv)."""
+    if falsifier is None:
+        return run("-m", "fgl_forge", *argv.split())
+    return run(__file__, falsifier, *argv.split())
+
+
+@pytest.mark.parametrize(
+    "argv, falsifier, code, check", ROWS,
+    ids=[" ".join(filter(None, (falsifier, argv))) for argv, falsifier, _, _ in ROWS],
+)
+def test_row(argv, falsifier, code, check):
+    proc = run_row(argv, falsifier)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[-1] == check
+        if check.startswith("error: "):
+            assert len(lines) == 1
+        return
+    body = json.loads(proc.stdout)
+    if code == 0:
+        assert body["ok"] is True and body["reports"]
+        assert all(r["status"] == "verified" for r in body["reports"])
+        if check is not None:
+            assert proc.stdout == run_row(check).stdout
+        return
+    (report,) = body["reports"]
+    assert report["witness"] == check["witness"]
+    if "cutoff" in check:
+        assert report["params"]["cutoff"] == check["cutoff"]
+
+
+if __name__ == "__main__":
+    # a falsified row: python tests/fresh.py FALSIFIER ARGV...
+    globals()[sys.argv[1]]()
+    sys.exit(cli.main(sys.argv[2:]))

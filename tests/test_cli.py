@@ -4,7 +4,6 @@ import enum
 import hashlib
 import importlib.util
 import json
-import os
 import random
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-import fgl_forge
+import fresh
 from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core, series_fgl
 from fgl_forge.coefficients import teichmuller
 from fgl_forge.poly_core import AtomicCache
@@ -281,6 +280,22 @@ def test_suite_goes_on_after_a_failed_entry(capsys, monkeypatch):
     expected = [failed if r["claim"] == "tkvk" else r for r in verified]
     assert body["reports"] == expected
     assert sum(r["status"] == "failed" for r in expected) == 2  # both tkvk entries
+
+
+def test_a_second_fixed_subring_request_reads_the_stored_box(monkeypatch, capsys):
+    """The same (3, 3, d=3) request twice in one interpreter: the first builds
+    the box of its context, and the second reads it, applying both actions
+    again; both exit 0 with byte-identical stdout."""
+    monkeypatch.setattr(lubin_tate, "_LT_CONTEXTS", AtomicCache())
+    argv = ["verify", "fixed-subring", "--n", "3", "--m", "3", "--d", "3"]
+    code, first = _run(argv, capsys)
+    assert code == 0 and _body(first)["ok"] is True
+    ctx = lubin_tate.lt_context(3, 3, d=3)
+    box = ctx._fixed_box
+    assert box is not None
+    code, second = _run(argv, capsys)
+    assert code == 0 and second == first
+    assert ctx._fixed_box is box
 
 
 # ---- --modulus --------------------------------------------------------------------
@@ -1057,46 +1072,22 @@ def test_render_line_marks_failures():
 
 
 def test_module_entry_point():
-    # the child imports the same fgl_forge as this process, installed or not
-    src = str(Path(fgl_forge.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fgl_forge", "verify", "eq351", "--n", "1", "--k", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = fresh.run_row("verify eq351 --n 1 --k 2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
-
-
-# a fresh interpreter capped at 2 GB of address space, with every value of the
-# orbit table's level generators doubled: every norm factor is then a non-unit
-_FALSIFIED_UNIT_FACTORS = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from fgl_forge import cli, lubin_tate
-level = lubin_tate.OrbitTable.level
-lubin_tate.OrbitTable.level = lambda self, s, k: tuple(2 * t for t in level(self, s, k))
-sys.exit(cli.main(sys.argv[1:]))
-"""
 
 
 def test_falsified_unit_factors_finish_fresh_at_the_caps():
     """A falsified unit-factors at (n, m) = (3, 3) reports its witness from the
     orbit table: exit 1 within 60 s under the cap, and no traceback."""
-    src = str(Path(fgl_forge.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FALSIFIED_UNIT_FACTORS,
-         "verify", "unit-factors", "--n", "3", "--m", "3"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert "Traceback" not in proc.stderr
-    assert proc.returncode == 1
-    body = _body(proc.stdout)
-    assert [r["witness"] for r in body["reports"]] == [
-        {"factor": 1, "index": 12, "level": 2, "residue": []}]
+    (row,) = [row for row in fresh.ROWS
+              if row[:2] == ("verify unit-factors --n 3 --m 3", "double_levels")]
+    fresh.test_row(*row)
+
+
+def test_the_fresh_runner_caps_memory_and_time(monkeypatch):
+    proc = fresh.run("-c", "import resource; print(resource.getrlimit(resource.RLIMIT_AS))")
+    assert proc.stdout == f"{(2 << 30, 2 << 30)}\n"
+    monkeypatch.setattr(fresh, "TIME_LIMIT", 1)
+    with pytest.raises(subprocess.TimeoutExpired):
+        fresh.run("-c", "import time; time.sleep(10)")

@@ -1,6 +1,9 @@
 import functools
 import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -1578,6 +1581,34 @@ def test_the_claims_build_no_rn_context(monkeypatch):
     assert not equivariant_ring._CONTEXTS
     assert ctx.rn is rn_context(2, 6)
     assert list(equivariant_ring._CONTEXTS) == [(2, 6, None)]
+
+
+def test_four_threads_on_one_fresh_lt_context_give_the_serial_reports(monkeypatch):
+    """The orbit table is built under the lock of _ORBIT_TABLES, and the box and
+    lazy tables of a context take none: the four Lubin-Tate claims filling
+    them at once print what they print one by one."""
+    claims = (cotangent_check, residue_height, d_factors, fixed_subring_presentation)
+
+    def fresh_context():
+        monkeypatch.setattr(lubin_tate, "_ORBIT_TABLES", AtomicCache())
+        return LTContext(2, 2, d=2)
+
+    ctx = fresh_context()
+    serial = [canonical_json(claim(ctx)) for claim in claims]
+    ctx = fresh_context()
+    start = threading.Barrier(len(claims), timeout=60)
+
+    def run(claim):
+        start.wait()
+        return canonical_json(claim(ctx))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(claims)) as pool:
+            assert list(pool.map(run, claims, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---- serialization and tables ---------------------------------------------------
