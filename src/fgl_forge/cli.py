@@ -189,11 +189,12 @@ def _parse_table(argv):
 
 
 def _check_request(args):
-    """A usage error (exit 2) for a flag the claim does not read or a value past its caps.
+    """A usage error (exit 2) for a flag the claim does not read, an n below
+    its least n or a value past its caps.
 
     An unread flag given at its default leaves the envelope as if it were left
-    out, so it stays accepted.  --force lifts the caps, never the unread-flag
-    rule.  suite has no entry: it takes only --json.
+    out, so it stays accepted.  --force lifts the caps, never that rule or
+    the claim's least n.  suite has no entry: it takes only --json.
     """
     name = args.claim if args.command == "verify" else args.command
     if name not in _CLAIMS:
@@ -205,11 +206,13 @@ def _check_request(args):
     if unread:
         _parser().error(f"{name} does not read {', '.join(unread)} "
                         f"(it reads {', '.join('--' + key for key in reads)})")
+    if "k" in caps and args.n < min(caps["k"]):
+        _parser().error(f"{name} needs --n >= {min(caps['k'])}")
     if args.force:
         return
     for key, cap in caps.items():
         if key == "k":
-            cap = cap[args.n - 1]
+            cap = cap[args.n]
         value = values[key]
         if value is not None and value > cap:
             where = f" at --n {args.n}" if key == "k" else ""
@@ -260,33 +263,35 @@ _LT_CAPS = {"n": 3, "m": 3, "d": 4, "precision": 16, "madic": 10}
 # {claim: (its runner, the value flags the runner reads, its caps)}.  The
 # runner maps parsed arguments to the claim's reports, in order, and looks its
 # verifier up when called, so a patched module name reaches it.  The caps are
-# the largest values served without --force, n first; the cap of --k is given
-# at n = 1, 2, 3.  Each edge finishes in a fresh interpreter within 60 s.
+# the largest values served without --force, n first; the cap of --k is {n:
+# cap} from the claim's least n on.  Each edge finishes fresh within 60 s.
 # `log` is not a claim of `verify`, but keeps its flags and caps here too.
 _CLAIMS = {
     "recursion": (lambda a: [verify_tk_recursion(rn_context(a.n, a.k), a.k)],
-                  _RN, {"n": 3, "k": (6, 6, 5)}),
+                  _RN, {"n": 3, "k": {2: 6, 3: 5}}),
     "tkvk": (lambda a: [verify_tkvk(rn_context(a.n, a.k), a.k)],
-             _RN, {"n": 3, "k": (6, 6, 4)}),
+             _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 4}}),
     "invariance": (lambda a: [verify_ideal_invariance(rn_context(a.n, a.k), a.k)],
-                   _RN, {"n": 3, "k": (6, 6, 4)}),
+                   _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 4}}),
     "v-collapse": (lambda a: [verify_v_collapse(rn_context(a.n, a.k, m=a.m), a.k)],
-                   ("n", "m", "k"), {"n": 3, "m": 3, "k": (6, 6, 6)}),
-    "t-collapse": (_t_collapse, ("n", "m", "k"), {"n": 3, "m": 3, "k": (6, 6, 5)}),
+                   ("n", "m", "k"), {"n": 3, "m": 3, "k": {1: 6, 2: 6, 3: 6}}),
+    "t-collapse": (_t_collapse, ("n", "m", "k"),
+                   {"n": 3, "m": 3, "k": {1: 6, 2: 6, 3: 5}}),
     # the cutoff is held to the window of k_max by chain_inversion_check
     "chain-inversion": (lambda a: [
         chain_inversion_check(rn_context(a.n, a.k), cutoff=a.cutoff)],
-        (*_RN, "cutoff"), {"n": 3, "k": (5, 4, 3)}),
+        (*_RN, "cutoff"), {"n": 3, "k": {1: 5, 2: 4, 3: 3}}),
     "cotangent": (lambda a: [cotangent_check(_lt_context(a))], _LT, _LT_CAPS),
-    # 2^12 = 2^h at the largest (n, m); a verified height stops at v_h
+    # 2^h at the largest (n, m), h = 2^{n-1} m; a verified height stops at v_h
     "height": (lambda a: [residue_height(_lt_context(a), cutoff=a.cutoff)],
-               (*_LT, "cutoff"), {**_LT_CAPS, "cutoff": 4096}),
+               (*_LT, "cutoff"),
+               {**_LT_CAPS, "cutoff": 1 << (_LT_CAPS["m"] << (_LT_CAPS["n"] - 1))}),
     "unit-factors": (lambda a: [d_factors(_lt_context(a))], _LT, _LT_CAPS),
     "fixed-subring": (lambda a: [fixed_subring_presentation(_lt_context(a))],
                       _LT, _LT_CAPS),
     "eq351": (lambda a: [verify_log_relations(rn_context(a.n, a.k))],
-              _RN, {"n": 3, "k": (6, 6, 6)}),
-    "log": (_log, _RN, {"n": 3, "k": (6, 6, 6)}),
+              _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 6}}),
+    "log": (_log, _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 6}}),
 }
 CLAIMS = tuple(claim for claim in _CLAIMS if claim != "log")
 

@@ -1,8 +1,18 @@
-"""Every request that CI runs in a fresh interpreter: one table, one runner.
+"""Every process that CI starts: one runner, one table of requests.
 
-Each row of ROWS runs in a fresh interpreter through run(), under one
-address-space cap (MEMORY_CAP) and one time limit (TIME_LIMIT), and is checked
-by its exit code, its stdout and its stderr.  CI runs the module as one step:
+Every child runs in a fresh interpreter through run(), under one
+address-space cap (MEMORY_CAP) and one time limit (TIME_LIMIT):
+
+- each row of ROWS, a request checked by its exit code, its stdout and its
+  stderr;
+- each demo of demos/, which must end in "all checks verified";
+- `suite quick` and `suite full` under two hash seeds, which must print the
+  same canonical bytes;
+- a 1-second run of each benchmark workload, whose every request must match
+  its pinned digest in perfbench/answers.json.
+
+CI runs the module as one step, after the tier-1 run and the benchmark's own
+tests, and starts no other process:
 
     python -m pytest tests/fresh.py -q --durations=0
 
@@ -27,12 +37,14 @@ from fgl_forge.series_fgl import TruncatedSeries1
 MEMORY_CAP = 2 << 30  # bytes: RLIMIT_AS of every child
 TIME_LIMIT = 60  # seconds: every edge of cli._CLAIMS finishes within it
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = str(_ROOT / "src")
 
 
-def run(*args):
+def run(*args, env=None):
     """`python *args` in a fresh interpreter that imports fgl_forge from src,
-    under MEMORY_CAP; subprocess.TimeoutExpired past TIME_LIMIT."""
+    with the variables of `env` added to its environment, under MEMORY_CAP;
+    subprocess.TimeoutExpired past TIME_LIMIT."""
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
@@ -40,7 +52,7 @@ def run(*args):
         capture_output=True,
         text=True,
         timeout=TIME_LIMIT,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP)),
     )
 
@@ -105,6 +117,19 @@ ROWS = [
     ("verify chain-inversion --n 1 --k 5", None, 0, None),
     ("verify chain-inversion --n 2 --k 4", None, 0, None),
     ("verify chain-inversion --n 3 --k 3", None, 0, None),
+    # the other k-cap edges: t-collapse at (n, m) = (3, 1), (3, 3), (1, 1)
+    # and (2, 1), eq351, tkvk and invariance at R_1, eq351 and v-collapse at
+    # R_2, and the logarithm at R_3
+    ("verify t-collapse --n 3 --m 1 --k 5", None, 0, None),
+    ("verify t-collapse --n 3 --m 3 --k 5", None, 0, None),
+    ("verify t-collapse --n 1 --m 1 --k 6", None, 0, None),
+    ("verify t-collapse --n 2 --m 1 --k 6", None, 0, None),
+    ("verify eq351 --n 1 --k 6", None, 0, None),
+    ("verify eq351 --n 2 --k 6", None, 0, None),
+    ("verify tkvk --n 1 --k 6", None, 0, None),
+    ("verify invariance --n 1 --k 6", None, 0, None),
+    ("verify v-collapse --n 2 --m 1 --k 6", None, 0, None),
+    ("log --n 3 --k 6", None, 0, None),
     # falsified unit-factors at its cap (3, 3) and at (4, 3) past it: the
     # witness is factor 1, at index 2^{n-1} m and level 2
     ("verify unit-factors --n 3 --m 3", "double_levels", 1, _factor_1(12)),
@@ -150,10 +175,12 @@ ROWS = [
     # the largest box within the caps (d = 4, M = 10, N = 16), through the
     # diagonal maps
     ("verify fixed-subring --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
-    # height and unit-factors at d = 4, which no benchmark pool runs, writing
-    # their residues through residue_json with no residue ring built
+    # height, unit-factors and cotangent at d = 4, which no benchmark pool
+    # runs; the first two write their residues through residue_json with no
+    # residue ring built
     ("verify height --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
     ("verify unit-factors --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
+    ("verify cotangent --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
     # h = 8 and h = 12 at the --cutoff cap 2^12, which reads no v_k past v_h
     ("verify height --n 3 --m 2 --cutoff 4096", None, 0, None),
     ("verify height --n 3 --m 3 --cutoff 4096", None, 0, None),
@@ -164,6 +191,10 @@ ROWS = [
     ("verify recursion --n 2 --k 7", None, 2,
      "fgl-forge: error: --k 7 exceeds the limit 6 of recursion at --n 2 "
      "(use --force to override)"),
+    # a request below the least n of its claim, inside and past the k cap:
+    # the same one line
+    ("verify recursion --n 1 --k 3", None, 2, "fgl-forge: error: recursion needs --n >= 2"),
+    ("verify recursion --n 1 --k 7", None, 2, "fgl-forge: error: recursion needs --n >= 2"),
     # a flag the claim does not read (tkvk reads --n and --k)
     ("verify tkvk --n 2 --k 2 --m 3", None, 2,
      "fgl-forge: error: tkvk does not read --m (it reads --n, --k)"),
@@ -188,14 +219,19 @@ def run_row(argv, falsifier=None):
     return run(__file__, falsifier, *argv.split())
 
 
+def _assert_exit(proc, code=0):
+    """The child printed no traceback and exited with `code`."""
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, falsifier, code, check", ROWS,
     ids=[" ".join(filter(None, (falsifier, argv))) for argv, falsifier, _, _ in ROWS],
 )
 def test_row(argv, falsifier, code, check):
     proc = run_row(argv, falsifier)
-    assert "Traceback" not in proc.stderr, proc.stderr
-    assert proc.returncode == code, proc.stderr
+    _assert_exit(proc, code)
     if code == 2:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -214,6 +250,40 @@ def test_row(argv, falsifier, code, check):
     assert report["witness"] == check["witness"]
     if "cutoff" in check:
         assert report["params"]["cutoff"] == check["cutoff"]
+
+
+@pytest.mark.parametrize("demo", sorted((_ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo(demo):
+    proc = run(str(demo))
+    _assert_exit(proc)
+    assert proc.stdout.splitlines()[-1] == "all checks verified"
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_suite_is_seed_free(profile):
+    """No request draws random numbers and no envelope depends on the hash
+    seed: two seeds print the same bytes, those json.dumps gives."""
+    outs = []
+    for seed in ("0", "1"):
+        proc = run("-m", "fgl_forge", "suite", profile, env={"PYTHONHASHSEED": seed})
+        _assert_exit(proc)
+        outs.append(proc.stdout)
+    out = outs[0]
+    assert outs[1] == out
+    body = json.loads(out)
+    assert body["ok"] is True and body["reports"]
+    assert all(r["status"] == "verified" for r in body["reports"])
+    assert out == json.dumps(body, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("workload", ["rn-membership", "chain-series", "lt-local"])
+def test_benchmark_gate(workload):
+    """A 1-second run of the workload: every request matches its pinned digest."""
+    proc = run(str(_ROOT / "perfbench" / "run.py"), "--workload", workload,
+               "--seconds", "1", "--trace", "0")
+    _assert_exit(proc)
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last
 
 
 if __name__ == "__main__":

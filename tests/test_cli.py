@@ -3,6 +3,7 @@ import collections
 import enum
 import hashlib
 import importlib.util
+import itertools
 import json
 import random
 import subprocess
@@ -449,7 +450,7 @@ def test_each_claim_is_capped_by_its_entry(capsys):
         assert next(iter(caps)) == "n", claim  # n is checked before its k cap is read
         command = ["log"] if claim == "log" else ["verify", claim]
         for key, cap in caps.items():
-            steps = [(f"--n {n} --k", cap[n - 1], f" at --n {n}") for n in (1, 2, 3)] \
+            steps = [(f"--n {n} --k", edge, f" at --n {n}") for n, edge in cap.items()] \
                 if key == "k" else [(f"--{key}", cap, "")]
             for words, edge, where in steps:
                 argv = [*command, *words.split()]
@@ -458,6 +459,16 @@ def test_each_claim_is_capped_by_its_entry(capsys):
                 assert code == 2, (claim, key, edge)
                 assert f"exceeds the limit {edge} of {claim}{where} " in err, err
                 assert check([*argv, str(edge + 1), "--force"]) == (0, "")
+        if "k" in caps:
+            # the k caps run from the least n up to the n cap; below the least
+            # n, one message at every k, with or without --force
+            least = min(caps["k"])
+            assert list(caps["k"]) == list(range(least, caps["n"] + 1)), claim
+            for n in range(1, least):
+                for k, force in itertools.product(("1", "7"), ([], ["--force"])):
+                    code, err = check([*command, "--n", str(n), "--k", k, *force])
+                    assert code == 2, (claim, n, k, force)
+                    assert err.endswith(f"\nfgl-forge: error: {claim} needs --n >= {least}\n")
     for entry in (entry for entries in cli.PROFILES.values() for entry in entries):
         assert check(["verify", *entry.split()]) == (0, ""), entry
 
@@ -1091,3 +1102,9 @@ def test_the_fresh_runner_caps_memory_and_time(monkeypatch):
     monkeypatch.setattr(fresh, "TIME_LIMIT", 1)
     with pytest.raises(subprocess.TimeoutExpired):
         fresh.run("-c", "import time; time.sleep(10)")
+
+
+def test_the_fresh_runner_passes_extra_environment_under_the_cap():
+    proc = fresh.run("-c", "import os, resource; print(os.environ['PYTHONHASHSEED'], "
+                     "resource.getrlimit(resource.RLIMIT_AS))", env={"PYTHONHASHSEED": "1"})
+    assert proc.stdout == f"1 {(2 << 30, 2 << 30)}\n"
