@@ -21,7 +21,9 @@ formed.
 Ideal membership is decided on F_2: each context keeps the mod-2 images of
 the v_j and t_level entries its claims read, and per ideal I_k its one
 Groebner basis, so a membership check is one sum mod 2 of cached images and
-one normal form (_nf_mod_Ik).
+one normal form (_nf_mod_Ik).  Beside them it keeps one table of the
+gamma^s-images of the logarithm (_log_images), which the logarithm relations
+and the lower-level generators read, so a warm request builds none.
 
 Every verifier returns a JSON-ready report: status "verified", or "failed"
 with a witness when the claim is false.  Exceptions are left to bad input
@@ -32,6 +34,7 @@ from .coefficients import QQ, two_valuation
 from .errors import ConsistencyFailure
 from .poly_core import (
     AtomicCache,
+    GradedPolynomial,
     GroebnerBasis,
     T,
     from_rational_ring,
@@ -67,9 +70,11 @@ class RnContext:
     built lazily, cross-checked once, and then treated as immutable; the
     v-images grow by prefix, only as far as a claim reads.  Beside them the
     context keeps the mod-2 image of each v_j and each t_level entry that a
-    membership claim reads, each built on its first read from the exact
-    entry held then, and per ideal I_k the Groebner basis of its mod-2
-    generators (see _nf_mod_Ik): no other table keeps a basis.
+    membership claim reads, and the images gamma^s(l_1), .., gamma^s(l_k_max)
+    of the logarithm per s that a claim reads (_log_images), each built on
+    its first read from the exact entry held then, and per ideal I_k the
+    Groebner basis of its mod-2 generators (see _nf_mod_Ik): no other table
+    keeps a basis.
     Requests share one context per (n, k_max, m) through rn_context, so a
     table is built and checked once per process; calling RnContext directly
     gives a fresh context with empty caches.  No formal group law is cached:
@@ -96,6 +101,7 @@ class RnContext:
         self._log = None
         self._v = ()  # v_1 .. v_j for the longest prefix asked for so far
         self._t_level = {}
+        self._log_images = {}  # s -> gamma^s of l_1 .. l_k_max (_log_images)
         self._v_mod2 = ()  # reduce_mod2(v_j) for a prefix of the v-images
         self._t_mod2 = {}  # (r, k) -> reduce_mod2(t_level(ctx, r)[k - 1])
         self._ideals = {}  # k -> GroebnerBasis of I_k on F_2
@@ -145,17 +151,22 @@ def rn_context(n, k_max, m=None):
 def _relation_rhs(ctx, gls, g2ls, k):
     """The two correction sums for level k: (sum gamma(l_j) t_{k-j}^{2^j},
     sum gamma^2(l_j) (gamma t_{k-j})^{2^j}), read from gls[j] = gamma(l_j)
-    and g2ls[j] = gamma^2(l_j), with l_0 = 1."""
+    and g2ls[j] = gamma^2(l_j), with l_0 = 1.
+
+    Each sum is one PolyRing.dot: the factor t_{k-j}^{2^j} is one monomial
+    (mono_of), and its gamma-image is that monomial moved by gamma_act, so
+    no power is squared through the kernel and no partial sum is formed.
+    """
     RQ = ctx.ring_q
-    a1 = RQ.zero()
-    a2 = RQ.zero()
+    p1, p2 = [], []
     for j in range(k):
-        tkj = ctx.generator(k - j, rational=True)
-        if tkj.is_zero():
+        v = T(k - j)
+        if v not in RQ.var_index:  # killed by the truncation at m
             continue
-        a1 = a1 + gls[j] * tkj ** (1 << j)
-        a2 = a2 + g2ls[j] * gamma_act(tkj) ** (1 << j)
-    return a1, a2
+        t = GradedPolynomial(RQ, {RQ.mono_of(v, 1 << j): 1})
+        p1.append((gls[j], t))
+        p2.append((g2ls[j], gamma_act(t)))
+    return RQ.dot(p1), RQ.dot(p2)
 
 
 def _residuals(lk, glk, g2lk, a1, a2):
@@ -166,22 +177,35 @@ def _residuals(lk, glk, g2lk, a1, a2):
     r1: l_k - gamma l_k - sum_j gamma(l_j) t_{k-j}^{2^j}
     r2: gamma l_k - gamma^2 l_k - sum_j gamma^2(l_j) (gamma t_{k-j})^{2^j}
 
-    The third relation, l_k - gamma^2 l_k = (both sums), has the residual
-    r1 + r2 by construction, so it holds whenever these two do and is not
-    formed.  r2 is gamma(r1) only when gamma_act is a ring automorphism,
-    which is what forming it checks.
+    Each is one PolyRing.dot over the pairs (l_k, 1), (gamma l_k, -1),
+    (a1, -1), and likewise for r2.  The third relation, l_k - gamma^2 l_k =
+    (both sums), has the residual r1 + r2 by construction, so it holds
+    whenever these two do and is not formed.  r2 is gamma(r1) only when
+    gamma_act is a ring automorphism, which is what forming it from
+    gamma^2(l_k) on its own checks.
     """
-    return lk - glk - a1, glk - g2lk - a2
+    RQ = lk.ring
+    one, minus = RQ.one(), RQ.from_rational(-1)
+    return (RQ.dot(((lk, one), (glk, minus), (a1, minus))),
+            RQ.dot(((glk, one), (g2lk, minus), (a2, minus))))
 
 
-def _log_relation_residuals(ctx, ls):
-    """The residuals (r1, r2) of _residuals, per level k; each gamma image
-    of an l_j is taken once."""
-    one = ctx.ring_q.one()
-    gls = [one] + [gamma_act(l) for l in ls]
-    g2ls = [one] + [gamma_act(l, 2) for l in ls]
-    return [_residuals(lk, gls[k], g2ls[k], *_relation_rhs(ctx, gls, g2ls, k))
-            for k, lk in enumerate(ls, start=1)]
+def _log_images(ctx, s):
+    """(gamma^s(l_1), .., gamma^s(l_k_max)), built on its first read from the
+    logarithm the context holds then, and stored per s.
+
+    verify_log_relations reads s = 1 and 2, and t_level(ctx, r) reads
+    s = 2^{n-r}, so a warm request builds no gamma-image of the logarithm.
+    rn_log keeps its own images while it builds the logarithm and seeds no
+    entry, so the table follows the logarithm held at its first read.  The
+    fill takes no lock: racing fills compute equal tuples and the last store
+    wins.
+    """
+    images = ctx._log_images.get(s)
+    if images is None:
+        ls = rn_log(ctx) if ctx._log is None else ctx._log
+        images = ctx._log_images[s] = tuple(gamma_act(l, s) for l in ls)
+    return images
 
 
 def rn_log(ctx):
@@ -324,7 +348,8 @@ def t_level(ctx, r):
 
         t_k^{C_{2^r}} = l_k - sum_{j=1}^{k} gamma^s(l_j) (t_{k-j}^{C_{2^r}})^{2^j}
 
-    with t_0 = 1.  The test suite checks them against the coordinates of
+    with t_0 = 1, and the gamma^s(l_j) read off the context's table
+    (_log_images).  The test suite checks them against the coordinates of
     the composite itself (chain_composite and t_from_strict_iso).  Results
     are integral and homogeneous.
     """
@@ -334,7 +359,7 @@ def t_level(ctx, r):
         return list(ctx._t_level[r])
     s = 1 << (ctx.n - r)
     ls = rn_log(ctx)
-    gls = [gamma_act(l, s) for l in ls]
+    gls = _log_images(ctx, s)
     tq = squares_recursion([l - gl for l, gl in zip(ls, gls)], gls)  # t_0 = 1 in the bases
     out = [from_rational_ring(t) for t in tq]
     for k, tk in enumerate(out, start=1):
@@ -449,14 +474,18 @@ def verify_log_relations(ctx):
     """Check the defining relations of the equivariant logarithm exactly.
 
     rn_log already refuses to cache a logarithm that fails them, so this
-    verifier recomputes the residuals to produce a citable report (claim id
+    verifier recomputes the residuals, from the context's gamma- and
+    gamma^2-images of the logarithm, to produce a citable report (claim id
     "eq351" on the command line).  Relations 1 and 2 are checked; the
     residual of relation 3 is their sum (see _residuals), so it could never
     be the first nonzero one, and a failed report names relation 1 or 2.
     """
     ls = rn_log(ctx)
+    one = (ctx.ring_q.one(),)
+    gls, g2ls = one + _log_images(ctx, 1), one + _log_images(ctx, 2)
     bad = None
-    for k, residuals in enumerate(_log_relation_residuals(ctx, ls), start=1):
+    for k, lk in enumerate(ls, start=1):
+        residuals = _residuals(lk, gls[k], g2ls[k], *_relation_rhs(ctx, gls, g2ls, k))
         for which, res in zip((1, 2), residuals):
             if not res.is_zero():
                 bad = (k, which, res)

@@ -9,7 +9,10 @@ address-space cap (MEMORY_CAP) and one time limit (TIME_LIMIT):
 - `suite quick` and `suite full` under two hash seeds, which must print the
   same canonical bytes;
 - a 1-second run of each benchmark workload, whose every request must match
-  its pinned digest in perfbench/answers.json.
+  its pinned digest in perfbench/answers.json;
+- a traced run (--trace 1) of each benchmark workload, which must match
+  every pinned digest too and report every per-layer metric BENCHMARK.json
+  names, so a program change that breaks the tracer fails here.
 
 CI runs the module as one step, after the tier-1 run and the benchmark's own
 tests, and starts no other process:
@@ -39,6 +42,8 @@ TIME_LIMIT = 60  # seconds: every edge of cli._CLAIMS finishes within it
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = str(_ROOT / "src")
+_BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text())
+_WORKLOADS = [workload["name"] for workload in _BENCHMARK["workloads"]]
 
 
 def run(*args, env=None):
@@ -195,6 +200,14 @@ ROWS = [
     # the same one line
     ("verify recursion --n 1 --k 3", None, 2, "fgl-forge: error: recursion needs --n >= 2"),
     ("verify recursion --n 1 --k 7", None, 2, "fgl-forge: error: recursion needs --n >= 2"),
+    # v-collapse outside its domain r > h = 2^{n-1} m reports the domain,
+    # also past the --k cap, where --force could not help; past the cap and
+    # inside the domain, the cap
+    ("verify v-collapse --n 3 --m 2 --k 7", None, 2, "error: r must exceed h = 8"),
+    ("verify v-collapse --n 3 --m 3 --k 12", None, 2, "error: r must exceed h = 12"),
+    ("verify v-collapse --n 3 --m 2 --k 9", None, 2,
+     "fgl-forge: error: --k 9 exceeds the limit 6 of v-collapse at --n 3 "
+     "(use --force to override)"),
     # a flag the claim does not read (tkvk reads --n and --k)
     ("verify tkvk --n 2 --k 2 --m 3", None, 2,
      "fgl-forge: error: tkvk does not read --m (it reads --n, --k)"),
@@ -276,14 +289,30 @@ def test_suite_is_seed_free(profile):
     assert out == json.dumps(body, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-@pytest.mark.parametrize("workload", ["rn-membership", "chain-series", "lt-local"])
-def test_benchmark_gate(workload):
-    """A 1-second run of the workload: every request matches its pinned digest."""
-    proc = run(str(_ROOT / "perfbench" / "run.py"), "--workload", workload,
-               "--seconds", "1", "--trace", "0")
+def _benchmark(workload, *args):
+    """The result line of perfbench/run.py on the workload, after checking
+    that every request matched its pinned digest."""
+    proc = run(str(_ROOT / "perfbench" / "run.py"), "--workload", workload, *args)
     _assert_exit(proc)
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, last
+    return last
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_gate(workload):
+    """A 1-second run of the workload: every request matches its pinned digest."""
+    _benchmark(workload, "--seconds", "1", "--trace", "0")
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_traced_benchmark_run(workload):
+    """The traced run patches program functions by name and reads the
+    per-layer metrics off them: it must still run, match every digest and
+    report each per-layer metric of BENCHMARK.json."""
+    metrics = _benchmark(workload, "--trace", "1")["metrics"]
+    missing = [m["name"] for m in _BENCHMARK["per_layer"] if m["name"] not in metrics]
+    assert not missing, missing
 
 
 if __name__ == "__main__":

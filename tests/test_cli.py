@@ -348,6 +348,22 @@ def test_verify_config_error_exits_two(capsys):
     assert code == 2
 
 
+def test_v_collapse_reports_its_domain_before_its_k_cap(capsys):
+    """r <= h = 2^{n-1} m is a domain error that --force cannot lift, so it
+    is reported with or without --force, also past the --k cap; past the cap
+    and inside the domain, the cap is reported."""
+    for m, h in ((2, 8), (3, 12)):
+        for k in range(7, h + 1):
+            for force in ([], ["--force"]):
+                argv = ["verify", "v-collapse", "--n", "3", "--m", str(m), "--k", str(k)]
+                assert _serve([*argv, *force], capsys) == (2, "", f"error: r must exceed h = {h}\n")
+        code, out, err = _serve(["verify", "v-collapse", "--n", "3", "--m", str(m),
+                                 "--k", str(h + 1)], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: --k {h + 1} exceeds the limit 6 of v-collapse at --n 3 "
+                            "(use --force to override)\n")
+
+
 def test_cotangent_needs_madic_two(capsys):
     # m/m^2 is zero at madic 1: a config error naming the bound, not a rank drop
     argv = ["verify", "cotangent", "--n", "2", "--m", "1"]

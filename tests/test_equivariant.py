@@ -1,3 +1,4 @@
+import functools
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fgl_forge import equivariant_ring
 from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
-from fgl_forge.reports import canonical_json
+from fgl_forge.reports import canonical_json, envelope
 from fgl_forge.equivariant_ring import (
     RnContext,
     chain_composite,
@@ -96,6 +97,135 @@ def test_log_relations_exact(n, k_max):
     assert report["status"] == "verified"
     assert report["claim"] == "eq351"
     assert report["witness"] is None
+
+
+def _relation_rhs_by_combine(ctx, gls, g2ls, k):
+    """Oracle of equivariant_ring._relation_rhs: the correction sums as a chain
+    of _combine steps, each factor (gamma t_{k-j})^{2^j} a power through the
+    kernel."""
+    RQ = ctx.ring_q
+    a1 = RQ.zero()
+    a2 = RQ.zero()
+    for j in range(k):
+        tkj = ctx.generator(k - j, rational=True)
+        if tkj.is_zero():
+            continue
+        a1 = a1 + gls[j] * tkj ** (1 << j)
+        a2 = a2 + g2ls[j] * gamma_act(tkj) ** (1 << j)
+    return a1, a2
+
+
+def _residuals_by_combine(lk, glk, g2lk, a1, a2):
+    """Oracle of equivariant_ring._residuals: two _combine steps each."""
+    return lk - glk - a1, glk - g2lk - a2
+
+
+# one context per (n, k, m) across examples, so each logarithm is built once
+_fused_context = functools.cache(RnContext)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 3), k=st.integers(1, 4), m=st.sampled_from([None, 1, 2]),
+       data=st.data())
+def test_the_fused_relation_sums_match_the_combine_chain(n, k, m, data):
+    """_relation_rhs and _residuals, each a fused dot, give the polynomials of
+    the _combine chain at every level, on the logarithm and on one with one
+    l_j perturbed by c times a product of one or three variables.  No
+    product of an odd number of variables is fixed by gamma, so the
+    perturbed relation at level j fails: nonzero residuals, the failing
+    witnesses, are compared too."""
+    ctx = _fused_context(n, k, m)
+    RQ = ctx.ring_q
+    ls = rn_log(ctx)
+    perturbed = data.draw(st.booleans())
+    if perturbed:
+        j = data.draw(st.integers(1, k))
+        c = RQ.from_rational(QQ(data.draw(st.sampled_from([-3, -1, 1, 2, 5])),
+                                data.draw(st.sampled_from([1, 2, 3, 8]))))
+        for v in data.draw(st.lists(st.sampled_from(RQ.variables), min_size=1, max_size=3)
+                           .filter(lambda vs: len(vs) % 2)):
+            c = c * RQ.var(v)
+        ls[j - 1] = ls[j - 1] + c
+    one = RQ.one()
+    gls = [one] + [gamma_act(l) for l in ls]
+    g2ls = [one] + [gamma_act(l, 2) for l in ls]
+    residuals = []
+    for level, lk in enumerate(ls, start=1):
+        sums = equivariant_ring._relation_rhs(ctx, gls, g2ls, level)
+        assert sums == _relation_rhs_by_combine(ctx, gls, g2ls, level)
+        got = equivariant_ring._residuals(lk, gls[level], g2ls[level], *sums)
+        assert got == _residuals_by_combine(lk, gls[level], g2ls[level], *sums)
+        residuals += got
+    assert any(not r.is_zero() for r in residuals) == perturbed
+
+
+@pytest.mark.parametrize("n,k_max,m", [(1, 3, None), (2, 4, None), (3, 3, None), (2, 4, 1)])
+def test_the_log_image_table_holds_each_gamma_image_once(n, k_max, m):
+    """Each entry equals the gamma^s-images of the logarithm, and a second
+    read returns the stored tuple: one build per (context, s)."""
+    ctx = RnContext(n, k_max, m)
+    for s in sorted({1, 2, 1 << (n - 1)}):
+        images = equivariant_ring._log_images(ctx, s)
+        assert list(images) == [gamma_act(l, s) for l in rn_log(ctx)]
+        assert equivariant_ring._log_images(ctx, s) is images
+
+
+def test_a_warm_log_relation_check_builds_no_gamma_image_of_the_log(monkeypatch):
+    """The second eq351 check on a context, and t_level at the s it shares,
+    apply gamma to no l_j: rn_log seeds no entry, the first check fills s = 1
+    and 2, and the rest read them."""
+    ctx = RnContext(3, 3)
+    ls = rn_log(ctx)
+    assert ctx._log_images == {}
+    moved = []
+    act = equivariant_ring.gamma_act
+
+    def recording(p, r=1):
+        moved.extend(r for l in ls if p is l)
+        return act(p, r)
+
+    monkeypatch.setattr(equivariant_ring, "gamma_act", recording)
+    first = verify_log_relations(ctx)
+    assert sorted(moved) == [1] * len(ls) + [2] * len(ls)
+    moved.clear()
+    assert verify_log_relations(ctx) == first
+    t_level(ctx, 3)  # s = 1
+    t_level(ctx, 2)  # s = 2
+    assert moved == []
+    t_level(ctx, 1)  # s = 4, a new entry
+    assert moved == [4] * len(ls)
+
+
+def test_a_log_swapped_before_the_first_read_gets_its_own_images():
+    ctx = RnContext(2, 3)
+    ls = rn_log(ctx)
+    ls[1] = ls[1] + ctx.generator(2, rational=True)
+    ctx._log = ls
+    for s in (1, 2):
+        assert list(equivariant_ring._log_images(ctx, s)) == [gamma_act(l, s) for l in ls]
+
+
+def test_four_threads_on_one_fresh_context_race_on_the_log_images():
+    """eq351 (twice), recursion and tkvk at once on one fresh R_3 context race
+    on the logarithm, its gamma-image table and the level tables, and print
+    what they print one by one."""
+    def jobs(ctx):
+        return [
+            lambda: envelope([verify_log_relations(ctx)]),
+            lambda: envelope([verify_tk_recursion(ctx, 3)]),
+            lambda: envelope([verify_tkvk(ctx, 3)]),
+            lambda: envelope([verify_log_relations(ctx)]),
+        ]
+
+    serial = [canonical_json(job()) for job in jobs(RnContext(3, 3))]
+    start = threading.Barrier(4)
+
+    def run(job):
+        start.wait()
+        return canonical_json(job())
+
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(run, jobs(RnContext(3, 3)))) == serial
 
 
 # ---- v-images ---------------------------------------------------------------------
