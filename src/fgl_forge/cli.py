@@ -17,13 +17,17 @@ and a witness, never an exception.
 
 Exit codes: 0 everything verified, 1 a claim is false (the machine-readable
 report with its witness is still emitted; verify emits the first failed
-report alone), 2 usage or configuration error (a flag the claim does not read
-given a value other than its default, a value past the claim's caps without
---force, or any other ValueError), an internal cross-check that broke (a
-ConsistencyFailure) or a request that ran out of memory (a MemoryError, which
---force requests past the caps can meet), 130 interrupted (suite flushes the
-reports of the entries it finished first).  An exit 2 prints one "error: "
-line on stderr and nothing on stdout.
+report alone), 2 usage or configuration error, an internal cross-check that
+broke (a ConsistencyFailure) or a request that ran out of memory (a
+MemoryError, which --force requests past the caps can meet), 130
+interrupted (suite flushes the reports of the entries it finished first).
+A request is checked in one order before it runs: a flag the claim does not
+read given a value other than its default, then a value outside the claim's
+domain, then a value past its caps without --force.  The first and the last
+are the parser's usage errors, which print its usage line and then
+"fgl-forge: error: ...".  A domain refusal, like any other ValueError,
+ConsistencyFailure or MemoryError, prints one "error: " line.  Every exit 2
+leaves stdout empty.
 
 Reports are wrapped in the canonical envelope of `reports` (schema
 "fgl-forge/1"); identical configurations produce byte-identical JSON.
@@ -189,33 +193,33 @@ def _parse_table(argv):
 
 
 def _check_request(args):
-    """A usage error (exit 2) for a flag the claim does not read, an n below
-    its least n or a value past its caps.
+    """Refuse a request its claim cannot serve, in one order: a flag the claim
+    does not read, then a value outside the claim's domain, then a value past
+    its caps.
 
     An unread flag given at its default leaves the envelope as if it were left
-    out, so it stays accepted.  --force lifts the caps, never that rule or
-    the claim's least n.  A v-collapse request outside its domain (r <= h =
-    2^{n-1} m) is left to the runner, whose error names the domain: --force
-    could not help it.  suite has no entry: it takes only --json.
+    out, so it stays accepted.  The first and the last are usage errors of
+    the parser; the domain is a ValueError with the library's message, raised
+    before any context is built.  --force lifts the caps alone.  suite has no
+    entry: it takes only --json.
     """
     name = args.claim if args.command == "verify" else args.command
     if name not in _CLAIMS:
         return
-    _, reads, caps = _CLAIMS[name]
+    _, reads, caps, domain = _CLAIMS[name]
     values = vars(args)
     unread = [f"--{key}" for key, default in _VALUE_DEFAULTS.items()
               if key not in reads and values.get(key, default) != default]
     if unread:
         _parser().error(f"{name} does not read {', '.join(unread)} "
                         f"(it reads {', '.join('--' + key for key in reads)})")
-    if "k" in caps and args.n < min(caps["k"]):
-        _parser().error(f"{name} needs --n >= {min(caps['k'])}")
+    refusal = domain(args) if domain else None
+    if refusal is not None:
+        raise ValueError(refusal)
     if args.force:
         return
     for key, cap in caps.items():
         if key == "k":
-            if name == "v-collapse" and args.k <= args.m << (args.n - 1):
-                continue
             cap = cap[args.n]
         value = values[key]
         if value is not None and value > cap:
@@ -246,11 +250,9 @@ def _lt_context(args):
 
 def _t_collapse(args):
     """--k names the generator index r; one report per level the lemma covers."""
-    levels = [j for j in range(args.n) if args.k > (1 << j) * args.m]
-    if not levels:
-        raise ValueError(f"no level satisfies r > 2^k m for r={args.k}, m={args.m}")
     ctx = rn_context(args.n, args.k, m=args.m)
-    return [verify_t_collapse(ctx, j, args.k) for j in levels]
+    return [verify_t_collapse(ctx, j, args.k)
+            for j in range(args.n) if args.k > (1 << j) * args.m]
 
 
 def _log(args):
@@ -260,42 +262,93 @@ def _log(args):
                     bounds=ctx.bounds())]
 
 
+def _exceeds_h(x, a):
+    """x > h = 2^{n-1} m, with no h formed wider than x."""
+    return a.n <= x.bit_length() and x > a.m << (a.n - 1)
+
+
+def _h_text(a):
+    """h = 2^{n-1} m in decimal, or through its exponent where the decimal
+    would pass the 4300 digits that int writes."""
+    if a.n + a.m.bit_length() > 14000:
+        return f"2^{a.n - 1} * {a.m}"
+    return str(a.m << (a.n - 1))
+
+
+def _lt_domain(a):
+    """The refusal of lt_context; the claims on the context check theirs after it."""
+    if a.precision < a.madic:
+        return "Witt precision must be at least the truncation order"
+    return None
+
+
+def _cotangent_domain(a):
+    refusal = _lt_domain(a)
+    if refusal is None and a.madic < 2:
+        refusal = f"cotangent needs madic >= 2: m/m^2 is zero at madic {a.madic}"
+    return refusal
+
+
+def _height_domain(a):
+    refusal = _lt_domain(a)
+    # cutoff < 2^h exactly when the cutoff has at most h bits
+    if refusal is None and a.cutoff is not None and not _exceeds_h(a.cutoff.bit_length(), a):
+        refusal = f"cutoff {a.cutoff} < 2^h, h = {_h_text(a)}"
+    return refusal
+
+
+def _chain_domain(a):
+    # the window 2^{k+1} - 1 of k_max, which a wider cutoff exceeds
+    if a.cutoff is not None and a.cutoff.bit_length() > a.k + 1:
+        return f"cutoff {a.cutoff} exceeds the order-{(2 << a.k) - 1} window of k_max={a.k}"
+    return None
+
+
 _RN = ("n", "k")
 _LT = ("n", "m", "d", "modulus", "precision", "madic")
 _LT_CAPS = {"n": 3, "m": 3, "d": 4, "precision": 16, "madic": 10}
 
-# {claim: (its runner, the value flags the runner reads, its caps)}.  The
-# runner maps parsed arguments to the claim's reports, in order, and looks its
-# verifier up when called, so a patched module name reaches it.  The caps are
-# the largest values served without --force, n first; the cap of --k is {n:
-# cap} from the claim's least n on.  Each edge finishes fresh within 60 s.
-# `log` is not a claim of `verify`, but keeps its flags and caps here too.
+# {claim: (its runner, the value flags the runner reads, its caps, its
+# domain)}.  The runner maps parsed arguments to the claim's reports, in
+# order, and looks its verifier up when called, so a patched module name
+# reaches it.  The domain maps them to the message of the ValueError the
+# library raises on flag values outside the claim's hypotheses, or None; it
+# compares values only and builds nothing, and --force does not lift it.
+# The caps are the largest values served without --force, n first; the cap
+# of --k is {n: cap} at each n of the domain.  Each edge inside the domain
+# finishes fresh within 60 s.  `log` is not a claim of `verify`, but keeps
+# its flags and caps here too.
 _CLAIMS = {
     "recursion": (lambda a: [verify_tk_recursion(rn_context(a.n, a.k), a.k)],
-                  _RN, {"n": 3, "k": {2: 6, 3: 5}}),
+                  _RN, {"n": 3, "k": {2: 6, 3: 5}},
+                  lambda a: "the level-drop recursion needs n >= 2" if a.n < 2 else None),
     "tkvk": (lambda a: [verify_tkvk(rn_context(a.n, a.k), a.k)],
-             _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 4}}),
+             _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 4}}, None),
     "invariance": (lambda a: [verify_ideal_invariance(rn_context(a.n, a.k), a.k)],
-                   _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 4}}),
+                   _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 4}}, None),
     "v-collapse": (lambda a: [verify_v_collapse(rn_context(a.n, a.k, m=a.m), a.k)],
-                   ("n", "m", "k"), {"n": 3, "m": 3, "k": {1: 6, 2: 6, 3: 6}}),
-    "t-collapse": (_t_collapse, ("n", "m", "k"),
-                   {"n": 3, "m": 3, "k": {1: 6, 2: 6, 3: 5}}),
-    # the cutoff is held to the window of k_max by chain_inversion_check
+                   ("n", "m", "k"), {"n": 3, "m": 3, "k": {1: 6, 2: 6, 3: 6}},
+                   lambda a: None if _exceeds_h(a.k, a) else f"r must exceed h = {_h_text(a)}"),
+    # some level j has r > 2^j m exactly when level 0 has r > m
+    "t-collapse": (_t_collapse, ("n", "m", "k"), {"n": 3, "m": 3, "k": {1: 6, 2: 6, 3: 5}},
+                   lambda a: None if a.k > a.m else
+                   f"no level satisfies r > 2^k m for r={a.k}, m={a.m}"),
     "chain-inversion": (lambda a: [
         chain_inversion_check(rn_context(a.n, a.k), cutoff=a.cutoff)],
-        (*_RN, "cutoff"), {"n": 3, "k": {1: 5, 2: 4, 3: 3}}),
-    "cotangent": (lambda a: [cotangent_check(_lt_context(a))], _LT, _LT_CAPS),
+        (*_RN, "cutoff"), {"n": 3, "k": {1: 5, 2: 4, 3: 3}}, _chain_domain),
+    "cotangent": (lambda a: [cotangent_check(_lt_context(a))], _LT, _LT_CAPS,
+                  _cotangent_domain),
     # 2^h at the largest (n, m), h = 2^{n-1} m; a verified height stops at v_h
     "height": (lambda a: [residue_height(_lt_context(a), cutoff=a.cutoff)],
                (*_LT, "cutoff"),
-               {**_LT_CAPS, "cutoff": 1 << (_LT_CAPS["m"] << (_LT_CAPS["n"] - 1))}),
-    "unit-factors": (lambda a: [d_factors(_lt_context(a))], _LT, _LT_CAPS),
+               {**_LT_CAPS, "cutoff": 1 << (_LT_CAPS["m"] << (_LT_CAPS["n"] - 1))},
+               _height_domain),
+    "unit-factors": (lambda a: [d_factors(_lt_context(a))], _LT, _LT_CAPS, _lt_domain),
     "fixed-subring": (lambda a: [fixed_subring_presentation(_lt_context(a))],
-                      _LT, _LT_CAPS),
+                      _LT, _LT_CAPS, _lt_domain),
     "eq351": (lambda a: [verify_log_relations(rn_context(a.n, a.k))],
-              _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 6}}),
-    "log": (_log, _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 6}}),
+              _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 6}}, None),
+    "log": (_log, _RN, {"n": 3, "k": {1: 6, 2: 6, 3: 6}}, None),
 }
 CLAIMS = tuple(claim for claim in _CLAIMS if claim != "log")
 
@@ -393,8 +446,8 @@ def _cmd_suite(args):
 
 def main(argv=None):
     args = _parse(argv)
-    _check_request(args)
     try:
+        _check_request(args)
         if args.command == "log":
             return _cmd_log(args)
         if args.command == "verify":

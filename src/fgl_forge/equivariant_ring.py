@@ -208,6 +208,15 @@ def _log_images(ctx, s):
     return images
 
 
+def _check_degrees(ctx, values, name):
+    """Each values[k-1] is zero or homogeneous of degree 2(2^k - 1), the degree
+    of the generators of index k; ConsistencyFailure naming `name`, a format
+    string of k, otherwise."""
+    for k, x in enumerate(values, start=1):
+        if not x.is_zero() and (not x.is_homogeneous() or x.degree != 2 * ((1 << k) - 1)):
+            raise ConsistencyFailure(f"{name.format(k=k)} has the wrong degree in {ctx!r}")
+
+
 def rn_log(ctx):
     """Equivariant logarithm coefficients [l_1 .. l_k_max] over R_n (x) Q.
 
@@ -238,12 +247,9 @@ def rn_log(ctx):
                 f"logarithm relation residual nonzero at k={k} in {ctx!r}"
             )
         ls.append(lk)
+    _check_degrees(ctx, ls, "l_{k}")
     for k, lk in enumerate(ls, start=1):
-        if lk.is_zero():
-            continue
-        if not lk.is_homogeneous() or lk.degree != 2 * ((1 << k) - 1):
-            raise ConsistencyFailure(f"l_{k} has the wrong degree in {ctx!r}")
-        if two_valuation(lk.den) > k:
+        if not lk.is_zero() and two_valuation(lk.den) > k:
             raise ConsistencyFailure(f"denominator of l_{k} exceeds 2^{k}")
     ctx._log = ls
     return list(ls)
@@ -262,11 +268,7 @@ def v_in_rn(ctx, k):
     vs = ctx._v
     if len(vs) < k:
         vs = tuple(v_from_log(rn_log(ctx)[:k]))
-        for j, vj in enumerate(vs, start=1):
-            if vj.is_zero():
-                continue
-            if not vj.is_homogeneous() or vj.degree != 2 * ((1 << j) - 1):
-                raise ConsistencyFailure(f"v_{j} has the wrong degree in {ctx!r}")
+        _check_degrees(ctx, vs, "v_{k}")
         ctx._v = vs
     return list(vs[:k])
 
@@ -362,13 +364,7 @@ def t_level(ctx, r):
     gls = _log_images(ctx, s)
     tq = squares_recursion([l - gl for l, gl in zip(ls, gls)], gls)  # t_0 = 1 in the bases
     out = [from_rational_ring(t) for t in tq]
-    for k, tk in enumerate(out, start=1):
-        if tk.is_zero():
-            continue
-        if not tk.is_homogeneous() or tk.degree != 2 * ((1 << k) - 1):
-            raise ConsistencyFailure(
-                f"t_{k} at level {r} has the wrong degree in {ctx!r}"
-            )
+    _check_degrees(ctx, out, f"t_{{k}} at level {r}")
     ctx._t_level[r] = out
     return list(out)
 

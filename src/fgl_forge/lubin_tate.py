@@ -1080,8 +1080,8 @@ def residue_height(ctx, cutoff=None):
     h = ctx.h
     if cutoff is None:
         cutoff = 1 << h
-    if cutoff < (1 << h):
-        raise ValueError(f"cutoff {cutoff} < 2^h = {1 << h}")
+    if cutoff.bit_length() <= h:  # cutoff < 2^h
+        raise ValueError(f"cutoff {cutoff} < 2^h, h = {h}")
     table = orbit_table(ctx.n, ctx.m)
     height = next(
         (k for k in range(1, cutoff.bit_length()) if table.v_images(k)[k - 1][0] & 1),

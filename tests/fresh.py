@@ -20,9 +20,8 @@ tests, and starts no other process:
     python -m pytest tests/fresh.py -q --durations=0
 
 pytest collects only test_*.py by default, so the tier-1 run skips this
-module.  A new corner is one new row.  The rows are written out by hand: the
-caps of cli._CLAIMS, taken all at once, give invalid requests (v-collapse at
-n = 3, m = 3, k = 6 exits 2 with "r must exceed h = 12").
+module.  The cap edges are read off cli._CLAIMS (CORNERS), so a raised cap
+brings its own row; any other request is one new row.
 """
 
 import json
@@ -89,12 +88,37 @@ def _factor_1(index):
     return {"witness": {"factor": 1, "index": index, "level": 2, "residue": []}}
 
 
-def _t1_at(n, k):
-    """The chain-inversion witness of bump_chain, t_1 in R_n over Q, at the
-    cutoff 2^{k+1} - 1, the window of the log certificate."""
-    ring = {"k_max": k, "kind": "Rn", "n": n, "rational": True}
-    return {"cutoff": (2 << k) - 1,
+def _t1_at(argv):
+    """The witness of bump_chain on a chain-inversion request at its default
+    cutoff: t_1 in R_n over Q, at the cutoff 2^{k+1} - 1, the window of the
+    log certificate."""
+    args = cli._parse(argv.split())
+    ring = {"k_max": args.k, "kind": "Rn", "n": args.n, "rational": True}
+    return {"cutoff": (2 << args.k) - 1,
             "witness": {"ring": ring, "terms": [{"coeff": "1", "monomial": {"t1": 1}}]}}
+
+
+def corners():
+    """The edges of the caps of cli._CLAIMS inside each claim's domain, as
+    argv strings: an R_n claim at its --k cap at each n and each m it reads,
+    a Lubin-Tate claim at all its caps at once."""
+    out = []
+    for claim, (_, reads, caps, domain) in cli._CLAIMS.items():
+        command = "log" if claim == "log" else f"verify {claim}"
+        if "k" in caps:
+            ms = range(1, caps["m"] + 1) if "m" in reads else [None]
+            grid = [{"n": n, "m": m, "k": k} for n, k in caps["k"].items() for m in ms]
+        else:
+            grid = [caps]
+        for values in grid:
+            argv = command + "".join(f" --{key} {value}" for key, value in values.items()
+                                     if value is not None)
+            if domain is None or domain(cli._parse(argv.split())) is None:
+                out.append(argv)
+    return out
+
+
+CORNERS = corners()
 
 
 # (argv, falsifier, exit code, check).  The check of exit 0 is None or an
@@ -103,56 +127,28 @@ def _t1_at(n, k):
 # chain-inversion, its params.cutoff; of exit 2, the last line of stderr, the
 # only line for a ValueError of the library
 ROWS = [
-    # the R_n corners at the caps of cli._CLAIMS, which no benchmark pool
-    # runs: recursion, tkvk and invariance at R_2 (nearly all of their time
-    # is squaring v_k and t_k; mod I_6 the recursion builds no v_6); eq351,
-    # invariance, recursion, tkvk, v-collapse at m = 1 and t-collapse at
-    # m = 2 at R_3; t-collapse at R_2; chain-inversion at (1, 5), (2, 4) and
-    # (3, 3), where the chain runs 63, 31 and 15 orders through the logarithm
-    ("verify recursion --n 2 --k 6", None, 0, None),
-    ("verify tkvk --n 2 --k 6", None, 0, None),
-    ("verify invariance --n 2 --k 6", None, 0, None),
-    ("verify eq351 --n 3 --k 6", None, 0, None),
-    ("verify invariance --n 3 --k 4", None, 0, None),
-    ("verify recursion --n 3 --k 5", None, 0, None),
-    ("verify tkvk --n 3 --k 4", None, 0, None),
-    ("verify v-collapse --n 3 --m 1 --k 6", None, 0, None),
-    ("verify t-collapse --n 3 --m 2 --k 5", None, 0, None),
-    ("verify t-collapse --n 2 --m 2 --k 6", None, 0, None),
-    ("verify chain-inversion --n 1 --k 5", None, 0, None),
-    ("verify chain-inversion --n 2 --k 4", None, 0, None),
-    ("verify chain-inversion --n 3 --k 3", None, 0, None),
-    # the other k-cap edges: t-collapse at (n, m) = (3, 1), (3, 3), (1, 1)
-    # and (2, 1), eq351, tkvk and invariance at R_1, eq351 and v-collapse at
-    # R_2, and the logarithm at R_3
-    ("verify t-collapse --n 3 --m 1 --k 5", None, 0, None),
-    ("verify t-collapse --n 3 --m 3 --k 5", None, 0, None),
-    ("verify t-collapse --n 1 --m 1 --k 6", None, 0, None),
-    ("verify t-collapse --n 2 --m 1 --k 6", None, 0, None),
-    ("verify eq351 --n 1 --k 6", None, 0, None),
-    ("verify eq351 --n 2 --k 6", None, 0, None),
-    ("verify tkvk --n 1 --k 6", None, 0, None),
-    ("verify invariance --n 1 --k 6", None, 0, None),
-    ("verify v-collapse --n 2 --m 1 --k 6", None, 0, None),
-    ("log --n 3 --k 6", None, 0, None),
+    # every cap edge, which no benchmark pool runs.  At R_2 nearly all the
+    # time of recursion, tkvk and invariance is squaring v_k and t_k (mod
+    # I_6 the recursion builds no v_6); chain-inversion runs its chain 63,
+    # 31 and 15 orders through the logarithm at (n, k) = (1, 5), (2, 4) and
+    # (3, 3); the Lubin-Tate claims at all their caps read the largest box,
+    # d = 4, M = 10, N = 16, and height and unit-factors write their
+    # residues through residue_json with no residue ring built
+    *((argv, None, 0, None) for argv in CORNERS),
     # falsified unit-factors at its cap (3, 3) and at (4, 3) past it: the
     # witness is factor 1, at index 2^{n-1} m and level 2
     ("verify unit-factors --n 3 --m 3", "double_levels", 1, _factor_1(12)),
     ("verify unit-factors --n 4 --m 3 --force", "double_levels", 1, _factor_1(24)),
     # falsified chain-inversion at each of its caps: the witness is t_1, at
     # the cutoff 63, 31 and 15
-    ("verify chain-inversion --n 1 --k 5", "bump_chain", 1, _t1_at(1, 5)),
-    ("verify chain-inversion --n 2 --k 4", "bump_chain", 1, _t1_at(2, 4)),
-    ("verify chain-inversion --n 3 --k 3", "bump_chain", 1, _t1_at(3, 3)),
+    *((argv, "bump_chain", 1, _t1_at(argv))
+      for argv in CORNERS if argv.startswith("verify chain-inversion ")),
     # one request read off the flag table, then through argparse as an
     # abbreviation and as --flag=value: the three stdouts are byte-identical
     ("verify height --n 2 --m 1 --precision 8", None, 0, None),
     ("verify height --n 2 --m 1 --prec 8", None, 0, "verify height --n 2 --m 1 --precision 8"),
     ("verify height --n=2 --m=1 --precision=8", None, 0,
      "verify height --n 2 --m 1 --precision 8"),
-    # the largest R_2<2> Groebner request of v-collapse at its cap, which no
-    # benchmark pool runs (the pool stops at r = 5)
-    ("verify v-collapse --n 2 --m 2 --k 6", None, 0, None),
     # the h = 6 height route (logarithm mod (tau))
     ("verify height --n 2 --m 3", None, 0, None),
     # h = 8, and a cutoff above 2^h: both share the one context of their
@@ -177,15 +173,6 @@ ROWS = [
     # an explicit --modulus, x^3 + x^2 + 1 (alpha = 7); its config records
     # the modulus
     ("verify fixed-subring --n 2 --m 3 --d 3 --modulus 1,0,1,1", None, 0, None),
-    # the largest box within the caps (d = 4, M = 10, N = 16), through the
-    # diagonal maps
-    ("verify fixed-subring --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
-    # height, unit-factors and cotangent at d = 4, which no benchmark pool
-    # runs; the first two write their residues through residue_json with no
-    # residue ring built
-    ("verify height --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
-    ("verify unit-factors --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
-    ("verify cotangent --n 3 --m 3 --d 4 --madic 10 --precision 16", None, 0, None),
     # h = 8 and h = 12 at the --cutoff cap 2^12, which reads no v_k past v_h
     ("verify height --n 3 --m 2 --cutoff 4096", None, 0, None),
     ("verify height --n 3 --m 3 --cutoff 4096", None, 0, None),
@@ -196,27 +183,31 @@ ROWS = [
     ("verify recursion --n 2 --k 7", None, 2,
      "fgl-forge: error: --k 7 exceeds the limit 6 of recursion at --n 2 "
      "(use --force to override)"),
-    # a request below the least n of its claim, inside and past the k cap:
-    # the same one line
-    ("verify recursion --n 1 --k 3", None, 2, "fgl-forge: error: recursion needs --n >= 2"),
-    ("verify recursion --n 1 --k 7", None, 2, "fgl-forge: error: recursion needs --n >= 2"),
-    # v-collapse outside its domain r > h = 2^{n-1} m reports the domain,
-    # also past the --k cap, where --force could not help; past the cap and
-    # inside the domain, the cap
+    # a request outside its claim's domain reports the domain, before the
+    # caps, which --force could not help: recursion below n = 2, inside and
+    # past the k cap, and v-collapse at r <= h = 2^{n-1} m past the k and n
+    # caps; past the cap and inside the domain, the cap
+    ("verify recursion --n 1 --k 3", None, 2, "error: the level-drop recursion needs n >= 2"),
+    ("verify recursion --n 1 --k 7", None, 2, "error: the level-drop recursion needs n >= 2"),
     ("verify v-collapse --n 3 --m 2 --k 7", None, 2, "error: r must exceed h = 8"),
     ("verify v-collapse --n 3 --m 3 --k 12", None, 2, "error: r must exceed h = 12"),
+    ("verify v-collapse --n 4 --m 1 --k 3", None, 2, "error: r must exceed h = 8"),
     ("verify v-collapse --n 3 --m 2 --k 9", None, 2,
      "fgl-forge: error: --k 9 exceeds the limit 6 of v-collapse at --n 3 "
      "(use --force to override)"),
     # a flag the claim does not read (tkvk reads --n and --k)
     ("verify tkvk --n 2 --k 2 --m 3", None, 2,
      "fgl-forge: error: tkvk does not read --m (it reads --n, --k)"),
-    # usage errors raised inside the library, each a ValueError: madic 1, a
-    # cutoff below 2^h within the cap, a u-window past its cap, a reducible
+    # ValueErrors with the library's messages: madic 1 and a cutoff below
+    # 2^h within the cap, which the domain refuses before any context is
+    # built, and from the library a u-window past its cap and a reducible
     # sextic modulus
     ("verify cotangent --n 2 --m 1 --madic 1 --precision 1", None, 2,
      "error: cotangent needs madic >= 2: m/m^2 is zero at madic 1"),
-    ("verify height --n 3 --m 2 --cutoff 64", None, 2, "error: cutoff 64 < 2^h = 256"),
+    ("verify height --n 3 --m 2 --cutoff 64", None, 2, "error: cutoff 64 < 2^h, h = 8"),
+    # the bound written through its exponent: 2^h has 4933 digits at h = 16384
+    ("verify height --n 15 --m 1 --cutoff 64 --force", None, 2,
+     "error: cutoff 64 < 2^h, h = 16384"),
     ("verify fixed-subring --n 1 --m 20 --force", None, 2,
      "error: exponent beyond the representable window"),
     ("verify fixed-subring --n 1 --m 1 --d 6 --modulus 1,0,1,0,0,1,1 --force", None, 2,

@@ -3,14 +3,15 @@ import collections
 import enum
 import hashlib
 import importlib.util
-import itertools
 import json
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fresh
 from fgl_forge import cli, equivariant_ring, lubin_tate, poly_core, series_fgl
@@ -364,6 +365,91 @@ def test_v_collapse_reports_its_domain_before_its_k_cap(capsys):
                             "(use --force to override)\n")
 
 
+def _contexts():
+    """The sizes of the process-wide context and orbit tables."""
+    return (len(equivariant_ring._CONTEXTS), len(lubin_tate._LT_CONTEXTS),
+            len(lubin_tate._ORBIT_TABLES))
+
+
+# each past a cap as well as outside its claim's domain
+@pytest.mark.parametrize("argv, message", [
+    ("verify v-collapse --n 4 --m 1 --k 3", "r must exceed h = 8"),
+    ("verify v-collapse --n 3 --m 4 --k 7", "r must exceed h = 16"),
+    ("verify v-collapse --n 20000 --m 1 --k 3", "r must exceed h = 2^19999 * 1"),
+    ("verify t-collapse --n 4 --m 1 --k 1", "no level satisfies r > 2^k m for r=1, m=1"),
+    ("verify recursion --n 1 --k 7", "the level-drop recursion needs n >= 2"),
+    ("verify chain-inversion --n 2 --k 5 --cutoff 100",
+     "cutoff 100 exceeds the order-63 window of k_max=5"),
+    ("verify height --n 4 --m 1 --cutoff 64", "cutoff 64 < 2^h, h = 8"),
+    ("verify height --n 15 --m 1 --cutoff 64", "cutoff 64 < 2^h, h = 16384"),
+    ("verify cotangent --n 4 --m 1 --madic 1 --precision 1",
+     "cotangent needs madic >= 2: m/m^2 is zero at madic 1"),
+    ("verify unit-factors --n 4 --m 1 --madic 9",
+     "Witt precision must be at least the truncation order"),
+])
+def test_the_domain_is_refused_before_the_caps_and_builds_nothing(argv, message, capsys,
+                                                                  monkeypatch):
+    """With or without --force: one error: line, empty stdout, no context."""
+    _cold_caches(monkeypatch)
+    for force in ([], ["--force"]):
+        assert _serve([*argv.split(), *force], capsys) == (2, "", f"error: {message}\n")
+    assert _contexts() == (0, 0, 0)
+
+
+# flag values whose requests each finish in well under a second
+_SMALL_LT = dict(n=st.integers(1, 2), m=st.integers(1, 2), precision=st.integers(1, 4),
+                 madic=st.integers(1, 4))
+_SMALL = {
+    "recursion": dict(n=st.integers(1, 2), k=st.integers(1, 3)),
+    "v-collapse": dict(n=st.integers(1, 2), m=st.integers(1, 2), k=st.integers(1, 4)),
+    "t-collapse": dict(n=st.integers(1, 2), m=st.integers(1, 3), k=st.integers(1, 4)),
+    "chain-inversion": dict(n=st.integers(1, 2), k=st.integers(1, 2),
+                            cutoff=st.none() | st.integers(1, 20)),
+    "cotangent": _SMALL_LT,
+    "height": dict(_SMALL_LT, cutoff=st.none() | st.integers(1, 300)),
+    "unit-factors": _SMALL_LT,
+    "fixed-subring": _SMALL_LT,
+}
+
+
+@pytest.mark.parametrize("claim", sorted(_SMALL))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_each_domain_is_the_library_rule(claim, data):
+    """_check_request refuses with message X exactly when the claim's runner
+    raises ValueError(X), and a refused request builds no context.  The
+    t-collapse runner reports one level per level with r > 2^j m: it is
+    refused exactly when the library refuses level 0, and reports nothing."""
+    flags = data.draw(st.fixed_dictionaries(_SMALL[claim]))
+    argv = ["verify", claim]
+    for key, value in flags.items():
+        argv += [] if value is None else [f"--{key}", str(value)]
+    args = cli._parse(argv)
+    run = cli._CLAIMS[claim][0]
+    with mock.patch.object(equivariant_ring, "_CONTEXTS", AtomicCache()), \
+            mock.patch.object(lubin_tate, "_LT_CONTEXTS", AtomicCache()), \
+            mock.patch.object(lubin_tate, "_ORBIT_TABLES", AtomicCache()):
+        try:
+            cli._check_request(args)
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
+            assert _contexts() == (0, 0, 0), argv
+    if claim == "t-collapse":
+        ctx = equivariant_ring.rn_context(args.n, args.k, m=args.m)
+        try:
+            equivariant_ring.verify_t_collapse(ctx, 0, args.k)
+            assert refusal is None and run(args), argv
+        except ValueError:
+            assert refusal is not None and run(args) == [], argv
+    elif refusal is None:
+        assert run(args), argv
+    else:
+        with pytest.raises(ValueError) as exc:
+            run(args)
+        assert str(exc.value) == refusal, argv
+
+
 def test_cotangent_needs_madic_two(capsys):
     # m/m^2 is zero at madic 1: a config error naming the bound, not a rank drop
     argv = ["verify", "cotangent", "--n", "2", "--m", "1"]
@@ -411,7 +497,7 @@ def _smallest_requests():
 def test_each_claim_reads_the_flags_it_declares():
     """A runner that starts reading a flag its _CLAIMS entry does not name fails here."""
     for claim, argv in _smallest_requests().items():
-        run, reads, _ = cli._CLAIMS[claim]
+        run, reads, *_ = cli._CLAIMS[claim]
         args = cli._parse(argv)
         read = set()
 
@@ -452,41 +538,74 @@ def test_an_unread_flag_is_a_usage_error_unless_it_is_the_default(capsys):
     assert pairs == 46
 
 
-def test_each_claim_is_capped_by_its_entry(capsys):
-    """At each cap the request passes, one past it exits 2 naming the cap, and
-    --force lifts it; checked on the parsed request, so nothing slow runs."""
-    def check(argv):
-        try:
-            cli._check_request(cli._parse(argv))
-        except SystemExit as exc:
-            return exc.code, capsys.readouterr().err
-        return 0, ""
+def _check(argv, capsys):
+    """(exit code, stderr) of _check_request on the parsed request; (0, "")
+    when it passes, and a domain refusal as main prints it."""
+    try:
+        cli._check_request(cli._parse(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err
+    except ValueError as exc:
+        return 2, f"error: {exc}\n"
+    return 0, ""
 
-    for claim, (_, _, caps) in cli._CLAIMS.items():
+
+def _claim_of(args):
+    return args.claim if args.command == "verify" else args.command
+
+
+def test_every_claim_has_a_corner_at_each_n_of_its_caps():
+    """tests/fresh.py runs these corners; a generator that drops one fails here."""
+    corners = collections.defaultdict(set)
+    for argv in fresh.CORNERS:
+        args = cli._parse(argv.split())
+        corners[_claim_of(args)].add(args.n)
+    for claim, (_, _, caps, domain) in cli._CLAIMS.items():
         assert next(iter(caps)) == "n", claim  # n is checked before its k cap is read
-        command = ["log"] if claim == "log" else ["verify", claim]
+        if "k" not in caps:
+            assert corners[claim] == {caps["n"]}, claim
+            continue
+        assert corners[claim] == set(caps["k"]), claim
+        # the k caps run from the least n of the domain up to the n cap
+        least = min(caps["k"])
+        assert list(caps["k"]) == list(range(least, caps["n"] + 1)), claim
+        for n in range(1, least):
+            assert domain(cli._parse(["verify", claim, "--n", str(n)])), (claim, n)
+
+
+def test_each_claim_is_capped_by_its_entry(capsys):
+    """Each corner passes; one step past each cap it sits at is refused by
+    that cap and passes with --force, or, outside the domain, is refused by
+    the domain either way.  Checked on the parsed request, so nothing slow
+    runs."""
+    stepped = set()
+    for corner in fresh.CORNERS:
+        argv = corner.split()
+        assert _check(argv, capsys) == (0, ""), corner
+        args = cli._parse(argv)
+        claim = _claim_of(args)
+        _, _, caps, domain = cli._CLAIMS[claim]
         for key, cap in caps.items():
-            steps = [(f"--n {n} --k", edge, f" at --n {n}") for n, edge in cap.items()] \
-                if key == "k" else [(f"--{key}", cap, "")]
-            for words, edge, where in steps:
-                argv = [*command, *words.split()]
-                assert check([*argv, str(edge)]) == (0, ""), (claim, key, edge)
-                code, err = check([*argv, str(edge + 1)])
-                assert code == 2, (claim, key, edge)
-                assert f"exceeds the limit {edge} of {claim}{where} " in err, err
-                assert check([*argv, str(edge + 1), "--force"]) == (0, "")
-        if "k" in caps:
-            # the k caps run from the least n up to the n cap; below the least
-            # n, one message at every k, with or without --force
-            least = min(caps["k"])
-            assert list(caps["k"]) == list(range(least, caps["n"] + 1)), claim
-            for n in range(1, least):
-                for k, force in itertools.product(("1", "7"), ([], ["--force"])):
-                    code, err = check([*command, "--n", str(n), "--k", k, *force])
-                    assert code == 2, (claim, n, k, force)
-                    assert err.endswith(f"\nfgl-forge: error: {claim} needs --n >= {least}\n")
+            edge = cap[args.n] if key == "k" else cap
+            if getattr(args, key) != edge:
+                continue
+            stepped.add((claim, key))
+            past = list(argv)
+            past[past.index(f"--{key}") + 1] = str(edge + 1)
+            refusal = domain and domain(cli._parse(past))
+            if refusal:
+                for force in ([], ["--force"]):
+                    assert _check([*past, *force], capsys) == (2, f"error: {refusal}\n")
+                continue
+            code, err = _check(past, capsys)
+            where = f" at --n {args.n}" if key == "k" else ""
+            assert code == 2, past
+            assert f"exceeds the limit {edge} of {claim}{where} " in err, err
+            assert _check([*past, "--force"], capsys) == (0, ""), past
+    assert stepped == {(claim, key) for claim, (_, _, caps, _) in cli._CLAIMS.items()
+                       for key in caps}
     for entry in (entry for entries in cli.PROFILES.values() for entry in entries):
-        assert check(["verify", *entry.split()]) == (0, ""), entry
+        assert _check(["verify", *entry.split()], capsys) == (0, ""), entry
 
 
 def _serve(argv, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fgl_forge import equivariant_ring
 from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
+from fgl_forge.errors import ConsistencyFailure
 from fgl_forge.reports import canonical_json, envelope
 from fgl_forge.equivariant_ring import (
     RnContext,
@@ -273,6 +274,20 @@ def test_t_level_bad_level():
         t_level(ctx, 0)
     with pytest.raises(ValueError):
         t_level(ctx, 3)
+
+
+def test_one_degree_check_names_the_value_it_refuses():
+    """rn_log, v_in_rn and t_level share one check: the k-th value is zero or
+    homogeneous of degree 2(2^k - 1); each names the value it refuses."""
+    ctx = RnContext(2, 2)
+    t1, t2 = ctx.generator(1), ctx.generator(2)
+    equivariant_ring._check_degrees(ctx, [t1 - t1, t2], "l_{k}")
+    for wrong in (t1 * t1, t1 + t2):
+        for name, text in (("l_{k}", "l_2"), ("v_{k}", "v_2"),
+                           ("t_{k} at level 1", "t_2 at level 1")):
+            with pytest.raises(ConsistencyFailure) as exc:
+                equivariant_ring._check_degrees(ctx, [t1, wrong], name)
+            assert str(exc.value) == f"{text} has the wrong degree in {ctx!r}"
 
 
 def _t_level_by_chain(ctx, r):
