@@ -42,6 +42,7 @@ import argparse
 import functools
 import sys
 
+from .coefficients import field_refusal
 from .equivariant_ring import (
     chain_inversion_check,
     rn_context,
@@ -276,10 +277,12 @@ def _h_text(a):
 
 
 def _lt_domain(a):
-    """The refusal of lt_context; the claims on the context check theirs after it."""
-    if a.precision < a.madic:
-        return "Witt precision must be at least the truncation order"
-    return None
+    """The refusals of lt_context that read the flags alone, in its order:
+    the field's, then the context's; the claims check theirs after it."""
+    refusal = field_refusal(a.d, a.modulus)
+    if refusal is None and a.precision < a.madic:
+        refusal = "Witt precision must be at least the truncation order"
+    return refusal
 
 
 def _cotangent_domain(a):

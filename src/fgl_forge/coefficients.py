@@ -92,6 +92,17 @@ DEFAULT_MODULI = {1: (1, 1), 2: (1, 1, 1), 3: (1, 1, 0, 1), 4: (1, 1, 0, 0, 1)}
 _FIELDS = AtomicCache()
 
 
+def field_refusal(d: int, modulus):
+    """Why (d, modulus) names no field of degree d, read off the two values
+    alone, or None: d has a default modulus, or the modulus is monic of
+    degree d.  Irreducibility, which computes, is FiniteFieldSpec's test."""
+    if modulus is None:
+        return None if d in DEFAULT_MODULI else f"no default modulus for d={d}"
+    if len(modulus) != d + 1 or not int(modulus[-1]) & 1:
+        return "modulus must be monic of degree d"
+    return None
+
+
 def finite_field(d: int, modulus=None) -> "FiniteFieldSpec":
     """The process-wide FiniteFieldSpec of F_2[x]/(modulus); None names the default.
 
@@ -100,11 +111,10 @@ def finite_field(d: int, modulus=None) -> "FiniteFieldSpec":
     spec find it without comparing fields.  An invalid modulus raises and
     leaves nothing behind.
     """
-    if modulus is None:
-        if d not in DEFAULT_MODULI:
-            raise ValueError(f"no default modulus for d={d}")
-        modulus = DEFAULT_MODULI[d]
-    mod = tuple(int(b) & 1 for b in modulus)
+    refusal = field_refusal(d, modulus)
+    if refusal is not None:
+        raise ValueError(refusal)
+    mod = tuple(int(b) & 1 for b in modulus or DEFAULT_MODULI[d])
     return _FIELDS.get_or_create((d, mod), lambda: FiniteFieldSpec(d, mod))
 
 
@@ -126,8 +136,9 @@ class FiniteFieldSpec:
             raise ValueError("extension degree must be >= 1")
         mod = tuple(int(b) & 1 for b in self.modulus)
         object.__setattr__(self, "modulus", mod)
-        if len(mod) != self.d + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree d")
+        refusal = field_refusal(self.d, mod)
+        if refusal is not None:
+            raise ValueError(refusal)
         # derived attributes, kept out of the fields so that equality, hashing
         # and repr still see (d, modulus) alone: the modulus as an int (bit i
         # is the coefficient of x^i), and precision N -> the WittKernel of

@@ -305,18 +305,16 @@ def _chain_steps(ctx, cutoff):
 
 
 def _chain_series(ctx, steps, cutoff):
-    """P_steps = S_{steps-1} o .. o S_0, from the steps of _chain_steps.
-
-    gamma_* commutes with composition, so P_{2s} = gamma^s_*(P_s) o P_s: a
-    power of two of steps (ValueError otherwise) is built by doublings alone.
-    This is the body of the oracle chain_composite; no request calls it.
+    """P_steps = S_{steps-1} o .. o S_0 for any steps >= 1 (ValueError
+    otherwise), composed one step at a time from the innermost, where
+    S_j = gamma^j_*(S_0) with S_0 the innermost step of _chain_steps.  This
+    is the body of the oracle chain_composite; no request calls it.
     """
-    if steps < 1 or steps & (steps - 1):
-        raise ValueError(f"the chain takes a power of two of steps, not {steps}")
-    psi, span = _chain_steps(ctx, cutoff)[-1], 1  # P_1 = S_0
-    while span < steps:
-        psi = _gamma_shift(psi, span).compose(psi)
-        span *= 2
+    if steps < 1:
+        raise ValueError(f"the chain takes at least one step, not {steps}")
+    psi = first = _chain_steps(ctx, cutoff)[-1]
+    for j in range(1, steps):
+        psi = _gamma_shift(first, j).compose(psi)
     return psi
 
 
@@ -325,10 +323,10 @@ def chain_composite(ctx, steps=None, cutoff=None):
 
     The step-i factor is (gamma^i)* psi_gamma: F^{gamma^i} -> F^{gamma^{i+1}},
     so the composite is a strict isomorphism F -> F^{gamma^steps}: the series
-    of _chain_series, with the one conjugate law F^{gamma^steps} as target.
-    As there, `steps` must be a power of two (ValueError otherwise).  With
-    the default steps = 2^{n-1} its series is the chain chain_inversion_check
-    certifies without forming it.  No request builds it: with
+    of _chain_series, for any steps >= 1 (ValueError otherwise), with the one
+    conjugate law F^{gamma^steps} as target.  With the default
+    steps = 2^{n-1} its series is the chain chain_inversion_check certifies
+    without forming it.  No request builds it: with
     series_fgl.t_from_strict_iso it is the test oracle of t_level, and it is
     the one place that builds the law F = fgl_from_log(rn_log(ctx), X) of
     the context.

@@ -163,6 +163,10 @@ class LTContext:
     def from_rational(self, q):
         return self.from_int(_two_local_int(QQ(q), self.precision))
 
+    def dot(self, pairs):
+        """sum a*b over the (a, b) pairs of elements, one product at a time."""
+        return sum((a * b for a, b in pairs), self.zero())
+
     def monomial(self, exps, ue, coords=None):
         """coords * tau^exps u^ue (coords defaults to 1), reduced mod m^M."""
         return _element(self, _canonical(self, {(exps, ue): coords or self._unit}))

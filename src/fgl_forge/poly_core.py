@@ -719,20 +719,14 @@ def ring_map(p: GradedPolynomial, assignment, target):
 
 
 def quotient_to_rnm(p: GradedPolynomial, m: int) -> GradedPolynomial:
-    """Image of p under R_n -> R_n<m> (kill t_i and all conjugates for i > m).
-
-    The variables of t_{m+1}, t_{m+2}, ... fill the low bits of a packed
-    monomial, so the map keeps the monomials whose low bits are 0 and drops
-    those bits: one mask test and one shift per monomial.
-    """
+    """Image of p under R_n -> R_n<m>: the ring map that kills t_i and all
+    its conjugates for i > m and sends every other variable to itself."""
     ring = p.ring
     if ring.kind != "Rn":
         raise ValueError("quotient_to_rnm starts from R_n")
     target = _make_ring("Rnm", ring.n, m, ring.k_max, ring.rational, ring.mod2)
-    shift = _BITS * (ring.nvars - target.nvars)
-    low = (1 << shift) - 1
-    num = {mono >> shift: c for mono, c in p.num.items() if not mono & low}
-    return _reduced(target, num, p.den)
+    image = {v: target.var(v) if v.i <= m else target.zero() for v in ring.variables}
+    return ring_map(p, image, target)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,19 @@ inverse [-1](x) = solve_series(L, -L) and the two-variable routines
 (fgl_from_log, fgl_apply, formal_sum, formal_inverse, the strict
 isomorphisms) are kept as the test oracles of those routes, in their
 definitional forms: one compose takes an inner series in one or two
-variables, F(a, b) is a + b + sum c_jk a^j b^k (fgl_apply), and [2](x) is
-F(x, x).
+variables, F(a, b) is a + b + sum c_jk a^j b^k (fgl_apply), [2](x) is
+F(x, x), and i(x) = [-1](x) is read off F(x, i(x)) = 0 one order at a time.
 
-Series coefficients live in any ring object exposing zero()/one()/
-from_rational(); the elements themselves must support +, -, *, ** (integer),
-==, and is_zero(), and name their ring as `.ring` (conjugate_fgl reads the
-target ring off the image of 1).  Graded polynomial rings and the Lubin-Tate
-ring satisfy this protocol, and so does the residue field, which is the
-Lubin-Tate ring at truncation order 1, so one engine serves every stage of
-the pipeline.  Every series is truncated at a fixed cutoff in the series
-variable(s); all identities asserted by this module are exact up to that
-cutoff.
+Series coefficients live in any ring object exposing zero(), one(),
+from_rational() and dot(pairs), the sum of a*b over (a, b) pairs of its
+elements, through which every sum of products here goes.  The elements
+themselves must support +, -, *, ** (integer), ==, and is_zero(), and name
+their ring as `.ring` (conjugate_fgl reads the target ring off the image of
+1).  Graded polynomial rings and the Lubin-Tate ring satisfy this protocol,
+and so does the residue field, which is the Lubin-Tate ring at truncation
+order 1, so one engine serves every stage of the pipeline.  Every series is
+truncated at a fixed cutoff in the series variable(s); all identities
+asserted by this module are exact up to that cutoff.
 """
 
 from __future__ import annotations
@@ -39,22 +40,6 @@ def _coerce_coeff(ring, c):
     if type(c) is not GradedPolynomial and isinstance(c, SCALAR_TYPES):
         return ring.from_rational(c)
     return c
-
-
-def _sum_of_products(ring):
-    """sum a*b over (a, b) pairs of coefficients: the ring's fused kernel
-    (PolyRing.dot) when it has one, else products added one at a time."""
-    dot = getattr(ring, "dot", None)
-    if dot is not None:
-        return dot
-
-    def generic(pairs):
-        acc = ring.zero()
-        for a, b in pairs:
-            acc = acc + a * b
-        return acc
-
-    return generic
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +167,7 @@ class TruncatedSeries1(_TruncatedSeries):
                             orders[e] = [(c1, c2)]
                         else:
                             pairs.append((c1, c2))
-        dot = _sum_of_products(self.ring)
+        dot = self.ring.dot
         return TruncatedSeries1(self.ring, {e: dot(pairs) for e, pairs in orders.items()}, X)
 
     def compose(self, inner):
@@ -208,7 +193,7 @@ class TruncatedSeries1(_TruncatedSeries):
             c = self.coeffs[e]
             for o, v in pw.coeffs.items():
                 orders.setdefault(o, []).append((c, v))
-        dot = _sum_of_products(self.ring)
+        dot = self.ring.dot
         return type(inner)(self.ring, {o: dot(pairs) for o, pairs in orders.items()}, self.cutoff)
 
     def __repr__(self):
@@ -252,7 +237,7 @@ def solve_series(log: TruncatedSeries1, rhs: TruncatedSeries1) -> TruncatedSerie
     # twice[s][m] = 2 [x^m] g^{exps[s]} (None for 0) for each squared row s,
     # so a square pairs each unordered pair of orders once
     twice = {s: [None] * (X + 1) for _, s, square in chain if square}
-    dot = _sum_of_products(ring)
+    dot = ring.dot
     for e in range(1, X + 1):
         for s, dbl in twice.items():  # column e - 1 is final; a square reads a < X / 2
             v = rows[s][e - 1]
@@ -335,7 +320,7 @@ class TruncatedSeries2(_TruncatedSeries):
                         keys[k] = [(c1, c2)]
                     else:
                         pairs.append((c1, c2))
-        dot = _sum_of_products(self.ring)
+        dot = self.ring.dot
         return TruncatedSeries2(self.ring, {k: dot(pairs) for k, pairs in keys.items()}, X)
 
     def __repr__(self):
@@ -457,7 +442,7 @@ def squares_recursion(bases, cs):
         squares = [p * p for p in squares]
         pairs = [(cs[j - 1], squares[k - j - 1]) for j in range(1, k)
                  if not squares[k - j - 1].is_zero()]
-        xk = base - _sum_of_products(base.ring)(pairs) if pairs else base
+        xk = base - base.ring.dot(pairs) if pairs else base
         xs.append(xk)
         squares.append(xk)
     return xs
@@ -560,7 +545,7 @@ def formal_sum_via_log(log: TruncatedSeries1, terms) -> TruncatedSeries1:
             while p < j:
                 pw, p = (pw * pw, 2 * p) if 2 * p <= j else (pw * c, p + 1)
             orders.setdefault(e * j, []).append((lj, pw))
-    dot = _sum_of_products(ring)
+    dot = ring.dot
     total = TruncatedSeries1(ring, {o: dot(pairs) for o, pairs in orders.items()}, X)
     return solve_series(log, total)
 
@@ -568,28 +553,20 @@ def formal_sum_via_log(log: TruncatedSeries1, terms) -> TruncatedSeries1:
 def formal_inverse(F: FGL) -> TruncatedSeries1:
     """The series i(x) with F(x, i(x)) = 0; starts with -x.
 
-    With F = x + y + sum a_{jk} x^j y^k (j, k >= 1), the coefficient of x^e
-    in F(x, i(x)) is i_e + sum a_{jk} [x^{e-j}] i^k for e >= 2, and the sum
-    uses only i_1 .. i_{e-1}; so i_e = -sum a_{jk} [x^{e-j}] i^k, one
-    coefficient per order.  The table pw[k][m] = [x^m] i^k is filled by
-    column: once i_m is final, so is every [x^m] i^k, from
-    [x^m] i^k = sum_t i_t [x^{m-t}] i^{k-1}.  The result is certified by
-    F(x, i(x)) = 0 at the full cutoff.
+    The coefficient of x^e in F(x, i(x)) is i_e plus terms in i_1 .. i_{e-1}
+    alone, so i_e is minus the x^e coefficient of
+    F(x, i_1 x + .. + i_{e-1} x^{e-1}) with F cut at order e (fgl_apply).
+    The result is certified by F(x, i(x)) = 0 at the full cutoff.
     """
     ring, X = F.ring, F.cutoff
-    zero = ring.zero()
-    mixed = [(j, k, c) for (j, k), c in F.two_var.coeffs.items() if j and k]
-    k_top = max((k for _, k, _ in mixed), default=1)
-    inv = [zero, -ring.one()]  # inv[e] = i_e; it is row 1 of the table
-    pw = [None, inv] + [[zero] * X for _ in range(2, k_top + 1)]
-    dot = _sum_of_products(ring)
+    inv = {1: -ring.one()}
     for e in range(2, X + 1):
-        m = e - 1  # i_m became final at the last order: fill column m
-        for k in range(2, min(k_top, m) + 1):
-            prev = pw[k - 1]
-            pw[k][m] = dot([(inv[t], prev[m - t]) for t in range(1, m - k + 2)])
-        inv.append(-dot([(c, pw[k][e - j]) for j, k, c in mixed if j + k <= e]))
-    out = TruncatedSeries1(ring, dict(enumerate(inv[1:], start=1)), X)
+        law = FGL(TruncatedSeries2(ring, F.two_var.coeffs, e))
+        partial = TruncatedSeries1(ring, inv, e)
+        val = fgl_apply(law, TruncatedSeries1.identity(ring, e), partial).coefficient(e)
+        if not val.is_zero():
+            inv[e] = -val
+    out = TruncatedSeries1(ring, inv, X)
     if not fgl_apply(F, TruncatedSeries1.identity(ring, X), out).is_zero():
         raise ConsistencyFailure("formal inverse failed F(x, i(x)) = 0")
     return out

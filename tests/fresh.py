@@ -212,6 +212,8 @@ ROWS = [
      "error: exponent beyond the representable window"),
     ("verify fixed-subring --n 1 --m 1 --d 6 --modulus 1,0,1,0,0,1,1 --force", None, 2,
      "error: modulus [1, 0, 1, 0, 0, 1, 1] is reducible over F_2"),
+    # a field the flags alone rule out, refused before the caps as a domain
+    ("verify cotangent --d 5 --force", None, 2, "error: no default modulus for d=5"),
 ]
 
 

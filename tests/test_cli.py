@@ -386,6 +386,8 @@ def _contexts():
      "cotangent needs madic >= 2: m/m^2 is zero at madic 1"),
     ("verify unit-factors --n 4 --m 1 --madic 9",
      "Witt precision must be at least the truncation order"),
+    ("verify cotangent --d 5", "no default modulus for d=5"),
+    ("verify unit-factors --d 6 --modulus 1,1,0,1", "modulus must be monic of degree d"),
 ])
 def test_the_domain_is_refused_before_the_caps_and_builds_nothing(argv, message, capsys,
                                                                   monkeypatch):
@@ -396,9 +398,25 @@ def test_the_domain_is_refused_before_the_caps_and_builds_nothing(argv, message,
     assert _contexts() == (0, 0, 0)
 
 
+# the irreducible moduli of degree 1 .. 4 that --modulus draws
+_IRREDUCIBLE = {1: [(1, 1)], 2: [(1, 1, 1)], 3: [(1, 1, 0, 1), (1, 0, 1, 1)],
+                4: [(1, 1, 0, 0, 1), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)]}
+
+
+@st.composite
+def _field(draw):
+    """--d in 1 .. 5 and --modulus: None, an irreducible modulus of degree d,
+    or one monic of another degree or of none.  Never a reducible one of
+    degree d: the library tests reducibility after the caps."""
+    d = draw(st.integers(1, 5))
+    wrong = [f for e, fs in _IRREDUCIBLE.items() if e != d for f in fs]
+    return {"d": d, "modulus": draw(st.sampled_from(
+        [None, *_IRREDUCIBLE.get(d, []), *wrong, (1,), (1, 1, 0), (1, 0, 1, 1, 0)]))}
+
+
 # flag values whose requests each finish in well under a second
 _SMALL_LT = dict(n=st.integers(1, 2), m=st.integers(1, 2), precision=st.integers(1, 4),
-                 madic=st.integers(1, 4))
+                 madic=st.integers(1, 4), field=_field())
 _SMALL = {
     "recursion": dict(n=st.integers(1, 2), k=st.integers(1, 3)),
     "v-collapse": dict(n=st.integers(1, 2), m=st.integers(1, 2), k=st.integers(1, 4)),
@@ -421,9 +439,11 @@ def test_each_domain_is_the_library_rule(claim, data):
     t-collapse runner reports one level per level with r > 2^j m: it is
     refused exactly when the library refuses level 0, and reports nothing."""
     flags = data.draw(st.fixed_dictionaries(_SMALL[claim]))
+    flags.update(flags.pop("field", {}))
     argv = ["verify", claim]
     for key, value in flags.items():
-        argv += [] if value is None else [f"--{key}", str(value)]
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += [] if value is None else [f"--{key}", text]
     args = cli._parse(argv)
     run = cli._CLAIMS[claim][0]
     with mock.patch.object(equivariant_ring, "_CONTEXTS", AtomicCache()), \
@@ -924,11 +944,12 @@ def test_lt_context_is_shared_and_constructor_is_fresh(capsys, monkeypatch):
 
 def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     """The claims answer on cold caches with the two-variable law engine, the
-    formal inverse, ring_map, the specialization from R_n (lt_specialize and
-    t_level_in_lt) and the gamma action of the local ring all refusing,
-    wherever a module binds them, and with the doubling route of the chain
-    (_chain_series) refusing too: the chain-inversion certificate composes
-    the logarithm with the chain's steps and never forms the chain.  A
+    formal inverse, ring_map and the quotient R_n -> R_n<m> through it, the
+    specialization from R_n (lt_specialize and t_level_in_lt) and the gamma
+    action of the local ring all refusing, wherever a module binds them, and
+    with the chain (_chain_series and chain_composite) refusing too: the
+    chain-inversion certificate composes the logarithm with the chain's
+    steps and never forms the chain.  A
     falsified unit-factors verdict answers too: it reports its witness from
     the orbit table and builds no R_n context.  And a falsified
     chain-inversion verdict reads its witness off the log certificate: it
@@ -944,9 +965,10 @@ def test_no_claim_reaches_the_oracle_engine(capsys, monkeypatch):
     monkeypatch.setattr(series_fgl.FGL, "__init__", refuse("FGL"))
     modules = [m for n, m in list(sys.modules.items()) if n.startswith("fgl_forge.")]
     for home, name in ((series_fgl, "fgl_apply"), (series_fgl, "formal_inverse"),
-                       (poly_core, "ring_map"), (lubin_tate, "lt_specialize"),
-                       (lubin_tate, "t_level_in_lt"), (lubin_tate, "lt_gamma"),
-                       (equivariant_ring, "_chain_series")):
+                       (poly_core, "ring_map"), (poly_core, "quotient_to_rnm"),
+                       (lubin_tate, "lt_specialize"), (lubin_tate, "t_level_in_lt"),
+                       (lubin_tate, "lt_gamma"), (equivariant_ring, "_chain_series"),
+                       (equivariant_ring, "chain_composite")):
         original = getattr(home, name)
         for module in modules:
             for attr, value in list(vars(module).items()):

@@ -8,6 +8,7 @@ from fgl_forge.coefficients import (
     FiniteFieldSpec,
     WittElement,
     _frobenius_root,
+    field_refusal,
     finite_field,
     frobenius_lift,
     is_two_local,
@@ -57,8 +58,14 @@ def test_field_spec_validation():
             FiniteFieldSpec(6, modulus)
     assert FiniteFieldSpec(6, (1, 1, 0, 0, 0, 0, 1)).modbits == 0b1000011
     assert finite_field(4).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
-    with pytest.raises(ValueError):
-        finite_field(5)
+    # the flag rules, stated once: finite_field raises exactly them
+    for d, modulus, message in ((5, None, "no default modulus for d=5"),
+                                (2, (1, 1), "modulus must be monic of degree d"),
+                                (3, (1, 1, 0, 0), "modulus must be monic of degree d")):
+        assert field_refusal(d, modulus) == message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            finite_field(d, modulus)
+    assert field_refusal(2, (1, 0, 1)) is None  # (x + 1)^2: the spec's own test
 
 
 def test_gf_field_axioms_exhaustive():

@@ -55,7 +55,7 @@ from fgl_forge.series_fgl import (
     v_from_log,
 )
 
-from laws import rn_law
+from laws import rn_law, rn_minus_inverse
 
 
 # ---- the equivariant logarithm ---------------------------------------------------
@@ -683,22 +683,8 @@ def test_chain_inversion_grid():
 def test_chain_is_negated_inverse_not_raw_inverse():
     ctx = RnContext(1, 2)
     iso = chain_composite(ctx, cutoff=7)
-    F = rn_law(ctx, 7)
-    assert iso.psi == formal_inverse(F).scale(-1)
-    assert iso.psi != formal_inverse(F)
-
-
-def _conjugate_iso(iso, r):
-    """(gamma^r)* of a strict isomorphism: conjugate series, source and target."""
-    def conj(p):
-        return gamma_act(p, r)
-
-    psi = {e: conj(c) for e, c in iso.psi.coeffs.items()}
-    return StrictIso(
-        TruncatedSeries1(iso.psi.ring, psi, iso.psi.cutoff),
-        conjugate_fgl(iso.source, conj),
-        conjugate_fgl(iso.target, conj),
-    )
+    assert iso.psi == rn_minus_inverse(ctx, 7)
+    assert iso.psi != -rn_minus_inverse(ctx, 7)
 
 
 def _psi_gamma(ctx, F):
@@ -729,27 +715,18 @@ def _chain_isos(ctx, steps, cutoff):
 
 
 def _chain_by_conjugated_laws(ctx, steps, X):
-    """Oracle: the composite of _chain_isos through compose_iso."""
-    chain = _chain_isos(ctx, steps, X)
-    iso = next(chain)
-    for step in chain:
-        iso = compose_iso(step, iso)
-    return iso
-
-
-def _chain_by_conjugating_psi_gamma(ctx, X):
-    """Oracle: conjugate psi_gamma, its source and its target afresh at each step."""
-    psi1 = _psi_gamma(ctx, rn_law(ctx, X))
-    iso = psi1
-    for i in range(1, ctx.half):
-        iso = compose_iso(_conjugate_iso(psi1, i), iso)
-    return iso
+    """Oracle: the composites of the first 1, 2, .., steps isos of _chain_isos,
+    in turn, through compose_iso."""
+    iso = None
+    for step in _chain_isos(ctx, steps, X):
+        iso = step if iso is None else compose_iso(step, iso)
+        yield iso
 
 
 def _chain_report_by_inverse(ctx, X, psi):
     """Oracle: the chain-inversion report from the solved formal inverse and
     the lowest coefficient of the difference."""
-    diff = psi - formal_inverse(rn_law(ctx, X)).scale(-1)
+    diff = psi - rn_minus_inverse(ctx, X)
     first = None
     if not diff.is_zero():
         first = diff.coefficient(min(diff.coeffs))
@@ -760,11 +737,6 @@ def _chain_report_by_inverse(ctx, X, psi):
         "witness": None if first is None else poly_to_json(first),
         "bounds": ctx.bounds(),
     }
-
-
-def _powers_of_two(top):
-    """1, 2, 4, .., top: the step counts a chain takes."""
-    return [1 << j for j in range(top.bit_length())]
 
 
 def _window(ctx, cutoff):
@@ -778,18 +750,18 @@ CHAIN_CASES = [(1, 3, None), (2, 2, None), (2, 3, 8), (2, 3, 10), (3, 1, None),
 
 @pytest.mark.parametrize("n,k_max,cutoff", CHAIN_CASES)
 def test_chain_report_matches_the_conjugated_law_route(n, k_max, cutoff):
+    """chain_composite at every step count 1 .. 2^{n-1} is the composite of
+    the conjugated laws' isos, and the report is the inverse route's on it."""
     ctx = RnContext(n, k_max)
     X = _window(ctx, cutoff)
-    old = _chain_by_conjugated_laws(ctx, ctx.half, X)
-    report = chain_inversion_check(ctx, cutoff=cutoff)
-    assert report == _chain_report_by_inverse(ctx, X, old.psi)
-    assert report["status"] == "verified"
-    for steps in _powers_of_two(ctx.half):
+    for steps, want in enumerate(_chain_by_conjugated_laws(ctx, ctx.half, X), start=1):
         iso = chain_composite(ctx, steps=steps, cutoff=X)
-        want = _chain_by_conjugated_laws(ctx, steps, X)
         assert iso.psi == want.psi
         assert iso.source == want.source
         assert iso.target == want.target
+    report = chain_inversion_check(ctx, cutoff=cutoff)
+    assert report == _chain_report_by_inverse(ctx, X, want.psi)
+    assert report["status"] == "verified"
 
 
 def _law_certificate(F, psi):
@@ -884,11 +856,19 @@ def _compose_steps(steps):
 
 @pytest.mark.parametrize("n,k_max,cutoff", CERTIFICATE_CASES)
 def test_the_steps_compose_to_the_chain_by_doubling(n, k_max, cutoff):
+    """gamma_* commutes with composition, so the 2s innermost steps the
+    certificate reads compose to gamma^s_*(P_s) o P_s, with P_s the
+    composite of the s innermost."""
     ctx = RnContext(n, k_max)
     X = _window(ctx, cutoff)
     steps = equivariant_ring._chain_steps(ctx, X)
     assert len(steps) == ctx.half
-    assert _compose_steps(steps) == equivariant_ring._chain_series(ctx, ctx.half, X)
+    s = 1
+    while 2 * s <= ctx.half:
+        inner = _compose_steps(steps[-s:])
+        want = equivariant_ring._gamma_shift(inner, s).compose(inner)
+        assert _compose_steps(steps[-2 * s:]) == want
+        s *= 2
 
 
 # chain-series pool configurations of one, two and four steps
@@ -935,37 +915,26 @@ def test_the_log_routes_match_the_law_routes(n, k_max, cutoff):
     L = log_series(rn_log(ctx), ctx.ring_q, X)
     terms = _phi_terms(ctx, X)
     assert formal_sum_via_log(L, terms) == formal_sum(F, terms)
-    assert solve_series(L, -L) == formal_inverse(F)
+    assert solve_series(L, -L) == -rn_minus_inverse(ctx, X)
 
 
-def _chain_series_by_steps(ctx, steps, cutoff):
-    """Oracle for _chain_series: compose the steps one at a time, the j-th
-    (j >= 1) being gamma^j applied to the coefficients of the F-sum phi."""
-    phi = formal_sum(rn_law(ctx, cutoff), _phi_terms(ctx, cutoff))
-    psi = None
-    for j in range(1, steps + 1):
-        step = TruncatedSeries1(
-            phi.ring, {e: gamma_act(c, j) for e, c in phi.coeffs.items()}, cutoff
-        )
-        psi = step if psi is None else step.compose(psi)
-    return psi
-
-
-# every step count 1, 2, .., 2^{n-1} at n = 1, 2, 3, 4
+# step counts up to 2^{n-1} = 8 at n = 4
 @pytest.mark.parametrize("n,k_max,cutoff", [(1, 3, None), (2, 2, None), (3, 2, None),
                                             (4, 1, None), (4, 2, 7)])
 def test_the_chain_by_doubling_is_the_chain_step_by_step(n, k_max, cutoff):
+    """gamma_* commutes with composition, so the chain of 2s steps, composed
+    one step at a time, is gamma^s_*(P_s) o P_s."""
     ctx = RnContext(n, k_max)
     X = _window(ctx, cutoff)
-    for steps in _powers_of_two(ctx.half):
-        want = _chain_series_by_steps(ctx, steps, X)
-        assert equivariant_ring._chain_series(ctx, steps, X) == want
+    chain = {s: equivariant_ring._chain_series(ctx, s, X) for s in range(1, ctx.half + 1)}
+    for s in range(1, ctx.half // 2 + 1):
+        assert chain[2 * s] == equivariant_ring._gamma_shift(chain[s], s).compose(chain[s])
 
 
-def test_the_chain_takes_a_power_of_two_of_steps():
+def test_the_chain_takes_at_least_one_step():
     ctx = RnContext(3, 1)
-    for steps in (3, 0, 6):
-        with pytest.raises(ValueError, match="power of two"):
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="at least one step"):
             chain_composite(ctx, steps=steps)
 
 
@@ -982,11 +951,6 @@ def test_chain_steps_conjugate_each_law_once(n):
         assert step.verify()
     for prev, step in zip(steps, steps[1:]):
         assert step.source is prev.target
-    iso = chain_composite(ctx, cutoff=X)
-    old = _chain_by_conjugating_psi_gamma(ctx, X)
-    assert iso.psi == old.psi
-    assert iso.source == old.source
-    assert iso.target == old.target
 
 
 def test_chain_additive_degeneration_is_uninformative():
