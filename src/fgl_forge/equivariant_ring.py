@@ -448,6 +448,17 @@ def _nf_mod_Ik(ctx, pbar, k):
     the reuse changes no witness either.  The fill takes no lock: racing
     fills may build a basis twice, or leave a lower one stored for a while,
     which costs time and never changes a normal form.
+
+    The basis answers from its table of the normal forms of the monomials
+    it has reduced (GroebnerBasis), so a warm check is one XOR over the
+    input's monomials.  That is exact: the normal form is F_2-linear and,
+    on a basis truncated at or above deg pbar, unique, and each entry is
+    filled from the entries of the tails q m of its reduction, which lie
+    below it in the term order.  Every claim reducing mod I_k shares the
+    entries; none holds a claim's input or result.  A basis whose table
+    would span more than NF_TABLE_LIMIT standard monomials (as at the caps
+    of R_3, where the quotient has thousands at the input's degree) drops
+    it and reduces through the heap (poly_core._nf), as Buchberger does.
     """
     if pbar.is_zero():
         return pbar

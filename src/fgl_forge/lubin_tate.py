@@ -89,6 +89,8 @@ class LTContext:
     """
 
     def __init__(self, n, m, d=1, modulus=None, precision=8, madic=6):
+        # the field first, as lt_context builds it: both refuse bad flags alike
+        self.spec = finite_field(d, modulus)
         if n < 1 or m < 1:
             raise ValueError("n and m must be >= 1")
         if madic < 1:
@@ -100,7 +102,6 @@ class LTContext:
         self.half = 1 << (n - 1)
         self.h = self.half * m
         self.q = (1 << m) - 1
-        self.spec = finite_field(d, modulus)
         self.precision = precision
         self.madic = madic
         self.kernel = witt_kernel(self.spec, precision)

@@ -23,21 +23,27 @@ Normal forms over F_2 pop monomials from a heap keyed by the packed int
 (exact for homogeneous reducers, see _nf) and skip entries whose monomial
 has cancelled since it was pushed (lazy deletion; Monagan & Pearce, "Sparse
 polynomial division using a heap", JSC 2011), so a reduction step costs a
-logarithm of the support, not a scan of it.  A basis truncated at
-D' >= D gives the same full normal form to every homogeneous input of
-degree <= D, so whoever keeps one may serve lower degrees from it; this
-module keeps none (the R_n contexts of equivariant_ring keep theirs), and
-ideal_normal_form builds a basis on each call.
+logarithm of the support, not a scan of it.  Buchberger reduces that way,
+and so does ideal_normal_form, the generic route and test oracle, on a
+basis it builds on each call.  A kept basis (the R_n contexts of
+equivariant_ring keep one per ideal) answers normal_form from its table of
+the normal forms of the monomials it has reduced: the normal form is
+F_2-linear, so a warm call is one XOR of table entries over its input (see
+GroebnerBasis), and a basis whose quotient is too wide to tabulate goes on
+reducing through the heap.  A basis truncated at D' >= D gives the same
+full normal form to every homogeneous input of degree <= D, so whoever
+keeps one may serve lower degrees from it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from operator import or_
+from operator import or_, xor
 
 from .coefficients import (
     QQ,
@@ -788,12 +794,38 @@ def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
     return GradedPolynomial(ring, out, _checked=True)
 
 
+# The most standard monomials one basis tabulates normal forms over (the bits
+# of a table entry); a fill that would pass it drops the table (GroebnerBasis)
+NF_TABLE_LIMIT = 256
+
+
 class GroebnerBasis:
     """Buchberger output over F_2, truncated to total degree <= D.
 
     Sound and complete for deciding membership of homogeneous elements of
     degree <= D in a homogeneous ideal: S-pairs whose lcm exceeds D cannot
     influence normal forms at degree <= D.
+
+    normal_form answers from a table of the normal forms of the monomials
+    the basis has reduced, the normal-form table of FGLM (Faugere, Gianni,
+    Lazard & Mora, JSC 1993): packed monomial -> int bitmask, bit i standing
+    for the standard monomial _standard[i].  The table is exact:
+      * the full normal form is F_2-linear, so NF(p) is the XOR of NF(mu)
+        over the monomials mu of p;
+      * it is unique, whatever reducer each step picks, for a basis
+        truncated at or above deg p, which the degree check of normal_form
+        asks;
+      * a monomial mu = q lm(g) of the leading ideal has NF(mu) =
+        NF(mu + q g), the XOR of NF(q m) over the tails m of g, and each q m
+        lies below mu in grevlex at deg mu: a larger packed int, which _fill
+        fills first.
+    The table holds normal forms of monomials, shared by every input reduced
+    on the basis, never an input or a result.  It spans at most
+    NF_TABLE_LIMIT standard monomials, so an entry has at most that many
+    bits; a fill that would pass the limit drops the table, and the basis
+    reduces through _nf from then on, as Buchberger does.  Fills hold the
+    basis's lock, since they number the standard monomials in turn; readers
+    take none, since entries and bits are only ever added.
     """
 
     def __init__(self, ring, generators, degree_bound):
@@ -807,6 +839,9 @@ class GroebnerBasis:
         self.degree_bound = degree_bound
         self._reducers = self._buchberger(gens, degree_bound)
         self.basis = [g for _, g in self._reducers]
+        self._table = {}  # monomial -> NF bitmask; None once dropped
+        self._standard = []  # bit i of an entry -> its standard monomial
+        self._lock = threading.Lock()
 
     def _buchberger(self, gens, D):
         """The basis as (leading monomial, element) pairs, in insertion order."""
@@ -846,7 +881,63 @@ class GroebnerBasis:
             raise ValueError(
                 f"degree {p.degree} exceeds basis bound {self.degree_bound}"
             )
-        return _nf(p, self._reducers)
+        table, standard = self._table, self._standard
+        if table is not None:
+            try:
+                bits = reduce(xor, map(table.__getitem__, p.num), 0)
+            except KeyError:
+                table = self._fill(p.num)
+                if table is not None:
+                    bits = reduce(xor, map(table.__getitem__, p.num), 0)
+        if table is None:
+            return _nf(p, self._reducers)
+        out = {}
+        while bits:
+            low = bits & -bits
+            out[standard[low.bit_length() - 1]] = 1
+            bits ^= low
+        return GradedPolynomial(self.ring, out, _checked=True)
+
+    def _fill(self, monos):
+        """Tabulate the normal forms of monos: the table, or None once dropped.
+
+        The closure of the missing monomials under mu -> the tails q m of its
+        first reducer is gathered first, then filled in decreasing packed
+        order, so every tail is filled before the monomial it reduces; the
+        standard monomials of the closure take the next bits.
+        """
+        with self._lock:
+            table, standard = self._table, self._standard
+            if table is None:
+                return None
+            ring, reducers = self.ring, self._reducers
+            tails = {}  # monomial of the closure -> its tails, None if standard
+            found = len(standard)
+            todo = list(monos)
+            while todo:
+                mono = todo.pop()
+                if mono in tails or mono in table:
+                    continue
+                for lm, g in reducers:
+                    if _divides(ring, lm, mono):
+                        q = mono - lm
+                        tails[mono] = below = [gm + q for gm in g.num if gm != lm]
+                        todo += below
+                        break
+                else:
+                    tails[mono] = None
+                    found += 1
+                    if found > NF_TABLE_LIMIT:
+                        self._table = None
+                        return None
+            for mono in sorted(tails, reverse=True):
+                below = tails[mono]
+                if below is None:
+                    table[mono] = 1 << len(standard)
+                    standard.append(mono)
+                else:
+                    table[mono] = reduce(xor, map(table.__getitem__, below), 0)
+            return table
 
 
 def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
@@ -856,9 +947,10 @@ def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
     over Z_(2): an element lies in (2, g_1, ..., g_r) iff its mod-2 reduction
     lies in the ideal of the reductions.  p must be homogeneous (as every
     identity checked here is).  Each call builds its own basis, truncated at
-    deg p, and keeps none: this is the generic route and the test oracle of
-    the membership claims, so it shares no basis object with the route it
-    checks.
+    deg p, keeps none, and reduces on it through the heap (_nf), never
+    through the basis's normal-form table: this is the generic route and the
+    test oracle of the membership claims, so it shares no basis object and
+    no reduction engine with the route it checks.
     """
     pbar = reduce_mod2(p)
     if pbar.is_zero():
@@ -866,7 +958,7 @@ def ideal_normal_form(p: GradedPolynomial, gens) -> GradedPolynomial:
     gens_mod2 = [g for g in (reduce_mod2(g) for g in gens) if not g.is_zero()]
     if not gens_mod2:
         return pbar
-    return GroebnerBasis(pbar.ring, gens_mod2, pbar.degree).normal_form(pbar)
+    return _nf(pbar, GroebnerBasis(pbar.ring, gens_mod2, pbar.degree)._reducers)
 
 
 def ideal_contains(p: GradedPolynomial, gens) -> bool:

@@ -34,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from fgl_forge import cli, equivariant_ring, lubin_tate
+from fgl_forge.poly_core import gamma_act, reduce_mod2
 from fgl_forge.series_fgl import TruncatedSeries1
 
 MEMORY_CAP = 2 << 30  # bytes: RLIMIT_AS of every child
@@ -81,6 +82,20 @@ def bump_chain():
         return [outer + bump, *inner]
 
     equivariant_ring._chain_steps = bumped
+
+
+def bump_level():
+    """gamma(t_2 t_3^4), of degree 62, added to the cached mod-2 level image
+    a claim reads: at recursion --n 2 --k 5 that image is t_5^{C_2}, of the
+    same degree, and the difference, which lies in I_5 unbumped, then has
+    the normal form mod I_5 of gamma(t_2 t_3^4)."""
+    t_bar = equivariant_ring._t_bar
+
+    def bumped(ctx, r, k):
+        bump = gamma_act(ctx.generator(2) * ctx.generator(3) ** 4)
+        return t_bar(ctx, r, k) + reduce_mod2(bump)
+
+    equivariant_ring._t_bar = bumped
 
 
 def _factor_1(index):
@@ -143,6 +158,14 @@ ROWS = [
     # the cutoff 63, 31 and 15
     *((argv, "bump_chain", 1, _t1_at(argv))
       for argv in CORNERS if argv.startswith("verify chain-inversion ")),
+    # falsified recursion at (2, 5), reduced through the normal-form table of
+    # the basis of I_5: the witness, eight terms of R_2 mod 2, is the one the
+    # heap route (poly_core._nf) gives
+    ("verify recursion --n 2 --k 5", "bump_level", 1, {"witness": {
+        "ring": {"k_max": 5, "kind": "Rn", "mod2": True, "n": 2},
+        "terms": [{"coeff": "1", "monomial": monomial} for monomial in (
+            {"t2": 1, "t3": 4}, {"t1": 3, "t3": 4}, {"t1": 4, "t2": 9}, {"t1": 7, "t2": 8},
+            {"t1": 16, "t2": 5}, {"t1": 19, "t2": 4}, {"t1": 28, "t2": 1}, {"t1": 31})]}}),
     # one request read off the flag table, then through argparse as an
     # abbreviation and as --flag=value: the three stdouts are byte-identical
     ("verify height --n 2 --m 1 --precision 8", None, 0, None),

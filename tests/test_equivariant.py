@@ -547,7 +547,9 @@ _EXACT = {
 def _check_f2_route(ctx, verifier, *args):
     """Every input verifier(ctx, *args) hands _nf_mod_Ik is reduce_mod2 of the
     exact difference, and its normal form is the one ideal_normal_form gives
-    the exact difference; the claim holds."""
+    the exact difference; the claim holds.  The request path reads the
+    normal-form table of the context's basis, the oracle reduces on its own
+    basis through the heap (poly_core._nf)."""
     exact = _EXACT[verifier](ctx, *args)
     calls = []
     nf_mod_Ik = equivariant_ring._nf_mod_Ik
@@ -638,12 +640,35 @@ def test_a_flipped_cached_v_image_fails_the_oracle(verifier, m, k, j):
     (verify_v_collapse, 1, 4),
 ])
 def test_an_emptied_context_basis_fails_the_oracle(verifier, m, k):
-    """Mutation check: the reducers of the one basis a verifier built, emptied
-    in place, and the oracle, which builds its own basis, reports it."""
+    """Mutation check: what the request path reads of the one basis a
+    verifier built, its reducers and its normal-form table, emptied in place,
+    and the oracle, which builds its own basis, reports it."""
     ctx = RnContext(2, k, m)
     verifier(ctx, k)
     (basis,) = ctx._ideals.values()
     basis._reducers.clear()
+    basis._table.clear()
+    with pytest.raises(AssertionError, match="the normal form is not the oracle's"):
+        _check_f2_route(ctx, verifier, k)
+
+
+@pytest.mark.parametrize("verifier, k", [
+    (verify_tk_recursion, 3),
+    (verify_tkvk, 3),
+    (verify_tk_recursion, 4),
+])
+def test_a_flipped_table_entry_fails_the_oracle(verifier, k):
+    """Mutation check: the table entry of one monomial of the verifier's
+    input, with one standard monomial flipped in it, and the oracle reports
+    it.  No collapse case is here: in R_2<1> the quotients by I_{h+1} have
+    no standard monomial at the inputs' degrees, so their entries are all 0
+    and have no bit to flip."""
+    ctx = RnContext(2, k)
+    verifier(ctx, k)
+    (basis,) = ctx._ideals.values()
+    ((p, _),) = _EXACT[verifier](ctx, k)
+    assert basis._standard
+    basis._table[max(reduce_mod2(p).num)] ^= 1 << (len(basis._standard) - 1)
     with pytest.raises(AssertionError, match="the normal form is not the oracle's"):
         _check_f2_route(ctx, verifier, k)
 

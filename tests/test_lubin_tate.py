@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import sys
@@ -92,6 +93,20 @@ def test_context_validation():
     assert LTContext(1, 2).taus == ((1, 0),)
     with pytest.raises(ValueError):
         LTContext(2, 2).tau(2, 1)  # the top conjugate is not a generator
+
+
+@pytest.mark.parametrize("n, d, modulus, precision, madic", [
+    flags for flags in itertools.product(
+        (0, 2), (1, 5), (None, (1, 0, 1)), (8, 1), (6, 9, 0))
+    if flags != (2, 1, None, 8, 6)
+])
+def test_the_constructor_refuses_bad_flags_as_lt_context_does(n, d, modulus, precision, madic):
+    """Both routes check the field first, then the context: one message."""
+    with pytest.raises(ValueError) as direct:
+        LTContext(n, 1, d=d, modulus=modulus, precision=precision, madic=madic)
+    with pytest.raises(ValueError) as shared:
+        lubin_tate.lt_context(n, 1, d=d, modulus=modulus, precision=precision, madic=madic)
+    assert str(direct.value) == str(shared.value)
 
 
 def test_truncation_rule():

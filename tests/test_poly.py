@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fgl_forge import equivariant_ring, lubin_tate, poly_core
 from fgl_forge.coefficients import QQ, finite_field
@@ -546,6 +548,87 @@ def test_heap_normal_form_matches_the_scan(monkeypatch):
             assert GroebnerBasis(ring, gens, D).basis == gb.basis
 
 
+# ---- the normal-form table of a basis ------------------------------------------------
+
+@functools.cache
+def _table_ideal(index):
+    """The index-th ideal of _test_ideals and its degrees that have monomials."""
+    gens, D = _test_ideals()[index]
+    ring = gens[0].ring
+    return gens, D, ring, [d for d in range(2, D + 1, 2) if ring.monomials_of_degree(d)]
+
+
+def _draw_input(data, ring, degree):
+    monos = ring.monomials_of_degree(degree)
+    drawn = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=12))
+    return GradedPolynomial(ring, dict.fromkeys(drawn, 1), _checked=True)
+
+
+def _assert_table_is_consistent(gb):
+    """Each standard monomial holds its own bit, and no entry names a bit
+    past the standard monomials."""
+    table, standard = gb._table, gb._standard
+    assert len(set(standard)) == len(standard) <= poly_core.NF_TABLE_LIMIT
+    assert all(table[mono] == 1 << i for i, mono in enumerate(standard))
+    assert all(0 <= bits < 1 << len(standard) for bits in table.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_table_normal_forms_are_the_heap_and_scan_ones(data):
+    """One basis asked again and again, at mixed degrees: each table normal
+    form is the heap's (_nf) and the scan's, and the table stays consistent."""
+    gens, D, ring, degrees = _table_ideal(data.draw(st.integers(0, 6)))
+    gb = GroebnerBasis(ring, gens, D)
+    for _ in range(data.draw(st.integers(1, 6))):
+        p = _draw_input(data, ring, data.draw(st.sampled_from(degrees)))
+        nf = gb.normal_form(p)
+        assert nf == poly_core._nf(p, gb._reducers) == _nf_by_scan(p, gb.basis)
+        if gb._table is not None:
+            _assert_table_is_consistent(gb)
+            assert all(mono in gb._table for mono in p.num)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), limit=st.integers(0, 12))
+def test_a_table_past_its_limit_falls_back_to_the_heap(data, limit):
+    """With a small NF_TABLE_LIMIT, the table never spans more standard
+    monomials than the limit; a fill that would pass it drops the table for
+    good, and every normal form, before and after, is the heap's."""
+    gens, D, ring, degrees = _table_ideal(data.draw(st.integers(0, 6)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_core, "NF_TABLE_LIMIT", limit)
+        gb = GroebnerBasis(ring, gens, D)
+        dropped = False
+        for _ in range(data.draw(st.integers(1, 6))):
+            p = _draw_input(data, ring, data.draw(st.sampled_from(degrees)))
+            assert gb.normal_form(p) == poly_core._nf(p, gb._reducers)
+            if gb._table is None:
+                dropped = True
+            else:
+                assert not dropped, "a dropped table came back"
+                _assert_table_is_consistent(gb)
+
+
+def test_the_table_is_dropped_when_the_quotient_is_too_wide(monkeypatch):
+    """At limit 2 the basis of (t1) tabulates g1t1, t1 g1t1 and g1t1^2, two
+    standard monomials; g1t1^3 would be a third, so its fill drops the
+    table, and the basis reduces through the heap from then on."""
+    monkeypatch.setattr(poly_core, "NF_TABLE_LIMIT", 2)
+    t1, g1t1 = (reduce_mod2(R2.var(T(1, j))) for j in (0, 1))
+    gb = GroebnerBasis(t1.ring, [t1], 8)
+    assert gb.normal_form(g1t1).num == {g1t1.leading_monomial(): 1}
+    assert gb.normal_form(t1 * g1t1).is_zero()
+    assert gb._table is not None and len(gb._standard) == 1
+    square = g1t1 * g1t1
+    assert gb.normal_form(square) == square
+    assert gb._table is not None and len(gb._standard) == 2
+    cube = square * g1t1
+    assert gb.normal_form(cube) == cube
+    assert gb._table is None
+    assert gb.normal_form(square + t1 * square) == square
+
+
 def _v_ideal():
     """(v_1, v_2, v_3) of R_2 mod 2, and its ring; v_3 has degree 14."""
     vs = equivariant_ring.v_in_rn(equivariant_ring.RnContext(2, 3), 3)
@@ -600,12 +683,14 @@ def test_a_higher_degree_replaces_the_basis():
 
 
 def test_one_basis_cache_under_threads():
-    """Threads asking one fresh context at mixed degrees get the serial normal forms."""
+    """Threads asking one fresh context at mixed degrees get the serial normal
+    forms, and so do four threads filling the table of one fresh basis."""
     gens, ring = _v_ideal()
     rng = random.Random(91)
     degrees = (6, 14, 10, 8, 14, 4, 12, 6)
     inputs = {d: _low_degree_inputs(ring, rng, d)[-12:] for d in set(degrees)}
-    serial = {d: [GroebnerBasis(ring, gens, d).normal_form(p) for p in ps] for d, ps in inputs.items()}
+    serial = {d: [poly_core._nf(p, GroebnerBasis(ring, gens, d)._reducers) for p in ps]
+              for d, ps in inputs.items()}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -627,6 +712,38 @@ def test_one_basis_cache_under_threads():
             assert got == {slot: serial[d] for slot, d in enumerate(degrees)}
             # a racing fill may leave a lower basis stored; it is still one entry
             assert list(ctx._ideals) == [4] and ctx._ideals[4].degree_bound in degrees
+
+        # four threads filling the table of one fresh basis at once, two of
+        # them at one degree, so their fills overlap: inputs of 40 terms mod
+        # (v_1, v_2, v_3) of R_2 up to degree 30 fill long enough to interleave
+        gens = equivariant_ring._v_bars(equivariant_ring.RnContext(2, 4), 3)
+        ring = gens[0].ring
+        table_degrees = (30, 22, 30, 14)
+        inputs = {}
+        for d in set(table_degrees):
+            monos = ring.monomials_of_degree(d)
+            inputs[d] = [GradedPolynomial(ring, dict.fromkeys(rng.sample(monos, min(40, len(monos))), 1))
+                         for _ in range(4)]
+        heap = GroebnerBasis(ring, gens, 30)._reducers
+        serial = {d: [poly_core._nf(p, heap) for p in ps] for d, ps in inputs.items()}
+        for _ in range(100):
+            gb = GroebnerBasis(ring, gens, 30)
+            barrier = threading.Barrier(len(table_degrees))
+            got = {}
+
+            def fill(slot, d):
+                barrier.wait(timeout=10)
+                got[slot] = [gb.normal_form(p) for p in inputs[d]]
+
+            threads = [threading.Thread(target=fill, args=(slot, d))
+                       for slot, d in enumerate(table_degrees)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == {slot: serial[d] for slot, d in enumerate(table_degrees)}
+            _assert_table_is_consistent(gb)
     finally:
         sys.setswitchinterval(interval)
 
