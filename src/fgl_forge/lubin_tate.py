@@ -46,7 +46,7 @@ from .coefficients import (
 )
 from .equivariant_ring import rn_context, t_level, v_in_rn
 from .errors import ConsistencyFailure
-from .poly_core import AtomicCache, T, f2_reduce, gamma_act, orbit_sum, rn_ring
+from .poly_core import AtomicCache, T, V, f2_reduce, gamma_act, orbit_sum, ring_map, rn_ring
 from .reports import _report
 from .series_fgl import (
     conjugate_fgl,
@@ -82,10 +82,10 @@ class LTContext:
 
     Requests share one context per configuration through lt_context, so its
     tables (gamma images, Teichmuller powers, the box of monomials of
-    fixed_subring_presentation with its torsion generator, and the tables
-    of the oracles) are built once per process; calling LTContext directly
-    gives a fresh context with empty tables.  A table holds inputs that
-    depend only on the context, never an image or a report of a claim.
+    fixed_subring_presentation with its torsion generator) are built once
+    per process; calling LTContext directly gives a fresh context with empty
+    tables.  A table holds inputs that depend only on the context, never an
+    image or a report of a claim; the oracles keep none.
     """
 
     def __init__(self, n, m, d=1, modulus=None, precision=8, madic=6):
@@ -123,7 +123,6 @@ class LTContext:
         self._gamma_var = None  # lazy: index -> image under gamma
         self._gamma_var_pow = {}  # (index, exponent) -> gamma(tau_index)^exponent
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
-        self._t_images = None  # (i, j) -> image of gamma^j t_i, or None if killed
         # zeta coordinates -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
         # for q-torsion zeta
         self._zeta_powers = {}
@@ -165,8 +164,34 @@ class LTContext:
         return self.from_int(_two_local_int(QQ(q), self.precision))
 
     def dot(self, pairs):
-        """sum a*b over the (a, b) pairs of elements, one product at a time."""
-        return sum((a * b for a, b in pairs), self.zero())
+        """sum a*b over the (a, b) pairs of elements of this context, mod m^M.
+
+        A pair of terms with filtrations f1, f2 has a product in m^{f1+f2}, so
+        it is dropped when f1 + f2 >= M.  Both operands are walked in
+        filtration order, so each loop stops at its first dropped pair.  The
+        kernel products of every pair are summed unmasked into one dict,
+        which is normalised once; a product is the dot of one pair.
+        """
+        M = self.madic
+        mul = self.kernel.mul
+        out = {}
+        for a, b in pairs:
+            if a.ctx is not self or getattr(b, "ctx", None) is not self:
+                raise ValueError("elements from different Lubin-Tate contexts")
+            right = b._by_filtration()
+            f_min = right[0][0] if right else M
+            for f1, e1, u1, c1 in a._by_filtration():
+                room = M - f1
+                if f_min >= room:
+                    break
+                for f2, e2, u2, c2 in right:
+                    if f2 >= room:
+                        break
+                    key = (tuple(map(add, e1, e2)), u1 + u2)
+                    p = mul(c1, c2)
+                    s = out.get(key)
+                    out[key] = p if s is None else tuple(map(add, s, p))
+        return _element(self, _canonical(self, out))
 
     def monomial(self, exps, ue, coords=None):
         """coords * tau^exps u^ue (coords defaults to 1), reduced mod m^M."""
@@ -320,7 +345,7 @@ class LTElement:
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.coords = _canonical(ctx, {key: ctx._witt_coords(c) for key, c in terms.items()})
-        self._graded = None  # lazy: the terms sorted by filtration, for __mul__
+        self._graded = None  # lazy: the terms sorted by filtration, for dot
 
     @property
     def ring(self):
@@ -370,32 +395,8 @@ class LTElement:
         return graded
 
     def __mul__(self, other):
-        """The product mod m^M.
-
-        A pair of terms with filtrations f1, f2 has a product in m^{f1+f2}, so
-        the pair is dropped when f1 + f2 >= M.  Both operands are walked in
-        filtration order, so each loop stops at its first dropped pair.  The
-        kernel products are summed unmasked and masked once.
-        """
-        self._check(other)
-        ctx = self.ctx
-        M = ctx.madic
-        mul = ctx.kernel.mul
-        right = other._by_filtration()
-        f_min = right[0][0] if right else M
-        out = {}
-        for f1, e1, u1, c1 in self._by_filtration():
-            room = M - f1
-            if f_min >= room:
-                break
-            for f2, e2, u2, c2 in right:
-                if f2 >= room:
-                    break
-                key = (tuple(map(add, e1, e2)), u1 + u2)
-                p = mul(c1, c2)
-                s = out.get(key)
-                out[key] = p if s is None else tuple(map(add, s, p))
-        return _element(ctx, _canonical(ctx, out))
+        """The product mod m^M: the context's dot of one pair."""
+        return self.ctx.dot(((self, other),))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -865,63 +866,26 @@ def orbit_table(n, m):
 # polynomials, and the tests check the orbit table against them.
 # ---------------------------------------------------------------------------
 
-def _t_variable_images(ctx):
-    """(i, j) -> image of gamma^j t_i for i <= m; every t_i with i > m maps
-    to 0, so it has no entry, in an R_n of any k_max."""
-    if ctx._t_images is None:
-        images = {}
-        for i in range(1, ctx.m + 1):
-            for j in range(ctx.half):
-                img = ctx.gamma_u(j) ** ((1 << i) - 1)
-                images[(i, j)] = ctx.tau(i, j) * img if i < ctx.m else img
-        ctx._t_images = images
-    return ctx._t_images
-
-
 def lt_specialize(ctx, p) -> LTElement:
     """The ring map determined by t_i -> tau_i u^{2^i-1} (i < m),
     t_m -> u^{2^m-1}, t_i -> 0 (i > m), extended gamma-equivariantly.
 
-    Accepts polynomials over R_n or R_n<m> (integral or rational descriptors);
-    coefficients must be 2-locally integral, and each acts as the integer it
-    is congruent to mod 2^N.  The scaled monomial images are summed unmasked
-    into one dict, which is normalised once.
+    Accepts polynomials over R_n or R_n<m> (integral or rational descriptors).
+    The images of the gamma^j t_i are built afresh on each call and extended
+    by ring_map: every coefficient must be 2-locally integral, even on a
+    term that the map kills, and acts as the integer it is congruent to
+    mod 2^N.
     """
     ring = getattr(p, "ring", None)
     if ring is None or ring.kind not in ("Rn", "Rnm") or ring.mod2:
         raise ValueError("specialization expects an R_n / R_n<m> polynomial")
     if ring.n != ctx.n:
         raise ValueError("group order mismatch")
-    images = _t_variable_images(ctx)
-    killed = [images.get((v.i, v.j)) is None for v in ring.variables]
-    var_img = [images.get((v.i, v.j)) for v in ring.variables]
-    pow_memo = {}
-
-    def img_pow(idx, e):
-        key = (idx, e)
-        w = pow_memo.get(key)
-        if w is None:
-            w = var_img[idx] ** e
-            pow_memo[key] = w
-        return w
-
-    constant = ctx.one().coords
-    out = {}
-    for mono, c in p.terms.items():
-        exps = ring.decode(mono)
-        if any(e and killed[idx] for idx, e in enumerate(exps)):
-            continue
-        scalar = _two_local_int(c, ctx.precision)
-        image = None
-        for idx, e in enumerate(exps):
-            if e:
-                w = img_pow(idx, e)
-                image = w if image is None else image * w
-        for key, w in (constant if image is None else image.coords).items():
-            t = tuple([scalar * x for x in w])
-            s = out.get(key)
-            out[key] = t if s is None else tuple(map(add, s, t))
-    return _element(ctx, _canonical(ctx, out))
+    images = {}
+    for v in ring.variables:
+        img = ctx.gamma_u(v.j) ** ((1 << v.i) - 1) if v.i <= ctx.m else ctx.zero()
+        images[v] = ctx.tau(v.i, v.j) * img if v.i < ctx.m else img
+    return ring_map(p, images, ctx)
 
 
 def v_in_lt(ctx, k) -> LTElement:
@@ -1033,11 +997,11 @@ def residue_fgl(ctx, cutoff):
     """The formal group law over K = ctx.residue_ring obtained by killing the
     maximal ideal.
 
-    The universal law over Q[v_1..v_k] is built afresh on every call, and
-    each coefficient is mapped to K, v_k going to the residue of its image
-    in the local ring.  K.from_rational raises ValueError on an
-    even denominator, so every coefficient is certified 2-locally integral
-    on the way.  The image of v_k is specialized from v_in_rn of R_n with
+    The universal law over Q[v_1..v_k] is built afresh on every call and
+    conjugated by ring_map into K, v_k going to the residue of its image in
+    the local ring.  K.from_rational raises ValueError on an even
+    denominator, so every coefficient is certified 2-locally integral on the
+    way.  The image of v_k is specialized from v_in_rn of R_n with
     generators up to t_k, which is exact for k > h too, since every t_i
     with i > m maps to 0.  residue_height reads the height off the v_k
     images mod (tau) instead, and this route is kept as its independent
@@ -1045,21 +1009,10 @@ def residue_fgl(ctx, cutoff):
     """
     k = max(ctx.h, cutoff.bit_length() - 1)  # v_k for 2^k <= cutoff, and at least h
     K = ctx.residue_ring
-    vbar = [lt_specialize(ctx, v).residue() for v in v_in_rn(rn_context(ctx.n, k), k)]
-
-    def down(p):
-        acc = K.zero()
-        for mono, c in p.terms.items():
-            term = K.from_rational(c)
-            for idx, e in enumerate(p.ring.decode(mono)):
-                if term.is_zero():
-                    break
-                if e:
-                    term = term * vbar[idx] ** e
-            acc = acc + term
-        return acc
-
-    return conjugate_fgl(fgl_from_log(log_from_v(k), cutoff), down)
+    vbar = {V(i): lt_specialize(ctx, v).residue()
+            for i, v in enumerate(v_in_rn(rn_context(ctx.n, k), k), start=1)}
+    law = fgl_from_log(log_from_v(k), cutoff)
+    return conjugate_fgl(law, lambda p: ring_map(p, vbar, K))
 
 
 def residue_height(ctx, cutoff=None):

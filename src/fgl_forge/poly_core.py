@@ -706,22 +706,42 @@ def from_rational_ring(p: GradedPolynomial) -> GradedPolynomial:
 
 def ring_map(p: GradedPolynomial, assignment, target):
     """The ring-homomorphic extension of a variable assignment: the sum of
-    the term images c prod_v assignment[v]^e.
+    the term images c prod_v assignment[v]^e, as one target.dot.
 
-    `assignment` maps Variable -> element of the target PolyRing.  Variables
-    appearing in p with a nonzero exponent but missing from the assignment
-    raise ValueError.
+    `assignment` maps Variable -> element of `target`, any ring with one(),
+    from_rational() and dot(pairs) (a PolyRing, a Lubin-Tate context).  Each
+    coefficient is certified by target.from_rational, and a variable of p
+    with no image raises ValueError, before a term is skipped for a zero
+    factor (a coefficient, or a variable image read off the packed monomial
+    under one mask).  Each other term is one pair of the dot: c times every
+    power but the last, and the last; each power is formed once per call.
     """
-    acc = target.zero()
+    ring = p.ring
+    images = [assignment.get(v) for v in ring.variables]
+    fields = [(img, _MASK << s) for img, s in zip(images, ring.shifts)]
+    missing = sum(f for img, f in fields if img is None)
+    killed = sum(f for img, f in fields if img is not None and img.is_zero())
+    one = target.one()
+    powers = {}
+    pairs = []
     for mono, c in p.terms.items():
-        term = target.from_rational(c)
-        for v, e in zip(p.ring.variables, p.ring.decode(mono)):
+        coeff = target.from_rational(c)
+        if mono & missing:
+            v = next(v for v, (img, f) in zip(ring.variables, fields) if img is None and mono & f)
+            raise ValueError(f"no image for {v.name}")
+        if mono & killed or coeff.is_zero():
+            continue
+        left, right = coeff, one
+        for idx, e in enumerate(ring.decode(mono)):
             if e:
-                if v not in assignment:
-                    raise ValueError(f"no image for {v.name}")
-                term = term * assignment[v] ** e
-        acc = acc + term
-    return acc
+                w = powers.get((idx, e))
+                if w is None:
+                    w = powers[(idx, e)] = images[idx] ** e
+                if right is not one:  # a factor before this one
+                    left = left * right
+                right = w
+        pairs.append((left, right))
+    return target.dot(pairs)
 
 
 def quotient_to_rnm(p: GradedPolynomial, m: int) -> GradedPolynomial:

@@ -12,15 +12,16 @@ variables, F(a, b) is a + b + sum c_jk a^j b^k (fgl_apply), [2](x) is
 F(x, x), and i(x) = [-1](x) is read off F(x, i(x)) = 0 one order at a time.
 
 Series coefficients live in any ring object exposing zero(), one(),
-from_rational() and dot(pairs), the sum of a*b over (a, b) pairs of its
+from_rational() and dot(pairs), its one product kernel (PolyRing.dot,
+LTContext.dot; a * b is one pair), the sum of a*b over (a, b) pairs of its
 elements, through which every sum of products here goes.  The elements
-themselves must support +, -, *, ** (integer), ==, and is_zero(), and name
-their ring as `.ring` (conjugate_fgl reads the target ring off the image of
-1).  Graded polynomial rings and the Lubin-Tate ring satisfy this protocol,
-and so does the residue field, which is the Lubin-Tate ring at truncation
-order 1, so one engine serves every stage of the pipeline.  Every series is
-truncated at a fixed cutoff in the series variable(s); all identities
-asserted by this module are exact up to that cutoff.
+support +, -, *, ** (integer), ==, and is_zero(), and name their ring as
+`.ring` (conjugate_fgl reads the target ring off the image of 1).  Graded
+polynomial rings, the Lubin-Tate ring and the residue field (that ring at
+truncation order 1) satisfy it, so one engine serves every stage of the
+pipeline, and poly_core.ring_map maps polynomials into each of them.
+Every series is truncated at a fixed cutoff in the series variable(s); all
+identities asserted by this module are exact up to that cutoff.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from fgl_forge.lubin_tate import (
     two_telescope,
     v_in_lt,
 )
-from fgl_forge.poly_core import AtomicCache, bp_ring, gamma_act, reduce_mod2
+from fgl_forge.poly_core import AtomicCache, bp_ring, gamma_act, reduce_mod2, to_rational_ring
 from fgl_forge.reports import _report, canonical_json
 from fgl_forge.series_fgl import (
     TruncatedSeries1,
@@ -148,8 +148,11 @@ def test_element_arithmetic_and_grading():
 def test_context_mixing_raises():
     a = LTContext(2, 1)
     b = LTContext(2, 2)
-    with pytest.raises(ValueError, match="elements from different Lubin-Tate contexts"):
-        a.one() + b.one()
+    x, y = a.u_pow(1), b.u_pow(1)
+    for mix in (lambda: a.one() + b.one(), lambda: a.one() * b.one(),
+                lambda: a.dot([(x, y)]), lambda: a.dot([(x, x), (y, y)])):
+        with pytest.raises(ValueError, match="elements from different Lubin-Tate contexts"):
+            mix()
     with pytest.raises(ValueError, match="element from a different context"):
         lt_gamma(a, b.one())
 
@@ -409,12 +412,17 @@ def _gamma_per_term(ctx, e, r=1):
 def test_product_matches_pairwise_oracle(n, m, d):
     ctx = LTContext(n, m, d=d)
     rng = random.Random(31 * n + 7 * m + d)
+    pairs = []
     for _ in range(10):
         a = _filtered_element(ctx, rng)
         b = _filtered_element(ctx, rng)
         assert a * b == _mul_pairwise(a, b)
         assert b * a == _mul_pairwise(b, a)
         assert a * a == _mul_pairwise(a, a)
+        pairs += [(a, b), (b, b)]
+    # one dot of many pairs is the sum of their products
+    assert ctx.dot(pairs) == functools.reduce(
+        LTElement.__add__, (_mul_pairwise(a, b) for a, b in pairs))
     top = ctx.tau(ctx.taus[0][0], ctx.taus[0][1]) ** (ctx.madic - 1)
     assert top.filtration() == ctx.madic - 1
     assert top * ctx.u_pow(-2) == _mul_pairwise(top, ctx.u_pow(-2))
@@ -758,6 +766,10 @@ def test_specialize_ambient_checks():
         lt_specialize(ctx, bp_ring(2).var(bp_ring(2).variables[0]))
     with pytest.raises(ValueError, match="group order mismatch"):
         lt_specialize(LTContext(3, 1), p)
+    # a coefficient is certified even on a term that the map kills (t_3 -> 0)
+    half_t3 = to_rational_ring(ctx.rn.generator(3)).scalar_mul(QQ(1, 2))
+    with pytest.raises(ValueError, match="1/2 has even denominator"):
+        lt_specialize(ctx, to_rational_ring(p) + half_t3)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
@@ -768,6 +780,17 @@ def test_specialize_is_gamma_equivariant(n, m):
     for _ in range(5):
         p = _random_poly(ring, rng)
         assert lt_specialize(ctx, gamma_act(p)) == lt_gamma(ctx, lt_specialize(ctx, p))
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
+def test_specialize_is_a_ring_map(n, m):
+    ctx = LTContext(n, m)
+    ring = ctx.rn.generator(1).ring
+    rng = random.Random(37 * n + m)
+    for _ in range(5):
+        p, q = _random_poly(ring, rng), _random_poly(ring, rng).scalar_mul(QQ(1, 3))
+        assert lt_specialize(ctx, p + q) == lt_specialize(ctx, p) + lt_specialize(ctx, q)
+        assert lt_specialize(ctx, p * q) == lt_specialize(ctx, p) * lt_specialize(ctx, q)
 
 
 # ---- images of the Araki generators: frozen small cases -----------------------

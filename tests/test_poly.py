@@ -274,6 +274,25 @@ def test_ring_map_unassigned():
         ring_map(p, {T(1, 0): R2.zero()}, R2)
 
 
+@pytest.mark.parametrize("target", ["R_2", "LT"])
+def test_ring_map_certifies_and_looks_up_before_it_skips(target):
+    """A term whose image is 0 is skipped only after its coefficient is
+    certified and its variables are looked up, into either kind of ring."""
+    ring = R2 if target == "R_2" else lt_context(2, 1)
+    image = R2.var(T(1, 1)) if target == "R_2" else ring.tau(1, 0)
+    t1, g1t1, t2 = R2Q.var(T(1, 0)), R2Q.var(T(1, 1)), R2Q.var(T(2, 0))
+    kill = {T(1, 0): image, T(1, 1): ring.zero(), T(2, 0): ring.zero(), T(2, 1): ring.zero()}
+    assert ring_map(t1 + g1t1.scalar_mul(QQ(1, 3)), kill, ring) == image
+    with pytest.raises(ValueError, match="not 2-locally integral|has even denominator"):
+        ring_map(t1 + g1t1.scalar_mul(QQ(1, 2)), kill, ring)
+    with pytest.raises(ValueError, match="not 2-locally integral|has even denominator"):
+        ring_map(t2.scalar_mul(QQ(3, 4)), kill, ring)
+    lookup = {T(1, 0): image, T(2, 0): ring.zero()}
+    assert ring_map(t1 * t2 + t1, lookup, ring) == image
+    with pytest.raises(ValueError, match="no image for g1t1"):
+        ring_map(t2 * g1t1 + t1, lookup, ring)
+
+
 @pytest.mark.parametrize("form", ["Z2", "Q", "F2"])
 def test_the_quotient_is_a_ring_map_onto_rnm(form):
     """quotient_to_rnm lands in R_n<m> of the same coefficients, adds and
