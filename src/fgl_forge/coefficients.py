@@ -4,10 +4,12 @@ Rationals (`fractions.Fraction`, exported as QQ) and the 2-local tests on
 them, and truncated Witt vectors W(F_{2^d}) modeled as Z_2[x]/(f~) with
 coefficients reduced mod 2^N, where f~ is the {0,1}-lift of the chosen
 irreducible modulus.  Teichmuller lifts are computed by the fixed-point
-iteration z -> z^(2^d); the Frobenius is evaluated through a Hensel-lifted
-root of f~.  The coordinate arithmetic itself (the product reduced by f~ and
-the Frobenius image, on plain int tuples) is one WittKernel per (field, N),
-shared by WittElement and the Lubin-Tate ring.
+iteration z -> z^(2^d).  The coordinate arithmetic itself (the product
+reduced by f~ and the Frobenius image, on plain int tuples) is one WittKernel
+per (field, N), shared by WittElement and the Lubin-Tate ring.  Each kernel
+holds one table of the Teichmuller lifts of k^x, the powers of the lift of
+one multiplicative generator; the Frobenius squares the Teichmuller digits
+of x read off it, and the torus action of the Lubin-Tate ring reads it.
 
 The residue field k = F_{2^d} = F_2[x]/(f) is W(F_{2^d}) at N = 1: every
 coordinate is reduced mod 2, and the kernel's product, masked to one bit, is
@@ -371,54 +373,40 @@ def teichmuller(a: WittElement, N: int) -> WittElement:
     raise ConsistencyFailure("Teichmuller iteration did not stabilize within 4N steps")
 
 
-def _frobenius_root(spec: FiniteFieldSpec, N: int) -> WittElement:
-    # Hensel-lift the root of f~ congruent to x^2 mod 2; f~ is separable mod 2
-    # (irreducible), so f~'(r) is a unit and Newton converges quadratically.
-    if spec.d == 1:
-        x = WittElement(spec, N, [-spec.modulus[0]])
-    else:
-        x = WittElement(spec, N, [0, 1] + [0] * (spec.d - 2))
-    r = x * x
-    fb = spec.modulus
-
-    def f_of(w):
-        acc = WittElement.zero(spec, N)
-        p = WittElement.one(spec, N)
-        for b in fb:
-            if b:
-                acc = acc + p
-            p = p * w
-        return acc
-
-    def fprime_of(w):
-        acc = WittElement.zero(spec, N)
-        p = WittElement.one(spec, N)
-        for i, b in enumerate(fb[1:], start=1):
-            if b:
-                acc = acc + p * i
-            p = p * w
-        return acc
-
-    for _ in range(4 * N):
-        fr = f_of(r)
-        if fr.is_zero():
-            return r
-        r = r - fr * fprime_of(r).inverse()
-    if f_of(r).is_zero():
-        return r
-    raise ConsistencyFailure("Hensel lift for the Frobenius root did not converge")
+def _multiplicative_generator(spec):
+    """The first element of k whose powers fill k^x, which is cyclic."""
+    order = (1 << spec.d) - 1
+    for g in spec.elements():
+        if not g.is_zero() and len({(g ** i).coeffs for i in range(order)}) == order:
+            return g
+    raise ConsistencyFailure("no multiplicative generator found")
 
 
-def _frobenius_basis_images(spec: FiniteFieldSpec, N: int) -> tuple:
-    # coordinates of r^0, ..., r^(d-1) for the Hensel root r: the images of
-    # the basis 1, x, ..., x^(d-1) under the Frobenius lift
-    r = _frobenius_root(spec, N)
-    p = WittElement.one(spec, N)
-    images = []
+def _frobenius_basis_images(kernel) -> tuple:
+    # coordinates of r^0, ..., r^(d-1) for r = phi(x): the images of the basis
+    # 1, x, ..., x^(d-1) under the Frobenius lift.  phi squares each
+    # Teichmuller digit, phi(sum_s 2^s T(a_s)) = sum_s 2^s T(a_s)^2, and
+    # T(a)^2 = T(a^2) sits in the table of lifts at twice the index of T(a);
+    # the digits of x are peeled off by w <- (w - T(a_s)) / 2.
+    spec = kernel.spec
+    lifts, log = kernel.lifts()
+    zero = (0,) * spec.d
+    w = (0, 1) + zero[2:] if spec.d > 1 else (-spec.modulus[0] & kernel.mask,)
+    r = zero
+    for s in range(kernel.precision):
+        i = log.get(tuple([c & 1 for c in w]))
+        digit, square = (zero, zero) if i is None else (lifts[i], lifts[2 * i % len(lifts)])
+        w = tuple([(a - b) >> 1 for a, b in zip(w, digit)])
+        r = tuple([a + (b << s) for a, b in zip(r, square)])
+    r = kernel.masked(r)
+    powers = [lifts[0]]
     for _ in range(spec.d):
-        images.append(p.coeffs)
-        p = p * r
-    return tuple(images)
+        powers.append(kernel.masked(kernel.mul(powers[-1], r)))
+    # the certificate of the expansion: phi(x) is a root of f~
+    terms = [p for p, b in zip(powers, spec.modulus) if b]
+    if any(sum(column) & kernel.mask for column in zip(*terms)):
+        raise ConsistencyFailure("the Frobenius image of x is no root of f~")
+    return tuple(powers[:-1])
 
 
 def _coordinate_product(spec: FiniteFieldSpec):
@@ -456,28 +444,51 @@ class WittKernel:
     the Lubin-Tate ring).  Both maps are Z-linear in each argument, so
     masking afterwards gives the same residue as masking each step.  One
     kernel exists per (spec, N), from witt_kernel; WittElement arithmetic
-    and frobenius_lift run on it.
+    and frobenius_lift run on it.  `lifts` is the kernel's one route from k
+    into W(k): the torus action, the Frobenius images and the torsion
+    generator of fixed-subring all read it.
     """
 
-    __slots__ = ("spec", "precision", "mask", "mul", "_images")
+    __slots__ = ("spec", "precision", "mask", "mul", "_lifts", "_images")
 
     def __init__(self, spec, precision):
         self.spec = spec
         self.precision = precision
         self.mask = (1 << precision) - 1
         self.mul = _coordinate_product(spec)
+        self._lifts = None  # lazy: the Teichmuller lifts of k^x
         self._images = None  # lazy: the Frobenius images of the basis
 
     def masked(self, coords) -> tuple:
         mask = self.mask
         return tuple([c & mask for c in coords])
 
+    def lifts(self) -> tuple:
+        """(lifts, log), built on first use: lifts[i] holds T(g)^i = T(g^i)
+        for the multiplicative generator g of k and i < 2^d - 1, and log maps
+        the residue coordinates of g^i to i.  The build lifts g once; unless
+        T(g)^(2^d-1) = 1 and g has full order (log has 2^d - 1 keys), it
+        raises ConsistencyFailure and stores nothing."""
+        if self._lifts is None:
+            order = (1 << self.spec.d) - 1
+            t = teichmuller(_multiplicative_generator(self.spec), self.precision).coeffs
+            lifts, log = [(1,) + (0,) * (self.spec.d - 1)], {}
+            for i in range(order):
+                log[tuple([c & 1 for c in lifts[i]])] = i
+                lifts.append(self.masked(self.mul(lifts[i], t)))
+            if lifts.pop() != lifts[0]:
+                raise ConsistencyFailure(f"T(g)^{order} != 1")
+            if len(log) != order:
+                raise ConsistencyFailure(f"g has order below {order}")
+            self._lifts = (tuple(lifts), log)
+        return self._lifts
+
     def frobenius(self, coords) -> tuple:
         """The Frobenius lift sum_i c_i phi(x^i), from a table of the basis
-        images built on first use (the Hensel root needs the kernel itself)."""
+        images built on first use (their Teichmuller digits need the kernel)."""
         images = self._images
         if images is None:
-            images = self._images = _frobenius_basis_images(self.spec, self.precision)
+            images = self._images = _frobenius_basis_images(self)
         acc = [0] * self.spec.d
         for c, image in zip(coords, images):
             if c:
@@ -499,11 +510,13 @@ def witt_kernel(spec: FiniteFieldSpec, N: int) -> WittKernel:
 
 
 def frobenius_lift(w: WittElement) -> WittElement:
-    """The lift of Frobenius to W(F_{2^d}): substitute the Hensel root for x.
+    """The lift of Frobenius to W(F_{2^d}): the ring map that squares each
+    Teichmuller digit, phi(sum_s 2^s T(a_s)) = sum_s 2^s T(a_s)^2.
 
     The lift is Z_2-linear, so the image is sum_i c_i phi(x^i) over the
     coordinates c_i of w, read off the table of basis images of the
-    (spec, N) kernel.
+    (spec, N) kernel; phi(x) is expanded in digits read off its table of
+    lifts and certified as a root of f~.
     """
     kernel = witt_kernel(w.spec, w.precision)
     return _reduced(w.spec, w.precision, kernel.masked(kernel.frobenius(w.coeffs)))

@@ -41,7 +41,6 @@ from .coefficients import (
     WittElement,
     finite_field,
     power,
-    teichmuller,
     witt_kernel,
 )
 from .equivariant_ring import rn_context, t_level, v_in_rn
@@ -81,11 +80,13 @@ class LTContext:
     ubar; residue_ring is that context, the same for every N and M.
 
     Requests share one context per configuration through lt_context, so its
-    tables (gamma images, Teichmuller powers, the box of monomials of
-    fixed_subring_presentation with its torsion generator) are built once
-    per process; calling LTContext directly gives a fresh context with empty
-    tables.  A table holds inputs that depend only on the context, never an
-    image or a report of a claim; the oracles keep none.
+    tables (gamma images, the box of monomials of fixed_subring_presentation
+    with its torsion generator) are built once per process; calling
+    LTContext directly gives a fresh context with empty tables.  A table
+    holds inputs that depend only on the context, never an image or a report
+    of a claim; the oracles keep none.  The Teichmuller lifts that the torus
+    action and the torsion generator read are a table of the Witt kernel
+    (WittKernel.lifts), one per (field, N).
     """
 
     def __init__(self, n, m, d=1, modulus=None, precision=8, madic=6):
@@ -123,9 +124,6 @@ class LTContext:
         self._gamma_var = None  # lazy: index -> image under gamma
         self._gamma_var_pow = {}  # (index, exponent) -> gamma(tau_index)^exponent
         self._gamma_u_pow = {}  # u-exponent -> image of u^e under gamma
-        # zeta coordinates -> coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), only
-        # for q-torsion zeta
-        self._zeta_powers = {}
         self._fixed_box = None  # lazy: (zeta, u_bound, box) of fixed_subring_presentation
 
     @property
@@ -570,37 +568,6 @@ def lt_gamma(ctx, e: LTElement, r: int = 1) -> LTElement:
     return e
 
 
-def _teichmuller_powers(ctx, zeta):
-    """The coordinates of (T(zeta)^0, ..., T(zeta)^(2^d-2)), built once per
-    context and zeta.
-
-    zeta must be an element of k, a WittElement of precision 1 (checked on
-    every call, before the table is read), and a qth root of unity (checked
-    when the table is built).  A zeta that fails raises ValueError and gets
-    no table, so it raises again on every call.  A Teichmuller lift of a
-    nonzero zeta in F_{2^d} satisfies T^(2^d-1) = 1 in W(k) mod 2^N, so this
-    table holds every power T(zeta)^chi at index chi mod (2^d - 1); that
-    identity is checked too.
-    """
-    if zeta.precision != 1:
-        raise ValueError(f"zeta must have precision 1, not {zeta.precision}")
-    powers = ctx._zeta_powers.get(zeta.coeffs)
-    if powers is None:
-        if not (zeta ** ctx.q) == ctx.spec.one:
-            raise ValueError(f"zeta^{ctx.q} != 1")
-        kernel = ctx.kernel
-        t = teichmuller(zeta, ctx.precision).coeffs
-        acc = ctx._unit
-        table = []
-        for _ in range((1 << ctx.spec.d) - 1):
-            table.append(acc)
-            acc = kernel.masked(kernel.mul(acc, t))
-        if acc != ctx._unit:
-            raise ConsistencyFailure(f"T(zeta)^{(1 << ctx.spec.d) - 1} != 1")
-        powers = ctx._zeta_powers[zeta.coeffs] = tuple(table)
-    return powers
-
-
 def _tau_chi(ctx, exps):
     """The tau part sum (2^i - 1) A_{ij} of the character exponent of tau^A."""
     return sum(map(operator.mul, ctx._chi_weights, exps))
@@ -664,14 +631,23 @@ def lt_zeta(ctx, zeta: WittElement, e: LTElement) -> LTElement:
 
     Diagonal on monomials (_diagonal_map): the term tau^A u^s scales by
     T(zeta)^chi with chi = sum (2^i - 1) A_{ij} - s (tau_m contributes 0 mod
-    q), read at chi mod (2^d - 1) off the table of powers.  zeta must be a
-    qth root of unity (checked once, when its table of powers is built).
+    q).  With zeta = g^i for the generator g of the kernel's table of lifts,
+    T(zeta)^chi = T(g)^(i chi) is read off the table at i chi mod (2^d - 1).
+    zeta must be an element of k, a WittElement of precision 1, and a qth
+    root of unity, so nonzero with i q = 0 mod (2^d - 1); all three are
+    checked on every call, in that order after the field.
     """
     if zeta.spec is not ctx.spec and zeta.spec != ctx.spec:
         raise ValueError("zeta from a different field")
-    powers = _teichmuller_powers(ctx, zeta)
+    if zeta.precision != 1:
+        raise ValueError(f"zeta must have precision 1, not {zeta.precision}")
+    lifts, log = ctx.kernel.lifts()
+    order = len(lifts)
+    i = log.get(zeta.coeffs)
+    if i is None or i * ctx.q % order:
+        raise ValueError(f"zeta^{ctx.q} != 1")
     mul = ctx.kernel.mul
-    return _diagonal_map(ctx, e, lambda c, cls: mul(c, powers[cls]), len(powers))
+    return _diagonal_map(ctx, e, lambda c, cls: mul(c, lifts[i * cls % order]), order)
 
 
 def lt_galois(ctx, e: LTElement) -> LTElement:
@@ -1108,20 +1084,6 @@ def d_factors(ctx):
     )
 
 
-def _multiplicative_generator(spec):
-    order = (1 << spec.d) - 1
-    for g in spec.elements():
-        if g.is_zero():
-            continue
-        pw, k = g, 1
-        while not pw == spec.one:
-            pw = pw * g
-            k += 1
-        if k == order:
-            return g
-    raise ConsistencyFailure("no multiplicative generator found")
-
-
 def _exponent_tuples(k, bound):
     """Every k-tuple of exponents with sum <= bound, in lexicographic order."""
     if k == 0:
@@ -1134,19 +1096,20 @@ def _fixed_subring_box(ctx):
     """(zeta, u_bound, box) of fixed_subring_presentation, built once per
     context on first use.
 
-    zeta generates the torsion k^x[q] and box is the sum of the monomials of
-    the box, the one element built without a normal-form check: every
-    coefficient is the unit, every tau-degree is below M, and u_bound is
-    checked against the window before it is built (past the cap it would
-    hold millions of monomials).  A failed check raises before anything is
+    zeta generates the torsion k^x[q]: it is g^((2^d - 1)/alpha) for the
+    generator g of the kernel's table of lifts, read off the table at that
+    index mod 2^d - 1 (the build checks that g has full order).  box is the
+    sum of the monomials of the box, the one element built without a
+    normal-form check: every coefficient is the unit, every tau-degree is
+    below M, and u_bound is checked against the window before it is built
+    (past the cap it would hold millions of monomials).  A failed check raises before anything is
     stored, so it raises again on every call.
     """
     if ctx._fixed_box is None:
         alpha = ctx.alpha
         u_bound = max(2 * ctx.q, alpha + 1)
-        zeta = _multiplicative_generator(ctx.spec) ** (((1 << ctx.spec.d) - 1) // alpha)
-        if not (zeta ** ctx.q) == ctx.spec.one:
-            raise ConsistencyFailure("torsion generator construction failed")
+        lifts, _ = ctx.kernel.lifts()
+        zeta = WittElement(ctx.spec, 1, lifts[len(lifts) // alpha % len(lifts)])
         if u_bound > _U_CAP:
             raise ValueError("exponent beyond the representable window")
         # the unit is in normal form at every tau-degree below M

@@ -7,7 +7,6 @@ from fgl_forge.coefficients import (
     QQ,
     FiniteFieldSpec,
     WittElement,
-    _frobenius_root,
     field_refusal,
     finite_field,
     frobenius_lift,
@@ -254,9 +253,44 @@ def test_frobenius_lift():
             assert frobenius_lift(teichmuller(spec.omega, 8)) != teichmuller(spec.omega, 8)
 
 
-def _frobenius_by_substitution(w):
-    """Substitute the Hensel root for x in the coordinates of w."""
-    r = _frobenius_root(w.spec, w.precision)
+def _x(spec, N):
+    """The class of x in Z_2[x]/(f~) mod 2^N; at d = 1, f~ = f_0 + x."""
+    if spec.d == 1:
+        return WittElement(spec, N, [-spec.modulus[0]])
+    return WittElement(spec, N, [0, 1] + [0] * (spec.d - 2))
+
+
+def _f_tilde(w):
+    """f~(w) by Horner's rule, f~ the {0,1}-lift of the modulus of w's field."""
+    acc = WittElement.zero(w.spec, w.precision)
+    for b in reversed(w.spec.modulus):
+        acc = acc * w + b
+    return acc
+
+
+def _root_by_bit_search(spec, N):
+    """The root of f~ mod 2^N that is x^2 mod 2, one bit at a time.
+
+    f~ is separable mod 2, so a root mod 2^j has exactly one correction
+    2^j delta, over the 2^d choices of delta in {0,1}^d, that is a root mod
+    2^(j+1); the search asserts that it is unique.
+    """
+    r = list((_x(spec, 1) * _x(spec, 1)).coeffs)
+    assert _f_tilde(WittElement(spec, 1, r)).is_zero()
+    for j in range(1, N):
+        lifts = []
+        for delta in range(1 << spec.d):
+            c = [a + ((delta >> i & 1) << j) for i, a in enumerate(r)]
+            if _f_tilde(WittElement(spec, j + 1, c)).is_zero():
+                lifts.append(c)
+        assert len(lifts) == 1
+        r = lifts[0]
+    return WittElement(spec, N, r)
+
+
+def _frobenius_by_substitution(w, r):
+    """Substitute r, the root of f~ that is x^2 mod 2, for x in the
+    coordinates of w."""
     acc = WittElement.zero(w.spec, w.precision)
     p = WittElement.one(w.spec, w.precision)
     for c in w.coeffs:
@@ -267,13 +301,19 @@ def _frobenius_by_substitution(w):
 
 
 @pytest.mark.parametrize("N", [1, 8, 10])
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_frobenius_table_matches_substitution(d, N):
-    spec = finite_field(d)
-    rng = random.Random(100 * d + N)
+@pytest.mark.parametrize("d,modulus", [
+    *(pytest.param(d, None, id=str(d)) for d in (1, 2, 3, 4)),
+    pytest.param(4, (1, 0, 0, 1, 1), id="4-x^4+x^3+1"),
+    pytest.param(6, (1, 1, 0, 0, 0, 0, 1), id="6-x^6+x+1"),
+])
+def test_frobenius_table_matches_substitution(d, modulus, N):
+    spec = finite_field(d, modulus)
+    r = _root_by_bit_search(spec, N)
+    assert frobenius_lift(_x(spec, N)) == r
+    rng = random.Random(100 * d + N + len(modulus or ()))
     for _ in range(20):
         w = WittElement(spec, N, [rng.randrange(-(1 << N), 1 << N) for _ in range(d)])
-        assert frobenius_lift(w) == _frobenius_by_substitution(w)
+        assert frobenius_lift(w) == _frobenius_by_substitution(w, r)
     assert frobenius_lift(WittElement.zero(spec, N)).is_zero()
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -469,6 +470,38 @@ def test_t_collapse_bound_is_sharp():
     q = quotient_to_m(RnContext(2, 4), 1)
     boundary = t_level(q, 1)[1]
     assert not ideal_contains(boundary, v_in_rn(q, 1))
+
+
+_REFUSALS = [
+    # (call, exception, message): each out-of-range argument, refused before
+    # any recursion runs
+    (lambda: RnContext(0, 3), ValueError, "n must be >= 1"),
+    (lambda: RnContext(2, 0), ValueError, "k_max must be >= 1"),
+    (lambda: RnContext(2, 3, m=0), ValueError, "m must be >= 1"),
+    (lambda: RnContext(2, 3).generator(0), ValueError, "generator index 0 outside 1..3"),
+    (lambda: RnContext(2, 3).generator(4), ValueError, "generator index 4 outside 1..3"),
+    (lambda: verify_tk_recursion(RnContext(2, 3), 0), ValueError, "k outside 1..3"),
+    (lambda: verify_tk_recursion(RnContext(2, 3), 4), ValueError, "k outside 1..3"),
+    (lambda: verify_tkvk(RnContext(2, 3), 0), ValueError, "k outside 1..3"),
+    (lambda: verify_tkvk(RnContext(2, 3), 4), ValueError, "k outside 1..3"),
+    (lambda: verify_ideal_invariance(RnContext(2, 3), 0), ValueError, "k outside 1..3"),
+    (lambda: verify_ideal_invariance(RnContext(2, 3), 4), ValueError, "k outside 1..3"),
+    (lambda: verify_v_collapse(RnContext(2, 3, m=1), 4), ValueError, "r outside 1..3"),
+    (lambda: verify_t_collapse(RnContext(2, 3, m=1), 0, 4), ValueError, "r outside 1..3"),
+    (lambda: verify_t_collapse(RnContext(2, 3), 0, 2), ValueError,
+     "collapse statements live in a truncated context R_n<m>"),
+    (lambda: verify_t_collapse(RnContext(2, 3, m=1), -1, 2), ValueError,
+     "level index k must satisfy 0 <= k <= n-1"),
+    (lambda: verify_t_collapse(RnContext(2, 3, m=1), 2, 2), ValueError,
+     "level index k must satisfy 0 <= k <= n-1"),
+    (lambda: quotient_to_m(RnContext(2, 3), 0), ValueError, "m must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call,exception,message", _REFUSALS)
+def test_out_of_range_arguments_are_refused_with_their_message(call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_groebner_closure_on_real_v_images():

@@ -17,7 +17,7 @@ from fgl_forge.coefficients import (
     rational_mod2,
     teichmuller,
 )
-from fgl_forge import cli, equivariant_ring, lubin_tate
+from fgl_forge import cli, coefficients, equivariant_ring, lubin_tate
 from fgl_forge.equivariant_ring import rn_context, rn_log, t_level, v_in_rn
 from fgl_forge.errors import ConsistencyFailure
 from fgl_forge.lubin_tate import (
@@ -517,7 +517,8 @@ def _zeta_by_powering(ctx, zeta, x):
 
 
 @pytest.mark.parametrize("N", [4, 8])
-@pytest.mark.parametrize("d,modulus", [(1, None), (2, None), (3, None), (3, (1, 0, 1, 1))])
+@pytest.mark.parametrize("d,modulus", [(1, None), (2, None), (3, None), (3, (1, 0, 1, 1)),
+                                       (4, None), (4, (1, 0, 0, 1, 1))])
 def test_zeta_table_matches_teichmuller_powering(d, modulus, N):
     # m = d makes every unit of k a qth root of unity (q = 2^d - 1)
     ctx = LTContext(2, d, d=d, modulus=modulus, precision=N, madic=N)
@@ -538,30 +539,48 @@ def test_zeta_table_matches_teichmuller_powering(d, modulus, N):
 
 
 def test_zeta_table_checks_the_teichmuller_order(monkeypatch):
+    # a fresh field, so that its Witt kernels hold no table yet; a wrong lift
+    # and a generator of lower order each make the build raise, on every
+    # call and for every reader of the table, and store nothing
+    monkeypatch.setattr(coefficients, "_FIELDS", AtomicCache())
     ctx = LTContext(2, 2, d=2)
     three = WittElement.from_int(ctx.spec, ctx.precision, 3)
-    monkeypatch.setattr(lubin_tate, "teichmuller", lambda a, N: teichmuller(a, N) * three)
-    with pytest.raises(ConsistencyFailure):
-        lt_zeta(ctx, ctx.spec.omega, ctx.u_pow(1))
+    lift = coefficients.teichmuller
+    omega = ctx.spec.omega
+    for name, patched, message in (
+        ("teichmuller", lambda a, N: lift(a, N) * three, r"T\(g\)\^3 != 1"),
+        ("_multiplicative_generator", lambda spec: spec.one, "g has order below 3"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(coefficients, name, patched)
+            for _ in range(2):
+                with pytest.raises(ConsistencyFailure, match=message):
+                    lt_zeta(ctx, omega, ctx.u_pow(1))
+                with pytest.raises(ConsistencyFailure, match=message):
+                    frobenius_lift(WittElement(ctx.spec, ctx.precision, [0, 1]))
+                assert ctx.kernel._lifts is None
+    t = teichmuller(omega, ctx.precision)
+    assert lt_zeta(ctx, omega, ctx.u_pow(1)) == ctx.u_pow(1).scale(t * t)
+    lifts, log = ctx.kernel.lifts()
+    assert lifts == tuple((t ** i).coeffs for i in range(3)) and log[omega.coeffs] == 1
 
 
-def test_zeta_torsion_is_checked_once_per_table():
+def test_zeta_torsion_is_checked_on_every_call():
     ctx = LTContext(2, 2, d=4)  # q = 3, 2^d - 1 = 15
     x = _random_element(ctx, random.Random(23))
     cube_root = ctx.spec.omega ** 5
     generator = ctx.spec.omega  # order 15: not a cube root of unity
     assert cube_root ** 3 == ctx.spec.one and not generator ** 3 == ctx.spec.one
-    for _ in range(2):
+    for zeta in (generator, ctx.spec.zero, generator ** 3):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"zeta\^3 != 1"):
+                lt_zeta(ctx, zeta, x)
+    table = ctx.kernel.lifts()
+    for _ in range(2):  # a torus action by a root of unity leaves the others refused
+        assert lt_zeta(ctx, cube_root, x) == _zeta_by_powering(ctx, cube_root, x)
         with pytest.raises(ValueError, match=r"zeta\^3 != 1"):
             lt_zeta(ctx, generator, x)
-        assert generator.coeffs not in ctx._zeta_powers
-    table = lubin_tate._teichmuller_powers(ctx, cube_root)
-    assert lt_zeta(ctx, cube_root, x) == _zeta_by_powering(ctx, cube_root, x)
-    for _ in range(2):  # a context that holds a table still rejects the other zeta
-        with pytest.raises(ValueError, match=r"zeta\^3 != 1"):
-            lt_zeta(ctx, generator, x)
-    assert set(ctx._zeta_powers) == {cube_root.coeffs}
-    assert lubin_tate._teichmuller_powers(ctx, cube_root) is table
+    assert ctx.kernel.lifts() is table
 
 
 def test_zeta_must_be_an_element_of_k():
@@ -571,14 +590,13 @@ def test_zeta_must_be_an_element_of_k():
     for _ in range(2):
         with pytest.raises(ValueError, match="zeta must have precision 1, not 8"):
             lt_zeta(ctx, lifted, x)
-    assert not ctx._zeta_powers
-    # once omega has a table, an element of precision 4 with omega's
-    # coordinates still raises: the precision is checked before the lookup
+    # the precision is checked before the torsion: an element of precision 4
+    # with omega's coordinates raises, though omega acts, and so does one with
+    # the coordinates of the non-torsion 0
     lt_zeta(ctx, ctx.spec.omega, x)
-    same_coeffs = WittElement(ctx.spec, 4, ctx.spec.omega.coeffs)
-    with pytest.raises(ValueError, match="zeta must have precision 1, not 4"):
-        lt_zeta(ctx, same_coeffs, x)
-    assert set(ctx._zeta_powers) == {ctx.spec.omega.coeffs}
+    for coeffs in (ctx.spec.omega.coeffs, ctx.spec.zero.coeffs):
+        with pytest.raises(ValueError, match="zeta must have precision 1, not 4"):
+            lt_zeta(ctx, WittElement(ctx.spec, 4, coeffs), x)
 
 
 @pytest.mark.parametrize("n,m,d", KERNEL_SCENARIOS)
@@ -592,11 +610,13 @@ def test_galois_matches_frobenius_lift_per_coefficient(n, m, d):
 
 
 def _zeta_per_term(ctx, zeta, x):
-    """The torus action one kernel product per term, then one normal-form
-    pass: the earlier route of lt_zeta, kept as a second oracle."""
-    powers = lubin_tate._teichmuller_powers(ctx, zeta)
+    """The torus action one kernel product per term, by T(zeta)^(chi mod
+    2^d - 1) from powering teichmuller(zeta, N), then one normal-form pass:
+    the earlier route of lt_zeta, kept as a second oracle."""
+    t = teichmuller(zeta, ctx.precision)
+    order = (1 << ctx.spec.d) - 1
     raw = {
-        (exps, ue): ctx.kernel.mul(c, powers[_chi_of(ctx, exps, ue) % len(powers)])
+        (exps, ue): ctx.kernel.mul(c, (t ** (_chi_of(ctx, exps, ue) % order)).coeffs)
         for (exps, ue), c in x.coords.items()
     }
     return lubin_tate._element(ctx, lubin_tate._canonical(ctx, raw))
@@ -1399,6 +1419,16 @@ def test_fixed_subring_u_window_past_the_cap_raises():
         fixed_subring_presentation(LTContext(1, 20))
 
 
+def _multiplicative_order(z):
+    """The order of z in k^x, or None for z = 0."""
+    if z.is_zero():
+        return None
+    k, power = 1, z
+    while not power == z.spec.one:
+        k, power = k + 1, power * z
+    return k
+
+
 def _fixed_subring_by_monomials(ctx):
     """The fixed-subring report, one monomial of the box at a time: the oracle
     for fixed_subring_presentation, which applies each map once to the box.
@@ -1409,9 +1439,7 @@ def _fixed_subring_by_monomials(ctx):
     """
     alpha = ctx.alpha
     u_bound = max(2 * ctx.q, alpha + 1)
-    zeta = lubin_tate._multiplicative_generator(ctx.spec) ** (
-        ((1 << ctx.spec.d) - 1) // alpha
-    )
+    zeta = next(z for z in ctx.spec.elements() if _multiplicative_order(z) == alpha)
     checked = 0
     fixed = 0
     witness = None
@@ -1601,13 +1629,16 @@ def test_fixed_subring_stores_no_box_when_a_check_raises(monkeypatch):
         with pytest.raises(ValueError, match="representable window"):
             fixed_subring_presentation(ctx)
         assert ctx._fixed_box is None
-    # zeta = 0 fails zeta^q = 1, on every call
-    monkeypatch.setattr(lubin_tate, "_multiplicative_generator", lambda spec: spec.zero)
+    # a generator of lower order fails the check of the table of lifts the
+    # box reads its torsion generator off, on every call; a fresh field
+    # holds no table yet
+    monkeypatch.setattr(coefficients, "_FIELDS", AtomicCache())
+    monkeypatch.setattr(coefficients, "_multiplicative_generator", lambda spec: spec.one)
     ctx = LTContext(2, 2, d=2)
     for _ in range(2):
-        with pytest.raises(ConsistencyFailure, match="torsion generator"):
+        with pytest.raises(ConsistencyFailure, match="g has order below 3"):
             fixed_subring_presentation(ctx)
-        assert ctx._fixed_box is None
+        assert ctx._fixed_box is None and ctx.kernel._lifts is None
 
 
 def test_the_claims_build_no_rn_context(monkeypatch):

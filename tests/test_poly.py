@@ -111,6 +111,16 @@ def test_homogeneity_is_exact_and_the_top_field_is_the_degree():
         _assert_top_field_is_the_degree(nf)
 
 
+def test_a_ring_without_variables_has_one_monomial_of_degree_zero():
+    # bp_ring(0) has no variables: the enumeration is at its last index from
+    # the start, so degree 0 gives the empty monomial and degree 2 nothing
+    ring = bp_ring(0)
+    assert ring.nvars == 0
+    (mono,) = ring.monomials_of_degree(0)
+    assert ring.mono_degree(mono) == 0 and GradedPolynomial(ring, {mono: 1}) == ring.one()
+    assert ring.monomials_of_degree(2) == ()
+
+
 def test_ambient_mismatch_and_integrality():
     with pytest.raises(ValueError, match=r"^R_2\(k<=\d+\) vs R_2\(k<=3\)$"):
         R2.var(T(1, 0)) + rn_ring(2, 3).var(T(1, 0))
