@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import ConsistencyFailure
 
@@ -165,7 +166,7 @@ class FiniteFieldSpec:
 
     def from_bits(self, bits: int) -> "WittElement":
         """The element of k = W(k) mod 2 whose coordinate i is bit i of bits."""
-        return _reduced(self, 1, tuple([bits >> i & 1 for i in range(self.d)]))
+        return WittElement(self, 1, [bits >> i for i in range(self.d)])
 
     @property
     def zero(self):
@@ -200,9 +201,9 @@ class WittElement:
     f~ is the {0,1}-coefficient integer lift of the field modulus, so reduction
     mod 2 of the coefficient vector is exactly the residue map W(k) -> k.
 
-    The public constructor checks and reduces its input.  The arithmetic masks
-    its results to [0, 2^N) itself and builds them through _reduced, so no
-    result is reduced twice.
+    The constructor is the one way to build an element: it checks the
+    precision and the length and reduces every coordinate to [0, 2^N), so the
+    arithmetic hands it raw integer coordinates.
     """
 
     __slots__ = ("spec", "precision", "coeffs")
@@ -222,10 +223,7 @@ class WittElement:
 
     @staticmethod
     def from_int(spec, precision, c) -> "WittElement":
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
-        low = int(c) & ((1 << precision) - 1)
-        return _reduced(spec, precision, (low,) + (0,) * (spec.d - 1))
+        return WittElement(spec, precision, (c,) + (0,) * (spec.d - 1))
 
     @staticmethod
     def zero(spec, precision):
@@ -239,11 +237,7 @@ class WittElement:
 
     def _coerce(self, other):
         if isinstance(other, WittElement):
-            # specs are almost always one object: test identity before the
-            # dataclass __eq__
-            if (
-                other.spec is not self.spec and other.spec != self.spec
-            ) or other.precision != self.precision:
+            if other.spec != self.spec or other.precision != self.precision:
                 raise ValueError("mixed Witt-ring arithmetic")
             return other
         if isinstance(other, int):
@@ -254,12 +248,7 @@ class WittElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        mask = (1 << self.precision) - 1
-        return _reduced(
-            self.spec,
-            self.precision,
-            tuple([(a + b) & mask for a, b in zip(self.coeffs, o.coeffs)]),
-        )
+        return WittElement(self.spec, self.precision, map(add, self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -267,27 +256,20 @@ class WittElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        mask = (1 << self.precision) - 1
-        return _reduced(
-            self.spec,
-            self.precision,
-            tuple([(a - b) & mask for a, b in zip(self.coeffs, o.coeffs)]),
-        )
+        return WittElement(self.spec, self.precision, map(sub, self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        mask = (1 << self.precision) - 1
-        return _reduced(self.spec, self.precision, tuple([-a & mask for a in self.coeffs]))
+        return WittElement(self.spec, self.precision, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        kernel = witt_kernel(self.spec, self.precision)
-        product = kernel.mul(self.coeffs, o.coeffs)
-        return _reduced(self.spec, self.precision, kernel.masked(product))
+        product = witt_kernel(self.spec, self.precision).mul(self.coeffs, o.coeffs)
+        return WittElement(self.spec, self.precision, product)
 
     __rmul__ = __mul__
 
@@ -298,7 +280,7 @@ class WittElement:
 
     def residue(self) -> "WittElement":
         """Reduction mod 2 down to k = F_{2^d}, the ring at precision 1."""
-        return _reduced(self.spec, 1, tuple([c & 1 for c in self.coeffs]))
+        return WittElement(self.spec, 1, self.coeffs)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -332,7 +314,7 @@ class WittElement:
             other = WittElement.from_int(self.spec, self.precision, other)
         return (
             isinstance(other, WittElement)
-            and (other.spec is self.spec or other.spec == self.spec)
+            and other.spec == self.spec
             and other.precision == self.precision
             and other.coeffs == self.coeffs
         )
@@ -345,15 +327,6 @@ class WittElement:
 
     def to_json(self):
         return {"precision": self.precision, "coeffs": list(self.coeffs)}
-
-
-def _reduced(spec, precision, coeffs):
-    """A WittElement on a coordinate tuple already in [0, 2^precision), unchecked."""
-    w = object.__new__(WittElement)
-    w.spec = spec
-    w.precision = precision
-    w.coeffs = coeffs
-    return w
 
 
 def teichmuller(a: WittElement, N: int) -> WittElement:
@@ -440,13 +413,13 @@ class WittKernel:
 
     `mul` and `frobenius` return integer coordinates that are reduced by f~
     but not masked, so a caller that sums several results masks once: to
-    [0, 2^N) through `masked` (WittElement), or to a coarser 2^j (a term of
-    the Lubin-Tate ring).  Both maps are Z-linear in each argument, so
-    masking afterwards gives the same residue as masking each step.  One
-    kernel exists per (spec, N), from witt_kernel; WittElement arithmetic
-    and frobenius_lift run on it.  `lifts` is the kernel's one route from k
-    into W(k): the torus action, the Frobenius images and the torsion
-    generator of fixed-subring all read it.
+    [0, 2^N) (`masked`, or the WittElement constructor), or to a coarser 2^j
+    (a term of the Lubin-Tate ring).  Both maps are Z-linear in each
+    argument, so masking afterwards gives the same residue as masking each
+    step.  One kernel exists per (spec, N), from witt_kernel; WittElement
+    arithmetic and frobenius_lift run on it.  `lifts` is the kernel's one
+    route from k into W(k): the torus action, the Frobenius images and the
+    torsion generator of fixed-subring all read it.
     """
 
     __slots__ = ("spec", "precision", "mask", "mul", "_lifts", "_images")
@@ -498,15 +471,9 @@ class WittKernel:
 
 
 def witt_kernel(spec: FiniteFieldSpec, N: int) -> WittKernel:
-    """The coordinate kernel of W(spec) mod 2^N, one per spec and N.
-
-    The kernels live on the spec, so the lookup on every WittElement
-    operation is one dict probe; a miss builds under the table's lock.
-    """
-    kernel = spec._kernels.get(N)
-    if kernel is None:
-        kernel = spec._kernels.get_or_create(N, lambda: WittKernel(spec, N))
-    return kernel
+    """The coordinate kernel of W(spec) mod 2^N, one per spec and N, built
+    once under the lock of the spec's own AtomicCache."""
+    return spec._kernels.get_or_create(N, lambda: WittKernel(spec, N))
 
 
 def frobenius_lift(w: WittElement) -> WittElement:
@@ -519,4 +486,4 @@ def frobenius_lift(w: WittElement) -> WittElement:
     lifts and certified as a root of f~.
     """
     kernel = witt_kernel(w.spec, w.precision)
-    return _reduced(w.spec, w.precision, kernel.masked(kernel.frobenius(w.coeffs)))
+    return WittElement(w.spec, w.precision, kernel.frobenius(w.coeffs))

@@ -151,7 +151,7 @@ class LTContext:
         return self.monomial(self._zero_exps, 0, (int(c),) + self._unit[1:])
 
     def _witt_coords(self, w: WittElement):
-        if (w.spec is not self.spec and w.spec != self.spec) or w.precision != self.precision:
+        if w.spec != self.spec or w.precision != self.precision:
             raise ValueError("Witt coefficient from a different context")
         return w.coeffs
 
@@ -165,10 +165,11 @@ class LTContext:
         """sum a*b over the (a, b) pairs of elements of this context, mod m^M.
 
         A pair of terms with filtrations f1, f2 has a product in m^{f1+f2}, so
-        it is dropped when f1 + f2 >= M.  Both operands are walked in
-        filtration order, so each loop stops at its first dropped pair.  The
-        kernel products of every pair are summed unmasked into one dict,
-        which is normalised once; a product is the dot of one pair.
+        it is dropped when f1 + f2 >= M.  The right operand is walked in
+        filtration order, sorted once and kept, so its loop stops at its first
+        dropped pair; the left is walked as stored and skips a term that no
+        right term fits.  The kernel products of every pair are summed
+        unmasked into one dict, normalised once; a product is one pair's dot.
         """
         M = self.madic
         mul = self.kernel.mul
@@ -178,10 +179,10 @@ class LTContext:
                 raise ValueError("elements from different Lubin-Tate contexts")
             right = b._by_filtration()
             f_min = right[0][0] if right else M
-            for f1, e1, u1, c1 in a._by_filtration():
-                room = M - f1
+            for (e1, u1), c1 in a.coords.items():
+                room = M - _valuation(c1) - sum(e1)
                 if f_min >= room:
-                    break
+                    continue
                 for f2, e2, u2, c2 in right:
                     if f2 >= room:
                         break

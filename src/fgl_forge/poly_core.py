@@ -815,7 +815,9 @@ def _nf(p: GradedPolynomial, reducers) -> GradedPolynomial:
 
 
 # The most standard monomials one basis tabulates normal forms over (the bits
-# of a table entry); a fill that would pass it drops the table (GroebnerBasis)
+# of a table entry); a fill that would pass it drops the table (GroebnerBasis).
+# Past it a table costs more than the heap route at the R_3 caps: unbounded,
+# t-collapse --n 3 --m 2 --k 5 takes twice the time at six times the memory.
 NF_TABLE_LIMIT = 256
 
 

@@ -1051,6 +1051,19 @@ def test_suite_interrupt_flushes_partial_report(capsys, monkeypatch):
     assert [r["claim"] for r in body["reports"]] == ["eq351", "eq351", "recursion", "recursion"]
 
 
+def test_verify_interrupt_exits_130_silently(capsys, monkeypatch):
+    """Ctrl-C in a verify leaves no envelope and no error line."""
+    def boom(ctx, k):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "verify_tkvk", boom)
+    try:
+        served = _serve(["verify", "tkvk", "--n", "2", "--k", "1"], capsys)
+    except KeyboardInterrupt:  # would stop the whole pytest session
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert served == (130, "", "")
+
+
 def test_full_profile_covers_acceptance_grid():
     entries = cli.PROFILES["full"]
     for n, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]:

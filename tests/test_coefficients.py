@@ -357,10 +357,12 @@ def test_witt_results_are_canonical(d):
     rng = random.Random(40 + d)
     for N in (1, 5, 8):
         top = 1 << N
+        kernel = witt_kernel(spec, N)
 
-        def canonical(w, raw):
-            assert all(0 <= c < top for c in w.coeffs)
-            assert w.coeffs == WittElement(spec, N, raw).coeffs
+        def canonical(w, raw, precision=N):
+            assert w.precision == precision
+            assert all(0 <= c < 1 << precision for c in w.coeffs)
+            assert w.coeffs == WittElement(spec, precision, raw).coeffs
 
         for _ in range(25):
             ra = [rng.randrange(-3 * top, 3 * top) for _ in range(d)]
@@ -376,6 +378,9 @@ def test_witt_results_are_canonical(d):
             canonical(k - a, [k - ra[0]] + [-x for x in ra[1:]])
             canonical(a * k, [x * k for x in ra])
             canonical(WittElement.from_int(spec, N, k), [k] + [0] * (d - 1))
+            canonical(a.residue(), ra, 1)
+            canonical(spec.from_bits(k), [k >> i for i in range(d)], 1)
+            canonical(frobenius_lift(a), kernel.frobenius(ra))
             if a.is_unit():
                 canonical(a.inverse(), _raw_inverse(spec, N, ra))
 
@@ -432,6 +437,19 @@ def test_spec_equality_and_hash_ignore_the_derived_attributes():
     assert other != F8 and other.modbits == 0b1101
     assert {fresh: 1}[F8] == 1
     assert [f.name for f in dataclasses.fields(FiniteFieldSpec)] == ["d", "modulus"]
+    # elements of equal specs mix; elements of another field do not
+    ra, rb = [3, 5, 2], [6, 1, 4]
+    a, b = WittElement(fresh, 7, ra), WittElement(F8, 7, rb)
+    assert a == WittElement(F8, 7, ra) and a != b
+    assert a + b == b + a == WittElement(F8, 7, [x + y for x, y in zip(ra, rb)])
+    assert a * b == b * a == WittElement(F8, 7, _raw_product(F8, ra, rb))
+    alien = WittElement(other, 7, ra)
+    assert alien != a
+    for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match="mixed Witt-ring arithmetic"):
+            combine(alien, b)
+        with pytest.raises(ValueError, match="mixed Witt-ring arithmetic"):
+            combine(b, alien)
 
 
 # ---- powers ---------------------------------------------------------------------
