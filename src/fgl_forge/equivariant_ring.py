@@ -25,9 +25,12 @@ one normal form (_nf_mod_Ik).  Beside them it keeps one table of the
 gamma^s-images of the logarithm (_log_images), which the logarithm relations
 and the lower-level generators read, so a warm request builds none.
 
-Every verifier returns a JSON-ready report: status "verified", or "failed"
-with a witness when the claim is false.  Exceptions are left to bad input
-(ValueError) and to internal cross-checks that break (ConsistencyFailure).
+Every verifier returns a JSON-ready report through _verdict: a claim is a
+sequence of residues (exact residuals, or normal forms on F_2), all zero
+exactly when it holds, and the report is "verified", or "failed" with the
+first nonzero residue in check order as its witness.  Exceptions are left to
+bad input (ValueError) and to internal cross-checks that break
+(ConsistencyFailure).
 """
 
 from .coefficients import QQ, two_valuation
@@ -403,12 +406,6 @@ def quotient_to_m(ctx, m):
 # ideal arithmetic
 # ---------------------------------------------------------------------------
 
-def _witness(p):
-    if p is None or p.is_zero():
-        return None
-    return poly_to_json(p)
-
-
 def _v_bars(ctx, k):
     """The mod-2 images of v_1 .. v_k, each built on its first read from the
     v_j the context holds then; like the v-images they grow by prefix."""
@@ -475,6 +472,20 @@ def _nf_mod_Ik(ctx, pbar, k):
 # verifiers
 # ---------------------------------------------------------------------------
 
+def _verdict(claim, ctx, params, residues):
+    """The report of a claim that holds when every residue vanishes.
+
+    residues gives (residue, extra params) pairs in check order, as a list
+    or a lazy generator, and is read up to its first nonzero residue: that
+    one fails the claim, with extra merged into params and the residue as
+    the witness, and no later residue is formed.
+    """
+    for residue, extra in residues:
+        if not residue.is_zero():
+            return _report(claim, {**params, **extra}, False, poly_to_json(residue), ctx.bounds())
+    return _report(claim, params, True, None, ctx.bounds())
+
+
 def verify_log_relations(ctx):
     """Check the defining relations of the equivariant logarithm exactly.
 
@@ -488,26 +499,13 @@ def verify_log_relations(ctx):
     ls = rn_log(ctx)
     one = (ctx.ring_q.one(),)
     gls, g2ls = one + _log_images(ctx, 1), one + _log_images(ctx, 2)
-    bad = None
-    for k, lk in enumerate(ls, start=1):
-        residuals = _residuals(lk, gls[k], g2ls[k], *_relation_rhs(ctx, gls, g2ls, k))
-        for which, res in zip((1, 2), residuals):
-            if not res.is_zero():
-                bad = (k, which, res)
-                break
-        if bad:
-            break
-    report = _report(
-        "eq351",
-        {"n": ctx.n, "k_max": ctx.k_max},
-        bad is None,
-        None if bad is None else _witness(bad[2]),
-        ctx.bounds(),
+    residues = (
+        (res, {"k": k, "relation": which})
+        for k, lk in enumerate(ls, start=1)
+        for which, res in zip((1, 2), _residuals(lk, gls[k], g2ls[k],
+                                                 *_relation_rhs(ctx, gls, g2ls, k)))
     )
-    if bad:
-        report["params"]["k"] = bad[0]
-        report["params"]["relation"] = bad[1]
-    return report
+    return _verdict("eq351", ctx, {"n": ctx.n, "k_max": ctx.k_max}, residues)
 
 
 def verify_tk_recursion(ctx, k):
@@ -532,16 +530,10 @@ def verify_tk_recursion(ctx, k):
             continue
         rhs = rhs + gamma_act(tj) * tkj ** (1 << j)
     if k == 1:
-        nf = t_level(ctx, ctx.n - 1)[0] - rhs
+        residue = t_level(ctx, ctx.n - 1)[0] - rhs
     else:
-        nf = _nf_mod_Ik(ctx, _t_bar(ctx, ctx.n - 1, k) + reduce_mod2(rhs), k)
-    return _report(
-        "recursion",
-        {"n": ctx.n, "k": k, "exact": k == 1},
-        nf.is_zero(),
-        _witness(nf),
-        ctx.bounds(),
-    )
+        residue = _nf_mod_Ik(ctx, _t_bar(ctx, ctx.n - 1, k) + reduce_mod2(rhs), k)
+    return _verdict("recursion", ctx, {"n": ctx.n, "k": k, "exact": k == 1}, [(residue, {})])
 
 
 def verify_tkvk(ctx, k):
@@ -552,13 +544,7 @@ def verify_tkvk(ctx, k):
     # lower than v_in_rn built beside the level table
     vbar = _v_bars(ctx, k)[k - 1]
     nf = _nf_mod_Ik(ctx, _t_bar(ctx, 1, k) + vbar, k)
-    return _report(
-        "tkvk",
-        {"n": ctx.n, "k": k},
-        nf.is_zero(),
-        _witness(nf),
-        ctx.bounds(),
-    )
+    return _verdict("tkvk", ctx, {"n": ctx.n, "k": k}, [(nf, {})])
 
 
 def verify_ideal_invariance(ctx, k):
@@ -573,22 +559,9 @@ def verify_ideal_invariance(ctx, k):
     """
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
-    bad = None
-    for j, vbar in enumerate(_v_bars(ctx, k), start=1):
-        nf = _nf_mod_Ik(ctx, vbar + gamma_act(vbar), j)
-        if not nf.is_zero():
-            bad = nf
-            break
-    report = _report(
-        "invariance",
-        {"n": ctx.n, "k": k},
-        bad is None,
-        _witness(bad),
-        ctx.bounds(),
-    )
-    if bad:
-        report["params"]["failure"] = "generator"
-    return report
+    residues = ((_nf_mod_Ik(ctx, vbar + gamma_act(vbar), j), {"failure": "generator"})
+                for j, vbar in enumerate(_v_bars(ctx, k), start=1))
+    return _verdict("invariance", ctx, {"n": ctx.n, "k": k}, residues)
 
 
 def verify_v_collapse(ctx, r):
@@ -601,13 +574,7 @@ def verify_v_collapse(ctx, r):
     if r > ctx.k_max:
         raise ValueError(f"r outside 1..{ctx.k_max}")
     nf = _nf_mod_Ik(ctx, _v_bars(ctx, r)[r - 1], h + 1)
-    return _report(
-        "v-collapse",
-        {"n": ctx.n, "m": ctx.m, "h": h, "r": r},
-        nf.is_zero(),
-        _witness(nf),
-        ctx.bounds(),
-    )
+    return _verdict("v-collapse", ctx, {"n": ctx.n, "m": ctx.m, "h": h, "r": r}, [(nf, {})])
 
 
 def verify_t_collapse(ctx, k, r):
@@ -621,22 +588,9 @@ def verify_t_collapse(ctx, k, r):
     if r > ctx.k_max:
         raise ValueError(f"r outside 1..{ctx.k_max}")
     x = _t_bar(ctx, ctx.n - k, r)
-    bad = None
-    for j in range(ctx.half):
-        nf = _nf_mod_Ik(ctx, gamma_act(x, j), r)
-        if not nf.is_zero():
-            bad = (j, nf)
-            break
-    report = _report(
-        "t-collapse",
-        {"n": ctx.n, "m": ctx.m, "level": ctx.n - k, "r": r},
-        bad is None,
-        None if bad is None else _witness(bad[1]),
-        ctx.bounds(),
-    )
-    if bad:
-        report["params"]["conjugate"] = bad[0]
-    return report
+    residues = ((_nf_mod_Ik(ctx, gamma_act(x, j), r), {"conjugate": j}) for j in range(ctx.half))
+    return _verdict("t-collapse", ctx, {"n": ctx.n, "m": ctx.m, "level": ctx.n - k, "r": r},
+                    residues)
 
 
 def chain_inversion_check(ctx, cutoff=None):
@@ -692,13 +646,6 @@ def chain_inversion_check(ctx, cutoff=None):
     for step in inner:
         composed = composed.compose(step)
     residual = L + composed
-    first = None
-    if not residual.is_zero():
-        first = -residual.coefficient(min(residual.coeffs))
-    return _report(
-        "chain-inversion",
-        {"n": ctx.n, "cutoff": X, "convention": "minus-formal-inverse"},
-        first is None,
-        _witness(first),
-        ctx.bounds(),
-    )
+    residues = [] if residual.is_zero() else [(-residual.coefficient(min(residual.coeffs)), {})]
+    return _verdict("chain-inversion", ctx,
+                    {"n": ctx.n, "cutoff": X, "convention": "minus-formal-inverse"}, residues)

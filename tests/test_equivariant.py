@@ -577,6 +577,23 @@ _EXACT = {
 }
 
 
+def _counting_nf_mod_Ik(monkeypatch, fail_at=None):
+    """Record the (pbar, k, nf) of every _nf_mod_Ik call; with fail_at, the
+    call of that index returns t_1 mod 2 in place of its normal form."""
+    calls = []
+    nf_mod_Ik = equivariant_ring._nf_mod_Ik
+
+    def record(ctx, pbar, k):
+        nf = nf_mod_Ik(ctx, pbar, k)
+        if len(calls) == fail_at:
+            nf = reduce_mod2(ctx.generator(1))
+        calls.append((pbar, k, nf))
+        return nf
+
+    monkeypatch.setattr(equivariant_ring, "_nf_mod_Ik", record)
+    return calls
+
+
 def _check_f2_route(ctx, verifier, *args):
     """Every input verifier(ctx, *args) hands _nf_mod_Ik is reduce_mod2 of the
     exact difference, and its normal form is the one ideal_normal_form gives
@@ -584,16 +601,8 @@ def _check_f2_route(ctx, verifier, *args):
     normal-form table of the context's basis, the oracle reduces on its own
     basis through the heap (poly_core._nf)."""
     exact = _EXACT[verifier](ctx, *args)
-    calls = []
-    nf_mod_Ik = equivariant_ring._nf_mod_Ik
-
-    def record(ctx_, pbar, k):
-        nf = nf_mod_Ik(ctx_, pbar, k)
-        calls.append((pbar, k, nf))
-        return nf
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equivariant_ring, "_nf_mod_Ik", record)
+        calls = _counting_nf_mod_Ik(mp)
         report = verifier(ctx, *args)
     for (pbar, k, nf), (p, k_exact) in zip(calls, exact):
         assert k == k_exact
@@ -726,6 +735,60 @@ def test_four_threads_on_one_fresh_context_give_the_serial_reports():
 
     with ThreadPoolExecutor(4) as pool:
         assert list(pool.map(run, jobs(RnContext(2, 6, m=2)))) == serial
+
+
+# ---- the first nonzero residue is the witness ----------------------------------------
+
+def test_invariance_fails_at_its_first_bad_generator_and_checks_no_further(monkeypatch):
+    """v_2 swapped for t_2 in R_2: the check of v_1 holds, the check of v_2
+    fails with the normal form of t_2 - gamma t_2 mod (2, v_1), and v_3 is
+    never reduced."""
+    ctx = RnContext(2, 3)
+    vs = v_in_rn(ctx, 3)
+    t2 = ctx.generator(2)
+    ctx._v = (vs[0], t2, vs[2])
+    calls = _counting_nf_mod_Ik(monkeypatch)
+    report = verify_ideal_invariance(ctx, 3)
+    assert [k for _, k, _ in calls] == [1, 2]
+    assert report["status"] == "failed"
+    assert report["params"] == {"n": 2, "k": 3, "failure": "generator"}
+    assert report["witness"] == poly_to_json(calls[-1][2])
+    assert report["witness"] == poly_to_json(ideal_normal_form(t2 - gamma_act(t2), vs[:1]))
+
+
+def test_t_collapse_fails_at_its_first_bad_conjugate_and_checks_no_further(monkeypatch):
+    """Of the four conjugates of R_3<1>, the second is made to fail: its
+    index is the report's conjugate, its residue the witness, and the last
+    two are never reduced."""
+    ctx = RnContext(3, 2, m=1)
+    calls = _counting_nf_mod_Ik(monkeypatch, fail_at=1)
+    report = verify_t_collapse(ctx, 0, 2)
+    assert len(calls) == 2
+    assert report["status"] == "failed"
+    assert report["params"] == {"n": 3, "m": 1, "level": 3, "r": 2, "conjugate": 1}
+    assert report["witness"] == poly_to_json(calls[-1][2])
+
+
+def test_log_relations_fail_at_relation_2_and_form_no_later_level(monkeypatch):
+    """gamma^2(l_1) moved by t_1: relation 1 holds at k = 1, relation 2 has
+    the residual -t_1 there, and no residual of k = 2 or 3 is formed."""
+    ctx = RnContext(2, 3)
+    g2ls = equivariant_ring._log_images(ctx, 2)
+    t1 = ctx.generator(1, rational=True)
+    ctx._log_images[2] = (g2ls[0] + t1, *g2ls[1:])
+    formed = []
+    residuals = equivariant_ring._residuals
+
+    def record(*args):
+        formed.append(residuals(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(equivariant_ring, "_residuals", record)
+    report = verify_log_relations(ctx)
+    assert len(formed) == 1 and formed[0][0].is_zero()
+    assert report["status"] == "failed"
+    assert report["params"] == {"n": 2, "k_max": 3, "k": 1, "relation": 2}
+    assert report["witness"] == poly_to_json(-t1)
 
 
 # ---- chain inversion ----------------------------------------------------------------
