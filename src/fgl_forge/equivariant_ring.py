@@ -23,7 +23,9 @@ the v_j and t_level entries its claims read, and per ideal I_k its one
 Groebner basis, so a membership check is one sum mod 2 of cached images and
 one normal form (_nf_mod_Ik).  Beside them it keeps one table of the
 gamma^s-images of the logarithm (_log_images), which the logarithm relations
-and the lower-level generators read, so a warm request builds none.
+and the lower-level generators read, and per cutoff one tuple of the steps of
+the chain (_chain_steps), the input of the chain-inversion certificate, so a
+warm request builds neither.
 
 Every verifier returns a JSON-ready report through _verdict: a claim is a
 sequence of residues (exact residuals, or normal forms on F_2), all zero
@@ -75,7 +77,8 @@ class RnContext:
     context keeps the mod-2 image of each v_j and each t_level entry that a
     membership claim reads, and the images gamma^s(l_1), .., gamma^s(l_k_max)
     of the logarithm per s that a claim reads (_log_images), each built on
-    its first read from the exact entry held then, and per ideal I_k the
+    its first read from the exact entry held then, the steps of the chain
+    per cutoff that a claim reads (_chain_steps), and per ideal I_k the
     Groebner basis of its mod-2 generators (see _nf_mod_Ik): no other table
     keeps a basis.
     Requests share one context per (n, k_max, m) through rn_context, so a
@@ -105,6 +108,7 @@ class RnContext:
         self._v = ()  # v_1 .. v_j for the longest prefix asked for so far
         self._t_level = {}
         self._log_images = {}  # s -> gamma^s of l_1 .. l_k_max (_log_images)
+        self._chain_steps = {}  # cutoff -> (S_{h-1}, .., S_0) (_chain_steps)
         self._v_mod2 = ()  # reduce_mod2(v_j) for a prefix of the v-images
         self._t_mod2 = {}  # (r, k) -> reduce_mod2(t_level(ctx, r)[k - 1])
         self._ideals = {}  # k -> GroebnerBasis of I_k on F_2
@@ -296,15 +300,25 @@ def _chain_steps(ctx, cutoff):
     S_j = gamma^{j+1}_* phi with phi = x +^F sum^F gamma^{-1}(t_i) x^{2^i}:
     no conjugate law F^{gamma^j} is built.  phi is taken through the
     logarithm L of F (formal_sum_via_log), so F itself is not built either.
+
+    The steps are the input of the chain-inversion certificate, not its
+    result, so the context keeps them per cutoff, built on the first read
+    from the logarithm held then; every call returns a fresh list of them.
+    The fill takes no lock: racing fills compute equal tuples and the last
+    store wins.
     """
-    L = log_series(rn_log(ctx), ctx.ring_q, cutoff)
-    terms = [(1, 1)]
-    for i in range(1, ctx.k_max + 1):
-        ti = ctx.generator(i, rational=True)
-        if not ti.is_zero() and (1 << i) <= cutoff:
-            terms.append((gamma_act(ti, -1), 1 << i))
-    phi = formal_sum_via_log(L, terms)
-    return [_gamma_shift(phi, j) for j in range(ctx.half, 0, -1)]
+    steps = ctx._chain_steps.get(cutoff)
+    if steps is None:
+        L = log_series(rn_log(ctx), ctx.ring_q, cutoff)
+        terms = [(1, 1)]
+        for i in range(1, ctx.k_max + 1):
+            ti = ctx.generator(i, rational=True)
+            if not ti.is_zero() and (1 << i) <= cutoff:
+                terms.append((gamma_act(ti, -1), 1 << i))
+        phi = formal_sum_via_log(L, terms)
+        steps = ctx._chain_steps[cutoff] = tuple(
+            _gamma_shift(phi, j) for j in range(ctx.half, 0, -1))
+    return list(steps)
 
 
 def _chain_series(ctx, steps, cutoff):
@@ -371,14 +385,17 @@ def t_level(ctx, r):
 
 
 def quotient_to_m(ctx, m):
-    """The truncated context R_n<m>, with every cache mapped and cross-checked.
+    """The truncated context R_n<m>, with the logarithm, the v-images and the
+    level tables mapped and cross-checked.
 
-    The quotient kills t_i (with all conjugates) for i > m.  Whatever the
-    source context had already computed is pushed through the quotient map
-    and compared against a fresh computation in R_n<m>; disagreement would
-    mean a ring map failed to commute with a recursion and raises
-    ConsistencyFailure.  With m >= k_max the map renames the ambient ring
-    and fixes every cached polynomial.
+    The quotient kills t_i (with all conjugates) for i > m.  Whichever of
+    those three the source context had already computed is pushed through
+    the quotient map and compared against a fresh computation in R_n<m>;
+    disagreement would mean a ring map failed to commute with a recursion
+    and raises ConsistencyFailure.  With m >= k_max the map renames the
+    ambient ring and fixes every mapped polynomial.  The other tables (the
+    mod-2 images, the gamma-images of the logarithm, the steps of the chain
+    and the Groebner bases) start empty and are rebuilt on first read.
     """
     if ctx.m is not None:
         raise ValueError("context is already truncated")

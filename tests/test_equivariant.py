@@ -1,13 +1,14 @@
 import functools
 import random
 import re
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fgl_forge import equivariant_ring
+from fgl_forge import equivariant_ring, series_fgl
 from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
 from fgl_forge.errors import ConsistencyFailure
 from fgl_forge.reports import canonical_json, envelope
@@ -1057,6 +1058,74 @@ def test_the_chain_takes_at_least_one_step():
     for steps in (0, -1):
         with pytest.raises(ValueError, match="at least one step"):
             chain_composite(ctx, steps=steps)
+
+
+def test_the_chain_step_table_reads_each_cutoff_as_a_fresh_context_does():
+    """The pool reads one context at two cutoffs; in any order each read is
+    the steps a fresh context builds at that cutoff."""
+    for (n, k_max), cutoffs in (((2, 3), (8, 10, 8, 15)), ((3, 2), (5, 7, 5))):
+        ctx = RnContext(n, k_max)
+        for X in cutoffs:
+            assert equivariant_ring._chain_steps(ctx, X) == \
+                equivariant_ring._chain_steps(RnContext(n, k_max), X)
+        assert sorted(ctx._chain_steps) == sorted(set(cutoffs))
+
+
+def test_a_changed_step_list_leaves_the_table_as_it_was():
+    ctx = RnContext(3, 2)
+    want = equivariant_ring._chain_steps(RnContext(3, 2), 7)
+    steps = equivariant_ring._chain_steps(ctx, 7)
+    steps[0] = steps[0] + TruncatedSeries1.monomial(
+        ctx.ring_q, ctx.generator(1, rational=True), 3, 7)
+    steps.pop()
+    assert equivariant_ring._chain_steps(ctx, 7) == want
+
+
+# the (n, k, cutoff) of the chain-series benchmark pool
+_POOL_CHAIN_CASES = CHAIN_CASES[:7]
+
+
+@pytest.mark.parametrize("n,k_max,cutoff", _POOL_CHAIN_CASES)
+def test_a_warm_chain_check_solves_no_series_and_prints_the_cold_report(
+        monkeypatch, n, k_max, cutoff):
+    """The F-sum of the steps is the one series reversion of the check, so
+    only the first check on a context and cutoff solves."""
+    solves = []
+    solve = series_fgl.solve_series
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fgl_forge."):
+            for attr, value in list(vars(module).items()):
+                if value is solve:
+                    monkeypatch.setattr(module, attr, counted)
+    ctx = RnContext(n, k_max)
+    cold = canonical_json(chain_inversion_check(ctx, cutoff=cutoff))
+    assert solves
+    solves.clear()
+    assert canonical_json(chain_inversion_check(ctx, cutoff=cutoff)) == cold
+    assert solves == []
+
+
+def test_four_threads_on_one_fresh_context_race_on_the_chain_steps():
+    """Two cutoffs, each read twice, at once on one fresh R_3 context race on
+    the logarithm and the step table, and print what they print one by one."""
+    def jobs(ctx):
+        return [lambda X=X: envelope([chain_inversion_check(ctx, cutoff=X)])
+                for X in (5, 7, 5, 7)]
+
+    serial = [canonical_json(job()) for job in jobs(RnContext(3, 2))]
+    start = threading.Barrier(4)
+
+    def run(job):
+        start.wait()
+        return canonical_json(job())
+
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(run, jobs(RnContext(3, 2)))) == serial
 
 
 @pytest.mark.parametrize("n", [2, 3])
