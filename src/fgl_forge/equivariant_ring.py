@@ -155,46 +155,57 @@ def rn_context(n, k_max, m=None):
 # the equivariant logarithm and the v-images
 # ---------------------------------------------------------------------------
 
+def _t_power(ring, i, j):
+    """t_i^{2^j} in ring as its one packed monomial (mono_of), so no power is
+    squared through the kernel; None when the truncation at m kills t_i."""
+    v = T(i)
+    if v not in ring.var_index:
+        return None
+    return GradedPolynomial(ring, {ring.mono_of(v, 1 << j): 1}, _checked=True)
+
+
 def _relation_rhs(ctx, gls, g2ls, k):
     """The two correction sums for level k: (sum gamma(l_j) t_{k-j}^{2^j},
     sum gamma^2(l_j) (gamma t_{k-j})^{2^j}), read from gls[j] = gamma(l_j)
     and g2ls[j] = gamma^2(l_j), with l_0 = 1.
 
     Each sum is one PolyRing.dot: the factor t_{k-j}^{2^j} is one monomial
-    (mono_of), and its gamma-image is that monomial moved by gamma_act, so
-    no power is squared through the kernel and no partial sum is formed.
+    (_t_power), and its gamma-image is that monomial moved by gamma_act, so
+    no partial sum is formed.
     """
     RQ = ctx.ring_q
     p1, p2 = [], []
     for j in range(k):
-        v = T(k - j)
-        if v not in RQ.var_index:  # killed by the truncation at m
-            continue
-        t = GradedPolynomial(RQ, {RQ.mono_of(v, 1 << j): 1})
-        p1.append((gls[j], t))
-        p2.append((g2ls[j], gamma_act(t)))
+        t = _t_power(RQ, k - j, j)
+        if t is not None:
+            p1.append((gls[j], t))
+            p2.append((g2ls[j], gamma_act(t)))
     return RQ.dot(p1), RQ.dot(p2)
 
 
 def _residuals(lk, glk, g2lk, a1, a2):
-    """Exact residuals of the defining relation and its gamma-translate at
-    one level, from gamma(l_k), gamma^2(l_k) and the two correction sums
-    (a1, a2) of _relation_rhs:
+    """Residuals of the defining relation and its gamma-translate at one
+    level, from gamma(l_k), gamma^2(l_k) and the two correction sums (a1, a2)
+    of _relation_rhs:
 
-    r1: l_k - gamma l_k - sum_j gamma(l_j) t_{k-j}^{2^j}
-    r2: gamma l_k - gamma^2 l_k - sum_j gamma^2(l_j) (gamma t_{k-j})^{2^j}
+    r1: l_k - (gamma l_k + sum_j gamma(l_j) t_{k-j}^{2^j})
+    r2: gamma l_k - (gamma^2 l_k + sum_j gamma^2(l_j) (gamma t_{k-j})^{2^j})
 
-    Each is one PolyRing.dot over the pairs (l_k, 1), (gamma l_k, -1),
-    (a1, -1), and likewise for r2.  The third relation, l_k - gamma^2 l_k =
-    (both sums), has the residual r1 + r2 by construction, so it holds
-    whenever these two do and is not formed.  r2 is gamma(r1) only when
-    gamma_act is a ring automorphism, which is what forming it from
-    gamma^2(l_k) on its own checks.
+    Equality of canonical forms decides each relation: GradedPolynomial
+    storage is reduced over one denominator, so l_k == rhs1 is exact, and
+    forming rhs1 copies gamma l_k and loops over a1 alone.  A residual is
+    formed only for a relation that fails, as its witness (the same
+    polynomial whichever way it is summed); a relation that holds gives
+    zero.  The third relation, l_k - gamma^2 l_k = (both
+    sums), has the residual r1 + r2 by construction, so it holds whenever
+    these two do and is not formed.  r2 is gamma(r1) only when gamma_act is a
+    ring automorphism, which is what forming it from gamma^2(l_k) on its own
+    checks.
     """
-    RQ = lk.ring
-    one, minus = RQ.one(), RQ.from_rational(-1)
-    return (RQ.dot(((lk, one), (glk, minus), (a1, minus))),
-            RQ.dot(((glk, one), (g2lk, minus), (a2, minus))))
+    rhs1, rhs2 = glk + a1, g2lk + a2
+    zero = lk.ring.zero()
+    return (zero if lk == rhs1 else lk - rhs1,
+            zero if glk == rhs2 else glk - rhs2)
 
 
 def _log_images(ctx, s):
@@ -237,8 +248,9 @@ def rn_log(ctx):
     Each level is built from the one pair of correction sums of
     _relation_rhs, and the relation and its gamma-translate are re-verified
     exactly from that pair and the gamma images of l_k, which the later
-    levels read (the gamma^2 relation is their sum, see _residuals); a
-    nonzero residual (or a bad degree/denominator) raises ConsistencyFailure.
+    levels read (the gamma^2 relation is their sum, see _residuals): each
+    is decided by equality of canonical forms, and a failing one (or a bad
+    degree/denominator) raises ConsistencyFailure.
     """
     if ctx._log is not None:
         return list(ctx._log)
@@ -507,11 +519,13 @@ def verify_log_relations(ctx):
     """Check the defining relations of the equivariant logarithm exactly.
 
     rn_log already refuses to cache a logarithm that fails them, so this
-    verifier recomputes the residuals, from the context's gamma- and
+    verifier checks them again, from the context's gamma- and
     gamma^2-images of the logarithm, to produce a citable report (claim id
-    "eq351" on the command line).  Relations 1 and 2 are checked; the
-    residual of relation 3 is their sum (see _residuals), so it could never
-    be the first nonzero one, and a failed report names relation 1 or 2.
+    "eq351" on the command line).  Equality of canonical forms decides each
+    relation, and only a failing one forms its residual, the witness.
+    Relations 1 and 2 are checked; the residual of relation 3 is their sum
+    (see _residuals), so it could never be the first nonzero one, and a
+    failed report names relation 1 or 2.
     """
     ls = rn_log(ctx)
     one = (ctx.ring_q.one(),)
@@ -525,27 +539,35 @@ def verify_log_relations(ctx):
     return _verdict("eq351", ctx, {"n": ctx.n, "k_max": ctx.k_max}, residues)
 
 
+def _recursion_rhs(ctx, k):
+    """t_k + gamma(t_k) + sum_{j=1}^{k-1} gamma(t_j) t_{k-j}^{2^j} in R_n."""
+    tk = ctx.generator(k)
+    rhs = tk + gamma_act(tk)
+    for j in range(1, k):
+        tj = ctx.generator(j)
+        tkj = _t_power(ctx.ring, k - j, j)
+        if not tj.is_zero() and tkj is not None:
+            rhs = rhs + gamma_act(tj) * tkj
+    return rhs
+
+
 def verify_tk_recursion(ctx, k):
     """Level-drop recursion for t_k modulo I_k.
 
     t_k^{C_{2^{n-1}}} = t_k + gamma(t_k) + sum_{j=1}^{k-1} gamma(t_j) t_{k-j}^{2^j}
     holds mod I_k = (2, v_1, ..., v_{k-1}); at k = 1 it holds exactly
-    (empty correction sum), and the verifier insists on that.  For k >= 2 the
+    (empty correction sum), and the verifier insists on that.  Each
+    t_{k-j}^{2^j} of the right side (_recursion_rhs) is one monomial
+    (_t_power), so no power goes through the kernel.  For k >= 2 the
     difference is formed on F_2: the cached image of the left side plus the
-    reduction of the right side.
+    reduction of the right side, and its normal form mod I_k, zero exactly
+    when the claim holds, is the witness otherwise.
     """
     if ctx.n < 2:
         raise ValueError("the level-drop recursion needs n >= 2")
     if not 1 <= k <= ctx.k_max:
         raise ValueError(f"k outside 1..{ctx.k_max}")
-    tk = ctx.generator(k)
-    rhs = tk + gamma_act(tk)
-    for j in range(1, k):
-        tj = ctx.generator(j)
-        tkj = ctx.generator(k - j)
-        if tj.is_zero() or tkj.is_zero():
-            continue
-        rhs = rhs + gamma_act(tj) * tkj ** (1 << j)
+    rhs = _recursion_rhs(ctx, k)
     if k == 1:
         residue = t_level(ctx, ctx.n - 1)[0] - rhs
     else:

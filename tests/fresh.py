@@ -14,10 +14,11 @@ address-space cap (MEMORY_CAP) and one time limit (TIME_LIMIT):
   every pinned digest too and report every per-layer metric BENCHMARK.json
   names, so a program change that breaks the tracer fails here.
 
-CI runs the module as one step, after the tier-1 run and the benchmark's own
-tests, and starts no other process:
+CI runs the module in one step with tests/mutants.py, whose every child
+goes through run() too, after the tier-1 run and the benchmark's own tests,
+and starts no other process:
 
-    python -m pytest tests/fresh.py -q --durations=0
+    python -m pytest tests/fresh.py tests/mutants.py -q --durations=0
 
 pytest collects only test_*.py by default, so the tier-1 run skips this
 module.  The cap edges are read off cli._CLAIMS (CORNERS), so a raised cap

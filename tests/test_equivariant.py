@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fgl_forge import equivariant_ring, series_fgl
+from fgl_forge import cli, equivariant_ring, series_fgl
 from fgl_forge.coefficients import QQ, two_valuation, rational_mod2
 from fgl_forge.errors import ConsistencyFailure
 from fgl_forge.reports import canonical_json, envelope
@@ -123,6 +123,15 @@ def _residuals_by_combine(lk, glk, g2lk, a1, a2):
     return lk - glk - a1, glk - g2lk - a2
 
 
+def _residuals_by_dot(lk, glk, g2lk, a1, a2):
+    """Oracle of equivariant_ring._residuals: each residual one PolyRing.dot
+    over (l_k, 1), (gamma l_k, -1), (a1, -1), and likewise for r2."""
+    RQ = lk.ring
+    one, minus = RQ.one(), RQ.from_rational(-1)
+    return (RQ.dot(((lk, one), (glk, minus), (a1, minus))),
+            RQ.dot(((glk, one), (g2lk, minus), (a2, minus))))
+
+
 # one context per (n, k, m) across examples, so each logarithm is built once
 _fused_context = functools.cache(RnContext)
 
@@ -131,35 +140,45 @@ _fused_context = functools.cache(RnContext)
 @given(n=st.integers(1, 3), k=st.integers(1, 4), m=st.sampled_from([None, 1, 2]),
        data=st.data())
 def test_the_fused_relation_sums_match_the_combine_chain(n, k, m, data):
-    """_relation_rhs and _residuals, each a fused dot, give the polynomials of
-    the _combine chain at every level, on the logarithm and on one with one
-    l_j perturbed by c times a product of one or three variables.  No
-    product of an odd number of variables is fixed by gamma, so the
-    perturbed relation at level j fails: nonzero residuals, the failing
-    witnesses, are compared too."""
+    """_relation_rhs, a fused dot, gives the polynomials of the _combine
+    chain at every level, and _residuals, decided by equality of reduced
+    forms, gives those of the _combine chain and of the fused dot, on the
+    logarithm and on two perturbations of one l_j.  One adds c times a
+    product of one or three variables: no such product is fixed by gamma,
+    so the perturbed relation at level j fails.  The other scales l_j alone
+    by 1/3 and keeps its gamma-images, so l_j keeps its reduced numerators
+    and only its denominator tells relation 1 at level j from the true one.
+    Nonzero residuals, the failing witnesses, are compared too."""
     ctx = _fused_context(n, k, m)
     RQ = ctx.ring_q
     ls = rn_log(ctx)
-    perturbed = data.draw(st.booleans())
-    if perturbed:
+    one = RQ.one()
+    gls = [one] + [gamma_act(l) for l in ls]
+    g2ls = [one] + [gamma_act(l, 2) for l in ls]
+    perturbation = data.draw(st.sampled_from([None, "term", "third"]))
+    if perturbation is not None:
         j = data.draw(st.integers(1, k))
+    if perturbation == "term":
         c = RQ.from_rational(QQ(data.draw(st.sampled_from([-3, -1, 1, 2, 5])),
                                 data.draw(st.sampled_from([1, 2, 3, 8]))))
         for v in data.draw(st.lists(st.sampled_from(RQ.variables), min_size=1, max_size=3)
                            .filter(lambda vs: len(vs) % 2)):
             c = c * RQ.var(v)
         ls[j - 1] = ls[j - 1] + c
-    one = RQ.one()
-    gls = [one] + [gamma_act(l) for l in ls]
-    g2ls = [one] + [gamma_act(l, 2) for l in ls]
+        gls[j], g2ls[j] = gamma_act(ls[j - 1]), gamma_act(ls[j - 1], 2)
+    elif perturbation == "third":
+        third = ls[j - 1].scalar_mul(QQ(1, 3))
+        assert third.num == ls[j - 1].num and third.den == 3 * ls[j - 1].den
+        ls[j - 1] = third
     residuals = []
     for level, lk in enumerate(ls, start=1):
         sums = equivariant_ring._relation_rhs(ctx, gls, g2ls, level)
         assert sums == _relation_rhs_by_combine(ctx, gls, g2ls, level)
         got = equivariant_ring._residuals(lk, gls[level], g2ls[level], *sums)
         assert got == _residuals_by_combine(lk, gls[level], g2ls[level], *sums)
+        assert got == _residuals_by_dot(lk, gls[level], g2ls[level], *sums)
         residuals += got
-    assert any(not r.is_zero() for r in residuals) == perturbed
+    assert any(not r.is_zero() for r in residuals) == (perturbation is not None)
 
 
 @pytest.mark.parametrize("n,k_max,m", [(1, 3, None), (2, 4, None), (3, 3, None), (2, 4, 1)])
@@ -371,6 +390,47 @@ def test_tk_recursion_grid():
     c3 = RnContext(3, 2)
     for k in (1, 2):
         assert verify_tk_recursion(c3, k)["status"] == "verified"
+
+
+def _recursion_rhs_by_powers(ctx, k):
+    """Oracle of equivariant_ring._recursion_rhs: each t_{k-j}^{2^j} a power
+    through the kernel."""
+    tk = ctx.generator(k)
+    rhs = tk + gamma_act(tk)
+    for j in range(1, k):
+        tj, tkj = ctx.generator(j), ctx.generator(k - j)
+        if not tj.is_zero() and not tkj.is_zero():
+            rhs = rhs + gamma_act(tj) * tkj ** (1 << j)
+    return rhs
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, cap in cli._CLAIMS["recursion"][2]["k"].items()
+                                 for k in range(1, cap + 1)])
+def test_the_recursion_rhs_is_the_power_route_inside_the_caps(n, k):
+    """At every (n, k) the recursion's caps admit, the right side built from
+    one monomial per t_{k-j}^{2^j} is the right side built from powers."""
+    ctx = RnContext(n, k)
+    assert equivariant_ring._recursion_rhs(ctx, k) == _recursion_rhs_by_powers(ctx, k)
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 3)])
+def test_a_warm_recursion_request_takes_no_power(monkeypatch, capsys, n, k):
+    """A warm `verify recursion` request prints the cold report and calls
+    GradedPolynomial.__pow__ on no polynomial."""
+    argv = ["verify", "recursion", "--n", str(n), "--k", str(k)]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    powers = []
+    power = GradedPolynomial.__pow__
+
+    def counting(p, e):
+        powers.append(e)
+        return power(p, e)
+
+    monkeypatch.setattr(GradedPolynomial, "__pow__", counting)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert powers == []
 
 
 def test_tk_recursion_needs_n_at_least_2():
